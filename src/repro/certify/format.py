@@ -47,7 +47,7 @@ from repro.sim.execution import Execution
 from repro.sim.serialization import (
     encode_payload,
     execution_from_dict,
-    execution_to_dict,
+    executions_to_dicts,
 )
 
 CERTIFICATE_FORMAT = "repro-attack-certificate"
@@ -222,10 +222,7 @@ def build_certificate(
         ReproError: on inconsistent inputs (dangling labels, a witness
             without its execution).
     """
-    encoded_executions = {
-        label: execution_to_dict(execution)
-        for label, execution in executions.items()
-    }
+    encoded_executions = executions_to_dicts(executions)
 
     def require_label(label: str, context: str) -> None:
         if label not in encoded_executions:

@@ -144,9 +144,11 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _canon(record: Any) -> str:
-    """Canonical JSON of an encoded payload record (value identity)."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+_canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+"""Canonical JSON of an encoded payload record (value identity).
+
+The one encoder ``json.dumps`` would build afresh on every call with
+these arguments, built once."""
 
 
 def _message_key(record: dict) -> tuple:
@@ -159,6 +161,12 @@ def _message_key(record: dict) -> tuple:
     )
 
 
+def _list_of_dicts(section: Any) -> bool:
+    return isinstance(section, list) and all(
+        isinstance(entry, dict) for entry in section
+    )
+
+
 class _Verifier:
     """One verification pass over a raw certificate payload."""
 
@@ -166,14 +174,32 @@ class _Verifier:
         self.payload = payload
         self.failures: list[VerificationFailure] = []
         self.checked = 0
+        # id(fragment record) -> keys of its received messages; the
+        # payload, and so every id, outlives the pass
+        self._received_by_fragment: dict[int, list[tuple]] = {}
 
     def fail(self, condition: str, detail: str) -> None:
         self.failures.append(VerificationFailure(condition, detail))
 
-    def check(self, condition: str, holds: bool, detail: str) -> bool:
-        self.checked += 1
+    def check(
+        self,
+        condition: str,
+        holds: bool,
+        detail: str | Callable[[], str],
+    ) -> bool:
+        """Count one condition evaluation and record it if it fails.
+
+        ``detail`` is the failure text, or a callable that formats it:
+        most checks hold, so their text is only built when one fails.
+        The text is built before the evaluation is counted, so a detail
+        that cannot be formatted from a malformed record aborts the check
+        uncounted, like a condition that raises.
+        """
         if not holds:
-            self.fail(condition, detail)
+            self.fail(
+                condition, detail if isinstance(detail, str) else detail()
+            )
+        self.checked += 1
         return holds
 
     # -- schema -----------------------------------------------------------
@@ -203,18 +229,40 @@ class _Verifier:
         if not self.check(
             SCHEMA_STRUCTURE,
             not missing,
-            f"missing sections: {missing}",
+            lambda: f"missing sections: {missing}",
         ):
             return False
         claim = payload["claim"]
+        malformed = [
+            section
+            for section, well_formed in (
+                (
+                    "claim",
+                    isinstance(claim, dict)
+                    and claim.get("verdict")
+                    in (VERDICT_VIOLATION, VERDICT_BOUND)
+                    and isinstance(claim.get("n"), int)
+                    and isinstance(claim.get("t"), int),
+                ),
+                ("executions", isinstance(payload["executions"], dict)),
+                (
+                    "witness",
+                    payload["witness"] is None
+                    or isinstance(payload["witness"], dict),
+                ),
+                ("provenance", isinstance(payload["provenance"], list)),
+                (
+                    "indistinguishability",
+                    _list_of_dicts(payload["indistinguishability"]),
+                ),
+                ("isolation", _list_of_dicts(payload["isolation"])),
+            )
+            if not well_formed
+        ]
         return self.check(
             SCHEMA_STRUCTURE,
-            isinstance(claim, dict)
-            and isinstance(payload["executions"], dict)
-            and claim.get("verdict") in (VERDICT_VIOLATION, VERDICT_BOUND)
-            and isinstance(claim.get("n"), int)
-            and isinstance(claim.get("t"), int),
-            "malformed claim or executions section",
+            not malformed,
+            lambda: f"malformed sections: {malformed}",
         )
 
     # -- executions (A.1.4 / A.1.5 / A.1.6) -------------------------------
@@ -239,13 +287,14 @@ class _Verifier:
             A16_BUDGET,
             len(faulty) <= t
             and all(0 <= pid < n for pid in faulty),
-            f"{where}: faulty set {sorted(faulty)} violates |F| <= t={t} "
-            f"over {n} processes",
+            lambda: f"{where}: faulty set {sorted(faulty)} violates "
+            f"|F| <= t={t} over {n} processes",
         )
         if not self.check(
             A16_COMPOSITION,
             len(behaviors) == n and n >= 1,
-            f"{where}: expected {n} behaviors, got {len(behaviors)}",
+            lambda: f"{where}: expected {n} behaviors, got "
+            f"{len(behaviors)}",
         ):
             return
         rounds = len(behaviors[0]["fragments"])
@@ -256,75 +305,77 @@ class _Verifier:
             [set() for _ in range(rounds + 1)] for _ in range(n)
         ]
         commits_fault = [False] * n
+        # (pid, round, fragment, sent keys, incoming keys), for A.1.6
+        keyed: list[tuple[int, int, dict, list, list]] = []
         for pid, behavior in enumerate(behaviors):
             fragments = behavior["fragments"]
             self.check(
                 A16_COMPOSITION,
                 len(fragments) == rounds and rounds >= 1,
-                f"{where}: p{pid} spans {len(fragments)} rounds, "
+                lambda: f"{where}: p{pid} spans {len(fragments)} rounds, "
                 f"execution spans {rounds}",
             )
             self._verify_behavior(where, pid, behavior, rounds)
             for index, fragment in enumerate(fragments):
                 round_ = index + 1
-                self._verify_fragment(where, pid, round_, fragment)
-                for message in fragment["sent"]:
-                    sent_index[pid][min(round_, rounds)].add(
-                        _message_key(message)
-                    )
-                for message in (
-                    fragment["received"] + fragment["receive_omitted"]
-                ):
-                    incoming_index[pid][min(round_, rounds)].add(
-                        _message_key(message)
-                    )
+                sent_keys, incoming_keys = self._verify_fragment(
+                    where, pid, round_, fragment
+                )
+                slot = min(round_, rounds)
+                sent_index[pid][slot].update(sent_keys)
+                incoming_index[pid][slot].update(incoming_keys)
                 if fragment["send_omitted"] or fragment["receive_omitted"]:
                     commits_fault[pid] = True
+                keyed.append(
+                    (pid, round_, fragment, sent_keys, incoming_keys)
+                )
         # A.1.6 send-validity: every sent message is received or
         # receive-omitted by its receiver in the same round.
-        for pid, behavior in enumerate(behaviors):
-            for index, fragment in enumerate(behavior["fragments"]):
-                round_ = index + 1
-                for message in fragment["sent"]:
-                    receiver = message["receiver"]
-                    self.check(
-                        A16_SEND_VALIDITY,
-                        0 <= receiver < n
-                        and _message_key(message)
-                        in incoming_index[receiver][min(round_, rounds)],
-                        f"{where}: p{pid} r{round_} sent a message "
-                        f"neither received nor receive-omitted by "
-                        f"p{receiver}",
-                    )
-                for message in (
-                    fragment["received"] + fragment["receive_omitted"]
-                ):
-                    sender = message["sender"]
-                    self.check(
-                        A16_RECEIVE_VALIDITY,
-                        0 <= sender < n
-                        and _message_key(message)
-                        in sent_index[sender][min(round_, rounds)],
-                        f"{where}: p{pid} r{round_} records an incoming "
-                        f"message p{sender} never successfully sent",
-                    )
+        for pid, round_, fragment, sent_keys, incoming_keys in keyed:
+            slot = min(round_, rounds)
+            for message, key in zip(fragment["sent"], sent_keys):
+                receiver = message["receiver"]
+                self.check(
+                    A16_SEND_VALIDITY,
+                    0 <= receiver < n
+                    and key in incoming_index[receiver][slot],
+                    lambda: f"{where}: p{pid} r{round_} sent a message "
+                    f"neither received nor receive-omitted by "
+                    f"p{receiver}",
+                )
+            for message, key in zip(
+                fragment["received"] + fragment["receive_omitted"],
+                incoming_keys,
+            ):
+                sender = message["sender"]
+                self.check(
+                    A16_RECEIVE_VALIDITY,
+                    0 <= sender < n and key in sent_index[sender][slot],
+                    lambda: f"{where}: p{pid} r{round_} records an "
+                    f"incoming message p{sender} never successfully sent",
+                )
         for pid in range(n):
             self.check(
                 A16_OMISSION_VALIDITY,
                 not commits_fault[pid] or pid in faulty,
-                f"{where}: p{pid} commits omission faults but is not in "
-                "the faulty set",
+                lambda: f"{where}: p{pid} commits omission faults but is "
+                "not in the faulty set",
             )
 
     def _verify_fragment(
         self, where: str, pid: int, round_: int, fragment: dict
-    ) -> None:
-        """The ten A.1.4 conditions on one raw fragment record."""
+    ) -> tuple[list[tuple], list[tuple]]:
+        """The ten A.1.4 conditions on one raw fragment record.
+
+        Returns the keys of the sent and of the incoming (received, then
+        receive-omitted) messages, computed once here and reused by the
+        A.1.6 and indistinguishability checks.
+        """
         state = fragment["state"]
         self.check(
             A14_STATE,
             state["process"] == pid and state["round"] == round_,
-            f"{where}: p{pid} r{round_} fragment carries state of "
+            lambda: f"{where}: p{pid} r{round_} fragment carries state of "
             f"p{state['process']} r{state['round']}",
         )
         sent = fragment["sent"]
@@ -336,55 +387,58 @@ class _Verifier:
         self.check(
             A14_ROUND,
             all(m["round"] == round_ for m in outgoing + incoming),
-            f"{where}: p{pid} r{round_} fragment contains a message of "
-            "another round",
+            lambda: f"{where}: p{pid} r{round_} fragment contains a "
+            "message of another round",
         )
-        sent_keys = {_message_key(m) for m in sent}
-        omitted_keys = {_message_key(m) for m in send_omitted}
+        sent_keys = [_message_key(m) for m in sent]
+        omitted_keys = [_message_key(m) for m in send_omitted]
         self.check(
             A14_SEND_DISJOINT,
-            not (sent_keys & omitted_keys),
-            f"{where}: p{pid} r{round_} sent and send-omitted overlap",
+            set(sent_keys).isdisjoint(omitted_keys),
+            lambda: f"{where}: p{pid} r{round_} sent and send-omitted "
+            "overlap",
         )
-        received_keys = {_message_key(m) for m in received}
-        rec_omitted_keys = {_message_key(m) for m in receive_omitted}
+        received_keys = [_message_key(m) for m in received]
+        rec_omitted_keys = [_message_key(m) for m in receive_omitted]
         self.check(
             A14_RECEIVE_DISJOINT,
-            not (received_keys & rec_omitted_keys),
-            f"{where}: p{pid} r{round_} received and receive-omitted "
-            "overlap",
+            set(received_keys).isdisjoint(rec_omitted_keys),
+            lambda: f"{where}: p{pid} r{round_} received and "
+            "receive-omitted overlap",
         )
         self.check(
             A14_SENDER,
             all(m["sender"] == pid for m in outgoing),
-            f"{where}: p{pid} r{round_} outgoing message with a foreign "
-            "sender",
+            lambda: f"{where}: p{pid} r{round_} outgoing message with a "
+            "foreign sender",
         )
         self.check(
             A14_RECEIVER,
             all(m["receiver"] == pid for m in incoming),
-            f"{where}: p{pid} r{round_} incoming message with a foreign "
-            "receiver",
+            lambda: f"{where}: p{pid} r{round_} incoming message with a "
+            "foreign receiver",
         )
         self.check(
             A14_NO_SELF,
             all(m["sender"] != m["receiver"] for m in outgoing + incoming),
-            f"{where}: p{pid} r{round_} contains a self-message",
+            lambda: f"{where}: p{pid} r{round_} contains a self-message",
         )
         receivers = [m["receiver"] for m in outgoing]
         self.check(
             A14_UNIQUE_RECEIVER,
             len(receivers) == len(set(receivers)),
-            f"{where}: p{pid} r{round_} sends two messages to one "
+            lambda: f"{where}: p{pid} r{round_} sends two messages to one "
             "receiver",
         )
         senders = [m["sender"] for m in incoming]
         self.check(
             A14_UNIQUE_SENDER,
             len(senders) == len(set(senders)),
-            f"{where}: p{pid} r{round_} records two incoming messages "
-            "from one sender",
+            lambda: f"{where}: p{pid} r{round_} records two incoming "
+            "messages from one sender",
         )
+        self._received_by_fragment[id(fragment)] = received_keys
+        return sent_keys, received_keys + rec_omitted_keys
 
     def _verify_behavior(
         self, where: str, pid: int, behavior: dict, rounds: int
@@ -398,8 +452,8 @@ class _Verifier:
                 fragment["state"]["round"] == index + 1
                 for index, fragment in enumerate(fragments)
             ),
-            f"{where}: p{pid} fragments are not consecutively numbered "
-            "from round 1",
+            lambda: f"{where}: p{pid} fragments are not consecutively "
+            "numbered from round 1",
         )
         states = [fragment["state"] for fragment in fragments]
         states.append(final_state)
@@ -407,7 +461,7 @@ class _Verifier:
         self.check(
             A15_PROPOSAL,
             all(_canon(state["proposal"]) == proposal for state in states),
-            f"{where}: p{pid}'s proposal changes across rounds",
+            lambda: f"{where}: p{pid}'s proposal changes across rounds",
         )
         decision: str | None = None
         write_once = states[0]["decision"] is None
@@ -421,15 +475,15 @@ class _Verifier:
         self.check(
             A15_DECISION,
             write_once,
-            f"{where}: p{pid}'s decision is not write-once (or it starts "
-            "round 1 already decided)",
+            lambda: f"{where}: p{pid}'s decision is not write-once (or it "
+            "starts round 1 already decided)",
         )
         self.check(
             A15_FINAL,
             final_state["process"] == pid
             and final_state["round"] == rounds + 1,
-            f"{where}: p{pid}'s final state is not the state at the "
-            f"start of round {rounds + 1}",
+            lambda: f"{where}: p{pid}'s final state is not the state at "
+            f"the start of round {rounds + 1}",
         )
 
     # -- Definition 1 -----------------------------------------------------
@@ -440,7 +494,7 @@ class _Verifier:
         executions = self.payload["executions"]
         if not self.check(
             DEF1_ISOLATION,
-            label in executions,
+            isinstance(label, str) and label in executions,
             f"isolation claim references unknown execution {label!r}",
         ):
             return
@@ -467,8 +521,8 @@ class _Verifier:
                     self.check(
                         DEF1_ISOLATION,
                         not fragment["send_omitted"],
-                        f"{where}: p{pid} send-omits in r{round_} despite "
-                        "isolation",
+                        lambda: f"{where}: p{pid} send-omits in r{round_} "
+                        "despite isolation",
                     )
                     self.check(
                         DEF1_ISOLATION,
@@ -476,9 +530,9 @@ class _Verifier:
                             m["sender"] in group or round_ < from_round
                             for m in fragment["received"]
                         ),
-                        f"{where}: p{pid} r{round_} received an outside "
-                        f"message that isolation from round {from_round} "
-                        "requires dropping",
+                        lambda: f"{where}: p{pid} r{round_} received an "
+                        f"outside message that isolation from round "
+                        f"{from_round} requires dropping",
                     )
                     self.check(
                         DEF1_ISOLATION,
@@ -487,8 +541,8 @@ class _Verifier:
                             and round_ >= from_round
                             for m in fragment["receive_omitted"]
                         ),
-                        f"{where}: p{pid} r{round_} receive-omits an "
-                        "in-group or pre-isolation message",
+                        lambda: f"{where}: p{pid} r{round_} receive-omits "
+                        "an in-group or pre-isolation message",
                     )
         except (KeyError, TypeError, IndexError) as error:
             self.fail(
@@ -505,7 +559,10 @@ class _Verifier:
         right_label = claim.get("right")
         if not self.check(
             S3_INDISTINGUISHABILITY,
-            left_label in executions and right_label in executions,
+            isinstance(left_label, str)
+            and isinstance(right_label, str)
+            and left_label in executions
+            and right_label in executions,
             f"indistinguishability claim references unknown executions "
             f"({left_label!r}, {right_label!r})",
         ):
@@ -520,24 +577,24 @@ class _Verifier:
                 if not self.check(
                     S3_INDISTINGUISHABILITY,
                     len(lb["fragments"]) == len(rb["fragments"]),
-                    f"{where}: p{pid}'s behaviors span different horizons",
+                    lambda: f"{where}: p{pid}'s behaviors span different "
+                    "horizons",
                 ):
                     continue
                 self.check(
                     S3_INDISTINGUISHABILITY,
                     _canon(lb["fragments"][0]["state"]["proposal"])
                     == _canon(rb["fragments"][0]["state"]["proposal"]),
-                    f"{where}: p{pid} proposes differently",
+                    lambda: f"{where}: p{pid} proposes differently",
                 )
                 for index, (lf, rf) in enumerate(
                     zip(lb["fragments"], rb["fragments"])
                 ):
                     self.check(
                         S3_INDISTINGUISHABILITY,
-                        {_message_key(m) for m in lf["received"]}
-                        == {_message_key(m) for m in rf["received"]},
-                        f"{where}: p{pid} receives different messages in "
-                        f"round {index + 1}",
+                        self._received_keys(lf) == self._received_keys(rf),
+                        lambda: f"{where}: p{pid} receives different "
+                        f"messages in round {index + 1}",
                     )
         except (KeyError, TypeError, IndexError) as error:
             self.fail(
@@ -545,6 +602,14 @@ class _Verifier:
                 f"indistinguishability claim {where} is malformed: "
                 f"{error}",
             )
+
+    def _received_keys(self, fragment: dict) -> set[tuple]:
+        """The keys of a fragment's received messages, reusing those
+        :meth:`_verify_fragment` computed when it got that far."""
+        keys = self._received_by_fragment.get(id(fragment))
+        if keys is None:
+            return {_message_key(m) for m in fragment["received"]}
+        return set(keys)
 
     # -- the witness claim ------------------------------------------------
 
@@ -558,7 +623,8 @@ class _Verifier:
         label = witness.get("execution")
         if not self.check(
             WITNESS_REFERENCE,
-            label in executions
+            isinstance(label, str)
+            and label in executions
             and witness.get("kind")
             in ("agreement", "termination", "weak-validity"),
             f"witness references unknown execution {label!r} or carries "
@@ -683,7 +749,7 @@ class _Verifier:
                 self.check(
                     ACCOUNTING_COUNT,
                     recomputed == recorded,
-                    f"execution {label!r} contains {recomputed} "
+                    lambda: f"execution {label!r} contains {recomputed} "
                     f"correct-sender messages, accounting records "
                     f"{recorded}",
                 )
@@ -702,7 +768,7 @@ class _Verifier:
                     "certificate embeds no witness but claims verdict "
                     f"{claim['verdict']!r}",
                 )
-        except (KeyError, TypeError) as error:
+        except (KeyError, TypeError, AttributeError) as error:
             self.fail(
                 SCHEMA_STRUCTURE,
                 f"accounting section is malformed: {error}",
@@ -713,12 +779,16 @@ class _Verifier:
     def verify_provenance(self) -> None:
         """Every provenance step references embedded executions."""
         executions = self.payload["executions"]
-        known_ops = {"simulate", "isolate", "merge", "swap", "witness"}
+        # a tuple: membership of an unhashable op is False, not an error
+        known_ops = ("simulate", "isolate", "merge", "swap", "witness")
         for index, step in enumerate(self.payload["provenance"]):
+            known = isinstance(step, dict) and step.get("op") in known_ops
             if not self.check(
                 PROVENANCE_REFERENCE,
-                isinstance(step, dict) and step.get("op") in known_ops,
-                f"provenance step {index} has unknown op "
+                known and isinstance(step.get("inputs", []), list),
+                f"provenance step {index} has non-list inputs"
+                if known
+                else f"provenance step {index} has unknown op "
                 f"{step.get('op') if isinstance(step, dict) else step!r}",
             ):
                 continue
@@ -730,7 +800,7 @@ class _Verifier:
             for label in labels:
                 self.check(
                     PROVENANCE_REFERENCE,
-                    label in executions,
+                    isinstance(label, str) and label in executions,
                     f"provenance step {index} ({step['op']}) references "
                     f"unembedded execution {label!r}",
                 )

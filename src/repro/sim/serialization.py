@@ -35,7 +35,8 @@ True
 from __future__ import annotations
 
 import json
-from typing import Any
+from operator import itemgetter
+from typing import Any, Mapping
 
 from repro.errors import ReproError
 from repro.sim.execution import Execution
@@ -43,6 +44,10 @@ from repro.sim.message import Message
 from repro.sim.state import Behavior, Fragment, StateSnapshot
 
 FORMAT_VERSION = 1
+
+# ``json.dumps`` with these arguments builds exactly this encoder on
+# every call; building it once keeps the per-call cost to the encoding.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def canonical_json(data: Any) -> str:
@@ -63,19 +68,30 @@ def canonical_json(data: Any) -> str:
     >>> canonical_json({"v": 1, "k": "lit"})
     '{"k":"lit","v":1}'
     """
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL(data)
 
 
 def encode_payload(value: Any) -> Any:
     """Encode one payload value into JSON-safe structures."""
-    from repro.crypto.chains import SignedChain
-    from repro.crypto.signatures import Signature
-    from repro.protocols.external_validity import Transaction
-
     if value is None or isinstance(value, (bool, int, str)):
         return {"k": "lit", "v": value}
     if isinstance(value, bytes):
         return {"k": "bytes", "v": value.hex()}
+    if isinstance(value, tuple):
+        return {
+            "k": "tuple",
+            "v": [encode_payload(element) for element in value],
+        }
+    if isinstance(value, frozenset):
+        encoded = [encode_payload(element) for element in value]
+        encoded.sort(key=canonical_json)  # canonical order, see above
+        return {"k": "fset", "v": encoded}
+    # The library's own payload types are dataclasses, never tuples or
+    # sets, so testing the builtins first changes no result.
+    from repro.crypto.chains import SignedChain
+    from repro.crypto.signatures import Signature
+    from repro.protocols.external_validity import Transaction
+
     if isinstance(value, Signature):
         return {
             "k": "sig",
@@ -99,15 +115,6 @@ def encode_payload(value: Any) -> Any:
             "body": encode_payload(value.body),
             "signature": encode_payload(value.signature),
         }
-    if isinstance(value, tuple):
-        return {
-            "k": "tuple",
-            "v": [encode_payload(element) for element in value],
-        }
-    if isinstance(value, frozenset):
-        encoded = [encode_payload(element) for element in value]
-        encoded.sort(key=canonical_json)  # canonical order, see above
-        return {"k": "fset", "v": encoded}
     raise ReproError(
         f"cannot serialize payload of type {type(value).__name__}"
     )
@@ -174,10 +181,29 @@ def _decode_message(data: dict) -> Message:
     )
 
 
-def _encode_messages(messages: frozenset[Message]) -> list:
-    encoded = [_encode_message(message) for message in messages]
-    encoded.sort(key=canonical_json)
-    return encoded
+_Memo = dict[int, tuple[Message, str, dict]]
+"""``id(message)`` → ``(message, canonical key, record)``.
+
+Keyed by identity, not equality: ``True == 1`` and ``frozenset({1}) ==
+frozenset({True})``, so equal messages may still encode differently.
+Each entry holds its message, so no ``id`` is reused while the memo
+lives."""
+
+
+def _encode_messages(messages: frozenset[Message], memo: _Memo) -> list:
+    if not messages:  # most of a sparse protocol's message sets
+        return []
+    entries = []
+    for message in messages:
+        entry = memo.get(id(message))
+        if entry is None:
+            record = _encode_message(message)
+            entry = memo[id(message)] = (
+                message, canonical_json(record), record
+            )
+        entries.append(entry)
+    entries.sort(key=itemgetter(1))
+    return [entry[2] for entry in entries]
 
 
 def _decode_messages(data: list) -> frozenset[Message]:
@@ -210,13 +236,13 @@ def _decode_state(data: dict) -> StateSnapshot:
     )
 
 
-def _encode_fragment(fragment: Fragment) -> dict:
+def _encode_fragment(fragment: Fragment, memo: _Memo) -> dict:
     return {
         "state": _encode_state(fragment.state),
-        "sent": _encode_messages(fragment.sent),
-        "send_omitted": _encode_messages(fragment.send_omitted),
-        "received": _encode_messages(fragment.received),
-        "receive_omitted": _encode_messages(fragment.receive_omitted),
+        "sent": _encode_messages(fragment.sent, memo),
+        "send_omitted": _encode_messages(fragment.send_omitted, memo),
+        "received": _encode_messages(fragment.received, memo),
+        "receive_omitted": _encode_messages(fragment.receive_omitted, memo),
     }
 
 
@@ -230,10 +256,10 @@ def _decode_fragment(data: dict) -> Fragment:
     )
 
 
-def _encode_behavior(behavior: Behavior) -> dict:
+def _encode_behavior(behavior: Behavior, memo: _Memo) -> dict:
     return {
         "fragments": [
-            _encode_fragment(fragment)
+            _encode_fragment(fragment, memo)
             for fragment in behavior.fragments
         ],
         "final_state": _encode_state(behavior.final_state),
@@ -250,17 +276,42 @@ def _decode_behavior(data: dict) -> Behavior:
     )
 
 
-def execution_to_dict(execution: Execution) -> dict:
-    """Encode an execution as a JSON-safe dictionary."""
+def _encode_execution(execution: Execution, memo: _Memo) -> dict:
     return {
         "format": FORMAT_VERSION,
         "n": execution.n,
         "t": execution.t,
         "faulty": sorted(execution.faulty),
         "behaviors": [
-            _encode_behavior(behavior)
+            _encode_behavior(behavior, memo)
             for behavior in execution.behaviors
         ],
+    }
+
+
+def execution_to_dict(execution: Execution) -> dict:
+    """Encode an execution as a JSON-safe dictionary.
+
+    A message object held by several fragments (a sender's ``sent`` and
+    its receiver's ``received``) is encoded once, and its record is
+    shared between them.
+    """
+    return _encode_execution(execution, {})
+
+
+def executions_to_dicts(
+    executions: Mapping[str, Execution],
+) -> dict[str, dict]:
+    """Encode labelled executions through one shared message memo.
+
+    Record for record equal to ``{label: execution_to_dict(execution)}``,
+    but every message object is encoded and canonicalized once, however
+    many fragments and executions hold it.
+    """
+    memo: _Memo = {}
+    return {
+        label: _encode_execution(execution, memo)
+        for label, execution in executions.items()
     }
 
 

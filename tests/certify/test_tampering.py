@@ -239,6 +239,33 @@ def provenance_dangling(payload):
     step["result"] = "ghost"
 
 
+# -- malformed sections: named conditions, never a traceback ------------
+
+
+def isolation_not_a_dict(payload):
+    payload["isolation"][0] = "pre-swap"
+
+
+def indistinguishability_not_a_dict(payload):
+    payload["indistinguishability"][0] = "pre-swap"
+
+
+def witness_not_a_dict(payload):
+    payload["witness"] = "witness"
+
+
+def provenance_inputs_not_a_list(payload):
+    payload["provenance"][0]["inputs"] = 7
+
+
+def provenance_op_not_a_string(payload):
+    payload["provenance"][0]["op"] = ["swap"]
+
+
+def accounting_counts_not_a_dict(payload):
+    payload["accounting"]["per_execution"] = []
+
+
 MUTATIONS = [
     (schema_version, "schema.version"),
     (missing_section, "schema.structure"),
@@ -267,6 +294,12 @@ MUTATIONS = [
     (verdict_flip, "accounting.verdict"),
     (provenance_op, "provenance.reference"),
     (provenance_dangling, "provenance.reference"),
+    (isolation_not_a_dict, "schema.structure"),
+    (indistinguishability_not_a_dict, "schema.structure"),
+    (witness_not_a_dict, "schema.structure"),
+    (provenance_inputs_not_a_list, "provenance.reference"),
+    (provenance_op_not_a_string, "provenance.reference"),
+    (accounting_counts_not_a_dict, "schema.structure"),
 ]
 
 

@@ -1,6 +1,8 @@
 """Tests for execution/witness JSON serialization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.lowerbound.driver import attack_weak_consensus
@@ -10,15 +12,20 @@ from repro.protocols.external_validity import ClientPool
 from repro.protocols.phase_king import phase_king_spec
 from repro.protocols.subquadratic import leader_echo_spec
 from repro.sim.adversary import CrashAdversary
-from repro.sim.execution import check_execution, check_transitions
+from repro.sim.execution import Execution, check_execution, check_transitions
+from repro.sim.message import Message
 from repro.sim.serialization import (
+    canonical_json,
     decode_payload,
     dump_execution,
     dump_witness,
     encode_payload,
+    execution_to_dict,
+    executions_to_dicts,
     load_execution,
     load_witness,
 )
+from repro.sim.state import Behavior, Fragment, StateSnapshot
 
 
 class TestPayloadCodec:
@@ -103,8 +110,6 @@ class TestCanonicalEncoding:
         assert encode_payload(forward) == encode_payload(backward)
 
     def test_canonical_json_ignores_key_insertion_order(self):
-        from repro.sim.serialization import canonical_json
-
         assert canonical_json({"k": "lit", "v": 1}) == canonical_json(
             {"v": 1, "k": "lit"}
         )
@@ -149,8 +154,6 @@ class TestCanonicalEncoding:
         )
         rendering = completed.stdout.strip()
         # In-process reference: same value, this interpreter's seed.
-        from repro.sim.serialization import canonical_json
-
         expected = canonical_json(
             encode_payload((1, eval(self.NESTED), b"\x00"))
         )
@@ -186,9 +189,6 @@ class TestExecutionRoundtrip:
 
 
 class TestRoundtripProperty:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
     @settings(max_examples=20, deadline=None)
     @given(
         corrupted=st.sets(st.integers(0, 6), min_size=1, max_size=2),
@@ -226,6 +226,90 @@ class TestRoundtripProperty:
         original = spec.run_uniform(1, adversary)
         restored = load_execution(dump_execution(original))
         assert restored == original
+
+
+N = 3
+SLOTS = [(s, r) for s in range(N) for r in range(N) if s != r]
+PAYLOADS = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 2)
+    | st.sampled_from(["a", b"\x00"]),
+    lambda inner: st.tuples(inner, inner) | st.frozensets(inner, max_size=3),
+    max_leaves=6,
+)
+# Equal messages that encode differently: True == 1, and
+# frozenset({True}) == frozenset({1}).
+LEFT_TWINS = (Message(0, 1, 1, True), Message(1, 2, 1, frozenset({True})))
+RIGHT_TWINS = (Message(0, 1, 1, 1), Message(1, 2, 1, frozenset({1})))
+
+
+def _one_round_execution(messages) -> Execution:
+    """Every message sent and received in round 1; the first of two
+    equal messages is the one a fragment keeps."""
+    behaviors = []
+    for pid in range(N):
+        fragment = Fragment(
+            state=StateSnapshot(pid, 1, 0),
+            sent=frozenset(m for m in messages if m.sender == pid),
+            received=frozenset(m for m in messages if m.receiver == pid),
+        )
+        behaviors.append(
+            Behavior((fragment,), final_state=StateSnapshot(pid, 2, 0))
+        )
+    return Execution(
+        n=N, t=1, faulty=frozenset(), behaviors=tuple(behaviors)
+    )
+
+
+@st.composite
+def message_batches(draw):
+    """Message lists, one per execution, drawn from one pool of message
+    objects so that executions share them; two of the lists hold the
+    left and the right twins."""
+    pool = [
+        Message(sender, receiver, 1, draw(PAYLOADS))
+        for sender, receiver in draw(st.lists(st.sampled_from(SLOTS),
+                                              max_size=6))
+    ]
+    subsets = (
+        st.lists(st.sampled_from(pool), max_size=6) if pool else st.just([])
+    )
+    batches = [draw(subsets) for _ in range(draw(st.integers(0, 2)))]
+    batches.append(list(LEFT_TWINS) + draw(subsets))
+    batches.append(list(RIGHT_TWINS) + draw(subsets))
+    return draw(st.permutations(batches))
+
+
+class TestSharedMemoProperty:
+    """Property: encoding executions through one shared message memo
+    gives the same records as encoding each execution alone.
+
+    The memo is keyed by object identity.  Every drawn batch holds equal
+    messages that encode differently in separate executions, so a memo
+    keyed by equality would hand one execution the other's record; the
+    dicts would still compare equal (``True == 1``), but their canonical
+    strings would not.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches=message_batches())
+    def test_shared_memo_matches_encoding_alone(self, batches):
+        executions = {
+            f"e{index}": _one_round_execution(messages)
+            for index, messages in enumerate(batches)
+        }
+        shared = executions_to_dicts(executions)
+        alone = {
+            label: execution_to_dict(execution)
+            for label, execution in executions.items()
+        }
+        assert shared == alone
+        assert {
+            label: canonical_json(record) for label, record in shared.items()
+        } == {
+            label: canonical_json(record) for label, record in alone.items()
+        }
 
 
 class TestWitnessRoundtrip:
