@@ -241,18 +241,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help=(
-            "print wall-clock phase and per-round timings (to stderr)"
+            "trace the run and print its phase tree, messages per "
+            "round and slowest rounds (to stderr), as 'repro trace' does"
         ),
     )
     attack.add_argument(
         "--kernel",
-        choices=("auto", "object", "mask"),
-        default="auto",
+        choices=("object", "mask"),
+        default="mask",
         help=(
-            "round-engine selection: 'auto' runs the bitmask kernel "
-            "whenever representable, 'object' forces the per-message "
-            "engine, 'mask' requests the kernel (profiling/tracing "
-            "still fall back to the object engine); outcomes are "
+            "round engine: 'mask' (default) the bitmask kernel, "
+            "'object' the per-message engine; outcomes are "
             "engine-independent"
         ),
     )
@@ -1102,9 +1101,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         _write_ledger(ledger, worldlog, args.ledger)
         return 0
     if args.command == "attack":
+        from repro.obs.ledger import RunLedger
         from repro.obs.tracer import NULL_TRACER, LedgerTracer
 
         ledger, worldlog = _make_ledger(args.ledger)
+        if ledger is None and args.profile:
+            ledger = RunLedger()
         tracer = (
             LedgerTracer(ledger) if ledger is not None else NULL_TRACER
         )
@@ -1114,7 +1116,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             spec,
             check=not args.no_check,
             early_stop=args.early_stop,
-            profile=args.profile,
             tracer=tracer,
             worldlog=worldlog,
             telemetry=telemetry,
@@ -1122,9 +1123,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         if telemetry is not None:
             telemetry.close()
-        print(outcome.render(profile=False))
-        if outcome.profile is not None:
-            _info(outcome.profile.render())
+        print(outcome.render())
+        if args.profile:
+            from repro.obs.report import render_trace
+
+            _info(render_trace(ledger.events))
         if args.log:
             _info("\n".join(outcome.log))
         if args.save and outcome.witness is not None:

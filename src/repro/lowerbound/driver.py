@@ -46,7 +46,7 @@ the engine counters in :class:`AttackOutcome` report the savings.
 
 **The mask kernel.**  The driver's adversaries are exactly the family
 the bitmask kernel (:mod:`repro.sim.kernel`) compiles, so by default
-(``kernel="auto"``) simulation runs over per-round integer bitmasks
+(``kernel="mask"``) simulation runs over per-round integer bitmasks
 instead of message objects: the fault-free run records a mask trace, the
 Lemma-4 scan fans candidates out of its shared prefix via
 :class:`~repro.sim.kernel.PrefixForker` (one machine deep-copy per
@@ -59,7 +59,6 @@ engine-agnostic.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -82,11 +81,6 @@ from repro.omission.isolation import isolate_group, quiescent_toward
 from repro.omission.masks import compile_omissions
 from repro.omission.merge import MergeSpec, merge
 from repro.omission.swap import swap_omission_checked
-from repro.parallel.profiling import (
-    AttackProfile,
-    PhaseTimer,
-    ProfilingObserver,
-)
 from repro.protocols.base import ProtocolSpec
 from repro.sim.engine import (
     EarlyStopPolicy,
@@ -252,16 +246,11 @@ class AttackOutcome:
         rounds_simulated: rounds the engine actually simulated.
         rounds_baseline: rounds a reuse-free pipeline (one full-horizon
             simulation per distinct configuration) would have simulated.
-        profile: wall-clock phase/round timings when profiling was
-            requested (``None`` otherwise).  Excluded from equality:
-            two runs of one attack agree on witnesses and verdicts but
-            never on wall time.
         certificate: the portable v1 artifact packaging this outcome's
             claim (when certification was requested).  Excluded from
-            equality like ``profile``: the certificate is derived
-            evidence, and reuse-enabled and reuse-free runs of one
-            attack may embed differently-labeled (yet equally valid)
-            execution sets.
+            equality: the certificate is derived evidence, and
+            reuse-enabled and reuse-free runs of one attack may embed
+            differently-labeled (yet equally valid) execution sets.
     """
 
     protocol: str
@@ -275,7 +264,6 @@ class AttackOutcome:
     log: tuple[str, ...] = ()
     rounds_simulated: int = 0
     rounds_baseline: int = 0
-    profile: AttackProfile | None = field(default=None, compare=False)
     certificate: "Certificate | None" = field(default=None, compare=False)
 
     @property
@@ -283,14 +271,8 @@ class AttackOutcome:
         """Whether the candidate was broken."""
         return self.witness is not None
 
-    def render(self, profile: bool = True) -> str:
-        """A short report block.
-
-        Args:
-            profile: include the wall-clock profile block (callers that
-                route timings to a diagnostic stream pass ``False`` and
-                render ``self.profile`` separately).
-        """
+    def render(self) -> str:
+        """A short report block."""
         lines = [
             f"attack on {self.protocol} (n={self.n}, t={self.t}; "
             f"{self.partition.describe()})",
@@ -314,10 +296,6 @@ class AttackOutcome:
                 f"  certificate: schema v{self.certificate.schema}, "
                 f"{len(self.certificate.execution_labels)} execution(s) "
                 "embedded"
-            )
-        if profile and self.profile is not None:
-            lines.extend(
-                "  " + line for line in self.profile.render().splitlines()
             )
         return "\n".join(lines)
 
@@ -350,17 +328,15 @@ class LowerBoundDriver:
             and ``reuse`` replicates the simulate-everything pipeline.
         cache: a shared :class:`ExecutionCache`; by default each driver
             builds its own.
-        profile: record wall-clock timings — a
-            :class:`~repro.parallel.profiling.ProfilingObserver` on every
-            engine run plus per-phase driver spans — surfaced as
-            ``AttackOutcome.profile``.
-        tracer: the structured-telemetry sink (default: the shared
-            zero-overhead :data:`~repro.obs.tracer.NULL_TRACER`).  A
-            live :class:`~repro.obs.tracer.LedgerTracer` receives every
-            pipeline phase as a span, every simulated round as an
-            ``engine.round`` event with message-count attributes, and
-            the final cache/bound counters — the run-ledger view of the
-            attack.  Telemetry never affects outcomes.
+        tracer: the structured-telemetry sink and the driver's one
+            timing instrument (default: the shared zero-overhead
+            :data:`~repro.obs.tracer.NULL_TRACER`).  A live
+            :class:`~repro.obs.tracer.LedgerTracer` receives every
+            pipeline phase as a span, every simulated round (on either
+            engine) as an ``engine.round`` event with message-count and
+            wall-time attributes, and the final cache/bound counters —
+            the run-ledger view of the attack.  Telemetry never affects
+            outcomes or the engine choice.
         certify: package the outcome as a portable v1 attack
             certificate (``AttackOutcome.certificate``): the pipeline
             records which configuration produced each trace and which
@@ -375,19 +351,14 @@ class LowerBoundDriver:
             certificate's exact canonical text, so the certificate view
             derived from the log is byte-identical to the file the CLI
             writes.  Recording never affects outcomes.
-        kernel: which round engine simulates — ``"object"`` forces the
-            per-message object engine; ``"mask"`` requests the bitmask
-            kernel (:mod:`repro.sim.kernel`); ``"auto"`` (default)
-            selects the kernel whenever the run is kernel-representable.
-            The driver's adversaries (no-fault and Definition-1
-            isolation) always compile, so under ``auto`` the kernel
-            runs unless an engine-level observer is required: profiling
-            and live tracing consume per-round
-            :class:`~repro.sim.engine.RoundEvent` streams the kernel
-            does not produce, so both force the object engine (also
-            under ``"mask"``).  Both engines produce bit-identical
-            executions and therefore equal outcomes — witnesses,
-            bounds, logs and reuse counters; only speed differs.
+        kernel: which round engine simulates — ``"mask"`` (default)
+            the bitmask kernel (:mod:`repro.sim.kernel`), ``"object"``
+            the per-message object engine.  The driver's adversaries
+            (no-fault and Definition-1 isolation) always compile to
+            masks, and nothing else changes the choice.  Both engines
+            produce bit-identical executions and therefore equal
+            outcomes — witnesses, bounds, logs and reuse counters — and
+            the same ``engine.round`` stream; only speed differs.
     """
 
     spec: ProtocolSpec
@@ -397,16 +368,12 @@ class LowerBoundDriver:
     early_stop: bool = True
     reuse: bool = True
     cache: ExecutionCache | None = None
-    profile: bool = False
     certify: bool = False
     tracer: Tracer = NULL_TRACER
     worldlog: "WorldLog | None" = None
     telemetry: "TelemetryBus | None" = None
-    kernel: str = "auto"
-    _use_kernel: bool = field(default=False, repr=False)
+    kernel: str = "mask"
     _counts_at_start: dict | None = field(default=None, repr=False)
-    _phase_timer: PhaseTimer | None = field(default=None, repr=False)
-    _profiler: ProfilingObserver | None = field(default=None, repr=False)
     _metrics: "MetricsRegistry | None" = field(default=None, repr=False)
     _trace_observers: tuple = field(default=(), repr=False)
     _log: list[str] = field(default_factory=list, repr=False)
@@ -437,9 +404,10 @@ class LowerBoundDriver:
             raise ValueError("partition does not match the spec's (n, t)")
         if self.cache is None:
             self.cache = ExecutionCache()
-        if self.profile:
-            self._phase_timer = PhaseTimer()
-            self._profiler = ProfilingObserver()
+        if self.kernel not in ("object", "mask"):
+            raise ValueError(
+                f"kernel must be 'object' or 'mask', not {self.kernel!r}"
+            )
         if self.tracer.enabled:
             from repro.obs.metrics import MetricsRegistry
 
@@ -450,10 +418,7 @@ class LowerBoundDriver:
             )
             self._counts_at_start = object_counts()
         if self.telemetry is not None:
-            # Sampled telemetry rides the same observer slot.  It never
-            # forces the object engine (unlike live tracing): under the
-            # mask kernel the per-round tap sees nothing and sampling
-            # happens at execution boundaries instead.
+            # Sampled telemetry rides the same observer slot.
             if self._metrics is None:
                 from repro.obs.metrics import MetricsRegistry
 
@@ -465,18 +430,6 @@ class LowerBoundDriver:
                     floor=weak_consensus_floor(self.spec.t)
                 ),
             )
-        if self.kernel not in ("auto", "object", "mask"):
-            raise ValueError(
-                f"kernel must be 'auto', 'object' or 'mask', "
-                f"not {self.kernel!r}"
-            )
-        # Profiling and live tracing need the object engine's per-round
-        # event stream; the kernel produces none, so they win.
-        self._use_kernel = (
-            self.kernel != "object"
-            and not self.profile
-            and not self.tracer.enabled
-        )
         self._spec_key: _SpecKey = (
             self.spec.name,
             self.spec.n,
@@ -499,13 +452,13 @@ class LowerBoundDriver:
         default_bit: Payload | None = None
         critical_round: Round | None = None
         try:
-            with self._phase("fault-free"):
+            with self.tracer.span("fault-free"):
                 self._fault_free_checks()
-            with self._phase("isolation-scan"):
+            with self.tracer.span("isolation-scan"):
                 decisions = self._round_one_isolations()
             default_bit = self._lemma3_consistency(decisions)
             if default_bit is not None:
-                with self._phase("isolation-scan"):
+                with self.tracer.span("isolation-scan"):
                     critical_round = self._critical_round_scan(
                         default_bit
                     )
@@ -515,7 +468,7 @@ class LowerBoundDriver:
         except _Found as found:
             witness = found.witness
             if self.verify:
-                with self._phase("witness-verify"):
+                with self.tracer.span("witness-verify"):
                     verify_witness(witness, self.spec.factory)
                 self._note("witness re-verified from scratch")
         assert self.partition is not None
@@ -528,12 +481,9 @@ class LowerBoundDriver:
             f"{self._prefix_rounds_skipped} prefix rounds skipped, "
             f"{self._early_stops} early stops)"
         )
-        profile: AttackProfile | None = None
-        if self._phase_timer is not None:
-            profile = self._phase_timer.profile(self._profiler)
         certificate: "Certificate | None" = None
         if self.certify:
-            with self._phase("certify"):
+            with self.tracer.span("certify"):
                 certificate = self._build_certificate(
                     witness, default_bit, critical_round
                 )
@@ -564,7 +514,6 @@ class LowerBoundDriver:
             log=tuple(self._log),
             rounds_simulated=self._rounds_simulated,
             rounds_baseline=self._rounds_baseline,
-            profile=profile,
             certificate=certificate,
         )
 
@@ -738,7 +687,7 @@ class LowerBoundDriver:
             round_b=round_b,
             round_c=round_c,
         )
-        with self._phase("merge"):
+        with self.tracer.span("merge"):
             merged = merge(spec, exec_b, exec_c, self.spec.factory)
         if self.certify:
             self._cert_merge_ctx = {
@@ -817,7 +766,7 @@ class LowerBoundDriver:
         )
         for pid in candidates:
             try:
-                with self._phase("swap"):
+                with self.tracer.span("swap"):
                     swapped = swap_omission_checked(execution, pid)
             except ModelViolation as error:
                 self._note(
@@ -1003,7 +952,7 @@ class LowerBoundDriver:
         prefix resume.
         """
         assert self.cache is not None
-        if self._use_kernel:
+        if self.kernel == "mask":
             return self._run_fault_free_kernel(bit, key)
         streaming = StreamingComplexity()
         observers: list[RoundObserver] = [streaming]
@@ -1015,7 +964,7 @@ class LowerBoundDriver:
                 rounds=range(2, self.spec.rounds + 1)
             )
             observers.append(checkpointer)
-        observers.extend(self._engine_observers())
+        observers.extend(self._trace_observers)
         execution = self.spec.run_uniform(
             bit, None, check=self.check, observers=observers
         )
@@ -1059,6 +1008,7 @@ class LowerBoundDriver:
             proposals,
             self.spec.factory,
             no_faults_compiled(self.spec.n),
+            observers=self._trace_observers,
         )
         execution = trace.to_execution()
         if self.check:
@@ -1148,7 +1098,7 @@ class LowerBoundDriver:
         early-stopped when only decisions are needed.
         """
         assert self.cache is not None
-        if self._use_kernel:
+        if self.kernel == "mask":
             return self._simulate_isolation_kernel(
                 key, bit, members, from_round, horizon, full
             )
@@ -1184,7 +1134,7 @@ class LowerBoundDriver:
                 adversary,
                 prefix,
                 from_round,
-                observers=self._engine_observers(),
+                observers=self._trace_observers,
             )
             self._rounds_simulated += horizon - from_round + 1
             self._prefix_rounds_skipped += from_round - 1
@@ -1197,7 +1147,7 @@ class LowerBoundDriver:
         observers: list[RoundObserver] = [streaming]
         if self.early_stop and not full:
             observers.append(EarlyStopPolicy(scope="all"))
-        observers.extend(self._engine_observers())
+        observers.extend(self._trace_observers)
         execution = self.spec.run_uniform(
             bit, adversary, check=self.check, observers=observers
         )
@@ -1261,6 +1211,7 @@ class LowerBoundDriver:
                     compiled,
                     base_trace,
                     from_round,
+                    observers=self._trace_observers,
                 )
                 execution = trace.to_execution()
                 self._rounds_simulated += horizon - from_round + 1
@@ -1279,6 +1230,7 @@ class LowerBoundDriver:
             self.spec.factory,
             compiled,
             early_stop=early,
+            observers=self._trace_observers,
         )
         execution = trace.to_execution()
         self._rounds_simulated += trace.rounds_run
@@ -1301,31 +1253,6 @@ class LowerBoundDriver:
             check=self.check,
         )
 
-    def _phase(self, name: str):
-        """A span for ``name`` — timed and/or traced, no-op otherwise."""
-        if self._phase_timer is None and not self.tracer.enabled:
-            return nullcontext()
-        if self._phase_timer is None:
-            return self.tracer.span(name)
-        if not self.tracer.enabled:
-            return self._phase_timer.phase(name)
-        stack = ExitStack()
-        stack.enter_context(self._phase_timer.phase(name))
-        stack.enter_context(self.tracer.span(name))
-        return stack
-
-    def _engine_observers(self) -> tuple[RoundObserver, ...]:
-        """The telemetry observers attached to every engine run.
-
-        The tracing observers come before the profiler so profiled
-        round times keep their historical meaning (simulation plus the
-        checking observers, not the telemetry cost).
-        """
-        extra: tuple[RoundObserver, ...] = self._trace_observers
-        if self._profiler is not None:
-            extra = (*extra, self._profiler)
-        return extra
-
     def _flush_telemetry(self, witness: ViolationWitness | None) -> None:
         """Fold the pipeline's final counters into the metrics/ledger."""
         if self._metrics is None:
@@ -1346,8 +1273,8 @@ class LowerBoundDriver:
         if self._counts_at_start is not None:
             # Interpreter-wide materialization deltas over the attack:
             # machine deep-copies plus the kernel's mask/popcount work
-            # (zero whenever tracing forced the object engine, which
-            # still documents *which* engine ran).
+            # (mask counters stay zero on the object engine, which
+            # documents *which* engine ran).
             delta = object_counts_delta(self._counts_at_start)
             registry.counter("engine.machine_snapshots").add(
                 delta["machine_snapshots"]
@@ -1392,10 +1319,6 @@ class LowerBoundDriver:
         ):
             self._cert_max_execution = execution
         self._max_messages = max(self._max_messages, messages)
-        if self.telemetry is not None:
-            # The kernel path produces no round events; execution
-            # boundaries are its sampling points.
-            self.telemetry.maybe_sample()
 
     def _note(self, message: str) -> None:
         self._log.append(message)
@@ -1552,12 +1475,11 @@ def attack_weak_consensus(
     early_stop: bool = True,
     reuse: bool = True,
     cache: ExecutionCache | None = None,
-    profile: bool = False,
     certify: bool = False,
     tracer: Tracer = NULL_TRACER,
     worldlog: "WorldLog | None" = None,
     telemetry: "TelemetryBus | None" = None,
-    kernel: str = "auto",
+    kernel: str = "mask",
 ) -> AttackOutcome:
     """Run the full lower-bound pipeline against ``spec``.
 
@@ -1575,27 +1497,23 @@ def attack_weak_consensus(
             simulate-everything pipeline round for round).
         cache: a shared :class:`ExecutionCache` for attacking the same
             protocol repeatedly (e.g. across partitions).
-        profile: record wall-clock phase and per-round timings on
-            ``AttackOutcome.profile`` (timings never affect equality).
         certify: attach a portable v1 attack certificate
             (``AttackOutcome.certificate``) packaging the witness, its
             merge/swap provenance, the isolation and
             indistinguishability claims, and the ``t²/32`` accounting
             for :func:`repro.certify.verifier.verify_certificate`.
-        tracer: the structured-telemetry sink (a
+        tracer: the structured-telemetry and timing sink (a
             :class:`~repro.obs.tracer.LedgerTracer` to record the run
-            ledger; the zero-overhead no-op by default).
+            ledger with phase spans and per-round wall times; the
+            zero-overhead no-op by default).
         worldlog: an open :class:`~repro.worldlog.store.WorldLog` for
             in-band ``checkpoint`` and ``cert.artifact`` records.
         telemetry: an optional :class:`~repro.obs.telemetry
             .TelemetryBus` sampling the attack into observability-only
-            ``telemetry.snapshot`` records (a per-round tap on the
-            object engine, execution-boundary pumps on the kernel).
-            ``None`` (the default) costs nothing.
-        kernel: round-engine selection — ``"auto"`` (default) runs the
-            bitmask kernel whenever representable, ``"object"`` forces
-            the per-message engine, ``"mask"`` requests the kernel
-            (profiling/tracing still force the object engine; see
+            ``telemetry.snapshot`` records through a per-round tap on
+            either engine.  ``None`` (the default) costs nothing.
+        kernel: round-engine selection — ``"mask"`` (default) runs the
+            bitmask kernel, ``"object"`` the per-message engine (see
             :class:`LowerBoundDriver`).  Outcomes are engine-independent.
     """
     driver = LowerBoundDriver(
@@ -1606,7 +1524,6 @@ def attack_weak_consensus(
         early_stop=early_stop,
         reuse=reuse,
         cache=cache,
-        profile=profile,
         certify=certify,
         tracer=tracer,
         worldlog=worldlog,

@@ -449,7 +449,7 @@ class BenchRunner:
         if not self.trace_memory:
             kernel.fn()
             return 0, object_counts_delta(before)
-        # Nested tracing (a caller already profiling) degrades to
+        # Nested tracing (a caller already tracing memory) degrades to
         # counters-only rather than clobbering the outer trace.
         if tracemalloc.is_tracing():
             kernel.fn()

@@ -97,8 +97,9 @@ class TelemetryRoundTap(RoundObserver):
     Unlike :class:`~repro.obs.tracer.RoundTraceObserver` it emits no
     ledger events — it only keeps running counts (rounds, cumulative
     correct-sender messages, the vs-floor ratio when the ``t²/32``
-    floor is known) and pumps the bus once per round, so telemetry
-    works even under the :data:`~repro.obs.tracer.NULL_TRACER`.
+    floor is known) and pumps the bus once per round, on the object
+    engine and the mask kernel alike, so telemetry works even under the
+    :data:`~repro.obs.tracer.NULL_TRACER`.
     """
 
     def __init__(
@@ -112,17 +113,23 @@ class TelemetryRoundTap(RoundObserver):
         self._started: float | None = None
 
     def on_run_start(self, config, machines, adversary) -> None:
+        self.start_run()
+
+    def start_run(self) -> None:
         self._runs += 1
         if self._started is None:
             self._started = self.bus._clock()
 
     def on_round(self, event: RoundEvent) -> None:
-        self.rounds_seen += 1
-        self.cum_messages += event.sent_by_correct()
-        self.bus.maybe_sample()
+        self._tally(event.sent_by_correct())
 
-    def on_run_end(self, final_states, corrupted) -> None:
-        pass
+    def count_round(self, round_: int, messages: int) -> None:
+        self._tally(messages)
+
+    def _tally(self, messages: int) -> None:
+        self.rounds_seen += 1
+        self.cum_messages += messages
+        self.bus.maybe_sample()
 
     def accounting(self) -> dict[str, Any]:
         """The tap's JSON-safe running totals."""

@@ -16,12 +16,13 @@ event carrying the round's correct-sender message count, wall time and
 the running messages-vs-``t²/32`` ratio — the paper's quantity of
 interest as a first-class time series.
 
-The tracer subsumes the older wall-clock instruments: the driver's
+The tracer is the repository's one timing instrument: the driver's
 pipeline phases (fault-free probe, isolation scan, swap, merge, witness
-verify, certify) emit spans through it, and per-round timing previously
-only available via :class:`~repro.parallel.profiling.ProfilingObserver`
-rides on the round events.  Trace data is wall-clock telemetry and is
-*never* part of outcome equality.
+verify, certify) emit spans through it, and per-round wall time rides on
+the round events — on either engine, since the mask kernel reports its
+rounds through the count-only observer hooks.  ``repro attack
+--profile`` and ``repro trace`` render the same events.  Trace data is
+wall-clock telemetry and is *never* part of outcome equality.
 """
 
 from __future__ import annotations
@@ -133,12 +134,13 @@ class RoundTraceObserver(RoundObserver):
     """Per-round engine telemetry: one ``engine.round`` event per round.
 
     One instance follows a whole driver pipeline (attached to every
-    engine run it launches, like the profiling observer); the ``run``
-    attribute on each event distinguishes the pipeline's successive
-    simulations.  Per event: the round's correct-sender message count
-    (the §2 complexity contribution), the round's wall time, the
-    cumulative in-run message count and — when the ``t²/32`` floor was
-    supplied — the running messages-vs-floor ratio.
+    engine run it launches, object engine or mask kernel alike); the
+    ``run`` attribute on each event distinguishes the pipeline's
+    successive simulations.  Per event: the round's correct-sender
+    message count (the §2 complexity contribution), the round's wall
+    time (since the previous round or the run start), the cumulative
+    in-run message count and — when the ``t²/32`` floor was supplied —
+    the running messages-vs-floor ratio.
 
     When a :class:`~repro.obs.metrics.MetricsRegistry` is supplied the
     observer also streams into it: the ``engine.round_messages``
@@ -161,19 +163,24 @@ class RoundTraceObserver(RoundObserver):
         self._mark: float | None = None
 
     def on_run_start(self, config, machines, adversary) -> None:
+        self.start_run()
+
+    def start_run(self) -> None:
         self._run += 1
         self._cum = 0
         self._mark = time.perf_counter()
 
     def on_round(self, event: RoundEvent) -> None:
+        self.count_round(event.round, event.sent_by_correct())
+
+    def count_round(self, round_: int, messages: int) -> None:
         now = time.perf_counter()
         seconds = 0.0 if self._mark is None else now - self._mark
         self._mark = now
-        messages = event.sent_by_correct()
         self._cum += messages
         self.rounds_seen += 1
         attrs: dict[str, Any] = {
-            "round": event.round,
+            "round": round_,
             "run": self._run,
             "seconds": seconds,
             "cum_messages": self._cum,
@@ -190,6 +197,3 @@ class RoundTraceObserver(RoundObserver):
                 self.metrics.gauge("bound.vs_floor").set(
                     self._cum / self.floor
                 )
-
-    def on_run_end(self, final_states, corrupted) -> None:
-        self._mark = None

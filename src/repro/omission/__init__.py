@@ -3,7 +3,7 @@
 * :mod:`repro.omission.isolation` — Definition 1 (group isolation) as an
   adversary strategy plus a recorded-execution verifier.
 * :mod:`repro.omission.indistinguishability` — the §3 indistinguishability
-  relation and Figure-1 divergence profiling.
+  relation and the Figure-1 divergence bands.
 * :mod:`repro.omission.swap` — Algorithm 4 (``swap_omission``) with the
   Lemma-15 checks.
 * :mod:`repro.omission.merge` — Algorithm 5 (``merge``) with Definition 2

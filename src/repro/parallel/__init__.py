@@ -1,6 +1,6 @@
 """Parallel sweep execution: multi-core fan-out of attack matrices.
 
-The subsystem has three modules:
+The subsystem has two modules:
 
 * :mod:`repro.parallel.jobs` — picklable job descriptions
   (:class:`AttackJob`, :class:`MeasureJob`) that rebuild protocol specs
@@ -8,24 +8,15 @@ The subsystem has three modules:
 * :mod:`repro.parallel.scheduler` — :class:`SweepScheduler`, which
   shards a job matrix over a process pool (or a bit-identical serial
   fallback), gathers results in deterministic cell order and merges
-  per-worker cache accounting into a :class:`SweepReport`;
-* :mod:`repro.parallel.profiling` — :class:`ProfilingObserver` and
-  :class:`PhaseTimer`, the wall-clock hooks whose :class:`AttackProfile`
-  summaries ride on attack outcomes and sweep reports.
+  per-worker cache accounting into a :class:`SweepReport`.
 
-The scheduler symbols are loaded lazily (PEP 562): the lower-bound
-driver imports :mod:`repro.parallel.profiling` at module level, and an
-eager scheduler import here would close an import cycle back through
-:mod:`repro.lowerbound.driver`.
+The package's symbols are loaded lazily (PEP 562), so importing one
+submodule (a worker's :mod:`repro.parallel.jobs`) does not import the
+scheduler and the lower-bound driver behind it.  Wall-clock timing of
+attacks lives in :mod:`repro.obs.tracer`.
 """
 
 from __future__ import annotations
-
-from repro.parallel.profiling import (
-    AttackProfile,
-    PhaseTimer,
-    ProfilingObserver,
-)
 
 _LAZY = {
     "AttackJob": "repro.parallel.jobs",
@@ -47,9 +38,7 @@ _LAZY = {
     "SweepScheduler": "repro.parallel.scheduler",
 }
 
-__all__ = sorted(
-    ["AttackProfile", "PhaseTimer", "ProfilingObserver", *_LAZY]
-)
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):

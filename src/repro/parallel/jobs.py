@@ -239,7 +239,6 @@ class AttackJob:
     check: bool = True
     early_stop: bool = True
     reuse: bool = True
-    profile: bool = False
     certify: bool = False
     ledger: bool = False
 
@@ -277,7 +276,6 @@ class AttackJob:
             early_stop=self.early_stop,
             reuse=self.reuse,
             cache=cache,
-            profile=self.profile,
             certify=self.certify,
             tracer=tracer,
         )

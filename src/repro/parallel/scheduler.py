@@ -53,7 +53,6 @@ from repro.parallel.jobs import (
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.obs.ledger import RunLedger
     from repro.obs.telemetry import TelemetryBus
-    from repro.parallel.profiling import AttackProfile
     from repro.worldlog.store import WorldLog
 
 SERIAL = "serial"
@@ -128,11 +127,6 @@ class SweepReport:
             gather step's independent verifier accepted (cells whose
             certificate is rejected surface as ``"certificate"`` errors,
             never as results).
-        profile: the associative
-            :meth:`~repro.parallel.profiling.AttackProfile.merge` of
-            every profiled cell's profile, in cell order (``None`` when
-            no cell carried one).  Wall-clock data — excluded from
-            outcome equality like every per-cell profile.
     """
 
     backend: str
@@ -143,7 +137,6 @@ class SweepReport:
     rounds_simulated: int = 0
     rounds_baseline: int = 0
     certificates_verified: int = 0
-    profile: "AttackProfile | None" = field(default=None, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -640,8 +633,7 @@ class SweepScheduler:
 
         When the scheduler carries a sweep ledger, each cell's shipped
         event segment is spliced here (cell order), followed by the
-        gather's own per-cell events; per-cell profiles fold into one
-        aggregate via ``AttackProfile.merge``.
+        gather's own per-cell events.
         """
         cells = [self._verify_cell(cell) for cell in cells]
         if self.worldlog is not None:
@@ -655,7 +647,6 @@ class SweepScheduler:
         rounds_simulated = 0
         rounds_baseline = 0
         certificates_verified = 0
-        profile: "AttackProfile | None" = None
         for cell in cells:
             if cell.result is None:
                 continue
@@ -665,13 +656,6 @@ class SweepScheduler:
             rounds_baseline += cell.result.rounds_baseline
             if cell.result.certificate is not None:
                 certificates_verified += 1
-            cell_profile = getattr(cell.result.value, "profile", None)
-            if cell_profile is not None:
-                profile = (
-                    cell_profile
-                    if profile is None
-                    else profile.merge(cell_profile)
-                )
         return SweepReport(
             backend=self.backend,
             jobs=self.jobs,
@@ -685,7 +669,6 @@ class SweepScheduler:
             rounds_simulated=rounds_simulated,
             rounds_baseline=rounds_baseline,
             certificates_verified=certificates_verified,
-            profile=profile,
         )
 
     def _splice_ledger(

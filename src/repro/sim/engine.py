@@ -170,6 +170,18 @@ class RoundObserver:
         corruption set — the execution's faulty set ``F``.
         """
 
+    # The count-only hooks.  The mask kernel (:mod:`repro.sim.kernel`)
+    # builds no RoundEvent, so it reports its runs through these
+    # instead; observers that only count rounds and messages implement
+    # both families.
+
+    def start_run(self) -> None:
+        """Called once before the first round of a kernel run."""
+
+    def count_round(self, round_: Round, messages: int) -> None:
+        """Called after each kernel round with its correct-sender
+        message count (the §2 contribution of the round)."""
+
 
 class RoundEngine:
     """Drives deterministic machines round by round, emitting events.

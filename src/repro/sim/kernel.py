@@ -447,21 +447,27 @@ def _simulate(
     proposals: tuple[Payload, ...],
     early_stop: str | None,
     check: bool,
+    observers: Sequence[RoundObserver],
 ) -> None:
     """Run rounds ``first_round .. horizon``, appending rows.
 
     ``early_stop``: ``None`` runs to the horizon; ``"all"`` /
     ``"correct"`` mirror :class:`~repro.sim.engine.EarlyStopPolicy`
     scopes (halt after the round in which the watched processes have
-    all decided).
+    all decided).  ``observers`` get the count-only hooks: one
+    ``start_run`` and then, per simulated round, ``count_round`` with
+    the popcount over the correct senders' masks — the same number
+    :meth:`~repro.sim.engine.RoundEvent.sent_by_correct` gives the
+    object engine's observers.
     """
     if early_stop not in (None, "all", "correct"):
         raise ValueError(f"unknown early-stop scope {early_stop!r}")
-    watched: tuple[ProcessId, ...] | None = None
-    if early_stop == "correct":
-        watched = tuple(
-            pid for pid in range(n) if pid not in compiled.corrupted
-        )
+    correct = tuple(
+        pid for pid in range(n) if pid not in compiled.corrupted
+    )
+    watched = correct if early_stop == "correct" else None
+    for observer in observers:
+        observer.start_run()
     previous: Sequence[Payload | None] = (
         rows[-1].decisions if rows else (None,) * n
     )
@@ -473,6 +479,11 @@ def _simulate(
             )
         previous = row.decisions
         rows.append(row)
+        if observers:
+            masks = row.send_masks
+            messages = sum(masks[pid].bit_count() for pid in correct)
+            for observer in observers:
+                observer.count_round(round_, messages)
         if early_stop is not None:
             decisions = row.decisions
             if watched is None:
@@ -492,12 +503,15 @@ def run_kernel(
     compiled: CompiledOmissions,
     *,
     early_stop: str | None = None,
+    observers: Sequence[RoundObserver] = (),
 ) -> KernelTrace:
     """Simulate one execution on the mask kernel from round 1.
 
     The kernel analogue of :func:`repro.sim.simulator.run_execution`
     for compiled omission adversaries; honors ``config.check`` with the
     kernel's cheap per-round checks (see :func:`_check_round`).
+    ``observers`` receive every simulated round through the count-only
+    hooks (see :func:`_simulate`).
     """
     if len(proposals) != config.n:
         raise ValueError(
@@ -525,6 +539,7 @@ def run_kernel(
         trace.proposals,
         early_stop,
         config.check,
+        observers,
     )
     return trace
 
@@ -537,6 +552,7 @@ def fork_kernel(
     from_round: Round,
     *,
     early_stop: str | None = None,
+    observers: Sequence[RoundObserver] = (),
 ) -> KernelTrace:
     """Fan a candidate out of a shared fault-free prefix as a mask delta.
 
@@ -545,7 +561,9 @@ def fork_kernel(
     ``1 .. from_round - 1`` are *shared by reference* with ``base``
     (sound because a Definition-1 isolation acts only from its
     isolation round, and machines are deterministic), then rounds
-    ``from_round .. horizon`` run under ``compiled``.
+    ``from_round .. horizon`` run under ``compiled``.  Only those
+    simulated rounds reach ``observers``, as on the object engine's
+    checkpoint resume.
     """
     if not 1 <= from_round <= config.rounds:
         raise ValueError(
@@ -577,6 +595,7 @@ def fork_kernel(
         base.proposals,
         early_stop,
         config.check,
+        observers,
     )
     return trace
 
@@ -592,7 +611,9 @@ class PrefixForker:
     array is deep-copied once and memoized, so revisits (the final
     merge re-runs B(R), B(R+1), C(R)) cost one copy, not a replay.
     This replaces the object path's per-round
-    :class:`~repro.sim.engine.MachineCheckpointer` deep-copies.
+    :class:`~repro.sim.engine.MachineCheckpointer` deep-copies.  Its
+    replays are checkpoint provisioning, not simulation, so they report
+    nothing to round observers.
 
     ``enabled`` degrades to ``False`` on deepcopy-hostile machines,
     mirroring the checkpointer; callers then fall back to fresh runs.

@@ -12,12 +12,9 @@ Wall-clock fields (``wall_seconds``) round-trip verbatim: they are the
 *original* run's telemetry, excluded from outcome equality like every
 other timing.
 
-Deliberately not encoded:
-
-* ``AttackOutcome.profile`` — wall-clock phase timings, ``compare=False``;
-* ``AttackOutcome.certificate`` — the live object; the canonical bytes
-  travel separately (``JobResult.certificate``), exactly as they do
-  across process boundaries.
+Deliberately not encoded: ``AttackOutcome.certificate``, the live
+object; the canonical bytes travel separately (``JobResult.certificate``),
+exactly as they do across process boundaries.
 """
 
 from __future__ import annotations
@@ -61,7 +58,6 @@ def encode_job(job: Any) -> dict[str, Any]:
             "check": job.check,
             "early_stop": job.early_stop,
             "reuse": job.reuse,
-            "profile": job.profile,
             "certify": job.certify,
             "ledger": job.ledger,
         }
@@ -100,7 +96,6 @@ def decode_job(data: dict[str, Any]) -> Any:
             check=data["check"],
             early_stop=data["early_stop"],
             reuse=data["reuse"],
-            profile=data["profile"],
             certify=data["certify"],
             ledger=data["ledger"],
         )

@@ -27,7 +27,8 @@ invisible by construction.  Before aligning, each log is normalized:
   burst must align with a patient one;
 * payloads are scrubbed of wall-clock and identity fields
   (:data:`DROP_KEYS`, applied recursively) and of the values of
-  wall-clock metrics (:data:`WALL_CLOCK_METRICS`).
+  wall-clock metrics (:data:`WALL_CLOCK_METRICS`) and engine-specific
+  materialization counters (:data:`ENGINE_METRICS`).
 
 What remains — record order, event names, counter values, certificate
 bytes, results — is the run's semantic content, and any difference in
@@ -73,6 +74,20 @@ Their presence and order still compare (the run emitted them); their
 measured values and min/max/total attributes do not.
 """
 
+ENGINE_METRICS = frozenset(
+    {"engine.machine_snapshots", "engine.masks_built", "engine.popcounts"}
+)
+"""Materialization counters whose *values* depend on the round engine.
+
+The object engine deep-copies machines at every checkpointed round and
+builds no masks; the mask kernel forks machines once per divergence
+round and counts masks and popcounts.  Like
+:data:`WALL_CLOCK_METRICS` they compare by presence and order only, so
+an object-engine log aligns with its mask-kernel twin.
+"""
+
+_VALUE_BLIND_METRICS = WALL_CLOCK_METRICS | ENGINE_METRICS
+
 _TIMING_ATTRS = frozenset({"min", "max", "total", "mean"})
 
 OBSERVABILITY_KINDS = frozenset({"job.rejected", "telemetry.snapshot"})
@@ -96,7 +111,7 @@ def scrub_payload(payload: Any) -> Any:
             for key, value in payload.items()
             if key not in DROP_KEYS
         }
-        if payload.get("name") in WALL_CLOCK_METRICS:
+        if payload.get("name") in _VALUE_BLIND_METRICS:
             scrubbed.pop("value", None)
             attrs = scrubbed.get("attrs")
             if isinstance(attrs, dict):

@@ -518,7 +518,8 @@ def log_stats(
     :func:`repro.obs.report.trend_delta` can diff two extractions with
     the one comparison policy the trend log already uses.  Extra
     sections carry the metrics the legacy views never materialized:
-    per-cell wall/round/message percentiles, flat span totals
+    summed ledger counters (``engine.masks_built`` names the engine
+    that ran), per-cell wall/round/message percentiles, flat span totals
     (certificate verify time is the ``witness-verify`` + ``certify``
     rows), and per-tenant job accounting including quota/rate
     rejections (``job.rejected`` records).
@@ -583,6 +584,7 @@ def log_stats(
         "messages_observed": messages,
         "events": len(state.events),
         "cache_hit_rate": cache_hit_rate(events),
+        "counters": dict(sorted(state.counters.items())),
         "spans": spans,
         "tenants": tenants,
         "cells": per_cell,

@@ -2,9 +2,8 @@
 
 The sweep scheduler folds per-worker registries in whatever grouping
 the backend produces, so the merge must be associative with the empty
-registry as identity — the same law ``AttackProfile.merge`` obeys
-(``tests/parallel/test_profile_merge.py``), asserted here with
-Hypothesis-generated registries.  Gauges additionally carry the
+registry as identity, asserted here with Hypothesis-generated
+registries.  Gauges additionally carry the
 last-write-wins contract under worker splice order: whichever operand
 was updated more recently (right wins ties) supplies the value.
 """
@@ -19,8 +18,7 @@ _GAUGES = ["bound.vs_floor", "sweep.cells"]
 _HISTOGRAMS = ["engine.round_seconds", "cell.wall_seconds"]
 
 # Quarter-integer values keep float addition exactly associative, so
-# the algebra can be asserted with == (same trick as the profile-merge
-# suite).
+# the algebra can be asserted with ==.
 _values = st.integers(min_value=0, max_value=1000).map(
     lambda value: value / 4.0
 )

@@ -50,7 +50,6 @@ class TestNullTracer:
         assert driver.tracer is NULL_TRACER
         assert driver._metrics is None
         assert driver._trace_observers == ()
-        assert driver._engine_observers() == ()
 
 
 class TestLedgerTracer:

@@ -57,7 +57,7 @@ class TestCrossBackendEquivalence:
         for left, right in zip(serial.values(), parallel.values()):
             _outcomes_agree(left, right)
         # AttackOutcome equality covers every compared field at once
-        # (wall-clock profiles are excluded from comparison by design).
+        # (wall-clock data is excluded from comparison by design).
         assert serial.values() == parallel.values()
         # Merged cache accounting is backend-independent too.
         assert serial.cache == parallel.cache
@@ -189,18 +189,21 @@ class TestMeasureJobs:
 
 class TestProfiledJobs:
     def test_profile_rides_through_the_pool(self):
+        """A traced cell ships its phase spans and round events home."""
         report = SweepScheduler(jobs=2).run(
-            [AttackJob(builder="silent", n=12, t=8, profile=True)]
+            [AttackJob(builder="silent", n=12, t=8, ledger=True)]
         )
         report.raise_errors()
-        profile = report.values()[0].profile
-        assert profile is not None
-        assert profile.wall_seconds > 0
-        assert profile.rounds_timed > 0
-        assert profile.phase("fault-free") > 0
-        assert profile.phase("isolation-scan") > 0
-        assert profile.phase("merge") > 0
-        # Profiles are wall-clock data: they never affect equality.
+        events = report.cells[0].result.events
+        spans = {e.name for e in events if e.kind == "span-start"}
+        assert {"fault-free", "isolation-scan", "merge"} <= spans
+        rounds = [
+            e for e in events
+            if e.kind == "counter" and e.name == "engine.round"
+        ]
+        assert rounds
+        assert all(e.attr("seconds", -1.0) >= 0 for e in rounds)
+        # Timings are wall-clock data: they never affect equality.
         bare = SweepScheduler(jobs=1).run(
             [AttackJob(builder="silent", n=12, t=8)]
         )

@@ -161,23 +161,28 @@ class TestLedgerCommands:
         assert "cell.wall_seconds" in names
 
     def test_profile_table_goes_to_stderr(self, capsys):
-        assert (
-            main(
-                [
-                    "attack",
-                    "silent",
-                    "--n",
-                    "12",
-                    "--t",
-                    "8",
-                    "--profile",
-                ]
-            )
-            == 0
-        )
-        captured = capsys.readouterr()
-        assert "wall time:" in captured.err
-        assert "wall time:" not in captured.out
+        argv = ["attack", "silent", "--n", "12", "--t", "8"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main([*argv, "--profile"]) == 0
+        profiled = capsys.readouterr()
+        # The profile is the trace view: phases, rounds, slowest rounds.
+        assert "phase tree" in profiled.err
+        assert "isolation-scan" in profiled.err
+        assert "slowest" in profiled.err
+        assert "phase tree" not in profiled.out
+        assert profiled.out == plain.out
+
+    def test_profile_reuses_the_ledger(self, tmp_path, capsys):
+        from repro.obs.ledger import read_events
+
+        path = str(tmp_path / "run.jsonl")
+        argv = ["attack", "silent", "--n", "8", "--t", "4"]
+        assert main([*argv, "--profile", "--ledger", path]) == 0
+        err = capsys.readouterr().err
+        events = read_events(path)
+        rounds = [e for e in events if e.name == "engine.round"]
+        assert f"rounds simulated: {len(rounds)};" in err
 
 
 class TestWitnessFiles:

@@ -3,8 +3,8 @@
 A resumed sweep rebuilds each recorded cell's ``JobResult`` from JSON
 alone; the rebuilt object must be *equal* to what the original worker
 shipped (outcome equality deliberately excludes wall-clock and the live
-profile/certificate objects — the canonical certificate bytes travel
-separately and must round-trip byte-identically).
+certificate object — the canonical certificate bytes travel separately
+and must round-trip byte-identically).
 """
 
 from repro.parallel.jobs import AttackJob, MeasureJob, execute_job
@@ -26,7 +26,6 @@ class TestJobCodec:
             check=False,
             early_stop=False,
             reuse=False,
-            profile=True,
             certify=True,
             ledger=True,
         )

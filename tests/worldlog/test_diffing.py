@@ -23,7 +23,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_LOG = os.path.join(HERE, "golden", "run.worldlog")
 
 
-def _attack_log(path, kernel="auto"):
+def _attack_log(path, kernel="mask"):
     """One recorded attack run (the CLI's ``--ledger *.worldlog`` path)."""
     from repro.lowerbound.driver import attack_weak_consensus
     from repro.obs.ledger import RunLedger
@@ -59,8 +59,14 @@ class TestEmptyDiffs:
         assert report.ok, report.render()
 
     def test_object_vs_mask_kernel_runs(self, tmp_path):
+        from repro.worldlog.replay import log_stats
+
         a = _attack_log(tmp_path / "object.worldlog", kernel="object")
         b = _attack_log(tmp_path / "mask.worldlog", kernel="mask")
+        # Tracing must not switch engines, or this compares one engine
+        # with itself.
+        assert log_stats(a)["counters"]["engine.masks_built"] == 0
+        assert log_stats(b)["counters"]["engine.masks_built"] > 0
         report = diff_logs(a, b)
         assert report.ok, report.render()
 
@@ -175,6 +181,16 @@ class TestScrub:
                 "value": {"rounds": 7},
                 "events": [{"name": "attack"}],
             },
+        }
+
+    @pytest.mark.parametrize("name", [
+        "engine.machine_snapshots", "engine.masks_built", "engine.popcounts",
+    ])
+    def test_engine_metric_values_nulled(self, name):
+        payload = {"kind": "counter", "name": name, "value": 42,
+                   "attrs": {}}
+        assert scrub_payload(payload) == {
+            "kind": "counter", "name": name, "attrs": {},
         }
 
     def test_wall_clock_metric_values_nulled(self):
