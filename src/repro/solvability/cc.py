@@ -5,11 +5,22 @@ iff there is a computable ``Γ : I → V_O`` with
 
     ``Γ(c) ∈ ∩_{c' ∈ Cnt(c)} val(c')``  for every ``c ∈ I``.
 
-For the finite instances this library analyses, CC is decidable by direct
-computation of the Lemma-7 intersection at every configuration;
-:func:`containment_condition` returns the full per-configuration analysis
-and, when CC holds, a concrete Γ (as a dictionary) that the Algorithm-2
-reduction then *executes* on top of interactive consistency.
+For the finite instances this library analyses, CC is decidable by
+computing the Lemma-7 intersection at every configuration.
+:func:`containment_condition` computes it bottom-up rather than by
+enumerating ``Cnt(c)`` afresh: above the ``n - t`` floor,
+
+    ``Cnt(c) = {c} ∪ ⋃_{p ∈ π(c)} Cnt(c - p)``,
+
+because every proper sub-configuration of ``c`` omits some process ``p``
+and is therefore contained in ``c - p``.  So the intersection at ``c`` is
+``val(c)`` met with the intersections already computed for its ``|c|``
+one-smaller children — the same set Definition 3 names, for the same
+configurations.  It returns the full per-configuration analysis and, when
+CC holds, a concrete Γ (as a dictionary) that the Algorithm-2 reduction
+then *executes* on top of interactive consistency.
+:func:`~repro.validity.containment.admissible_under_containment` remains
+the literal per-configuration definition.
 """
 
 from __future__ import annotations
@@ -18,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.errors import UnsolvableProblemError
-from repro.validity.containment import admissible_under_containment
 from repro.validity.input_config import InputConfig
 from repro.validity.property import AgreementProblem
 from repro.types import Payload
@@ -83,13 +93,35 @@ def containment_condition(problem: AgreementProblem) -> CCReport:
     ``repr``-least admissible value; any choice function works (Definition
     3 only asks for existence), but determinism keeps executions
     reproducible.
+
+    ``problem.input_configs()`` lists ``I`` by ascending size, so each
+    configuration's children are decided before it.  ``val(c)`` is
+    evaluated exactly when the children's intersection is non-empty (or
+    ``|c| = n - t``), which is when the per-configuration definition
+    reaches ``c`` too: an ill-formed ``val`` raises the same
+    ``ValueError`` at the same configuration.
     """
     gamma: dict[InputConfig, Payload] = {}
     sets: dict[InputConfig, frozenset[Payload]] = {}
+    by_pairs: dict[tuple, frozenset[Payload]] = {}
     failures: list[InputConfig] = []
+    floor = problem.n - problem.t
     for config in problem.input_configs():
-        admissible = admissible_under_containment(problem, config)
-        sets[config] = admissible
+        pairs = config.pairs
+        admissible: frozenset[Payload] | None = None
+        if len(pairs) > floor:
+            for index in range(len(pairs)):
+                child = by_pairs[pairs[:index] + pairs[index + 1:]]
+                admissible = (
+                    child if admissible is None else admissible & child
+                )
+                if not admissible:
+                    break
+        if admissible is None:
+            admissible = problem.admissible(config)
+        elif admissible:
+            admissible = admissible & problem.admissible(config)
+        by_pairs[pairs] = sets[config] = admissible
         if admissible:
             gamma[config] = min(admissible, key=repr)
         else:

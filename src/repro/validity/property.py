@@ -155,9 +155,14 @@ def problem_from_table(
 def cached(problem: AgreementProblem) -> AgreementProblem:
     """A copy of ``problem`` whose ``val`` is memoized.
 
-    The solvability machinery evaluates ``val`` on the same configuration
-    many times (once per containing configuration); caching makes the
-    decision procedure linear in ``|I| · 2^t`` instead of quadratic.
+    The containment-condition decision evaluates ``val`` at most once per
+    configuration, but other callers re-evaluate it:
+    :func:`~repro.solvability.cc.verify_gamma` once per containing
+    configuration, :meth:`AgreementProblem.always_admissible` (and so
+    ``triviality_report``) in a second walk over ``I`` next to the CC
+    pass in ``classify``, and :meth:`AgreementProblem.check_decision`
+    once per correct process in execution tests.  The memo makes each
+    repeat a dictionary lookup.
     """
     memo = lru_cache(maxsize=None)(problem.validity)
     return AgreementProblem(

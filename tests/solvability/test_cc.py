@@ -1,5 +1,8 @@
 """Tests for the containment condition and Γ (Definition 3)."""
 
+import dataclasses
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +13,9 @@ from repro.solvability.cc import (
     satisfies_cc,
     verify_gamma,
 )
+from repro.validity.containment import admissible_under_containment
 from repro.validity.input_config import InputConfig, enumerate_input_configs
-from repro.validity.property import problem_from_table
+from repro.validity.property import problem_from_table, tabulate
 from repro.validity.standard import (
     byzantine_broadcast_problem,
     constant_problem,
@@ -89,27 +93,46 @@ class TestGammaFunction:
         assert violations
 
 
+FOLD_SIZES = ((3, 1), (4, 1), (4, 2), (5, 2))
+FOLD_DOMAINS = ((0, 1), (0, 1, 2))
+
+
 @st.composite
-def random_problems(draw):
-    """Arbitrary table-backed binary problems on (n=3, t=1)."""
-    n, t = 3, 1
-    configs = list(enumerate_input_configs(n, t, (0, 1)))
-    table = {
-        config: frozenset(
-            draw(
-                st.sampled_from(
-                    [frozenset({0}), frozenset({1}), frozenset({0, 1})]
-                )
-            )
+def table_problems(draw, sizes=FOLD_SIZES, domains=FOLD_DOMAINS):
+    """Arbitrary table-backed problems over an (n, t) and domain grid.
+
+    Each configuration gets the whole domain or an arbitrary non-empty
+    subset of it with equal odds, so both holding and failing problems
+    (with failures at every size) are common.
+    """
+    n, t = draw(st.sampled_from(sizes))
+    domain = draw(st.sampled_from(domains))
+    subsets = [
+        frozenset(subset)
+        for size in range(1, len(domain) + 1)
+        for subset in itertools.combinations(domain, size)
+    ]
+    configs = list(enumerate_input_configs(n, t, domain))
+    entries = draw(
+        st.lists(
+            st.one_of(
+                st.just(frozenset(domain)), st.sampled_from(subsets)
+            ),
+            min_size=len(configs),
+            max_size=len(configs),
         )
-        for config in configs
-    }
-    return problem_from_table("random", n, t, (0, 1), (0, 1), table)
+    )
+    return problem_from_table(
+        "table", n, t, domain, domain, dict(zip(configs, entries))
+    )
+
+
+BINARY_3_1 = {"sizes": ((3, 1),), "domains": ((0, 1),)}
 
 
 class TestCCProperties:
     @settings(max_examples=40, deadline=None)
-    @given(random_problems())
+    @given(table_problems(**BINARY_3_1))
     def test_cc_report_internally_consistent(self, problem):
         """Property: whenever the decision procedure claims CC, the Γ it
         built passes the independent Definition-3 verifier; whenever it
@@ -119,18 +142,81 @@ class TestCCProperties:
             assert verify_gamma(problem, report.gamma_fn()) == []
         else:
             config = report.failures[0]
-            from repro.validity.containment import (
-                admissible_under_containment,
-            )
-
             assert (
                 admissible_under_containment(problem, config)
                 == frozenset()
             )
 
     @settings(max_examples=40, deadline=None)
-    @given(random_problems())
+    @given(table_problems(**BINARY_3_1))
     def test_trivial_implies_cc(self, problem):
         """Property: triviality implies CC (the constant is a Γ)."""
         if problem.is_trivial():
             assert satisfies_cc(problem)
+
+
+def recording(problem):
+    """``problem`` with a ``val`` that logs every configuration it sees."""
+    calls = []
+
+    def validity(config):
+        calls.append(config)
+        return problem.validity(config)
+
+    return dataclasses.replace(problem, validity=validity), calls
+
+
+class TestFoldMatchesDefinition:
+    """``containment_condition`` folds children's intersections; the
+    literal Lemma-7 intersection per configuration is its oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(table_problems())
+    def test_report_equals_lemma7_definition(self, problem):
+        traced, calls = recording(problem)
+        report = containment_condition(traced)
+        oracle, reached = recording(problem)
+        definition = {
+            config: admissible_under_containment(oracle, config)
+            for config in problem.input_configs()
+        }
+        assert list(report.admissible_sets.items()) == list(
+            definition.items()
+        )
+        assert report.failures == tuple(
+            config for config, common in definition.items() if not common
+        )
+        assert report.holds == (not report.failures)
+        if report.holds:
+            assert report.gamma == {
+                config: min(common, key=repr)
+                for config, common in definition.items()
+            }
+        else:
+            assert report.gamma == {}
+        # val runs once at each configuration the definition reaches.
+        assert calls == list(dict.fromkeys(reached))
+
+    def test_ill_formed_val_raises_where_definition_does(self):
+        table = tabulate(strong_consensus_problem(4, 2))
+        reached = InputConfig.from_mapping(4, 2, {0: 0, 1: 0, 2: 1})
+        table[reached] = frozenset()
+        problem = problem_from_table("ill", 4, 2, (0, 1), (0, 1), table)
+        with pytest.raises(ValueError) as definition:
+            for config in problem.input_configs():
+                admissible_under_containment(problem, config)
+        assert repr(reached) in str(definition.value)
+        with pytest.raises(ValueError) as fold:
+            containment_condition(problem)
+        assert str(fold.value) == str(definition.value)
+
+    def test_empty_val_above_empty_intersection_is_not_reached(self):
+        table = tabulate(strong_consensus_problem(4, 2))
+        mixed = InputConfig.full(4, 2, [0, 0, 1, 1])
+        table[mixed] = frozenset()
+        problem = problem_from_table("ill", 4, 2, (0, 1), (0, 1), table)
+        report = containment_condition(problem)
+        assert not report.holds
+        assert mixed in report.failures
+        assert report.admissible_sets[mixed] == frozenset()
+        assert admissible_under_containment(problem, mixed) == frozenset()

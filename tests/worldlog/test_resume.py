@@ -49,7 +49,12 @@ def _terminal_records(path):
 
 
 def _run_and_kill_mid_flight(log_path):
-    """Launch a jobs=2 sweep subprocess; SIGKILL it after >=1 record."""
+    """Launch a jobs=2 sweep subprocess; SIGKILL it after >=1 record.
+
+    The child leads its own session, so the kill reaches its whole
+    process group: the pool workers die with it instead of lingering
+    as orphans.
+    """
     script = "\n".join(
         [
             "from repro.obs.ledger import RunLedger",
@@ -74,6 +79,7 @@ def _run_and_kill_mid_flight(log_path):
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 60
@@ -88,8 +94,10 @@ def _run_and_kill_mid_flight(log_path):
         else:  # pragma: no cover - diagnostics for a hung child
             pytest.fail("sweep subprocess produced no record in 60s")
     finally:
-        if child.poll() is None:
-            child.send_signal(signal.SIGKILL)
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:  # the child and its workers are gone
+            pass
         child.wait(timeout=60)
 
 
