@@ -3,8 +3,9 @@
 The paper's claim is asymptotic: worst-case messages grow as ``Ω(t²)`` for
 correct algorithms and (for the cheaters we break) as ``o(t²)``.  A log-log
 linear fit of ``messages = a · t^k`` recovers the exponent ``k``; the
-benches assert ``k ≈ 2`` (or more) for bound-respecting protocols and
-``k < 2`` (with a sub-floor constant) for cheaters.
+experiments and their tests assert ``k ≈ 2`` (or more) for
+bound-respecting protocols and ``k < 2`` (with a sub-floor constant) for
+cheaters.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from repro.analysis.complexity import SweepPoint
 
@@ -48,14 +47,15 @@ class PowerLawFit:
 def fit_power_law(
     ts: Sequence[int], messages: Sequence[int]
 ) -> PowerLawFit:
-    """Least-squares fit in log-log space.
+    """Least-squares fit in log-log space (closed form).
 
     Zero-message samples are excluded (log undefined); an all-zero series
     fits the degenerate law ``0 · t^0``.
 
     Raises:
-        ValueError: on mismatched lengths or fewer than two usable points
-            (and not the all-zero degenerate case).
+        ValueError: on mismatched lengths, fewer than two usable points
+            (and not the all-zero degenerate case), or usable points that
+            all share one ``t`` (no slope is defined).
     """
     if len(ts) != len(messages):
         raise ValueError("ts and messages must have equal length")
@@ -70,16 +70,30 @@ def fit_power_law(
         raise ValueError(
             "need at least two non-zero samples for a power-law fit"
         )
-    log_t = np.log([t for t, _ in usable])
-    log_m = np.log([m for _, m in usable])
-    slope, intercept = np.polyfit(log_t, log_m, 1)
-    predicted = slope * log_t + intercept
-    residual = float(np.sum((log_m - predicted) ** 2))
-    total = float(np.sum((log_m - np.mean(log_m)) ** 2))
+    if len({t for t, _ in usable}) < 2:
+        raise ValueError(
+            "need at least two distinct t values for a power-law fit"
+        )
+    log_t = [math.log(t) for t, _ in usable]
+    log_m = [math.log(m) for _, m in usable]
+    mean_t = math.fsum(log_t) / len(usable)
+    mean_m = math.fsum(log_m) / len(usable)
+    spread = math.fsum((x - mean_t) ** 2 for x in log_t)
+    slope = (
+        math.fsum(
+            (x - mean_t) * (y - mean_m) for x, y in zip(log_t, log_m)
+        )
+        / spread
+    )
+    intercept = mean_m - slope * mean_t
+    residual = math.fsum(
+        (y - (slope * x + intercept)) ** 2 for x, y in zip(log_t, log_m)
+    )
+    total = math.fsum((y - mean_m) ** 2 for y in log_m)
     r_squared = 1.0 if total == 0 else 1.0 - residual / total
     return PowerLawFit(
-        exponent=float(slope),
-        coefficient=float(math.exp(intercept)),
+        exponent=slope,
+        coefficient=math.exp(intercept),
         r_squared=r_squared,
         points=len(usable),
     )

@@ -4,7 +4,7 @@ The Dolev–Strong lower bound recalled in §6 ([52]) says ``t + 1`` rounds
 are necessary for deterministic Byzantine broadcast in the worst case;
 our Dolev–Strong implementation decides in exactly ``t + 1`` and Phase
 King in ``3(t + 1)``.  These helpers extract per-process decision rounds
-from recorded executions so tests and benches can assert the latency
+from recorded executions so tests and experiments can assert the latency
 profile alongside the message profile.
 """
 

@@ -1,4 +1,4 @@
-"""Plain-text table rendering for benchmark and example reports.
+"""Plain-text table rendering for experiment and example reports.
 
 The harness prints the same row/series structure the experiments define
 (EXPERIMENTS.md records the outputs); no plotting dependencies are used —

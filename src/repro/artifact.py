@@ -1,12 +1,11 @@
 """One loader, one diagnostic: uniform artifact-file error handling.
 
 Every persisted artifact family the repository reads back — run-ledger
-JSONL files, trend logs, ``BENCH_<suite>.json`` trajectories, attack
-certificates, world logs — used to hand-roll its own malformed-file
-handling, each with a slightly different message shape.  This module is
-the single chokepoint: a loader names the *kind* of artifact it expects
-and supplies a parser; any parse failure becomes one
-:class:`~repro.errors.ArtifactError` with the uniform one-liner
+JSONL files, attack certificates, world logs — used to hand-roll its
+own malformed-file handling, each with a slightly different message
+shape.  This module is the single chokepoint: a loader names the *kind*
+of artifact it expects and supplies a parser; any parse failure becomes
+one :class:`~repro.errors.ArtifactError` with the uniform one-liner
 
     ``<path>:<line>: not a <kind> (<ExcType>: <detail>)``
 
@@ -28,7 +27,6 @@ ArtifactError True
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, TypeVar
 
 from repro.errors import ArtifactError, ReproError
@@ -59,8 +57,6 @@ def load_artifact_lines(
     path: str,
     kind: str,
     parse: Callable[[str], T],
-    *,
-    missing_ok: bool = False,
 ) -> list[T]:
     """Parse a line-oriented (JSONL) artifact with uniform diagnostics.
 
@@ -72,17 +68,14 @@ def load_artifact_lines(
     Args:
         path: the artifact file.
         kind: the human name of the expected record (``"ledger event"``,
-            ``"trend point"``, ...) — appears verbatim in diagnostics.
+            ``"world-log record"``, ...) — appears verbatim in
+            diagnostics.
         parse: ``line -> record``.
-        missing_ok: return ``[]`` for a nonexistent file instead of
-            raising ``OSError`` (trend logs start empty).
 
     Raises:
         ArtifactError: on any malformed line (CLI exit 2).
-        OSError: if the file cannot be read (unless ``missing_ok``).
+        OSError: if the file cannot be read.
     """
-    if missing_ok and not os.path.exists(path):
-        return []
     records: list[T] = []
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
@@ -108,7 +101,7 @@ def load_artifact(
     Args:
         path: the artifact file.
         kind: the human name of the expected document
-            (``"bench trajectory"``, ``"attack certificate"``, ...).
+            (``"attack certificate"``, ...).
         parse: ``text -> document``; parse failures become the canonical
             :class:`ArtifactError` one-liner.
 

@@ -13,9 +13,6 @@ Subcommands:
 * ``classify`` — classify a named standard problem at ``(n, t)``.
 * ``trace`` — render a persisted run recording (legacy ledger JSONL or
   world log, sniffed) as a phase-tree timeline.
-* ``report --trend`` — append a canary perf point to the trend store
-  (legacy ``trend.jsonl`` or a world log) and diff it against the
-  previous point.
 * ``log show`` / ``log derive`` / ``log import`` / ``log resume`` —
   the world-log toolbox: list an append-only record store (with
   ``--kind/--cell/--run/--tail`` filters), re-derive the legacy
@@ -25,11 +22,7 @@ Subcommands:
   past run record-by-record (``--at TICK`` one-shot or stdin-driven),
   semantically diff two logs of the same matrix (key-aligned, timing
   ignored; exit 1 at the first real divergence), and extract new
-  metrics from old logs as trend-shaped JSON.
-* ``bench run`` / ``bench compare`` / ``bench list`` — the benchmark
-  observatory: measure registered kernels outside pytest, append the
-  points to per-suite ``BENCH_<suite>.json`` trajectories, and gate
-  trajectories against a baseline with the noise-aware threshold.
+  metrics from old logs as one JSON document.
 * ``serve`` / ``submit`` / ``jobs`` / ``watch`` — the attack service:
   a multi-tenant job server over a world log (idempotent job keys,
   per-tenant quotas and rate limits, priorities, crash-resume), its
@@ -37,12 +30,12 @@ Subcommands:
   offline from the log), and a live record stream for one job.
 
 Stream discipline: *results* (experiment reports, attack renders, sweep
-tables, verdicts, trace timelines, bench tables) go to stdout;
+tables, verdicts, trace timelines) go to stdout;
 *diagnostics* (the ``--log`` narrative, profile/timing tables, live
 sweep progress, "written to" notices, rejection details, errors) go to
 stderr, so piped output stays clean.  Every failure path exits nonzero:
 ``1`` for domain failures (violated expectations, rejected artifacts,
-sweep-cell errors, flagged bench regressions), ``2`` for environment
+sweep-cell errors, log divergences), ``2`` for environment
 failures (unreadable, unwritable or malformed files).
 """
 
@@ -448,9 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     log_derive = log_sub.add_parser(
         "derive",
         help=(
-            "re-derive the legacy artifact views (ledger JSONL, "
-            "certificates, checkpoints, bench trajectories, trend log) "
-            "from a world log"
+            "re-derive the artifact views (ledger JSONL, certificates, "
+            "checkpoints, jobs manifest) from a world log"
         ),
     )
     log_derive.add_argument("path", help="world log file")
@@ -464,8 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         "import",
         help=(
             "one-shot conversion: fold legacy artifacts (event "
-            "ledgers, certificates, bench trajectories, trend logs) "
-            "into one fresh world log"
+            "ledgers, attack certificates) into one fresh world log"
         ),
     )
     log_import.add_argument(
@@ -527,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "post-hoc metrics from an old log (no schema migration): "
             "per-cell percentiles, span totals, cache hit rate, "
-            "per-tenant job + rejection counts, as trend-shaped JSON"
+            "per-tenant job + rejection counts, as one JSON document"
         ),
     )
     log_stats_parser.add_argument("path", help="world log file")
@@ -558,159 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
             "text: the phase-tree timeline (default); chrome: "
             "trace-event JSON that Perfetto and chrome://tracing open"
         ),
-    )
-
-    report_parser = subparsers.add_parser(
-        "report",
-        help=(
-            "append a canary perf point to the trend log and diff it "
-            "against the previous one"
-        ),
-    )
-    report_parser.add_argument(
-        "--trend",
-        action="store_true",
-        required=True,
-        help="record a trend point (the only report mode, for now)",
-    )
-    report_parser.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help=(
-            "trend store to append to: a legacy trend JSONL, or a "
-            "world log ('*.worldlog' or an existing log, sniffed) "
-            "(default: benchmarks/reports/trend.jsonl)"
-        ),
-    )
-    report_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.2,
-        help=(
-            "flag wall-clock regressions beyond this fraction "
-            "(default: 0.2 = 20%%)"
-        ),
-    )
-    report_parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 1 when a regression is flagged",
-    )
-
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help=(
-            "the benchmark observatory: measure registered kernels, "
-            "persist per-suite trajectories, compare against baselines"
-        ),
-    )
-    bench_sub = bench_parser.add_subparsers(
-        dest="bench_command", required=True
-    )
-    bench_run = bench_sub.add_parser(
-        "run",
-        help=(
-            "measure kernels (warmup + timed repetitions + memory "
-            "accounting) and append the points to BENCH_<suite>.json"
-        ),
-    )
-    bench_run.add_argument(
-        "--suite",
-        action="append",
-        metavar="SUITE",
-        help=(
-            "measure only this suite (repeatable; default: every "
-            "registered suite)"
-        ),
-    )
-    bench_run.add_argument(
-        "--quick",
-        action="store_true",
-        help=(
-            "quick tier: only quick-tier kernels, 3 repetitions "
-            "(CI-speed)"
-        ),
-    )
-    bench_run.add_argument(
-        "--repetitions",
-        type=int,
-        default=None,
-        metavar="N",
-        help="timed repetitions per kernel (default: 3 quick, 7 full)",
-    )
-    bench_run.add_argument(
-        "--warmup",
-        type=int,
-        default=1,
-        metavar="N",
-        help="untimed warmup executions per kernel (default: 1)",
-    )
-    bench_run.add_argument(
-        "--dir",
-        default="benchmarks",
-        help="directory of bench_*.py kernel modules (default: benchmarks)",
-    )
-    bench_run.add_argument(
-        "--out-dir",
-        default=".",
-        help=(
-            "where BENCH_<suite>.json trajectories accumulate "
-            "(default: current directory)"
-        ),
-    )
-    bench_compare = bench_sub.add_parser(
-        "compare",
-        help=(
-            "gate current trajectories against a baseline with the "
-            "noise-aware threshold (exit 1 on regression)"
-        ),
-    )
-    bench_compare.add_argument(
-        "baseline",
-        help=(
-            "baseline trajectory: a BENCH_<suite>.json file or a "
-            "directory of them"
-        ),
-    )
-    bench_compare.add_argument(
-        "current",
-        nargs="*",
-        help=(
-            "current trajectory file(s); default: the BENCH_<suite>"
-            ".json in --out-dir matching the baseline's suites"
-        ),
-    )
-    bench_compare.add_argument(
-        "--threshold",
-        type=float,
-        default=0.2,
-        help=(
-            "regression gate floor as a fraction; a kernel is flagged "
-            "only beyond max(threshold, 3x measured noise) "
-            "(default: 0.2 = 20%%)"
-        ),
-    )
-    bench_compare.add_argument(
-        "--out-dir",
-        default=".",
-        help=(
-            "where to look for current trajectories when none are "
-            "given (default: current directory)"
-        ),
-    )
-    bench_list = bench_sub.add_parser(
-        "list", help="list the registered kernels and their tiers"
-    )
-    bench_list.add_argument(
-        "--dir",
-        default="benchmarks",
-        help="directory of bench_*.py kernel modules (default: benchmarks)",
-    )
-    bench_list.add_argument(
-        "--quick",
-        action="store_true",
-        help="list only the quick tier",
     )
 
     serve_parser = subparsers.add_parser(
@@ -1047,8 +885,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code.
 
     Exit codes: ``0`` success, ``1`` domain failure (an unexpected
-    verdict, a rejected artifact, failed sweep cells, a flagged
-    regression under ``--strict``), ``2`` environment failure (a file
+    verdict, a rejected artifact, failed sweep cells, a ``log diff``
+    divergence), ``2`` environment failure (a file
     that cannot be read or written).
     """
     args = build_parser().parse_args(argv)
@@ -1291,43 +1129,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         print(render_trace(events, slowest=args.slowest))
         return 0
-    if args.command == "report":
-        import os
-
-        from repro.obs.report import (
-            TREND_PATH,
-            append_trend,
-            trend_delta,
-            trend_point,
-        )
-        from repro.worldlog.store import is_worldlog
-
-        out = args.out or TREND_PATH
-        _info("running the trend canary (ring-token, n=12, t=8)...")
-        point = trend_point()
-        if out.endswith(".worldlog") or is_worldlog(out):
-            from repro.worldlog.store import WorldLog
-            from repro.worldlog.views import trend_points
-
-            worldlog = (
-                WorldLog.resume(out)
-                if os.path.exists(out)
-                else WorldLog.create(out)
-            )
-            history = trend_points(worldlog.records)
-            previous = history[-1] if history else None
-            worldlog.append("trend.point", point)
-            worldlog.close()
-            delta = trend_delta(point, previous, threshold=args.threshold)
-        else:
-            delta = append_trend(out, point, threshold=args.threshold)
-        print(delta.render())
-        _info(f"trend point appended to {out}")
-        if args.strict and not delta.ok:
-            return 1
-        return 0
-    if args.command == "bench":
-        return _dispatch_bench(args)
     if args.command == "serve":
         return _dispatch_serve(args)
     if args.command == "submit":
@@ -1910,97 +1711,6 @@ def _dispatch_log(args: argparse.Namespace) -> int:
         return 1 if report.errors() else 0
     raise AssertionError(
         f"unhandled log command {args.log_command!r}"
-    )
-
-
-def _bench_points(path: str) -> list[dict]:
-    """Points from one trajectory file or a directory of them."""
-    import os
-
-    from repro.obs import bench
-
-    if os.path.isdir(path):
-        names = sorted(
-            name
-            for name in os.listdir(path)
-            if name.startswith("BENCH_") and name.endswith(".json")
-        )
-        if not names:
-            raise bench.BenchError(
-                f"no BENCH_*.json trajectories under {path!r}"
-            )
-        points: list[dict] = []
-        for name in names:
-            points.extend(
-                bench.read_bench_file(os.path.join(path, name))
-            )
-        return points
-    return bench.read_bench_file(path)
-
-
-def _dispatch_bench(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.obs import bench
-
-    if args.bench_command == "run":
-        bench.load_benchmark_modules(args.dir)
-        selected = bench.kernels(
-            suites=args.suite, quick=args.quick or None
-        )
-        if not selected:
-            raise bench.BenchError(
-                "no kernels matched the suite/tier selection"
-            )
-        tier = "quick" if args.quick else "full"
-        repetitions = args.repetitions or (
-            bench.QUICK_REPETITIONS
-            if args.quick
-            else bench.FULL_REPETITIONS
-        )
-        runner = bench.BenchRunner(
-            repetitions=repetitions, warmup=args.warmup, tier=tier
-        )
-        points = []
-        for kernel in selected:
-            _info(
-                f"measuring {kernel.label} "
-                f"({repetitions} repetitions, tier {tier})..."
-            )
-            points.append(runner.measure(kernel))
-        print(bench.render_points(points))
-        for path in bench.append_points(args.out_dir, points):
-            _info(f"trajectory appended to {path}")
-        return 0
-    if args.bench_command == "compare":
-        baseline = _bench_points(args.baseline)
-        if args.current:
-            current = [
-                point
-                for path in args.current
-                for point in bench.read_bench_file(path)
-            ]
-        else:
-            suites = sorted({point["suite"] for point in baseline})
-            current = []
-            for suite in suites:
-                path = os.path.join(
-                    args.out_dir, bench.trajectory_file_name(suite)
-                )
-                current.extend(bench.read_bench_file(path))
-        report = bench.compare_points(
-            baseline, current, threshold=args.threshold
-        )
-        print(report.render())
-        return 0 if report.ok else 1
-    if args.bench_command == "list":
-        bench.load_benchmark_modules(args.dir)
-        for kernel in bench.kernels(quick=args.quick or None):
-            tier = "quick" if kernel.quick else "full"
-            print(f"{kernel.label} [{tier}]")
-        return 0
-    raise AssertionError(
-        f"unhandled bench command {args.bench_command!r}"
     )
 
 

@@ -18,7 +18,7 @@ class ReproError(Exception):
 class ArtifactError(ReproError):
     """A persisted artifact exists but cannot be understood.
 
-    Raised when a run ledger, trend log, bench trajectory or similar
+    Raised when a run ledger, world log, attack certificate or similar
     on-disk artifact is truncated, is not valid JSON, or lacks required
     fields.  Distinguished from the other :class:`ReproError` subclasses
     because it is an *environment* failure: the CLI maps it (like

@@ -3,8 +3,9 @@
 Each ``run_eN`` function executes the experiment at the given scale and
 returns an :class:`ExperimentResult` — structured data plus a rendered
 text report (the "table/figure" the paper-shaped harness regenerates).
-The CLI (``python -m repro``) and the pytest benchmarks both call these,
-so the printed artifacts and the benchmarked code paths are identical.
+The CLI (``python -m repro``) and the tier-1 tests
+(``tests/test_experiments.py``) both call these, so the printed
+artifacts and the tested code paths are identical.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@
 * Dolev–Reischuk [51]: Byzantine broadcast needs ``Ω(n + t²)`` messages in
   the authenticated setting and ``Ω(nt)`` unauthenticated.
 
-The helpers here are used by benches to annotate measurements and by the
+The helpers here are used by experiments to annotate measurements and by the
 driver to decide whether an algorithm's observed traffic even *could* be a
 correct weak consensus.
 

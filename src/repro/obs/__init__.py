@@ -9,8 +9,7 @@ The layer every pipeline stage emits into and every report reads from:
   default (:data:`NULL_TRACER`) and the per-round engine observer;
 * :mod:`repro.obs.metrics` — the associative registry of named
   counters, gauges and histograms;
-* :mod:`repro.obs.report` — the ``repro trace`` timeline and the
-  ``repro report --trend`` perf-trajectory log;
+* :mod:`repro.obs.report` — the ``repro trace`` timeline;
 * :mod:`repro.obs.telemetry` — the sampled telemetry bus folding live
   metrics/progress/round accounting into observability-only
   ``telemetry.snapshot`` world-log records;

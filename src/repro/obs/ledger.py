@@ -5,8 +5,7 @@ One pipeline run — an attack, a sweep, an experiment — produces one
 every telemetry producer (the span tracer, the metrics registry, the
 sweep scheduler) appends to.  The ledger is the single correlated event
 stream the repository's observability is built on; ``repro trace``
-renders it, ``repro report --trend`` distills it into a perf-trajectory
-point.
+renders it and ``repro log stats`` folds it into per-run metrics.
 
 Event model
 -----------

@@ -1,41 +1,20 @@
-"""Human rendering of run ledgers and the performance trend log.
+"""Human rendering of run ledgers.
 
-Two consumers of the :mod:`repro.obs.ledger` event stream:
-
-* :func:`render_trace` — the ``repro trace <ledger>`` timeline: the
-  span tree with accumulated durations, the slowest simulated rounds,
-  the per-round message-count series, the cache hit rate and the
-  observed messages-vs-``t²/32`` ratio, plus a per-cell table for sweep
-  ledgers.
-* the trend log — ``repro report --trend`` runs a fixed canary attack
-  (ring-token at the bench regime), distills its ledger into one
-  :func:`trend_point`, appends it to ``benchmarks/reports/trend.jsonl``
-  and diffs it against the previous point
-  (:func:`append_trend`), flagging wall-clock regressions beyond the
-  threshold and *any* drift in the deterministic counters (rounds
-  simulated, events, observed messages — those must not move without a
-  code change that intends it).
+:func:`render_trace` is the ``repro trace <ledger>`` timeline over the
+:mod:`repro.obs.ledger` event stream: the span tree with accumulated
+durations, the slowest simulated rounds, the per-round message-count
+series, the cache hit rate and the observed messages-vs-``t²/32``
+ratio, plus a per-cell table for sweep ledgers.  :func:`span_totals`,
+:func:`percentiles` and :func:`cache_hit_rate` are the folds ``repro
+log stats`` reuses.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.obs.ledger import LedgerEvent
-
-TREND_PATH = os.path.join("benchmarks", "reports", "trend.jsonl")
-"""Where the repository's perf trajectory accumulates."""
-
-_DETERMINISTIC_KEYS = ("rounds_simulated", "events", "messages_observed")
-
-
-# ----------------------------------------------------------------------
-# trace rendering
-# ----------------------------------------------------------------------
 
 
 @dataclass
@@ -302,168 +281,6 @@ def render_trace(
             )
         )
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# trend reporting
-# ----------------------------------------------------------------------
-
-
-def trend_point(label: str = "attack/ring-token/n12/t8") -> dict[str, Any]:
-    """Run the canary attack and distill its ledger into one point.
-
-    The canary is the bench-suite regime (ring-token at ``n=12, t=8``,
-    reuse on): small enough for CI, heavy enough that the cache, the
-    scan and the merge all run.  Deterministic fields
-    (``rounds_simulated``, ``events``, ``messages_observed``) move only
-    when the pipeline's behavior changes; ``wall_seconds`` tracks speed.
-    """
-    from repro.lowerbound.driver import attack_weak_consensus
-    from repro.obs.ledger import RunLedger
-    from repro.obs.tracer import LedgerTracer
-    from repro.protocols.subquadratic import ring_token_spec
-
-    ledger = RunLedger()
-    begin = time.perf_counter()
-    outcome = attack_weak_consensus(
-        ring_token_spec(12, 8), tracer=LedgerTracer(ledger)
-    )
-    wall = time.perf_counter() - begin
-    rate = cache_hit_rate(ledger.events)
-    return {
-        "ts": time.time(),
-        "label": label,
-        "wall_seconds": wall,
-        "rounds_simulated": outcome.rounds_simulated,
-        "rounds_baseline": outcome.rounds_baseline,
-        "messages_observed": outcome.bound.observed,
-        "events": len(ledger.events),
-        "cache_hit_rate": rate,
-        "violation": outcome.found_violation,
-    }
-
-
-@dataclass(frozen=True)
-class TrendDelta:
-    """The appended point, its predecessor, and the comparison verdict."""
-
-    point: dict[str, Any]
-    previous: dict[str, Any] | None
-    regressions: tuple[str, ...]
-    notes: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        """Whether no wall-clock regression was flagged."""
-        return not self.regressions
-
-    def render(self) -> str:
-        lines = [
-            f"trend point: {self.point['label']} "
-            f"wall={self.point['wall_seconds'] * 1e3:.1f} ms "
-            f"rounds={self.point['rounds_simulated']} "
-            f"events={self.point['events']}"
-        ]
-        if self.previous is None:
-            lines.append("first recorded point — nothing to diff against")
-        else:
-            previous_wall = self.previous.get("wall_seconds", 0.0)
-            if previous_wall:
-                change = (
-                    self.point["wall_seconds"] / previous_wall - 1.0
-                ) * 100
-                lines.append(
-                    f"wall vs previous: {change:+.1f}% "
-                    f"({previous_wall * 1e3:.1f} ms before)"
-                )
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        for regression in self.regressions:
-            lines.append(f"REGRESSION: {regression}")
-        return "\n".join(lines)
-
-
-def read_trend(path: str) -> list[dict[str, Any]]:
-    """Every recorded trend point (empty when the log doesn't exist).
-
-    Raises:
-        ArtifactError: if the log exists but contains a line that is
-            not a JSON object — the CLI maps this to exit 2.  The
-            diagnostic is the shared :mod:`repro.artifact` ``file:line``
-            one-liner.
-    """
-    from repro.artifact import load_artifact_lines
-
-    def parse(line: str) -> dict[str, Any]:
-        point = json.loads(line)
-        if not isinstance(point, dict):
-            raise ValueError("line is not a JSON object")
-        return point
-
-    return load_artifact_lines(
-        path, "trend point", parse, missing_ok=True
-    )
-
-
-def trend_delta(
-    point: dict[str, Any],
-    previous: dict[str, Any] | None,
-    threshold: float = 0.2,
-) -> TrendDelta:
-    """Diff one trend point against its predecessor (pure, no I/O).
-
-    A ``wall_seconds`` increase beyond ``threshold`` (default 20%) is a
-    flagged regression; any change in the deterministic counters is
-    surfaced as a note (it signals a behavior change, not noise).
-    Shared by the legacy ``trend.jsonl`` appender and the world-log
-    trend recorder — one comparison policy for both stores.
-    """
-    regressions: list[str] = []
-    notes: list[str] = []
-    if previous is not None:
-        previous_wall = previous.get("wall_seconds") or 0.0
-        if (
-            previous_wall
-            and point["wall_seconds"] > previous_wall * (1 + threshold)
-        ):
-            regressions.append(
-                f"wall_seconds {point['wall_seconds']:.4f} is "
-                f"{(point['wall_seconds'] / previous_wall - 1) * 100:.0f}%"
-                f" above the previous {previous_wall:.4f} "
-                f"(threshold {threshold * 100:.0f}%)"
-            )
-        for key in _DETERMINISTIC_KEYS:
-            if key in previous and previous[key] != point.get(key):
-                notes.append(
-                    f"{key} changed {previous[key]!r} -> "
-                    f"{point.get(key)!r}"
-                )
-    return TrendDelta(
-        point=point,
-        previous=previous,
-        regressions=tuple(regressions),
-        notes=tuple(notes),
-    )
-
-
-def append_trend(
-    path: str,
-    point: dict[str, Any],
-    threshold: float = 0.2,
-) -> TrendDelta:
-    """Append ``point`` to the trend log and diff it against the last.
-
-    See :func:`trend_delta` for the comparison policy.
-    """
-    history = read_trend(path)
-    previous = history[-1] if history else None
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(point))
-        handle.write("\n")
-    return trend_delta(point, previous, threshold)
 
 
 def events_from(

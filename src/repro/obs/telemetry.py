@@ -25,8 +25,8 @@ Cost discipline: a bus that is not attached costs nothing (the driver
 and scheduler skip every hook when ``telemetry is None``); an attached
 bus costs one monotonic-clock read and one comparison per pump until
 the interval elapses, and one registry fold + JSON append when it
-does.  The quick-tier ``benchmarks/bench_telemetry.py`` kernels keep
-both numbers honest.
+does.  ``tests/obs/test_telemetry.py`` pins the shape of both paths
+(an idle bus appends nothing; a due bus appends one snapshot).
 
 >>> from repro.worldlog.store import WorldLog
 >>> import tempfile, os

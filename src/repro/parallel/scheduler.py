@@ -220,7 +220,7 @@ class SweepReport:
         return f"{table}\n{summary}"
 
     def to_payload(self) -> dict[str, Any]:
-        """A JSON-serializable summary (for ``benchmarks/reports/``)."""
+        """A JSON-serializable summary of the sweep."""
         return {
             "backend": self.backend,
             "jobs": self.jobs,

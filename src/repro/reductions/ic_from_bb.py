@@ -9,7 +9,7 @@ This library's authenticated IC
 (:func:`repro.protocols.interactive_consistency.authenticated_ic_spec`)
 *is* this construction, built over Dolev–Strong; the functions here exist
 to name the reduction explicitly and to expose the per-instance accounting
-used by the E7 benchmark (message complexity of IC ≈ n × that of one
+used by experiment E7 (message complexity of IC ≈ n × that of one
 broadcast, under multiplexing exactly that of the busiest round pattern).
 """
 

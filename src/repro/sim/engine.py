@@ -61,10 +61,10 @@ def object_counts() -> dict[str, int]:
     channel cache has interned), ``machine_snapshots`` (machines
     deep-copied by :class:`MachineCheckpointer`), plus the bitmask
     kernel's representation counters ``masks_built`` and ``popcounts``
-    (see :mod:`repro.sim.kernel`).  Consumers — the benchmark
-    observatory foremost — snapshot before and after a measured region
-    and report the delta (:func:`object_counts_delta`): an
-    allocation-shaped view of simulator cost that wall-clock timing
+    (see :mod:`repro.sim.kernel`).  Consumers — the driver's
+    ``engine.*`` trace counters foremost — snapshot before and after a
+    measured region and report the delta (:func:`object_counts_delta`):
+    an allocation-shaped view of simulator cost that wall-clock timing
     cannot separate from noise.
     """
     from repro.sim.message import MATERIALIZED

@@ -14,7 +14,7 @@ behavior per process, subject to five guarantees:
 :func:`check_execution` enforces all five.  The proof constructions
 (``swap_omission``, ``merge``) produce :class:`Execution` values which are
 re-validated by these checks, making lemmas 15 and 16 machine-checked on
-every concrete instance the test-suite and benchmarks exercise.
+every concrete instance the test-suite and experiments exercise.
 """
 
 from __future__ import annotations

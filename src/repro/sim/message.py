@@ -25,7 +25,7 @@ class _MaterializationCounts:
     """Process-wide tallies of sim objects built since interpreter start.
 
     Monotone, cheap (one integer increment at each construction site) and
-    never reset: consumers such as the benchmark observatory take
+    never reset: consumers such as the driver's trace counters take
     *deltas* around a measured region (see
     :func:`repro.sim.engine.object_counts`).  The counts are a memory
     proxy the wall clock cannot see — a kernel that got faster by

@@ -3,8 +3,8 @@
 The paper's metric is the number of messages sent by correct processes over
 the whole execution — including messages sent after all correct processes
 have decided.  :class:`ComplexityReport` computes that count plus auxiliary
-views (per-round, per-sender, payload-size totals) used by the benchmark
-harness.  :class:`StreamingComplexity` produces the same report
+views (per-round, per-sender, payload-size totals) used by the experiment
+reports.  :class:`StreamingComplexity` produces the same report
 incrementally as a :class:`~repro.sim.engine.RoundObserver`, so live
 engine runs need no second pass over the recorded trace.
 """
@@ -231,7 +231,7 @@ def meets_lower_bound(execution: Execution) -> bool:
 def quadratic_ratio(messages: int, t: int) -> float:
     """``messages / t²`` — the constant factor in front of the quadratic.
 
-    Used by the scaling benches: for a Θ(t²)-message protocol this ratio
+    Used by the scaling experiments: for a Θ(t²)-message protocol this ratio
     stabilizes as ``t`` grows; for sub-quadratic cheaters it tends to 0.
     """
     if t == 0:

@@ -3,7 +3,7 @@
 One run writes one *world log*: a tick-ordered JSONL sequence of typed
 :class:`~repro.worldlog.record.Record` envelopes.  Everything the
 repository used to persist separately — ledger events, attack
-certificates, driver checkpoints, benchmark points, trend points — is a
+certificates, driver checkpoints, service jobs — is a
 *view* derived by scanning the log (:mod:`repro.worldlog.views`); the
 log itself is the only thing any layer writes.  On top of the views sit
 the time-travel tools: a replay cursor that materializes "what the

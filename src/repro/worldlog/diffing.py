@@ -51,18 +51,14 @@ DROP_KEYS = frozenset(
         "unix_time",
         "run_id",
         "worker_id",
-        "stats",
-        "memory",
-        "fingerprint",
     }
 )
 """Payload keys scrubbed recursively before comparison.
 
 Wall-clock measurements (``ts`` / ``seconds`` / ``wall_seconds`` /
-``unix_time``, plus the bench observatory's ``stats`` / ``memory`` /
-``fingerprint`` blocks) and per-process identity (``run_id`` /
-``worker_id``) differ between any two honest executions of the same
-matrix; everything else must not.
+``unix_time``) and per-process identity (``run_id`` / ``worker_id``)
+differ between any two honest executions of the same matrix;
+everything else must not.
 """
 
 WALL_CLOCK_METRICS = frozenset(

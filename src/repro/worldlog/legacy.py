@@ -2,11 +2,11 @@
 
 ``repro log import`` keeps the object engine's existing artifacts
 readable across the storage transition: each input file is sniffed for
-which of the four legacy families it is — run-ledger JSONL, trend
-JSONL, ``BENCH_<suite>.json`` trajectory, attack-certificate JSON — and
-converted to the equivalent records.  Deriving the matching view from
-the imported log reproduces the input byte-for-byte (the payloads are
-carried verbatim), so importing is lossless and reversible.
+which of the two legacy families it is — run-ledger JSONL or
+attack-certificate JSON — and converted to the equivalent records.
+Deriving the matching view from the imported log reproduces the input
+byte-for-byte (the payloads are carried verbatim), so importing is
+lossless and reversible.
 """
 
 from __future__ import annotations
@@ -15,23 +15,21 @@ import json
 import os
 from typing import Any
 
-from repro.artifact import load_artifact, load_artifact_lines
-from repro.errors import ArtifactError
+from repro.artifact import artifact_error, load_artifact_lines
 from repro.worldlog.store import WorldLog
 
 
 def sniff_family(path: str) -> str:
     """Which legacy family ``path`` holds.
 
-    Returns one of ``"ledger"``, ``"trend"``, ``"bench"``,
-    ``"certificate"``.
+    Returns ``"ledger"`` or ``"certificate"``.
 
     Raises:
-        ArtifactError: when the file matches no known family.
+        ArtifactError: when the file matches no known family (the
+            uniform ``<path>:1: not a legacy artifact`` diagnostic).
         OSError: when it cannot be read.
     """
     from repro.certify.format import CERTIFICATE_FORMAT
-    from repro.obs.bench import BENCH_SCHEMA
     from repro.obs.ledger import EVENT_KINDS
 
     with open(path, encoding="utf-8") as handle:
@@ -49,22 +47,20 @@ def sniff_family(path: str) -> str:
             and "ts" in first
         ):
             return "ledger"
-        if "wall_seconds" in first and "label" in first:
-            return "trend"
     try:
         document = json.loads(stripped)
     except json.JSONDecodeError:
         document = None
-    if isinstance(document, dict):
-        if document.get("schema") == BENCH_SCHEMA and isinstance(
-            document.get("points"), list
-        ):
-            return "bench"
-        if document.get("format") == CERTIFICATE_FORMAT:
-            return "certificate"
-    raise ArtifactError(
-        f"{path}: not a known legacy artifact (expected a run ledger, "
-        "a trend log, a bench trajectory or an attack certificate)"
+    if (
+        isinstance(document, dict)
+        and document.get("format") == CERTIFICATE_FORMAT
+    ):
+        return "certificate"
+    raise artifact_error(
+        path,
+        "legacy artifact",
+        ValueError("expected a run ledger or an attack certificate"),
+        line=1,
     )
 
 
@@ -84,28 +80,6 @@ def _import_ledger(log: WorldLog, path: str) -> int:
             worker_id=event.get("worker_id", 0),
         )
     return len(events)
-
-
-def _import_trend(log: WorldLog, path: str) -> int:
-    def parse(line: str) -> dict[str, Any]:
-        point = json.loads(line)
-        if not isinstance(point, dict):
-            raise ValueError("line is not a trend point object")
-        return point
-
-    points = load_artifact_lines(path, "trend point", parse)
-    for point in points:
-        log.append("trend.point", payload=point)
-    return len(points)
-
-
-def _import_bench(log: WorldLog, path: str) -> int:
-    from repro.obs.bench import read_bench_file
-
-    points = read_bench_file(path)
-    for point in points:
-        log.append("bench.point", payload=point)
-    return len(points)
 
 
 def _import_certificate(log: WorldLog, path: str) -> int:
@@ -129,8 +103,6 @@ def _import_certificate(log: WorldLog, path: str) -> int:
 
 _IMPORTERS = {
     "ledger": _import_ledger,
-    "trend": _import_trend,
-    "bench": _import_bench,
     "certificate": _import_certificate,
 }
 

@@ -49,8 +49,6 @@ KINDS = (
     "cell.error",
     "checkpoint",
     "cert.artifact",
-    "bench.point",
-    "trend.point",
     "job.submitted",
     "job.start",
     "job.result",
@@ -75,9 +73,6 @@ KINDS = (
   snapshotted for Lemma-4 prefix resume).
 * ``cert.artifact`` — a portable attack certificate, carried as its
   canonical JSON text.
-* ``bench.point`` / ``trend.point`` — one benchmark-observatory point /
-  one perf-trend point, payloads exactly as their legacy writers
-  serialize them.
 * ``job.submitted`` / ``job.start`` / ``job.result`` / ``job.error`` —
   the attack service's job lifecycle (:mod:`repro.service`): one
   acceptance record per idempotent job key, an optional start marker

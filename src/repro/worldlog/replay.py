@@ -17,8 +17,8 @@ the fold explicit:
 * :func:`select_records` — the shared record-selection logic behind
   ``repro log show --kind/--cell/--run/--tail``.
 * :func:`log_stats` — post-hoc metric extraction: new metrics computed
-  from old logs without any schema migration, emitted in the same JSON
-  shape the ``report --trend`` comparison policy consumes.
+  from old logs without any schema migration, emitted as one JSON
+  document.
 
 The state mirrors the derived-view semantics exactly: event-derived
 fields (span stacks, counters, gauges, round accounting) reset at every
@@ -512,13 +512,10 @@ def log_stats(
 ) -> dict[str, Any]:
     """Compute post-hoc metrics from an old log — no schema migration.
 
-    The document's top level is shaped like a ``report --trend`` point
-    (``label`` / ``wall_seconds`` / ``rounds_simulated`` / ``events`` /
-    ``messages_observed`` / ``cache_hit_rate``), so
-    :func:`repro.obs.report.trend_delta` can diff two extractions with
-    the one comparison policy the trend log already uses.  Extra
-    sections carry the metrics the legacy views never materialized:
-    summed ledger counters (``engine.masks_built`` names the engine
+    The top level summarizes the run (``label`` / ``wall_seconds`` /
+    ``rounds_simulated`` / ``events`` / ``messages_observed`` /
+    ``cache_hit_rate``).  Further sections carry the metrics the legacy
+    views never materialized: summed ledger counters (``engine.masks_built`` names the engine
     that ran), per-cell wall/round/message percentiles, flat span totals
     (certificate verify time is the ``witness-verify`` + ``certify``
     rows), and per-tenant job accounting including quota/rate

@@ -296,8 +296,8 @@ def is_worldlog(path: str) -> bool:
     """Whether ``path`` exists and opens with a world-log header.
 
     The schema sniff the transition-era readers (``repro trace``,
-    ``repro report --trend``) use to accept either a legacy artifact or
-    a world log.  Never raises.
+    ``repro metrics export``) use to accept either a legacy ledger or a
+    world log.  Never raises.
     """
     try:
         with open(path, encoding="utf-8") as handle:

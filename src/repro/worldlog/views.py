@@ -1,4 +1,4 @@
-"""Derived views: the five legacy artifact families, re-rendered.
+"""Derived views: the legacy artifact families, re-rendered.
 
 Nothing here is a second source of truth — a view is a pure function of
 the record sequence, re-runnable at any time (``repro log derive``),
@@ -15,12 +15,8 @@ golden fixtures under ``tests/worldlog/golden``:
   ``Certificate.to_bytes`` ships.
 * **checkpoints** — ``checkpoints.json``: the in-band driver
   checkpoint notes as one manifest document.
-* **bench** — ``BENCH_<suite>.json`` per suite: the schema-versioned
-  trajectory document :func:`repro.obs.bench.append_points` writes.
-* **trend** — ``trend.jsonl``: each ``trend.point`` payload as one
-  JSONL line, exactly :func:`repro.obs.report.append_trend` output.
 
-A sixth, service-era view has no legacy writer: **jobs** —
+A fourth, service-era view has no legacy writer: **jobs** —
 ``jobs.json``: the attack service's job manifest (schema
 ``repro.jobs/v1``), folding each job's ``job.submitted`` /
 ``job.start`` / ``job.result`` / ``job.error`` records into one entry
@@ -100,24 +96,6 @@ def checkpoint_manifest(records: Iterable[Record]) -> dict[str, Any]:
     }
 
 
-def bench_documents(
-    records: Iterable[Record],
-) -> dict[str, dict[str, Any]]:
-    """Suite → the ``BENCH_<suite>.json`` trajectory document."""
-    from repro.obs.bench import BENCH_SCHEMA
-
-    by_suite: dict[str, list[Any]] = {}
-    for record in records:
-        if record.kind == "bench.point":
-            by_suite.setdefault(record.payload["suite"], []).append(
-                record.payload
-            )
-    return {
-        suite: {"schema": BENCH_SCHEMA, "points": points}
-        for suite, points in sorted(by_suite.items())
-    }
-
-
 def jobs_manifest(records: Iterable[Record]) -> dict[str, Any]:
     """The derived service job manifest (one entry per job key).
 
@@ -161,26 +139,17 @@ def jobs_manifest(records: Iterable[Record]) -> dict[str, Any]:
     return {"schema": JOBS_SCHEMA, "jobs": list(jobs.values())}
 
 
-def trend_points(records: Iterable[Record]) -> list[dict[str, Any]]:
-    """The derived trend view, oldest first (for ``report --trend``)."""
-    return [
-        record.payload
-        for record in records
-        if record.kind == "trend.point"
-    ]
-
-
 def derive_views(
     records: Sequence[Record], out_dir: str
 ) -> dict[str, list[str]]:
     """Materialize every view under ``out_dir``; returns paths per view.
 
     Views with no contributing records write nothing (an attack log
-    without bench points derives no ``BENCH_*.json``), so the output
+    without service jobs derives no ``jobs.json``), so the output
     directory mirrors what the legacy writers would have produced.
+    Record kinds no view reads (``bench.point`` / ``trend.point`` in
+    logs written before those kinds were retired) derive nothing.
     """
-    from repro.obs.bench import trajectory_file_name
-
     os.makedirs(out_dir, exist_ok=True)
     written: dict[str, list[str]] = {}
 
@@ -213,17 +182,6 @@ def derive_views(
             handle.write("\n")
         written["checkpoints"] = [path]
 
-    documents = bench_documents(records)
-    if documents:
-        paths = []
-        for suite, document in documents.items():
-            path = os.path.join(out_dir, trajectory_file_name(suite))
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            paths.append(path)
-        written["bench"] = paths
-
     manifest = jobs_manifest(records)
     if manifest["jobs"]:
         path = os.path.join(out_dir, "jobs.json")
@@ -231,14 +189,5 @@ def derive_views(
             json.dump(manifest, handle, indent=2, sort_keys=True)
             handle.write("\n")
         written["jobs"] = [path]
-
-    points = trend_points(records)
-    if points:
-        path = os.path.join(out_dir, "trend.jsonl")
-        with open(path, "w", encoding="utf-8") as handle:
-            for point in points:
-                handle.write(json.dumps(point))
-                handle.write("\n")
-        written["trend"] = [path]
 
     return written

@@ -1,13 +1,7 @@
-"""Tests for trace rendering and the performance trend log."""
+"""Tests for trace rendering."""
 
 from repro.obs.ledger import RunLedger
-from repro.obs.report import (
-    append_trend,
-    build_span_tree,
-    read_trend,
-    render_trace,
-    trend_point,
-)
+from repro.obs.report import build_span_tree, render_trace
 
 
 def _sample_ledger() -> RunLedger:
@@ -88,53 +82,3 @@ class TestRenderTrace:
 
     def test_empty_ledger_renders(self):
         assert "0 events" in render_trace([])
-
-
-class TestTrend:
-    def _point(self, wall: float, rounds: int = 76) -> dict:
-        return {
-            "ts": 0.0,
-            "label": "canary",
-            "wall_seconds": wall,
-            "rounds_simulated": rounds,
-            "rounds_baseline": 168,
-            "messages_observed": 22,
-            "events": 101,
-            "cache_hit_rate": 0.5,
-            "violation": True,
-        }
-
-    def test_first_point_has_no_previous(self, tmp_path):
-        path = str(tmp_path / "trend.jsonl")
-        delta = append_trend(path, self._point(1.0))
-        assert delta.previous is None
-        assert delta.ok
-        assert read_trend(path) == [self._point(1.0)]
-
-    def test_regression_flagged_beyond_threshold(self, tmp_path):
-        path = str(tmp_path / "trend.jsonl")
-        append_trend(path, self._point(1.0))
-        delta = append_trend(path, self._point(1.5), threshold=0.2)
-        assert not delta.ok
-        assert "wall_seconds" in delta.regressions[0]
-        assert "REGRESSION" in delta.render()
-
-    def test_within_threshold_not_flagged(self, tmp_path):
-        path = str(tmp_path / "trend.jsonl")
-        append_trend(path, self._point(1.0))
-        delta = append_trend(path, self._point(1.1), threshold=0.2)
-        assert delta.ok
-
-    def test_deterministic_drift_noted(self, tmp_path):
-        path = str(tmp_path / "trend.jsonl")
-        append_trend(path, self._point(1.0, rounds=76))
-        delta = append_trend(path, self._point(1.0, rounds=80))
-        assert delta.ok  # drift is a note, not a regression
-        assert any("rounds_simulated" in note for note in delta.notes)
-
-    def test_trend_point_runs_canary(self):
-        point = trend_point()
-        assert point["violation"] is True
-        assert point["rounds_simulated"] > 0
-        assert point["events"] > 0
-        assert point["wall_seconds"] > 0

@@ -11,11 +11,21 @@ The bus's contract has three legs, each pinned here:
 * **observability-only** — recovery, the jobs manifest and sweep
   resume never see the records (covered in the worldlog/service
   suites; here we pin the record kind itself).
+
+:class:`TestRecordedRunShapes` repeats the fold, the append, both
+exports and a cold tail poll at the size of a recorded sweep, with
+every section attached at once.
 """
 
 import pytest
 
 from repro.errors import ReproError
+from repro.obs.export import (
+    chrome_trace,
+    registry_from_events,
+    render_prometheus,
+)
+from repro.obs.ledger import LedgerEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import SweepProgress
 from repro.obs.telemetry import (
@@ -24,7 +34,7 @@ from repro.obs.telemetry import (
     TelemetryBus,
     parse_interval,
 )
-from repro.worldlog.store import WorldLog, read_worldlog
+from repro.worldlog.store import LogTailer, WorldLog, read_worldlog
 
 
 class FakeClock:
@@ -203,3 +213,113 @@ class TestSnapshotFold:
             snap.payload["schema"] == TELEMETRY_SCHEMA
             for snap in snaps
         )
+
+
+class TestRecordedRunShapes:
+    """Every section attached, inputs sized like a recorded sweep."""
+
+    ROUNDS = 512
+    SNAPSHOTS = 64
+    CELLS = 96
+    ROUNDS_PER_CELL = 16
+
+    def _loaded_bus(self, worldlog):
+        registry = MetricsRegistry()
+        registry.counter("engine.round").add(self.ROUNDS)
+        registry.counter("cache.hits").add(300)
+        registry.counter("cache.alias_hits").add(50)
+        registry.counter("cache.misses").add(150)
+        registry.gauge("bound.vs_floor").set(1.5)
+        for index in range(64):
+            registry.histogram("engine.round_seconds").record(
+                0.001 * (index % 7 + 1)
+            )
+        bus, clock = _bus(worldlog, source="sweep", metrics=registry)
+        progress = SweepProgress(self.CELLS, label="sweep")
+        progress.start("cell/000")
+        bus.attach_progress(progress)
+        tap = bus.round_tap(floor=8.0)
+        tap.on_run_start(None, None, None)
+        tap.rounds_seen = self.ROUNDS  # pre-counted, no per-round pump
+        tap.cum_messages = self.ROUNDS * 6
+        bus.add_source("service", lambda: {"queued": 3, "busy": 1})
+        return bus, clock
+
+    def _recorded_events(self):
+        """A span-and-counter stream shaped like a recorded attack run."""
+        events = []
+        clock = 0.0
+
+        def emit(kind, name, value=None, cell=None):
+            events.append(
+                LedgerEvent(
+                    kind=kind,
+                    name=name,
+                    ts=clock,
+                    value=value,
+                    run_id="recorded",
+                    cell_id=cell,
+                    worker_id=1,
+                )
+            )
+
+        for index in range(self.CELLS):
+            cell = f"cell/{index:03d}"
+            emit("span-start", "attack", cell=cell)
+            for _ in range(self.ROUNDS_PER_CELL):
+                clock += 0.001
+                emit("counter", "engine.round", value=1, cell=cell)
+            emit("gauge", "cell.wall_seconds", value=0.016, cell=cell)
+            clock += 0.001
+            emit("span-end", "attack", cell=cell)
+        return events
+
+    def test_polls_inside_the_interval_append_nothing(self, worldlog):
+        bus, clock = self._loaded_bus(worldlog)
+        bus.sample()  # arm the interval clock
+        for _ in range(10_000):
+            clock.advance(1e-5)
+            bus.maybe_sample()
+        assert bus.samples == 1
+
+    def test_every_section_folds_into_one_payload(self, worldlog):
+        bus, _ = self._loaded_bus(worldlog)
+        payload = bus.build_snapshot()
+        assert payload["rounds"]["seen"] == self.ROUNDS
+        assert payload["cache_hit_rate"] == 0.7
+        assert payload["service"]["queued"] == 3
+
+    def test_sampled_snapshots_land_in_the_log(self, worldlog, tmp_path):
+        bus, _ = self._loaded_bus(worldlog)
+        for _ in range(self.SNAPSHOTS):
+            bus.sample()
+        worldlog.close()
+        records = read_worldlog(str(tmp_path / "t.worldlog"))
+        snaps = [r for r in records if r.kind == "telemetry.snapshot"]
+        assert len(snaps) == self.SNAPSHOTS
+
+    def test_prometheus_exposition_of_a_recorded_run(self):
+        registry = registry_from_events(self._recorded_events())
+        document = render_prometheus(registry.snapshot())
+        rounds = self.CELLS * self.ROUNDS_PER_CELL
+        assert f"repro_engine_round_total {rounds}" in document
+        assert (
+            f"repro_span_attack_seconds_count {self.CELLS}" in document
+        )
+
+    def test_chrome_trace_of_a_recorded_run(self):
+        trace = chrome_trace(self._recorded_events())
+        spans = [
+            entry
+            for entry in trace["traceEvents"]
+            if entry["ph"] in ("B", "E")
+        ]
+        assert len(spans) == 2 * self.CELLS
+
+    def test_cold_tail_poll_returns_every_record(self, tmp_path):
+        path = str(tmp_path / "tail.worldlog")
+        with WorldLog.create(path, run_id="recorded") as log:
+            for index in range(2048):
+                log.append("checkpoint", {"i": index})
+        records = LogTailer(path).poll()
+        assert len(records) == 2048 + 1  # + the log.open header

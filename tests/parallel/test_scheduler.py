@@ -64,6 +64,22 @@ class TestCrossBackendEquivalence:
         assert serial.rounds_simulated == parallel.rounds_simulated
         assert serial.rounds_baseline == parallel.rounds_baseline
 
+    def test_e3_matrix_two_workers_equal_serial(self):
+        """The E3 cheater matrix: ``--jobs 2`` changes no verdict."""
+        from repro.experiments import CHEATERS
+
+        matrix = [
+            AttackJob(builder=name, n=t + 4, t=t)
+            for name in CHEATERS
+            for t in (8, 16)
+        ]
+        serial = SweepScheduler(jobs=1).run(matrix)
+        pooled = SweepScheduler(jobs=2).run(matrix)
+        serial.raise_errors()
+        pooled.raise_errors()
+        assert pooled.backend == "process"
+        assert serial.values() == pooled.values()
+
     def test_serial_backend_matches_direct_driver_calls(self):
         from repro.lowerbound.driver import attack_weak_consensus
 

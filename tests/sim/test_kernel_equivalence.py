@@ -15,6 +15,7 @@ complexity.  Three enforcement arms:
   randomized isolation adversaries, executed in both engines.
 """
 
+import importlib.util
 import pathlib
 
 import pytest
@@ -49,6 +50,9 @@ from repro.sim.serialization import load_execution
 from repro.sim.simulator import SimulationConfig, run_execution
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+GATE_TOOL = (
+    pathlib.Path(__file__).parents[2] / "tools" / "kernel_speedup_gate.py"
+)
 
 
 def _kernel_uniform(spec, bit, adversary=None, *, early_stop=None):
@@ -231,6 +235,39 @@ class TestEngineEquivalence:
         # sender per round.
         assert delta["masks_built"] == 4 * 7 * trace.rounds_run
         assert delta["popcounts"] == 7 * trace.rounds_run
+
+
+def _speedup_gate_module():
+    spec = importlib.util.spec_from_file_location(
+        "kernel_speedup_gate", GATE_TOOL
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSpeedupGateFlood:
+    """The workload ``tools/kernel_speedup_gate.py`` times is one run.
+
+    The gate divides the object engine's time by the kernel's on a
+    dense flood; that ratio means something only if both engines
+    compute the same execution.
+    """
+
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_mask_flood_equals_object_flood(self, n):
+        gate = _speedup_gate_module()
+        reference = gate.flood_object(n=n)
+        trace = gate.flood_kernel(n=n)
+        assert reference.rounds == gate.FLOOD_ROUNDS
+        assert trace.rounds_run == gate.FLOOD_ROUNDS
+        assert reference.decision(0) == 1
+        assert trace.decision(0) == 1
+        assert trace.to_execution() == reference
+        assert (
+            trace.message_complexity()
+            == ComplexityReport.of(reference).correct_messages
+        )
 
 
 class TestKernelOracle:

@@ -107,34 +107,6 @@ class TestLedgerCommands:
         assert "garbage.jsonl:1" in captured.err
         assert captured.out == ""
 
-    def test_trend_corrupt_log_exits_two(self, tmp_path, capsys):
-        log = tmp_path / "trend.jsonl"
-        log.write_text("{broken\n")
-        assert main(["report", "--trend", "--out", str(log)]) == 2
-        captured = capsys.readouterr()
-        assert "error:" in captured.err
-        assert "not a trend point" in captured.err
-
-    def test_trend_out_creates_parent_directories(
-        self, tmp_path, capsys
-    ):
-        out = str(tmp_path / "deep" / "nested" / "trend.jsonl")
-        assert main(["report", "--trend", "--out", out]) == 0
-        capsys.readouterr()
-        import os
-
-        assert os.path.exists(out)
-
-    def test_report_trend_appends_and_diffs(self, tmp_path, capsys):
-        out = str(tmp_path / "trend.jsonl")
-        assert main(["report", "--trend", "--out", out]) == 0
-        first = capsys.readouterr()
-        assert "first recorded point" in first.out
-        assert "trend point appended" in first.err
-        assert main(["report", "--trend", "--out", out]) == 0
-        again = capsys.readouterr().out
-        assert "wall vs previous" in again
-
     def test_sweep_ledger_records_measure_cells(
         self, tmp_path, capsys
     ):
@@ -245,139 +217,22 @@ class TestWitnessFiles:
         assert "REJECTED" in capsys.readouterr().err
 
 
-_TINY_BENCH_MODULE = '''
-"""A hermetic observatory kernel for the CLI tests."""
+class TestRetiredCommands:
+    """The benchmark observatory and the trend canary are gone."""
 
-from repro.obs.bench import register
+    @pytest.mark.parametrize(
+        "argv", [["bench", "list"], ["report", "--trend"]]
+    )
+    def test_parser_rejects_them(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
-
-def _tiny_kernel():
-    assert sum(range(100)) == 4950
-
-
-register("clitest", "tiny_sum", _tiny_kernel, quick=True)
-'''
-
-
-class TestBenchCommands:
-    """The benchmark observatory CLI, run against a hermetic tmp suite."""
-
-    @pytest.fixture()
-    def bench_dir(self, tmp_path):
-        directory = tmp_path / "kernels"
-        directory.mkdir()
-        (directory / "bench_clitest.py").write_text(_TINY_BENCH_MODULE)
-        return str(directory)
-
-    def _run(self, bench_dir, out_dir):
-        return main(
-            [
-                "bench",
-                "run",
-                "--quick",
-                "--suite",
-                "clitest",
-                "--dir",
-                bench_dir,
-                "--out-dir",
-                out_dir,
-            ]
-        )
-
-    def test_run_writes_schema_versioned_trajectory(
-        self, bench_dir, tmp_path, capsys
-    ):
-        import json
-
-        out_dir = str(tmp_path / "out")
-        assert self._run(bench_dir, out_dir) == 0
-        captured = capsys.readouterr()
-        # Results table on stdout, measurement narration on stderr.
-        assert "tiny_sum" in captured.out
-        assert "measuring clitest/tiny_sum" in captured.err
-        assert "measuring" not in captured.out
-        document = json.loads(
-            (tmp_path / "out" / "BENCH_clitest.json").read_text()
-        )
-        assert document["schema"] == "repro.bench/v1"
-        (point,) = document["points"]
-        assert point["stats"]["repetitions"] == 3  # quick tier
-        assert point["tier"] == "quick"
-        assert point["memory"]["tracemalloc_peak_bytes"] >= 0
-        assert "messages_materialized" in point["objects"]
-        assert "git_sha" in point["fingerprint"]
-
-    def test_self_comparison_exits_zero(
-        self, bench_dir, tmp_path, capsys
-    ):
-        out_dir = str(tmp_path / "out")
-        assert self._run(bench_dir, out_dir) == 0
-        baseline = str(tmp_path / "out" / "BENCH_clitest.json")
-        assert (
-            main(
-                ["bench", "compare", baseline, "--out-dir", out_dir]
-            )
-            == 0
-        )
-        assert "0 regression(s)" in capsys.readouterr().out
-
-    def test_injected_regression_exits_one(
-        self, bench_dir, tmp_path, capsys
-    ):
-        import json
-
-        out_dir = str(tmp_path / "out")
-        assert self._run(bench_dir, out_dir) == 0
-        trajectory = tmp_path / "out" / "BENCH_clitest.json"
-        slowed = json.loads(trajectory.read_text())
-        for point in slowed["points"]:
-            point["stats"]["median"] *= 10
-            point["stats"]["noise"] = 0.0
-        current = tmp_path / "slowed.json"
-        current.write_text(json.dumps(slowed))
-        assert (
-            main(
-                [
-                    "bench",
-                    "compare",
-                    str(trajectory),
-                    str(current),
-                ]
-            )
-            == 1
-        )
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_missing_baseline_exits_two(self, tmp_path, capsys):
-        missing = str(tmp_path / "nope.json")
-        assert main(["bench", "compare", missing]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_corrupt_baseline_exits_two(self, tmp_path, capsys):
-        corrupt = tmp_path / "BENCH_x.json"
-        corrupt.write_text("{broken")
-        assert main(["bench", "compare", str(corrupt)]) == 2
-        assert "not a bench trajectory" in capsys.readouterr().err
-
-    def test_unknown_suite_exits_one(self, bench_dir, capsys):
-        assert (
-            main(
-                [
-                    "bench",
-                    "run",
-                    "--suite",
-                    "no-such-suite",
-                    "--dir",
-                    bench_dir,
-                ]
-            )
-            == 1
-        )
-        assert "unknown bench suite" in capsys.readouterr().err
-
-    def test_list_names_kernels_and_tiers(self, bench_dir, capsys):
-        assert main(["bench", "list", "--dir", bench_dir]) == 0
-        assert "clitest/tiny_sum [quick]" in capsys.readouterr().out
+    def test_help_does_not_list_them(self):
+        help_text = build_parser().format_help()
+        assert "bench" not in help_text
+        assert "report" not in help_text
 
 
 class TestSweepProgress:
@@ -766,7 +621,7 @@ class TestTimeTravelCommands:
         assert main(["log", "replay", self.GOLDEN, "--at", "20"]) == 0
         out = capsys.readouterr().out
         assert "tick 20" in out
-        assert "21/39 record(s) applied" in out
+        assert "21/37 record(s) applied" in out
         assert "open spans:" in out
 
     def test_log_replay_stdin_script(self, capsys, monkeypatch):
@@ -774,13 +629,13 @@ class TestTimeTravelCommands:
 
         monkeypatch.setattr(
             "sys.stdin",
-            io.StringIO("next 3\nstate\nprev 2\nseek 38\nstate\nquit\n"),
+            io.StringIO("next 3\nstate\nprev 2\nseek 36\nstate\nquit\n"),
         )
         assert main(["log", "replay", self.GOLDEN]) == 0
         out = capsys.readouterr().out
         assert "log.open" in out  # the first stepped record line
-        assert "at tick 38" in out
-        assert "39/39 record(s) applied" in out
+        assert "at tick 36" in out
+        assert "37/37 record(s) applied" in out
 
     def test_log_diff_empty_exits_zero(self, capsys):
         assert main(["log", "diff", self.GOLDEN, self.GOLDEN]) == 0

@@ -15,7 +15,6 @@ import repro.artifact
 import repro.certify.format
 import repro.certify.verifier
 import repro.lowerbound.bound
-import repro.obs.bench
 import repro.obs.ledger
 import repro.obs.export
 import repro.obs.metrics
@@ -31,7 +30,6 @@ DOCUMENTED_MODULES = [
     repro.certify.format,
     repro.certify.verifier,
     repro.lowerbound.bound,
-    repro.obs.bench,
     repro.obs.ledger,
     repro.obs.export,
     repro.obs.metrics,

@@ -69,28 +69,6 @@ class TestUniformArtifactDiagnostic:
         message = str(excinfo.value)
         assert f"{path}:1: not a ledger event" in message
 
-    def test_trend_points(self, tmp_path):
-        from repro.errors import ArtifactError
-        from repro.obs.report import read_trend
-
-        path = self._write(
-            tmp_path, "trend.jsonl", '{"ok": true}\n[1, 2]\n'
-        )
-        with pytest.raises(ArtifactError) as excinfo:
-            read_trend(path)
-        message = str(excinfo.value)
-        assert f"{path}:2: not a trend point" in message
-
-    def test_bench_trajectory(self, tmp_path):
-        from repro.errors import ArtifactError
-        from repro.obs.bench import read_bench_file
-
-        path = self._write(tmp_path, "BENCH_x.json", '{"schema": 99}')
-        with pytest.raises(ArtifactError) as excinfo:
-            read_bench_file(path)
-        message = str(excinfo.value)
-        assert f"{path}: not a bench trajectory" in message
-
     def test_certificate(self, tmp_path):
         from repro.errors import ArtifactError
         from repro.certify.format import read_certificate

@@ -22,8 +22,23 @@ from repro.experiments import (
 
 class TestE1WeakConsensusFloor:
     def test_no_point_below_floor(self):
-        result = run_e1(max_t=12)
+        result = run_e1()
         assert result.data["floor_violations"] == []
+
+    def test_quadratic_shape_on_proportional_grid(self):
+        """On n = 2t the fitted exponent reaches ~2 (Ω(t²) visible)."""
+        from repro.analysis.complexity import sweep
+        from repro.analysis.fitting import fit_sweep, is_superquadratic
+        from repro.protocols.weak_consensus import (
+            broadcast_weak_consensus_spec,
+        )
+
+        points = sweep(
+            broadcast_weak_consensus_spec,
+            [(2 * t, t) for t in (4, 8, 12, 16)],
+            include_mixed=False,
+        )
+        assert is_superquadratic(fit_sweep(points))
 
     def test_report_mentions_fit(self):
         result = run_e1(max_t=12)
@@ -40,7 +55,7 @@ class TestE2FigureOne:
 
 class TestE3Attack:
     def test_every_cheater_broken(self):
-        result = run_e3(ts=(8,))
+        result = run_e3(ts=(8, 16))
         outcomes = result.data["outcomes"]
         assert result.data["broken"] == len(outcomes)
         assert all(outcome.found_violation for outcome in outcomes)
@@ -67,10 +82,57 @@ class TestE5Solvability:
                 assert auth == "Y"
                 assert solved == "yes"
 
+    def test_interactive_consistency_classified(self):
+        """The heaviest classifier input: IC's output domain is |V|^n."""
+        from repro.solvability.theorem import classify
+        from repro.validity.standard import (
+            interactive_consistency_problem,
+        )
+
+        report = classify(interactive_consistency_problem(4, 1))
+        assert report.cc.holds
+        assert not report.trivial
+
+    def test_resilience_grid_thresholds(self):
+        """Theorem 4 across (n, t): where each branch flips.
+
+        Strong consensus loses CC at n <= 2t (Theorem 5), and *every*
+        problem loses the unauthenticated branch at n <= 3t (Lemma 10)
+        while keeping the authenticated one.
+        """
+        from repro.solvability.theorem import classify
+        from repro.validity.standard import (
+            strong_consensus_problem,
+            weak_consensus_problem,
+        )
+
+        def branches(builder, n, t):
+            report = classify(builder(n, t))
+            return (
+                report.cc.holds,
+                report.authenticated_solvable,
+                report.unauthenticated_solvable,
+            )
+
+        # Weak consensus: always CC; unauthenticated only when n > 3t.
+        assert branches(weak_consensus_problem, 4, 1) == (True, True, True)
+        assert branches(weak_consensus_problem, 6, 2) == (
+            True,
+            True,
+            False,
+        )
+        # Strong consensus: CC dies at n <= 2t.
+        assert branches(strong_consensus_problem, 4, 2) == (
+            False,
+            False,
+            False,
+        )
+        assert branches(strong_consensus_problem, 5, 2)[0]
+
 
 class TestE6Theorem5:
     def test_boundary_exact(self):
-        result = run_e6(max_n=6)
+        result = run_e6()
         assert result.data["mismatches"] == []
         assert len(result.data["points"]) > 0
 
@@ -87,6 +149,18 @@ class TestE7ProtocolComplexity:
         assert all(
             point.worst_messages >= point.floor for point in ds_points
         )
+
+    def test_dolev_strong_single_run_decides_the_input(self):
+        from repro.protocols.dolev_strong import dolev_strong_spec
+
+        execution = dolev_strong_spec(16, 8).run_uniform(0)
+        assert set(execution.correct_decisions().values()) == {0}
+
+    def test_phase_king_single_run_decides_the_input(self):
+        from repro.protocols.phase_king import phase_king_spec
+
+        execution = phase_king_spec(13, 4).run_uniform(1)
+        assert set(execution.correct_decisions().values()) == {1}
 
 
 class TestE8ExternalValidity:

@@ -2,12 +2,11 @@
 
 The committed fixture pins the *record → view* contract: CI (the
 ``worldlog-replay`` job) and ``tests/worldlog/test_golden.py`` re-derive
-all five views from ``run.worldlog`` and byte-diff them against
-``expected/``.  The expected artifacts are written here by the **legacy
-writers themselves** (``RunLedger.write``, ``Certificate.to_bytes``, the
-``BENCH_<suite>.json`` document format, the trend appender), so the diff
-proves the views reproduce the writers' bytes — not merely their own
-earlier output.
+all three views from ``run.worldlog`` and byte-diff them against
+``expected/``.  The ledger and certificate artifacts are written here by
+the **legacy writers themselves** (``RunLedger.write``,
+``Certificate.to_bytes``), so the diff proves the views reproduce the
+writers' bytes — not merely their own earlier output.
 
 Regenerate (only when the record schema or a writer legitimately
 changes) from the repository root::
@@ -23,7 +22,6 @@ import json
 import os
 
 from repro.lowerbound.driver import attack_weak_consensus
-from repro.obs.bench import BENCH_SCHEMA
 from repro.obs.ledger import RunLedger
 from repro.obs.tracer import LedgerTracer
 from repro.protocols.subquadratic import silent_cheater_spec
@@ -33,23 +31,6 @@ from repro.worldlog.views import checkpoint_manifest
 HERE = os.path.dirname(os.path.abspath(__file__))
 LOG_PATH = os.path.join(HERE, "run.worldlog")
 EXPECTED = os.path.join(HERE, "expected")
-
-BENCH_POINT = {
-    "schema": BENCH_SCHEMA,
-    "suite": "golden",
-    "kernel": "attack/silent-cheater/n8/t4",
-    "tier": "quick",
-    "wall_seconds_median": 0.125,
-    "unix_time": 0.0,
-}
-TREND_POINT = {
-    "ts": 0.0,
-    "label": "attack/silent-cheater/n8/t4",
-    "wall_seconds": 0.125,
-    "rounds_simulated": 10,
-    "events": 3,
-    "violation": True,
-}
 
 
 def main() -> None:
@@ -73,8 +54,6 @@ def main() -> None:
         tracer=LedgerTracer(ledger),
         worldlog=worldlog,
     )
-    worldlog.append("bench.point", BENCH_POINT, worker_id=1)
-    worldlog.append("trend.point", TREND_POINT, worker_id=1)
     worldlog.close()
 
     os.makedirs(EXPECTED, exist_ok=True)
@@ -86,22 +65,6 @@ def main() -> None:
     label = f"{outcome.protocol}-n8-t4"
     with open(os.path.join(cert_dir, f"{label}.cert.json"), "wb") as out:
         out.write(outcome.certificate.to_bytes())
-    # bench: the trajectory document format append_points persists.
-    with open(
-        os.path.join(EXPECTED, "BENCH_golden.json"), "w", encoding="utf-8"
-    ) as out:
-        json.dump(
-            {"schema": BENCH_SCHEMA, "points": [BENCH_POINT]},
-            out,
-            indent=2,
-            sort_keys=True,
-        )
-        out.write("\n")
-    # trend: one JSONL line per point, the appender's format.
-    with open(
-        os.path.join(EXPECTED, "trend.jsonl"), "w", encoding="utf-8"
-    ) as out:
-        out.write(json.dumps(TREND_POINT) + "\n")
     # checkpoints: no legacy writer exists — this view is pinned
     # against its own generation-time rendering (pure regression).
     with open(

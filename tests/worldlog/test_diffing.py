@@ -161,7 +161,7 @@ class TestRealDivergence:
 class TestScrub:
     @pytest.mark.parametrize("key", [
         "ts", "seconds", "wall_seconds", "unix_time", "run_id",
-        "worker_id", "stats", "memory", "fingerprint",
+        "worker_id",
     ])
     def test_wall_clock_and_identity_keys_dropped(self, key):
         assert scrub_payload({key: 1, "keep": 2}) == {"keep": 2}
@@ -265,9 +265,9 @@ class TestTelemetryTwins:
 
         assert "telemetry.snapshot" in OBSERVABILITY_KINDS
         records = [
-            Record(tick=0, kind="trend.point", payload={}, run_id="r"),
+            Record(tick=0, kind="checkpoint", payload={}, run_id="r"),
             Record(tick=1, kind="telemetry.snapshot",
                    payload={"seq": 0}, run_id="r"),
         ]
         kept = comparable_records(records)
-        assert [record.kind for record in kept] == ["trend.point"]
+        assert [record.kind for record in kept] == ["checkpoint"]

@@ -2,7 +2,7 @@
 
 ``golden/run.worldlog`` is a committed world log; ``golden/expected/``
 holds the artifacts the *legacy writers* persisted for that same run
-(see ``golden/generate.py``).  Deriving the five views from the log must
+(see ``golden/generate.py``).  Deriving the three views from the log must
 reproduce every expected file byte for byte — the regression gate CI
 replays in its ``worldlog-replay`` job.
 """
@@ -27,16 +27,10 @@ def _tree(root):
 
 
 class TestGoldenReplay:
-    def test_all_five_views_byte_identical(self, tmp_path):
+    def test_all_three_views_byte_identical(self, tmp_path):
         out_dir = str(tmp_path / "derived")
         written = derive_views(read_worldlog(GOLDEN_LOG), out_dir)
-        assert sorted(written) == [
-            "bench",
-            "certificates",
-            "checkpoints",
-            "ledger",
-            "trend",
-        ]
+        assert sorted(written) == ["certificates", "checkpoints", "ledger"]
         derived = _tree(out_dir)
         expected = _tree(EXPECTED)
         assert sorted(derived) == sorted(expected)

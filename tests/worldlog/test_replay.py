@@ -25,7 +25,6 @@ from repro.worldlog.views import (
     checkpoint_manifest,
     jobs_manifest,
     ledger_lines,
-    trend_points,
 )
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -64,10 +63,6 @@ class TestPrefixInvariant:
             # checkpoints view.
             assert state.checkpoints == len(
                 checkpoint_manifest(prefix)["checkpoints"]
-            )
-            # trend view.
-            assert state.kind_counts.get("trend.point", 0) == len(
-                trend_points(prefix)
             )
             # jobs view: same keys, same states.
             manifest = jobs_manifest(prefix)
@@ -230,15 +225,13 @@ class TestLogStats:
         # cache: 2 hits + 1 alias over 8 lookups (committed fixture).
         assert 0 < document["cache_hit_rate"] < 1
 
-    def test_document_feeds_the_trend_comparison_policy(self):
-        from repro.obs.report import trend_delta
-
+    def test_extraction_depends_on_the_log_alone(self):
         records = _golden()
         a = log_stats(records, now=1.0)
         b = log_stats(records, now=2.0)
-        delta = trend_delta(b, a)
-        assert delta.ok
-        assert delta.notes == ()  # deterministic counters identical
+        assert a.pop("ts") == 1.0
+        assert b.pop("ts") == 2.0
+        assert a == b
 
     def test_tenant_accounting_includes_rejections(self):
         document = log_stats(_sweep_like_records())
@@ -285,7 +278,7 @@ class TestSelectRecordsStreaming:
 
         def source():
             for tick in range(count):
-                yield Record(tick=tick, kind="trend.point",
+                yield Record(tick=tick, kind="checkpoint",
                              payload={"i": tick}, run_id="r")
 
         tail = select_records(source(), tail=5)
@@ -296,7 +289,7 @@ class TestSelectRecordsStreaming:
     def test_tail_composes_with_filters_over_a_generator(self):
         def source():
             for tick in range(1000):
-                kind = "ledger.event" if tick % 2 else "trend.point"
+                kind = "ledger.event" if tick % 2 else "checkpoint"
                 yield Record(tick=tick, kind=kind, payload={},
                              run_id="r")
 
@@ -305,7 +298,7 @@ class TestSelectRecordsStreaming:
 
     def test_tail_larger_than_the_log_keeps_everything(self):
         records = [
-            Record(tick=tick, kind="trend.point", payload={})
+            Record(tick=tick, kind="checkpoint", payload={})
             for tick in range(4)
         ]
         assert select_records(iter(records), tail=100) == records
@@ -361,3 +354,125 @@ class TestReplayStateTelemetry:
         state = replay_state(self._with_snapshots())
         rendered = render_state(state)
         assert "telemetry: 2 snapshot(s), last seq 1" in rendered
+
+
+CELLS = 48
+ROUNDS_PER_CELL = 24
+
+
+def _synthetic_sweep_log(run_id, jitter):
+    """A deterministic sweep-shaped log (~2.5k records).
+
+    Plan, per-cell span and round events, terminal records, then the
+    gather splice.  ``jitter`` perturbs only wall-clock payload fields
+    (timestamps and per-round seconds), never semantic content, so two
+    builds with different jitter must diff empty.
+    """
+    records = []
+
+    def append(kind, payload, cell_id=None):
+        records.append(
+            Record(
+                tick=len(records),
+                kind=kind,
+                payload=payload,
+                run_id=run_id,
+                cell_id=cell_id,
+                worker_id=1,
+            )
+        )
+
+    def event(ts, kind, name, value, cell, attrs):
+        return {
+            "ts": ts + jitter,
+            "kind": kind,
+            "name": name,
+            "value": value,
+            "run_id": run_id,
+            "cell_id": cell,
+            "worker_id": 1,
+            "attrs": attrs,
+        }
+
+    append("log.open", {"schema": "repro.worldlog/v1"})
+    append("sweep.plan", {"jobs": [{"index": i} for i in range(CELLS)]})
+    clock = 0.0
+    splice = []
+    for index in range(CELLS):
+        cell = f"cell/{index:03d}"
+        cell_events = [event(clock, "span-start", "attack", None, cell, {})]
+        messages = 0
+        for round_index in range(ROUNDS_PER_CELL):
+            clock += 0.001
+            messages += round_index % 5
+            cell_events.append(
+                event(
+                    clock,
+                    "counter",
+                    "engine.round",
+                    round_index % 5,
+                    cell,
+                    {
+                        "round": round_index,
+                        "run": 0,
+                        "seconds": 0.001 + jitter,
+                        "cum_messages": messages,
+                        "vs_floor": messages / 32.0,
+                    },
+                )
+            )
+        clock += 0.001
+        cell_events.append(
+            event(clock, "counter", "cache.hits", index % 3, cell, {})
+        )
+        cell_events.append(
+            event(clock, "gauge", "cell.wall_seconds", 0.5 + jitter, cell, {})
+        )
+        cell_events.append(event(clock, "span-end", "attack", None, cell, {}))
+        splice.extend((payload, cell) for payload in cell_events)
+        append(
+            "cell.result",
+            {"index": index, "result": {"wall_seconds": 0.5 + jitter}},
+            cell,
+        )
+    append("gather.start", {})
+    for payload, cell in splice:
+        append("ledger.event", payload, cell)
+    return records
+
+
+class TestSweepShapedLog:
+    """Cursor and differ claims over a whole sweep-sized log."""
+
+    def test_forward_replay_sees_every_cell_event_and_round(self):
+        records = _synthetic_sweep_log("sweep-a", jitter=0.0)
+        cursor = ReplayCursor(records)
+        while cursor.next() is not None:
+            pass
+        assert cursor.position == len(records)
+        state = cursor.state
+        assert len(state.completed_cells) == CELLS
+        assert len(state.events) == sum(
+            1 for r in records if r.kind == "ledger.event"
+        )
+        assert state.rounds_observed == CELLS * ROUNDS_PER_CELL
+
+    def test_backward_seeks_across_the_whole_log(self):
+        records = _synthetic_sweep_log("sweep-a", jitter=0.0)
+        cursor = ReplayCursor(records)
+        last_tick = records[-1].tick
+        cursor.seek(last_tick)
+        for tick in range(last_tick, 0, -max(1, last_tick // 64)):
+            assert cursor.seek(tick).tick <= tick
+        state = cursor.seek(1)
+        assert state.position == 2
+        assert replay_state(records[:2]) == state
+
+    def test_timing_only_twins_diff_empty(self):
+        from repro.worldlog import diff_logs
+
+        a = _synthetic_sweep_log("sweep-a", jitter=0.0)
+        b = _synthetic_sweep_log("sweep-b", jitter=0.125)
+        report = diff_logs(a, b)
+        assert report.ok, report.render()
+        assert report.compared == len(a) - 1  # gather marker dropped

@@ -53,7 +53,7 @@ class TestRecord:
         appended.
         """
         payload = {"b": 1, "a": [None, True, "x"]}
-        record = Record(tick=1, kind="trend.point", payload=payload)
+        record = Record(tick=1, kind="checkpoint", payload=payload)
         line = record.to_json()
         assert json.dumps(payload) in line
 
@@ -85,7 +85,7 @@ class TestWorldLog:
     def test_create_appends_header(self, tmp_path):
         path = str(tmp_path / "run.worldlog")
         with WorldLog.create(path, run_id="r") as log:
-            log.append("trend.point", {"label": "x"})
+            log.append("checkpoint", {"label": "x"})
         records = read_worldlog(path)
         assert records[0].kind == "log.open"
         assert records[0].payload == {"schema": WORLDLOG_SCHEMA}
@@ -95,7 +95,7 @@ class TestWorldLog:
         """Every appended record is on disk before append returns."""
         path = str(tmp_path / "run.worldlog")
         log = WorldLog.create(path, run_id="r")
-        log.append("trend.point", {"label": "x"})
+        log.append("checkpoint", {"label": "x"})
         # Read *without* closing the writer: a crash at this point must
         # not lose the record.
         assert len(read_worldlog(path)) == 2
@@ -104,7 +104,7 @@ class TestWorldLog:
     def test_torn_tail_dropped(self, tmp_path):
         path = str(tmp_path / "run.worldlog")
         with WorldLog.create(path, run_id="r") as log:
-            log.append("trend.point", {"label": "x"})
+            log.append("checkpoint", {"label": "x"})
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"tick": 2, "kind": "cell.re')  # killed writer
         assert len(read_worldlog(path)) == 2
@@ -112,7 +112,7 @@ class TestWorldLog:
     def test_malformed_middle_line_raises(self, tmp_path):
         path = str(tmp_path / "run.worldlog")
         with WorldLog.create(path, run_id="r") as log:
-            log.append("trend.point", {"label": "x"})
+            log.append("checkpoint", {"label": "x"})
         text = open(path, encoding="utf-8").read()
         lines = text.splitlines()
         lines.insert(1, "garbage")
@@ -125,13 +125,13 @@ class TestWorldLog:
     def test_resume_truncates_tail_and_continues_ticks(self, tmp_path):
         path = str(tmp_path / "run.worldlog")
         with WorldLog.create(path, run_id="r") as log:
-            log.append("trend.point", {"label": "x"})
+            log.append("checkpoint", {"label": "x"})
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"tick": 2, "kind": "cell.re')
         with WorldLog.resume(path) as log:
             assert log.run_id == "r"
             assert log.next_tick == 2
-            log.append("trend.point", {"label": "y"})
+            log.append("checkpoint", {"label": "y"})
         records = read_worldlog(path)
         assert [record.tick for record in records] == [0, 1, 2]
         assert records[-1].payload == {"label": "y"}
@@ -145,7 +145,7 @@ class TestWorldLog:
         assert "not a world-log record" in str(excinfo.value)
         # Valid record envelopes without the log.open header: rejected.
         path = tmp_path / "headless.worldlog"
-        record = Record(tick=0, kind="trend.point", payload={})
+        record = Record(tick=0, kind="checkpoint", payload={})
         path.write_text(record.to_json() + "\n")
         with pytest.raises(ArtifactError) as excinfo:
             read_worldlog(str(path))
@@ -194,7 +194,7 @@ class TestReadRecordsUnification:
         path = str(tmp_path / "run.worldlog")
         with WorldLog.create(path, run_id="r") as log:
             log.append("checkpoint", {"rounds": 1})
-            log.append("trend.point", {"label": "x"})
+            log.append("checkpoint", {"label": "x"})
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"tick": 3, "kind": "cell.resu')  # torn tail
         return path
@@ -232,7 +232,7 @@ class TestReadRecordsUnification:
         from repro.worldlog import read_records
 
         path = tmp_path / "headless.worldlog"
-        record = Record(tick=0, kind="trend.point", payload={})
+        record = Record(tick=0, kind="checkpoint", payload={})
         path.write_text(record.to_json() + "\n")
         assert read_records(str(path)) == [record]
         with pytest.raises(ArtifactError):
@@ -251,8 +251,8 @@ class TestLogTailer:
         first = tailer.poll()
         assert [record.kind for record in first] == ["log.open"]
         assert tailer.poll() == []  # nothing new
-        log.append("trend.point", {"label": "x"})
-        log.append("trend.point", {"label": "y"})
+        log.append("checkpoint", {"label": "x"})
+        log.append("checkpoint", {"label": "y"})
         batch = [record.payload["label"] for record in tailer.poll()]
         assert batch == ["x", "y"]
         assert tailer.poll() == []
@@ -265,7 +265,7 @@ class TestLogTailer:
         WorldLog.create(path, run_id="r").close()
         tailer = LogTailer(path)
         tailer.poll()
-        record = Record(tick=1, kind="trend.point", payload={"a": 1})
+        record = Record(tick=1, kind="checkpoint", payload={"a": 1})
         line = record.to_json() + "\n"
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(line[:10])  # mid-write: no newline yet
@@ -279,7 +279,7 @@ class TestLogTailer:
 
         path = str(tmp_path / "run.worldlog")
         with WorldLog.create(path, run_id="r") as log:
-            log.append("trend.point", {"label": "x"})
+            log.append("checkpoint", {"label": "x"})
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"tick": 2, "kind": "cell.re')  # killed writer
         tailer = LogTailer(path)
@@ -288,7 +288,7 @@ class TestLogTailer:
         # Resume rewrites the file (drops the torn tail), shrinking it
         # below the tailer's offset, then appends a fresh record.
         with WorldLog.resume(path) as log:
-            log.append("trend.point", {"label": "y"})
+            log.append("checkpoint", {"label": "y"})
         fresh = tailer.poll()
         assert [record.payload for record in fresh] == [{"label": "y"}]
 

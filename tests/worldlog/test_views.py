@@ -87,12 +87,25 @@ class TestDerivedViews:
         names = [json.loads(line)["name"] for line in lines]
         assert names == ["final.splice"]
 
+    def test_retired_kinds_still_read_and_derive_nothing(self, tmp_path):
+        """Logs written before ``bench.point`` / ``trend.point`` retired."""
+        log_path = str(tmp_path / "old.worldlog")
+        with WorldLog.create(log_path, run_id="r") as log:
+            log.append("bench.point", {"suite": "s", "kernel": "k"})
+            log.append("trend.point", {"label": "x", "wall_seconds": 0.1})
+        records = read_worldlog(log_path)
+        assert [r.kind for r in records] == [
+            "log.open",
+            "bench.point",
+            "trend.point",
+        ]
+        out_dir = tmp_path / "views"
+        assert derive_views(records, str(out_dir)) == {}
+        assert list(out_dir.iterdir()) == []
+
 
 class TestLegacyImport:
     def _legacy_artifacts(self, tmp_path):
-        from repro.obs.bench import BENCH_SCHEMA
-        from repro.obs.report import append_trend
-
         paths = {}
         # ledger: the current writer's bytes
         ledger = RunLedger(run_id="legacy", worker_id=1)
@@ -109,46 +122,13 @@ class TestLegacyImport:
         )
         with open(paths["certificate"], "wb") as handle:
             handle.write(outcome.certificate.to_bytes())
-        # bench: the trajectory document format append_points writes
-        point = {
-            "schema": BENCH_SCHEMA,
-            "suite": "demo",
-            "kernel": "k",
-            "wall_seconds_median": 0.25,
-        }
-        paths["bench"] = str(tmp_path / "BENCH_demo.json")
-        with open(paths["bench"], "w", encoding="utf-8") as handle:
-            json.dump(
-                {"schema": BENCH_SCHEMA, "points": [point]},
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
-        # trend: the current appender's bytes
-        paths["trend"] = str(tmp_path / "trend.jsonl")
-        append_trend(
-            paths["trend"],
-            {
-                "ts": 1.0,
-                "label": "canary",
-                "wall_seconds": 0.5,
-                "rounds_simulated": 10,
-                "events": 3,
-            },
-        )
         return paths
 
     def test_roundtrip_byte_identical(self, tmp_path):
         paths = self._legacy_artifacts(tmp_path)
         log_path = str(tmp_path / "imported.worldlog")
         counts = import_legacy(list(paths.values()), log_path)
-        assert counts == {
-            "ledger": 2,
-            "certificate": 1,
-            "bench": 1,
-            "trend": 1,
-        }
+        assert counts == {"ledger": 2, "certificate": 1}
         written = derive_views(
             read_worldlog(log_path), str(tmp_path / "views")
         )
@@ -156,19 +136,16 @@ class TestLegacyImport:
         assert _read(written["certificates"][0]) == _read(
             paths["certificate"]
         )
-        assert _read(written["bench"][0]) == _read(paths["bench"])
-        assert _read(written["trend"][0]) == _read(paths["trend"])
 
     def test_unknown_family_rejected_before_writing(self, tmp_path):
         import pytest
 
         from repro.errors import ArtifactError
 
-        good = str(tmp_path / "trend.jsonl")
-        with open(good, "w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps({"label": "x", "wall_seconds": 0.1}) + "\n"
-            )
+        good = str(tmp_path / "run.jsonl")
+        ledger = RunLedger(run_id="legacy", worker_id=1)
+        ledger.emit("counter", "cache.hits", value=3)
+        ledger.write(good)
         bad = str(tmp_path / "mystery.json")
         with open(bad, "w", encoding="utf-8") as handle:
             handle.write('{"what": "ever"}')
@@ -177,6 +154,30 @@ class TestLegacyImport:
             import_legacy([good, bad], out)
         # The sniff pass runs first: nothing was partially written.
         assert not os.path.exists(out)
+
+    def test_retired_families_exit_two_with_file_line(
+        self, tmp_path, capsys
+    ):
+        """Bench trajectories and trend logs are no longer importable."""
+        from repro.cli import main
+
+        bench = str(tmp_path / "BENCH_demo.json")
+        with open(bench, "w", encoding="utf-8") as handle:
+            json.dump(
+                {"schema": "repro.bench/v1", "points": []}, handle, indent=2
+            )
+        trend = str(tmp_path / "trend.jsonl")
+        with open(trend, "w", encoding="utf-8") as handle:
+            handle.write(
+                json.dumps({"label": "x", "wall_seconds": 0.1}) + "\n"
+            )
+        for path in (bench, trend):
+            out = str(tmp_path / "out.worldlog")
+            assert main(["log", "import", path, "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert f"{path}:1: not a legacy artifact" in err
+            assert "Traceback" not in err
+            assert not os.path.exists(out)
 
 
 class TestJobsView:
