@@ -51,10 +51,19 @@ instead of message objects: the fault-free run records a mask trace, the
 Lemma-4 scan fans candidates out of its shared prefix via
 :class:`~repro.sim.kernel.PrefixForker` (one machine deep-copy per
 divergence round instead of one per round boundary), and §2 complexity
-is popcount accumulation.  Traces materialize into bit-identical
-:class:`~repro.sim.execution.Execution` records on demand, so every
-downstream consumer — merges, swaps, witnesses, certificates — is
-engine-agnostic.
+is popcount accumulation.
+
+**Runs, not executions.**  The cache holds each configuration's *run*:
+a :class:`~repro.sim.kernel.KernelTrace` on the mask path, an
+:class:`~repro.sim.execution.Execution` on the object path.  Both answer
+the driver's questions — ``decision``, ``rounds``, ``correct``,
+``message_complexity()`` and ``quiescent_toward`` — so most of the proof
+only reads decisions and never builds fragments.  ``to_execution()``
+(the identity on an :class:`~repro.sim.execution.Execution`) is called
+at four boundaries only: the merge inputs, the Lemma-2 swap source, a
+:class:`~repro.lowerbound.witnesses.ViolationWitness` and certificate
+embedding.  Materialized traces are bit-identical to object-engine
+executions, so every one of those consumers is engine-agnostic.
 """
 
 from __future__ import annotations
@@ -77,7 +86,7 @@ from repro.lowerbound.witnesses import (
     ViolationWitness,
     verify_witness,
 )
-from repro.omission.isolation import isolate_group, quiescent_toward
+from repro.omission.isolation import isolate_group
 from repro.omission.masks import compile_omissions
 from repro.omission.merge import MergeSpec, merge
 from repro.omission.swap import swap_omission_checked
@@ -89,10 +98,11 @@ from repro.sim.engine import (
     object_counts,
     object_counts_delta,
 )
-from repro.sim.execution import Execution, check_execution, majority_decision
+from repro.sim.execution import Execution, majority_decision
 from repro.sim.kernel import (
     KernelTrace,
     PrefixForker,
+    check_trace,
     fork_kernel,
     no_faults_compiled,
     run_kernel,
@@ -103,14 +113,17 @@ from repro.types import Bit, Payload, ProcessId, Round
 
 _SpecKey = tuple[str, int, int, int]
 
+Run = Execution | KernelTrace
+"""A simulated run as the cache holds it: a mask trace or an execution."""
+
 
 @dataclass
 class _CacheEntry:
-    """One cached simulation: the trace, its §2 message count, and
-    whether it ran to the configured horizon (early-stopped traces are
+    """One cached simulation: the run, its §2 message count, and
+    whether it ran to the configured horizon (early-stopped runs are
     valid for decision queries but not as witnesses or merge inputs)."""
 
-    execution: Execution
+    run: Run
     messages: int
     complete: bool
 
@@ -126,20 +139,24 @@ class ExecutionCache:
     the pipeline simulates.  A cache may be shared across drivers (and
     thus across partitions) attacking the same protocol.
 
+    Entries hold runs (see :data:`Run`): mask traces on the mask path,
+    executions on the object path.
+
     Besides exact hits, the cache performs two *semantic* reuses, both
-    returning executions bit-identical to a fresh simulation:
+    returning runs bit-identical to a fresh simulation:
 
     * **quiescent aliasing** — ``E_b^{G(k)}`` equals a cached
       ``E_b^{G(k')}`` when no outside message targets ``G`` between the
       two isolation rounds (:func:`~repro.omission.isolation.quiescent_toward`);
     * **beyond-horizon identity** — for ``k`` past the horizon the
-      isolation never acts, so the fault-free behaviors are reused with
-      the faulty set rewritten to ``G``.
+      isolation never acts, so the fault-free run is reused with the
+      faulty set rewritten to ``G`` (a trace sharing the base trace's
+      rows, or an execution sharing its behaviors).
 
     ``hits`` counts exact key hits, ``alias_hits`` the semantic reuses,
     ``misses`` actual simulations.
 
-    Process-boundary note: ``_entries`` hold full execution traces,
+    Process-boundary note: ``_entries`` hold full runs,
     ``_checkpointers`` hold live machine deep-copies and
     ``_kernel_states`` hold live mask traces with their fork machinery —
     none is ever shipped across process boundaries.  A parallel sweep
@@ -301,11 +318,13 @@ class AttackOutcome:
 
 
 class _Found(Exception):
-    """Internal: unwinds the pipeline when a witness is in hand."""
+    """Internal: unwinds the pipeline when a witness is in hand, with
+    the run its execution was materialized from (for certification)."""
 
-    def __init__(self, witness: ViolationWitness) -> None:
+    def __init__(self, witness: ViolationWitness, run: Run) -> None:
         super().__init__(witness.summary())
         self.witness = witness
+        self.run = run
 
 
 @dataclass
@@ -321,8 +340,8 @@ class LowerBoundDriver:
             conditions (disable for speed once a protocol is trusted).
         early_stop: halt decision-only simulations once *every* process
             has decided.  Witnesses, merge inputs and the observed bound
-            always come from full-horizon traces (re-materialized on
-            demand), so outcomes are unchanged.
+            always come from full-horizon runs (re-simulated on demand),
+            so outcomes are unchanged.
         reuse: enable the execution cache's checkpoint-resume and
             quiescent-aliasing reuses.  Disabling both ``early_stop``
             and ``reuse`` replicates the simulate-everything pipeline.
@@ -384,15 +403,14 @@ class LowerBoundDriver:
     _prefix_rounds_skipped: int = field(default=0, repr=False)
     _early_stops: int = field(default=0, repr=False)
     # certification trail: which (bit, group, from_round) produced each
-    # trace, plus the merge/swap contexts the witness (if any) fell out
-    # of.  Keyed by object identity — the cache keeps the traces alive
-    # for the driver's lifetime.
+    # run, plus the merge/swap contexts the witness (if any) fell out
+    # of.  Keyed by the identity of the run the cache returned — never
+    # of an execution materialized from it — and each value pins its
+    # run, so no key can be reused while the trail holds it.
     _cert_origin: dict = field(default_factory=dict, repr=False)
     _cert_merge_ctx: dict | None = field(default=None, repr=False)
     _cert_swap_ctx: dict | None = field(default=None, repr=False)
-    _cert_max_execution: Execution | None = field(
-        default=None, repr=False
-    )
+    _cert_max_run: Run | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.partition is None:
@@ -449,6 +467,7 @@ class LowerBoundDriver:
 
     def _attack(self) -> AttackOutcome:
         witness: ViolationWitness | None = None
+        witness_run: Run | None = None
         default_bit: Payload | None = None
         critical_round: Round | None = None
         try:
@@ -467,6 +486,7 @@ class LowerBoundDriver:
             self._note("pipeline exhausted without a violation")
         except _Found as found:
             witness = found.witness
+            witness_run = found.run
             if self.verify:
                 with self.tracer.span("witness-verify"):
                     verify_witness(witness, self.spec.factory)
@@ -485,7 +505,7 @@ class LowerBoundDriver:
         if self.certify:
             with self.tracer.span("certify"):
                 certificate = self._build_certificate(
-                    witness, default_bit, critical_round
+                    witness, witness_run, default_bit, critical_round
                 )
             self._note(
                 "certificate assembled: "
@@ -524,23 +544,22 @@ class LowerBoundDriver:
     def _fault_free_checks(self) -> None:
         """Stage 1: Weak Validity and Termination in E_0 and E_1."""
         for bit in (0, 1):
-            execution = self._run(bit, group=None, from_round=None)
-            self._require_unanimous(
-                execution, context=f"fault-free all-{bit}"
-            )
+            run = self._run(bit, group=None, from_round=None)
+            self._require_unanimous(run, context=f"fault-free all-{bit}")
             for pid in range(self.spec.n):
-                decision = execution.decision(pid)
+                decision = run.decision(pid)
                 if decision != bit:
                     self._found(
                         ViolationWitness(
                             kind=ViolationKind.WEAK_VALIDITY,
-                            execution=execution,
+                            execution=run.to_execution(),
                             culprit=pid,
                             note=(
                                 f"all processes correct and propose {bit} "
                                 f"but p{pid} decided {decision!r}"
                             ),
-                        )
+                        ),
+                        run,
                     )
 
     def _round_one_isolations(self) -> dict[tuple[Bit, str], Payload]:
@@ -548,17 +567,15 @@ class LowerBoundDriver:
         decisions: dict[tuple[Bit, str], Payload] = {}
         for bit in (0, 1):
             for label in ("B", "C"):
-                execution = self._run(bit, group=label, from_round=1)
-                refetch = self._materializer(bit, label, 1)
+                run = self._run(bit, group=label, from_round=1)
+                refetch = self._refetcher(bit, label, 1)
                 decided = self._require_unanimous(
-                    execution,
+                    run,
                     context=f"E_{bit}^{{{label}(1)}}",
                     refetch=refetch,
                 )
                 decisions[(bit, label)] = decided
-                self._lemma2_check(
-                    execution, label, 1, decided, refetch=refetch
-                )
+                self._lemma2_check(run, label, 1, decided, refetch=refetch)
         return decisions
 
     def _lemma3_consistency(
@@ -585,8 +602,8 @@ class LowerBoundDriver:
                 if d_b == d_c:
                     continue
                 self._merge_and_extract(
-                    exec_b=self._run(bit_b, "B", 1, full=True),
-                    exec_c=self._run(bit_c, "C", 1, full=True),
+                    run_b=self._run(bit_b, "B", 1, full=True),
+                    run_c=self._run(bit_c, "C", 1, full=True),
                     round_b=1,
                     round_c=1,
                     expect_b=d_b,
@@ -600,16 +617,14 @@ class LowerBoundDriver:
         family_bit = 1 - int(default_bit)  # binary weak consensus
         previous = default_bit
         for k in range(2, self.spec.rounds + 3):
-            execution = self._run(family_bit, "B", k)
-            refetch = self._materializer(family_bit, "B", k)
+            run = self._run(family_bit, "B", k)
+            refetch = self._refetcher(family_bit, "B", k)
             decided = self._require_unanimous(
-                execution,
+                run,
                 context=f"E_{family_bit}^{{B({k})}}",
                 refetch=refetch,
             )
-            self._lemma2_check(
-                execution, "B", k, decided, refetch=refetch
-            )
+            self._lemma2_check(run, "B", k, decided, refetch=refetch)
             if decided != previous:
                 critical = k - 1
                 self._note(
@@ -629,19 +644,19 @@ class LowerBoundDriver:
     ) -> None:
         """Stage 5 (Lemma 5 / Figure 2): merge B(R+1) with C(R)."""
         family_bit = 1 - int(default_bit)
-        exec_c = self._run(family_bit, "C", critical_round, full=True)
+        run_c = self._run(family_bit, "C", critical_round, full=True)
         decided_c = self._require_unanimous(
-            execution=exec_c,
+            run_c,
             context=f"E_{family_bit}^{{C({critical_round})}}",
         )
-        self._lemma2_check(exec_c, "C", critical_round, decided_c)
+        self._lemma2_check(run_c, "C", critical_round, decided_c)
         if decided_c == default_bit:
             # The paper's main line: B at R+1 decides f, C at R decides d.
             self._merge_and_extract(
-                exec_b=self._run(
+                run_b=self._run(
                     family_bit, "B", critical_round + 1, full=True
                 ),
-                exec_c=exec_c,
+                run_c=run_c,
                 round_b=critical_round + 1,
                 round_c=critical_round,
                 expect_b=family_bit,
@@ -650,10 +665,10 @@ class LowerBoundDriver:
         else:
             # Lemma 3 already fails for the same-round pair (B(R), C(R)).
             self._merge_and_extract(
-                exec_b=self._run(
+                run_b=self._run(
                     family_bit, "B", critical_round, full=True
                 ),
-                exec_c=exec_c,
+                run_c=run_c,
                 round_b=critical_round,
                 round_c=critical_round,
                 expect_b=default_bit,
@@ -667,18 +682,19 @@ class LowerBoundDriver:
 
     def _merge_and_extract(
         self,
-        exec_b: Execution,
-        exec_c: Execution,
+        run_b: Run,
+        run_c: Run,
         round_b: Round,
         round_c: Round,
         expect_b: Payload,
         expect_c: Payload,
     ) -> None:
-        """Merge two isolated executions and try both extractions.
+        """Merge two isolated runs and try both extractions.
 
         ``expect_b``/``expect_c`` are the decisions the replayed groups
         carry over by indistinguishability; group A must disagree with at
-        least one of them when the expectations differ.
+        least one of them when the expectations differ.  The merge needs
+        fragments, so both inputs are materialized here.
         """
         assert self.partition is not None
         spec = MergeSpec(
@@ -688,11 +704,16 @@ class LowerBoundDriver:
             round_c=round_c,
         )
         with self.tracer.span("merge"):
-            merged = merge(spec, exec_b, exec_c, self.spec.factory)
+            merged = merge(
+                spec,
+                run_b.to_execution(),
+                run_c.to_execution(),
+                self.spec.factory,
+            )
         if self.certify:
             self._cert_merge_ctx = {
-                "exec_b": exec_b,
-                "exec_c": exec_c,
+                "run_b": run_b,
+                "run_c": run_c,
                 "round_b": round_b,
                 "round_c": round_c,
                 "merged": merged,
@@ -712,29 +733,29 @@ class LowerBoundDriver:
 
     def _lemma2_check(
         self,
-        execution: Execution,
+        run: Run,
         group_label: str,
         from_round: Round,
         correct_decision: Payload,
-        refetch: "Callable[[], Execution] | None" = None,
+        refetch: "Callable[[], Run] | None" = None,
     ) -> None:
         """If the isolated group's majority strays, try the extraction."""
         group = self._group(group_label)
-        majority = majority_decision(execution, sorted(group))
+        majority = majority_decision(run, sorted(group))
         if majority != correct_decision:
             self._note(
                 f"Lemma 2 premise violated: majority of {group_label} "
                 f"decided {majority!r} vs correct {correct_decision!r}"
             )
-            if refetch is not None and self._truncated(execution):
-                execution = refetch()
+            if refetch is not None and self._truncated(run):
+                run = refetch()
             self._lemma2_extract(
-                execution, group_label, from_round, correct_decision
+                run, group_label, from_round, correct_decision
             )
 
     def _lemma2_extract(
         self,
-        execution: Execution,
+        run: Run,
         group_label: str,
         from_round: Round,
         correct_decision: Payload,
@@ -746,9 +767,11 @@ class LowerBoundDriver:
         ``|M_{X→p}| < t/2`` counting argument picks exactly these), and
         for each deviant attempts ``swap_omission``; a successful swap
         yields a valid execution in which the deviant is *correct* yet
-        disagrees with (or never decides unlike) a correct witness.
+        disagrees with (or never decides unlike) a correct witness.  The
+        swap rewrites fragments, so its source is materialized here.
         """
         group = self._group(group_label)
+        execution = run.to_execution()
         correct = execution.correct
 
         def omitted_from_correct(pid: ProcessId) -> int:
@@ -792,7 +815,7 @@ class LowerBoundDriver:
             counterpart = witnesses[0]
             if self.certify:
                 self._cert_swap_ctx = {
-                    "source": execution,
+                    "source": run,
                     "result": swapped.execution,
                     "process": pid,
                 }
@@ -806,7 +829,8 @@ class LowerBoundDriver:
                             f"swap freed p{pid} (isolated in {group_label} "
                             f"from round {from_round}) which never decides"
                         ),
-                    )
+                    ),
+                    swapped.execution,
                 )
             self._found(
                 ViolationWitness(
@@ -820,61 +844,61 @@ class LowerBoundDriver:
                         f"{swapped.execution.decision(pid)!r} vs "
                         f"p{counterpart}'s {correct_decision!r}"
                     ),
-                )
+                ),
+                swapped.execution,
             )
 
     def _require_unanimous(
         self,
-        execution: Execution,
+        run: Run,
         context: str,
-        refetch: "Callable[[], Execution] | None" = None,
+        refetch: "Callable[[], Run] | None" = None,
     ) -> Payload:
         """All correct processes decided one value — or a direct witness.
 
-        ``refetch`` re-materializes the full-horizon trace when the
-        checked execution was early-stopped and a witness must embed it
+        ``refetch`` re-runs the configuration at full horizon when the
+        checked run was early-stopped and a witness must embed it
         (decisions are write-once, so the decision data is unaffected).
         """
-        undecided = [
-            pid
-            for pid in sorted(execution.correct)
-            if execution.decision(pid) is None
-        ]
+        correct = sorted(run.correct)
+        undecided = [pid for pid in correct if run.decision(pid) is None]
         if undecided:
-            if refetch is not None and self._truncated(execution):
-                execution = refetch()
+            if refetch is not None and self._truncated(run):
+                run = refetch()
             self._found(
                 ViolationWitness(
                     kind=ViolationKind.TERMINATION,
-                    execution=execution,
+                    execution=run.to_execution(),
                     culprit=undecided[0],
                     note=f"correct p{undecided[0]} undecided in {context}",
-                )
+                ),
+                run,
             )
         by_value: dict[Payload, ProcessId] = {}
-        for pid in sorted(execution.correct):
-            by_value.setdefault(execution.decision(pid), pid)
+        for pid in correct:
+            by_value.setdefault(run.decision(pid), pid)
         if len(by_value) > 1:
-            if refetch is not None and self._truncated(execution):
-                execution = refetch()
+            if refetch is not None and self._truncated(run):
+                run = refetch()
             values = sorted(by_value, key=repr)
             self._found(
                 ViolationWitness(
                     kind=ViolationKind.AGREEMENT,
-                    execution=execution,
+                    execution=run.to_execution(),
                     culprit=by_value[values[0]],
                     counterpart=by_value[values[1]],
                     note=f"correct processes split in {context}",
-                )
+                ),
+                run,
             )
         return next(iter(by_value))
 
-    def _truncated(self, execution: Execution) -> bool:
-        return execution.rounds < self.spec.rounds
+    def _truncated(self, run: Run) -> bool:
+        return run.rounds < self.spec.rounds
 
-    def _materializer(
+    def _refetcher(
         self, bit: Bit, group: str, from_round: Round
-    ) -> "Callable[[], Execution]":
+    ) -> "Callable[[], Run]":
         """A thunk re-running the configuration at full horizon."""
         return lambda: self._run(bit, group, from_round, full=True)
 
@@ -885,25 +909,25 @@ class LowerBoundDriver:
         from_round: Round | None,
         *,
         full: bool = False,
-    ) -> Execution:
+    ) -> Run:
         """Run (and cache) ``E_bit`` or ``E_bit^{G(k)}``.
 
-        ``full`` demands a full-horizon trace (witness embedding, merge
-        input); otherwise a cached early-stopped trace is acceptable for
+        ``full`` demands a full-horizon run (witness embedding, merge
+        input); otherwise a cached early-stopped run is acceptable for
         decision queries.  Both the quiescent-alias and checkpoint-resume
-        paths return executions bit-identical to a fresh simulation, so
+        paths return runs bit-identical to a fresh simulation, so
         callers never observe the difference.
         """
-        execution = self._run_config(bit, group, from_round, full=full)
+        run = self._run_config(bit, group, from_round, full=full)
         if self.certify:
-            # Remember which configuration produced the trace; with
-            # quiescent aliasing one trace may serve several requested
+            # Remember which configuration produced the run; with
+            # quiescent aliasing one run may serve several requested
             # rounds, and the *first* (actually simulated) origin is the
             # one whose isolation claim certainly holds.
             self._cert_origin.setdefault(
-                id(execution), (bit, group, from_round)
+                id(run), (run, (bit, group, from_round))
             )
-        return execution
+        return run
 
     def _run_config(
         self,
@@ -912,7 +936,7 @@ class LowerBoundDriver:
         from_round: Round | None,
         *,
         full: bool = False,
-    ) -> Execution:
+    ) -> Run:
         assert self.cache is not None
         horizon = self.spec.rounds
         sig = (
@@ -929,7 +953,7 @@ class LowerBoundDriver:
         entry = self.cache.lookup(key)
         if entry is not None and (entry.complete or not full):
             self.cache.hits += 1
-            return entry.execution
+            return entry.run
         if group is None:
             return self._run_fault_free(bit, key)
         assert from_round is not None
@@ -970,7 +994,7 @@ class LowerBoundDriver:
         )
         self._rounds_simulated += execution.rounds
         messages = streaming.correct_messages
-        self._observe_messages(messages, execution=execution)
+        self._observe_messages(messages, execution)
         self.cache.store(key, _CacheEntry(execution, messages, True))
         self.cache.misses += 1
         if checkpointer is not None and checkpointer.enabled:
@@ -989,17 +1013,21 @@ class LowerBoundDriver:
                 )
         return execution
 
-    def _run_fault_free_kernel(self, bit: Bit, key: tuple) -> Execution:
+    def _run_fault_free_kernel(self, bit: Bit, key: tuple) -> KernelTrace:
         """The mask-kernel fault-free run.
 
         Instead of a :class:`MachineCheckpointer` deep-copying machines
         at every registered round boundary, the cache records the mask
         trace plus a :class:`~repro.sim.kernel.PrefixForker`; scan
-        candidates deep-copy once at their divergence round.  The
-        materialized execution is additionally pushed through
-        :func:`check_execution` when checking is on — fault-free traces
-        anchor witnesses and the observed bound, so they get the full
-        Appendix-A treatment even on the fast path.
+        candidates deep-copy once at their divergence round.  When
+        checking is on, the trace additionally goes through
+        :func:`~repro.sim.kernel.check_trace` — fault-free runs anchor
+        witnesses and the observed bound, so they get the full
+        Appendix-A check even on the fast path, read off the masks.  The
+        trace is not materialized: it is cached as the run, and becomes
+        an :class:`Execution` only if it turns into a witness or is
+        embedded in a certificate (an execution built from a checked
+        trace needs no second check).
         """
         assert self.cache is not None
         proposals = [bit] * self.spec.n
@@ -1010,13 +1038,12 @@ class LowerBoundDriver:
             no_faults_compiled(self.spec.n),
             observers=self._trace_observers,
         )
-        execution = trace.to_execution()
         if self.check:
-            check_execution(execution)
-        self._rounds_simulated += trace.rounds_run
+            check_trace(trace)
+        self._rounds_simulated += trace.rounds
         messages = trace.message_complexity()
-        self._observe_messages(messages, execution=execution)
-        self.cache.store(key, _CacheEntry(execution, messages, True))
+        self._observe_messages(messages, trace)
+        self.cache.store(key, _CacheEntry(trace, messages, True))
         self.cache.misses += 1
         if self.reuse:
             forker = PrefixForker(
@@ -1033,11 +1060,11 @@ class LowerBoundDriver:
                         "n": self.spec.n,
                         "t": self.spec.t,
                         "bit": bit,
-                        "rounds": trace.rounds_run,
+                        "rounds": trace.rounds,
                         "enabled": True,
                     },
                 )
-        return execution
+        return trace
 
     def _try_reuse(
         self,
@@ -1046,39 +1073,45 @@ class LowerBoundDriver:
         members: frozenset[ProcessId],
         from_round: Round,
         horizon: int,
-    ) -> Execution | None:
+    ) -> Run | None:
         """The semantic reuses: beyond-horizon identity and aliasing."""
         assert self.cache is not None
         if from_round > horizon:
-            # The isolation never acts within the horizon: the trace is
+            # The isolation never acts within the horizon: the run is
             # the fault-free one with the faulty set rewritten to the
             # (fault-committing-nothing) isolated group.
             base = self._run(bit, None, None)
-            execution = Execution(
-                n=self.spec.n,
-                t=self.spec.t,
-                faulty=members,
-                behaviors=base.behaviors,
-            )
-            entry = _CacheEntry(
-                execution, execution.message_complexity(), True
-            )
+            run: Run
+            if isinstance(base, KernelTrace):
+                run = KernelTrace(
+                    n=self.spec.n,
+                    t=self.spec.t,
+                    proposals=base.proposals,
+                    corrupted=members,
+                    rows=base.rows,
+                )
+            else:
+                run = Execution(
+                    n=self.spec.n,
+                    t=self.spec.t,
+                    faulty=members,
+                    behaviors=base.behaviors,
+                )
+            entry = _CacheEntry(run, run.message_complexity(), True)
             self.cache.store(key, entry)
             self.cache.alias_hits += 1
-            self._observe_messages(entry.messages, execution=execution)
-            return execution
+            self._observe_messages(entry.messages, run)
+            return run
         family = self.cache.isolation_family(self._spec_key, bit, members)
         for k_prime, sibling in sorted(family, reverse=True):
             if k_prime == from_round or not sibling.complete:
                 continue
             lo, hi = sorted((k_prime, from_round))
-            if quiescent_toward(sibling.execution, members, lo, hi):
+            if sibling.run.quiescent_toward(members, lo, hi):
                 self.cache.store(key, sibling)
                 self.cache.alias_hits += 1
-                self._observe_messages(
-                    sibling.messages, execution=sibling.execution
-                )
-                return sibling.execution
+                self._observe_messages(sibling.messages, sibling.run)
+                return sibling.run
         return None
 
     def _simulate_isolation(
@@ -1089,7 +1122,7 @@ class LowerBoundDriver:
         from_round: Round,
         horizon: int,
         full: bool,
-    ) -> Execution:
+    ) -> Run:
         """Actually simulate ``E_bit^{G(from_round)}``.
 
         Resumes from the fault-free checkpoint at ``from_round`` when
@@ -1139,7 +1172,7 @@ class LowerBoundDriver:
             self._rounds_simulated += horizon - from_round + 1
             self._prefix_rounds_skipped += from_round - 1
             messages = execution.message_complexity()
-            self._observe_messages(messages, execution=execution)
+            self._observe_messages(messages, execution)
             self.cache.store(key, _CacheEntry(execution, messages, True))
             self.cache.misses += 1
             return execution
@@ -1160,7 +1193,7 @@ class LowerBoundDriver:
             # Truncated traces undercount §2 complexity (protocols may
             # keep sending after deciding), so only full runs feed the
             # observed bound.
-            self._observe_messages(messages, execution=execution)
+            self._observe_messages(messages, execution)
         self.cache.store(key, _CacheEntry(execution, messages, complete))
         self.cache.misses += 1
         return execution
@@ -1173,7 +1206,7 @@ class LowerBoundDriver:
         from_round: Round,
         horizon: int,
         full: bool,
-    ) -> Execution:
+    ) -> KernelTrace:
         """The batched mask-kernel isolation scan step.
 
         Candidates with ``from_round >= 2`` fan out of the fault-free
@@ -1213,16 +1246,13 @@ class LowerBoundDriver:
                     from_round,
                     observers=self._trace_observers,
                 )
-                execution = trace.to_execution()
                 self._rounds_simulated += horizon - from_round + 1
                 self._prefix_rounds_skipped += from_round - 1
                 messages = trace.message_complexity()
-                self._observe_messages(messages, execution=execution)
-                self.cache.store(
-                    key, _CacheEntry(execution, messages, True)
-                )
+                self._observe_messages(messages, trace)
+                self.cache.store(key, _CacheEntry(trace, messages, True))
                 self.cache.misses += 1
-                return execution
+                return trace
         early = "all" if self.early_stop and not full else None
         trace = run_kernel(
             self._sim_config(),
@@ -1232,17 +1262,16 @@ class LowerBoundDriver:
             early_stop=early,
             observers=self._trace_observers,
         )
-        execution = trace.to_execution()
-        self._rounds_simulated += trace.rounds_run
-        complete = trace.rounds_run == horizon
+        self._rounds_simulated += trace.rounds
+        complete = trace.rounds == horizon
         if not complete:
             self._early_stops += 1
         messages = trace.message_complexity()
         if complete:
-            self._observe_messages(messages, execution=execution)
-        self.cache.store(key, _CacheEntry(execution, messages, complete))
+            self._observe_messages(messages, trace)
+        self.cache.store(key, _CacheEntry(trace, messages, complete))
         self.cache.misses += 1
-        return execution
+        return trace
 
     def _sim_config(self) -> SimulationConfig:
         """The kernel-run configuration mirroring ``spec.run_uniform``."""
@@ -1302,30 +1331,22 @@ class LowerBoundDriver:
         raise ReproError(f"unknown group label {label!r}")
 
     def _observe(self, execution: Execution) -> None:
-        self._observe_messages(
-            execution.message_complexity(), execution=execution
-        )
+        self._observe_messages(execution.message_complexity(), execution)
 
-    def _observe_messages(
-        self, messages: int, execution: Execution | None = None
-    ) -> None:
-        if (
-            self.certify
-            and execution is not None
-            and (
-                messages > self._max_messages
-                or self._cert_max_execution is None
-            )
+    def _observe_messages(self, messages: int, run: Run) -> None:
+        if self.certify and (
+            messages > self._max_messages or self._cert_max_run is None
         ):
-            self._cert_max_execution = execution
+            self._cert_max_run = run
         self._max_messages = max(self._max_messages, messages)
 
     def _note(self, message: str) -> None:
         self._log.append(message)
 
-    def _found(self, witness: ViolationWitness) -> None:
+    def _found(self, witness: ViolationWitness, run: Run) -> None:
+        """Unwind with ``witness``, whose execution ``run`` materialized."""
         self._note(f"violation: {witness.summary()}")
-        raise _Found(witness)
+        raise _Found(witness, run)
 
     # ------------------------------------------------------------------
     # certification
@@ -1334,18 +1355,20 @@ class LowerBoundDriver:
     def _build_certificate(
         self,
         witness: ViolationWitness | None,
+        witness_run: Run | None,
         default_bit: Payload | None,
         critical_round: Round | None,
     ) -> "Certificate":
         """Package the attack's evidence chain as a v1 certificate.
 
-        Embeds only the critical-path traces: the witness execution, the
-        pre-swap source, the merge inputs (when the source is a merge
-        result) — or, for a respected bound, the trace attaining the
-        observed maximum.  Each embedded trace carries its provenance
-        (which configuration simulated it, which construction derived
-        it), the Definition-1 isolation claims its origin guarantees,
-        and the Lemma-15/16 indistinguishability conclusions.
+        Embeds only the critical-path runs, materialized here: the
+        witness execution, the pre-swap source, the merge inputs (when
+        the source is a merge result) — or, for a respected bound, the
+        run attaining the observed maximum.  Each embedded execution
+        carries its provenance (which configuration simulated it, which
+        construction derived it), the Definition-1 isolation claims its
+        origin guarantees, and the Lemma-15/16 indistinguishability
+        conclusions.
         """
         from repro.certify.format import build_certificate
 
@@ -1355,11 +1378,11 @@ class LowerBoundDriver:
         indistinguishability: list[dict] = []
         isolations: list[dict] = []
 
-        def embed(execution: Execution, label: str) -> str:
-            executions[label] = execution
-            origin = self._cert_origin.get(id(execution))
-            if origin is not None:
-                bit, group, from_round = origin
+        def embed(run: Run, label: str) -> str:
+            executions[label] = run.to_execution()
+            pinned = self._cert_origin.get(id(run))
+            if pinned is not None:
+                bit, group, from_round = pinned[1]
                 step: dict = {"op": "simulate", "result": label,
                               "proposal_bit": bit}
                 if group is not None:
@@ -1376,12 +1399,12 @@ class LowerBoundDriver:
                 provenance.append(step)
             return label
 
-        def embed_with_history(execution: Execution, label: str) -> str:
+        def embed_with_history(run: Run, label: str) -> str:
             ctx = self._cert_merge_ctx
-            if ctx is not None and ctx["merged"] is execution:
-                embed(ctx["exec_b"], "merge-input-b")
-                embed(ctx["exec_c"], "merge-input-c")
-                executions[label] = execution
+            if ctx is not None and ctx["merged"] is run:
+                embed(ctx["run_b"], "merge-input-b")
+                embed(ctx["run_c"], "merge-input-c")
+                executions[label] = ctx["merged"]
                 provenance.append(
                     {
                         "op": "merge",
@@ -1409,12 +1432,13 @@ class LowerBoundDriver:
                     }
                 )
             else:
-                embed(execution, label)
+                embed(run, label)
             return label
 
         witness_label: str | None = None
         max_label: str | None = None
         if witness is not None:
+            assert witness_run is not None
             witness_label = "witness"
             swap_ctx = self._cert_swap_ctx
             if (
@@ -1441,10 +1465,10 @@ class LowerBoundDriver:
                     }
                 )
             else:
-                embed_with_history(witness.execution, witness_label)
-        elif self._cert_max_execution is not None:
+                embed_with_history(witness_run, witness_label)
+        elif self._cert_max_run is not None:
             max_label = embed_with_history(
-                self._cert_max_execution, "max-messages"
+                self._cert_max_run, "max-messages"
             )
         return build_certificate(
             protocol=self.spec.name,

@@ -159,16 +159,13 @@ def quiescent_toward(
     Deterministic machines make the equality literal, fragment for
     fragment, so one simulation can serve the whole quiescent span of a
     critical-round scan (§3, Lemma 4).
+
+    The check itself is :meth:`Execution.quiescent_toward
+    <repro.sim.execution.Execution.quiescent_toward>`; a
+    :class:`~repro.sim.kernel.KernelTrace` answers the same question
+    from its masks.
     """
-    members = frozenset(group)
-    for pid in sorted(members):
-        behavior = execution.behavior(pid)
-        for round_ in range(lo, min(hi, behavior.rounds + 1)):
-            fragment = behavior.fragment(round_)
-            for message in fragment.received | fragment.receive_omitted:
-                if message.sender not in members:
-                    return False
-    return True
+    return execution.quiescent_toward(group, lo, hi)
 
 
 def is_isolated(

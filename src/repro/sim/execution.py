@@ -107,6 +107,30 @@ class Execution:
             *(behavior.sent(round_) for behavior in self.behaviors)
         )
 
+    def quiescent_toward(
+        self, group: Iterable[ProcessId], lo: Round, hi: Round
+    ) -> bool:
+        """No message from outside ``group`` targets ``group`` in [lo, hi).
+
+        Received and receive-omitted messages both count.  The reuse
+        argument this predicate supports is spelled out at
+        :func:`repro.omission.isolation.quiescent_toward`.
+        """
+        members = frozenset(group)
+        for pid in sorted(members):
+            behavior = self.behaviors[pid]
+            for round_ in range(lo, min(hi, behavior.rounds + 1)):
+                fragment = behavior.fragment(round_)
+                for message in fragment.received | fragment.receive_omitted:
+                    if message.sender not in members:
+                        return False
+        return True
+
+    def to_execution(self) -> "Execution":
+        """This execution itself (the :class:`~repro.sim.kernel.KernelTrace`
+        counterpart materializes one)."""
+        return self
+
     def prefix(self, rounds: int) -> "Execution":
         """The execution truncated to its first ``rounds`` rounds."""
         return Execution(

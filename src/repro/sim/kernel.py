@@ -41,6 +41,9 @@ Bit-identity mechanics worth knowing:
 * compiled adversaries never send-omit (Definition 1 isolations do
   not), so ``send_omitted`` is structurally empty.
 
+:func:`check_trace` is the kernel's Appendix-A checker: it reads the
+masks directly, so a checked trace need not be materialized at all.
+
 :class:`PrefixForker` supports the batched isolation scan: a rolling
 machine array is advanced through the recorded fault-free schedule and
 deep-copied once per *fork round* (memoized), so candidates sharing a
@@ -157,20 +160,22 @@ class KernelRound:
 class KernelTrace:
     """The mask-level record of one kernel run.
 
-    Everything the lower-bound driver asks of a simulation — decisions,
-    §2 message complexity, quiescence spans, and (on demand) the full
-    Appendix-A :class:`Execution` — is answered from the masks;
-    materialization happens once, lazily, and is cached.
+    A trace answers the questions the lower-bound driver asks of a run
+    with the same names :class:`Execution` uses — ``rounds``,
+    ``correct``, ``decision``, :meth:`message_complexity` and
+    :meth:`quiescent_toward` — straight from the masks, so the driver
+    can keep traces as its currency.  :meth:`to_execution` builds the
+    bit-identical Appendix-A :class:`Execution` once, lazily, for the
+    consumers that need fragments (merges, swaps, witnesses and
+    certificates); :func:`check_trace` checks the Appendix-A guarantees
+    without it.
 
     A trace produced by :func:`fork_kernel` *shares* its prefix rounds'
     :class:`KernelRound` rows with the fault-free base trace (structural
-    prefix memoization), and borrows the base execution's already-built
-    :class:`Fragment` objects when materializing — the mask analogue of
-    :class:`~repro.sim.engine.TraceRecorder`'s resume prefix.
+    prefix memoization); materializing it never materializes the base.
     """
 
-    __slots__ = ("n", "t", "proposals", "corrupted", "rounds",
-                 "prefix_rounds", "prefix_execution", "_execution")
+    __slots__ = ("n", "t", "proposals", "corrupted", "rows", "_execution")
 
     def __init__(
         self,
@@ -178,31 +183,32 @@ class KernelTrace:
         t: int,
         proposals: tuple[Payload, ...],
         corrupted: frozenset[ProcessId],
-        rounds: list[KernelRound],
-        prefix_rounds: int = 0,
-        prefix_execution: Execution | None = None,
+        rows: list[KernelRound],
     ) -> None:
         self.n = n
         self.t = t
         self.proposals = proposals
         self.corrupted = corrupted
-        self.rounds = rounds
-        self.prefix_rounds = prefix_rounds
-        self.prefix_execution = prefix_execution
+        self.rows = rows
         self._execution: Execution | None = None
 
     @property
-    def rounds_run(self) -> int:
+    def rounds(self) -> int:
         """Rounds recorded (shared prefix included)."""
-        return len(self.rounds)
+        return len(self.rows)
+
+    @property
+    def correct(self) -> frozenset[ProcessId]:
+        """The processes outside the corruption set."""
+        return frozenset(range(self.n)) - self.corrupted
 
     def decision(self, pid: ProcessId) -> Payload | None:
         """The final decision of ``pid`` (``None`` if undecided)."""
-        return self.rounds[-1].decisions[pid]
+        return self.rows[-1].decisions[pid]
 
     def decisions(self) -> tuple[Payload | None, ...]:
         """All final decisions, indexed by process id."""
-        return self.rounds[-1].decisions
+        return self.rows[-1].decisions
 
     def message_complexity(self) -> int:
         """§2 message complexity: popcount over correct send masks."""
@@ -210,7 +216,7 @@ class KernelTrace:
         senders = [pid for pid in range(self.n) if pid not in corrupted]
         total = 0
         popcounts = 0
-        for row in self.rounds:
+        for row in self.rows:
             masks = row.send_masks
             for pid in senders:
                 total += masks[pid].bit_count()
@@ -219,15 +225,15 @@ class KernelTrace:
         return total
 
     def quiescent_toward(self, members, lo: Round, hi: Round) -> bool:
-        """Mask form of :func:`repro.omission.isolation.quiescent_toward`.
+        """Mask form of :meth:`Execution.quiescent_toward`.
 
         ``True`` iff no message from outside ``members`` targets a
         member (delivered *or* omitted) in rounds ``[lo, hi)``.
         """
         outside = ~group_mask(members)
         pids = sorted(members)
-        for index in range(lo - 1, min(hi - 1, len(self.rounds))):
-            row = self.rounds[index]
+        for index in range(lo - 1, min(hi - 1, len(self.rows))):
+            row = self.rows[index]
             for pid in pids:
                 if (row.recv_masks[pid] | row.omit_masks[pid]) & outside:
                     return False
@@ -242,27 +248,17 @@ class KernelTrace:
     def _materialize(self) -> Execution:
         n = self.n
         fragments: list[list[Fragment]] = [[] for _ in range(n)]
-        start_index = 0
-        if self.prefix_execution is not None and self.prefix_rounds:
-            start_index = self.prefix_rounds
-            for pid in range(n):
-                fragments[pid].extend(
-                    self.prefix_execution.behavior(pid)
-                    .fragments[: self.prefix_rounds]
-                )
-        for index in range(start_index, len(self.rounds)):
-            row = self.rounds[index]
-            previous = (
-                self.rounds[index - 1].decisions if index else None
-            )
+        previous = None
+        for index, row in enumerate(self.rows):
             for pid, fragment in enumerate(
                 _round_fragments(
                     row, index + 1, n, self.proposals, previous
                 )
             ):
                 fragments[pid].append(fragment)
-        final_decisions = self.rounds[-1].decisions
-        final_round = len(self.rounds) + 1
+            previous = row.decisions
+        final_decisions = self.rows[-1].decisions
+        final_round = len(self.rows) + 1
         behaviors = tuple(
             Behavior(
                 tuple(fragments[pid]),
@@ -278,6 +274,101 @@ class KernelTrace:
         return Execution(
             n=n, t=self.t, faulty=self.corrupted, behaviors=behaviors
         )
+
+
+def check_trace(trace: KernelTrace) -> None:
+    """Check the A.1.6 execution guarantees on the masks themselves.
+
+    The mask-level counterpart of
+    :func:`~repro.sim.execution.check_execution`: a trace that passes
+    materializes into an execution that passes too, so a checked trace
+    needs no second check after :meth:`KernelTrace.to_execution`.
+    Checked per round:
+
+    * the faulty budget ``|F| <= t``, with every faulty id in range;
+    * no self-sends;
+    * each sender's payload keys are exactly its send-mask bits;
+    * no receiver both receives and receive-omits one sender;
+    * ``recv | omit`` of each receiver is the transpose of the send
+      masks — send-validity and receive-validity at once;
+    * only corrupted receivers receive-omit (omission-validity);
+    * decisions are write-once.
+
+    The structural fragment and behavior conditions the object checker
+    also walks (one message per ordered pair, stable proposals, rounds
+    in sequence) hold by the representation.
+
+    Raises:
+        ModelViolation: naming the first violated guarantee.
+    """
+    n = trace.n
+    if len(trace.corrupted) > trace.t:
+        raise ModelViolation(
+            f"|F| = {len(trace.corrupted)} exceeds t = {trace.t}"
+        )
+    for pid in trace.corrupted:
+        if not 0 <= pid < n:
+            raise ModelViolation(f"faulty set names unknown process {pid}")
+    corrupted = group_mask(trace.corrupted)
+    previous: Sequence[Payload | None] = (None,) * n
+    for round_, row in enumerate(trace.rows, start=1):
+        incoming = [0] * n
+        for sender in range(n):
+            mask = row.send_masks[sender]
+            sender_bit = 1 << sender
+            if mask & sender_bit:
+                raise ModelViolation(f"p{sender} r{round_}: self-message")
+            keys = 0
+            for receiver in row.payloads[sender]:
+                if not 0 <= receiver < n:
+                    raise ModelViolation(
+                        f"p{sender} r{round_}: payload for unknown "
+                        f"process {receiver}"
+                    )
+                keys |= 1 << receiver
+                incoming[receiver] |= sender_bit
+            if keys != mask:
+                raise ModelViolation(
+                    f"p{sender} r{round_}: payload receivers "
+                    f"{mask_members(keys)} differ from send mask "
+                    f"{mask_members(mask)}"
+                )
+        for receiver in range(n):
+            received = row.recv_masks[receiver]
+            omitted = row.omit_masks[receiver]
+            if received & omitted:
+                raise ModelViolation(
+                    f"p{receiver} r{round_}: received and "
+                    "receive-omitted overlap"
+                )
+            arrived = received | omitted
+            if incoming[receiver] & ~arrived:
+                raise ModelViolation(
+                    f"send-validity: r{round_} messages from "
+                    f"{mask_members(incoming[receiver] & ~arrived)} to "
+                    f"p{receiver} neither received nor receive-omitted"
+                )
+            if arrived & ~incoming[receiver]:
+                raise ModelViolation(
+                    f"receive-validity: p{receiver} r{round_} received "
+                    "or receive-omitted messages from "
+                    f"{mask_members(arrived & ~incoming[receiver])} "
+                    "that were never sent"
+                )
+            if omitted and not corrupted >> receiver & 1:
+                raise ModelViolation(
+                    f"omission-validity: p{receiver} commits omission "
+                    "faults but is not in the faulty set"
+                )
+        decisions = row.decisions
+        for pid in range(n):
+            before = previous[pid]
+            if before is not None and decisions[pid] != before:
+                raise ModelViolation(
+                    f"p{pid}: decision changed {before!r} -> "
+                    f"{decisions[pid]!r} at round {round_ + 1}"
+                )
+        previous = decisions
 
 
 def _round_fragments(
@@ -527,7 +618,7 @@ def run_kernel(
         t=config.t,
         proposals=tuple(proposals),
         corrupted=compiled.corrupted,
-        rounds=rows,
+        rows=rows,
     )
     _simulate(
         machines,
@@ -569,21 +660,19 @@ def fork_kernel(
         raise ValueError(
             f"from_round {from_round} outside 1..{config.rounds}"
         )
-    if len(base.rounds) < from_round - 1:
+    if base.rounds < from_round - 1:
         raise ValueError(
-            f"base trace spans {len(base.rounds)} rounds; cannot share "
+            f"base trace spans {base.rounds} rounds; cannot share "
             f"a {from_round - 1}-round prefix"
         )
     compiled.validate_budget(config.n, config.t)
-    rows = list(base.rounds[: from_round - 1])
+    rows = base.rows[: from_round - 1]
     trace = KernelTrace(
         n=config.n,
         t=config.t,
         proposals=base.proposals,
         corrupted=compiled.corrupted,
-        rounds=rows,
-        prefix_rounds=from_round - 1,
-        prefix_execution=base.to_execution(),
+        rows=rows,
     )
     _simulate(
         machines,
@@ -675,7 +764,7 @@ class PrefixForker:
 
     def _replay_round(self, round_: Round) -> None:
         assert self._machines is not None
-        row = self._base.rounds[round_ - 1]
+        row = self._base.rows[round_ - 1]
         recv_masks = row.recv_masks
         payload_rows = row.payloads
         for pid, machine in enumerate(self._machines):

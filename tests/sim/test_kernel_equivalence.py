@@ -23,7 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ModelViolation
-from repro.omission.isolation import IsolationAdversary, isolate_group
+from repro.omission.isolation import (
+    IsolationAdversary,
+    isolate_group,
+    quiescent_toward,
+)
 from repro.omission.masks import compile_omissions
 from repro.protocols.phase_king import phase_king_spec
 from repro.protocols.subquadratic import ring_token_spec
@@ -191,7 +195,7 @@ class TestEngineEquivalence:
             1, adversary, observers=[EarlyStopPolicy(scope="all")]
         )
         trace = _kernel_uniform(spec, 1, adversary, early_stop="all")
-        assert trace.rounds_run == reference.rounds
+        assert trace.rounds == reference.rounds
         assert trace.to_execution() == reference
 
     def test_limb_boundary_n65(self):
@@ -233,8 +237,8 @@ class TestEngineEquivalence:
         delta = object_counts_delta(before)
         # 4 masks per process per round, one popcount per correct
         # sender per round.
-        assert delta["masks_built"] == 4 * 7 * trace.rounds_run
-        assert delta["popcounts"] == 7 * trace.rounds_run
+        assert delta["masks_built"] == 4 * 7 * trace.rounds
+        assert delta["popcounts"] == 7 * trace.rounds
 
 
 def _speedup_gate_module():
@@ -260,7 +264,7 @@ class TestSpeedupGateFlood:
         reference = gate.flood_object(n=n)
         trace = gate.flood_kernel(n=n)
         assert reference.rounds == gate.FLOOD_ROUNDS
-        assert trace.rounds_run == gate.FLOOD_ROUNDS
+        assert trace.rounds == gate.FLOOD_ROUNDS
         assert reference.decision(0) == 1
         assert trace.decision(0) == 1
         assert trace.to_execution() == reference
@@ -396,4 +400,63 @@ def test_differential_thinned_protocols(case):
     )
     assert trace.decisions() == tuple(
         reference.decision(pid) for pid in range(n)
+    )
+
+
+@st.composite
+def _quiescence_case(draw):
+    spec = draw(
+        st.sampled_from(
+            [
+                lambda: phase_king_spec(7, 2),
+                lambda: broadcast_weak_consensus_spec(8, 4),
+                lambda: ring_token_spec(12, 8),
+            ]
+        )
+    )()
+    # A horizon padded past the protocol's own rounds lets "all"
+    # early stopping actually cut the trace short.
+    horizon = spec.rounds + draw(st.integers(0, 3))
+    isolated = draw(
+        st.lists(
+            st.integers(0, spec.n - 1),
+            min_size=1,
+            max_size=spec.t,
+            unique=True,
+        )
+    )
+    adversary = isolate_group(isolated, draw(st.integers(1, horizon + 1)))
+    early_stop = draw(st.sampled_from([None, "all"]))
+    group = draw(
+        st.lists(
+            st.integers(0, spec.n - 1),
+            min_size=1,
+            max_size=spec.n,
+            unique=True,
+        )
+    )
+    lo = draw(st.integers(1, horizon + 2))
+    hi = draw(st.integers(lo, horizon + 3))
+    bit = draw(st.integers(0, 1))
+    return spec, horizon, adversary, early_stop, group, lo, hi, bit
+
+
+@given(_quiescence_case())
+@settings(max_examples=80, deadline=None)
+def test_quiescence_mask_form_matches_execution_form(case):
+    """The driver's quiescent aliasing asks the mask form; it must
+    answer as :func:`repro.omission.isolation.quiescent_toward` does on
+    the materialized trace — for any group, for ``lo``/``hi`` past the
+    last round, and for early-stopped traces."""
+    spec, horizon, adversary, early_stop, group, lo, hi, bit = case
+    config = SimulationConfig(n=spec.n, t=spec.t, rounds=horizon, check=True)
+    trace = run_kernel(
+        config,
+        [bit] * spec.n,
+        spec.factory,
+        compile_omissions(adversary, spec.n),
+        early_stop=early_stop,
+    )
+    assert trace.quiescent_toward(group, lo, hi) == quiescent_toward(
+        trace.to_execution(), group, lo, hi
     )
