@@ -6,6 +6,11 @@ sweeps deliberately include the adversarial scenarios of the lower-bound
 argument (group isolations) alongside fault-free runs — the paper's metric
 is a worst case over *all* executions, and for several protocols the
 fault-free run is not the maximizer.
+
+Every scenario here is fault-free or a Definition-1 isolation, so each
+one runs on the mask kernel: the trace is checked with
+:func:`~repro.sim.kernel.check_trace` and counted as a popcount over the
+correct senders' masks, without building messages or fragments.
 """
 
 from __future__ import annotations
@@ -16,8 +21,11 @@ from typing import Callable, Iterable, Sequence
 from repro.lowerbound.bound import weak_consensus_floor
 from repro.lowerbound.partition import canonical_partition
 from repro.omission.isolation import isolate_group
+from repro.omission.masks import compile_omissions
 from repro.protocols.base import ProtocolSpec, SpecBuilder
 from repro.sim.adversary import Adversary
+from repro.sim.kernel import KernelTrace, check_trace, run_kernel
+from repro.sim.simulator import SimulationConfig
 from repro.types import Payload
 
 
@@ -84,22 +92,53 @@ def default_scenarios(
     return scenarios
 
 
+def run_scenario(
+    spec: ProtocolSpec,
+    proposals: Sequence[Payload],
+    adversary: Adversary | None = None,
+) -> KernelTrace:
+    """One checked kernel run of ``spec`` under ``adversary``.
+
+    Raises:
+        ValueError: if ``adversary`` does not compile to masks (only the
+            no-fault adversary and group isolations do).
+    """
+    compiled = compile_omissions(adversary, spec.n)
+    if compiled is None:
+        raise ValueError(
+            f"{type(adversary).__name__} does not compile to masks; "
+            "measurement scenarios must be fault-free or isolations"
+        )
+    config = SimulationConfig(n=spec.n, t=spec.t, rounds=spec.rounds)
+    trace = run_kernel(config, proposals, spec.factory, compiled)
+    check_trace(trace)
+    return trace
+
+
 def measure_point(
     spec: ProtocolSpec,
     proposal_sets: Iterable[Sequence[Payload]],
 ) -> SweepPoint:
-    """Worst message count for one spec across proposals × scenarios."""
+    """Worst message count for one spec across proposals × scenarios.
+
+    Raises:
+        ValueError: if ``proposal_sets`` is empty (there is no worst
+            case to report).
+    """
     worst = -1
     worst_scenario = "none"
     for proposals in proposal_sets:
         for label, workload, adversary in default_scenarios(
             spec, proposals
         ):
-            execution = spec.run(list(workload), adversary)
-            messages = execution.message_complexity()
+            messages = run_scenario(
+                spec, workload, adversary
+            ).message_complexity()
             if messages > worst:
                 worst = messages
                 worst_scenario = label
+    if worst < 0:
+        raise ValueError(f"no workloads to measure {spec.name} on")
     return SweepPoint(
         protocol=spec.name,
         n=spec.n,
@@ -151,7 +190,7 @@ def exhaustive_isolation_scan(
     honest way to approximate the worst case for protocols whose traffic
     depends on when the adversary strikes (e.g. the ring cheater).
     """
-    worst = spec.run(list(proposals)).message_complexity()
+    worst = run_scenario(spec, proposals).message_complexity()
     worst_scenario = "fault-free"
     if spec.t >= 2:
         partition = canonical_partition(spec.n, spec.t)
@@ -160,10 +199,9 @@ def exhaustive_isolation_scan(
             ("C", partition.group_c),
         ):
             for k in range(1, spec.rounds + 1):
-                execution = spec.run(
-                    list(proposals), isolate_group(group, k)
-                )
-                messages = execution.message_complexity()
+                messages = run_scenario(
+                    spec, proposals, isolate_group(group, k)
+                ).message_complexity()
                 if messages > worst:
                     worst = messages
                     worst_scenario = f"isolate-{group_label}@{k}"

@@ -18,6 +18,21 @@ Two decision modes share the machinery:
 
 Message complexity is Θ(n^{t+1}) entries in the worst case — exponential
 information gathering earns its name; use small ``t``.
+
+Relayed payloads are validated once, not once per receiver.  Whether an
+entry of a relayed payload is accepted depends only on ``(payload,
+round, sender, n)``, and a correct sender hands the *same* tuple to all
+``n - 1`` receivers; so the spec's processes share a :class:`PayloadMemo`
+that turns each payload into its accepted ``{label + (sender,): value}``
+dict once per round, and each receiver merges that dict first-wins.  The
+memo is keyed by payload *identity* and keeps the payload in the entry
+(so its id cannot be reused while the entry lives): keying by equality
+would be wrong, because ``(1.0, 2) == (1, 2)`` and ``True == 1`` while
+the label check rejects float labels — a Byzantine payload equal to a
+correct one must still be validated on its own.  The memo is cleared
+whenever the round changes, so it holds at most one round of payloads,
+and a deep copy of it is empty (copied machines revalidate, never
+trusting ids of objects they do not hold).
 """
 
 from __future__ import annotations
@@ -40,6 +55,8 @@ class EIGProcess(Process):
         pid, n, t, proposal: as usual; requires ``n > 3t``.
         default: the fallback value used when majorities fail.
         mode: ``"consensus"`` or ``"vector"`` (see module docstring).
+        memo: the :class:`PayloadMemo` shared by the spec's processes
+            (a private one when omitted).
     """
 
     def __init__(
@@ -50,6 +67,7 @@ class EIGProcess(Process):
         proposal: Payload,
         default: Payload = 0,
         mode: DecisionMode = "consensus",
+        memo: PayloadMemo | None = None,
     ) -> None:
         if n <= 3 * t:
             raise ValueError(
@@ -60,6 +78,7 @@ class EIGProcess(Process):
         self.default = default
         self.mode = mode
         self._val: dict[Label, Payload] = {}
+        self._memo = PayloadMemo(n) if memo is None else memo
 
     @property
     def last_round(self) -> Round:
@@ -108,41 +127,13 @@ class EIGProcess(Process):
     ) -> None:
         if round_ > self.last_round:
             return
+        store = self._val.setdefault
+        accepted = self._memo.accepted
         for sender, payload in sorted(received.items()):
-            self._absorb(round_, sender, payload)
+            for label, value in accepted(round_, sender, payload).items():
+                store(label, value)
         if round_ == self.last_round:
             self._decide_now()
-
-    def _absorb(
-        self, round_: Round, sender: ProcessId, payload: Payload
-    ) -> None:
-        """Store well-formed entries; Byzantine garbage is ignored.
-
-        Malformed or missing entries simply leave tree slots unset; the
-        resolver treats unset slots as ``default``, which is the standard
-        EIG handling of silent or garbled informants.
-        """
-        if not isinstance(payload, tuple):
-            return
-        for entry in payload:
-            if not (isinstance(entry, tuple) and len(entry) == 2):
-                continue
-            label, value = entry
-            if not isinstance(label, tuple):
-                continue
-            if len(label) != round_ - 1:
-                continue
-            if any(
-                not isinstance(element, int)
-                or not 0 <= element < self.n
-                for element in label
-            ):
-                continue
-            if len(set(label)) != len(label):
-                continue
-            if sender in label:
-                continue
-            self._store(label + (sender,), value)
 
     def _decide_now(self) -> None:
         vector = self.resolved_vector()
@@ -175,12 +166,83 @@ def _strict_majority(
     counts: dict[Payload, int] = {}
     for value in values:
         counts[value] = counts.get(value, 0) + 1
-    for value, count in sorted(
-        counts.items(), key=lambda item: repr(item[0])
-    ):
+    # At most one value can hold a strict majority: no order to fix.
+    for value, count in counts.items():
         if count * 2 > len(values):
             return value
     return default
+
+
+class PayloadMemo:
+    """Accepted entries per relayed payload, for one round at a time.
+
+    Shared by the processes of one spec (see the module docstring): a
+    payload is validated by :func:`_accepted_entries` the first time any
+    receiver sees it in a round, and later receivers get the same dict.
+    """
+
+    __slots__ = ("n", "round", "entries")
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.round: Round = 0
+        self.entries: dict[
+            int, tuple[Payload, ProcessId, dict[Label, Payload]]
+        ] = {}
+
+    def __deepcopy__(self, memo: dict) -> PayloadMemo:
+        return PayloadMemo(self.n)
+
+    def accepted(
+        self, round_: Round, sender: ProcessId, payload: Payload
+    ) -> dict[Label, Payload]:
+        """The accepted ``{label + (sender,): value}`` of ``payload``.
+
+        The dict is shared with every other receiver: read, never write.
+        """
+        if round_ != self.round:
+            self.entries.clear()
+            self.round = round_
+        hit = self.entries.get(id(payload))
+        if hit is not None and hit[0] is payload and hit[1] == sender:
+            return hit[2]
+        entries = _accepted_entries(payload, round_, sender, self.n)
+        self.entries[id(payload)] = (payload, sender, entries)
+        return entries
+
+
+def _accepted_entries(
+    payload: Payload, round_: Round, sender: ProcessId, n: int
+) -> dict[Label, Payload]:
+    """Well-formed entries of ``payload``; Byzantine garbage is ignored.
+
+    Malformed or missing entries simply leave tree slots unset; the
+    resolver treats unset slots as ``default``, which is the standard
+    EIG handling of silent or garbled informants.  Within the payload
+    the first entry for a label wins.
+    """
+    accepted: dict[Label, Payload] = {}
+    if not isinstance(payload, tuple):
+        return accepted
+    for entry in payload:
+        if not (isinstance(entry, tuple) and len(entry) == 2):
+            continue
+        label, value = entry
+        if not isinstance(label, tuple):
+            continue
+        if len(label) != round_ - 1:
+            continue
+        if any(
+            not isinstance(element, int) or not 0 <= element < n
+            for element in label
+        ):
+            continue
+        if len(set(label)) != len(label):
+            continue
+        if sender in label:
+            continue
+        accepted.setdefault(label + (sender,), value)
+    return accepted
 
 
 def eig_consensus_spec(
@@ -188,9 +250,12 @@ def eig_consensus_spec(
 ) -> ProtocolSpec:
     """Unauthenticated strong consensus via EIG (``n > 3t``)."""
 
+    memo = PayloadMemo(n)
+
     def factory(pid: ProcessId, proposal: Payload) -> EIGProcess:
         return EIGProcess(
-            pid, n, t, proposal, default=default, mode="consensus"
+            pid, n, t, proposal, default=default, mode="consensus",
+            memo=memo,
         )
 
     return ProtocolSpec(
@@ -208,9 +273,12 @@ def eig_vector_spec(
 ) -> ProtocolSpec:
     """Unauthenticated interactive consistency via EIG (``n > 3t``)."""
 
+    memo = PayloadMemo(n)
+
     def factory(pid: ProcessId, proposal: Payload) -> EIGProcess:
         return EIGProcess(
-            pid, n, t, proposal, default=default, mode="vector"
+            pid, n, t, proposal, default=default, mode="vector",
+            memo=memo,
         )
 
     return ProtocolSpec(

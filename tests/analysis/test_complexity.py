@@ -1,15 +1,24 @@
 """Tests for the complexity sweep harness."""
 
+import pytest
+
 from repro.analysis.complexity import (
     default_scenarios,
+    exhaustive_isolation_scan,
     measure_point,
     mixed_workload,
     quadratic_parameter_grid,
+    run_scenario,
     sweep,
     uniform_workloads,
 )
+from repro.lowerbound.partition import canonical_partition
+from repro.omission.isolation import isolate_group
+from repro.parallel.jobs import resolve_builder
+from repro.protocols.byzantine_strategies import mute
 from repro.protocols.subquadratic import leader_echo_spec
 from repro.protocols.weak_consensus import broadcast_weak_consensus_spec
+from repro.sim.adversary import ByzantineAdversary
 
 
 class TestWorkloads:
@@ -65,3 +74,100 @@ class TestMeasurement:
             (6, 2),
             (10, 4),
         ]
+
+    def test_measure_point_without_workloads_is_an_error(self):
+        with pytest.raises(ValueError, match="leader-echo"):
+            measure_point(leader_echo_spec(8, 4), [])
+
+    def test_scenario_that_does_not_compile_is_an_error(self):
+        spec = leader_echo_spec(8, 4)
+        adversary = ByzantineAdversary({7}, {7: mute()})
+        with pytest.raises(ValueError, match="ByzantineAdversary"):
+            run_scenario(spec, [0] * 8, adversary)
+
+
+# Every builder an E7 MeasureJob resolves, plus E1's weak consensus and
+# the leader-echo cheater; two small (n, t) points each.
+DIFFERENTIAL_SPECS = [
+    (name, n, t)
+    for name, points in (
+        ("dolev-strong", ((4, 2), (6, 3))),
+        ("phase-king", ((7, 2), (10, 3))),
+        ("ic", ((6, 2), (8, 3))),
+        ("weak-consensus", ((6, 2), (8, 4))),
+        ("leader-echo", ((6, 2), (8, 4))),
+    )
+    for n, t in points
+]
+
+
+def _build(name, n, t):
+    if name == "leader-echo":
+        return leader_echo_spec(n, t)
+    if name == "weak-consensus":
+        return broadcast_weak_consensus_spec(n, t)
+    return resolve_builder(name)(n, t)
+
+
+def _isolation_rounds(spec):
+    """Every single-group isolation the exhaustive scan tries."""
+    partition = canonical_partition(spec.n, spec.t)
+    return [
+        (f"isolate-{label}@{k}", isolate_group(group, k))
+        for label, group in (
+            ("B", partition.group_b),
+            ("C", partition.group_c),
+        )
+        for k in range(1, spec.rounds + 1)
+    ]
+
+
+class TestKernelCountMatchesObjectEngine:
+    """The sweeps count on the mask kernel; the object engine is the
+    oracle for every scenario they run."""
+
+    @staticmethod
+    def _assert_same(spec, proposals, adversary):
+        trace = run_scenario(spec, proposals, adversary)
+        execution = spec.run(list(proposals), adversary)
+        assert trace.message_complexity() == (
+            execution.message_complexity()
+        )
+        assert dict(enumerate(trace.decisions())) == (
+            execution.decisions()
+        )
+        return trace.message_complexity()
+
+    @pytest.mark.parametrize("name,n,t", DIFFERENTIAL_SPECS)
+    def test_default_scenarios(self, name, n, t):
+        spec = _build(name, n, t)
+        workloads = uniform_workloads(n) + [mixed_workload(n)]
+        worst, worst_label = -1, "none"
+        for proposals in workloads:
+            for label, workload, adversary in default_scenarios(
+                spec, proposals
+            ):
+                messages = self._assert_same(spec, workload, adversary)
+                if messages > worst:
+                    worst, worst_label = messages, label
+        point = measure_point(spec, workloads)
+        assert (point.worst_messages, point.scenario) == (
+            worst,
+            worst_label,
+        )
+
+    @pytest.mark.parametrize("name,n,t", DIFFERENTIAL_SPECS)
+    def test_exhaustive_isolation_rounds(self, name, n, t):
+        spec = _build(name, n, t)
+        proposals = mixed_workload(n)
+        worst = self._assert_same(spec, proposals, None)
+        worst_label = "fault-free"
+        for label, adversary in _isolation_rounds(spec):
+            messages = self._assert_same(spec, proposals, adversary)
+            if messages > worst:
+                worst, worst_label = messages, label
+        point = exhaustive_isolation_scan(spec, proposals)
+        assert (point.worst_messages, point.scenario) == (
+            worst,
+            worst_label,
+        )
