@@ -238,16 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
             "round and slowest rounds (to stderr), as 'repro trace' does"
         ),
     )
-    attack.add_argument(
-        "--kernel",
-        choices=("object", "mask"),
-        default="mask",
-        help=(
-            "round engine: 'mask' (default) the bitmask kernel, "
-            "'object' the per-message engine; outcomes are "
-            "engine-independent"
-        ),
-    )
     _ledger_option(attack)
     _telemetry_options(attack)
 
@@ -957,7 +947,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             tracer=tracer,
             worldlog=worldlog,
             telemetry=telemetry,
-            kernel=args.kernel,
         )
         if telemetry is not None:
             telemetry.close()
@@ -978,13 +967,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         expected_violation = args.protocol in CHEATERS
         return 0 if outcome.found_violation == expected_violation else 1
     if args.command == "verify-witness":
+        from repro.artifact import load_artifact
         from repro.errors import ModelViolation
         from repro.lowerbound.witnesses import verify_witness
         from repro.sim.serialization import load_witness
 
         spec = _resolve_protocol(args.protocol, args.n, args.t)
-        with open(args.path) as handle:
-            witness = load_witness(handle.read())
+        witness = load_artifact(args.path, "violation witness", load_witness)
         try:
             verify_witness(witness, spec.factory)
         except ModelViolation as error:

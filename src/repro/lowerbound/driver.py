@@ -37,33 +37,33 @@ near-identical configurations: every ``E_b^{G(k)}`` shares its first
 ``E_f^{B(k)}``, ``E_f^{B(k+1)}`` are *literally equal* whenever no
 outside message targets ``B`` in round ``k`` (see
 :func:`~repro.omission.isolation.quiescent_toward`).  The
-:class:`ExecutionCache` exploits both: fault-free runs are checkpointed
-per round (:class:`~repro.sim.engine.MachineCheckpointer`) so isolation
-runs resume at their isolation round, and quiescent scan spans collapse
-onto one simulation.  Both reuses produce bit-identical executions —
+:class:`ExecutionCache` exploits both: isolation runs fork off the
+fault-free run at their isolation round, and quiescent scan spans
+collapse onto one simulation.  Both reuses produce bit-identical runs —
 machines are deterministic — so witnesses and verdicts are unchanged;
 the engine counters in :class:`AttackOutcome` report the savings.
 
-**The mask kernel.**  The driver's adversaries are exactly the family
-the bitmask kernel (:mod:`repro.sim.kernel`) compiles, so by default
-(``kernel="mask"``) simulation runs over per-round integer bitmasks
-instead of message objects: the fault-free run records a mask trace, the
-Lemma-4 scan fans candidates out of its shared prefix via
-:class:`~repro.sim.kernel.PrefixForker` (one machine deep-copy per
-divergence round instead of one per round boundary), and §2 complexity
-is popcount accumulation.
+**The mask kernel.**  The driver's adversaries (no faults and the
+Definition-1 isolations) are exactly the family the bitmask kernel
+(:mod:`repro.sim.kernel`) compiles, so every simulation runs over
+per-round integer bitmasks instead of message objects: the fault-free
+run records a mask trace, the Lemma-4 scan fans candidates out of its
+shared prefix via :class:`~repro.sim.kernel.PrefixForker` (one machine
+deep-copy per divergence round), and §2 complexity is popcount
+accumulation.  The per-message object engine is the reference: every
+run the driver caches equals a fresh ``spec.run_uniform`` of its
+configuration.
 
-**Runs, not executions.**  The cache holds each configuration's *run*:
-a :class:`~repro.sim.kernel.KernelTrace` on the mask path, an
-:class:`~repro.sim.execution.Execution` on the object path.  Both answer
-the driver's questions — ``decision``, ``rounds``, ``correct``,
+**Runs, not executions.**  The cache holds each configuration's
+:class:`~repro.sim.kernel.KernelTrace`, which answers the driver's
+questions — ``decision``, ``rounds``, ``correct``,
 ``message_complexity()`` and ``quiescent_toward`` — so most of the proof
 only reads decisions and never builds fragments.  ``to_execution()``
-(the identity on an :class:`~repro.sim.execution.Execution`) is called
-at four boundaries only: the merge inputs, the Lemma-2 swap source, a
-:class:`~repro.lowerbound.witnesses.ViolationWitness` and certificate
-embedding.  Materialized traces are bit-identical to object-engine
-executions, so every one of those consumers is engine-agnostic.
+is called at four boundaries only: the merge inputs, the Lemma-2 swap
+source, a :class:`~repro.lowerbound.witnesses.ViolationWitness` and
+certificate embedding.  Merge and swap results are
+:class:`~repro.sim.execution.Execution` objects, on which
+``to_execution()`` is the identity; :data:`Run` names either kind.
 """
 
 from __future__ import annotations
@@ -91,13 +91,7 @@ from repro.omission.masks import compile_omissions
 from repro.omission.merge import MergeSpec, merge
 from repro.omission.swap import swap_omission_checked
 from repro.protocols.base import ProtocolSpec
-from repro.sim.engine import (
-    EarlyStopPolicy,
-    MachineCheckpointer,
-    RoundObserver,
-    object_counts,
-    object_counts_delta,
-)
+from repro.sim.engine import object_counts, object_counts_delta
 from repro.sim.execution import Execution, majority_decision
 from repro.sim.kernel import (
     KernelTrace,
@@ -107,23 +101,23 @@ from repro.sim.kernel import (
     no_faults_compiled,
     run_kernel,
 )
-from repro.sim.metrics import StreamingComplexity
-from repro.sim.simulator import SimulationConfig, resume_execution
+from repro.sim.simulator import SimulationConfig
 from repro.types import Bit, Payload, ProcessId, Round
 
 _SpecKey = tuple[str, int, int, int]
 
 Run = Execution | KernelTrace
-"""A simulated run as the cache holds it: a mask trace or an execution."""
+"""A run the pipeline handles: a cached mask trace, or the execution a
+merge or swap derived."""
 
 
 @dataclass
 class _CacheEntry:
-    """One cached simulation: the run, its §2 message count, and
+    """One cached simulation: the trace, its §2 message count, and
     whether it ran to the configured horizon (early-stopped runs are
     valid for decision queries but not as witnesses or merge inputs)."""
 
-    run: Run
+    run: KernelTrace
     messages: int
     complete: bool
 
@@ -139,8 +133,7 @@ class ExecutionCache:
     the pipeline simulates.  A cache may be shared across drivers (and
     thus across partitions) attacking the same protocol.
 
-    Entries hold runs (see :data:`Run`): mask traces on the mask path,
-    executions on the object path.
+    Entries hold :class:`~repro.sim.kernel.KernelTrace` runs.
 
     Besides exact hits, the cache performs two *semantic* reuses, both
     returning runs bit-identical to a fresh simulation:
@@ -151,16 +144,16 @@ class ExecutionCache:
     * **beyond-horizon identity** — for ``k`` past the horizon the
       isolation never acts, so the fault-free run is reused with the
       faulty set rewritten to ``G`` (a trace sharing the base trace's
-      rows, or an execution sharing its behaviors).
+      rows).
 
     ``hits`` counts exact key hits, ``alias_hits`` the semantic reuses,
     ``misses`` actual simulations.
 
-    Process-boundary note: ``_entries`` hold full runs,
-    ``_checkpointers`` hold live machine deep-copies and
-    ``_kernel_states`` hold live mask traces with their fork machinery —
-    none is ever shipped across process boundaries.  A parallel sweep
-    gives every worker its own cache and sends back *counters only* (see
+    Process-boundary note: ``_entries`` hold full traces and
+    ``_kernel_states`` hold live mask traces with their fork machinery
+    (machine deep-copies) — neither is ever shipped across process
+    boundaries.  A parallel sweep gives every worker its own cache and
+    sends back *counters only* (see
     :class:`repro.parallel.jobs.CacheStats`), which the scheduler folds
     into one aggregate via :meth:`merge_stats`.
     """
@@ -169,7 +162,6 @@ class ExecutionCache:
     alias_hits: int = 0
     misses: int = 0
     _entries: dict = field(default_factory=dict, repr=False)
-    _checkpointers: dict = field(default_factory=dict, repr=False)
     _kernel_states: dict = field(default_factory=dict, repr=False)
 
     def merge_stats(self, other) -> None:
@@ -178,7 +170,7 @@ class ExecutionCache:
         ``other`` is anything exposing ``hits`` / ``alias_hits`` /
         ``misses`` integer attributes — a sibling :class:`ExecutionCache`
         or the picklable :class:`repro.parallel.jobs.CacheStats` a worker
-        ships home.  Entries and checkpointers are deliberately *not*
+        ships home.  Entries and fork states are deliberately *not*
         merged: traces and machine snapshots stay within the process that
         produced them.
         """
@@ -212,21 +204,6 @@ class ExecutionCache:
                 family.append((sig[1], entry))
         return family
 
-    def checkpointer(
-        self, spec_key: _SpecKey, bit: Bit
-    ) -> MachineCheckpointer | None:
-        """The fault-free run's checkpointer for ``bit``, if recorded."""
-        return self._checkpointers.get((spec_key, bit))
-
-    def store_checkpointer(
-        self,
-        spec_key: _SpecKey,
-        bit: Bit,
-        checkpointer: MachineCheckpointer,
-    ) -> None:
-        """Record the fault-free checkpointer for later resume calls."""
-        self._checkpointers[(spec_key, bit)] = checkpointer
-
     def kernel_state(
         self, spec_key: _SpecKey, bit: Bit
     ) -> "tuple[KernelTrace, PrefixForker] | None":
@@ -239,8 +216,7 @@ class ExecutionCache:
         bit: Bit,
         state: "tuple[KernelTrace, PrefixForker]",
     ) -> None:
-        """Record the mask-kernel analogue of the checkpointer: the
-        fault-free trace (the shared prefix) plus the
+        """Record the fault-free trace (the shared prefix) plus the
         :class:`~repro.sim.kernel.PrefixForker` the Lemma-4 scan fans
         out of."""
         self._kernel_states[(spec_key, bit)] = state
@@ -342,7 +318,7 @@ class LowerBoundDriver:
             has decided.  Witnesses, merge inputs and the observed bound
             always come from full-horizon runs (re-simulated on demand),
             so outcomes are unchanged.
-        reuse: enable the execution cache's checkpoint-resume and
+        reuse: enable the execution cache's prefix-fork and
             quiescent-aliasing reuses.  Disabling both ``early_stop``
             and ``reuse`` replicates the simulate-everything pipeline.
         cache: a shared :class:`ExecutionCache`; by default each driver
@@ -351,11 +327,11 @@ class LowerBoundDriver:
             timing instrument (default: the shared zero-overhead
             :data:`~repro.obs.tracer.NULL_TRACER`).  A live
             :class:`~repro.obs.tracer.LedgerTracer` receives every
-            pipeline phase as a span, every simulated round (on either
-            engine) as an ``engine.round`` event with message-count and
-            wall-time attributes, and the final cache/bound counters —
-            the run-ledger view of the attack.  Telemetry never affects
-            outcomes or the engine choice.
+            pipeline phase as a span, every simulated round as an
+            ``engine.round`` event with message-count and wall-time
+            attributes, and the final cache/bound counters — the
+            run-ledger view of the attack.  Telemetry never affects
+            outcomes.
         certify: package the outcome as a portable v1 attack
             certificate (``AttackOutcome.certificate``): the pipeline
             records which configuration produced each trace and which
@@ -365,19 +341,14 @@ class LowerBoundDriver:
         worldlog: an open :class:`~repro.worldlog.store.WorldLog` to
             record in-band milestones into (default ``None``: no
             records).  The driver appends a ``checkpoint`` record per
-            fault-free checkpointer it stores and — when ``certify`` is
+            fault-free fork state it stores and — when ``certify`` is
             on — a ``cert.artifact`` record carrying the assembled
             certificate's exact canonical text, so the certificate view
             derived from the log is byte-identical to the file the CLI
             writes.  Recording never affects outcomes.
-        kernel: which round engine simulates — ``"mask"`` (default)
-            the bitmask kernel (:mod:`repro.sim.kernel`), ``"object"``
-            the per-message object engine.  The driver's adversaries
-            (no-fault and Definition-1 isolation) always compile to
-            masks, and nothing else changes the choice.  Both engines
-            produce bit-identical executions and therefore equal
-            outcomes — witnesses, bounds, logs and reuse counters — and
-            the same ``engine.round`` stream; only speed differs.
+
+    Every simulation runs on the bitmask kernel (:mod:`repro.sim.kernel`);
+    see the module docstring.
     """
 
     spec: ProtocolSpec
@@ -391,7 +362,6 @@ class LowerBoundDriver:
     tracer: Tracer = NULL_TRACER
     worldlog: "WorldLog | None" = None
     telemetry: "TelemetryBus | None" = None
-    kernel: str = "mask"
     _counts_at_start: dict | None = field(default=None, repr=False)
     _metrics: "MetricsRegistry | None" = field(default=None, repr=False)
     _trace_observers: tuple = field(default=(), repr=False)
@@ -422,10 +392,6 @@ class LowerBoundDriver:
             raise ValueError("partition does not match the spec's (n, t)")
         if self.cache is None:
             self.cache = ExecutionCache()
-        if self.kernel not in ("object", "mask"):
-            raise ValueError(
-                f"kernel must be 'object' or 'mask', not {self.kernel!r}"
-            )
         if self.tracer.enabled:
             from repro.obs.metrics import MetricsRegistry
 
@@ -914,7 +880,7 @@ class LowerBoundDriver:
 
         ``full`` demands a full-horizon run (witness embedding, merge
         input); otherwise a cached early-stopped run is acceptable for
-        decision queries.  Both the quiescent-alias and checkpoint-resume
+        decision queries.  Both the quiescent-alias and prefix-fork
         paths return runs bit-identical to a fresh simulation, so
         callers never observe the difference.
         """
@@ -968,64 +934,20 @@ class LowerBoundDriver:
             key, bit, members, from_round, horizon, full
         )
 
-    def _run_fault_free(self, bit: Bit, key: tuple) -> Execution:
-        """Simulate a fault-free run, checkpointing it for later resumes.
+    def _run_fault_free(self, bit: Bit, key: tuple) -> KernelTrace:
+        """Simulate a fault-free run, recording it for later forks.
 
         Always full-horizon: fault-free traces anchor the observed bound
-        and the Weak Validity witnesses, and their checkpoints seed every
-        prefix resume.
-        """
-        assert self.cache is not None
-        if self.kernel == "mask":
-            return self._run_fault_free_kernel(bit, key)
-        streaming = StreamingComplexity()
-        observers: list[RoundObserver] = [streaming]
-        checkpointer: MachineCheckpointer | None = None
-        if self.reuse:
-            # Only start-of-round states the Lemma-4 scan can actually
-            # resume from (from_round >= 2, within the horizon).
-            checkpointer = MachineCheckpointer(
-                rounds=range(2, self.spec.rounds + 1)
-            )
-            observers.append(checkpointer)
-        observers.extend(self._trace_observers)
-        execution = self.spec.run_uniform(
-            bit, None, check=self.check, observers=observers
-        )
-        self._rounds_simulated += execution.rounds
-        messages = streaming.correct_messages
-        self._observe_messages(messages, execution)
-        self.cache.store(key, _CacheEntry(execution, messages, True))
-        self.cache.misses += 1
-        if checkpointer is not None and checkpointer.enabled:
-            self.cache.store_checkpointer(self._spec_key, bit, checkpointer)
-            if self.worldlog is not None:
-                self.worldlog.append(
-                    "checkpoint",
-                    {
-                        "protocol": self.spec.name,
-                        "n": self.spec.n,
-                        "t": self.spec.t,
-                        "bit": bit,
-                        "rounds": execution.rounds,
-                        "enabled": checkpointer.enabled,
-                    },
-                )
-        return execution
-
-    def _run_fault_free_kernel(self, bit: Bit, key: tuple) -> KernelTrace:
-        """The mask-kernel fault-free run.
-
-        Instead of a :class:`MachineCheckpointer` deep-copying machines
-        at every registered round boundary, the cache records the mask
-        trace plus a :class:`~repro.sim.kernel.PrefixForker`; scan
-        candidates deep-copy once at their divergence round.  When
-        checking is on, the trace additionally goes through
+        and the Weak Validity witnesses, and their prefixes seed every
+        fork.  With ``reuse`` the cache records the trace plus a
+        :class:`~repro.sim.kernel.PrefixForker`; scan candidates
+        deep-copy once at their divergence round.  When checking is on,
+        the trace additionally goes through
         :func:`~repro.sim.kernel.check_trace` — fault-free runs anchor
         witnesses and the observed bound, so they get the full
-        Appendix-A check even on the fast path, read off the masks.  The
-        trace is not materialized: it is cached as the run, and becomes
-        an :class:`Execution` only if it turns into a witness or is
+        Appendix-A check, read off the masks.  The trace is not
+        materialized: it is cached as the run, and becomes an
+        :class:`Execution` only if it turns into a witness or is
         embedded in a certificate (an execution built from a checked
         trace needs no second check).
         """
@@ -1073,7 +995,7 @@ class LowerBoundDriver:
         members: frozenset[ProcessId],
         from_round: Round,
         horizon: int,
-    ) -> Run | None:
+    ) -> KernelTrace | None:
         """The semantic reuses: beyond-horizon identity and aliasing."""
         assert self.cache is not None
         if from_round > horizon:
@@ -1081,22 +1003,13 @@ class LowerBoundDriver:
             # the fault-free one with the faulty set rewritten to the
             # (fault-committing-nothing) isolated group.
             base = self._run(bit, None, None)
-            run: Run
-            if isinstance(base, KernelTrace):
-                run = KernelTrace(
-                    n=self.spec.n,
-                    t=self.spec.t,
-                    proposals=base.proposals,
-                    corrupted=members,
-                    rows=base.rows,
-                )
-            else:
-                run = Execution(
-                    n=self.spec.n,
-                    t=self.spec.t,
-                    faulty=members,
-                    behaviors=base.behaviors,
-                )
+            run = KernelTrace(
+                n=self.spec.n,
+                t=self.spec.t,
+                proposals=base.proposals,
+                corrupted=members,
+                rows=base.rows,
+            )
             entry = _CacheEntry(run, run.message_complexity(), True)
             self.cache.store(key, entry)
             self.cache.alias_hits += 1
@@ -1122,103 +1035,18 @@ class LowerBoundDriver:
         from_round: Round,
         horizon: int,
         full: bool,
-    ) -> Run:
-        """Actually simulate ``E_bit^{G(from_round)}``.
-
-        Resumes from the fault-free checkpoint at ``from_round`` when
-        available (the isolated run is identical to the fault-free one
-        before its isolation round); falls back to a from-scratch run,
-        early-stopped when only decisions are needed.
-        """
-        assert self.cache is not None
-        if self.kernel == "mask":
-            return self._simulate_isolation_kernel(
-                key, bit, members, from_round, horizon, full
-            )
-        adversary = isolate_group(members, from_round)
-        checkpointer = (
-            self.cache.checkpointer(self._spec_key, bit)
-            if self.reuse
-            else None
-        )
-        if (
-            checkpointer is not None
-            and checkpointer.enabled
-            and from_round >= 2
-            and checkpointer.has_checkpoint(from_round)
-        ):
-            base = self._run(bit, None, None)
-            config = SimulationConfig(
-                n=self.spec.n,
-                t=self.spec.t,
-                rounds=horizon,
-                check=self.check,
-            )
-            prefix = [
-                [
-                    base.behavior(pid).fragment(round_)
-                    for round_ in range(1, from_round)
-                ]
-                for pid in range(self.spec.n)
-            ]
-            execution = resume_execution(
-                config,
-                checkpointer.checkpoint(from_round),
-                adversary,
-                prefix,
-                from_round,
-                observers=self._trace_observers,
-            )
-            self._rounds_simulated += horizon - from_round + 1
-            self._prefix_rounds_skipped += from_round - 1
-            messages = execution.message_complexity()
-            self._observe_messages(messages, execution)
-            self.cache.store(key, _CacheEntry(execution, messages, True))
-            self.cache.misses += 1
-            return execution
-        streaming = StreamingComplexity()
-        observers: list[RoundObserver] = [streaming]
-        if self.early_stop and not full:
-            observers.append(EarlyStopPolicy(scope="all"))
-        observers.extend(self._trace_observers)
-        execution = self.spec.run_uniform(
-            bit, adversary, check=self.check, observers=observers
-        )
-        self._rounds_simulated += execution.rounds
-        complete = execution.rounds == horizon
-        if not complete:
-            self._early_stops += 1
-        messages = streaming.correct_messages
-        if complete:
-            # Truncated traces undercount §2 complexity (protocols may
-            # keep sending after deciding), so only full runs feed the
-            # observed bound.
-            self._observe_messages(messages, execution)
-        self.cache.store(key, _CacheEntry(execution, messages, complete))
-        self.cache.misses += 1
-        return execution
-
-    def _simulate_isolation_kernel(
-        self,
-        key: tuple,
-        bit: Bit,
-        members: frozenset[ProcessId],
-        from_round: Round,
-        horizon: int,
-        full: bool,
     ) -> KernelTrace:
-        """The batched mask-kernel isolation scan step.
+        """Actually simulate ``E_bit^{G(from_round)}``.
 
         Candidates with ``from_round >= 2`` fan out of the fault-free
         prefix via the recorded :class:`~repro.sim.kernel.PrefixForker`
         (one deep-copy at the divergence round, memoized across
         candidates and bits of the scan) and simulate only their tail as
-        a mask delta.  The forker's prefix replays are checkpoint
-        *provisioning* — the kernel analogue of the object path's
-        per-round :class:`MachineCheckpointer` deep-copies — and like
-        those are excluded from the ``rounds_simulated`` counter, so the
-        two engines report identical reuse accounting (and outcomes stay
-        engine-independent under ``AttackOutcome`` equality).
+        a mask delta — the isolated run is identical to the fault-free
+        one before its isolation round.  The forker's prefix replays are
+        checkpoint *provisioning*, not simulation, so they are excluded
+        from the ``rounds_simulated`` counter.  Otherwise the run starts
+        from scratch, early-stopped when only decisions are needed.
         """
         assert self.cache is not None
         compiled = compile_omissions(
@@ -1234,9 +1062,10 @@ class LowerBoundDriver:
             base_trace, forker = state
             machines, _advanced = forker.machines_at(from_round)
             if machines is not None:
-                # Touch the fault-free base through the cache exactly as
-                # the object resume path does (same hit accounting, same
-                # certification origin bookkeeping).
+                # Touch the fault-free base through the cache: the hit
+                # it counts is part of the reuse counters that
+                # ``AttackOutcome.log``, ``repro attack --log`` and the
+                # certificate goldens record.
                 self._run(bit, None, None)
                 trace = fork_kernel(
                     self._sim_config(),
@@ -1301,9 +1130,7 @@ class LowerBoundDriver:
         registry.counter("engine.early_stops").add(self._early_stops)
         if self._counts_at_start is not None:
             # Interpreter-wide materialization deltas over the attack:
-            # machine deep-copies plus the kernel's mask/popcount work
-            # (mask counters stay zero on the object engine, which
-            # documents *which* engine ran).
+            # forker deep-copies plus the kernel's mask/popcount work.
             delta = object_counts_delta(self._counts_at_start)
             registry.counter("engine.machine_snapshots").add(
                 delta["machine_snapshots"]
@@ -1503,7 +1330,6 @@ def attack_weak_consensus(
     tracer: Tracer = NULL_TRACER,
     worldlog: "WorldLog | None" = None,
     telemetry: "TelemetryBus | None" = None,
-    kernel: str = "mask",
 ) -> AttackOutcome:
     """Run the full lower-bound pipeline against ``spec``.
 
@@ -1516,7 +1342,7 @@ def attack_weak_consensus(
             witness execution — the artifact must stay self-consistent.
         check: validate simulated traces against the model conditions.
         early_stop: halt decision-only simulations at the decision round.
-        reuse: enable checkpoint-resume and quiescent-alias execution
+        reuse: enable prefix-fork and quiescent-alias execution
             reuse (``early_stop=False, reuse=False`` reproduces the
             simulate-everything pipeline round for round).
         cache: a shared :class:`ExecutionCache` for attacking the same
@@ -1534,11 +1360,8 @@ def attack_weak_consensus(
             in-band ``checkpoint`` and ``cert.artifact`` records.
         telemetry: an optional :class:`~repro.obs.telemetry
             .TelemetryBus` sampling the attack into observability-only
-            ``telemetry.snapshot`` records through a per-round tap on
-            either engine.  ``None`` (the default) costs nothing.
-        kernel: round-engine selection — ``"mask"`` (default) runs the
-            bitmask kernel, ``"object"`` the per-message engine (see
-            :class:`LowerBoundDriver`).  Outcomes are engine-independent.
+            ``telemetry.snapshot`` records through a per-round tap.
+            ``None`` (the default) costs nothing.
     """
     driver = LowerBoundDriver(
         spec=spec,
@@ -1552,7 +1375,6 @@ def attack_weak_consensus(
         tracer=tracer,
         worldlog=worldlog,
         telemetry=telemetry,
-        kernel=kernel,
     )
     outcome = driver.attack()
     if minimize and outcome.witness is not None:

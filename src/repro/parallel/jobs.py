@@ -57,7 +57,7 @@ class UnknownBuilderError(ReproError):
 class CacheStats:
     """Counters-only view of an :class:`ExecutionCache` — picklable.
 
-    The cache's entries and checkpointers hold live machine snapshots and
+    The cache's entries and fork states hold live machine snapshots and
     full execution traces; only these counters are shipped back from
     workers (see ``ExecutionCache.merge_stats``).
     """

@@ -623,7 +623,7 @@ class SweepScheduler:
 
         Uses ``ExecutionCache.merge_stats`` so the sweep-level cache
         accounting goes through the same counters-only contract the
-        per-driver caches use (entries and checkpointers never cross
+        per-driver caches use (entries and fork states never cross
         process boundaries).  Cells that shipped an attack certificate
         are re-verified here — by the standalone
         :func:`repro.certify.verifier.verify_certificate`, against the

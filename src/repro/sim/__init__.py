@@ -39,7 +39,6 @@ from repro.sim.adversary import (
 from repro.sim.engine import (
     EarlyStopPolicy,
     IncrementalChecker,
-    MachineCheckpointer,
     RoundEngine,
     RoundEvent,
     RoundObserver,
@@ -93,7 +92,6 @@ from repro.sim.simulator import (
     SimulationConfig,
     all_correct_decided,
     decisions_by_value,
-    resume_execution,
     run_execution,
     run_with_uniform_proposal,
 )
@@ -124,7 +122,6 @@ __all__ = [
     "IncrementalChecker",
     "KernelOracle",
     "KernelTrace",
-    "MachineCheckpointer",
     "Message",
     "NoFaults",
     "OmissionSchedule",
@@ -170,7 +167,6 @@ __all__ = [
     "meets_lower_bound",
     "no_faults_compiled",
     "quadratic_ratio",
-    "resume_execution",
     "run_execution",
     "run_kernel",
     "run_with_uniform_proposal",

@@ -19,10 +19,6 @@ independently:
   have all decided.  Sound because decisions are write-once (A.1.5
   condition 6) and every protocol declares a sound ``max_rounds(n, t)``:
   the truncated run is a prefix of the full run with the same decisions.
-* :class:`MachineCheckpointer` — deep-copies the machine array at
-  registered round boundaries so a later simulation can *resume*
-  mid-execution (used by the lower-bound driver to share the fault-free
-  prefix across the Lemma-4 critical-round scan).
 * :class:`~repro.sim.metrics.StreamingComplexity` — the incremental
   message-complexity accountant (lives with the other metrics).
 
@@ -34,7 +30,6 @@ current round to every observer, then halts.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -59,9 +54,9 @@ def object_counts() -> dict[str, int]:
     (every :class:`~repro.sim.state.Behavior` record),
     ``channels_interned`` (distinct ``(sender, receiver)`` pairs the
     channel cache has interned), ``machine_snapshots`` (machines
-    deep-copied by :class:`MachineCheckpointer`), plus the bitmask
-    kernel's representation counters ``masks_built`` and ``popcounts``
-    (see :mod:`repro.sim.kernel`).  Consumers — the driver's
+    deep-copied by :class:`~repro.sim.kernel.PrefixForker`), plus the
+    bitmask kernel's representation counters ``masks_built`` and
+    ``popcounts`` (see :mod:`repro.sim.kernel`).  Consumers — the driver's
     ``engine.*`` trace counters foremost — snapshot before and after a
     measured region and report the delta (:func:`object_counts_delta`):
     an allocation-shaped view of simulator cost that wall-clock timing
@@ -87,7 +82,8 @@ def object_counts_delta(before: dict[str, int]) -> dict[str, int]:
 
 
 class _SnapshotCounts:
-    """Machines deep-copied by :class:`MachineCheckpointer` (monotone)."""
+    """Machines deep-copied by :class:`~repro.sim.kernel.PrefixForker`
+    (monotone)."""
 
     __slots__ = ("machines",)
 
@@ -191,11 +187,6 @@ class RoundEngine:
         machines: the ``n`` state machines, indexed by process id.
         adversary: the (static or adaptive) adversary to consult.
         observers: event consumers, notified in list order.
-        first_round: where to start simulating (> 1 only when resuming a
-            run whose earlier rounds are already known, e.g. from a
-            checkpointed fault-free prefix; the machines must then be in
-            their start-of-``first_round`` states and the adversary must
-            be static, since its per-round hooks are not replayed).
     """
 
     def __init__(
@@ -204,21 +195,14 @@ class RoundEngine:
         machines: Sequence[Process],
         adversary: Adversary,
         observers: Sequence[RoundObserver] = (),
-        *,
-        first_round: Round = 1,
     ) -> None:
-        if not 1 <= first_round <= config.rounds:
-            raise ValueError(
-                f"first_round {first_round} outside 1..{config.rounds}"
-            )
         self._config = config
         self._machines = list(machines)
         self._adversary = adversary
         self._observers = list(observers)
-        self._first_round = first_round
         self.rounds_run = 0
         self.stopped_early = False
-        self.last_round = first_round - 1
+        self.last_round = 0
 
     def run(self) -> None:
         """Simulate rounds until the horizon or an observer's stop request."""
@@ -226,7 +210,7 @@ class RoundEngine:
             observer.on_run_start(
                 self._config, self._machines, self._adversary
             )
-        for round_ in range(self._first_round, self._config.rounds + 1):
+        for round_ in range(1, self._config.rounds + 1):
             event = self._step(round_)
             for observer in self._observers:
                 observer.on_round(event)
@@ -309,19 +293,9 @@ class RoundEngine:
 
 
 class TraceRecorder(RoundObserver):
-    """Accumulates events into the classic :class:`Execution` record.
+    """Accumulates events into the classic :class:`Execution` record."""
 
-    Args:
-        prefix: per-process fragment sequences for rounds the engine will
-            *not* simulate (rounds ``1 .. first_round - 1`` of a resumed
-            run); empty for a run starting at round 1.
-    """
-
-    def __init__(
-        self,
-        prefix: Sequence[Sequence[Fragment]] | None = None,
-    ) -> None:
-        self._prefix = [list(row) for row in prefix] if prefix else None
+    def __init__(self) -> None:
         self._fragments: list[list[Fragment]] = []
         self._config: "SimulationConfig | None" = None
         self._final_states: tuple[StateSnapshot, ...] = ()
@@ -329,11 +303,7 @@ class TraceRecorder(RoundObserver):
 
     def on_run_start(self, config, machines, adversary) -> None:
         self._config = config
-        self._fragments = (
-            self._prefix
-            if self._prefix is not None
-            else [[] for _ in range(config.n)]
-        )
+        self._fragments = [[] for _ in range(config.n)]
 
     def on_round(self, event: RoundEvent) -> None:
         for pid, fragment in enumerate(event.fragments):
@@ -484,61 +454,3 @@ class EarlyStopPolicy(RoundObserver):
         if not undecided:
             self.stop_requested = True
             self.stopped_at = event.round
-
-
-class MachineCheckpointer(RoundObserver):
-    """Deep-copies the machine array at registered round boundaries.
-
-    ``checkpoint(k)`` returns a *fresh* copy of the machines in their
-    start-of-round-``k`` states, so a caller can resume simulation at
-    round ``k`` under a different (static) adversary without re-running
-    rounds ``1 .. k-1`` — the execution-reuse backbone of the Lemma-4
-    critical-round scan.  Only meaningful for deterministic machines
-    (the library-wide contract) whose state survives ``copy.deepcopy``;
-    a machine that cannot be deep-copied disables the checkpointer
-    rather than failing the run.
-
-    Snapshots are *lazy*: only rounds a consumer registered — via the
-    ``rounds`` constructor argument or :meth:`register` before the run
-    reaches them — are captured.  An unregistered checkpointer captures
-    nothing: historically it deep-copied the machine array at *every*
-    round boundary whether or not anyone would resume, which dominated
-    allocation on runs that never resumed.  The driver registers
-    exactly the resume rounds its scan can reach; deltas are visible in
-    ``object_counts()['machine_snapshots']``.
-    """
-
-    def __init__(self, rounds: Sequence[Round] | None = None) -> None:
-        self._rounds: set[Round] = set() if rounds is None else set(rounds)
-        self._snapshots: dict[Round, list[Process]] = {}
-        self._machines: Sequence[Process] = ()
-        self.enabled = True
-
-    def register(self, rounds: Sequence[Round]) -> None:
-        """Add rounds to snapshot (before the run passes them)."""
-        self._rounds.update(rounds)
-
-    def on_run_start(self, config, machines, adversary) -> None:
-        self._machines = machines
-        if 1 in self._rounds:
-            self._snapshot(1)
-
-    def on_round(self, event: RoundEvent) -> None:
-        if self.enabled and event.round + 1 in self._rounds:
-            self._snapshot(event.round + 1)
-
-    def _snapshot(self, round_: Round) -> None:
-        try:
-            self._snapshots[round_] = copy.deepcopy(list(self._machines))
-            SNAPSHOTS.machines += len(self._snapshots[round_])
-        except Exception:  # deepcopy-hostile machines: degrade gracefully
-            self.enabled = False
-            self._snapshots.clear()
-
-    def has_checkpoint(self, round_: Round) -> bool:
-        """Whether a start-of-round-``round_`` snapshot exists."""
-        return round_ in self._snapshots
-
-    def checkpoint(self, round_: Round) -> list[Process]:
-        """A fresh machine array in start-of-round-``round_`` states."""
-        return copy.deepcopy(self._snapshots[round_])

@@ -47,9 +47,8 @@ masks directly, so a checked trace need not be materialized at all.
 :class:`PrefixForker` supports the batched isolation scan: a rolling
 machine array is advanced through the recorded fault-free schedule and
 deep-copied once per *fork round* (memoized), so candidates sharing a
-fault-free prefix pay one copy at their divergence round instead of a
-:class:`~repro.sim.engine.MachineCheckpointer` deep-copy at every round
-boundary.
+fault-free prefix pay one copy at their divergence round, not one at
+every round boundary.
 """
 
 from __future__ import annotations
@@ -653,8 +652,7 @@ def fork_kernel(
     (sound because a Definition-1 isolation acts only from its
     isolation round, and machines are deterministic), then rounds
     ``from_round .. horizon`` run under ``compiled``.  Only those
-    simulated rounds reach ``observers``, as on the object engine's
-    checkpoint resume.
+    simulated rounds reach ``observers``.
     """
     if not 1 <= from_round <= config.rounds:
         raise ValueError(
@@ -699,13 +697,11 @@ class PrefixForker:
     hooks to fire once per round); at each requested fork round the
     array is deep-copied once and memoized, so revisits (the final
     merge re-runs B(R), B(R+1), C(R)) cost one copy, not a replay.
-    This replaces the object path's per-round
-    :class:`~repro.sim.engine.MachineCheckpointer` deep-copies.  Its
-    replays are checkpoint provisioning, not simulation, so they report
-    nothing to round observers.
+    Its replays are checkpoint provisioning, not simulation, so they
+    report nothing to round observers.
 
-    ``enabled`` degrades to ``False`` on deepcopy-hostile machines,
-    mirroring the checkpointer; callers then fall back to fresh runs.
+    ``enabled`` degrades to ``False`` on deepcopy-hostile machines;
+    callers then fall back to fresh runs.
     """
 
     def __init__(

@@ -315,8 +315,17 @@ def executions_to_dicts(
     }
 
 
+def _require_object(data: Any, what: str) -> None:
+    """Reject non-object JSON with the parse failure loaders expect."""
+    if not isinstance(data, dict):
+        raise TypeError(
+            f"{what} must be a JSON object, not {type(data).__name__}"
+        )
+
+
 def execution_from_dict(data: dict) -> Execution:
     """Decode an execution; structural checks run in the constructors."""
+    _require_object(data, "execution")
     if data.get("format") != FORMAT_VERSION:
         raise ReproError(
             f"unsupported execution format {data.get('format')!r}"
@@ -368,6 +377,7 @@ def load_witness(text: str):
     from repro.lowerbound.witnesses import ViolationKind, ViolationWitness
 
     data = json.loads(text)
+    _require_object(data, "witness")
     if data.get("format") != FORMAT_VERSION:
         raise ReproError(
             f"unsupported witness format {data.get('format')!r}"

@@ -35,10 +35,9 @@ from repro.sim.engine import (
     RoundObserver,
     TraceRecorder,
 )
-from repro.sim.execution import Execution, check_execution
+from repro.sim.execution import Execution
 from repro.sim.process import Process, ProcessFactory
-from repro.sim.state import Fragment
-from repro.types import Payload, ProcessId, Round, validate_system_size
+from repro.types import Payload, ProcessId, validate_system_size
 
 
 @dataclass(frozen=True)
@@ -141,48 +140,6 @@ def run_execution(
     engine = RoundEngine(config, machines, adversary, attached)
     engine.run()
     return recorder.execution()
-
-
-def resume_execution(
-    config: SimulationConfig,
-    machines: Sequence[Process],
-    adversary: Adversary,
-    prefix: Sequence[Sequence[Fragment]],
-    start_round: Round,
-    *,
-    observers: Sequence[RoundObserver] = (),
-) -> Execution:
-    """Continue a partially simulated execution from ``start_round``.
-
-    The caller supplies machines already in their start-of-``start_round``
-    states (e.g. from a
-    :class:`~repro.sim.engine.MachineCheckpointer` snapshot) together
-    with the per-process fragments of rounds ``1 .. start_round - 1``.
-    Rounds ``start_round .. config.rounds`` are simulated under
-    ``adversary`` and the two parts are stitched into one full-horizon
-    execution — bit-for-bit what a from-scratch simulation under an
-    adversary that acts identically would record, because the machines
-    are deterministic.
-
-    Only valid for *static* adversaries: the engine does not replay the
-    ``begin_round`` / ``observe_round`` hooks of the skipped prefix
-    rounds.  Validation, when ``config.check`` is set, runs post-hoc on
-    the stitched execution (the incremental checker cannot audit rounds
-    it never saw).
-    """
-    recorder = TraceRecorder(prefix=prefix)
-    engine = RoundEngine(
-        config,
-        machines,
-        adversary,
-        [recorder, *observers],
-        first_round=start_round,
-    )
-    engine.run()
-    execution = recorder.execution()
-    if config.check:
-        check_execution(execution)
-    return execution
 
 
 def all_correct_decided(execution: Execution) -> bool:

@@ -2,12 +2,12 @@
 
 The lower bound's whole argument is indistinguishability between
 executions, and the repository's strongest guarantees are phrased the
-same way: the mask kernel and the object engine must produce the same
-run, a SIGKILLed-and-resumed sweep must produce the same run as an
-uninterrupted one.  "The same run" can never mean byte-equal logs —
-ticks, timestamps, worker pids and run ids legitimately differ — so
-this module defines what *semantic* equality is and reports the first
-place two logs break it.
+same way: a SIGKILLed-and-resumed sweep must produce the same run as an
+uninterrupted one, a parallel sweep the same run as a serial one, and a
+telemetry-on attack the same run as its telemetry-off twin.  "The same
+run" can never mean byte-equal logs — ticks, timestamps, worker pids
+and run ids legitimately differ — so this module defines what
+*semantic* equality is and reports the first place two logs break it.
 
 Alignment is by the wall-clock-independent key ``(kind, name, cell)``
 (:attr:`~repro.worldlog.record.Record.align_key`), not by raw tick:
@@ -27,11 +27,11 @@ invisible by construction.  Before aligning, each log is normalized:
   burst must align with a patient one;
 * payloads are scrubbed of wall-clock and identity fields
   (:data:`DROP_KEYS`, applied recursively) and of the values of
-  wall-clock metrics (:data:`WALL_CLOCK_METRICS`) and engine-specific
-  materialization counters (:data:`ENGINE_METRICS`).
+  wall-clock metrics (:data:`WALL_CLOCK_METRICS`).
 
-What remains — record order, event names, counter values, certificate
-bytes, results — is the run's semantic content, and any difference in
+What remains — record order, event names, counter values (the
+``engine.*`` materialization counters included), certificate bytes,
+results — is the run's semantic content, and any difference in
 it is a real divergence worth a human's attention.
 """
 
@@ -70,20 +70,6 @@ Their presence and order still compare (the run emitted them); their
 measured values and min/max/total attributes do not.
 """
 
-ENGINE_METRICS = frozenset(
-    {"engine.machine_snapshots", "engine.masks_built", "engine.popcounts"}
-)
-"""Materialization counters whose *values* depend on the round engine.
-
-The object engine deep-copies machines at every checkpointed round and
-builds no masks; the mask kernel forks machines once per divergence
-round and counts masks and popcounts.  Like
-:data:`WALL_CLOCK_METRICS` they compare by presence and order only, so
-an object-engine log aligns with its mask-kernel twin.
-"""
-
-_VALUE_BLIND_METRICS = WALL_CLOCK_METRICS | ENGINE_METRICS
-
 _TIMING_ATTRS = frozenset({"min", "max", "total", "mean"})
 
 OBSERVABILITY_KINDS = frozenset({"job.rejected", "telemetry.snapshot"})
@@ -107,7 +93,7 @@ def scrub_payload(payload: Any) -> Any:
             for key, value in payload.items()
             if key not in DROP_KEYS
         }
-        if payload.get("name") in _VALUE_BLIND_METRICS:
+        if payload.get("name") in WALL_CLOCK_METRICS:
             scrubbed.pop("value", None)
             attrs = scrubbed.get("attrs")
             if isinstance(attrs, dict):
@@ -214,8 +200,8 @@ def diff_logs(
     Pure and total: never raises on content, returns a :class:`LogDiff`
     whose ``divergence`` is ``None`` exactly when the logs describe the
     same run.  The canonical empty-diff pairs — a log against itself,
-    object-engine vs mask-kernel runs of one matrix, an uninterrupted
-    sweep vs its SIGKILL-resumed twin — are pinned by
+    two runs of one matrix, an uninterrupted sweep vs its
+    SIGKILL-resumed twin — are pinned by
     ``tests/worldlog/test_diffing.py`` and the CI ``worldlog-replay``
     gates.
     """

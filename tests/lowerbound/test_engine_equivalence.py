@@ -1,19 +1,35 @@
-"""The driver gives the same attack on either round engine.
+"""Every run the driver uses equals a fresh object-engine run.
 
-``kernel="object"`` and ``kernel="mask"`` must agree on every compared
-``AttackOutcome`` field, on the certificate bytes, and — when traced —
-on the ``engine.round`` stream with its wall times scrubbed.  Tracing
-must not change the engine: a traced mask run still builds masks.
+The driver simulates on the mask kernel and reuses runs three ways:
+prefix forks off the fault-free run, quiescent aliases between scan
+steps, and the beyond-horizon alias of the fault-free run.  The object
+engine is the reference: after an attack, each cache entry
+``(spec key, bit, signature)`` must materialize to exactly the
+execution ``spec.run_uniform`` records for that configuration — with
+the driver's ``scope="all"`` early stop when the entry is truncated —
+and carry its §2 message count.  Tracing must not change the engine: a
+traced attack still builds masks and reports every simulated round.
 """
 
 import pytest
 
 from repro.experiments import CHEATERS
-from repro.lowerbound.driver import LowerBoundDriver, attack_weak_consensus
+from repro.lowerbound.driver import (
+    ExecutionCache,
+    LowerBoundDriver,
+    attack_weak_consensus,
+)
 from repro.obs.ledger import RunLedger
 from repro.obs.tracer import NULL_TRACER, LedgerTracer
+from repro.omission.isolation import isolate_group
+from repro.protocols.early_stopping import early_stopping_spec
+from repro.protocols.subquadratic import ring_token_spec
 from repro.protocols.weak_consensus import broadcast_weak_consensus_spec
-from repro.sim.engine import object_counts, object_counts_delta
+from repro.sim.engine import (
+    EarlyStopPolicy,
+    object_counts,
+    object_counts_delta,
+)
 
 CASES = [
     *((name, builder, 12, 8) for name, builder in sorted(CHEATERS.items())),
@@ -21,22 +37,15 @@ CASES = [
 ]
 
 
-def _attack(builder, n, t, kernel, traced):
-    ledger = RunLedger() if traced else None
-    tracer = LedgerTracer(ledger) if traced else NULL_TRACER
-    before = object_counts()
-    outcome = attack_weak_consensus(
-        builder(n, t), certify=True, tracer=tracer, kernel=kernel
-    )
-    masks = object_counts_delta(before)["masks_built"]
-    rounds = [] if ledger is None else [
-        (event.value, tuple(
-            (key, value) for key, value in event.attrs if key != "seconds"
-        ))
-        for event in ledger.events
-        if event.kind == "counter" and event.name == "engine.round"
-    ]
-    return outcome, rounds, masks
+def _assert_cache_matches_object_engine(spec, cache):
+    assert cache._entries
+    for (spec_key, bit, sig), entry in cache._entries.items():
+        assert spec_key == (spec.name, spec.n, spec.t, spec.rounds)
+        adversary = None if sig is None else isolate_group(*sig)
+        observers = [] if entry.complete else [EarlyStopPolicy(scope="all")]
+        reference = spec.run_uniform(bit, adversary, observers=observers)
+        assert entry.run.to_execution() == reference, (bit, sig)
+        assert entry.messages == reference.message_complexity(), (bit, sig)
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
@@ -44,17 +53,52 @@ def _attack(builder, n, t, kernel, traced):
     "name, builder, n, t", CASES, ids=[case[0] for case in CASES]
 )
 def test_object_and_mask_engines_agree(name, builder, n, t, traced):
-    obj, obj_rounds, obj_masks = _attack(builder, n, t, "object", traced)
-    mask, mask_rounds, mask_masks = _attack(builder, n, t, "mask", traced)
-    assert obj == mask
-    assert obj.certificate.to_bytes() == mask.certificate.to_bytes()
-    assert obj_rounds == mask_rounds
-    if traced:
-        assert len(mask_rounds) == mask.rounds_simulated
-    assert obj_masks == 0
-    assert mask_masks > 0
+    """Attack with reuse on and off; every cached run is checked."""
+    for reuse in (True, False):
+        spec = builder(n, t)
+        cache = ExecutionCache()
+        ledger = RunLedger() if traced else None
+        tracer = LedgerTracer(ledger) if traced else NULL_TRACER
+        before = object_counts()
+        outcome = attack_weak_consensus(
+            spec, certify=True, reuse=reuse, cache=cache, tracer=tracer
+        )
+        assert object_counts_delta(before)["masks_built"] > 0
+        if traced:
+            rounds = [
+                event
+                for event in ledger.events
+                if event.kind == "counter" and event.name == "engine.round"
+            ]
+            assert len(rounds) == outcome.rounds_simulated
+        _assert_cache_matches_object_engine(spec, cache)
 
 
-def test_kernel_accepts_only_object_or_mask():
-    with pytest.raises(ValueError, match="'object' or 'mask'"):
-        LowerBoundDriver(CHEATERS["silent"](8, 4), kernel="auto")
+@pytest.mark.parametrize(
+    "builder, n, t, truncates",
+    [(ring_token_spec, 12, 8, False), (early_stopping_spec, 6, 4, True)],
+    ids=["ring-token", "early-stopping"],
+)
+def test_every_reuse_path_equals_a_fresh_object_run(builder, n, t, truncates):
+    """Request every isolation of both groups, past the horizon too.
+
+    The attacks above reach neither the beyond-horizon alias nor a
+    surviving early-stopped entry; this grid adds both to prefix forks
+    and quiescent aliases, and checks each against the object engine.
+    """
+    spec = builder(n, t)
+    cache = ExecutionCache()
+    driver = LowerBoundDriver(spec, cache=cache)
+    for bit in (0, 1):
+        for group in ("B", "C"):
+            for from_round in range(1, spec.rounds + 3):
+                driver._run(bit, group, from_round)
+    assert driver._prefix_rounds_skipped > 0
+    assert cache.alias_hits > 0
+    assert any(
+        sig is not None and sig[1] > spec.rounds
+        for _key, _bit, sig in cache._entries
+    )
+    truncated = [e for e in cache._entries.values() if not e.complete]
+    assert bool(truncated) == truncates
+    _assert_cache_matches_object_engine(spec, cache)

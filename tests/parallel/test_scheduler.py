@@ -143,9 +143,9 @@ class TestCacheStatsMerge:
             22,
             33,
         )
-        # Entries and checkpointers are untouched: counters only.
+        # Entries and fork states are untouched: counters only.
         assert target._entries == {}
-        assert target._checkpointers == {}
+        assert target._kernel_states == {}
 
     def test_merge_stats_accepts_other_caches(self):
         left, right = ExecutionCache(), ExecutionCache()

@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import ModelViolation
 from repro.omission.isolation import isolate_group
+from repro.omission.masks import compile_omissions
 from repro.protocols.byzantine_strategies import crash_at, garbage, mute
 from repro.protocols.phase_king import phase_king_spec
 from repro.protocols.weak_consensus import broadcast_weak_consensus_spec
@@ -27,19 +28,23 @@ from repro.sim.adversary import (
 from repro.sim.engine import (
     EarlyStopPolicy,
     IncrementalChecker,
-    MachineCheckpointer,
     RoundEngine,
     RoundObserver,
     TraceRecorder,
     object_counts,
     object_counts_delta,
 )
+from repro.sim.kernel import (
+    PrefixForker,
+    fork_kernel,
+    no_faults_compiled,
+    run_kernel,
+)
 from repro.sim.process import Process
 from repro.sim.serialization import load_execution
 from repro.sim.simulator import (
     SimulationConfig,
     build_machines,
-    resume_execution,
     run_execution,
 )
 from repro.sim.state import Fragment
@@ -165,21 +170,6 @@ class TestEngineEvents:
         assert all(
             decision is not None for decision in last.decisions
         )
-
-    def test_first_round_bounds_validated(self):
-        spec = phase_king_spec(4, 1)
-        config = SimulationConfig(n=4, t=1, rounds=spec.rounds)
-        machines = build_machines(
-            config, [1] * 4, spec.factory, NoFaults()
-        )
-        with pytest.raises(ValueError, match="first_round"):
-            RoundEngine(
-                config,
-                machines,
-                NoFaults(),
-                [],
-                first_round=spec.rounds + 1,
-            )
 
 
 class _ProposalMutator(Process):
@@ -322,91 +312,69 @@ class TestEarlyStopPolicy:
 
 
 class TestCheckpointResume:
+    """Checkpoint-resume is :class:`PrefixForker` plus
+    :func:`fork_kernel`: machines forked off the recorded fault-free run
+    resume under a new isolation and must record what a from-scratch
+    object-engine run records."""
+
+    def _forker(self, spec, bit):
+        config = SimulationConfig(n=spec.n, t=spec.t, rounds=spec.rounds)
+        proposals = [bit] * spec.n
+        base = run_kernel(
+            config, proposals, spec.factory, no_faults_compiled(spec.n)
+        )
+        return config, base, PrefixForker(
+            config, proposals, spec.factory, base
+        )
+
     @pytest.mark.parametrize("resume_at", [2, 3, 5])
     def test_resumed_isolation_equals_fresh_simulation(self, resume_at):
         """The driver's execution-reuse backbone: checkpoint the
         fault-free run, resume under isolation, and the stitched trace
         must equal the from-scratch isolated simulation exactly."""
         spec = phase_king_spec(6, 1)
-        group = frozenset({5})
-        config = SimulationConfig(n=6, t=1, rounds=spec.rounds)
-        adversary = NoFaults()
-        machines = build_machines(
-            config, [1] * 6, spec.factory, adversary
-        )
-        recorder = TraceRecorder()
-        checkpointer = MachineCheckpointer(rounds=[resume_at])
-        RoundEngine(
-            config, machines, adversary, [recorder, checkpointer]
-        ).run()
-        fault_free = recorder.execution()
-        assert checkpointer.enabled
-        assert checkpointer.has_checkpoint(resume_at)
-
-        prefix = [
-            [
-                fault_free.behavior(pid).fragment(round_)
-                for round_ in range(1, resume_at)
-            ]
-            for pid in range(6)
-        ]
-        resumed = resume_execution(
+        adversary = isolate_group(frozenset({5}), resume_at)
+        config, base, forker = self._forker(spec, 1)
+        machines, replayed = forker.machines_at(resume_at)
+        assert replayed == resume_at - 1
+        resumed = fork_kernel(
             config,
-            checkpointer.checkpoint(resume_at),
-            isolate_group(group, resume_at),
-            prefix,
+            machines,
+            compile_omissions(adversary, spec.n),
+            base,
             resume_at,
         )
-        fresh = spec.run_uniform(1, isolate_group(group, resume_at))
-        assert resumed == fresh
+        fresh = spec.run_uniform(1, adversary)
+        assert resumed.to_execution() == fresh
 
     def test_checkpoints_are_independent_copies(self):
         spec = phase_king_spec(4, 1)
-        config = SimulationConfig(n=4, t=1, rounds=spec.rounds)
-        machines = build_machines(
-            config, [0] * 4, spec.factory, NoFaults()
-        )
-        checkpointer = MachineCheckpointer(rounds=[2])
-        RoundEngine(
-            config, machines, NoFaults(), [checkpointer]
-        ).run()
-        first = checkpointer.checkpoint(2)
-        second = checkpointer.checkpoint(2)
+        _config, _base, forker = self._forker(spec, 0)
+        first, _ = forker.machines_at(2)
+        second, replayed = forker.machines_at(2)
+        assert replayed == 0  # memoized: no second replay
         assert first is not second
         assert first[0] is not second[0]
-        # The live machines ran to the horizon; the snapshots did not.
-        assert machines[0].decision is not None
+        # The fault-free run decided at the horizon; the forks did not.
         assert first[0].decision is None
 
     def test_unregistered_checkpointer_copies_nothing(self):
-        """Lazy checkpointing: no registered rounds, no deep-copies."""
+        """Lazy checkpointing: no requested fork, no deep-copies."""
         spec = phase_king_spec(6, 1)
-        config = SimulationConfig(n=6, t=1, rounds=spec.rounds)
-        machines = build_machines(
-            config, [1] * 6, spec.factory, NoFaults()
-        )
-        checkpointer = MachineCheckpointer()
         before = object_counts()
-        RoundEngine(config, machines, NoFaults(), [checkpointer]).run()
+        self._forker(spec, 1)
         assert object_counts_delta(before)["machine_snapshots"] == 0
-        for round_ in range(1, spec.rounds + 2):
-            assert not checkpointer.has_checkpoint(round_)
 
     def test_only_registered_rounds_are_snapshotted(self):
         spec = phase_king_spec(6, 1)
-        config = SimulationConfig(n=6, t=1, rounds=spec.rounds)
-        machines = build_machines(
-            config, [1] * 6, spec.factory, NoFaults()
-        )
-        checkpointer = MachineCheckpointer(rounds=[2])
-        checkpointer.register([4])
+        _config, _base, forker = self._forker(spec, 1)
         before = object_counts()
-        RoundEngine(config, machines, NoFaults(), [checkpointer]).run()
-        # Two snapshots of six machines each, and nothing else.
-        assert object_counts_delta(before)["machine_snapshots"] == 12
-        assert checkpointer.has_checkpoint(2)
-        assert checkpointer.has_checkpoint(4)
-        assert not checkpointer.has_checkpoint(3)
+        forker.machines_at(2)
+        forker.machines_at(4)
+        # Per requested round, one memoized snapshot and one handed-out
+        # copy of six machines; rounds 1 and 3 are replayed, not copied.
+        assert object_counts_delta(before)["machine_snapshots"] == 24
+        assert forker.rounds_replayed == 3
 
 
 class TestSimulatorEntryPoints:

@@ -23,6 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ModelViolation
+from repro.experiments import CHEATERS
+from repro.lowerbound.partition import canonical_partition
 from repro.omission.isolation import (
     IsolationAdversary,
     isolate_group,
@@ -39,7 +41,12 @@ from repro.sim.adversary import (
     OmissionSchedule,
     ScheduledOmissionAdversary,
 )
-from repro.sim.engine import EarlyStopPolicy, object_counts, object_counts_delta
+from repro.sim.engine import (
+    EarlyStopPolicy,
+    RoundObserver,
+    object_counts,
+    object_counts_delta,
+)
 from repro.sim.execution import check_execution
 from repro.sim.kernel import (
     KernelOracle,
@@ -239,6 +246,99 @@ class TestEngineEquivalence:
         # sender per round.
         assert delta["masks_built"] == 4 * 7 * trace.rounds
         assert delta["popcounts"] == 7 * trace.rounds
+
+
+class _RoundStream(RoundObserver):
+    """Records the ``(round, correct-sender messages)`` stream a tracing
+    observer sees, from either engine: the kernel reports through
+    ``count_round``, the object engine through ``on_round``."""
+
+    def __init__(self):
+        self.rounds = []
+
+    def count_round(self, round_, messages):
+        self.rounds.append((round_, messages))
+
+    def on_round(self, event):
+        self.count_round(event.round, event.sent_by_correct())
+
+
+def _cheater_isolations():
+    for name, builder in sorted(CHEATERS.items()):
+        spec = builder(12, 8)
+        partition = canonical_partition(12, 8)
+        for label, group in (
+            ("B", partition.group_b),
+            ("C", partition.group_c),
+        ):
+            for from_round in range(1, spec.rounds + 2):
+                yield pytest.param(
+                    spec, group, from_round,
+                    id=f"{name}-{label}{from_round}",
+                )
+
+
+class TestTracedRoundStream:
+    """Both engines feed tracing observers the same round stream.
+
+    The driver traces on the kernel; the object engine is the
+    reference for what every traced round must report.
+    """
+
+    @pytest.mark.parametrize("spec, group, from_round", _cheater_isolations())
+    def test_run_kernel_stream_equals_object_stream(
+        self, spec, group, from_round
+    ):
+        adversary = isolate_group(group, from_round)
+        for bit in (0, 1):
+            reference = _RoundStream()
+            spec.run_uniform(bit, adversary, observers=[reference])
+            kernel = _RoundStream()
+            run_kernel(
+                _config(spec),
+                [bit] * spec.n,
+                spec.factory,
+                compile_omissions(adversary, spec.n),
+                observers=[kernel],
+            )
+            assert reference.rounds
+            assert kernel.rounds == reference.rounds
+
+    @pytest.mark.parametrize("spec, group, from_round", [
+        case for case in _cheater_isolations()
+        if 2 <= case.values[2] <= case.values[0].rounds
+    ])
+    def test_fork_kernel_stream_equals_object_tail(
+        self, spec, group, from_round
+    ):
+        adversary = isolate_group(group, from_round)
+        config = _config(spec)
+        for bit in (0, 1):
+            reference = _RoundStream()
+            spec.run_uniform(bit, adversary, observers=[reference])
+            base = run_kernel(
+                config, [bit] * spec.n, spec.factory,
+                no_faults_compiled(spec.n),
+            )
+            forker = PrefixForker(config, [bit] * spec.n, spec.factory, base)
+            machines, _ = forker.machines_at(from_round)
+            forked = _RoundStream()
+            fork_kernel(
+                config,
+                machines,
+                compile_omissions(adversary, spec.n),
+                base,
+                from_round,
+                observers=[forked],
+            )
+            assert forked.rounds
+            assert forked.rounds == reference.rounds[from_round - 1:]
+
+
+def _config(spec):
+    return SimulationConfig(
+        n=spec.n, t=spec.t, rounds=spec.rounds, check=True
+    )
 
 
 def _speedup_gate_module():
