@@ -17,7 +17,7 @@ Subcommands:
   the world-log toolbox: list an append-only record store (with
   ``--kind/--cell/--run/--tail`` filters), re-derive the legacy
   artifact views from it, fold legacy files into a fresh log, and
-  finish an interrupted sweep from its recorded plan.
+  finish an interrupted sweep from its recorded jobs.
 * ``log replay`` / ``log diff`` / ``log stats`` — time travel: step a
   past run record-by-record (``--at TICK`` one-shot or stdin-driven),
   semantically diff two logs of the same matrix (key-aligned, timing
@@ -156,6 +156,15 @@ def _ledger_option(subparser: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    """The ``--jobs`` argument type: a worker count of at least one."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -173,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         if experiment_id in ("e3", "e7"):
             experiment.add_argument(
                 "--jobs",
-                type=int,
+                type=_positive_int,
                 default=1,
                 help=(
                     "worker processes for the sweep matrix (default: "
@@ -187,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     all_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help=(
             "worker processes for sweep-shaped experiments (default: "
@@ -282,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     certify_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes for the matrix (default: serial)",
     )
@@ -337,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help=(
             "worker processes for the sweep matrix (default: serial, "
@@ -461,14 +470,14 @@ def build_parser() -> argparse.ArgumentParser:
     log_resume = log_sub.add_parser(
         "resume",
         help=(
-            "finish an interrupted sweep from its recorded plan: "
-            "already-recorded cells are not re-executed"
+            "finish an interrupted sweep from its recorded jobs: "
+            "jobs with a recorded result are not re-executed"
         ),
     )
     log_resume.add_argument("path", help="world log file")
     log_resume.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes (default: serial)",
     )
@@ -571,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help=(
             "worker parallelism: 1 runs jobs in-process (default); "
@@ -1676,27 +1685,26 @@ def _dispatch_log(args: argparse.Namespace) -> int:
     if args.log_command == "resume":
         from repro.obs.ledger import RunLedger
         from repro.parallel import SweepScheduler
-        from repro.worldlog.resume import sweep_plan
+        from repro.service.queue import recorded_jobs
         from repro.worldlog.store import WorldLog
 
-        worldlog = WorldLog.resume(args.path)
-        jobs = sweep_plan(worldlog.records)
-        if jobs is None:
-            worldlog.close()
-            raise ReproError(
-                f"{args.path} records no sweep plan; only sweeps "
-                "recorded into a world log can be resumed"
-            )
-        ledger = RunLedger(sink=worldlog.record_event)
-        report = SweepScheduler(
-            jobs=args.jobs,
-            ledger=ledger,
-            worldlog=worldlog,
-            progress=_resolve_progress(args),
-            stall_after=args.stall_after,
-        ).run(jobs)
-        print(report.render())
-        _write_ledger(ledger, worldlog, args.path)
+        with WorldLog.resume(args.path) as worldlog:
+            jobs = recorded_jobs(worldlog.records, args.path)
+            if not jobs:
+                raise ReproError(
+                    f"{args.path} records no jobs; only sweeps and "
+                    "services recorded into a world log can be resumed"
+                )
+            ledger = RunLedger(sink=worldlog.record_event)
+            report = SweepScheduler(
+                jobs=args.jobs,
+                ledger=ledger,
+                worldlog=worldlog,
+                progress=_resolve_progress(args),
+                stall_after=args.stall_after,
+            ).run(jobs)
+            print(report.render())
+            _write_ledger(ledger, worldlog, args.path)
         return 1 if report.errors() else 0
     raise AssertionError(
         f"unhandled log command {args.log_command!r}"

@@ -13,8 +13,9 @@ floor while it happens.
 
 The contract that makes this safe is **observability-only**:
 
-* ``recover_jobs``, the jobs manifest and sweep resume never look at
-  ``telemetry.snapshot`` records (they fold only their own kinds);
+* ``recover_jobs`` (the one crash-resume fold, for sweeps and the
+  service alike) and the jobs manifest never look at
+  ``telemetry.snapshot`` records (they fold only ``job.*`` kinds);
 * the semantic differ drops them before aligning
   (:data:`~repro.worldlog.diffing.OBSERVABILITY_KINDS`), so a
   telemetry-on run diffs empty against its telemetry-off twin;

@@ -265,6 +265,18 @@ def _error_from(exc: BaseException, kind: str = "exception") -> CellError:
     )
 
 
+def _reuse(
+    index: int,
+    recalled: dict[int, SweepCell | int],
+    cells: Sequence[SweepCell],
+) -> SweepCell:
+    """The recalled cell at ``index``, or a copy of its earlier twin."""
+    hit = recalled[index]
+    if isinstance(hit, int):
+        return replace(cells[hit], index=index)
+    return hit
+
+
 @dataclass
 class SweepScheduler:
     """Shards a job matrix across workers and gathers deterministically.
@@ -298,19 +310,19 @@ class SweepScheduler:
         progress_stream: status-line destination; defaults to stderr.
             Injectable so tests capture the line without a tty.
         worldlog: optional :class:`~repro.worldlog.store.WorldLog` the
-            sweep records itself into.  A fresh log receives one
-            ``sweep.plan`` record (the full job matrix) up front, one
-            terminal ``cell.result`` / ``cell.error`` record per cell
-            *as it completes* (write-through: each record is on disk
-            before the next cell is consumed), and a ``gather.start``
-            marker before the ledger splice.  A **resumed** log
-            (:meth:`WorldLog.resume`) makes the scheduler skip every
-            cell whose terminal record is already present — the
-            recorded job result is replayed through the normal gather
-            path (certificate re-verification included), so the final
-            report, certificates and spliced event order are
-            bit-identical to an uninterrupted run.  The plan recorded
-            in a resumed log must match the submitted matrix.
+            sweep records itself into as the attack service's jobs: a
+            ``job.submitted`` per new spec-hash key before any job
+            runs, one terminal ``job.result`` / ``job.error`` per key
+            as its cell lands (write-through), and a ``gather.start``
+            marker before the ledger splice; never a ``job.start``,
+            whose position would depend on scheduling.  On a resumed
+            log (:meth:`WorldLog.resume`) every cell whose key has a
+            terminal record (:func:`~repro.service.queue.recover_jobs`)
+            is recalled, not run, and replayed through the normal
+            gather path, so the report, certificates and spliced event
+            order are bit-identical to an uninterrupted run.  Keys name
+            specs, not positions: a different matrix recalls the keys
+            it shares, and a repeated spec runs once.
         telemetry: optional :class:`~repro.obs.telemetry.TelemetryBus`
             sampled from the main thread as cells complete.  The
             sweep's progress tracker is attached to it, so snapshots
@@ -359,7 +371,7 @@ class SweepScheduler:
             job_list = [
                 replace(job, ledger=True) for job in job_list
             ]
-        recorded = self._plan_and_recall(job_list)
+        keys, recalled = self._plan_and_recall(job_list)
         tracker = SweepProgress(
             total=len(job_list),
             stream=self._stream() if self.progress else None,
@@ -374,11 +386,11 @@ class SweepScheduler:
         with HeartbeatMonitor(tracker, interval=interval):
             if self.backend == SERIAL:
                 cells = self._run_serial(
-                    job_list, tracker, labels, recorded
+                    job_list, tracker, labels, keys, recalled
                 )
             else:
                 cells = self._run_process(
-                    job_list, tracker, labels, recorded
+                    job_list, tracker, labels, keys, recalled
                 )
         if self.progress:
             tracker.close()
@@ -397,13 +409,14 @@ class SweepScheduler:
         job_list: Sequence[SweepJob],
         tracker: SweepProgress,
         labels: Sequence[str],
-        recorded: dict[int, SweepCell],
+        keys: Sequence[str],
+        recalled: dict[int, SweepCell | int],
     ) -> list[SweepCell]:
         cells: list[SweepCell] = []
         for index, job in enumerate(job_list):
             tracker.start(labels[index])
-            if index in recorded:
-                cells.append(recorded[index])
+            if index in recalled:
+                cells.append(_reuse(index, recalled, cells))
                 tracker.note_done(labels[index])
                 continue
             begin = time.perf_counter()
@@ -427,7 +440,7 @@ class SweepScheduler:
                         wall_seconds=result.wall_seconds,
                     )
                 )
-            self._record_cell(cells[-1])
+            self._record_cell(cells[-1], keys)
             tracker.note_done(labels[index])
         return cells
 
@@ -436,7 +449,8 @@ class SweepScheduler:
         job_list: Sequence[SweepJob],
         tracker: SweepProgress,
         labels: Sequence[str],
-        recorded: dict[int, SweepCell],
+        keys: Sequence[str],
+        recalled: dict[int, SweepCell | int],
     ) -> list[SweepCell]:
         cells: list[SweepCell] = []
         with ProcessPoolExecutor(max_workers=self.jobs) as pool:
@@ -445,9 +459,10 @@ class SweepScheduler:
                 zip(labels, job_list)
             ):
                 tracker.start(label)
-                if index in recorded:
-                    # Terminal record already on disk: nothing to
-                    # submit; the gather loop replays the record.
+                if index in recalled:
+                    # The key is already answered (a terminal record on
+                    # disk, or an earlier cell with the same spec):
+                    # nothing to submit; the gather loop reuses it.
                     tracker.note_done(label)
                     continue
                 future = pool.submit(execute_job, job)
@@ -458,8 +473,8 @@ class SweepScheduler:
                 )
                 futures[index] = future
             for index, job in enumerate(job_list):
-                if index in recorded:
-                    cells.append(recorded[index])
+                if index in recalled:
+                    cells.append(_reuse(index, recalled, cells))
                     continue
                 future = futures[index]
                 begin = time.perf_counter()
@@ -492,82 +507,98 @@ class SweepScheduler:
                             wall_seconds=result.wall_seconds,
                         )
                     )
-                self._record_cell(cells[-1])
+                self._record_cell(cells[-1], keys)
         return cells
 
     def _plan_and_recall(
         self, job_list: Sequence[SweepJob]
-    ) -> dict[int, SweepCell]:
-        """Record (or verify) the sweep plan; recall terminal records.
+    ) -> tuple[list[str], dict[int, SweepCell | int]]:
+        """Submit the matrix as jobs (tenant ``sweep``, priority 0).
 
-        On a fresh world log, appends the ``sweep.plan`` record.  On a
-        resumed log, verifies the recorded plan matches the submitted
-        matrix and rebuilds a :class:`SweepCell` per cell whose
-        terminal ``cell.result`` / ``cell.error`` record survived —
-        those cells are skipped by the run loops and replayed through
-        the normal gather path.
+        Returns ``(keys, recalled)``: each cell's job key, and per
+        cell whose key is answered either the cell rebuilt from its
+        terminal record or the index of an earlier cell with the same
+        spec.  Without a world log nothing is keyed or recalled.
         """
         if self.worldlog is None:
-            return {}
-        from repro.worldlog.codec import encode_job
-        from repro.worldlog.resume import (
-            check_plan,
-            completed_results,
-            has_plan,
-            recorded_errors,
-        )
+            return [], {}
+        from repro.obs.ledger import cell_label
+        from repro.service.protocol import job_key
+        from repro.service.queue import decode_recorded, recover_jobs
+        from repro.worldlog.codec import decode_job_result, encode_job
 
-        records = self.worldlog.records
-        if has_plan(records):
-            check_plan(records, list(job_list))
-        else:
-            self.worldlog.append(
-                "sweep.plan",
-                {"jobs": [encode_job(job) for job in job_list]},
-            )
-        recalled: dict[int, SweepCell] = {}
-        for index, result in completed_results(records).items():
-            if 0 <= index < len(job_list):
+        log = self.worldlog
+        pending, terminals = recover_jobs(log.records, log.path)
+        queued = {entry.key for entry in pending}
+        keys: list[str] = []
+        first: dict[str, int] = {}
+        recalled: dict[int, SweepCell | int] = {}
+        for index, job in enumerate(job_list):
+            spec = encode_job(job)
+            key = job_key(spec)
+            keys.append(key)
+            if key in first:
+                recalled[index] = first[key]
+                continue
+            first[key] = index
+            record = terminals.get(key)
+            if record is None:
+                if key not in queued:
+                    log.append(
+                        "job.submitted",
+                        {
+                            "key": key,
+                            "tenant": "sweep",
+                            "priority": 0,
+                            "job": spec,
+                        },
+                        cell_id=cell_label(job.key),
+                    )
+            elif record.kind == "job.result":
+                result = decode_recorded(
+                    record, "result", decode_job_result, log.path
+                )
                 recalled[index] = SweepCell(
                     index=index,
-                    key=job_list[index].key,
+                    key=job.key,
                     result=result,
                     wall_seconds=result.wall_seconds,
                 )
-        for index, (error, wall) in recorded_errors(records).items():
-            if 0 <= index < len(job_list):
+            else:
+                payload = record.payload
                 recalled[index] = SweepCell(
                     index=index,
-                    key=job_list[index].key,
-                    error=error,
-                    wall_seconds=wall,
+                    key=job.key,
+                    error=CellError(
+                        kind=payload["error_kind"],
+                        message=payload["message"],
+                        detail=payload.get("detail", ""),
+                    ),
+                    wall_seconds=payload.get("wall_seconds", 0.0),
                 )
-        return recalled
+        return keys, recalled
 
-    def _record_cell(self, cell: SweepCell) -> None:
-        """Append a cell's terminal record, write-through, as it lands."""
+    def _record_cell(self, cell: SweepCell, keys: Sequence[str]) -> None:
+        """Append a cell's terminal job record, write-through."""
         if self.worldlog is None:
             return
         from repro.obs.ledger import cell_label
         from repro.worldlog.codec import encode_job_result
 
         label = cell_label(cell.key)
+        key = keys[cell.index]
         if cell.result is not None:
             self.worldlog.append(
-                "cell.result",
-                {
-                    "index": cell.index,
-                    "result": encode_job_result(cell.result),
-                },
+                "job.result",
+                {"key": key, "result": encode_job_result(cell.result)},
                 cell_id=label,
             )
         else:
             assert cell.error is not None
             self.worldlog.append(
-                "cell.error",
+                "job.error",
                 {
-                    "index": cell.index,
-                    "key": list(cell.key),
+                    "key": key,
                     "error_kind": cell.error.kind,
                     "message": cell.error.message,
                     "detail": cell.error.detail,

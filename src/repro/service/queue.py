@@ -20,6 +20,11 @@ the server *executes*:
 * ``job.result`` / ``job.error`` → terminal; the payload becomes the
   recorded result a re-submission of the same key is answered from.
 
+A restarted server and a resumed sweep both recover through this one
+fold, and a tampered log fails here, once: payloads are shape-checked
+by :func:`recover_jobs` and recalled fields decoded by
+:func:`decode_recorded`, each failure a ``path:line`` artifact error.
+
 >>> queue = JobQueue()
 >>> queue.push(JobEntry(key="aa", tenant="t", priority=0, job={}))
 >>> queue.push(JobEntry(key="bb", tenant="t", priority=5, job={}))
@@ -33,9 +38,24 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
+from repro.artifact import artifact_error
+from repro.errors import ReproError
 from repro.worldlog.record import Record
+
+_JOB_FIELDS: dict[str, tuple[tuple[str, type], ...]] = {
+    "job.submitted": (
+        ("key", str), ("tenant", str), ("priority", int), ("job", dict),
+    ),
+    "job.result": (("key", str), ("result", dict)),
+    "job.error": (("key", str), ("error_kind", str), ("message", str)),
+}
+"""The payload fields the recovery fold relies on, per record kind."""
+
+_DECODE_FAILURES = (
+    KeyError, TypeError, ValueError, AttributeError, ReproError,
+)
 
 
 @dataclass
@@ -119,7 +139,7 @@ class JobQueue:
 
 
 def recover_jobs(
-    records: Iterable[Record],
+    records: Iterable[Record], path: str = "world log"
 ) -> tuple[list[JobEntry], dict[str, Record]]:
     """Fold a resumed log's ``job.*`` records into queue state.
 
@@ -127,20 +147,77 @@ def recover_jobs(
     acceptance order (both never-started and died-mid-run jobs), and
     the terminal record per completed key — the recorded results that
     make re-submission free and restarts idempotent.
+
+    Raises:
+        ArtifactError: when a ``job.*`` payload lacks a field the fold
+            reads (``path:line`` diagnostic, CLI exit 2).
     """
     entries: dict[str, JobEntry] = {}
     terminals: dict[str, Record] = {}
     for record in records:
+        fields = _JOB_FIELDS.get(record.kind)
+        if fields is None:
+            continue
+        payload = record.payload
+        for name, kind in fields:
+            if not isinstance(payload, dict) or not isinstance(
+                payload.get(name), kind
+            ):
+                problem = f"no {kind.__name__} field {name!r}"
+                raise _record_error(record, path, ValueError(problem))
+        key = payload["key"]
         if record.kind == "job.submitted":
-            payload = record.payload
-            entries[payload["key"]] = JobEntry(
-                key=payload["key"],
+            entries[key] = JobEntry(
+                key=key,
                 tenant=payload["tenant"],
                 priority=payload["priority"],
                 job=payload["job"],
             )
-        elif record.kind in ("job.result", "job.error"):
-            key = record.payload["key"]
+        else:
             terminals[key] = record
             entries.pop(key, None)
     return list(entries.values()), terminals
+
+
+def decode_recorded(
+    record: Record,
+    name: str,
+    decode: Callable[[Any], Any],
+    path: str = "world log",
+) -> Any:
+    """Decode one recalled payload field with the fold's diagnostic.
+
+    Raises:
+        ArtifactError: when the field does not decode (CLI exit 2).
+    """
+    try:
+        return decode(record.payload[name])
+    except _DECODE_FAILURES as exc:
+        raise _record_error(record, path, exc) from exc
+
+
+def recorded_jobs(
+    records: Iterable[Record], path: str = "world log"
+) -> list[Any]:
+    """Every accepted job spec, decoded, in acceptance order.
+
+    Raises:
+        ArtifactError: when a recorded spec does not decode.
+    """
+    from repro.worldlog.codec import decode_job
+
+    return [
+        decode_recorded(record, "job", decode_job, path)
+        for record in records
+        if record.kind == "job.submitted"
+    ]
+
+
+def _record_error(
+    record: Record, path: str, error: BaseException
+) -> Exception:
+    # Logs are written one record per line from tick 0, and a resume
+    # rewrites them that way, so a record's line is its tick plus one.
+    return artifact_error(
+        path, f"{record.kind} record", error, line=record.tick + 1
+    )

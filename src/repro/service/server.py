@@ -20,13 +20,14 @@ that matters in the world log:
   as ``job.rejected`` — no recovery, no manifest, scrubbed by the
   semantic differ.
 
-Crash-resume follows the sweep scheduler's contract: the log is the
-queue.  ``JobServer`` on an existing log resumes it
+Crash-resume is the one job contract the sweep scheduler shares: the
+log is the queue.  ``JobServer`` on an existing log resumes it
 (:meth:`~repro.worldlog.store.WorldLog.resume`), refolds the ``job.*``
 records (:func:`~repro.service.queue.recover_jobs`) and continues —
 queued jobs still queued, died-mid-run jobs re-queued, finished jobs
-answerable.  Nothing outside the log is consulted, so a SIGKILL at any
-record boundary loses at most the in-flight attempt, never a result.
+answerable, a sweep's recorded jobs included.  Nothing outside the
+log is consulted, so a SIGKILL at any record boundary loses at most
+the in-flight attempt, never a result.
 
 Determinism: a job's ledger events ship *inside* its ``job.result``
 payload (the :func:`~repro.worldlog.codec.encode_job_result` envelope),
@@ -56,7 +57,7 @@ import time
 import traceback
 from typing import Any
 
-from repro.errors import ReproError
+from repro.errors import ArtifactError, ReproError
 from repro.obs.ledger import job_label
 from repro.obs.telemetry import TelemetryBus
 from repro.parallel.jobs import execute_job
@@ -69,7 +70,12 @@ from repro.service.protocol import (
     job_key,
     parse_request,
 )
-from repro.service.queue import JobEntry, JobQueue, recover_jobs
+from repro.service.queue import (
+    JobEntry,
+    JobQueue,
+    recorded_jobs,
+    recover_jobs,
+)
 from repro.service.quota import QuotaPolicy
 from repro.worldlog.codec import decode_job, encode_job, encode_job_result
 from repro.worldlog.record import Record
@@ -110,7 +116,9 @@ class JobServer:
     ) -> None:
         self.log_path = log_path
         self.socket_path = socket_path
-        self.jobs = max(1, jobs)
+        if jobs < 1:
+            raise ValueError(f"need at least one worker, got {jobs}")
+        self.jobs = jobs
         self.quota = QuotaPolicy() if quota is None else quota
         self.telemetry_interval = telemetry_interval
         self._run_id = run_id
@@ -170,7 +178,13 @@ class JobServer:
             self._log = WorldLog.resume(self.log_path)
         else:
             self._log = WorldLog.create(self.log_path, run_id=self._run_id)
-        pending, self._terminals = recover_jobs(self._log.records)
+        try:
+            records = self._log.records
+            pending, self._terminals = recover_jobs(records, self.log_path)
+            recorded_jobs(records, self.log_path)  # every spec decodes
+        except ArtifactError:
+            self._log.close()
+            raise
         for entry in pending:
             self._admit_entry(entry)
 

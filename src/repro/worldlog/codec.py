@@ -1,9 +1,9 @@
 """JSON codecs for the records crash-resume replays.
 
-A resumed sweep must reconstruct each completed cell's
-:class:`~repro.parallel.jobs.JobResult` — outcome value, cache
+A resumed sweep or restarted service must reconstruct each completed
+job's :class:`~repro.parallel.jobs.JobResult` — outcome value, cache
 counters, certificate bytes, ledger segment — from its terminal
-``cell.result`` record alone, bit-identically to what the original
+``job.result`` record alone, bit-identically to what the original
 worker shipped.  This module is that round trip, built on the shared
 :mod:`repro.sim.serialization` codec (executions, payloads) so there is
 exactly one encoding policy in the repository.
@@ -20,6 +20,7 @@ exactly as they do across process boundaries.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from typing import Any
 
 from repro.errors import ReproError
@@ -32,82 +33,43 @@ from repro.sim.serialization import (
 
 
 # ----------------------------------------------------------------------
-# jobs (the sweep.plan payload)
+# jobs (the job.submitted payload's spec)
 # ----------------------------------------------------------------------
 
 
-def encode_job(job: Any) -> dict[str, Any]:
-    """One sweep job as a JSON-safe plan entry."""
+def _job_classes() -> dict[str, type]:
     from repro.parallel.jobs import AttackJob, ClassifyJob, MeasureJob
 
-    if isinstance(job, ClassifyJob):
-        return {
-            "kind": "classify",
-            "builder": job.builder,
-            "n": job.n,
-            "t": job.t,
-            "ledger": job.ledger,
-        }
-    if isinstance(job, AttackJob):
-        return {
-            "kind": "attack",
-            "builder": job.builder,
-            "n": job.n,
-            "t": job.t,
-            "verify": job.verify,
-            "check": job.check,
-            "early_stop": job.early_stop,
-            "reuse": job.reuse,
-            "certify": job.certify,
-            "ledger": job.ledger,
-        }
-    if isinstance(job, MeasureJob):
-        return {
-            "kind": "measure",
-            "builder": job.builder,
-            "n": job.n,
-            "t": job.t,
-            "include_mixed": job.include_mixed,
-            "ledger": job.ledger,
-        }
-    raise ReproError(
-        f"cannot encode sweep job of type {type(job).__name__}"
-    )
+    return {
+        "attack": AttackJob,
+        "measure": MeasureJob,
+        "classify": ClassifyJob,
+    }
+
+
+def encode_job(job: Any) -> dict[str, Any]:
+    """One job as a JSON-safe spec: its kind, then its fields in order.
+
+    The spec is what :func:`~repro.service.protocol.job_key` hashes
+    into a job's idempotent key.
+    """
+    if type(job) not in _job_classes().values():
+        raise ReproError(
+            f"cannot encode sweep job of type {type(job).__name__}"
+        )
+    spec = {"kind": job.key[0]}
+    for item in fields(job):
+        spec[item.name] = getattr(job, item.name)
+    return spec
 
 
 def decode_job(data: dict[str, Any]) -> Any:
-    """Inverse of :func:`encode_job`."""
-    from repro.parallel.jobs import AttackJob, ClassifyJob, MeasureJob
-
+    """Inverse of :func:`encode_job`; every field must be present."""
     kind = data.get("kind")
-    if kind == "classify":
-        return ClassifyJob(
-            builder=data["builder"],
-            n=data["n"],
-            t=data["t"],
-            ledger=data["ledger"],
-        )
-    if kind == "attack":
-        return AttackJob(
-            builder=data["builder"],
-            n=data["n"],
-            t=data["t"],
-            verify=data["verify"],
-            check=data["check"],
-            early_stop=data["early_stop"],
-            reuse=data["reuse"],
-            certify=data["certify"],
-            ledger=data["ledger"],
-        )
-    if kind == "measure":
-        return MeasureJob(
-            builder=data["builder"],
-            n=data["n"],
-            t=data["t"],
-            include_mixed=data["include_mixed"],
-            ledger=data["ledger"],
-        )
-    raise ReproError(f"unknown sweep job kind {kind!r}")
+    cls = _job_classes().get(kind)
+    if cls is None:
+        raise ReproError(f"unknown sweep job kind {kind!r}")
+    return cls(**{item.name: data[item.name] for item in fields(cls)})
 
 
 # ----------------------------------------------------------------------

@@ -79,8 +79,9 @@ Both land at positions driven by wall clock and load — a quota
 refusal depends on how fast a tenant hammered the socket, a telemetry
 snapshot on where the sampling interval elapsed — so the differ drops
 them the way it drops ``gather.start`` markers.  The contract is the
-flip side of these records being ignored by ``recover_jobs``, the jobs
-manifest and sweep resume: they may appear anywhere, or nowhere,
+flip side of these records being ignored by ``recover_jobs`` (which
+resumes sweeps and the service alike) and the jobs manifest: they
+may appear anywhere, or nowhere,
 without changing what run the log describes.
 """
 

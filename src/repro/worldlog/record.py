@@ -42,11 +42,8 @@ WORLDLOG_SCHEMA = "repro.worldlog/v1"
 
 KINDS = (
     "log.open",
-    "sweep.plan",
     "gather.start",
     "ledger.event",
-    "cell.result",
-    "cell.error",
     "checkpoint",
     "cert.artifact",
     "job.submitted",
@@ -59,27 +56,25 @@ KINDS = (
 """The typed record vocabulary, in documentation order.
 
 * ``log.open`` — the header: schema tag plus the run id; always tick 0.
-* ``sweep.plan`` — the full job matrix of a scheduled sweep (one record
-  per run; resume verifies the plan matches before skipping cells).
 * ``gather.start`` — marks the start of a sweep's gather step; the
   ledger view reads events after the *last* marker, so a crash during a
   gather never duplicates events in the derived view.
 * ``ledger.event`` — one :class:`~repro.obs.ledger.LedgerEvent`,
   mirrored verbatim as it lands in the live run ledger.
-* ``cell.result`` / ``cell.error`` — a sweep cell's terminal record
-  (the crash-resume unit): the full decoded-or-decodable job result, or
-  the structured failure.
 * ``checkpoint`` — an in-band driver checkpoint note (fault-free run
   snapshotted for Lemma-4 prefix resume).
 * ``cert.artifact`` — a portable attack certificate, carried as its
   canonical JSON text.
 * ``job.submitted`` / ``job.start`` / ``job.result`` / ``job.error`` —
-  the attack service's job lifecycle (:mod:`repro.service`): one
-  acceptance record per idempotent job key, an optional start marker
-  per execution attempt, and **exactly one** terminal record per
-  accepted job — the invariant a killed-and-restarted ``repro serve``
-  resumes on.  The ``jobs`` derived view renders these as the
-  ``jobs.json`` manifest.
+  the one job lifecycle, written by the attack service
+  (:mod:`repro.service`) and the sweep scheduler alike: one acceptance
+  record per idempotent job key (a sweep writes its whole matrix up
+  front, tenant ``sweep``), an optional start marker per execution
+  attempt (the service only), and **exactly one** terminal record per
+  accepted job — the crash-resume unit a killed-and-restarted
+  ``repro serve`` and a SIGKILLed sweep both resume on, through
+  :func:`~repro.service.queue.recover_jobs`.  The ``jobs`` derived
+  view renders these as the ``jobs.json`` manifest.
 * ``job.rejected`` — a quota/rate rejection at admission time: key,
   tenant, rejection kind and reason.  Pure observability (``repro log
   stats`` folds these into per-tenant rejection counts): a rejected
@@ -89,7 +84,7 @@ KINDS = (
   .TelemetryBus` snapshot: the live metrics registry, sweep-progress
   accounting and round-tap rates folded into a single record.  Pure
   observability like ``job.rejected``: ignored by the recovery fold,
-  the jobs manifest and sweep resume, and dropped by the semantic
+  and the jobs manifest, and dropped by the semantic
   differ (:func:`~repro.worldlog.diffing.comparable_records`), so runs
   with and without telemetry stay semantically identical.
 """

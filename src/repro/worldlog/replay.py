@@ -88,8 +88,8 @@ class ReplayState:
     Event-derived fields (``events`` through ``vs_floor``) mirror the
     derived ledger view: they reset on every ``gather.start`` marker,
     so they always describe events after the *last* marker seen.
-    Envelope-derived fields (plans, terminals, jobs, certificates,
-    checkpoints) accumulate over the whole prefix, exactly like their
+    Envelope-derived fields (cells, jobs, certificates, checkpoints)
+    accumulate over the whole prefix, exactly like their
     manifest views.
     """
 
@@ -98,10 +98,7 @@ class ReplayState:
     run_id: str = ""
     kind_counts: dict[str, int] = field(default_factory=dict)
 
-    # sweep bookkeeping (whole prefix)
-    planned_cells: int | None = None
-    completed_cells: dict[int, str | None] = field(default_factory=dict)
-    errored_cells: dict[int, str | None] = field(default_factory=dict)
+    # cell bookkeeping (whole prefix)
     cells_seen: set[str] = field(default_factory=set)
     cells_terminal: set[str] = field(default_factory=set)
 
@@ -162,9 +159,6 @@ class ReplayState:
             position=self.position,
             run_id=self.run_id,
             kind_counts=dict(self.kind_counts),
-            planned_cells=self.planned_cells,
-            completed_cells=dict(self.completed_cells),
-            errored_cells=dict(self.errored_cells),
             cells_seen=set(self.cells_seen),
             cells_terminal=set(self.cells_terminal),
             jobs={key: dict(entry) for key, entry in self.jobs.items()},
@@ -207,9 +201,6 @@ class ReplayState:
 
         if kind == "log.open":
             self.run_id = record.run_id
-        elif kind == "sweep.plan":
-            jobs = payload.get("jobs") if isinstance(payload, dict) else None
-            self.planned_cells = len(jobs) if isinstance(jobs, list) else 0
         elif kind == "gather.start":
             # The ledger view reads events after the *last* marker:
             # everything event-derived starts over.
@@ -223,14 +214,6 @@ class ReplayState:
             self.vs_floor = None
         elif kind == "ledger.event":
             self._apply_event(payload)
-        elif kind == "cell.result":
-            self.completed_cells[payload["index"]] = record.cell_id
-            if record.cell_id is not None:
-                self.cells_terminal.add(record.cell_id)
-        elif kind == "cell.error":
-            self.errored_cells[payload["index"]] = record.cell_id
-            if record.cell_id is not None:
-                self.cells_terminal.add(record.cell_id)
         elif kind == "checkpoint":
             self.checkpoints += 1
         elif kind == "cert.artifact":
@@ -406,13 +389,6 @@ def render_state(state: ReplayState, total: int | None = None) -> str:
                 f"{kind}×{count}"
                 for kind, count in sorted(state.kind_counts.items())
             )
-        )
-    if state.planned_cells is not None:
-        lines.append(
-            f"sweep: {state.planned_cells} planned, "
-            f"{len(state.completed_cells)} completed, "
-            f"{len(state.errored_cells)} errored"
-            + (f", {state.gathers} gather(s)" if state.gathers else "")
         )
     live = state.live_cells
     lines.append(

@@ -16,11 +16,10 @@ golden fixtures under ``tests/worldlog/golden``:
 * **checkpoints** — ``checkpoints.json``: the in-band driver
   checkpoint notes as one manifest document.
 
-A fourth, service-era view has no legacy writer: **jobs** —
-``jobs.json``: the attack service's job manifest (schema
-``repro.jobs/v1``), folding each job's ``job.submitted`` /
-``job.start`` / ``job.result`` / ``job.error`` records into one entry
-per idempotent job key.  ``repro jobs --log`` renders the same
+A fourth view has no legacy writer: **jobs** — ``jobs.json``: the
+manifest of service and sweep jobs (schema ``repro.jobs/v1``), folding
+each job's ``job.submitted`` / ``job.start`` / ``job.result`` /
+``job.error`` records into one entry per idempotent job key.  ``repro jobs --log`` renders the same
 manifest without materializing it.
 """
 

@@ -1,6 +1,15 @@
 """Tests for the priority queue and the world-log recovery fold."""
 
-from repro.service.queue import JobEntry, JobQueue, recover_jobs
+import pytest
+
+from repro.errors import ArtifactError
+from repro.service.queue import (
+    JobEntry,
+    JobQueue,
+    decode_recorded,
+    recorded_jobs,
+    recover_jobs,
+)
 from repro.worldlog.record import Record
 
 
@@ -109,3 +118,86 @@ class TestRecoverJobs:
         assert [entry.key for entry in pending] == ["bb", "cc"]
         assert pending[0].priority == 7
         assert pending[0].tenant == "t"
+
+
+class TestRecoverJobsDiagnostics:
+    """A malformed ``job.*`` payload fails the fold with ``path:line``."""
+
+    @pytest.mark.parametrize(
+        "record, fragment",
+        [
+            (
+                _record(1, "job.submitted",
+                        {"key": "aa", "priority": 0, "job": {}}),
+                "log.worldlog:2: not a job.submitted record "
+                "(ValueError: no str field 'tenant')",
+            ),
+            (
+                _record(1, "job.submitted",
+                        {"key": "aa", "tenant": "t", "priority": "high",
+                         "job": {}}),
+                "log.worldlog:2: not a job.submitted record "
+                "(ValueError: no int field 'priority')",
+            ),
+            (
+                _record(4, "job.result", {"key": "aa", "result": "?"}),
+                "log.worldlog:5: not a job.result record "
+                "(ValueError: no dict field 'result')",
+            ),
+            (
+                _record(2, "job.error", {"key": "aa"}),
+                "log.worldlog:3: not a job.error record "
+                "(ValueError: no str field 'error_kind')",
+            ),
+            (
+                _record(2, "job.result", ["aa"]),
+                "log.worldlog:3: not a job.result record "
+                "(ValueError: no str field 'key')",
+            ),
+        ],
+    )
+    def test_malformed_payload(self, record, fragment):
+        with pytest.raises(ArtifactError) as excinfo:
+            recover_jobs([record], "log.worldlog")
+        assert fragment in str(excinfo.value)
+
+    def test_other_kinds_are_not_checked(self):
+        records = [
+            _record(1, "job.start", {}),
+            _record(2, "job.rejected", {}),
+            _record(3, "telemetry.snapshot", None),
+        ]
+        assert recover_jobs(records) == ([], {})
+
+    def test_recalled_spec_and_result_decode_with_the_diagnostic(self):
+        from repro.parallel.jobs import AttackJob
+        from repro.worldlog.codec import (
+            decode_job,
+            decode_job_result,
+            encode_job,
+        )
+
+        spec = encode_job(AttackJob("silent", 8, 4))
+        good = _record(
+            1, "job.submitted",
+            {"key": "aa", "tenant": "t", "priority": 0, "job": spec},
+        )
+        assert recorded_jobs([good]) == [AttackJob("silent", 8, 4)]
+        broken = dict(spec)
+        del broken["builder"]
+        bad = _record(
+            6, "job.submitted",
+            {"key": "bb", "tenant": "t", "priority": 0, "job": broken},
+        )
+        with pytest.raises(ArtifactError) as excinfo:
+            recorded_jobs([good, bad], "log.worldlog")
+        assert "log.worldlog:7: not a job.submitted record" in str(
+            excinfo.value
+        )
+        result = _record(3, "job.result", {"key": "aa", "result": {}})
+        with pytest.raises(ArtifactError) as excinfo:
+            decode_recorded(result, "result", decode_job_result)
+        assert "world log:4: not a job.result record" in str(excinfo.value)
+        assert decode_recorded(good, "job", decode_job) == AttackJob(
+            "silent", 8, 4
+        )

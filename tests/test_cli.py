@@ -343,6 +343,125 @@ class TestWorldLogCommands:
         assert code == 1
 
 
+class TestJobsOption:
+    """Every ``--jobs`` takes one positive-integer type: usage, exit 2."""
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "silent"],
+            ["e3"],
+            ["e7"],
+            ["all"],
+            ["certify", "matrix"],
+            # Unusable paths: a parser that let the value through fails
+            # on them instead of serving or writing anything.
+            ["log", "resume", "/dev/null/missing.worldlog"],
+            ["serve", "--socket", "/dev/null/s.sock",
+             "--log", "/dev/null/missing.worldlog"],
+        ],
+        ids=["sweep", "e3", "e7", "all", "certify", "log-resume", "serve"],
+    )
+    def test_non_positive_jobs_is_a_usage_error(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--jobs", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"expected a positive integer, got {value!r}" in err
+        assert "Traceback" not in err
+
+
+class TestResumeDiagnostics:
+    """A tampered ``job.*`` record is a ``path:line`` diagnostic, exit 2."""
+
+    @pytest.fixture
+    def sweep_log(self, tmp_path):
+        log_path = str(tmp_path / "sweep.worldlog")
+        assert main(["sweep", "silent", "--grid", "proportional",
+                     "--max-t", "4", "--ledger", log_path]) == 0
+        return log_path
+
+    @staticmethod
+    def _tamper(path, kind, mutate):
+        """Apply ``mutate`` to the first ``kind`` payload; its line."""
+        import json
+
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        for number, line in enumerate(lines, start=1):
+            record = json.loads(line)
+            if record["kind"] == kind:
+                mutate(record["payload"])
+                lines[number - 1] = json.dumps(record)
+                break
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        return number
+
+    TAMPERS = {
+        "submitted-without-tenant": (
+            "job.submitted", lambda payload: payload.pop("tenant")
+        ),
+        "spec-without-builder": (
+            "job.submitted", lambda payload: payload["job"].pop("builder")
+        ),
+        "undecodable-result": (
+            "job.result",
+            lambda payload: payload["result"].update(value={"kind": "?"}),
+        ),
+    }
+
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    def test_log_resume(self, sweep_log, tamper, capsys):
+        line = self._tamper(sweep_log, *self.TAMPERS[tamper])
+        capsys.readouterr()
+        assert main(["log", "resume", sweep_log]) == 2
+        err = capsys.readouterr().err
+        assert f"{sweep_log}:{line}: not a job." in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "tamper", ["submitted-without-tenant", "undecodable-result"]
+    )
+    def test_sweep_resume(self, sweep_log, tamper, capsys):
+        line = self._tamper(sweep_log, *self.TAMPERS[tamper])
+        capsys.readouterr()
+        code = main(["sweep", "silent", "--grid", "proportional",
+                     "--max-t", "4", "--resume", sweep_log])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{sweep_log}:{line}: not a job." in err
+
+    @pytest.mark.parametrize(
+        "tamper", ["submitted-without-tenant", "spec-without-builder"]
+    )
+    def test_serve_on_a_tampered_log(self, sweep_log, tamper, capsys):
+        import shutil
+        import tempfile
+
+        line = self._tamper(sweep_log, *self.TAMPERS[tamper])
+        scratch = tempfile.mkdtemp(prefix="rcli", dir="/tmp")
+        try:
+            code = main(["serve", "--socket",
+                         os.path.join(scratch, "s.sock"),
+                         "--log", sweep_log])
+        finally:
+            shutil.rmtree(scratch, ignore_errors=True)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{sweep_log}:{line}: not a job.submitted record" in err
+
+    def test_log_without_jobs_exits_one(self, tmp_path, capsys):
+        from repro.worldlog import WorldLog
+
+        log_path = str(tmp_path / "empty.worldlog")
+        WorldLog.create(log_path, run_id="r").close()
+        assert main(["log", "resume", log_path]) == 1
+        assert "records no jobs" in capsys.readouterr().err
+
+
 class TestServiceCommands:
     """Exit-code and diagnostic pinning for serve/submit/jobs/watch."""
 

@@ -159,7 +159,7 @@ class TestScrub:
 
     def test_scrub_recurses_into_results_and_events(self):
         payload = {
-            "index": 0,
+            "key": "k0",
             "result": {
                 "wall_seconds": 1.25,
                 "value": {"rounds": 7},
@@ -167,7 +167,7 @@ class TestScrub:
             },
         }
         assert scrub_payload(payload) == {
-            "index": 0,
+            "key": "k0",
             "result": {
                 "value": {"rounds": 7},
                 "events": [{"name": "attack"}],

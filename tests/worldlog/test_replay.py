@@ -87,11 +87,13 @@ def _sweep_like_records():
     """A small synthetic sweep log exercising every state family."""
     rows = [
         ("log.open", {"schema": "repro.worldlog/v1"}, None),
-        ("sweep.plan", {"jobs": [{"k": 0}, {"k": 1}]}, None),
-        ("cell.result", {"index": 0, "result": {}}, "cell/a"),
-        ("cell.error", {"index": 1, "key": [], "error_kind": "x",
-                        "message": "m", "detail": "", "wall_seconds": 1.0},
-         "cell/b"),
+        ("job.submitted", {"key": "s0", "tenant": "sweep",
+                           "priority": 0, "job": {"k": 0}}, "cell/a"),
+        ("job.submitted", {"key": "s1", "tenant": "sweep",
+                           "priority": 0, "job": {"k": 1}}, "cell/b"),
+        ("job.result", {"key": "s0", "result": {}}, "cell/a"),
+        ("job.error", {"key": "s1", "error_kind": "x", "message": "m",
+                       "detail": "", "wall_seconds": 1.0}, "cell/b"),
         ("gather.start", {}, None),
         ("ledger.event", {"ts": 0.0, "kind": "span-start",
                           "name": "attack", "value": None,
@@ -120,9 +122,12 @@ def _sweep_like_records():
 class TestReplayState:
     def test_live_cells_pending_jobs_and_rejections(self):
         state = replay_state(_sweep_like_records())
-        assert state.planned_cells == 2
-        assert state.completed_cells == {0: "cell/a"}
-        assert state.errored_cells == {1: "cell/b"}
+        sweep = {key: entry for key, entry in state.jobs.items()
+                 if entry["tenant"] == "sweep"}
+        assert len(sweep) == 2
+        assert sweep["s0"]["state"] == "done"
+        assert sweep["s1"]["state"] == "failed"
+        assert {"cell/a", "cell/b"} <= state.cells_terminal
         # cell/a produced post-gather events but already has its
         # terminal record; the job cells are live/rejected.
         assert state.live_cells == ["job/x"]
@@ -146,7 +151,7 @@ class TestReplayState:
         assert state.open_spans == []
         assert state.rounds_observed == 0
         # Envelope-derived bookkeeping survives the reset.
-        assert state.completed_cells == {0: "cell/a"}
+        assert state.jobs["s0"]["state"] == "done"
         assert state.jobs["k1"]["state"] == "running"
         assert state.gathers == 2
 
@@ -395,7 +400,13 @@ def _synthetic_sweep_log(run_id, jitter):
         }
 
     append("log.open", {"schema": "repro.worldlog/v1"})
-    append("sweep.plan", {"jobs": [{"index": i} for i in range(CELLS)]})
+    for index in range(CELLS):
+        append(
+            "job.submitted",
+            {"key": f"k{index:03d}", "tenant": "sweep", "priority": 0,
+             "job": {"index": index}},
+            f"cell/{index:03d}",
+        )
     clock = 0.0
     splice = []
     for index in range(CELLS):
@@ -431,8 +442,9 @@ def _synthetic_sweep_log(run_id, jitter):
         cell_events.append(event(clock, "span-end", "attack", None, cell, {}))
         splice.extend((payload, cell) for payload in cell_events)
         append(
-            "cell.result",
-            {"index": index, "result": {"wall_seconds": 0.5 + jitter}},
+            "job.result",
+            {"key": f"k{index:03d}",
+             "result": {"wall_seconds": 0.5 + jitter}},
             cell,
         )
     append("gather.start", {})
@@ -451,7 +463,9 @@ class TestSweepShapedLog:
             pass
         assert cursor.position == len(records)
         state = cursor.state
-        assert len(state.completed_cells) == CELLS
+        assert [entry["state"] for entry in state.jobs.values()] == [
+            "done"
+        ] * CELLS
         assert len(state.events) == sum(
             1 for r in records if r.kind == "ledger.event"
         )

@@ -6,6 +6,11 @@ torn log must (a) not re-execute recorded cells and (b) finish with a
 ``SweepReport``, certificates and ledger order signature bit-identical
 to an *uninterrupted serial* run — the scheduler's cross-backend
 equality contract, extended across a crash.
+
+A sweep records its matrix as the attack service's jobs (``job.*``
+records keyed by spec hash), so the same fold that restarts
+``repro serve`` — :func:`~repro.service.queue.recover_jobs` — is what
+a resumed sweep reads.
 """
 
 import os
@@ -13,14 +18,17 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
-from repro.errors import ReproError
 from repro.obs.ledger import RunLedger, order_signature
 from repro.parallel.jobs import AttackJob, MeasureJob
 from repro.parallel.scheduler import SweepScheduler
+from repro.service.protocol import job_key
+from repro.service.queue import recover_jobs
 from repro.worldlog import WorldLog, read_worldlog
+from repro.worldlog.codec import encode_job
 
 # One certified attack (certificate bytes must survive), one plain
 # attack, one quick measure, and one slow measure tail that keeps the
@@ -44,7 +52,14 @@ def _terminal_records(path):
     return [
         record
         for record in read_worldlog(path)
-        if record.kind in ("cell.result", "cell.error")
+        if record.kind in ("job.result", "job.error")
+    ]
+
+
+def _ledger_keys(matrix):
+    """Each cell's job key as a ledger-carrying sweep records it."""
+    return [
+        job_key(encode_job(replace(job, ledger=True))) for job in matrix
     ]
 
 
@@ -88,7 +103,7 @@ def _run_and_kill_mid_flight(log_path):
                 break
             if os.path.exists(log_path):
                 with open(log_path, encoding="utf-8") as handle:
-                    if '"kind": "cell.result"' in handle.read():
+                    if '"kind": "job.result"' in handle.read():
                         break
             time.sleep(0.01)
         else:  # pragma: no cover - diagnostics for a hung child
@@ -138,12 +153,11 @@ class TestCrashResume:
         )
         # Recorded cells were replayed, not re-executed: their wall
         # clocks are the original run's, verbatim from the record.
-        by_index = {
-            record.payload["index"]: record for record in recorded
-        }
+        by_key = {record.payload["key"]: record for record in recorded}
+        keys = _ledger_keys(_matrix())
         for cell in resumed.cells:
-            if cell.index in by_index:
-                payload = by_index[cell.index].payload
+            if keys[cell.index] in by_key:
+                payload = by_key[keys[cell.index]].payload
                 recorded_wall = payload.get("wall_seconds") or payload[
                     "result"
                 ].get("wall_seconds")
@@ -164,24 +178,88 @@ class TestCrashResume:
                 for record in worldlog.records
                 if record.tick >= ticks_before
             ]
-        assert "cell.result" not in new_kinds
+        assert "job.result" not in new_kinds
         assert again.values() == first.values()
         assert [cell.wall_seconds for cell in again.cells] == [
             cell.wall_seconds for cell in first.cells
         ]
 
-    def test_resume_refuses_a_different_plan(self, tmp_path):
+    def test_killed_sweep_pending_jobs_are_its_unfinished_cells(
+        self, tmp_path
+    ):
+        """The service's fold reads a killed sweep's log exactly."""
+        killed_log = str(tmp_path / "crashed.worldlog")
+        _run_and_kill_mid_flight(killed_log)
+        records = read_worldlog(killed_log)
+        keys = _ledger_keys(_matrix())
+        finished = {record.payload["key"] for record in records
+                    if record.kind in ("job.result", "job.error")}
+        pending, terminals = recover_jobs(records, killed_log)
+        assert set(terminals) == finished
+        assert [entry.key for entry in pending] == [
+            key for key in keys if key not in finished
+        ]
+        for entry in pending:
+            assert entry.tenant == "sweep"
+            assert entry.priority == 0
+        # The whole matrix was submitted before any job ran.
+        submitted = [r for r in records if r.kind == "job.submitted"]
+        assert [r.payload["key"] for r in submitted] == keys
+        first_terminal = min(
+            r.tick for r in records
+            if r.kind in ("job.result", "job.error")
+        )
+        assert all(r.tick < first_terminal for r in submitted)
+        assert "job.start" not in {r.kind for r in records}
+
+    def test_different_matrix_recalls_shared_keys_runs_new_ones(
+        self, tmp_path
+    ):
         log_path = str(tmp_path / "plan.worldlog")
         with WorldLog.create(log_path, run_id="r") as worldlog:
-            SweepScheduler(jobs=1, worldlog=worldlog).run(
+            first = SweepScheduler(jobs=1, worldlog=worldlog).run(
                 [AttackJob("silent", 8, 4)]
             )
         with WorldLog.resume(log_path) as worldlog:
-            with pytest.raises(ReproError) as excinfo:
-                SweepScheduler(jobs=1, worldlog=worldlog).run(
-                    [AttackJob("ring-token", 12, 8)]
-                )
-        assert "different sweep plan" in str(excinfo.value)
+            ticks_before = worldlog.next_tick
+            again = SweepScheduler(jobs=1, worldlog=worldlog).run(
+                [AttackJob("ring-token", 12, 8), AttackJob("silent", 8, 4)]
+            )
+            new = [
+                record
+                for record in worldlog.records
+                if record.tick >= ticks_before
+            ]
+        assert again.ok
+        # The shared key is recalled verbatim, not re-run ...
+        assert again.cells[1].value == first.cells[0].value
+        assert again.cells[1].wall_seconds == first.cells[0].wall_seconds
+        # ... and only the new key is submitted and answered.
+        ring_key = job_key(encode_job(AttackJob("ring-token", 12, 8)))
+        assert [(r.kind, r.payload["key"]) for r in new
+                if r.kind.startswith("job.")] == [
+            ("job.submitted", ring_key),
+            ("job.result", ring_key),
+        ]
+
+    def test_duplicate_spec_runs_once_and_fills_every_index(
+        self, tmp_path
+    ):
+        log_path = str(tmp_path / "dup.worldlog")
+        matrix = [
+            AttackJob("silent", 8, 4),
+            AttackJob("ring-token", 12, 8),
+            AttackJob("silent", 8, 4),
+        ]
+        with WorldLog.create(log_path, run_id="r") as worldlog:
+            report = SweepScheduler(jobs=1, worldlog=worldlog).run(matrix)
+        kinds = [r.kind for r in read_worldlog(log_path)]
+        assert kinds.count("job.submitted") == 2
+        assert kinds.count("job.result") == 2
+        assert [cell.index for cell in report.cells] == [0, 1, 2]
+        assert report.ok
+        assert report.cells[2].value == report.cells[0].value
+        assert report.cells[2].wall_seconds == report.cells[0].wall_seconds
 
     def test_errored_cells_are_recalled_too(self, tmp_path):
         log_path = str(tmp_path / "errors.worldlog")

@@ -25,8 +25,8 @@ class TestRecord:
     def test_roundtrip(self):
         record = Record(
             tick=3,
-            kind="cell.result",
-            payload={"index": 1, "name": "x"},
+            kind="job.result",
+            payload={"key": "k1", "name": "x"},
             run_id="r",
             cell_id="cell",
             worker_id=7,
@@ -72,12 +72,12 @@ class TestRecord:
                 payload={"name": "cell.start"},
                 cell_id="c1",
             ),
-            Record(tick=2, kind="cell.result", payload={}, cell_id="c1"),
+            Record(tick=2, kind="job.result", payload={}, cell_id="c1"),
         ]
         assert log_order_signature(records) == [
             ("log.open", None, None),
             ("ledger.event", "cell.start", "c1"),
-            ("cell.result", None, "c1"),
+            ("job.result", None, "c1"),
         ]
 
 

@@ -88,20 +88,39 @@ class TestDerivedViews:
         assert names == ["final.splice"]
 
     def test_retired_kinds_still_read_and_derive_nothing(self, tmp_path):
-        """Logs written before ``bench.point`` / ``trend.point`` retired."""
+        """Logs written before ``bench.point`` / ``trend.point`` and the
+        sweep's ``sweep.plan`` / ``cell.result`` / ``cell.error``
+        retired."""
         log_path = str(tmp_path / "old.worldlog")
         with WorldLog.create(log_path, run_id="r") as log:
             log.append("bench.point", {"suite": "s", "kernel": "k"})
             log.append("trend.point", {"label": "x", "wall_seconds": 0.1})
+            log.append("sweep.plan", {"jobs": [{"kind": "attack"}]})
+            log.append("cell.result", {"index": 0, "result": {}})
+            log.append(
+                "cell.error",
+                {"index": 1, "error_kind": "x", "message": "m"},
+            )
         records = read_worldlog(log_path)
         assert [r.kind for r in records] == [
             "log.open",
             "bench.point",
             "trend.point",
+            "sweep.plan",
+            "cell.result",
+            "cell.error",
         ]
         out_dir = tmp_path / "views"
         assert derive_views(records, str(out_dir)) == {}
         assert list(out_dir.iterdir()) == []
+        # Neither the recovery fold nor the replay fold reads them.
+        from repro.service.queue import recover_jobs
+        from repro.worldlog.replay import replay_state
+
+        assert recover_jobs(records) == ([], {})
+        state = replay_state(records)
+        assert state.jobs == {}
+        assert state.cells_terminal == set()
 
 
 class TestLegacyImport:
