@@ -110,8 +110,8 @@ def load_artifact(
         OSError: if the file cannot be read.
     """
     with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        return parse(text)
-    except _PARSE_FAILURES as exc:
-        raise artifact_error(path, kind, exc) from exc
+        try:
+            # bytes that are not UTF-8 fail here, as a ValueError
+            return parse(handle.read())
+        except _PARSE_FAILURES as exc:
+            raise artifact_error(path, kind, exc) from exc

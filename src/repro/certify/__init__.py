@@ -1,4 +1,4 @@
-"""Portable attack certificates (format v1) and their independent verifier.
+"""Portable attack certificates (schema v2) and their independent verifier.
 
 Two halves, deliberately decoupled:
 

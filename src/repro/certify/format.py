@@ -1,4 +1,4 @@
-"""Portable attack certificates — the v1 artifact format.
+"""Portable attack certificates — the v2 artifact format.
 
 A :class:`Certificate` is a single JSON document that makes a
 lower-bound attack *portable*: everything a third party needs in order
@@ -10,7 +10,11 @@ attack driver — travels inside the artifact:
 * the **executions**: every recorded trace the claim rests on (the
   witness execution, the merge inputs, the pre-swap source, or — for a
   respected bound — the trace attaining the observed maximum), encoded
-  through the :mod:`repro.sim.serialization` codec;
+  through the :mod:`repro.sim.serialization` codec into two
+  content-addressed tables: ``messages`` holds each distinct message
+  once and ``fragments`` each distinct fragment once (its state plus
+  index lists into ``messages``); an execution is a per-process list of
+  fragment indices plus the final state;
 * the **provenance chain**: which constructions (Definition-1
   isolation, Algorithm-5 ``merge``, Algorithm-4 ``swap_omission``)
   produced which execution from which;
@@ -20,16 +24,21 @@ attack driver — travels inside the artifact:
 * the **message-count accounting** against the Lemma-1 ``t²/32`` floor.
 
 The schema is versioned (:data:`CERTIFICATE_SCHEMA`); loaders reject
-unknown versions loudly.  Certificates are rendered canonically
-(``sort_keys`` plus the codec's canonical set ordering), so one attack
-produces byte-identical artifacts on every interpreter and backend.
+unknown versions loudly.  The writer produces v2 only; published v1
+artifacts (every message and fragment written out at each use) still
+load and verify.  Certificates are rendered canonically (``sort_keys``,
+no optional whitespace, the codec's canonical set ordering, tables in
+first-use order), so one attack produces byte-identical artifacts on
+every interpreter and backend.
 
 The independent checker lives in :mod:`repro.certify.verifier` and
 shares *no* code path with the attack driver's live checks — see that
 module for the trust argument.
 
 >>> CERTIFICATE_SCHEMA
-1
+2
+>>> READABLE_SCHEMAS
+(1, 2)
 >>> CERTIFICATE_FORMAT
 'repro-attack-certificate'
 """
@@ -47,11 +56,13 @@ from repro.sim.execution import Execution
 from repro.sim.serialization import (
     encode_payload,
     execution_from_dict,
-    executions_to_dicts,
+    execution_from_tables,
+    executions_to_tables,
 )
 
 CERTIFICATE_FORMAT = "repro-attack-certificate"
-CERTIFICATE_SCHEMA = 1
+CERTIFICATE_SCHEMA = 2
+READABLE_SCHEMAS = (1, 2)
 
 VERDICT_VIOLATION = "violation"
 VERDICT_BOUND = "bound-respected"
@@ -59,7 +70,8 @@ VERDICT_BOUND = "bound-respected"
 
 @dataclass(frozen=True)
 class Certificate:
-    """A versioned, machine-checkable attack artifact (schema v1).
+    """A versioned, machine-checkable attack artifact (schema v2, or a
+    loaded v1).
 
     Thin immutable wrapper around the JSON-safe ``payload`` dictionary;
     the accessors below decode the embedded records on demand.  Equality
@@ -100,14 +112,22 @@ class Certificate:
         return tuple(sorted(self.payload["executions"]))
 
     def execution(self, label: str) -> Execution:
-        """Decode the embedded execution stored under ``label``."""
+        """Decode the embedded execution stored under ``label``.
+
+        A v2 execution is rebuilt from the ``fragments`` and
+        ``messages`` tables; a v1 record is a plain codec execution.
+        """
         try:
             record = self.payload["executions"][label]
         except KeyError:
             raise ReproError(
                 f"certificate embeds no execution {label!r}"
             ) from None
-        return execution_from_dict(record)
+        if self.schema == 1:
+            return execution_from_dict(record)
+        return execution_from_tables(
+            record, self.payload["fragments"], self.payload["messages"]
+        )
 
     def witness(self):
         """Reconstruct the embedded violation witness, if any.
@@ -133,8 +153,15 @@ class Certificate:
         )
 
     def dumps(self) -> str:
-        """Serialize to the canonical JSON artifact string."""
-        return json.dumps(self.payload, sort_keys=True)
+        """Serialize to the canonical JSON artifact string.
+
+        v2 is rendered without optional whitespace; a loaded v1 artifact
+        keeps the v1 rendering, so re-serializing a published file
+        reproduces its bytes.
+        """
+        if self.schema == 1:
+            return json.dumps(self.payload, sort_keys=True)
+        return json.dumps(self.payload, sort_keys=True, separators=(",", ":"))
 
     def to_bytes(self) -> bytes:
         """The canonical artifact as UTF-8 bytes (for shipping)."""
@@ -145,7 +172,8 @@ class Certificate:
         """Load a certificate from its JSON artifact string.
 
         Raises:
-            ReproError: if the document is not a v1 attack certificate.
+            ReproError: if the document is not a v1 or v2 attack
+                certificate.
         """
         try:
             payload = json.loads(text)
@@ -168,11 +196,11 @@ class Certificate:
             or payload.get("format") != CERTIFICATE_FORMAT
         ):
             raise ReproError("document is not a repro attack certificate")
-        if payload.get("schema") != CERTIFICATE_SCHEMA:
+        if payload.get("schema") not in READABLE_SCHEMAS:
             raise ReproError(
                 f"unsupported certificate schema "
                 f"{payload.get('schema')!r} (this library reads "
-                f"v{CERTIFICATE_SCHEMA})"
+                "v1 and v2)"
             )
         return cls(payload=payload)
 
@@ -195,7 +223,7 @@ def build_certificate(
     default_bit: Any = None,
     critical_round: int | None = None,
 ) -> Certificate:
-    """Assemble a v1 certificate from the attack driver's records.
+    """Assemble a v2 certificate from the attack driver's records.
 
     Args:
         protocol, n, t, rounds: the attacked candidate's identity.
@@ -222,7 +250,8 @@ def build_certificate(
         ReproError: on inconsistent inputs (dangling labels, a witness
             without its execution).
     """
-    encoded_executions = executions_to_dicts(executions)
+    tables = executions_to_tables(executions)
+    encoded_executions = tables["executions"]
 
     def require_label(label: str, context: str) -> None:
         if label not in encoded_executions:
@@ -279,6 +308,8 @@ def build_certificate(
             "b": sorted(partition.group_b),
             "c": sorted(partition.group_c),
         },
+        "messages": tables["messages"],
+        "fragments": tables["fragments"],
         "executions": encoded_executions,
         "witness": witness_record,
         "provenance": [dict(step) for step in provenance],
@@ -314,14 +345,15 @@ def read_certificate(path: str) -> Certificate:
     """Load a certificate artifact *file*, with the uniform diagnostic.
 
     The file-facing twin of :meth:`Certificate.loads`: a file that
-    exists but is not a v1 attack certificate raises the shared
+    exists but is not a v1 or v2 attack certificate raises the shared
     :mod:`repro.artifact` one-liner (:class:`~repro.errors
     .ArtifactError`, CLI exit 2) — a malformed artifact is an
     environment failure, distinct from a well-formed certificate that
     fails verification (a domain failure, exit 1).
 
     Raises:
-        ArtifactError: when the document is not a v1 certificate.
+        ArtifactError: when the document is not a v1 or v2
+            certificate.
         OSError: when the file cannot be read.
     """
     from repro.artifact import load_artifact

@@ -1,8 +1,9 @@
 """The independent certificate verifier.
 
-This module re-derives every claim a v1 attack certificate makes *from
-the artifact alone*, so that a bug in the attack driver cannot
-self-certify.  The trust argument rests on strict code separation:
+This module re-derives every claim a v2 (or published v1) attack
+certificate makes *from the artifact alone*, so that a bug in the attack
+driver cannot self-certify.  The trust argument rests on strict code
+separation:
 
 * the verifier operates directly on the **raw JSON payload** — it never
   constructs :class:`~repro.sim.execution.Execution`,
@@ -20,6 +21,25 @@ self-certify.  The trust argument rests on strict code separation:
   guarantees (A.1.6), Definition 1 (isolation), the §3
   indistinguishability relation, and the ``t²/32`` arithmetic of
   Lemma 1.
+
+A v2 certificate stores each distinct message once (``messages``) and
+each distinct fragment once (``fragments``, a state plus index lists
+into ``messages``); executions refer to fragments by index.  The work
+follows the tables:
+
+* each ``messages`` entry is validated and keyed once;
+* each ``fragments`` entry is validated once, and its fragment-local
+  A.1.4 conditions run once, at its first use;
+* the check that an entry's ``state.process``/``state.round`` match the
+  position where it is used (A.1.4 conditions 1-2) runs at every use;
+* A.1.5, A.1.6, Definition 1, §3 and the accounting run per execution
+  over integer indices.  Duplicate table entries are rejected, so two
+  indices are equal exactly when their records are, and comparing index
+  sets is comparing message sets.
+
+A v1 payload (every message and fragment written out at each use) is
+first interned into the v2 tables by :func:`_upgrade_v1`, so there is
+one verification path.
 
 Verification is *structural* by default — it needs no protocol code.
 Passing a process ``factory`` additionally replays behavior condition 7
@@ -44,9 +64,10 @@ from typing import Any, Callable
 
 # Restated rather than imported from .format: the verifier deliberately
 # shares no module with the producer side, so a compromised producer
-# cannot redefine what "schema 1" means out from under the checks.
+# cannot redefine what "schema 2" means out from under the checks.
 CERTIFICATE_FORMAT = "repro-attack-certificate"
-CERTIFICATE_SCHEMA = 1
+CERTIFICATE_SCHEMA = 2
+V1_SCHEMA = 1
 VERDICT_VIOLATION = "violation"
 VERDICT_BOUND = "bound-respected"
 
@@ -56,6 +77,9 @@ VERDICT_BOUND = "bound-respected"
 
 SCHEMA_VERSION = "schema.version"
 SCHEMA_STRUCTURE = "schema.structure"
+TABLE_REFERENCE = "table.reference"  # an index that names no table entry
+TABLE_DUPLICATE = "table.duplicate"  # one record stored twice in a table
+TABLE_ORDER = "table.order"  # entries not in first-use order, or unused
 A14_STATE = "A.1.4.state"  # conditions 1-2: state carries pid and round
 A14_ROUND = "A.1.4.round"  # condition 3
 A14_SEND_DISJOINT = "A.1.4.send-disjoint"  # condition 4
@@ -109,7 +133,10 @@ class VerificationReport:
         failures: every violated condition, in check order (the first
             entry is *the* first violated condition).
         conditions_checked: how many individual condition evaluations
-            ran — a coarse completeness indicator for reports.
+            ran — a coarse completeness indicator for reports.  The
+            table checks count once per table, the fragment-local A.1.4
+            conditions once per ``fragments`` entry, the rest once per
+            use.
         replayed: whether behavior condition 7 was replayed against a
             live process factory.
     """
@@ -145,26 +172,171 @@ class VerificationReport:
 
 
 _canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-"""Canonical JSON of an encoded payload record (value identity).
+"""Canonical JSON of an encoded record (value identity).
 
 The one encoder ``json.dumps`` would build afresh on every call with
 these arguments, built once."""
 
+_MESSAGE_KEYS = frozenset(("sender", "receiver", "round", "payload"))
+_STATE_KEYS = frozenset(("process", "round", "proposal", "decision"))
+_MESSAGE_LISTS = ("sent", "send_omitted", "received", "receive_omitted")
+_FRAGMENT_KEYS = frozenset(("state",) + _MESSAGE_LISTS)
 
-def _message_key(record: dict) -> tuple:
-    """The value identity of an encoded message record."""
-    return (
-        record["sender"],
-        record["receiver"],
-        record["round"],
-        _canon(record["payload"]),
+
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``true`` and ``1.0`` are not (``lst[True]`` is
+    ``lst[1]`` in Python)."""
+    return type(value) is int
+
+
+def _bad_reference(refs: list, size: int) -> Any:
+    """The first entry of ``refs`` that is not an index into a table of
+    ``size`` entries, or ``None`` when all are."""
+    if not refs or (
+        set(map(type, refs)) == {int} and min(refs) >= 0 and max(refs) < size
+    ):
+        return None
+    return next(
+        ref for ref in refs if not (_is_int(ref) and 0 <= ref < size)
     )
+
+
+def _message_problem(record: Any) -> str | None:
+    """Why ``record`` is not a message record, or ``None``."""
+    if not isinstance(record, dict) or record.keys() != _MESSAGE_KEYS:
+        return "is not a {sender, receiver, round, payload} object"
+    if not (
+        _is_int(record["sender"])
+        and _is_int(record["receiver"])
+        and _is_int(record["round"])
+    ):
+        return "has a non-integer sender, receiver or round"
+    return None
+
+
+def _state_problem(state: Any) -> str | None:
+    """Why ``state`` is not a state record, or ``None``."""
+    if not isinstance(state, dict) or state.keys() != _STATE_KEYS:
+        return "state is not a {process, round, proposal, decision} object"
+    if not (_is_int(state["process"]) and _is_int(state["round"])):
+        return "state has a non-integer process or round"
+    return None
 
 
 def _list_of_dicts(section: Any) -> bool:
     return isinstance(section, list) and all(
         isinstance(entry, dict) for entry in section
     )
+
+
+def _upgrade_v1(payload: dict) -> dict:
+    """Intern a v1 payload into the v2 tables.
+
+    v1 writes every message at each use (a sender's ``sent`` and its
+    receiver's ``received``) and every fragment in each execution that
+    holds it.  Interning keys each record by its canonical JSON and
+    walks executions in sorted label order, then pid, round and list
+    order — the v2 writer's traversal — so the v1 expansion of a v2
+    certificate interns back to that certificate's exact tables.  A
+    record too malformed to take apart is interned (or left) as it is,
+    for the v2 checks to reject.
+    """
+    tables: dict[str, list] = {"messages": [], "fragments": []}
+    indices: dict[str, dict[str, int]] = {"messages": {}, "fragments": {}}
+
+    def intern(table: str, record: Any) -> int:
+        key = _canon(record)
+        index = indices[table].get(key)
+        if index is None:
+            index = indices[table][key] = len(tables[table])
+            tables[table].append(record)
+        return index
+
+    def fragment_ref(record: Any) -> int:
+        if isinstance(record, dict) and all(
+            isinstance(record.get(field), list) for field in _MESSAGE_LISTS
+        ):
+            record = {
+                **record,
+                **{
+                    field: [intern("messages", m) for m in record[field]]
+                    for field in _MESSAGE_LISTS
+                },
+            }
+        return intern("fragments", record)
+
+    def behavior(record: Any) -> Any:
+        if not isinstance(record, dict) or not isinstance(
+            record.get("fragments"), list
+        ):
+            return record
+        return {
+            **record,
+            "fragments": [fragment_ref(f) for f in record["fragments"]],
+        }
+
+    executions = {}
+    for label in sorted(payload["executions"]):
+        record = payload["executions"][label]
+        if isinstance(record, dict) and isinstance(
+            record.get("behaviors"), list
+        ):
+            record = {
+                **record,
+                "behaviors": [behavior(b) for b in record["behaviors"]],
+            }
+        executions[label] = record
+    return {
+        **payload,
+        "schema": CERTIFICATE_SCHEMA,
+        "executions": executions,
+        **tables,
+    }
+
+
+class _Entry:
+    """One validated ``fragments`` entry, with its keys computed once."""
+
+    __slots__ = (
+        "state",
+        "process",
+        "round",
+        "proposal",
+        "decision",
+        "sent",
+        "send_omitted",
+        "received",
+        "receive_omitted",
+        "outgoing",
+        "incoming",
+    )
+
+    def __init__(self, record: dict, key: Callable[[Any], str]) -> None:
+        state = self.state = record["state"]
+        self.process = state["process"]
+        self.round = state["round"]
+        self.proposal = key(state["proposal"])
+        self.decision = (
+            None if state["decision"] is None else key(state["decision"])
+        )
+        self.sent = tuple(record["sent"])
+        self.send_omitted = tuple(record["send_omitted"])
+        self.received = tuple(record["received"])
+        self.receive_omitted = tuple(record["receive_omitted"])
+        self.outgoing = self.sent + self.send_omitted
+        self.incoming = self.received + self.receive_omitted
+
+
+@dataclass(frozen=True)
+class _Run:
+    """One validated execution: fragment indices per process, plus each
+    final state as ``(record, proposal key, decision key)``."""
+
+    n: int
+    t: int
+    faulty: frozenset[int]
+    behaviors: list[list[int]]
+    finals: list[tuple[dict, str, str | None]]
 
 
 class _Verifier:
@@ -174,9 +346,34 @@ class _Verifier:
         self.payload = payload
         self.failures: list[VerificationFailure] = []
         self.checked = 0
-        # id(fragment record) -> keys of its received messages; the
-        # payload, and so every id, outlives the pass
-        self._received_by_fragment: dict[int, list[tuple]] = {}
+        self._keys: dict[str, str] = {}  # see key()
+        # set by verify_schema / verify_tables
+        self.executions: dict[str, Any] = {}
+        self.senders: list[int] = []
+        self.receivers: list[int] = []
+        self.rounds: list[int] = []
+        self.entries: list[_Entry] = []
+        # (entry, pid, round) placements whose local A.1.4 conditions ran
+        self.local_checked: set[tuple[int, int, int]] = set()
+        # label -> validated execution, or None when malformed
+        self.runs: dict[str, _Run | None] = {}
+        # the first-use walk (see _follow_first_use)
+        self.next_fragment = 0
+        self.next_message = 0
+        self.in_order = True
+
+    def key(self, value: Any) -> str:
+        """The canonical JSON of a parsed value, cached by ``repr``.
+
+        Exact for parsed JSON: ``repr`` tells ``1`` from ``True`` and
+        ``1.0`` and never merges distinct values; it is only cheaper to
+        compute than the canonical text, and proposals repeat.
+        """
+        text = repr(value)
+        key = self._keys.get(text)
+        if key is None:
+            key = self._keys[text] = _canon(value)
+        return key
 
     def fail(self, condition: str, detail: str) -> None:
         self.failures.append(VerificationFailure(condition, detail))
@@ -205,16 +402,21 @@ class _Verifier:
     # -- schema -----------------------------------------------------------
 
     def verify_schema(self) -> bool:
-        """Format tag, schema version, and top-level structure."""
+        """Format tag, schema version, and top-level structure.
+
+        A well-formed v1 payload is interned into the v2 layout here.
+        """
         payload = self.payload
         if not self.check(
             SCHEMA_VERSION,
             isinstance(payload, dict)
             and payload.get("format") == CERTIFICATE_FORMAT
-            and payload.get("schema") == CERTIFICATE_SCHEMA,
-            "not a v1 repro attack certificate",
+            and _is_int(payload.get("schema"))
+            and payload["schema"] in (V1_SCHEMA, CERTIFICATE_SCHEMA),
+            "not a v1 or v2 repro attack certificate",
         ):
             return False
+        v1 = payload["schema"] == V1_SCHEMA
         required = (
             "claim",
             "partition",
@@ -224,7 +426,7 @@ class _Verifier:
             "indistinguishability",
             "isolation",
             "accounting",
-        )
+        ) + (() if v1 else ("messages", "fragments"))
         missing = [key for key in required if key not in payload]
         if not self.check(
             SCHEMA_STRUCTURE,
@@ -233,60 +435,264 @@ class _Verifier:
         ):
             return False
         claim = payload["claim"]
-        malformed = [
-            section
-            for section, well_formed in (
-                (
-                    "claim",
-                    isinstance(claim, dict)
-                    and claim.get("verdict")
-                    in (VERDICT_VIOLATION, VERDICT_BOUND)
-                    and isinstance(claim.get("n"), int)
-                    and isinstance(claim.get("t"), int),
-                ),
-                ("executions", isinstance(payload["executions"], dict)),
-                (
-                    "witness",
-                    payload["witness"] is None
-                    or isinstance(payload["witness"], dict),
-                ),
-                ("provenance", isinstance(payload["provenance"], list)),
-                (
-                    "indistinguishability",
-                    _list_of_dicts(payload["indistinguishability"]),
-                ),
-                ("isolation", _list_of_dicts(payload["isolation"])),
-            )
-            if not well_formed
+        sections = [
+            (
+                "claim",
+                isinstance(claim, dict)
+                and claim.get("verdict")
+                in (VERDICT_VIOLATION, VERDICT_BOUND)
+                and isinstance(claim.get("n"), int)
+                and isinstance(claim.get("t"), int),
+            ),
+            ("executions", isinstance(payload["executions"], dict)),
+            (
+                "witness",
+                payload["witness"] is None
+                or isinstance(payload["witness"], dict),
+            ),
+            ("provenance", isinstance(payload["provenance"], list)),
+            (
+                "indistinguishability",
+                _list_of_dicts(payload["indistinguishability"]),
+            ),
+            ("isolation", _list_of_dicts(payload["isolation"])),
         ]
-        return self.check(
+        if not v1:
+            sections.append(
+                ("messages", isinstance(payload["messages"], list))
+            )
+            sections.append(
+                ("fragments", isinstance(payload["fragments"], list))
+            )
+        malformed = [
+            section for section, well_formed in sections if not well_formed
+        ]
+        if not self.check(
             SCHEMA_STRUCTURE,
             not malformed,
             lambda: f"malformed sections: {malformed}",
-        )
+        ):
+            return False
+        if v1:
+            self.payload = _upgrade_v1(payload)
+        self.executions = self.payload["executions"]
+        return True
+
+    # -- the tables -------------------------------------------------------
+
+    def verify_tables(self) -> bool:
+        """Validate, key and deduplicate every table entry once.
+
+        Every later check indexes the tables, so a malformed, dangling
+        or duplicated entry ends the verification here.
+        """
+        messages = self.payload["messages"]
+        keys: set[str] = set()
+        for index, record in enumerate(messages):
+            problem = _message_problem(record)
+            if problem is not None:
+                return self.check(
+                    SCHEMA_STRUCTURE,
+                    False,
+                    f"messages[{index}] {problem}",
+                )
+            key = _canon(record)
+            if key in keys:
+                return self.check(
+                    TABLE_DUPLICATE,
+                    False,
+                    f"messages[{index}] repeats an earlier entry",
+                )
+            keys.add(key)
+            self.senders.append(record["sender"])
+            self.receivers.append(record["receiver"])
+            self.rounds.append(record["round"])
+        count = len(messages)
+        seen: set[tuple] = set()
+        for index, record in enumerate(self.payload["fragments"]):
+            if not isinstance(record, dict) or record.keys() != _FRAGMENT_KEYS:
+                return self.check(
+                    SCHEMA_STRUCTURE,
+                    False,
+                    f"fragments[{index}] is not a fragment",
+                )
+            problem = _state_problem(record["state"])
+            if problem is not None:
+                return self.check(
+                    SCHEMA_STRUCTURE, False, f"fragments[{index}] {problem}"
+                )
+            for field in _MESSAGE_LISTS:
+                refs = record[field]
+                if type(refs) is not list:
+                    return self.check(
+                        SCHEMA_STRUCTURE,
+                        False,
+                        f"fragments[{index}].{field} is not a list",
+                    )
+                ref = _bad_reference(refs, count) if refs else None
+                if ref is not None:
+                    return self.check(
+                        TABLE_REFERENCE,
+                        False,
+                        f"fragments[{index}].{field} names {ref!r}, not an "
+                        f"index into {count} messages",
+                    )
+            entry = _Entry(record, self.key)
+            # equal exactly when the canonical records are: the message
+            # indices are validated integers, the rest canonical text
+            key = (
+                entry.process,
+                entry.round,
+                entry.proposal,
+                entry.decision,
+                entry.sent,
+                entry.send_omitted,
+                entry.received,
+                entry.receive_omitted,
+            )
+            if key in seen:
+                return self.check(
+                    TABLE_DUPLICATE,
+                    False,
+                    f"fragments[{index}] repeats an earlier entry",
+                )
+            seen.add(key)
+            self.entries.append(entry)
+        # per table: entries well-formed and distinct; for fragments
+        # also every reference resolves
+        self.checked += 5
+        return True
 
     # -- executions (A.1.4 / A.1.5 / A.1.6) -------------------------------
 
-    def verify_execution(self, label: str, record: Any) -> None:
-        """All structural model conditions for one embedded execution."""
+    def _resolve(self, label: str) -> _Run | None:
+        """Validate one execution record against the tables."""
         where = f"execution {label!r}"
-        try:
-            self._verify_execution_inner(where, record)
-        except (KeyError, TypeError, IndexError, AttributeError) as error:
+        record = self.executions[label]
+        if not (
+            isinstance(record, dict)
+            and _is_int(record.get("n"))
+            and _is_int(record.get("t"))
+            and isinstance(record.get("faulty"), list)
+            and all(_is_int(pid) for pid in record["faulty"])
+            and isinstance(record.get("behaviors"), list)
+        ):
             self.fail(
                 SCHEMA_STRUCTURE,
-                f"{where} is malformed: {type(error).__name__}: {error}",
+                f"{where} is malformed: it needs integer n and t, an "
+                "integer faulty list and a behavior list",
+            )
+            return None
+        size = len(self.entries)
+        behaviors: list[list[int]] = []
+        finals: list[tuple[dict, str, str | None]] = []
+        for pid, behavior in enumerate(record["behaviors"]):
+            if not isinstance(behavior, dict) or not isinstance(
+                behavior.get("fragments"), list
+            ):
+                self.fail(
+                    SCHEMA_STRUCTURE,
+                    f"{where} is malformed: p{pid} has no fragment list",
+                )
+                return None
+            problem = _state_problem(behavior.get("final_state"))
+            if problem is not None:
+                self.fail(
+                    SCHEMA_STRUCTURE,
+                    f"{where} is malformed: p{pid}'s final {problem}",
+                )
+                return None
+            refs = behavior["fragments"]
+            ref = _bad_reference(refs, size)
+            if ref is not None:
+                self.fail(
+                    TABLE_REFERENCE,
+                    f"{where}: p{pid} names fragment {ref!r}, not an "
+                    f"index into {size} fragments",
+                )
+                return None
+            final = behavior["final_state"]
+            behaviors.append(refs)
+            finals.append(
+                (
+                    final,
+                    self.key(final["proposal"]),
+                    None
+                    if final["decision"] is None
+                    else self.key(final["decision"]),
+                )
+            )
+        for pid, refs in enumerate(behaviors):
+            self._follow_first_use(where, pid, refs)
+        return _Run(
+            n=record["n"],
+            t=record["t"],
+            faulty=frozenset(record["faulty"]),
+            behaviors=behaviors,
+            finals=finals,
+        )
+
+    def _follow_first_use(self, where: str, pid: int, refs: list) -> None:
+        """Advance the first-use walk that fixes the table order.
+
+        The writer gives each entry its index on first use — labels
+        sorted, then pid, round, and a fragment's messages in field and
+        list order — so a valid table order is unique.  The first entry
+        met ahead of its turn is reported; the walk stops there.
+        """
+        if not self.in_order:
+            return
+        entries = self.entries
+        for index, ref in enumerate(refs):
+            if ref < self.next_fragment:
+                continue
+            if ref > self.next_fragment:
+                self._out_of_order(
+                    f"{where}: p{pid} r{index + 1} uses fragments[{ref}] "
+                    f"before fragments[{self.next_fragment}]"
+                )
+                return
+            self.next_fragment += 1
+            entry = entries[ref]
+            for m in entry.outgoing + entry.incoming:
+                if m < self.next_message:
+                    continue
+                if m > self.next_message:
+                    self._out_of_order(
+                        f"fragments[{ref}] uses messages[{m}] before "
+                        f"messages[{self.next_message}]"
+                    )
+                    return
+                self.next_message += 1
+
+    def _out_of_order(self, detail: str) -> None:
+        self.in_order = False
+        self.check(
+            TABLE_ORDER, False, f"tables are not in first-use order: {detail}"
+        )
+
+    def verify_table_use(self) -> None:
+        """Every table entry is used (checked after the first-use walk)."""
+        if self.in_order:
+            self.check(
+                TABLE_ORDER,
+                self.next_fragment == len(self.entries)
+                and self.next_message == len(self.senders),
+                lambda: f"tables hold unused entries: fragments from "
+                f"[{self.next_fragment}], messages from "
+                f"[{self.next_message}]",
             )
 
-    def _verify_execution_inner(self, where: str, record: dict) -> None:
-        n = record["n"]
-        t = record["t"]
-        faulty = set(record["faulty"])
-        behaviors = record["behaviors"]
+    def verify_execution(self, label: str) -> None:
+        """All structural model conditions for one embedded execution."""
+        run = self.runs[label] = self._resolve(label)
+        if run is None:
+            return
+        where = f"execution {label!r}"
+        n, t, faulty, behaviors = run.n, run.t, run.faulty, run.behaviors
         self.check(
             A16_BUDGET,
-            len(faulty) <= t
-            and all(0 <= pid < n for pid in faulty),
+            len(faulty) <= t and all(0 <= pid < n for pid in faulty),
             lambda: f"{where}: faulty set {sorted(faulty)} violates "
             f"|F| <= t={t} over {n} processes",
         )
@@ -297,63 +703,71 @@ class _Verifier:
             f"{len(behaviors)}",
         ):
             return
-        rounds = len(behaviors[0]["fragments"])
-        incoming_index: list[list[set[tuple]]] = [
+        entries = self.entries
+        rounds = len(behaviors[0])
+        incoming_index: list[list[set[int]]] = [
             [set() for _ in range(rounds + 1)] for _ in range(n)
         ]
-        sent_index: list[list[set[tuple]]] = [
+        sent_index: list[list[set[int]]] = [
             [set() for _ in range(rounds + 1)] for _ in range(n)
         ]
         commits_fault = [False] * n
-        # (pid, round, fragment, sent keys, incoming keys), for A.1.6
-        keyed: list[tuple[int, int, dict, list, list]] = []
-        for pid, behavior in enumerate(behaviors):
-            fragments = behavior["fragments"]
+        placed: list[tuple[int, int, _Entry]] = []
+        for pid, refs in enumerate(behaviors):
             self.check(
                 A16_COMPOSITION,
-                len(fragments) == rounds and rounds >= 1,
-                lambda: f"{where}: p{pid} spans {len(fragments)} rounds, "
+                len(refs) == rounds and rounds >= 1,
+                lambda: f"{where}: p{pid} spans {len(refs)} rounds, "
                 f"execution spans {rounds}",
             )
-            self._verify_behavior(where, pid, behavior, rounds)
-            for index, fragment in enumerate(fragments):
+            self._verify_behavior(where, pid, run, rounds)
+            for index, ref in enumerate(refs):
                 round_ = index + 1
-                sent_keys, incoming_keys = self._verify_fragment(
-                    where, pid, round_, fragment
-                )
+                entry = entries[ref]
+                # A.1.4 conditions 1-2 at every use; the local ones once
+                # per placement (see _verify_fragment)
+                if entry.process != pid or entry.round != round_:
+                    self.fail(
+                        A14_STATE,
+                        f"{where}: p{pid} r{round_} fragment carries state "
+                        f"of p{entry.process} r{entry.round}",
+                    )
+                self.checked += 1
+                if (ref, pid, round_) not in self.local_checked:
+                    self._verify_fragment(where, pid, round_, ref)
                 slot = min(round_, rounds)
-                sent_index[pid][slot].update(sent_keys)
-                incoming_index[pid][slot].update(incoming_keys)
-                if fragment["send_omitted"] or fragment["receive_omitted"]:
+                sent_index[pid][slot].update(entry.sent)
+                incoming_index[pid][slot].update(entry.incoming)
+                if entry.send_omitted or entry.receive_omitted:
                     commits_fault[pid] = True
-                keyed.append(
-                    (pid, round_, fragment, sent_keys, incoming_keys)
-                )
+                placed.append((pid, round_, entry))
         # A.1.6 send-validity: every sent message is received or
-        # receive-omitted by its receiver in the same round.
-        for pid, round_, fragment, sent_keys, incoming_keys in keyed:
+        # receive-omitted by its receiver in the same round; and every
+        # incoming message was sent.
+        senders = self.senders
+        receivers = self.receivers
+        for pid, round_, entry in placed:
             slot = min(round_, rounds)
-            for message, key in zip(fragment["sent"], sent_keys):
-                receiver = message["receiver"]
-                self.check(
-                    A16_SEND_VALIDITY,
-                    0 <= receiver < n
-                    and key in incoming_index[receiver][slot],
-                    lambda: f"{where}: p{pid} r{round_} sent a message "
-                    f"neither received nor receive-omitted by "
-                    f"p{receiver}",
-                )
-            for message, key in zip(
-                fragment["received"] + fragment["receive_omitted"],
-                incoming_keys,
-            ):
-                sender = message["sender"]
-                self.check(
-                    A16_RECEIVE_VALIDITY,
-                    0 <= sender < n and key in sent_index[sender][slot],
-                    lambda: f"{where}: p{pid} r{round_} records an "
-                    f"incoming message p{sender} never successfully sent",
-                )
+            for m in entry.sent:
+                receiver = receivers[m]
+                if not (
+                    0 <= receiver < n and m in incoming_index[receiver][slot]
+                ):
+                    self.fail(
+                        A16_SEND_VALIDITY,
+                        f"{where}: p{pid} r{round_} sent a message "
+                        f"neither received nor receive-omitted by "
+                        f"p{receiver}",
+                    )
+            for m in entry.incoming:
+                sender = senders[m]
+                if not (0 <= sender < n and m in sent_index[sender][slot]):
+                    self.fail(
+                        A16_RECEIVE_VALIDITY,
+                        f"{where}: p{pid} r{round_} records an incoming "
+                        f"message p{sender} never successfully sent",
+                    )
+            self.checked += len(entry.sent) + len(entry.incoming)
         for pid in range(n):
             self.check(
                 A16_OMISSION_VALIDITY,
@@ -363,113 +777,108 @@ class _Verifier:
             )
 
     def _verify_fragment(
-        self, where: str, pid: int, round_: int, fragment: dict
-    ) -> tuple[list[tuple], list[tuple]]:
-        """The ten A.1.4 conditions on one raw fragment record.
+        self, where: str, pid: int, round_: int, ref: int
+    ) -> None:
+        """A.1.4 conditions 3-10 on the fragment entry used at
+        ``(pid, round_)``.
 
-        Returns the keys of the sent and of the incoming (received, then
-        receive-omitted) messages, computed once here and reused by the
-        A.1.6 and indistinguishability checks.
+        They depend only on the entry and the position, and an entry
+        whose state matches its position (conditions 1-2, checked at
+        every use) has one position, so they run once per entry.  An
+        entry used where its state does not belong is judged against
+        that position, as a v1 record was.
         """
-        state = fragment["state"]
-        self.check(
-            A14_STATE,
-            state["process"] == pid and state["round"] == round_,
-            lambda: f"{where}: p{pid} r{round_} fragment carries state of "
-            f"p{state['process']} r{state['round']}",
-        )
-        sent = fragment["sent"]
-        send_omitted = fragment["send_omitted"]
-        received = fragment["received"]
-        receive_omitted = fragment["receive_omitted"]
-        outgoing = sent + send_omitted
-        incoming = received + receive_omitted
-        self.check(
-            A14_ROUND,
-            all(m["round"] == round_ for m in outgoing + incoming),
-            lambda: f"{where}: p{pid} r{round_} fragment contains a "
-            "message of another round",
-        )
-        sent_keys = [_message_key(m) for m in sent]
-        omitted_keys = [_message_key(m) for m in send_omitted]
-        self.check(
-            A14_SEND_DISJOINT,
-            set(sent_keys).isdisjoint(omitted_keys),
-            lambda: f"{where}: p{pid} r{round_} sent and send-omitted "
-            "overlap",
-        )
-        received_keys = [_message_key(m) for m in received]
-        rec_omitted_keys = [_message_key(m) for m in receive_omitted]
-        self.check(
-            A14_RECEIVE_DISJOINT,
-            set(received_keys).isdisjoint(rec_omitted_keys),
-            lambda: f"{where}: p{pid} r{round_} received and "
-            "receive-omitted overlap",
-        )
-        self.check(
-            A14_SENDER,
-            all(m["sender"] == pid for m in outgoing),
-            lambda: f"{where}: p{pid} r{round_} outgoing message with a "
-            "foreign sender",
-        )
-        self.check(
-            A14_RECEIVER,
-            all(m["receiver"] == pid for m in incoming),
-            lambda: f"{where}: p{pid} r{round_} incoming message with a "
-            "foreign receiver",
-        )
-        self.check(
-            A14_NO_SELF,
-            all(m["sender"] != m["receiver"] for m in outgoing + incoming),
-            lambda: f"{where}: p{pid} r{round_} contains a self-message",
-        )
-        receivers = [m["receiver"] for m in outgoing]
-        self.check(
-            A14_UNIQUE_RECEIVER,
-            len(receivers) == len(set(receivers)),
-            lambda: f"{where}: p{pid} r{round_} sends two messages to one "
-            "receiver",
-        )
-        senders = [m["sender"] for m in incoming]
-        self.check(
-            A14_UNIQUE_SENDER,
-            len(senders) == len(set(senders)),
-            lambda: f"{where}: p{pid} r{round_} records two incoming "
-            "messages from one sender",
-        )
-        self._received_by_fragment[id(fragment)] = received_keys
-        return sent_keys, received_keys + rec_omitted_keys
+        entry = self.entries[ref]
+        self.local_checked.add((ref, pid, round_))
+        self.checked += 8
+        outgoing = entry.outgoing
+        incoming = entry.incoming
+        if not outgoing and not incoming:
+            return  # all eight hold for a fragment without messages
+        senders = self.senders
+        receivers = self.receivers
+        rounds = self.rounds
+        every = outgoing + incoming
+        to = [receivers[m] for m in outgoing]
+        came_from = [senders[m] for m in incoming]
+        for condition, holds, text in (
+            (
+                A14_ROUND,
+                all(rounds[m] == round_ for m in every),
+                "contains a message of another round",
+            ),
+            (
+                A14_SEND_DISJOINT,
+                set(entry.sent).isdisjoint(entry.send_omitted),
+                "sent and send-omitted overlap",
+            ),
+            (
+                A14_RECEIVE_DISJOINT,
+                set(entry.received).isdisjoint(entry.receive_omitted),
+                "received and receive-omitted overlap",
+            ),
+            (
+                A14_SENDER,
+                all(senders[m] == pid for m in outgoing),
+                "outgoing message with a foreign sender",
+            ),
+            (
+                A14_RECEIVER,
+                all(receivers[m] == pid for m in incoming),
+                "incoming message with a foreign receiver",
+            ),
+            (
+                A14_NO_SELF,
+                all(senders[m] != receivers[m] for m in every),
+                "contains a self-message",
+            ),
+            (
+                A14_UNIQUE_RECEIVER,
+                len(to) == len(set(to)),
+                "sends two messages to one receiver",
+            ),
+            (
+                A14_UNIQUE_SENDER,
+                len(came_from) == len(set(came_from)),
+                "records two incoming messages from one sender",
+            ),
+        ):
+            if not holds:
+                self.fail(
+                    condition,
+                    f"{where}: p{pid} r{round_} (fragments[{ref}]) {text}",
+                )
 
     def _verify_behavior(
-        self, where: str, pid: int, behavior: dict, rounds: int
+        self, where: str, pid: int, run: _Run, rounds: int
     ) -> None:
-        """The structural A.1.5 conditions on one raw behavior record."""
-        fragments = behavior["fragments"]
-        final_state = behavior["final_state"]
+        """The structural A.1.5 conditions on one behavior."""
+        fragments = [self.entries[ref] for ref in run.behaviors[pid]]
+        final, final_proposal, final_decision = run.finals[pid]
         self.check(
             A15_SEQUENCE,
             all(
-                fragment["state"]["round"] == index + 1
-                for index, fragment in enumerate(fragments)
+                entry.round == index + 1
+                for index, entry in enumerate(fragments)
             ),
             lambda: f"{where}: p{pid} fragments are not consecutively "
             "numbered from round 1",
         )
-        states = [fragment["state"] for fragment in fragments]
-        states.append(final_state)
-        proposal = _canon(states[0]["proposal"])
+        proposals = [entry.proposal for entry in fragments]
+        proposals.append(final_proposal)
         self.check(
             A15_PROPOSAL,
-            all(_canon(state["proposal"]) == proposal for state in states),
+            all(proposal == proposals[0] for proposal in proposals),
             lambda: f"{where}: p{pid}'s proposal changes across rounds",
         )
+        decisions = [entry.decision for entry in fragments]
+        decisions.append(final_decision)
         decision: str | None = None
-        write_once = states[0]["decision"] is None
-        for state in states:
-            recorded = state["decision"]
+        write_once = decisions[0] is None
+        for recorded in decisions:
             if decision is None:
-                decision = None if recorded is None else _canon(recorded)
-            elif recorded is None or _canon(recorded) != decision:
+                decision = recorded
+            elif recorded != decision:
                 write_once = False
                 break
         self.check(
@@ -480,55 +889,60 @@ class _Verifier:
         )
         self.check(
             A15_FINAL,
-            final_state["process"] == pid
-            and final_state["round"] == rounds + 1,
+            final["process"] == pid and final["round"] == rounds + 1,
             lambda: f"{where}: p{pid}'s final state is not the state at "
             f"the start of round {rounds + 1}",
         )
 
+    def _run(self, label: str) -> _Run:
+        """The validated execution ``label``; ``KeyError`` when it was
+        malformed (reported already), so claims on it fail as malformed."""
+        run = self.runs.get(label)
+        if run is None:
+            raise KeyError(f"execution {label!r} is malformed")
+        return run
+
     # -- Definition 1 -----------------------------------------------------
 
     def verify_isolation(self, claim: dict) -> None:
-        """Definition 1 for one isolation claim, from the raw records."""
+        """Definition 1 for one isolation claim, from the records."""
         label = claim.get("execution")
-        executions = self.payload["executions"]
         if not self.check(
             DEF1_ISOLATION,
-            isinstance(label, str) and label in executions,
+            isinstance(label, str) and label in self.executions,
             f"isolation claim references unknown execution {label!r}",
         ):
             return
-        record = executions[label]
         where = f"execution {label!r}"
         try:
             group = set(claim["group"])
             from_round = claim["from_round"]
-            faulty = set(record["faulty"])
-            n = record["n"]
+            run = self._run(label)
             if not self.check(
                 DEF1_ISOLATION,
                 bool(group)
-                and group <= faulty
-                and group != set(range(n)),
+                and group <= run.faulty
+                and group != set(range(run.n)),
                 f"{where}: claimed group {sorted(group)} is empty, not "
                 "within the faulty set, or not a proper subset",
             ):
                 return
+            senders = self.senders
             for pid in sorted(group):
-                behavior = record["behaviors"][pid]
-                for index, fragment in enumerate(behavior["fragments"]):
+                for index, ref in enumerate(run.behaviors[pid]):
                     round_ = index + 1
+                    entry = self.entries[ref]
                     self.check(
                         DEF1_ISOLATION,
-                        not fragment["send_omitted"],
+                        not entry.send_omitted,
                         lambda: f"{where}: p{pid} send-omits in r{round_} "
                         "despite isolation",
                     )
                     self.check(
                         DEF1_ISOLATION,
                         all(
-                            m["sender"] in group or round_ < from_round
-                            for m in fragment["received"]
+                            senders[m] in group or round_ < from_round
+                            for m in entry.received
                         ),
                         lambda: f"{where}: p{pid} r{round_} received an "
                         f"outside message that isolation from round "
@@ -537,9 +951,9 @@ class _Verifier:
                     self.check(
                         DEF1_ISOLATION,
                         all(
-                            m["sender"] not in group
+                            senders[m] not in group
                             and round_ >= from_round
-                            for m in fragment["receive_omitted"]
+                            for m in entry.receive_omitted
                         ),
                         lambda: f"{where}: p{pid} r{round_} receive-omits "
                         "an in-group or pre-isolation message",
@@ -554,62 +968,56 @@ class _Verifier:
 
     def verify_indistinguishability(self, claim: dict) -> None:
         """Same proposal + identical received sets for each named pid."""
-        executions = self.payload["executions"]
         left_label = claim.get("left")
         right_label = claim.get("right")
         if not self.check(
             S3_INDISTINGUISHABILITY,
             isinstance(left_label, str)
             and isinstance(right_label, str)
-            and left_label in executions
-            and right_label in executions,
+            and left_label in self.executions
+            and right_label in self.executions,
             f"indistinguishability claim references unknown executions "
             f"({left_label!r}, {right_label!r})",
         ):
             return
-        left = executions[left_label]
-        right = executions[right_label]
         where = f"({left_label!r} ~ {right_label!r})"
+        entries = self.entries
         try:
+            left = self._run(left_label)
+            right = self._run(right_label)
             for pid in claim["processes"]:
-                lb = left["behaviors"][pid]
-                rb = right["behaviors"][pid]
+                lrefs = left.behaviors[pid]
+                rrefs = right.behaviors[pid]
                 if not self.check(
                     S3_INDISTINGUISHABILITY,
-                    len(lb["fragments"]) == len(rb["fragments"]),
+                    len(lrefs) == len(rrefs),
                     lambda: f"{where}: p{pid}'s behaviors span different "
                     "horizons",
                 ):
                     continue
                 self.check(
                     S3_INDISTINGUISHABILITY,
-                    _canon(lb["fragments"][0]["state"]["proposal"])
-                    == _canon(rb["fragments"][0]["state"]["proposal"]),
+                    entries[lrefs[0]].proposal == entries[rrefs[0]].proposal,
                     lambda: f"{where}: p{pid} proposes differently",
                 )
-                for index, (lf, rf) in enumerate(
-                    zip(lb["fragments"], rb["fragments"])
-                ):
-                    self.check(
-                        S3_INDISTINGUISHABILITY,
-                        self._received_keys(lf) == self._received_keys(rf),
-                        lambda: f"{where}: p{pid} receives different "
-                        f"messages in round {index + 1}",
-                    )
+                for index, (lref, rref) in enumerate(zip(lrefs, rrefs)):
+                    # one entry is one received set; distinct entries
+                    # may still receive the same set
+                    if lref != rref and set(entries[lref].received) != set(
+                        entries[rref].received
+                    ):
+                        self.fail(
+                            S3_INDISTINGUISHABILITY,
+                            f"{where}: p{pid} receives different messages "
+                            f"in round {index + 1}",
+                        )
+                    self.checked += 1
         except (KeyError, TypeError, IndexError) as error:
             self.fail(
                 S3_INDISTINGUISHABILITY,
                 f"indistinguishability claim {where} is malformed: "
                 f"{error}",
             )
-
-    def _received_keys(self, fragment: dict) -> set[tuple]:
-        """The keys of a fragment's received messages, reusing those
-        :meth:`_verify_fragment` computed when it got that far."""
-        keys = self._received_by_fragment.get(id(fragment))
-        if keys is None:
-            return {_message_key(m) for m in fragment["received"]}
-        return set(keys)
 
     # -- the witness claim ------------------------------------------------
 
@@ -619,22 +1027,21 @@ class _Verifier:
         claim = self.payload["claim"]
         if witness is None:
             return
-        executions = self.payload["executions"]
         label = witness.get("execution")
         if not self.check(
             WITNESS_REFERENCE,
             isinstance(label, str)
-            and label in executions
+            and label in self.executions
             and witness.get("kind")
             in ("agreement", "termination", "weak-validity"),
             f"witness references unknown execution {label!r} or carries "
             f"an unknown kind {witness.get('kind')!r}",
         ):
             return
-        record = executions[label]
         try:
-            n = record["n"]
-            faulty = set(record["faulty"])
+            run = self._run(label)
+            n = run.n
+            faulty = run.faulty
             culprit = witness["culprit"]
             if not self.check(
                 WITNESS_CULPRIT,
@@ -647,10 +1054,7 @@ class _Verifier:
                 return
 
             def decision(pid: int) -> str | None:
-                recorded = record["behaviors"][pid]["final_state"][
-                    "decision"
-                ]
-                return None if recorded is None else _canon(recorded)
+                return run.finals[pid][2]
 
             kind = witness["kind"]
             if kind == "termination":
@@ -682,10 +1086,8 @@ class _Verifier:
                 )
             else:  # weak-validity
                 proposals = {
-                    _canon(
-                        behavior["fragments"][0]["state"]["proposal"]
-                    )
-                    for behavior in record["behaviors"]
+                    self.entries[refs[0]].proposal
+                    for refs in run.behaviors
                 }
                 self.check(
                     WITNESS_VALIDITY,
@@ -714,7 +1116,6 @@ class _Verifier:
         """Recompute message counts and the t²/32 arithmetic."""
         accounting = self.payload["accounting"]
         claim = self.payload["claim"]
-        executions = self.payload["executions"]
         try:
             t = accounting["t"]
             observed = accounting["observed"]
@@ -734,17 +1135,16 @@ class _Verifier:
             for label, recorded in sorted(per_execution.items()):
                 if not self.check(
                     ACCOUNTING_COUNT,
-                    label in executions,
+                    label in self.executions,
                     f"accounting references unknown execution {label!r}",
                 ):
                     continue
-                record = executions[label]
-                faulty = set(record["faulty"])
+                run = self._run(label)
                 recomputed = sum(
-                    len(fragment["sent"])
-                    for pid, behavior in enumerate(record["behaviors"])
-                    if pid not in faulty
-                    for fragment in behavior["fragments"]
+                    len(self.entries[ref].sent)
+                    for pid, refs in enumerate(run.behaviors)
+                    if pid not in run.faulty
+                    for ref in refs
                 )
                 self.check(
                     ACCOUNTING_COUNT,
@@ -778,7 +1178,7 @@ class _Verifier:
 
     def verify_provenance(self) -> None:
         """Every provenance step references embedded executions."""
-        executions = self.payload["executions"]
+        executions = self.executions
         # a tuple: membership of an unhashable op is False, not an error
         known_ops = ("simulate", "isolate", "merge", "swap", "witness")
         for index, step in enumerate(self.payload["provenance"]):
@@ -816,71 +1216,95 @@ class _Verifier:
         machine emit exactly the recorded outgoing messages and reach
         the recorded decisions.  Payloads cross from the artifact into
         the machines through the serialization codec; the comparison is
-        by canonical encoding, so no library equality is trusted.
+        by canonical encoding, so no library equality is trusted.  A
+        payload the codec cannot decode, or a machine that raises on the
+        recorded inputs, fails the condition like a wrong send.
         """
         from repro.sim.serialization import decode_payload, encode_payload
+
+        messages = self.payload["messages"]
+        decoded: dict[int, Any] = {}
+
+        def payload_of(m: int) -> Any:
+            if m not in decoded:
+                decoded[m] = decode_payload(messages[m]["payload"])
+            return decoded[m]
 
         def canon_value(value: Any) -> str:
             return _canon(encode_payload(value))
 
-        for label in sorted(self.payload["executions"]):
-            record = self.payload["executions"][label]
+        for label in sorted(self.executions):
+            run = self.runs[label]
+            assert run is not None  # replay runs only on a clean pass
             where = f"execution {label!r}"
-            rounds = len(record["behaviors"][0]["fragments"])
-            for pid, behavior in enumerate(record["behaviors"]):
-                proposal = decode_payload(
-                    behavior["fragments"][0]["state"]["proposal"]
-                )
-                machine = factory(pid, proposal)
-                replay_ok = True
-                for index, fragment in enumerate(behavior["fragments"]):
-                    round_ = index + 1
-                    produced = machine.validate_outgoing(
-                        round_, machine.outgoing(round_)
+            for pid in range(run.n):
+                try:
+                    self._replay(
+                        where, pid, run, factory, payload_of, canon_value
                     )
-                    produced_canon = {
-                        receiver: canon_value(payload)
-                        for receiver, payload in produced.items()
-                    }
-                    recorded_canon = {
-                        m["receiver"]: _canon(m["payload"])
-                        for m in fragment["sent"]
-                        + fragment["send_omitted"]
-                    }
-                    if not self.check(
+                except Exception as error:  # the artifact's inputs broke it
+                    self.fail(
                         A15_TRANSITIONS,
-                        produced_canon == recorded_canon,
-                        f"{where}: p{pid} r{round_} recorded sends are "
-                        "not what the algorithm produces",
-                    ):
-                        replay_ok = False
-                        break
-                    machine.deliver(
-                        round_,
-                        {
-                            m["sender"]: decode_payload(m["payload"])
-                            for m in sorted(
-                                fragment["received"],
-                                key=lambda m: m["sender"],
-                            )
-                        },
+                        f"{where}: p{pid} cannot be replayed: "
+                        f"{type(error).__name__}: {error}",
                     )
-                if not replay_ok:
-                    continue
-                final_decision = behavior["final_state"]["decision"]
-                machine_decision = machine.snapshot(rounds + 1).decision
-                self.check(
-                    A15_TRANSITIONS,
-                    (final_decision is None)
-                    == (machine_decision is None)
-                    and (
-                        final_decision is None
-                        or _canon(final_decision)
-                        == canon_value(machine_decision)
-                    ),
-                    f"{where}: p{pid}'s recorded decision is not what "
-                    "the algorithm decides on this input",
-                )
+
+    def _replay(
+        self,
+        where: str,
+        pid: int,
+        run: _Run,
+        factory: Callable,
+        payload_of: Callable[[int], Any],
+        canon_value: Callable[[Any], str],
+    ) -> None:
+        """Behavior condition 7 for one process of one execution."""
+        from repro.sim.serialization import decode_payload
+
+        messages = self.payload["messages"]
+        senders = self.senders
+        receivers = self.receivers
+        fragments = [self.entries[ref] for ref in run.behaviors[pid]]
+        machine = factory(pid, decode_payload(fragments[0].state["proposal"]))
+        for index, entry in enumerate(fragments):
+            round_ = index + 1
+            produced = machine.validate_outgoing(
+                round_, machine.outgoing(round_)
+            )
+            produced_canon = {
+                receiver: canon_value(payload)
+                for receiver, payload in produced.items()
+            }
+            recorded_canon = {
+                receivers[m]: _canon(messages[m]["payload"])
+                for m in entry.outgoing
+            }
+            if not self.check(
+                A15_TRANSITIONS,
+                produced_canon == recorded_canon,
+                f"{where}: p{pid} r{round_} recorded sends are not what "
+                "the algorithm produces",
+            ):
+                return
+            machine.deliver(
+                round_,
+                {
+                    senders[m]: payload_of(m)
+                    for m in sorted(entry.received, key=senders.__getitem__)
+                },
+            )
+        final_decision = run.finals[pid][2]
+        machine_decision = machine.snapshot(len(fragments) + 1).decision
+        self.check(
+            A15_TRANSITIONS,
+            (final_decision is None) == (machine_decision is None)
+            and (
+                final_decision is None
+                or final_decision == canon_value(machine_decision)
+            ),
+            f"{where}: p{pid}'s recorded decision is not what the "
+            "algorithm decides on this input",
+        )
 
 
 def verify_certificate(
@@ -891,7 +1315,8 @@ def verify_certificate(
 
     Args:
         source: a :class:`~repro.certify.format.Certificate`, its payload
-            dict, or the JSON artifact as text/bytes.
+            dict, or the JSON artifact as text/bytes; schema v2, or a
+            published v1 artifact.
         factory: optional ``(pid, proposal) -> Process`` builder of the
             attacked algorithm; when given, behavior condition 7 is
             additionally replayed (the certificate's executions must be
@@ -932,11 +1357,11 @@ def verify_certificate(
     else:
         payload = source
     verifier = _Verifier(payload)
-    if verifier.verify_schema():
-        for label in sorted(payload["executions"]):
-            verifier.verify_execution(
-                label, payload["executions"][label]
-            )
+    if verifier.verify_schema() and verifier.verify_tables():
+        payload = verifier.payload
+        for label in sorted(verifier.executions):
+            verifier.verify_execution(label)
+        verifier.verify_table_use()
         for claim in payload["isolation"]:
             verifier.verify_isolation(claim)
         for claim in payload["indistinguishability"]:

@@ -6,10 +6,12 @@ Subcommands:
 * ``all`` — run the full suite (EXPERIMENTS.md regeneration).
 * ``attack`` — run the lower-bound pipeline on a named cheater (or the
   correct protocol) at chosen ``(n, t)``.
-* ``certify`` — run the attack and write a portable v1 certificate
+* ``certify`` — run the attack and write a portable v2 certificate
   artifact (or, with ``matrix``, one artifact per seed-matrix cell).
-* ``verify-cert`` — independently verify saved certificate artifacts;
-  exit 1 with the first violated condition named on rejection.
+* ``verify-cert`` — independently verify saved certificate artifacts
+  (schema v2, or published v1); exit 1 with the first violated
+  condition named on rejection, exit 2 when ``--replay`` cannot read
+  the claimed ``(n, t)``.
 * ``classify`` — classify a named standard problem at ``(n, t)``.
 * ``trace`` — render a persisted run recording (legacy ledger JSONL or
   world log, sniffed) as a phase-tree timeline.
@@ -1037,9 +1039,17 @@ def _dispatch(args: argparse.Namespace) -> int:
         _info(f"certificate written to {path}")
         return 0 if verdict.ok else 1
     if args.command == "verify-cert":
-        import json
-
+        from repro.artifact import load_artifact
+        from repro.certify.format import Certificate
         from repro.certify.verifier import verify_certificate
+
+        def claimed_factory(text: str):
+            # The replayed protocol runs at the artifact's claimed size:
+            # a claim that cannot size it is not a certificate (exit 2).
+            claim = Certificate.loads(text).payload["claim"]
+            return _resolve_protocol(
+                args.replay, claim["n"], claim["t"]
+            ).factory
 
         failures = 0
         for path in args.paths:
@@ -1047,10 +1057,9 @@ def _dispatch(args: argparse.Namespace) -> int:
                 blob = handle.read()
             factory = None
             if args.replay:
-                claim = json.loads(blob.decode("utf-8")).get("claim", {})
-                factory = _resolve_protocol(
-                    args.replay, claim.get("n", 0), claim.get("t", 0)
-                ).factory
+                factory = load_artifact(
+                    path, "attack certificate", claimed_factory
+                )
             report = verify_certificate(blob, factory=factory)
             print(f"{path}: {report.render()}")
             if not report.ok:

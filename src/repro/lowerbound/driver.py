@@ -239,7 +239,7 @@ class AttackOutcome:
         rounds_simulated: rounds the engine actually simulated.
         rounds_baseline: rounds a reuse-free pipeline (one full-horizon
             simulation per distinct configuration) would have simulated.
-        certificate: the portable v1 artifact packaging this outcome's
+        certificate: the portable v2 artifact packaging this outcome's
             claim (when certification was requested).  Excluded from
             equality: the certificate is derived evidence, and
             reuse-enabled and reuse-free runs of one attack may embed
@@ -332,7 +332,7 @@ class LowerBoundDriver:
             attributes, and the final cache/bound counters — the
             run-ledger view of the attack.  Telemetry never affects
             outcomes.
-        certify: package the outcome as a portable v1 attack
+        certify: package the outcome as a portable v2 attack
             certificate (``AttackOutcome.certificate``): the pipeline
             records which configuration produced each trace and which
             merge/swap produced the witness, and the final artifact
@@ -1186,7 +1186,7 @@ class LowerBoundDriver:
         default_bit: Payload | None,
         critical_round: Round | None,
     ) -> "Certificate":
-        """Package the attack's evidence chain as a v1 certificate.
+        """Package the attack's evidence chain as a v2 certificate.
 
         Embeds only the critical-path runs, materialized here: the
         witness execution, the pre-swap source, the merge inputs (when
@@ -1347,7 +1347,7 @@ def attack_weak_consensus(
             simulate-everything pipeline round for round).
         cache: a shared :class:`ExecutionCache` for attacking the same
             protocol repeatedly (e.g. across partitions).
-        certify: attach a portable v1 attack certificate
+        certify: attach a portable v2 attack certificate
             (``AttackOutcome.certificate``) packaging the witness, its
             merge/swap provenance, the isolation and
             indistinguishability claims, and the ``t²/32`` accounting

@@ -4,7 +4,9 @@
 :mod:`repro.obs.ledger` event stream: the span tree with accumulated
 durations, the slowest simulated rounds, the per-round message-count
 series, the cache hit rate and the observed messages-vs-``t²/32``
-ratio, plus a per-cell table for sweep ledgers.  :func:`span_totals`,
+ratio (its minimum and maximum over the cells of a sweep), plus a
+per-cell table for sweep ledgers with each cell's messages, floor and
+ratio.  :func:`span_totals`,
 :func:`percentiles` and :func:`cache_hit_rate` are the folds ``repro
 log stats`` reuses.
 """
@@ -236,28 +238,32 @@ def render_trace(
             f"{_counter_total(events, 'cache.misses'):.0f} misses)"
         )
 
-    ratio = _last_gauge(events, "bound.vs_floor")
-    observed = _last_gauge(events, "bound.observed")
-    floor = _last_gauge(events, "bound.floor")
-    if ratio is not None:
-        detail = ""
-        if observed is not None and floor is not None:
-            detail = (
-                f" ({observed.value:.0f} messages vs "
-                f"t²/32 = {floor.value:.1f})"
-            )
+    by_cell: dict[str, list[LedgerEvent]] = {cell: [] for cell in cells}
+    for event in events:
+        if event.cell_id is not None:
+            by_cell[event.cell_id].append(event)
+    bounds = {cell: _bound(by_cell[cell]) for cell in cells}
+    measured = [(cell, bound) for cell, bound in bounds.items() if bound]
+    if len(measured) > 1:
+        # One ratio per cell: a sweep's cells differ in t, so no single
+        # gauge speaks for the log.
+        low = min(measured, key=lambda item: item[1][0])
+        high = max(measured, key=lambda item: item[1][0])
         lines.append(
-            f"messages / (t²/32): {ratio.value:.3f}{detail}"
+            f"messages / (t²/32) over {len(measured)} cells: "
+            f"min {_render_bound(*low)}, max {_render_bound(*high)}"
         )
+    else:
+        bound = _bound(events)
+        if bound is not None:
+            lines.append(f"messages / (t²/32): {_render_bound(None, bound)}")
 
     if cells:
         lines.append("")
         lines.append("per-cell summary:")
         rows = []
         for cell in cells:
-            cell_events = [
-                event for event in events if event.cell_id == cell
-            ]
+            cell_events = by_cell[cell]
             wall = _last_gauge(cell_events, "cell.wall_seconds")
             errors = _counter_total(cell_events, "cell.error")
             artifacts = sum(
@@ -265,22 +271,66 @@ def render_trace(
                 for event in cell_events
                 if event.kind == "artifact"
             )
+            ratio, observed, floor = bounds[cell] or (None, None, None)
             rows.append(
                 (
                     cell,
                     f"{wall.value * 1e3:.1f}" if wall else "-",
                     len(cell_events),
                     artifacts,
+                    "-" if observed is None else f"{observed:.0f}",
+                    "-" if floor is None else f"{floor:.1f}",
+                    "-" if ratio is None else f"{ratio:.3f}",
                     "ERROR" if errors else "ok",
                 )
             )
         lines.append(
             render_table(
-                ("cell", "wall ms", "events", "artifacts", "status"),
+                (
+                    "cell",
+                    "wall ms",
+                    "events",
+                    "artifacts",
+                    "messages",
+                    "floor",
+                    "messages/floor",
+                    "status",
+                ),
                 rows,
             )
         )
     return "\n".join(lines)
+
+
+def _bound(
+    events: Sequence[LedgerEvent],
+) -> tuple[float, float | None, float | None] | None:
+    """``(ratio, observed, floor)`` from the last ``bound.*`` gauges, or
+    ``None`` without a ``bound.vs_floor`` gauge."""
+    ratio = _last_gauge(events, "bound.vs_floor")
+    if ratio is None:
+        return None
+    observed = _last_gauge(events, "bound.observed")
+    floor = _last_gauge(events, "bound.floor")
+    return (
+        ratio.value,
+        None if observed is None else observed.value,
+        None if floor is None else floor.value,
+    )
+
+
+def _render_bound(
+    cell: str | None,
+    bound: tuple[float, float | None, float | None],
+) -> str:
+    """``ratio (cell: observed messages vs t²/32 = floor)``."""
+    ratio, observed, floor = bound
+    detail = []
+    if cell is not None:
+        detail.append(cell)
+    if observed is not None and floor is not None:
+        detail.append(f"{observed:.0f} messages vs t²/32 = {floor:.1f}")
+    return f"{ratio:.3f}" + (f" ({': '.join(detail)})" if detail else "")
 
 
 def events_from(

@@ -182,8 +182,8 @@ class JobResult:
         cache: the worker's execution-cache counters (attack jobs only).
         rounds_simulated: engine rounds actually simulated.
         rounds_baseline: rounds a reuse-free pipeline would have run.
-        certificate: the cell's attack certificate as canonical UTF-8
-            JSON bytes (certifying attack jobs only).  Shipped as bytes
+        certificate: the cell's schema-v2 attack certificate as
+            canonical UTF-8 JSON bytes (certifying attack jobs only).  Shipped as bytes
             — not as the live :class:`~repro.certify.format.Certificate`
             — so the scheduler's gather step verifies *exactly* the
             artifact that crossed the process boundary, and so both

@@ -299,20 +299,210 @@ def execution_to_dict(execution: Execution) -> dict:
     return _encode_execution(execution, {})
 
 
-def executions_to_dicts(
-    executions: Mapping[str, Execution],
-) -> dict[str, dict]:
-    """Encode labelled executions through one shared message memo.
+class _Tables:
+    """Content-addressed message and fragment tables.
 
-    Record for record equal to ``{label: execution_to_dict(execution)}``,
-    but every message object is encoded and canonicalized once, however
-    many fragments and executions hold it.
+    Each distinct encoded message and fragment is stored once.  A message
+    is keyed by the canonical JSON of its record, never by Python
+    equality (``True == 1``); a fragment by its state's pid, round and
+    the canonical JSON of its proposal and decision, plus its index
+    lists, which together fix the canonical JSON of its record.  Entries
+    take their index on first use, so the table order follows the order
+    the encoder walks the executions in.
+
+    Messages, states and state payloads are encoded once per object,
+    through identity memos like :func:`execution_to_dict`'s: fragments
+    built from one another share them.  Each memo entry holds its
+    object, so no ``id`` is reused while the tables live.
     """
-    memo: _Memo = {}
-    return {
-        label: _encode_execution(execution, memo)
-        for label, execution in executions.items()
+
+    def __init__(self) -> None:
+        self.messages: list[dict] = []
+        self.fragments: list[dict] = []
+        self._message_index: dict[str, int] = {}
+        self._fragment_index: dict[tuple, int] = {}
+        self._memo: _Memo = {}
+        # id(state) -> (state, key, record); id(payload) -> (payload,
+        # canonical key, record)
+        self._state_memo: dict[int, tuple[StateSnapshot, tuple, dict]] = {}
+        self._payload_memo: dict[int, tuple[Any, str, Any]] = {}
+
+    def _message_refs(self, messages: frozenset[Message]) -> tuple:
+        """Indices of ``messages`` in canonical order, interning new ones
+        in that order (never in set iteration order, which hash
+        randomization scrambles)."""
+        memo = self._memo
+        entries = []
+        for message in messages:
+            entry = memo.get(id(message))
+            if entry is None:
+                record = _encode_message(message)
+                entry = memo[id(message)] = (
+                    message, canonical_json(record), record
+                )
+            entries.append(entry)
+        entries.sort(key=itemgetter(1))
+        index_of = self._message_index
+        refs = []
+        for _, key, record in entries:
+            index = index_of.get(key)
+            if index is None:
+                index = index_of[key] = len(self.messages)
+                self.messages.append(record)
+            refs.append(index)
+        return tuple(refs)
+
+    def _payload(self, value: Any) -> tuple[Any, str, Any]:
+        entry = self._payload_memo.get(id(value))
+        if entry is None:
+            record = encode_payload(value)
+            entry = self._payload_memo[id(value)] = (
+                value, canonical_json(record), record
+            )
+        return entry
+
+    def _state(self, state: StateSnapshot) -> tuple[StateSnapshot, tuple, dict]:
+        """``(state, key, record)``; the key is the model's integer pid
+        and round plus the canonical JSON of proposal and decision."""
+        entry = self._state_memo.get(id(state))
+        if entry is None:
+            _, proposal_key, proposal = self._payload(state.proposal)
+            decision_key = decision = None
+            if state.decision is not None:
+                _, decision_key, decision = self._payload(state.decision)
+            entry = self._state_memo[id(state)] = (
+                state,
+                (state.process, state.round, proposal_key, decision_key),
+                {
+                    "process": state.process,
+                    "round": state.round,
+                    "proposal": proposal,
+                    "decision": decision,
+                },
+            )
+        return entry
+
+    def fragment_ref(self, fragment: Fragment) -> int:
+        """The index of ``fragment``, interning it on first use."""
+        _, state_key, state_record = self._state(fragment.state)
+        refs = self._message_refs
+        # most of a sparse protocol's message sets are empty
+        sent = fragment.sent
+        send_omitted = fragment.send_omitted
+        received = fragment.received
+        receive_omitted = fragment.receive_omitted
+        key = (
+            state_key,
+            refs(sent) if sent else (),
+            refs(send_omitted) if send_omitted else (),
+            refs(received) if received else (),
+            refs(receive_omitted) if receive_omitted else (),
+        )
+        index = self._fragment_index.get(key)
+        if index is None:
+            index = self._fragment_index[key] = len(self.fragments)
+            self.fragments.append(
+                {
+                    "state": state_record,
+                    "sent": list(key[1]),
+                    "send_omitted": list(key[2]),
+                    "received": list(key[3]),
+                    "receive_omitted": list(key[4]),
+                }
+            )
+        return index
+
+    def execution_record(self, execution: Execution) -> dict:
+        """An execution as per-process fragment indices plus final states."""
+        fragment_ref = self.fragment_ref
+        return {
+            "n": execution.n,
+            "t": execution.t,
+            "faulty": sorted(execution.faulty),
+            "behaviors": [
+                {
+                    "fragments": [
+                        fragment_ref(fragment)
+                        for fragment in behavior.fragments
+                    ],
+                    "final_state": self._state(behavior.final_state)[2],
+                }
+                for behavior in execution.behaviors
+            ],
+        }
+
+
+def executions_to_tables(executions: Mapping[str, Execution]) -> dict:
+    """Encode labelled executions into content-addressed tables.
+
+    Returns ``{"messages", "fragments", "executions"}``: each distinct
+    message record once, each distinct fragment once (its state plus
+    index lists into ``messages``, each list in the canonical message
+    order of :func:`execution_to_dict`), and per label the execution with
+    each behavior's fragments replaced by indices into ``fragments``.
+    Executions are walked in sorted label order, then pid, then round,
+    so the tables do not depend on the mapping's order or the hash seed.
+    """
+    tables = _Tables()
+    encoded = {
+        label: tables.execution_record(executions[label])
+        for label in sorted(executions)
     }
+    return {
+        "messages": tables.messages,
+        "fragments": tables.fragments,
+        "executions": encoded,
+    }
+
+
+def execution_from_tables(
+    record: dict, fragments: list, messages: list
+) -> Execution:
+    """Decode one execution of :func:`executions_to_tables` output.
+
+    Each referenced table entry is decoded once, however many behaviors
+    share it.  Structural checks run in the constructors.
+    """
+    _require_object(record, "execution")
+    decoded_messages: dict[int, Message] = {}
+    decoded_fragments: dict[int, Fragment] = {}
+
+    def message_set(refs: list) -> frozenset[Message]:
+        out = []
+        for ref in refs:
+            message = decoded_messages.get(ref)
+            if message is None:
+                message = decoded_messages[ref] = _decode_message(
+                    messages[ref]
+                )
+            out.append(message)
+        return frozenset(out)
+
+    def fragment(ref: int) -> Fragment:
+        decoded = decoded_fragments.get(ref)
+        if decoded is None:
+            data = fragments[ref]
+            decoded = decoded_fragments[ref] = Fragment(
+                state=_decode_state(data["state"]),
+                sent=message_set(data["sent"]),
+                send_omitted=message_set(data["send_omitted"]),
+                received=message_set(data["received"]),
+                receive_omitted=message_set(data["receive_omitted"]),
+            )
+        return decoded
+
+    return Execution(
+        n=record["n"],
+        t=record["t"],
+        faulty=frozenset(record["faulty"]),
+        behaviors=tuple(
+            Behavior(
+                tuple(fragment(ref) for ref in behavior["fragments"]),
+                final_state=_decode_state(behavior["final_state"]),
+            )
+            for behavior in record["behaviors"]
+        ),
+    )
 
 
 def _require_object(data: Any, what: str) -> None:

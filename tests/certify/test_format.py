@@ -1,4 +1,4 @@
-"""The v1 certificate artifact format (build, roundtrip, rejection)."""
+"""The v2 certificate artifact format (build, roundtrip, rejection)."""
 
 import json
 

@@ -2,12 +2,15 @@
 
 A small E3 slice — every cheater at ``t`` in {8, 16, 24}, with
 ``n = t + 4 + t % 5`` — runs as certifying attack jobs.  Each cell's
-``JobResult.certificate`` must hash to the SHA-256 committed in
-``golden_digests.json``, and the independent verifier must give the
-same report (conditions checked, failed conditions, rendering) on every
-genuine certificate and on every tampering-matrix forgery of the
-``t = 8`` cells.  The codec and the verifier may get faster; their
-outputs may not move.
+``JobResult.certificate`` (schema v2) must hash to the committed
+``v2_sha256``, and its v1 expansion (:func:`v1_layout.expand_to_v1`) to
+the committed ``sha256`` — the digest the v1 writer produced, so the
+tables hold exactly what v1 wrote out at every use.  The independent
+verifier must give the same report (conditions checked, failed
+conditions, rendering) on every genuine certificate and on every
+tampering-matrix forgery of the ``t = 8`` cells, which edit the v1
+layout and are read through the verifier's v1 adapter.  The codec and
+the verifier may get faster; their outputs may not move.
 
 Regenerate the fixture only when the certificate format changes on
 purpose::
@@ -16,6 +19,7 @@ purpose::
         > tests/certify/golden_digests.json
 """
 
+import copy
 import hashlib
 import json
 import pathlib
@@ -25,6 +29,7 @@ import pytest
 from repro.certify.verifier import verify_certificate
 from repro.parallel.jobs import AttackJob
 from test_tampering import MUTATIONS
+from v1_layout import expand_to_v1, v1_bytes
 
 FIXTURE = pathlib.Path(__file__).with_name("golden_digests.json")
 CHEATERS = ("silent", "leader-echo", "committee", "ring-token",
@@ -52,11 +57,11 @@ def _report(payload):
     }
 
 
-def _tampered(blob, mutate):
-    """The report on one forgery, or ``None`` where the mutator does not
-    apply to this certificate (say, a witness edit on a bound-respected
-    artifact)."""
-    payload = json.loads(blob)
+def _tampered(v1_payload, mutate):
+    """The report on one forgery of the v1 layout, or ``None`` where the
+    mutator does not apply to this certificate (say, a witness edit on a
+    bound-respected artifact)."""
+    payload = copy.deepcopy(v1_payload)
     try:
         mutate(payload)
     except (AssertionError, LookupError, TypeError, ValueError):
@@ -66,13 +71,17 @@ def _tampered(blob, mutate):
 
 def _observe(builder, n, t, mutations):
     blob = AttackJob(builder, n, t, certify=True).run().certificate
+    payload = json.loads(blob)
     observed = {
-        "sha256": hashlib.sha256(blob).hexdigest(),
-        "report": _report(json.loads(blob)),
+        "sha256": hashlib.sha256(v1_bytes(payload)).hexdigest(),
+        "v2_sha256": hashlib.sha256(blob).hexdigest(),
+        "report": _report(payload),
     }
     if t == TAMPERED_T:
+        v1_payload = expand_to_v1(payload)
         observed["tampered"] = {
-            mutate.__name__: _tampered(blob, mutate) for mutate in mutations
+            mutate.__name__: _tampered(v1_payload, mutate)
+            for mutate in mutations
         }
     return observed
 

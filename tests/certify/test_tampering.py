@@ -6,12 +6,18 @@ the claims — and the verifier must reject the artifact with the
 *correct named condition* as the first violated one, not merely "some
 check failed".
 
-Each mutator receives a deep copy of a genuine artifact's payload and
-edits it in place.  Mutators replace list entries with fresh dicts
-(``{**message, ...}``) rather than editing message records, because the
-encoder may alias one record between a sender's ``sent`` and the
-receiver's ``received`` — a mutation through an alias would tamper both
-sides consistently and test nothing.
+The matrix (``MUTATIONS``) edits the published v1 layout, where every
+message and fragment is written out at each use; the verifier reads it
+through its interning adapter, so these rows pin that one verification
+path gives v1 artifacts the conditions they always had.  Each mutator
+receives a deep copy of the v1 payload and edits it in place.  Mutators
+replace list entries with fresh dicts (``{**message, ...}``) rather than
+editing message records, so that a mutation tampers exactly the one use
+it names.
+
+``TestTableTampering`` forges the v2 tables themselves: dangling,
+negative and non-integer indices, entries used where they do not
+belong, and entries stored twice.
 """
 
 import copy
@@ -310,9 +316,9 @@ class TestTamperingMatrix:
         ids=[mutate.__name__ for mutate, _ in MUTATIONS],
     )
     def test_mutation_rejected_with_named_condition(
-        self, violation_certificate, mutate, condition
+        self, violation_v1_payload, mutate, condition
     ):
-        payload = copy.deepcopy(violation_certificate.payload)
+        payload = copy.deepcopy(violation_v1_payload)
         mutate(payload)
         report = verify_certificate(payload)
         assert not report.ok
@@ -321,26 +327,22 @@ class TestTamperingMatrix:
         assert report.first.detail
 
     def test_untampered_baseline_still_verifies(
-        self, violation_certificate
+        self, violation_v1_payload
     ):
         # Guards the matrix against a fixture that was broken all along.
-        assert verify_certificate(
-            copy.deepcopy(violation_certificate.payload)
-        ).ok
+        assert verify_certificate(copy.deepcopy(violation_v1_payload)).ok
 
 
 class TestBoundCertificateTampering:
-    def test_observed_count_inflated(self, bound_setup):
-        _, outcome = bound_setup
-        payload = copy.deepcopy(outcome.certificate.payload)
+    def test_observed_count_inflated(self, bound_v1_payload):
+        payload = copy.deepcopy(bound_v1_payload)
         payload["accounting"]["observed"] += 7
         report = verify_certificate(payload)
         assert not report.ok
         assert report.first.condition == "accounting.observed"
 
-    def test_verdict_forged_without_witness(self, bound_setup):
-        _, outcome = bound_setup
-        payload = copy.deepcopy(outcome.certificate.payload)
+    def test_verdict_forged_without_witness(self, bound_v1_payload):
+        payload = copy.deepcopy(bound_v1_payload)
         payload["claim"]["verdict"] = "violation"
         report = verify_certificate(payload)
         assert not report.ok
@@ -349,7 +351,7 @@ class TestBoundCertificateTampering:
 
 class TestReplayTampering:
     def test_consistent_rewrite_caught_only_by_replay(
-        self, violation_setup
+        self, violation_setup, violation_v1_payload
     ):
         """A forgery beyond structural reach: rewrite one delivered
         message's payload consistently — sender and receiver sides, in
@@ -357,8 +359,8 @@ class TestReplayTampering:
         the indistinguishability claims still hold.  Only replaying the
         algorithm (behavior condition 7) can notice the process never
         sends that payload."""
-        spec, outcome = violation_setup
-        payload = copy.deepcopy(outcome.certificate.payload)
+        spec, _ = violation_setup
+        payload = copy.deepcopy(violation_v1_payload)
         executions = payload["executions"]
 
         # Pick a delivered message present in every execution, and a
@@ -413,4 +415,150 @@ class TestReplayTampering:
         assert structural.ok, structural.render()
         replayed = verify_certificate(payload, factory=spec.factory)
         assert not replayed.ok
+        assert replayed.first.condition == "A.1.5.transition-replay"
+
+
+# -- v2 table forgeries -------------------------------------------------
+
+
+def _first_fragment_with(payload, field):
+    """Index of the first ``fragments`` entry with a non-empty ``field``."""
+    for index, entry in enumerate(payload["fragments"]):
+        if entry[field]:
+            return index
+    raise AssertionError(f"fixture has no fragment with {field} messages")
+
+
+def dangling_message_index(payload):
+    entry = payload["fragments"][_first_fragment_with(payload, "sent")]
+    entry["sent"][0] = len(payload["messages"])
+
+
+def dangling_fragment_index(payload):
+    behavior = _witness_record(payload)["behaviors"][0]
+    behavior["fragments"][0] = len(payload["fragments"])
+
+
+def negative_message_index(payload):
+    entry = payload["fragments"][_first_fragment_with(payload, "sent")]
+    entry["sent"][0] = -1
+
+
+def negative_fragment_index(payload):
+    _witness_record(payload)["behaviors"][0]["fragments"][0] = -1
+
+
+def true_as_message_index(payload):
+    # lst[True] is lst[1] in Python; the reader must not agree.
+    entry = payload["fragments"][_first_fragment_with(payload, "sent")]
+    entry["sent"][0] = True
+
+
+def float_as_fragment_index(payload):
+    behavior = _witness_record(payload)["behaviors"][0]
+    behavior["fragments"][0] = float(behavior["fragments"][0])
+
+
+def true_as_fragment_index(payload):
+    _witness_record(payload)["behaviors"][0]["fragments"][0] = True
+
+
+def entry_at_wrong_pid(payload):
+    behaviors = _witness_record(payload)["behaviors"]
+    behaviors[1]["fragments"][0] = behaviors[2]["fragments"][0]
+
+
+def entry_at_wrong_round(payload):
+    fragments = _witness_record(payload)["behaviors"][1]["fragments"]
+    fragments[0], fragments[1] = fragments[1], fragments[0]
+
+
+def duplicated_message_entry(payload):
+    payload["messages"].append(dict(payload["messages"][0]))
+
+
+def duplicated_fragment_entry(payload):
+    payload["fragments"].append(copy.deepcopy(payload["fragments"][0]))
+
+
+def messages_not_a_list(payload):
+    payload["messages"] = {"0": payload["messages"][0]}
+
+
+def message_entry_malformed(payload):
+    payload["messages"][0] = {**payload["messages"][0], "round": "1"}
+
+
+TABLE_MUTATIONS = [
+    (dangling_message_index, "table.reference"),
+    (dangling_fragment_index, "table.reference"),
+    (negative_message_index, "table.reference"),
+    (negative_fragment_index, "table.reference"),
+    (true_as_message_index, "table.reference"),
+    (float_as_fragment_index, "table.reference"),
+    (true_as_fragment_index, "table.reference"),
+    (entry_at_wrong_pid, "A.1.4.state"),
+    (entry_at_wrong_round, "A.1.4.state"),
+    (duplicated_message_entry, "table.duplicate"),
+    (duplicated_fragment_entry, "table.duplicate"),
+    (messages_not_a_list, "schema.structure"),
+    (message_entry_malformed, "schema.structure"),
+]
+
+
+class TestTableTampering:
+    """Forgeries of the v2 tables, each rejected with a named condition.
+
+    Payloads are parsed from the shipped bytes, so no two uses share a
+    record object."""
+
+    @pytest.mark.parametrize(
+        ("mutate", "condition"),
+        TABLE_MUTATIONS,
+        ids=[mutate.__name__ for mutate, _ in TABLE_MUTATIONS],
+    )
+    def test_table_forgery_rejected_with_named_condition(
+        self, violation_certificate, mutate, condition
+    ):
+        payload = json.loads(violation_certificate.to_bytes())
+        mutate(payload)
+        report = verify_certificate(payload)
+        assert not report.ok
+        assert condition in [failure.condition for failure in report.failures]
+        assert report.first.detail
+
+    def test_misplaced_entry_is_the_first_failure_at_the_wrong_pid(
+        self, violation_certificate
+    ):
+        payload = json.loads(violation_certificate.to_bytes())
+        entry_at_wrong_pid(payload)
+        assert verify_certificate(payload).first.condition == "A.1.4.state"
+
+    def test_untampered_tables_verify(self, violation_certificate):
+        assert verify_certificate(
+            json.loads(violation_certificate.to_bytes())
+        ).ok
+
+    def test_table_rewrite_caught_only_by_replay(self, violation_setup):
+        """One ``messages`` entry stands for every use of the message, so
+        rewriting its payload is a consistent forgery across every
+        execution: only replaying the algorithm can notice it."""
+        spec, outcome = violation_setup
+        payload = json.loads(outcome.certificate.to_bytes())
+        messages = payload["messages"]
+        delivered = {
+            ref
+            for entry in payload["fragments"]
+            for ref in entry["received"]
+        }
+        target = min(delivered)
+        donor = next(
+            message["payload"]
+            for message in messages
+            if _canon(message["payload"])
+            != _canon(messages[target]["payload"])
+        )
+        messages[target] = {**messages[target], "payload": donor}
+        assert verify_certificate(payload).ok
+        replayed = verify_certificate(payload, factory=spec.factory)
         assert replayed.first.condition == "A.1.5.transition-replay"

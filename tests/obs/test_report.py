@@ -82,3 +82,54 @@ class TestRenderTrace:
 
     def test_empty_ledger_renders(self):
         assert "0 events" in render_trace([])
+
+
+class TestFloorRatioPerCell:
+    """A sweep's cells differ in ``t``: each reports its own ratio."""
+
+    CELLS = {
+        # cell id: (observed messages, t²/32 floor)
+        "attack/committee/n12/t8": (44, 2.0),
+        "attack/committee/n28/t24": (216, 18.0),
+    }
+
+    def _two_cell_ledger(self):
+        ledger = RunLedger(run_id="sweep", worker_id=1)
+        for cell, (observed, floor) in self.CELLS.items():
+            ledger.emit("gauge", "bound.observed", value=observed,
+                        cell_id=cell)
+            ledger.emit("gauge", "bound.floor", value=floor, cell_id=cell)
+            ledger.emit("gauge", "bound.vs_floor", value=observed / floor,
+                        cell_id=cell)
+        return ledger
+
+    def test_each_cell_prints_its_own_ratio(self):
+        text = render_trace(self._two_cell_ledger().events)
+        table = text.split("per-cell summary:")[1].splitlines()
+        assert "messages/floor" in table[1]
+        for cell, (observed, floor) in self.CELLS.items():
+            row = next(line.split() for line in table if line.startswith(cell))
+            assert float(row[-2]) == observed / floor
+            assert (float(row[-4]), float(row[-3])) == (observed, floor)
+
+    def test_min_and_max_name_their_cells(self):
+        text = render_trace(self._two_cell_ledger().events)
+        line = next(
+            line for line in text.splitlines()
+            if line.startswith("messages / (t²/32)")
+        )
+        assert line.startswith("messages / (t²/32) over 2 cells:")
+        assert (
+            "min 12.000 (attack/committee/n28/t24: 216 messages vs "
+            "t²/32 = 18.0)" in line
+        )
+        assert (
+            "max 22.000 (attack/committee/n12/t8: 44 messages vs "
+            "t²/32 = 2.0)" in line
+        )
+
+    def test_single_cell_keeps_the_one_line(self):
+        text = render_trace(_sample_ledger().events)
+        assert "messages / (t²/32): 5.000 (10 messages vs t²/32 = 2.0)" in (
+            text
+        )

@@ -20,8 +20,9 @@ from repro.sim.serialization import (
     dump_execution,
     dump_witness,
     encode_payload,
+    execution_from_tables,
     execution_to_dict,
-    executions_to_dicts,
+    executions_to_tables,
     load_execution,
     load_witness,
 )
@@ -282,14 +283,15 @@ def message_batches(draw):
 
 
 class TestSharedMemoProperty:
-    """Property: encoding executions through one shared message memo
-    gives the same records as encoding each execution alone.
+    """Property: encoding executions into shared content-addressed tables
+    loses nothing that encoding each execution alone keeps.
 
-    The memo is keyed by object identity.  Every drawn batch holds equal
-    messages that encode differently in separate executions, so a memo
-    keyed by equality would hand one execution the other's record; the
-    dicts would still compare equal (``True == 1``), but their canonical
-    strings would not.
+    The tables are filled through identity memos and keyed by canonical
+    JSON.  Every drawn batch holds equal messages that encode differently
+    in separate executions, so a memo or a table keyed by equality would
+    hand one execution the other's record; the decoded executions would
+    still compare equal (``True == 1``), but their canonical strings
+    would not.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -299,17 +301,20 @@ class TestSharedMemoProperty:
             f"e{index}": _one_round_execution(messages)
             for index, messages in enumerate(batches)
         }
-        shared = executions_to_dicts(executions)
-        alone = {
-            label: execution_to_dict(execution)
-            for label, execution in executions.items()
-        }
-        assert shared == alone
-        assert {
-            label: canonical_json(record) for label, record in shared.items()
-        } == {
-            label: canonical_json(record) for label, record in alone.items()
-        }
+        tables = executions_to_tables(executions)
+        for label, execution in executions.items():
+            decoded = execution_from_tables(
+                tables["executions"][label],
+                tables["fragments"],
+                tables["messages"],
+            )
+            assert canonical_json(execution_to_dict(decoded)) == (
+                canonical_json(execution_to_dict(execution))
+            )
+        # Each record is stored once, so twins are two entries.
+        for table in ("messages", "fragments"):
+            keys = [canonical_json(entry) for entry in tables[table]]
+            assert len(keys) == len(set(keys))
 
 
 class TestWitnessRoundtrip:
