@@ -13,13 +13,13 @@ Subcommands:
   condition named on rejection, exit 2 when ``--replay`` cannot read
   the claimed ``(n, t)``.
 * ``classify`` — classify a named standard problem at ``(n, t)``.
-* ``trace`` — render a persisted run recording (legacy ledger JSONL or
-  world log, sniffed) as a phase-tree timeline.
-* ``log show`` / ``log derive`` / ``log import`` / ``log resume`` —
-  the world-log toolbox: list an append-only record store (with
-  ``--kind/--cell/--run/--tail`` filters), re-derive the legacy
-  artifact views from it, fold legacy files into a fresh log, and
-  finish an interrupted sweep from its recorded jobs.
+* ``trace`` — render a world log written via ``--ledger`` as a
+  phase-tree timeline.
+* ``log show`` / ``log derive`` / ``log resume`` — the world-log
+  toolbox: list an append-only record store (with
+  ``--kind/--cell/--run/--tail`` filters), derive the published
+  artifact views from it, and finish an interrupted sweep from its
+  recorded jobs.
 * ``log replay`` / ``log diff`` / ``log stats`` — time travel: step a
   past run record-by-record (``--at TICK`` one-shot or stdin-driven),
   semantically diff two logs of the same matrix (key-aligned, timing
@@ -150,10 +150,9 @@ def _ledger_option(subparser: argparse.ArgumentParser) -> None:
         "--ledger",
         metavar="PATH",
         help=(
-            "record the run to PATH: a '*.worldlog' suffix writes the "
-            "append-only world log (render with 'repro trace', derive "
-            "artifacts with 'repro log derive'); any other suffix "
-            "writes the legacy event-ledger JSONL"
+            "record the run to PATH as an append-only world log "
+            "(render with 'repro trace', derive artifacts with "
+            "'repro log derive')"
         ),
     )
 
@@ -380,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
         "log",
         help=(
             "operate on append-only world logs: show records, derive "
-            "the legacy artifact views, import legacy files, resume "
-            "an interrupted sweep, replay/diff/stat past runs"
+            "the artifact views, resume an interrupted sweep, "
+            "replay/diff/stat past runs"
         ),
     )
     log_sub = log_parser.add_subparsers(dest="log_command", required=True)
@@ -443,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         "derive",
         help=(
             "re-derive the artifact views (ledger JSONL, certificates, "
-            "checkpoints, jobs manifest) from a world log"
+            "jobs manifest) from a world log"
         ),
     )
     log_derive.add_argument("path", help="world log file")
@@ -452,22 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="output directory (default: <log>.derived/)",
-    )
-    log_import = log_sub.add_parser(
-        "import",
-        help=(
-            "one-shot conversion: fold legacy artifacts (event "
-            "ledgers, attack certificates) into one fresh world log"
-        ),
-    )
-    log_import.add_argument(
-        "paths", nargs="+", help="legacy artifact file(s)"
-    )
-    log_import.add_argument(
-        "--out",
-        metavar="LOG",
-        required=True,
-        help="the world log to create",
     )
     log_resume = log_sub.add_parser(
         "resume",
@@ -526,14 +509,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_parser = subparsers.add_parser(
         "trace",
-        help=(
-            "render a persisted run recording (legacy ledger JSONL or "
-            "world log, sniffed) as a phase-tree timeline"
-        ),
+        help="render a recorded run's world log as a phase-tree timeline",
     )
     trace_parser.add_argument(
-        "path",
-        help="run ledger JSONL file or world log (written via --ledger)",
+        "path", help="world log file (written via --ledger)"
     )
     trace_parser.add_argument(
         "--slowest",
@@ -778,12 +757,12 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_export = metrics_sub.add_parser(
         "export",
         help=(
-            "render a run recording (world log or legacy ledger "
-            "JSONL, sniffed) as Prometheus text exposition"
+            "render a recorded run's world log as Prometheus text "
+            "exposition"
         ),
     )
     metrics_export.add_argument(
-        "path", help="world log or run ledger JSONL file"
+        "path", help="world log file (written via --ledger)"
     )
     metrics_export.add_argument(
         "--format",
@@ -814,23 +793,18 @@ def _resolve_protocol(name: str, n: int, t: int):
 def _make_ledger(path: str | None):
     """The recording pair ``(ledger, worldlog)`` for ``--ledger PATH``.
 
-    The compatibility shim: a ``*.worldlog`` path opens the append-only
-    world log and mirrors every ledger event into it write-through (the
-    ledger itself is the in-memory view layers already consume); any
-    other path keeps the legacy behavior — an in-memory ledger that
-    :func:`_write_ledger` persists as JSONL at the end.  Either element
-    may be ``None``.
+    Opens the append-only world log at ``PATH`` and mirrors every
+    ledger event into it write-through (the ledger itself is the
+    in-memory view layers already consume).  Both are ``None`` without
+    a path.
     """
     if not path:
         return None, None
     from repro.obs.ledger import RunLedger
+    from repro.worldlog.store import WorldLog
 
-    if path.endswith(".worldlog"):
-        from repro.worldlog.store import WorldLog
-
-        worldlog = WorldLog.create(path)
-        return RunLedger(sink=worldlog.record_event), worldlog
-    return RunLedger(), None
+    worldlog = WorldLog.create(path)
+    return RunLedger(sink=worldlog.record_event), worldlog
 
 
 def _make_telemetry(
@@ -839,8 +813,8 @@ def _make_telemetry(
     """The optional :class:`TelemetryBus` behind ``--telemetry``.
 
     ``--telemetry-interval SECONDS`` implies ``--telemetry``; either
-    flag without a ``*.worldlog`` ledger is a domain error (there is
-    nowhere to record snapshots).  Returns ``None`` when telemetry was
+    flag without ``--ledger`` is a domain error (there is nowhere to
+    record snapshots).  Returns ``None`` when telemetry was
     not requested.
     """
     interval_arg = getattr(args, "telemetry_interval", None)
@@ -865,21 +839,17 @@ def _make_telemetry(
     return TelemetryBus(worldlog, interval=interval, source=source)
 
 
-def _write_ledger(ledger, worldlog, path: str | None) -> None:
-    """Persist and announce a run recording (diagnostic, so stderr)."""
-    if ledger is None or not path:
+def _write_ledger(ledger, worldlog) -> None:
+    """Close and announce a run recording (diagnostic, so stderr)."""
+    if worldlog is None:
         return
-    if worldlog is not None:
-        records = len(worldlog.records)
-        worldlog.close()
-        _info(
-            f"world log written to {path} ({records} records, "
-            f"{len(ledger)} events); derive artifacts with "
-            f"'repro log derive {path}'"
-        )
-        return
-    ledger.write(path)
-    _info(f"run ledger written to {path} ({len(ledger)} events)")
+    records = len(worldlog.records)
+    worldlog.close()
+    _info(
+        f"world log written to {worldlog.path} ({records} records, "
+        f"{len(ledger)} events); derive artifacts with "
+        f"'repro log derive {worldlog.path}'"
+    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -916,7 +886,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             kwargs["progress"] = True
             kwargs["stall_after"] = args.stall_after
         print(runner(**kwargs).report)
-        _write_ledger(ledger, worldlog, getattr(args, "ledger", None))
+        _write_ledger(ledger, worldlog)
         return 0
     if args.command == "all":
         import inspect
@@ -937,7 +907,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 kwargs["stall_after"] = args.stall_after
             print(runner(**kwargs).report)
             print()
-        _write_ledger(ledger, worldlog, args.ledger)
+        _write_ledger(ledger, worldlog)
         return 0
     if args.command == "attack":
         from repro.obs.ledger import RunLedger
@@ -974,7 +944,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             with open(args.save, "w") as handle:
                 handle.write(dump_witness(outcome.witness))
             _info(f"witness written to {args.save}")
-        _write_ledger(ledger, worldlog, args.ledger)
+        _write_ledger(ledger, worldlog)
         expected_violation = args.protocol in CHEATERS
         return 0 if outcome.found_violation == expected_violation else 1
     if args.command == "verify-witness":
@@ -1092,10 +1062,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
             worldlog = WorldLog.resume(args.resume)
             ledger = RunLedger(sink=worldlog.record_event)
-            target = args.resume
         else:
             ledger, worldlog = _make_ledger(args.ledger)
-            target = args.ledger
         telemetry = _make_telemetry(args, worldlog, "sweep")
         report = SweepScheduler(
             jobs=args.jobs,
@@ -1115,7 +1083,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(render_sweep(points))
         if args.timings:
             _info(report.render())
-        _write_ledger(ledger, worldlog, target)
+        _write_ledger(ledger, worldlog)
         try:
             print(f"fit: {fit_sweep(points).render()}")
         except ValueError:
@@ -1154,18 +1122,11 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _read_recording_events(path: str):
-    """Ledger events from a run recording: world log or legacy JSONL,
-    sniffed the same way ``repro trace`` always has."""
-    from repro.worldlog.store import is_worldlog
+    """The ledger events a world log recorded (``trace``, ``metrics``)."""
+    from repro.worldlog.store import read_worldlog
+    from repro.worldlog.views import ledger_events
 
-    if is_worldlog(path):
-        from repro.worldlog.store import read_worldlog
-        from repro.worldlog.views import ledger_events
-
-        return ledger_events(read_worldlog(path))
-    from repro.obs.ledger import read_events
-
-    return read_events(path)
+    return ledger_events(read_worldlog(path))
 
 
 def _dispatch_serve(args: argparse.Namespace) -> int:
@@ -1680,17 +1641,6 @@ def _dispatch_log(args: argparse.Namespace) -> int:
                 total += 1
         print(f"{total} artifact(s) derived into {out_dir}")
         return 0
-    if args.log_command == "import":
-        from repro.worldlog.legacy import import_legacy
-
-        counts = import_legacy(args.paths, args.out)
-        for family in sorted(counts):
-            _info(f"{family}: {counts[family]} record(s) imported")
-        print(
-            f"world log written to {args.out} "
-            f"({sum(counts.values())} record(s))"
-        )
-        return 0
     if args.log_command == "resume":
         from repro.obs.ledger import RunLedger
         from repro.parallel import SweepScheduler
@@ -1713,7 +1663,7 @@ def _dispatch_log(args: argparse.Namespace) -> int:
                 stall_after=args.stall_after,
             ).run(jobs)
             print(report.render())
-            _write_ledger(ledger, worldlog, args.path)
+            _write_ledger(ledger, worldlog)
         return 1 if report.errors() else 0
     raise AssertionError(
         f"unhandled log command {args.log_command!r}"

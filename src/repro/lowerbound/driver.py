@@ -340,9 +340,8 @@ class LowerBoundDriver:
             :func:`repro.certify.verifier.verify_certificate`.
         worldlog: an open :class:`~repro.worldlog.store.WorldLog` to
             record in-band milestones into (default ``None``: no
-            records).  The driver appends a ``checkpoint`` record per
-            fault-free fork state it stores and — when ``certify`` is
-            on — a ``cert.artifact`` record carrying the assembled
+            records).  When ``certify`` is on, the driver appends a
+            ``cert.artifact`` record carrying the assembled
             certificate's exact canonical text, so the certificate view
             derived from the log is byte-identical to the file the CLI
             writes.  Recording never affects outcomes.
@@ -974,18 +973,6 @@ class LowerBoundDriver:
             self.cache.store_kernel_state(
                 self._spec_key, bit, (trace, forker)
             )
-            if self.worldlog is not None:
-                self.worldlog.append(
-                    "checkpoint",
-                    {
-                        "protocol": self.spec.name,
-                        "n": self.spec.n,
-                        "t": self.spec.t,
-                        "bit": bit,
-                        "rounds": trace.rounds,
-                        "enabled": True,
-                    },
-                )
         return trace
 
     def _try_reuse(
@@ -1357,7 +1344,8 @@ def attack_weak_consensus(
             ledger with phase spans and per-round wall times; the
             zero-overhead no-op by default).
         worldlog: an open :class:`~repro.worldlog.store.WorldLog` for
-            in-band ``checkpoint`` and ``cert.artifact`` records.
+            the in-band ``cert.artifact`` record (written only when
+            ``certify`` is on).
         telemetry: an optional :class:`~repro.obs.telemetry
             .TelemetryBus` sampling the attack into observability-only
             ``telemetry.snapshot`` records through a per-round tap.

@@ -2,9 +2,9 @@
 
 The layer every pipeline stage emits into and every report reads from:
 
-* :mod:`repro.obs.ledger` — the append-only JSONL event log with the
-  ``run_id`` / ``cell_id`` / ``worker_id`` correlation triple and the
-  cross-process splice protocol;
+* :mod:`repro.obs.ledger` — the append-only in-memory event log with
+  the ``run_id`` / ``cell_id`` / ``worker_id`` correlation triple and
+  the cross-process splice protocol (persisted through the world log);
 * :mod:`repro.obs.tracer` — span tracing with a zero-overhead no-op
   default (:data:`NULL_TRACER`) and the per-round engine observer;
 * :mod:`repro.obs.metrics` — the associative registry of named
@@ -36,7 +36,6 @@ from repro.obs.ledger import (
     cell_label,
     new_run_id,
     order_signature,
-    read_events,
 )
 from repro.obs.metrics import (
     Counter,
@@ -75,7 +74,6 @@ __all__ = [
     "new_run_id",
     "order_signature",
     "parse_interval",
-    "read_events",
     "registry_from_events",
     "render_prometheus",
 ]

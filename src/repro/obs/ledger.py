@@ -1,10 +1,11 @@
-"""The append-only structured run ledger (JSON Lines).
+"""The append-only structured run ledger.
 
 One pipeline run — an attack, a sweep, an experiment — produces one
 *ledger*: an ordered sequence of typed :class:`LedgerEvent` records that
 every telemetry producer (the span tracer, the metrics registry, the
 sweep scheduler) appends to.  The ledger is the single correlated event
-stream the repository's observability is built on; ``repro trace``
+stream the repository's observability is built on.  The world log
+persists it (one ``ledger.event`` record per event), ``repro trace``
 renders it and ``repro log stats`` folds it into per-run metrics.
 
 Event model
@@ -72,7 +73,7 @@ import os
 import time
 import uuid
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, TextIO
+from typing import Any, Callable, Iterable
 
 EVENT_KINDS = ("span-start", "span-end", "counter", "gauge", "artifact")
 """The typed event vocabulary, in documentation order."""
@@ -174,7 +175,7 @@ class LedgerEvent:
 
 
 class RunLedger:
-    """An append-only in-memory event log with JSONL persistence.
+    """An append-only in-memory event log.
 
     Args:
         run_id: the run correlation id (random when omitted).
@@ -184,10 +185,11 @@ class RunLedger:
             deterministic tests and doctests).
         sink: optional callback invoked with every event as it is
             appended — emitted *and* spliced, in append order.  This is
-            how the world log mirrors a live ledger
+            how the world log persists a live ledger
             (``RunLedger(sink=worldlog.record_event)``): the derived
-            ledger view then reproduces :meth:`write` output
-            byte-for-byte.  The sink observes; it never mutates.
+            ledger view then holds every event's
+            :meth:`LedgerEvent.to_json` line, in append order.  The
+            sink observes; it never mutates.
     """
 
     def __init__(
@@ -254,34 +256,6 @@ class RunLedger:
             self._append(replace(event, run_id=self.run_id))
             count += 1
         return count
-
-    def dump(self, stream: TextIO) -> None:
-        """Write every event as one JSON line to ``stream``."""
-        for event in self.events:
-            stream.write(event.to_json())
-            stream.write("\n")
-
-    def write(self, path: str) -> None:
-        """Persist the ledger to ``path`` as a JSONL artifact."""
-        with open(path, "w", encoding="utf-8") as handle:
-            self.dump(handle)
-
-
-def read_events(path: str) -> list[LedgerEvent]:
-    """Load a persisted JSONL ledger back into events (blank-line safe).
-
-    Raises:
-        ArtifactError: if any line is not valid JSON or lacks a required
-            event field — the file exists but is not a ledger, an
-            environment failure the CLI maps to exit 2.  The diagnostic
-            is the shared :mod:`repro.artifact` ``file:line`` one-liner.
-        OSError: if the file cannot be read at all.
-    """
-    from repro.artifact import load_artifact_lines
-
-    return load_artifact_lines(
-        path, "ledger event", LedgerEvent.from_json
-    )
 
 
 def order_signature(

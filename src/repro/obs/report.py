@@ -14,7 +14,7 @@ log stats`` reuses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.obs.ledger import LedgerEvent
 
@@ -331,14 +331,3 @@ def _render_bound(
     if observed is not None and floor is not None:
         detail.append(f"{observed:.0f} messages vs t²/32 = {floor:.1f}")
     return f"{ratio:.3f}" + (f" ({': '.join(detail)})" if detail else "")
-
-
-def events_from(
-    source: "Iterable[LedgerEvent] | str",
-) -> list[LedgerEvent]:
-    """Events from a ledger path or an in-memory event iterable."""
-    if isinstance(source, str):
-        from repro.obs.ledger import read_events
-
-        return read_events(source)
-    return list(source)

@@ -3,7 +3,7 @@
 One run writes one *world log*: a tick-ordered JSONL sequence of typed
 :class:`~repro.worldlog.record.Record` envelopes.  Everything the
 repository used to persist separately — ledger events, attack
-certificates, driver checkpoints, service jobs — is a
+certificates, service jobs — is a
 *view* derived by scanning the log (:mod:`repro.worldlog.views`); the
 log itself is the only thing any layer writes.  On top of the views sit
 the time-travel tools: a replay cursor that materializes "what the
@@ -30,7 +30,6 @@ from repro.worldlog.replay import (
 from repro.worldlog.store import (
     LogTailer,
     WorldLog,
-    is_worldlog,
     read_records,
     read_worldlog,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "WorldLog",
     "derive_views",
     "diff_logs",
-    "is_worldlog",
     "log_order_signature",
     "log_stats",
     "read_records",

@@ -44,7 +44,6 @@ KINDS = (
     "log.open",
     "gather.start",
     "ledger.event",
-    "checkpoint",
     "cert.artifact",
     "job.submitted",
     "job.start",
@@ -61,8 +60,6 @@ KINDS = (
   gather never duplicates events in the derived view.
 * ``ledger.event`` — one :class:`~repro.obs.ledger.LedgerEvent`,
   mirrored verbatim as it lands in the live run ledger.
-* ``checkpoint`` — an in-band driver checkpoint note (fault-free run
-  snapshotted for Lemma-4 prefix resume).
 * ``cert.artifact`` — a portable attack certificate, carried as its
   canonical JSON text.
 * ``job.submitted`` / ``job.start`` / ``job.result`` / ``job.error`` —

@@ -88,9 +88,8 @@ class ReplayState:
     Event-derived fields (``events`` through ``vs_floor``) mirror the
     derived ledger view: they reset on every ``gather.start`` marker,
     so they always describe events after the *last* marker seen.
-    Envelope-derived fields (cells, jobs, certificates, checkpoints)
-    accumulate over the whole prefix, exactly like their
-    manifest views.
+    Envelope-derived fields (cells, jobs, certificates) accumulate
+    over the whole prefix, exactly like their manifest views.
     """
 
     tick: int = -1
@@ -108,7 +107,6 @@ class ReplayState:
 
     # artifact bookkeeping (whole prefix)
     certificates: list[str] = field(default_factory=list)
-    checkpoints: int = 0
 
     # observability bookkeeping (whole prefix; never feeds semantics)
     telemetry_snapshots: int = 0
@@ -167,7 +165,6 @@ class ReplayState:
                 for tenant, kinds in self.rejections.items()
             },
             certificates=list(self.certificates),
-            checkpoints=self.checkpoints,
             telemetry_snapshots=self.telemetry_snapshots,
             last_telemetry=(
                 dict(self.last_telemetry)
@@ -214,8 +211,6 @@ class ReplayState:
             self.vs_floor = None
         elif kind == "ledger.event":
             self._apply_event(payload)
-        elif kind == "checkpoint":
-            self.checkpoints += 1
         elif kind == "cert.artifact":
             self.certificates.append(payload["label"])
         elif kind == "job.submitted":
@@ -438,8 +433,6 @@ def render_state(state: ReplayState, total: int | None = None) -> str:
         )
     if state.certificates:
         lines.append("certificates: " + ", ".join(state.certificates))
-    if state.checkpoints:
-        lines.append(f"checkpoints: {state.checkpoints}")
     if state.telemetry_snapshots:
         last = state.last_telemetry or {}
         seq = last.get("seq")
@@ -490,8 +483,8 @@ def log_stats(
 
     The top level summarizes the run (``label`` / ``wall_seconds`` /
     ``rounds_simulated`` / ``events`` / ``messages_observed`` /
-    ``cache_hit_rate``).  Further sections carry the metrics the legacy
-    views never materialized: summed ledger counters (``engine.masks_built`` names the engine
+    ``cache_hit_rate``).  Further sections carry the metrics the derived
+    views never materialize: summed ledger counters (``engine.masks_built`` names the engine
     that ran), per-cell wall/round/message percentiles, flat span totals
     (certificate verify time is the ``witness-verify`` + ``certify``
     rows), and per-tenant job accounting including quota/rate

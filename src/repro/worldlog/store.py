@@ -134,8 +134,8 @@ class WorldLog:
         This is the :class:`~repro.obs.ledger.RunLedger` sink: wire it
         via ``RunLedger(sink=worldlog.record_event)`` and every event
         the ledger accumulates — emitted or spliced — lands in the log
-        in the same order, so the derived ledger view is byte-identical
-        to what ``RunLedger.write`` would have persisted.
+        in the same order, so the derived ledger view holds exactly the
+        ledger's :meth:`~repro.obs.ledger.LedgerEvent.to_json` lines.
         """
         return self.append(
             "ledger.event",
@@ -159,25 +159,27 @@ def read_records(path: str) -> list[Record]:
     replay cursor and the differ) all see exactly this record list, so
     a truncated-mid-record log cannot mean different things to
     different entry points.  A final line with no trailing newline that
-    fails to parse is dropped (the write-through appender guarantees
-    that is the only shape a crash can leave); a malformed line
-    anywhere else raises.  No header validation happens here — that is
-    :func:`read_worldlog`'s contract.
+    fails to decode or parse is dropped (the write-through appender
+    guarantees that is the only shape a crash can leave, and a torn
+    write may split a multi-byte character); a malformed line anywhere
+    else — bytes that are not UTF-8 included — raises.  No header
+    validation happens here — that is :func:`read_worldlog`'s contract.
 
     Raises:
         ArtifactError: on a malformed non-final line (CLI exit 2).
         OSError: if the file cannot be read.
     """
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    lines = text.split("\n")
-    complete_through = len(lines) if text.endswith("\n") else len(lines) - 1
+    with open(path, "rb") as handle:
+        data = handle.read()
+    lines = data.split(b"\n")
+    complete_through = len(lines) if data.endswith(b"\n") else len(lines) - 1
     records: list[Record] = []
-    for number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for number, raw in enumerate(lines, start=1):
         try:
+            # bytes that are not UTF-8 fail here, as a ValueError
+            line = raw.decode("utf-8").strip()
+            if not line:
+                continue
             records.append(Record.from_json(line))
         except (ValueError, KeyError, TypeError) as exc:
             if number > complete_through:
@@ -270,12 +272,13 @@ class LogTailer:
             newline = self._buffer.find(b"\n")
             if newline < 0:
                 break
-            line = self._buffer[:newline].decode("utf-8").strip()
+            raw = self._buffer[:newline]
             self._buffer = self._buffer[newline + 1 :]
             self._line_number += 1
-            if not line:
-                continue
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 record = Record.from_json(line)
             except (ValueError, KeyError, TypeError) as exc:
                 raise artifact_error(
@@ -290,25 +293,3 @@ class LogTailer:
             records.append(record)
             self._emitted += 1
         return records
-
-
-def is_worldlog(path: str) -> bool:
-    """Whether ``path`` exists and opens with a world-log header.
-
-    The schema sniff the transition-era readers (``repro trace``,
-    ``repro metrics export``) use to accept either a legacy ledger or a
-    world log.  Never raises.
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            first = handle.readline().strip()
-        if not first:
-            return False
-        record = Record.from_json(first)
-    except (OSError, ValueError, KeyError, TypeError):
-        return False
-    return (
-        record.kind == "log.open"
-        and isinstance(record.payload, dict)
-        and record.payload.get("schema") == WORLDLOG_SCHEMA
-    )

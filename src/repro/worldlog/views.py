@@ -1,26 +1,24 @@
-"""Derived views: the legacy artifact families, re-rendered.
+"""Derived views: the published artifacts, rendered from a world log.
 
 Nothing here is a second source of truth — a view is a pure function of
 the record sequence, re-runnable at any time (``repro log derive``),
-and proven byte-identical to what the legacy writers persist by the
-golden fixtures under ``tests/worldlog/golden``:
+and pinned byte for byte by the golden fixtures under
+``tests/worldlog/golden``:
 
 * **ledger** — ``ledger.jsonl``: every ``ledger.event`` payload as one
-  JSONL line, exactly :meth:`RunLedger.write` output.  For sweep logs
+  JSONL line, exactly the live ledger's
+  :meth:`~repro.obs.ledger.LedgerEvent.to_json` lines.  For sweep logs
   the view reads events after the *last* ``gather.start`` marker, so a
   crash mid-gather (which would otherwise duplicate spliced events on
   resume) cannot corrupt the view.
 * **certificates** — ``certificates/<label>.cert.json``: each
   ``cert.artifact``'s canonical JSON text, exactly the bytes
   ``Certificate.to_bytes`` ships.
-* **checkpoints** — ``checkpoints.json``: the in-band driver
-  checkpoint notes as one manifest document.
-
-A fourth view has no legacy writer: **jobs** — ``jobs.json``: the
-manifest of service and sweep jobs (schema ``repro.jobs/v1``), folding
-each job's ``job.submitted`` / ``job.start`` / ``job.result`` /
-``job.error`` records into one entry per idempotent job key.  ``repro jobs --log`` renders the same
-manifest without materializing it.
+* **jobs** — ``jobs.json``: the manifest of service and sweep jobs
+  (schema ``repro.jobs/v1``), folding each job's ``job.submitted`` /
+  ``job.start`` / ``job.result`` / ``job.error`` records into one entry
+  per idempotent job key.  ``repro jobs --log`` renders the same
+  manifest without materializing it.
 """
 
 from __future__ import annotations
@@ -33,9 +31,6 @@ from repro.worldlog.record import Record
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.obs.ledger import LedgerEvent
-
-CHECKPOINTS_SCHEMA = "repro.checkpoints/v1"
-"""The schema tag of the derived checkpoint manifest."""
 
 JOBS_SCHEMA = "repro.jobs/v1"
 """The schema tag of the derived service job manifest."""
@@ -81,18 +76,6 @@ def certificate_texts(records: Iterable[Record]) -> dict[str, str]:
         if record.kind == "cert.artifact":
             texts[record.payload["label"]] = record.payload["text"]
     return texts
-
-
-def checkpoint_manifest(records: Iterable[Record]) -> dict[str, Any]:
-    """The derived checkpoint manifest document."""
-    return {
-        "schema": CHECKPOINTS_SCHEMA,
-        "checkpoints": [
-            record.payload
-            for record in records
-            if record.kind == "checkpoint"
-        ],
-    }
 
 
 def jobs_manifest(records: Iterable[Record]) -> dict[str, Any]:
@@ -144,9 +127,8 @@ def derive_views(
     """Materialize every view under ``out_dir``; returns paths per view.
 
     Views with no contributing records write nothing (an attack log
-    without service jobs derives no ``jobs.json``), so the output
-    directory mirrors what the legacy writers would have produced.
-    Record kinds no view reads (``bench.point`` / ``trend.point`` in
+    without service jobs derives no ``jobs.json``).  Record kinds no
+    view reads (``bench.point`` / ``trend.point`` / ``checkpoint`` in
     logs written before those kinds were retired) derive nothing.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -172,14 +154,6 @@ def derive_views(
                 handle.write(text)
             paths.append(path)
         written["certificates"] = paths
-
-    manifest = checkpoint_manifest(records)
-    if manifest["checkpoints"]:
-        path = os.path.join(out_dir, "checkpoints.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        written["checkpoints"] = [path]
 
     manifest = jobs_manifest(records)
     if manifest["jobs"]:

@@ -37,8 +37,8 @@ class TestPublishedV1:
         assert "VERIFIED (structural;" in capsys.readouterr().out
 
     def test_rerendering_it_reproduces_its_bytes(self):
-        # `log import` stores Certificate.dumps(): a published v1 file
-        # must come back out byte for byte.
+        # A published v1 file read and re-rendered must come back out
+        # byte for byte.
         blob = GOLDEN_V1.read_bytes()
         assert Certificate.from_bytes(blob).to_bytes() == blob
 

@@ -83,8 +83,9 @@ class TestLedgerCommands:
             == 0
         )
         captured = capsys.readouterr()
-        assert "run ledger written" in captured.err
-        assert "run ledger written" not in captured.out
+        # Any suffix records a world log.
+        assert "world log written" in captured.err
+        assert "world log written" not in captured.out
         assert main(["trace", path]) == 0
         trace = capsys.readouterr().out
         assert "phase tree" in trace
@@ -110,7 +111,8 @@ class TestLedgerCommands:
     def test_sweep_ledger_records_measure_cells(
         self, tmp_path, capsys
     ):
-        from repro.obs.ledger import read_events
+        from repro.worldlog import read_worldlog
+        from repro.worldlog.views import ledger_events
 
         path = str(tmp_path / "sweep.jsonl")
         assert (
@@ -127,7 +129,7 @@ class TestLedgerCommands:
             == 0
         )
         capsys.readouterr()
-        events = read_events(path)
+        events = ledger_events(read_worldlog(path))
         names = {event.name for event in events}
         assert "measure.worst_messages" in names
         assert "cell.wall_seconds" in names
@@ -146,13 +148,14 @@ class TestLedgerCommands:
         assert profiled.out == plain.out
 
     def test_profile_reuses_the_ledger(self, tmp_path, capsys):
-        from repro.obs.ledger import read_events
+        from repro.worldlog import read_worldlog
+        from repro.worldlog.views import ledger_events
 
         path = str(tmp_path / "run.jsonl")
         argv = ["attack", "silent", "--n", "8", "--t", "4"]
         assert main([*argv, "--profile", "--ledger", path]) == 0
         err = capsys.readouterr().err
-        events = read_events(path)
+        events = ledger_events(read_worldlog(path))
         rounds = [e for e in events if e.name == "engine.round"]
         assert f"rounds simulated: {len(rounds)};" in err
 
@@ -218,10 +221,16 @@ class TestWitnessFiles:
 
 
 class TestRetiredCommands:
-    """The benchmark observatory and the trend canary are gone."""
+    """The benchmark observatory, the trend canary and ``log import``
+    (world logs are the one recording format) are gone."""
 
     @pytest.mark.parametrize(
-        "argv", [["bench", "list"], ["report", "--trend"]]
+        "argv",
+        [
+            ["bench", "list"],
+            ["report", "--trend"],
+            ["log", "import", "run.jsonl", "--out", "x.worldlog"],
+        ],
     )
     def test_parser_rejects_them(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -294,7 +303,9 @@ class TestWorldLogCommands:
         from repro.worldlog import read_worldlog
 
         kinds = {record.kind for record in read_worldlog(log_path)}
-        assert {"log.open", "ledger.event", "checkpoint"} <= kinds
+        assert {"log.open", "ledger.event"} <= kinds
+        # The retired checkpoint kind is no longer written.
+        assert "checkpoint" not in kinds
 
     def test_log_show_lists_records(self, tmp_path, capsys):
         log_path = self._attack_into_worldlog(tmp_path)
@@ -302,11 +313,11 @@ class TestWorldLogCommands:
         assert main(["log", "show", log_path]) == 0
         out = capsys.readouterr().out
         assert "record(s)" in out
-        assert "checkpoint" in out
-        assert (
-            main(["log", "show", log_path, "--kind", "checkpoint"]) == 0
-        )
+        assert "ledger.event" in out
+        assert "checkpoint" not in out
+        assert main(["log", "show", log_path, "--kind", "log.open"]) == 0
         filtered = capsys.readouterr().out
+        assert "log.open" in filtered
         assert "ledger.event" not in filtered
 
     def test_log_derive_writes_views(self, tmp_path, capsys):
@@ -317,7 +328,36 @@ class TestWorldLogCommands:
         import os
 
         assert os.path.exists(os.path.join(out_dir, "ledger.jsonl"))
-        assert os.path.exists(os.path.join(out_dir, "checkpoints.json"))
+        assert not os.path.exists(os.path.join(out_dir, "checkpoints.json"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["log", "show", "{path}"],
+            ["log", "tail", "{path}"],
+            ["log", "diff", "{path}", "{path}"],
+            ["log", "stats", "{path}"],
+            ["log", "derive", "{path}", "--out", "{out}"],
+            ["jobs", "--log", "{path}"],
+            ["trace", "{path}"],
+            ["metrics", "export", "{path}"],
+        ],
+        ids=lambda argv: "-".join(
+            arg for arg in argv if not arg.startswith(("{", "-"))
+        ),
+    )
+    def test_non_utf8_log_exits_two_with_file_line(
+        self, tmp_path, capsys, argv
+    ):
+        """Bytes that are not UTF-8 are a malformed record, not a crash."""
+        path = tmp_path / "bin.worldlog"
+        path.write_bytes(b"\xff\xfe\x00garbage\n")
+        out = str(tmp_path / "views")
+        argv = [arg.format(path=path, out=out) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:1: not a world-log record (UnicodeDecodeError" in err
+        assert "Traceback" not in err
 
     def test_trace_sniffs_a_world_log(self, tmp_path, capsys):
         log_path = self._attack_into_worldlog(tmp_path)
@@ -891,7 +931,8 @@ class TestObservabilityCommands:
         assert main(["log", "tail", log_path]) == 0
         out = capsys.readouterr().out
         assert "log.open" in out
-        assert "checkpoint" in out
+        assert "ledger.event" in out
+        assert "checkpoint" not in out
 
     def test_log_tail_missing_file_is_an_environment_failure(
         self, tmp_path, capsys

@@ -47,7 +47,7 @@ class TestHierarchy:
 
 
 class TestUniformArtifactDiagnostic:
-    """All four artifact loaders share one malformed-file diagnostic.
+    """Every artifact loader shares one malformed-file diagnostic.
 
     The shared :mod:`repro.artifact` chokepoint guarantees the message
     shape ``<path>[:<line>]: not a <kind> (<ExcType>: <detail>)`` and
@@ -58,16 +58,6 @@ class TestUniformArtifactDiagnostic:
         path = tmp_path / name
         path.write_text(text)
         return str(path)
-
-    def test_ledger_events(self, tmp_path):
-        from repro.errors import ArtifactError
-        from repro.obs.ledger import read_events
-
-        path = self._write(tmp_path, "garbage.jsonl", "not json\n")
-        with pytest.raises(ArtifactError) as excinfo:
-            read_events(path)
-        message = str(excinfo.value)
-        assert f"{path}:1: not a ledger event" in message
 
     def test_certificate(self, tmp_path):
         from repro.errors import ArtifactError
@@ -140,10 +130,18 @@ class TestUniformArtifactDiagnostic:
         assert "Traceback" not in err
 
     def test_exit_2_from_cli(self, tmp_path, capsys):
-        """A malformed artifact is an environment failure: exit 2."""
+        """A malformed artifact is an environment failure: exit 2.
+
+        A line of the retired JSONL ledger is not a world-log record.
+        """
         from repro.cli import main
 
-        path = self._write(tmp_path, "garbage.jsonl", "not json\n")
-        assert main(["trace", path]) == 2
-        message = capsys.readouterr().err
-        assert "not a ledger event" in message
+        path = self._write(
+            tmp_path,
+            "run.jsonl",
+            '{"ts": 0.0, "kind": "counter", "name": "cache.hits"}\n',
+        )
+        for argv in (["trace", path], ["metrics", "export", path]):
+            assert main(argv) == 2
+            message = capsys.readouterr().err
+            assert f"{path}:1: not a world-log record" in message

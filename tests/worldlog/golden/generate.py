@@ -1,32 +1,39 @@
-"""Regenerate the golden world log and its expected derived views.
+"""How the golden world log and its expected derived views were made.
 
 The committed fixture pins the *record → view* contract: CI (the
 ``worldlog-replay`` job) and ``tests/worldlog/test_golden.py`` re-derive
-all three views from ``run.worldlog`` and byte-diff them against
-``expected/``.  The ledger and certificate artifacts are written here by
-the **legacy writers themselves** (``RunLedger.write``,
-``Certificate.to_bytes``), so the diff proves the views reproduce the
-writers' bytes — not merely their own earlier output.
+the views from ``run.worldlog`` and byte-diff them against
+``expected/``.  The expected artifacts come from the run itself, not
+from the views: ``ledger.jsonl`` is the live ledger's
+``LedgerEvent.to_json`` lines and the certificate is
+``Certificate.to_bytes``, so the diff proves the views reproduce the
+run's bytes — not merely their own earlier output.
 
-Regenerate (only when the record schema or a writer legitimately
-changes) from the repository root::
+**Do not regenerate the committed fixture.**  It predates two changes
+it now pins against:
+
+* its certificate is the published **v1** layout, which
+  ``tests/certify/test_continuity.py`` and CI's ``verify-cert`` step
+  read; this script would write a v2 certificate;
+* its log holds two records of the retired ``checkpoint`` kind, the
+  fixture showing that a retired kind still reads and derives nothing;
+  today's driver no longer writes them.
+
+A regenerated ``ledger.jsonl`` would also differ (the driver emits more
+counters than when the fixture was made).  The script documents how the
+fixture was produced; run it only against a scratch copy::
 
     PYTHONPATH=src python tests/worldlog/golden/generate.py
-
-Both the log and ``expected/`` are rewritten together; a regeneration
-that changes bytes should be a reviewed, deliberate event.
 """
 
 import itertools
-import json
 import os
 
 from repro.lowerbound.driver import attack_weak_consensus
 from repro.obs.ledger import RunLedger
 from repro.obs.tracer import LedgerTracer
 from repro.protocols.subquadratic import silent_cheater_spec
-from repro.worldlog import WorldLog, read_worldlog
-from repro.worldlog.views import checkpoint_manifest
+from repro.worldlog import WorldLog
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 LOG_PATH = os.path.join(HERE, "run.worldlog")
@@ -57,26 +64,18 @@ def main() -> None:
     worldlog.close()
 
     os.makedirs(EXPECTED, exist_ok=True)
-    # ledger: the current writer's own bytes for this very run.
-    ledger.write(os.path.join(EXPECTED, "ledger.jsonl"))
-    # certificate: the canonical bytes the legacy artifact ships.
+    # ledger: the live ledger's own event lines for this very run.
+    with open(
+        os.path.join(EXPECTED, "ledger.jsonl"), "w", encoding="utf-8"
+    ) as out:
+        for event in ledger.events:
+            out.write(event.to_json() + "\n")
+    # certificate: the canonical bytes the artifact ships.
     cert_dir = os.path.join(EXPECTED, "certificates")
     os.makedirs(cert_dir, exist_ok=True)
     label = f"{outcome.protocol}-n8-t4"
     with open(os.path.join(cert_dir, f"{label}.cert.json"), "wb") as out:
         out.write(outcome.certificate.to_bytes())
-    # checkpoints: no legacy writer exists — this view is pinned
-    # against its own generation-time rendering (pure regression).
-    with open(
-        os.path.join(EXPECTED, "checkpoints.json"), "w", encoding="utf-8"
-    ) as out:
-        json.dump(
-            checkpoint_manifest(read_worldlog(LOG_PATH)),
-            out,
-            indent=2,
-            sort_keys=True,
-        )
-        out.write("\n")
     print(f"wrote {LOG_PATH} and {EXPECTED}/")
 
 

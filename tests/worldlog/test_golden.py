@@ -1,10 +1,12 @@
 """Golden replay: derived views vs committed expected artifacts.
 
 ``golden/run.worldlog`` is a committed world log; ``golden/expected/``
-holds the artifacts the *legacy writers* persisted for that same run
-(see ``golden/generate.py``).  Deriving the three views from the log must
-reproduce every expected file byte for byte — the regression gate CI
-replays in its ``worldlog-replay`` job.
+holds the artifacts the run itself produced (see ``golden/generate.py``).
+Deriving the two views it feeds — ``ledger`` and ``certificates`` —
+must reproduce every expected file byte for byte, the regression gate
+CI replays in its ``worldlog-replay`` job.  The log also holds two
+records of the retired ``checkpoint`` kind: they still read, and derive
+nothing.
 """
 
 import os
@@ -29,8 +31,10 @@ def _tree(root):
 class TestGoldenReplay:
     def test_all_three_views_byte_identical(self, tmp_path):
         out_dir = str(tmp_path / "derived")
-        written = derive_views(read_worldlog(GOLDEN_LOG), out_dir)
-        assert sorted(written) == ["certificates", "checkpoints", "ledger"]
+        records = read_worldlog(GOLDEN_LOG)
+        assert [r.kind for r in records].count("checkpoint") == 2
+        written = derive_views(records, out_dir)
+        assert sorted(written) == ["certificates", "ledger"]
         derived = _tree(out_dir)
         expected = _tree(EXPECTED)
         assert sorted(derived) == sorted(expected)

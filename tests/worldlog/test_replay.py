@@ -22,7 +22,6 @@ from repro.worldlog import (
 )
 from repro.worldlog.views import (
     certificate_texts,
-    checkpoint_manifest,
     jobs_manifest,
     ledger_lines,
 )
@@ -60,10 +59,6 @@ class TestPrefixInvariant:
             ] == ledger_lines(prefix)
             # certificates view.
             assert state.certificates == list(certificate_texts(prefix))
-            # checkpoints view.
-            assert state.checkpoints == len(
-                checkpoint_manifest(prefix)["checkpoints"]
-            )
             # jobs view: same keys, same states.
             manifest = jobs_manifest(prefix)
             assert {

@@ -15,7 +15,6 @@ from repro.worldlog import (
     WORLDLOG_SCHEMA,
     Record,
     WorldLog,
-    is_worldlog,
     log_order_signature,
     read_worldlog,
 )
@@ -109,6 +108,17 @@ class TestWorldLog:
             handle.write('{"tick": 2, "kind": "cell.re')  # killed writer
         assert len(read_worldlog(path)) == 2
 
+    def test_torn_tail_splitting_a_character_dropped(self, tmp_path):
+        """A killed writer can stop inside a multi-byte character."""
+        from repro.worldlog import read_records
+
+        path = str(tmp_path / "run.worldlog")
+        with WorldLog.create(path, run_id="r") as log:
+            log.append("job.result", {"label": "x"})
+        with open(path, "ab") as handle:
+            handle.write(b'{"tick": 2, "kind": "job.result", "\xe2\x82')
+        assert [record.tick for record in read_records(path)] == [0, 1]
+
     def test_malformed_middle_line_raises(self, tmp_path):
         path = str(tmp_path / "run.worldlog")
         with WorldLog.create(path, run_id="r") as log:
@@ -137,7 +147,7 @@ class TestWorldLog:
         assert records[-1].payload == {"label": "y"}
 
     def test_not_a_world_log(self, tmp_path):
-        # A legacy ledger line is not a record envelope: file:line.
+        # A retired JSONL ledger line is not a record envelope: file:line.
         path = tmp_path / "ledger.jsonl"
         path.write_text('{"ts": 1, "kind": "counter", "name": "x"}\n')
         with pytest.raises(ArtifactError) as excinfo:
@@ -150,15 +160,6 @@ class TestWorldLog:
         with pytest.raises(ArtifactError) as excinfo:
             read_worldlog(str(path))
         assert "not a world log" in str(excinfo.value)
-
-    def test_is_worldlog_sniff(self, tmp_path):
-        log_path = str(tmp_path / "run.worldlog")
-        WorldLog.create(log_path, run_id="r").close()
-        legacy = tmp_path / "ledger.jsonl"
-        legacy.write_text('{"ts": 1, "kind": "counter", "name": "x"}\n')
-        assert is_worldlog(log_path)
-        assert not is_worldlog(str(legacy))
-        assert not is_worldlog(str(tmp_path / "missing"))
 
     def test_record_event_mirrors_ledger(self, tmp_path):
         from repro.obs.ledger import RunLedger
