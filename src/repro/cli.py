@@ -124,25 +124,30 @@ def _resolve_progress(args: argparse.Namespace) -> bool:
     return flag
 
 
-def _telemetry_options(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--telemetry",
-        action="store_true",
-        help=(
-            "sample telemetry.snapshot records into the --ledger "
-            "world log (observability-only: invisible to resume, "
-            "recovery and the semantic differ)"
-        ),
-    )
-    subparser.add_argument(
-        "--telemetry-interval",
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "seconds between telemetry samples (default: 1; "
-            "implies --telemetry)"
-        ),
-    )
+def parse_interval(value: str | float | int) -> float:
+    """A positive seconds value for ``--interval``, or a clean error.
+
+    Anything unparsable or non-positive raises :class:`ReproError`,
+    which :func:`main` renders as the one-line ``error: ...`` stderr
+    diagnostic with exit code 1.
+
+    >>> parse_interval("2.5")
+    2.5
+    >>> parse_interval("0")
+    Traceback (most recent call last):
+        ...
+    repro.errors.ReproError: --interval expects a positive number of seconds, got '0'
+    """
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        seconds = float("nan")
+    if not seconds > 0:  # rejects NaN, zero and negatives in one test
+        raise ReproError(
+            f"--interval expects a positive number of seconds, "
+            f"got {value!r}"
+        )
+    return seconds
 
 
 def _ledger_option(subparser: argparse.ArgumentParser) -> None:
@@ -249,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _ledger_option(attack)
-    _telemetry_options(attack)
 
     verify = subparsers.add_parser(
         "verify-witness",
@@ -373,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _ledger_option(sweep_parser)
     _progress_options(sweep_parser)
-    _telemetry_options(sweep_parser)
 
     log_parser = subparsers.add_parser(
         "log",
@@ -589,23 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=20,
         help="per-tenant rate-limit burst capacity (default: 20)",
     )
-    serve_parser.add_argument(
-        "--telemetry",
-        action="store_true",
-        help=(
-            "sample the live status fold into telemetry.snapshot "
-            "records in the server's world log (observability-only)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--telemetry-interval",
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "seconds between telemetry samples (default: 1; "
-            "implies --telemetry)"
-        ),
-    )
 
     submit_parser = subparsers.add_parser(
         "submit",
@@ -807,38 +793,6 @@ def _make_ledger(path: str | None):
     return RunLedger(sink=worldlog.record_event), worldlog
 
 
-def _make_telemetry(
-    args: argparse.Namespace, worldlog, source: str
-):
-    """The optional :class:`TelemetryBus` behind ``--telemetry``.
-
-    ``--telemetry-interval SECONDS`` implies ``--telemetry``; either
-    flag without ``--ledger`` is a domain error (there is nowhere to
-    record snapshots).  Returns ``None`` when telemetry was
-    not requested.
-    """
-    interval_arg = getattr(args, "telemetry_interval", None)
-    if not getattr(args, "telemetry", False) and interval_arg is None:
-        return None
-    from repro.obs.telemetry import (
-        DEFAULT_INTERVAL,
-        TelemetryBus,
-        parse_interval,
-    )
-
-    interval = (
-        parse_interval(interval_arg, "--telemetry-interval")
-        if interval_arg is not None
-        else DEFAULT_INTERVAL
-    )
-    if worldlog is None:
-        raise ReproError(
-            "--telemetry records telemetry.snapshot world-log "
-            "records; pass --ledger PATH.worldlog to give it a log"
-        )
-    return TelemetryBus(worldlog, interval=interval, source=source)
-
-
 def _write_ledger(ledger, worldlog) -> None:
     """Close and announce a run recording (diagnostic, so stderr)."""
     if worldlog is None:
@@ -919,7 +873,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         tracer = (
             LedgerTracer(ledger) if ledger is not None else NULL_TRACER
         )
-        telemetry = _make_telemetry(args, worldlog, "attack")
         spec = _resolve_protocol(args.protocol, args.n, args.t)
         outcome = attack_weak_consensus(
             spec,
@@ -927,10 +880,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             early_stop=args.early_stop,
             tracer=tracer,
             worldlog=worldlog,
-            telemetry=telemetry,
         )
-        if telemetry is not None:
-            telemetry.close()
         print(outcome.render())
         if args.profile:
             from repro.obs.report import render_trace
@@ -1064,12 +1014,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             ledger = RunLedger(sink=worldlog.record_event)
         else:
             ledger, worldlog = _make_ledger(args.ledger)
-        telemetry = _make_telemetry(args, worldlog, "sweep")
         report = SweepScheduler(
             jobs=args.jobs,
             ledger=ledger,
             worldlog=worldlog,
-            telemetry=telemetry,
             progress=_resolve_progress(args),
             stall_after=args.stall_after,
         ).run(
@@ -1077,8 +1025,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             for n, t in grid
         )
         report.raise_errors()
-        if telemetry is not None:
-            telemetry.close()
         points = report.values()
         print(render_sweep(points))
         if args.timings:
@@ -1133,17 +1079,6 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
     from repro.service.quota import QuotaPolicy
     from repro.service.server import JobServer
 
-    interval = None
-    if args.telemetry or args.telemetry_interval is not None:
-        from repro.obs.telemetry import DEFAULT_INTERVAL, parse_interval
-
-        interval = (
-            parse_interval(
-                args.telemetry_interval, "--telemetry-interval"
-            )
-            if args.telemetry_interval is not None
-            else DEFAULT_INTERVAL
-        )
     server = JobServer(
         log_path=args.log,
         socket_path=args.socket,
@@ -1153,7 +1088,6 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
             rate=args.rate,
             burst=args.burst,
         ),
-        telemetry_interval=interval,
     )
     _info(
         f"attack service listening on {args.socket} "
@@ -1358,74 +1292,6 @@ def _render_status(body: dict) -> str:
     return "\n".join(lines)
 
 
-class _LogTopFold:
-    """The ``repro top --log`` accumulator: a growing log's live view.
-
-    Pure fold over whatever :class:`~repro.worldlog.store.LogTailer`
-    has seen so far — record and kind counts, the latest record, and
-    the latest ``telemetry.snapshot`` payload when the writer samples
-    telemetry.
-    """
-
-    def __init__(self) -> None:
-        self.records = 0
-        self.kinds: dict[str, int] = {}
-        self.telemetry: dict | None = None
-        self.last = None
-
-    def absorb(self, record) -> None:
-        self.records += 1
-        self.kinds[record.kind] = self.kinds.get(record.kind, 0) + 1
-        if record.kind == "telemetry.snapshot" and isinstance(
-            record.payload, dict
-        ):
-            self.telemetry = record.payload
-        self.last = record
-
-    def render(self, path: str) -> str:
-        lines = [f"world log {path}: {self.records} record(s)"]
-        for kind in sorted(self.kinds):
-            lines.append(f"  {kind:<18} {self.kinds[kind]}")
-        if self.last is not None:
-            lines.append(f"last: {_record_line(self.last).strip()}")
-        snapshot = self.telemetry
-        if not snapshot:
-            return "\n".join(lines)
-        lines.append(
-            f"telemetry seq {snapshot.get('seq')} "
-            f"({snapshot.get('source', '?')}, uptime "
-            f"{snapshot.get('uptime_seconds', 0.0):.1f}s)"
-        )
-        rounds = snapshot.get("rounds")
-        if rounds:
-            rate = rounds.get("rounds_per_second")
-            rate_text = f"{rate:.0f}/s" if rate else "-"
-            line = (
-                f"rounds    {rounds.get('seen', 0)} seen "
-                f"({rate_text}), {rounds.get('cum_messages', 0)} "
-                f"correct-sender messages"
-            )
-            if rounds.get("vs_floor") is not None:
-                line += f", {rounds['vs_floor']:.2f}x of t²/32 floor"
-            lines.append(line)
-        if snapshot.get("cache_hit_rate") is not None:
-            lines.append(
-                f"cache     "
-                f"{snapshot['cache_hit_rate'] * 100:.0f}% hit rate"
-            )
-        progress = snapshot.get("progress")
-        if progress:
-            lines.append(
-                f"progress  {progress.get('done', 0)}"
-                f"/{progress.get('total', 0)} cells, "
-                f"{progress.get('in_flight', 0)} in flight"
-            )
-        service = snapshot.get("service")
-        if service:
-            lines.append(_render_status(service))
-        return "\n".join(lines)
-
-
 def _dispatch_status(args: argparse.Namespace) -> int:
     import json
 
@@ -1442,8 +1308,6 @@ def _dispatch_status(args: argparse.Namespace) -> int:
 def _dispatch_top(args: argparse.Namespace) -> int:
     import time
 
-    from repro.obs.telemetry import parse_interval
-
     interval = parse_interval(args.interval)
     if args.socket:
         from repro.service.client import ServiceClient
@@ -1454,15 +1318,18 @@ def _dispatch_top(args: argparse.Namespace) -> int:
             return _render_status(client.status())
 
     else:
+        from repro.worldlog.replay import ReplayState, render_state
         from repro.worldlog.store import LogTailer
 
+        if args.once:
+            _require_file(args.log)
         tailer = LogTailer(args.log)
-        fold = _LogTopFold()
+        state = ReplayState()
 
         def frame() -> str:
             for record in tailer.poll():
-                fold.absorb(record)
-            return fold.render(args.log)
+                state.apply(record)
+            return f"world log {args.log}\n{render_state(state)}"
 
     # The dashboard is ephemeral diagnostics, so it follows the
     # --progress stderr discipline: stdout stays clean for results.
@@ -1558,19 +1425,25 @@ def _dispatch_log_replay(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_file(path: str) -> None:
+    """Raise ``OSError`` (exit 2) when a one-shot reader's log is missing.
+
+    A follower may start before its log exists; a one-shot read of a
+    missing file is an environment error, not an empty log.
+    """
+    with open(path, "rb"):
+        pass
+
+
 def _dispatch_log_tail(args: argparse.Namespace) -> int:
     """``repro log tail``: stream complete records as they land."""
     import time
 
-    from repro.obs.telemetry import parse_interval
     from repro.worldlog.store import LogTailer
 
     interval = parse_interval(args.interval)
     if not args.follow:
-        # One shot: a missing file is an environment error, not an
-        # empty log (with --follow it may simply not exist yet).
-        with open(args.path, "rb"):
-            pass
+        _require_file(args.path)
     tailer = LogTailer(args.path)
     polls = 0
     try:

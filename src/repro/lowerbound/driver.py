@@ -74,7 +74,6 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:
     from repro.certify.format import Certificate
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.telemetry import TelemetryBus
     from repro.worldlog.store import WorldLog
 
 from repro.errors import ModelViolation, ReproError
@@ -360,7 +359,6 @@ class LowerBoundDriver:
     certify: bool = False
     tracer: Tracer = NULL_TRACER
     worldlog: "WorldLog | None" = None
-    telemetry: "TelemetryBus | None" = None
     _counts_at_start: dict | None = field(default=None, repr=False)
     _metrics: "MetricsRegistry | None" = field(default=None, repr=False)
     _trace_observers: tuple = field(default=(), repr=False)
@@ -400,19 +398,6 @@ class LowerBoundDriver:
                 metrics=self._metrics,
             )
             self._counts_at_start = object_counts()
-        if self.telemetry is not None:
-            # Sampled telemetry rides the same observer slot.
-            if self._metrics is None:
-                from repro.obs.metrics import MetricsRegistry
-
-                self._metrics = MetricsRegistry()
-            self.telemetry.attach_metrics(self._metrics)
-            self._trace_observers = (
-                *self._trace_observers,
-                self.telemetry.round_tap(
-                    floor=weak_consensus_floor(self.spec.t)
-                ),
-            )
         self._spec_key: _SpecKey = (
             self.spec.name,
             self.spec.n,
@@ -484,7 +469,7 @@ class LowerBoundDriver:
                     {"label": label, "text": certificate.dumps()},
                     cell_id=label,
                 )
-        self._flush_telemetry(witness)
+        self._flush_metrics(witness)
         return AttackOutcome(
             protocol=self.spec.name,
             n=self.spec.n,
@@ -1098,7 +1083,7 @@ class LowerBoundDriver:
             check=self.check,
         )
 
-    def _flush_telemetry(self, witness: ViolationWitness | None) -> None:
+    def _flush_metrics(self, witness: ViolationWitness | None) -> None:
         """Fold the pipeline's final counters into the metrics/ledger."""
         if self._metrics is None:
             return
@@ -1316,7 +1301,6 @@ def attack_weak_consensus(
     certify: bool = False,
     tracer: Tracer = NULL_TRACER,
     worldlog: "WorldLog | None" = None,
-    telemetry: "TelemetryBus | None" = None,
 ) -> AttackOutcome:
     """Run the full lower-bound pipeline against ``spec``.
 
@@ -1346,10 +1330,6 @@ def attack_weak_consensus(
         worldlog: an open :class:`~repro.worldlog.store.WorldLog` for
             the in-band ``cert.artifact`` record (written only when
             ``certify`` is on).
-        telemetry: an optional :class:`~repro.obs.telemetry
-            .TelemetryBus` sampling the attack into observability-only
-            ``telemetry.snapshot`` records through a per-round tap.
-            ``None`` (the default) costs nothing.
     """
     driver = LowerBoundDriver(
         spec=spec,
@@ -1362,7 +1342,6 @@ def attack_weak_consensus(
         certify=certify,
         tracer=tracer,
         worldlog=worldlog,
-        telemetry=telemetry,
     )
     outcome = driver.attack()
     if minimize and outcome.witness is not None:

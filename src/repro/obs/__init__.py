@@ -10,9 +10,6 @@ The layer every pipeline stage emits into and every report reads from:
 * :mod:`repro.obs.metrics` — the associative registry of named
   counters, gauges and histograms;
 * :mod:`repro.obs.report` — the ``repro trace`` timeline;
-* :mod:`repro.obs.telemetry` — the sampled telemetry bus folding live
-  metrics/progress/round accounting into observability-only
-  ``telemetry.snapshot`` world-log records;
 * :mod:`repro.obs.export` — Prometheus text exposition and Chrome
   trace-event JSON adapters.
 
@@ -43,11 +40,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.telemetry import (
-    TELEMETRY_SCHEMA,
-    TelemetryBus,
-    parse_interval,
-)
 from repro.obs.tracer import (
     NULL_TRACER,
     LedgerTracer,
@@ -66,14 +58,11 @@ __all__ = [
     "NULL_TRACER",
     "RoundTraceObserver",
     "RunLedger",
-    "TELEMETRY_SCHEMA",
-    "TelemetryBus",
     "Tracer",
     "cell_label",
     "chrome_trace",
     "new_run_id",
     "order_signature",
-    "parse_interval",
     "registry_from_events",
     "render_prometheus",
 ]

@@ -102,10 +102,8 @@ def prometheus_lines(
     """One Prometheus exposition line list from a metrics snapshot.
 
     ``snapshot`` is the JSON shape
-    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` produces (the
-    same shape a ``telemetry.snapshot`` record carries under
-    ``metrics``), so live registries, world logs and telemetry records
-    all export through the one renderer.
+    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` produces, so
+    live registries and world logs export through the one renderer.
     """
     lines: list[str] = []
     for name, total in snapshot.get("counters", {}).items():

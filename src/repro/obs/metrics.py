@@ -254,13 +254,3 @@ class MetricsRegistry:
                 min=histogram.min,
                 max=histogram.max,
             )
-
-    def cache_hit_rate(self) -> float | None:
-        """``(hits + alias_hits) / lookups`` or ``None`` without data."""
-        hits = self.counter("cache.hits").total
-        alias = self.counter("cache.alias_hits").total
-        misses = self.counter("cache.misses").total
-        lookups = hits + alias + misses
-        if not lookups:
-            return None
-        return (hits + alias) / lookups

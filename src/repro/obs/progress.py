@@ -142,34 +142,6 @@ class SweepProgress:
             line = self._line()
         self._emit(line, final=True)
 
-    def accounting(self) -> dict[str, object]:
-        """A JSON-safe snapshot of the tracker's live accounting.
-
-        The telemetry bus folds this into ``telemetry.snapshot``
-        records; everything here is wall-clock telemetry, so it never
-        feeds a derived view.
-        """
-        with self._lock:
-            now = self._clock()
-            in_flight = len(self._started)
-            done = self._done
-            eta = None
-            if done and done < self.total:
-                eta = (now - self._begin) / done * (self.total - done)
-            quiet = now - self._last_done_at
-            return {
-                "label": self.label,
-                "done": done,
-                "total": self.total,
-                "in_flight": in_flight,
-                "elapsed_seconds": now - self._begin,
-                "eta_seconds": eta,
-                "stalled": (
-                    done < self.total and quiet > self.stall_after
-                ),
-                "heartbeats": sum(self.heartbeats.values()),
-            }
-
     # -- rendering -----------------------------------------------------
 
     def _line(self) -> str:

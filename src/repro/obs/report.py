@@ -6,8 +6,8 @@ durations, the slowest simulated rounds, the per-round message-count
 series, the cache hit rate and the observed messages-vs-``t²/32``
 ratio (its minimum and maximum over the cells of a sweep), plus a
 per-cell table for sweep ledgers with each cell's messages, floor and
-ratio.  :func:`span_totals`,
-:func:`percentiles` and :func:`cache_hit_rate` are the folds ``repro
+ratio.  :func:`span_totals`, :func:`percentiles`,
+:func:`cache_hit_rate` and :func:`bound_gauges` are the folds ``repro
 log stats`` reuses.
 """
 
@@ -242,7 +242,7 @@ def render_trace(
     for event in events:
         if event.cell_id is not None:
             by_cell[event.cell_id].append(event)
-    bounds = {cell: _bound(by_cell[cell]) for cell in cells}
+    bounds = {cell: bound_gauges(by_cell[cell]) for cell in cells}
     measured = [(cell, bound) for cell, bound in bounds.items() if bound]
     if len(measured) > 1:
         # One ratio per cell: a sweep's cells differ in t, so no single
@@ -254,7 +254,7 @@ def render_trace(
             f"min {_render_bound(*low)}, max {_render_bound(*high)}"
         )
     else:
-        bound = _bound(events)
+        bound = bound_gauges(events)
         if bound is not None:
             lines.append(f"messages / (t²/32): {_render_bound(None, bound)}")
 
@@ -302,7 +302,7 @@ def render_trace(
     return "\n".join(lines)
 
 
-def _bound(
+def bound_gauges(
     events: Sequence[LedgerEvent],
 ) -> tuple[float, float | None, float | None] | None:
     """``(ratio, observed, floor)`` from the last ``bound.*`` gauges, or

@@ -52,7 +52,6 @@ from repro.parallel.jobs import (
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.obs.ledger import RunLedger
-    from repro.obs.telemetry import TelemetryBus
     from repro.worldlog.store import WorldLog
 
 SERIAL = "serial"
@@ -323,12 +322,6 @@ class SweepScheduler:
             order are bit-identical to an uninterrupted run.  Keys name
             specs, not positions: a different matrix recalls the keys
             it shares, and a repeated spec runs once.
-        telemetry: optional :class:`~repro.obs.telemetry.TelemetryBus`
-            sampled from the main thread as cells complete.  The
-            sweep's progress tracker is attached to it, so snapshots
-            carry live done/total/ETA accounting.  Snapshots are
-            observability-only records: resume, the differ and every
-            derived view ignore them.
 
     Whether or not ``progress`` is on, a carried ledger receives three
     deterministic lifecycle events per cell — ``cell.start``, a
@@ -347,7 +340,6 @@ class SweepScheduler:
     stall_after: float = 30.0
     progress_stream: Any = None
     worldlog: "WorldLog | None" = None
-    telemetry: "TelemetryBus | None" = None
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -378,8 +370,6 @@ class SweepScheduler:
             stall_after=self.stall_after,
             label=f"sweep[{self.backend}]",
         )
-        if self.telemetry is not None:
-            self.telemetry.attach_progress(tracker)
         interval = self.heartbeat_interval if self.progress else 0.0
         labels = [cell_label(job.key) for job in job_list]
         begin = time.perf_counter()
@@ -606,10 +596,6 @@ class SweepScheduler:
                 },
                 cell_id=label,
             )
-        if self.telemetry is not None:
-            # Pump from the cell-consume loop: the main thread owns the
-            # world log, so the heartbeat thread never appends.
-            self.telemetry.maybe_sample()
 
     def _recover(
         self, index: int, job: SweepJob, exc: BaseException

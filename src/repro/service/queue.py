@@ -21,9 +21,11 @@ the server *executes*:
   recorded result a re-submission of the same key is answered from.
 
 A restarted server and a resumed sweep both recover through this one
-fold, and a tampered log fails here, once: payloads are shape-checked
-by :func:`recover_jobs` and recalled fields decoded by
-:func:`decode_recorded`, each failure a ``path:line`` artifact error.
+fold, and a tampered log fails with a ``path:line`` artifact error:
+payloads are shape-checked by
+:func:`~repro.worldlog.record.payload_problem` (the check the log
+readers apply to every line) and recalled fields decoded by
+:func:`decode_recorded`.
 
 >>> queue = JobQueue()
 >>> queue.push(JobEntry(key="aa", tenant="t", priority=0, job={}))
@@ -42,16 +44,10 @@ from typing import Any, Callable, Iterable
 
 from repro.artifact import artifact_error
 from repro.errors import ReproError
-from repro.worldlog.record import Record
+from repro.worldlog.record import Record, payload_problem
 
-_JOB_FIELDS: dict[str, tuple[tuple[str, type], ...]] = {
-    "job.submitted": (
-        ("key", str), ("tenant", str), ("priority", int), ("job", dict),
-    ),
-    "job.result": (("key", str), ("result", dict)),
-    "job.error": (("key", str), ("error_kind", str), ("message", str)),
-}
-"""The payload fields the recovery fold relies on, per record kind."""
+_FOLDED_KINDS = frozenset({"job.submitted", "job.result", "job.error"})
+"""The record kinds the recovery fold reads."""
 
 _DECODE_FAILURES = (
     KeyError, TypeError, ValueError, AttributeError, ReproError,
@@ -155,16 +151,12 @@ def recover_jobs(
     entries: dict[str, JobEntry] = {}
     terminals: dict[str, Record] = {}
     for record in records:
-        fields = _JOB_FIELDS.get(record.kind)
-        if fields is None:
+        if record.kind not in _FOLDED_KINDS:
             continue
+        problem = payload_problem(record.kind, record.payload)
+        if problem is not None:
+            raise _record_error(record, path, ValueError(problem))
         payload = record.payload
-        for name, kind in fields:
-            if not isinstance(payload, dict) or not isinstance(
-                payload.get(name), kind
-            ):
-                problem = f"no {kind.__name__} field {name!r}"
-                raise _record_error(record, path, ValueError(problem))
         key = payload["key"]
         if record.kind == "job.submitted":
             entries[key] = JobEntry(

@@ -15,10 +15,6 @@ that matters in the world log:
 * ``job.rejected`` — a quota/rate rejection at admission time, recorded
   for post-hoc per-tenant accounting (``repro log stats``).  It enters
   no queue and is invisible to recovery and the jobs manifest.
-* ``telemetry.snapshot`` — optional (``telemetry_interval``): the live
-  status fold sampled on an interval, same observability-only contract
-  as ``job.rejected`` — no recovery, no manifest, scrubbed by the
-  semantic differ.
 
 Crash-resume is the one job contract the sweep scheduler shares: the
 log is the queue.  ``JobServer`` on an existing log resumes it
@@ -59,7 +55,6 @@ from typing import Any
 
 from repro.errors import ArtifactError, ReproError
 from repro.obs.ledger import job_label
-from repro.obs.telemetry import TelemetryBus
 from repro.parallel.jobs import execute_job
 from repro.service.protocol import (
     SERVICE_SCHEMA,
@@ -97,12 +92,6 @@ class JobServer:
         jobs: worker parallelism; ``1`` keeps execution in-process.
         quota: the per-tenant admission policy.
         run_id: correlation id for a fresh log (random when omitted).
-        telemetry_interval: when set, a :class:`~repro.obs.telemetry
-            .TelemetryBus` samples the server's live status fold into
-            ``telemetry.snapshot`` records every this-many seconds.
-            Observability only: the records bypass the watcher publish
-            path (they belong to no job key) and are invisible to
-            recovery, the manifest and the semantic differ.
     """
 
     def __init__(
@@ -112,7 +101,6 @@ class JobServer:
         jobs: int = 1,
         quota: QuotaPolicy | None = None,
         run_id: str | None = None,
-        telemetry_interval: float | None = None,
     ) -> None:
         self.log_path = log_path
         self.socket_path = socket_path
@@ -120,7 +108,6 @@ class JobServer:
             raise ValueError(f"need at least one worker, got {jobs}")
         self.jobs = jobs
         self.quota = QuotaPolicy() if quota is None else quota
-        self.telemetry_interval = telemetry_interval
         self._run_id = run_id
         self.ready = threading.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -133,7 +120,6 @@ class JobServer:
         self._pending: dict[str, int] = {}
         self._running: dict[str, dict[str, Any]] = {}
         self._watchers: dict[str, list[asyncio.Queue]] = {}
-        self._telemetry: "TelemetryBus | None" = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -188,16 +174,6 @@ class JobServer:
         for entry in pending:
             self._admit_entry(entry)
 
-        sampler: asyncio.Future | None = None
-        if self.telemetry_interval is not None:
-            self._telemetry = TelemetryBus(
-                self._log,
-                interval=self.telemetry_interval,
-                source="serve",
-            )
-            self._telemetry.add_source("service", self._status_body)
-            sampler = asyncio.ensure_future(self._telemetry_loop())
-
         if self.jobs == 1:
             executor: concurrent.futures.Executor = (
                 concurrent.futures.ThreadPoolExecutor(max_workers=1)
@@ -223,13 +199,7 @@ class JobServer:
             server.close()
             await server.wait_closed()
             await asyncio.gather(*workers, return_exceptions=True)
-            if sampler is not None:
-                await asyncio.gather(sampler, return_exceptions=True)
             executor.shutdown(wait=True)
-            if self._telemetry is not None:
-                # The end-of-run picture; still on the loop thread, so
-                # the append races nothing.
-                self._telemetry.close()
             self._log.close()
             with contextlib.suppress(OSError):
                 os.unlink(self.socket_path)
@@ -270,23 +240,6 @@ class JobServer:
     def _entry_cell_id(self, entry: JobEntry) -> str:
         job = decode_job(entry.job)
         return job_label(job.key, entry.key)
-
-    async def _telemetry_loop(self) -> None:
-        """Sample the status fold every interval until shutdown.
-
-        Runs on the event-loop thread — the only thread that may touch
-        the world log — so samples serialize naturally with job
-        records.
-        """
-        assert self._stopping is not None and self._telemetry is not None
-        while True:
-            try:
-                await asyncio.wait_for(
-                    self._stopping.wait(), self._telemetry.interval
-                )
-                return
-            except asyncio.TimeoutError:
-                self._telemetry.sample()
 
     # ------------------------------------------------------------------
     # workers
@@ -403,7 +356,7 @@ class JobServer:
         )
 
     def _status_body(self) -> dict[str, Any]:
-        """The live-state fold ``status`` answers and telemetry samples.
+        """The live-state fold the ``status`` RPC answers.
 
         Event-loop thread only (it reads queue, quota and running-job
         state).  Everything here is a *view* — nothing is charged or

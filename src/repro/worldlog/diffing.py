@@ -3,11 +3,11 @@
 The lower bound's whole argument is indistinguishability between
 executions, and the repository's strongest guarantees are phrased the
 same way: a SIGKILLed-and-resumed sweep must produce the same run as an
-uninterrupted one, a parallel sweep the same run as a serial one, and a
-telemetry-on attack the same run as its telemetry-off twin.  "The same
-run" can never mean byte-equal logs — ticks, timestamps, worker pids
-and run ids legitimately differ — so this module defines what
-*semantic* equality is and reports the first place two logs break it.
+uninterrupted one, and a parallel sweep the same run as a serial one.
+"The same run" can never mean byte-equal logs — ticks, timestamps,
+worker pids and run ids legitimately differ — so this module defines
+what *semantic* equality is and reports the first place two logs break
+it.
 
 Alignment is by the wall-clock-independent key ``(kind, name, cell)``
 (:attr:`~repro.worldlog.record.Record.align_key`), not by raw tick:
@@ -20,11 +20,10 @@ invisible by construction.  Before aligning, each log is normalized:
   ledger view's rule, so a resumed log (which re-splices all events
   after a fresh marker) aligns with its uninterrupted twin;
 * observability-only records (:data:`OBSERVABILITY_KINDS`:
-  ``job.rejected`` admission refusals and sampled
-  ``telemetry.snapshot`` records) are dropped entirely — they land at
-  timing- and load-dependent positions, so a telemetry-on run must
-  align with its telemetry-off twin and a rate-limited submission
-  burst must align with a patient one;
+  ``job.rejected`` admission refusals, and the retired
+  ``telemetry.snapshot`` samples of older logs) are dropped entirely —
+  they land at timing- and load-dependent positions, so a rate-limited
+  submission burst must align with a patient one;
 * payloads are scrubbed of wall-clock and identity fields
   (:data:`DROP_KEYS`, applied recursively) and of the values of
   wall-clock metrics (:data:`WALL_CLOCK_METRICS`).
@@ -78,7 +77,10 @@ OBSERVABILITY_KINDS = frozenset({"job.rejected", "telemetry.snapshot"})
 Both land at positions driven by wall clock and load — a quota
 refusal depends on how fast a tenant hammered the socket, a telemetry
 snapshot on where the sampling interval elapsed — so the differ drops
-them the way it drops ``gather.start`` markers.  The contract is the
+them the way it drops ``gather.start`` markers.  ``telemetry.snapshot``
+is retired (nothing writes it any more); it stays here so logs written
+before its retirement still diff empty against their twins without
+it.  The contract is the
 flip side of these records being ignored by ``recover_jobs`` (which
 resumes sweeps and the service alike) and the jobs manifest: they
 may appear anywhere, or nowhere,

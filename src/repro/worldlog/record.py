@@ -50,7 +50,6 @@ KINDS = (
     "job.result",
     "job.error",
     "job.rejected",
-    "telemetry.snapshot",
 )
 """The typed record vocabulary, in documentation order.
 
@@ -77,14 +76,85 @@ KINDS = (
   stats`` folds these into per-tenant rejection counts): a rejected
   submission enters no queue, charges no quota, and is ignored by the
   recovery fold and the jobs manifest.
-* ``telemetry.snapshot`` — one sampled :class:`~repro.obs.telemetry
-  .TelemetryBus` snapshot: the live metrics registry, sweep-progress
-  accounting and round-tap rates folded into a single record.  Pure
-  observability like ``job.rejected``: ignored by the recovery fold,
-  and the jobs manifest, and dropped by the semantic
-  differ (:func:`~repro.worldlog.diffing.comparable_records`), so runs
-  with and without telemetry stay semantically identical.
+
+Retired kinds (``checkpoint``, ``telemetry.snapshot``, ...) in older
+logs still read: they list in ``repro log show``, derive nothing and
+count only in the replay fold's ``kind_counts``.
 """
+
+
+class _Absent:
+    """The type of a payload field a writer may leave out."""
+
+
+_NONE = type(None)
+_NUMBER = (int, float)
+
+_Types = type | tuple[type, ...]
+
+PAYLOAD_FIELDS: dict[str, tuple[tuple[str, _Types], ...]] = {
+    "ledger.event": (
+        ("kind", str),
+        ("name", str),
+        ("ts", _NUMBER),
+        ("value", (*_NUMBER, str, _NONE, _Absent)),
+        ("run_id", (str, _Absent)),
+        ("cell_id", (str, _NONE, _Absent)),
+        ("worker_id", (int, _Absent)),
+        ("attrs", (dict, _Absent)),
+    ),
+    "cert.artifact": (("label", str), ("text", str)),
+    "job.submitted": (
+        ("key", str), ("tenant", str), ("priority", int), ("job", dict),
+    ),
+    "job.start": (("key", str),),
+    "job.result": (("key", str), ("result", dict)),
+    "job.error": (("key", str), ("error_kind", str), ("message", str)),
+    "job.rejected": (("tenant", (str, _Absent)), ("kind", (str, _Absent))),
+}
+"""The payload fields each kind's readers rely on, with their types.
+
+A field whose types include ``_Absent`` may be left out.  Kinds not
+listed here (``log.open``, ``gather.start``, retired kinds) are read
+without looking inside their payload.
+"""
+
+
+def payload_problem(kind: str, payload: Any) -> str | None:
+    """Why ``payload`` cannot be a ``kind`` record's, or ``None``.
+
+    The one payload shape check: the world-log readers
+    (:func:`~repro.worldlog.store.read_records` and
+    :class:`~repro.worldlog.store.LogTailer`) apply it to every line
+    they parse, and the job recovery fold to the records it is handed,
+    so no reader of a record sequence checks a payload itself.
+
+    >>> payload_problem("job.start", {"key": "aa"}) is None
+    True
+    >>> payload_problem("job.start", {})
+    "no str field 'key'"
+    """
+    for name, types in PAYLOAD_FIELDS.get(kind, ()):
+        if isinstance(payload, dict) and isinstance(
+            payload.get(name, _Absent()), types
+        ):
+            continue
+        allowed = types if isinstance(types, tuple) else (types,)
+        expected = " or ".join(
+            "null" if cls is _NONE else cls.__name__
+            for cls in allowed
+            if cls is not _Absent
+        )
+        return f"no {expected} field {name!r}"
+    if (
+        kind == "ledger.event"
+        and payload["kind"] != "artifact"
+        and isinstance(payload.get("value"), str)
+    ):
+        # Only artifact events carry a string value (the artifact's
+        # reference); counters and gauges are summed and compared.
+        return f"a non-numeric value on a {payload['kind']} event"
+    return None
 
 
 @dataclass(frozen=True)
@@ -174,8 +244,12 @@ class Record:
             cell_id=raw.get("cell_id"),
             worker_id=raw.get("worker_id", 0),
         )
-        if not isinstance(record.tick, int) or not isinstance(
-            record.kind, str
+        if not (
+            isinstance(record.tick, int)
+            and isinstance(record.kind, str)
+            and isinstance(record.run_id, str)
+            and isinstance(record.cell_id, (str, _NONE))
+            and isinstance(record.worker_id, int)
         ):
             raise ValueError("world-log envelope fields have wrong types")
         return record

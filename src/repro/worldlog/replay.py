@@ -32,9 +32,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.worldlog.record import Record
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.obs.ledger import LedgerEvent
 
 STATS_SCHEMA = "repro.logstats/v1"
 """The schema tag of the ``repro log stats`` document."""
@@ -108,10 +111,6 @@ class ReplayState:
     # artifact bookkeeping (whole prefix)
     certificates: list[str] = field(default_factory=list)
 
-    # observability bookkeeping (whole prefix; never feeds semantics)
-    telemetry_snapshots: int = 0
-    last_telemetry: dict[str, Any] | None = None
-
     # event-derived state (after the last gather.start marker)
     gathers: int = 0
     events: list[dict[str, Any]] = field(default_factory=list)
@@ -165,12 +164,6 @@ class ReplayState:
                 for tenant, kinds in self.rejections.items()
             },
             certificates=list(self.certificates),
-            telemetry_snapshots=self.telemetry_snapshots,
-            last_telemetry=(
-                dict(self.last_telemetry)
-                if self.last_telemetry is not None
-                else None
-            ),
             gathers=self.gathers,
             events=list(self.events),
             span_stacks={
@@ -244,14 +237,6 @@ class ReplayState:
             if record.cell_id is not None:
                 # A rejection opens no cell: it never goes terminal.
                 self.cells_terminal.add(record.cell_id)
-        elif kind == "telemetry.snapshot":
-            # Observability only: remember the latest sample, touch
-            # nothing semantic (a telemetry-on prefix must replay to
-            # the same state as its telemetry-off twin, modulo these
-            # two fields).
-            self.telemetry_snapshots += 1
-            if isinstance(payload, dict):
-                self.last_telemetry = payload
 
     def _apply_event(self, payload: dict[str, Any]) -> None:
         self.events.append(payload)
@@ -433,13 +418,6 @@ def render_state(state: ReplayState, total: int | None = None) -> str:
         )
     if state.certificates:
         lines.append("certificates: " + ", ".join(state.certificates))
-    if state.telemetry_snapshots:
-        last = state.last_telemetry or {}
-        seq = last.get("seq")
-        lines.append(
-            f"telemetry: {state.telemetry_snapshots} snapshot(s)"
-            + (f", last seq {seq}" if seq is not None else "")
-        )
     return "\n".join(lines)
 
 
@@ -448,31 +426,26 @@ def render_state(state: ReplayState, total: int | None = None) -> str:
 # ----------------------------------------------------------------------
 
 
-def _event_cells(
-    events: Sequence[dict[str, Any]],
-) -> dict[str | None, list[dict[str, Any]]]:
-    cells: dict[str | None, list[dict[str, Any]]] = {}
-    for payload in events:
-        cells.setdefault(payload.get("cell_id"), []).append(payload)
-    return cells
+def _cell_metrics(events: Sequence[LedgerEvent]) -> dict[str, float]:
+    from repro.obs.report import bound_gauges
 
-
-def _cell_metrics(
-    events: Sequence[dict[str, Any]],
-) -> dict[str, float]:
     wall = None
     rounds = 0
     messages = 0.0
-    for payload in events:
-        kind, name = payload.get("kind"), payload.get("name")
-        if kind == "gauge" and name == "cell.wall_seconds":
-            wall = payload.get("value")
-        elif kind == "counter" and name == "engine.round":
+    for event in events:
+        if event.kind == "gauge" and event.name == "cell.wall_seconds":
+            wall = event.value
+        elif event.kind == "counter" and event.name == "engine.round":
             rounds += 1
-            messages += payload.get("value") or 0
+            messages += event.value or 0
     metrics = {"rounds": rounds, "messages": messages}
     if wall is not None:
         metrics["wall_seconds"] = wall
+    bound = bound_gauges(events)
+    if bound is not None:
+        metrics["vs_floor"], _, floor = bound
+        if floor is not None:
+            metrics["floor"] = floor
     return metrics
 
 
@@ -485,7 +458,9 @@ def log_stats(
     ``rounds_simulated`` / ``events`` / ``messages_observed`` /
     ``cache_hit_rate``).  Further sections carry the metrics the derived
     views never materialize: summed ledger counters (``engine.masks_built`` names the engine
-    that ran), per-cell wall/round/message percentiles, flat span totals
+    that ran), per-cell wall/round/message percentiles (a cell that
+    recorded ``bound.*`` gauges also carries its ``floor`` and
+    ``vs_floor``, read as ``repro trace`` reads them), flat span totals
     (certificate verify time is the ``witness-verify`` + ``certify``
     rows), and per-tenant job accounting including quota/rate
     rejections (``job.rejected`` records).
@@ -504,13 +479,13 @@ def log_stats(
     spans = span_totals(events)
     wall = sum(child.seconds for child in tree.children.values())
 
+    by_cell: dict[str, list[LedgerEvent]] = {}
+    for event in events:
+        if event.cell_id is not None:
+            by_cell.setdefault(event.cell_id, []).append(event)
     per_cell = {
-        cell: _cell_metrics(payloads)
-        for cell, payloads in sorted(
-            _event_cells(state.events).items(),
-            key=lambda item: item[0] or "",
-        )
-        if cell is not None
+        cell: _cell_metrics(cell_events)
+        for cell, cell_events in sorted(by_cell.items())
     }
 
     rounds_simulated = state.counters.get("engine.rounds_simulated")

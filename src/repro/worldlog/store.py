@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, TextIO
 
 from repro.artifact import artifact_error
 from repro.errors import ArtifactError
-from repro.worldlog.record import WORLDLOG_SCHEMA, Record
+from repro.worldlog.record import WORLDLOG_SCHEMA, Record, payload_problem
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.obs.ledger import LedgerEvent
@@ -162,8 +162,10 @@ def read_records(path: str) -> list[Record]:
     fails to decode or parse is dropped (the write-through appender
     guarantees that is the only shape a crash can leave, and a torn
     write may split a multi-byte character); a malformed line anywhere
-    else — bytes that are not UTF-8 included — raises.  No header
-    validation happens here — that is :func:`read_worldlog`'s contract.
+    else — bytes that are not UTF-8 and a known kind's mis-shaped
+    payload included — raises, so every reader downstream sees only
+    well-shaped payloads.  No header validation happens here — that is
+    :func:`read_worldlog`'s contract.
 
     Raises:
         ArtifactError: on a malformed non-final line (CLI exit 2).
@@ -176,18 +178,41 @@ def read_records(path: str) -> list[Record]:
     records: list[Record] = []
     for number, raw in enumerate(lines, start=1):
         try:
-            # bytes that are not UTF-8 fail here, as a ValueError
-            line = raw.decode("utf-8").strip()
-            if not line:
-                continue
-            records.append(Record.from_json(line))
-        except (ValueError, KeyError, TypeError) as exc:
+            record = _parse_line(path, raw, number)
+        except ArtifactError:
             if number > complete_through:
                 break  # torn tail: the one legal crash artifact
-            raise artifact_error(
-                path, "world-log record", exc, line=number
-            ) from exc
+            raise
+        if record is not None:
+            records.append(record)
     return records
+
+
+def _parse_line(path: str, raw: bytes, number: int) -> Record | None:
+    """One complete log line as a record (``None`` when blank).
+
+    Raises:
+        ArtifactError: ``path:number: not a world-log record`` when the
+            line is not a record envelope, ``path:number: not a KIND
+            record`` when a known kind's payload is mis-shaped
+            (:func:`~repro.worldlog.record.payload_problem`).
+    """
+    try:
+        # bytes that are not UTF-8 fail here, as a ValueError
+        line = raw.decode("utf-8").strip()
+        if not line:
+            return None
+        record = Record.from_json(line)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise artifact_error(
+            path, "world-log record", exc, line=number
+        ) from exc
+    problem = payload_problem(record.kind, record.payload)
+    if problem is not None:
+        raise artifact_error(
+            path, f"{record.kind} record", ValueError(problem), line=number
+        )
+    return record
 
 
 def read_worldlog(path: str) -> list[Record]:
@@ -275,18 +300,9 @@ class LogTailer:
             raw = self._buffer[:newline]
             self._buffer = self._buffer[newline + 1 :]
             self._line_number += 1
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                record = Record.from_json(line)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise artifact_error(
-                    self.path,
-                    "world-log record",
-                    exc,
-                    line=self._line_number,
-                ) from exc
+            record = _parse_line(self.path, raw, self._line_number)
+            if record is None:
+                continue
             if skip > 0:
                 skip -= 1
                 continue

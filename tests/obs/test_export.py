@@ -201,3 +201,57 @@ class TestChromeTrace:
 
     def test_document_is_json_serializable(self):
         json.dumps(chrome_trace(list(_golden_events())))
+
+
+class TestRecordedRunShapes:
+    """Both exports at the size of a recorded sweep (many cells)."""
+
+    CELLS = 96
+    ROUNDS_PER_CELL = 16
+
+    def _recorded_events(self):
+        """A span-and-counter stream shaped like a recorded attack run."""
+        events = []
+        clock = 0.0
+
+        def emit(kind, name, value=None, cell=None):
+            events.append(
+                LedgerEvent(
+                    kind=kind,
+                    name=name,
+                    ts=clock,
+                    value=value,
+                    run_id="recorded",
+                    cell_id=cell,
+                    worker_id=1,
+                )
+            )
+
+        for index in range(self.CELLS):
+            cell = f"cell/{index:03d}"
+            emit("span-start", "attack", cell=cell)
+            for _ in range(self.ROUNDS_PER_CELL):
+                clock += 0.001
+                emit("counter", "engine.round", value=1, cell=cell)
+            emit("gauge", "cell.wall_seconds", value=0.016, cell=cell)
+            clock += 0.001
+            emit("span-end", "attack", cell=cell)
+        return events
+
+    def test_prometheus_exposition_of_a_recorded_run(self):
+        registry = registry_from_events(self._recorded_events())
+        document = render_prometheus(registry.snapshot())
+        rounds = self.CELLS * self.ROUNDS_PER_CELL
+        assert f"repro_engine_round_total {rounds}" in document
+        assert (
+            f"repro_span_attack_seconds_count {self.CELLS}" in document
+        )
+
+    def test_chrome_trace_of_a_recorded_run(self):
+        trace = chrome_trace(self._recorded_events())
+        spans = [
+            entry
+            for entry in trace["traceEvents"]
+            if entry["ph"] in ("B", "E")
+        ]
+        assert len(spans) == 2 * self.CELLS

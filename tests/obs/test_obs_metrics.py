@@ -41,10 +41,7 @@ class TestInstruments:
         registry.absorb_cache(CacheStats(hits=1, alias_hits=0, misses=1))
         assert registry.counter("cache.hits").total == 3
         assert registry.counter("cache.misses").total == 6
-        assert registry.cache_hit_rate() == 4 / 10
-
-    def test_cache_hit_rate_none_without_data(self):
-        assert MetricsRegistry().cache_hit_rate() is None
+        assert registry.counter("cache.alias_hits").total == 1
 
     def test_registry_is_picklable(self):
         registry = MetricsRegistry()

@@ -168,42 +168,6 @@ class TestTtyLineClearing:
         )
 
 
-class TestAccounting:
-    def test_snapshot_shape_and_values(self):
-        progress, clock = _tracker(4)
-        progress.start("a")
-        progress.start("b")
-        progress.tick()
-        clock.advance(10.0)
-        progress.note_done("a")
-        snapshot = progress.accounting()
-        assert snapshot == {
-            "label": "sweep",
-            "done": 1,
-            "total": 4,
-            "in_flight": 1,
-            "elapsed_seconds": 10.0,
-            "eta_seconds": 30.0,
-            "stalled": False,
-            "heartbeats": 2,
-        }
-
-    def test_stalled_flag_and_missing_eta(self):
-        progress, clock = _tracker(2, stall_after=30.0)
-        progress.start("a")
-        clock.advance(31.0)
-        snapshot = progress.accounting()
-        assert snapshot["stalled"] is True
-        assert snapshot["eta_seconds"] is None
-
-    def test_accounting_is_json_safe(self):
-        import json
-
-        progress, _ = _tracker(1)
-        progress.start("a")
-        json.dumps(progress.accounting())  # must not raise
-
-
 class TestStall:
     def test_quiet_period_raises_the_flag(self):
         stream = io.StringIO()

@@ -128,6 +128,19 @@ class TestFloorRatioPerCell:
             "t²/32 = 2.0)" in line
         )
 
+    def test_log_stats_reports_each_cells_floor(self, tmp_path):
+        from repro.worldlog import WorldLog, read_worldlog
+        from repro.worldlog.replay import log_stats
+
+        path = str(tmp_path / "sweep.worldlog")
+        with WorldLog.create(path, run_id="sweep") as log:
+            for event in self._two_cell_ledger().events:
+                log.record_event(event)
+        cells = log_stats(read_worldlog(path))["cells"]
+        for cell, (observed, floor) in self.CELLS.items():
+            assert cells[cell]["floor"] == floor
+            assert cells[cell]["vs_floor"] == observed / floor
+
     def test_single_cell_keeps_the_one_line(self):
         text = render_trace(_sample_ledger().events)
         assert "messages / (t²/32): 5.000 (10 messages vs t²/32 = 2.0)" in (

@@ -540,34 +540,3 @@ class TestStatus:
         assert settled["workers"]["busy"] == 0
         assert settled["jobs"]["completed"] == 3
         assert settled["queue"]["depth"] == 0
-
-    def test_serve_telemetry_is_observability_only(self, paths):
-        from repro.obs.telemetry import TELEMETRY_SCHEMA
-        from repro.service.queue import recover_jobs
-        from repro.worldlog.views import jobs_manifest
-
-        sock, log = paths
-        server, thread = _start(log, sock, telemetry_interval=0.05)
-        client = ServiceClient(sock, timeout=120)
-        key = client.submit(encode_job(ClassifyJob("weak", 5, 1)))["key"]
-        _drain(client, [key])
-        _stop(server, thread)
-
-        records = read_worldlog(log)
-        snaps = [
-            record for record in records
-            if record.kind == "telemetry.snapshot"
-        ]
-        # close() writes the end-of-run picture even if no interval
-        # elapsed, so at least one snapshot is guaranteed.
-        assert snaps
-        for snap in snaps:
-            assert snap.payload["schema"] == TELEMETRY_SCHEMA
-            assert snap.payload["source"] == "serve"
-            assert "service" in snap.payload
-        # Observability-only: recovery and the manifest never see them.
-        pending, terminals = recover_jobs(records)
-        assert pending == []
-        assert set(terminals) == {key}
-        manifest = jobs_manifest(records)
-        assert [entry["key"] for entry in manifest["jobs"]] == [key]

@@ -837,8 +837,102 @@ class TestTimeTravelCommands:
             assert key in document
 
 
+class TestParseInterval:
+    """The one ``--interval`` validator (``top`` and ``log tail``)."""
+
+    def test_accepts_positive_numbers(self):
+        from repro.cli import parse_interval
+
+        assert parse_interval("2.5") == 2.5
+        assert parse_interval(3) == 3.0
+        assert parse_interval("0.001") == 0.001
+
+    @pytest.mark.parametrize(
+        "bad", ["0", "-1", "abc", "nan", "", None, float("nan")]
+    )
+    def test_rejects_nonpositive_and_unparsable(self, bad):
+        from repro.cli import parse_interval
+        from repro.errors import ReproError
+
+        with pytest.raises(ReproError) as excinfo:
+            parse_interval(bad)
+        assert "--interval expects a positive number" in str(
+            excinfo.value
+        )
+
+    def test_default_interval_is_valid(self):
+        from repro.cli import parse_interval
+
+        parser = build_parser()
+        for argv in (["top", "--log", "x"], ["log", "tail", "x"]):
+            assert parse_interval(parser.parse_args(argv).interval) > 0
+
+
+class TestLogReaderDiagnostics:
+    """Every log reader shares one payload shape check at read time."""
+
+    READERS = {
+        "log-replay": ["log", "replay", "{log}", "--at", "5"],
+        "log-stats": ["log", "stats", "{log}"],
+        "log-derive": ["log", "derive", "{log}", "--out", "{out}"],
+        "jobs": ["jobs", "--log", "{log}"],
+        "trace": ["trace", "{log}"],
+        "metrics-export": ["metrics", "export", "{log}"],
+        "top": ["top", "--log", "{log}", "--once"],
+    }
+
+    @staticmethod
+    def _log_with(tmp_path, kind, payload):
+        """A ``log.open`` header followed by one raw record line."""
+        import json
+
+        from repro.worldlog import WorldLog
+
+        path = str(tmp_path / "bad.worldlog")
+        WorldLog.create(path, run_id="r").close()
+        line = {"tick": 1, "kind": kind, "run_id": "r", "cell_id": None,
+                "worker_id": 1, "payload": payload}
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(line) + "\n")
+        return path
+
+    def _argv(self, reader, path, tmp_path):
+        return [
+            arg.format(log=path, out=str(tmp_path / "views"))
+            for arg in self.READERS[reader]
+        ]
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            ("job.submitted", {}),
+            ("cert.artifact", []),
+            ("ledger.event", 7),
+            ("ledger.event",
+             {"ts": 0.0, "kind": "counter", "name": "x", "value": "7"}),
+        ],
+    )
+    def test_mis_shaped_payload_is_exit_2(
+        self, tmp_path, capsys, reader, kind, payload
+    ):
+        path = self._log_with(tmp_path, kind, payload)
+        assert main(self._argv(reader, path, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:2: not a {kind} record" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_retired_snapshot_reads(self, tmp_path, capsys, reader):
+        path = self._log_with(
+            tmp_path, "telemetry.snapshot",
+            {"schema": "repro.telemetry/v1", "seq": 0},
+        )
+        assert main(self._argv(reader, path, tmp_path)) == 0
+
+
 class TestObservabilityCommands:
-    """PR 10 surface: interval validation, tail/top/status, exports."""
+    """Interval validation, tail/top/status, exports."""
 
     GOLDEN = os.path.join(
         os.path.dirname(os.path.abspath(__file__)),
@@ -877,49 +971,6 @@ class TestObservabilityCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "error: --interval expects a positive number" in err
-
-    def test_telemetry_interval_shares_the_diagnostic(
-        self, tmp_path, capsys
-    ):
-        code = main(
-            ["attack", "silent", "--n", "8", "--t", "4",
-             "--ledger", str(tmp_path / "r.worldlog"),
-             "--telemetry-interval", "abc"]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert (
-            "error: --telemetry-interval expects a positive number"
-            in err
-        )
-
-    def test_telemetry_without_a_worldlog_ledger_is_refused(
-        self, capsys
-    ):
-        code = main(
-            ["attack", "silent", "--n", "8", "--t", "4", "--telemetry"]
-        )
-        assert code == 1
-        assert "pass --ledger PATH.worldlog" in capsys.readouterr().err
-
-    # ------------------------------------------------------------------
-    # telemetry recording end to end
-    # ------------------------------------------------------------------
-
-    def test_attack_telemetry_records_snapshots(self, tmp_path, capsys):
-        log_path = self._attack_into_worldlog(
-            tmp_path, "--telemetry", "--telemetry-interval", "0.001"
-        )
-        capsys.readouterr()
-        from repro.worldlog import read_worldlog
-
-        snaps = [
-            record
-            for record in read_worldlog(log_path)
-            if record.kind == "telemetry.snapshot"
-        ]
-        assert snaps
-        assert snaps[-1].payload["source"] == "attack"
 
     # ------------------------------------------------------------------
     # log tail
@@ -999,17 +1050,38 @@ class TestObservabilityCommands:
     def test_top_log_mode_once_renders_to_stderr(
         self, tmp_path, capsys
     ):
-        log_path = self._attack_into_worldlog(
-            tmp_path, "--telemetry", "--telemetry-interval", "0.001"
-        )
+        log_path = self._attack_into_worldlog(tmp_path)
         capsys.readouterr()
         assert main(["top", "--log", log_path, "--once"]) == 0
         captured = capsys.readouterr()
         # Dashboard frames are diagnostics: stderr, never stdout.
         assert captured.out == ""
         assert "record(s)" in captured.err
-        assert "telemetry" in captured.err
-        assert "rounds" in captured.err
+        # The replay fold's rounds line carries the t²/32 ratio.
+        rounds = next(
+            line for line in captured.err.splitlines()
+            if line.startswith("rounds: ")
+        )
+        assert "vs t²/32 floor" in rounds
+
+    def test_top_log_mode_once_counts_a_sweeps_jobs(
+        self, tmp_path, capsys
+    ):
+        log_path = str(tmp_path / "sweep.worldlog")
+        assert main(["sweep", "silent", "--grid", "proportional",
+                     "--max-t", "4", "--ledger", log_path]) == 0
+        capsys.readouterr()
+        assert main(["top", "--log", log_path, "--once"]) == 0
+        assert "jobs: 2 accepted, 0 pending" in capsys.readouterr().err
+
+    def test_top_log_once_on_a_missing_file_is_exit_2(
+        self, tmp_path, capsys
+    ):
+        missing = str(tmp_path / "missing.worldlog")
+        assert main(["top", "--log", missing, "--once"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "record(s)" not in captured.err
 
     @pytest.fixture
     def service(self):

@@ -12,13 +12,13 @@ import doctest
 import pytest
 
 import repro.artifact
+import repro.cli
 import repro.certify.format
 import repro.certify.verifier
 import repro.lowerbound.bound
 import repro.obs.ledger
 import repro.obs.export
 import repro.obs.metrics
-import repro.obs.telemetry
 import repro.service.protocol
 import repro.service.queue
 import repro.service.quota
@@ -27,13 +27,13 @@ import repro.worldlog.record
 
 DOCUMENTED_MODULES = [
     repro.artifact,
+    repro.cli,
     repro.certify.format,
     repro.certify.verifier,
     repro.lowerbound.bound,
     repro.obs.ledger,
     repro.obs.export,
     repro.obs.metrics,
-    repro.obs.telemetry,
     repro.service.protocol,
     repro.service.queue,
     repro.service.quota,

@@ -216,57 +216,3 @@ class TestScrub:
                    payload={"label": "x", "text": text + " "}, run_id="b")
         assert diff_logs([a], [a]).ok
         assert not diff_logs([a], [b]).ok
-
-
-class TestTelemetryTwins:
-    """Telemetry is observability-only: twins diff empty (PR 10 bar)."""
-
-    def _run(self, path, telemetry_interval=None):
-        from repro.lowerbound.driver import attack_weak_consensus
-        from repro.obs.ledger import RunLedger
-        from repro.obs.telemetry import TelemetryBus
-        from repro.obs.tracer import LedgerTracer
-        from repro.protocols.subquadratic import silent_cheater_spec
-
-        with WorldLog.create(str(path)) as worldlog:
-            bus = None
-            if telemetry_interval is not None:
-                bus = TelemetryBus(
-                    worldlog,
-                    interval=telemetry_interval,
-                    source="attack",
-                )
-            ledger = RunLedger(sink=worldlog.record_event)
-            attack_weak_consensus(
-                silent_cheater_spec(8, 4),
-                certify=True,
-                tracer=LedgerTracer(ledger),
-                worldlog=worldlog,
-                telemetry=bus,
-            )
-            if bus is not None:
-                bus.close()
-        return read_worldlog(str(path))
-
-    def test_telemetry_on_vs_off_twins_diff_empty(self, tmp_path):
-        plain = self._run(tmp_path / "plain.worldlog")
-        noisy = self._run(
-            tmp_path / "noisy.worldlog", telemetry_interval=1e-9
-        )
-        # The twin must actually carry snapshots, or this pins nothing.
-        snaps = [r for r in noisy if r.kind == "telemetry.snapshot"]
-        assert snaps, "telemetry run produced no snapshots"
-        report = diff_logs(plain, noisy)
-        assert report.ok, report.render()
-
-    def test_comparable_records_drop_snapshots(self):
-        from repro.worldlog.diffing import OBSERVABILITY_KINDS
-
-        assert "telemetry.snapshot" in OBSERVABILITY_KINDS
-        records = [
-            Record(tick=0, kind="checkpoint", payload={}, run_id="r"),
-            Record(tick=1, kind="telemetry.snapshot",
-                   payload={"seq": 0}, run_id="r"),
-        ]
-        kept = comparable_records(records)
-        assert [record.kind for record in kept] == ["checkpoint"]

@@ -305,57 +305,6 @@ class TestSelectRecordsStreaming:
         assert select_records(iter(records), tail=0) == []
 
 
-class TestReplayStateTelemetry:
-    """Snapshots are observability-only: counted, never semantic."""
-
-    def _with_snapshots(self):
-        records = _sweep_like_records()
-        base = len(records)
-        return records + [
-            Record(tick=base, kind="telemetry.snapshot",
-                   payload={"schema": "repro.telemetry/v1", "seq": 0},
-                   run_id="r"),
-            Record(tick=base + 1, kind="telemetry.snapshot",
-                   payload={"schema": "repro.telemetry/v1", "seq": 1,
-                            "cache_hit_rate": 0.5},
-                   run_id="r"),
-        ]
-
-    def test_snapshots_counted_and_latest_kept(self):
-        state = replay_state(self._with_snapshots())
-        assert state.telemetry_snapshots == 2
-        assert state.last_telemetry["seq"] == 1
-        assert state.last_telemetry["cache_hit_rate"] == 0.5
-
-    def test_snapshots_touch_nothing_semantic(self):
-        records = self._with_snapshots()
-        plain = replay_state(records[:-2])
-        twin = replay_state(records)
-        twin.telemetry_snapshots = 0
-        twin.last_telemetry = None
-        # Position/tick/kind_counts differ by construction; everything
-        # semantic must not.
-        twin.position = plain.position
-        twin.tick = plain.tick
-        twin.kind_counts = plain.kind_counts
-        assert twin == plain
-
-    def test_clone_preserves_telemetry_fields(self):
-        state = replay_state(self._with_snapshots())
-        clone = state.clone()
-        assert clone.telemetry_snapshots == 2
-        assert clone.last_telemetry == state.last_telemetry
-        clone.last_telemetry["seq"] = 99
-        assert state.last_telemetry["seq"] == 1  # deep-enough copy
-
-    def test_render_state_mentions_telemetry(self):
-        from repro.worldlog.replay import render_state
-
-        state = replay_state(self._with_snapshots())
-        rendered = render_state(state)
-        assert "telemetry: 2 snapshot(s), last seq 1" in rendered
-
-
 CELLS = 48
 ROUNDS_PER_CELL = 24
 

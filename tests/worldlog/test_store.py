@@ -114,7 +114,7 @@ class TestWorldLog:
 
         path = str(tmp_path / "run.worldlog")
         with WorldLog.create(path, run_id="r") as log:
-            log.append("job.result", {"label": "x"})
+            log.append("job.result", {"key": "x", "result": {}})
         with open(path, "ab") as handle:
             handle.write(b'{"tick": 2, "kind": "job.result", "\xe2\x82')
         assert [record.tick for record in read_records(path)] == [0, 1]
@@ -310,3 +310,13 @@ class TestLogTailer:
 
         tailer = LogTailer(str(tmp_path / "not-yet.worldlog"))
         assert tailer.poll() == []
+
+    def test_cold_tail_poll_returns_every_record(self, tmp_path):
+        from repro.worldlog import LogTailer
+
+        path = str(tmp_path / "tail.worldlog")
+        with WorldLog.create(path, run_id="recorded") as log:
+            for index in range(2048):
+                log.append("checkpoint", {"i": index})
+        records = LogTailer(path).poll()
+        assert len(records) == 2048 + 1  # + the log.open header

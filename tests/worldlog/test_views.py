@@ -68,8 +68,8 @@ class TestDerivedViews:
 
     def test_retired_kinds_still_read_and_derive_nothing(self, tmp_path):
         """Logs written before ``bench.point`` / ``trend.point``, the
-        sweep's ``sweep.plan`` / ``cell.result`` / ``cell.error`` and
-        the driver's ``checkpoint`` retired."""
+        sweep's ``sweep.plan`` / ``cell.result`` / ``cell.error``, the
+        driver's ``checkpoint`` and ``telemetry.snapshot`` retired."""
         log_path = str(tmp_path / "old.worldlog")
         with WorldLog.create(log_path, run_id="r") as log:
             log.append("bench.point", {"suite": "s", "kernel": "k"})
@@ -84,6 +84,10 @@ class TestDerivedViews:
                 "checkpoint",
                 {"protocol": "silent-cheater", "rounds": 3, "enabled": True},
             )
+            log.append(
+                "telemetry.snapshot",
+                {"schema": "repro.telemetry/v1", "seq": 0, "source": "attack"},
+            )
         records = read_worldlog(log_path)
         assert [r.kind for r in records] == [
             "log.open",
@@ -93,6 +97,7 @@ class TestDerivedViews:
             "cell.result",
             "cell.error",
             "checkpoint",
+            "telemetry.snapshot",
         ]
         out_dir = tmp_path / "views"
         assert derive_views(records, str(out_dir)) == {}
@@ -105,6 +110,12 @@ class TestDerivedViews:
         state = replay_state(records)
         assert state.jobs == {}
         assert state.cells_terminal == set()
+        assert state.kind_counts["telemetry.snapshot"] == 1
+        # The differ drops a retired snapshot: the log diffs empty
+        # against its twin without it.
+        from repro.worldlog.diffing import diff_logs
+
+        assert diff_logs(records, records[:-1]).ok
 
 
 class TestJobsView:
