@@ -34,6 +34,10 @@ Quickstart::
     print(outcome.render())          # a verified Agreement violation
 """
 
+import importlib
+import sys
+from typing import Any, Callable
+
 from repro.errors import (
     AdversaryError,
     ModelViolation,
@@ -46,6 +50,41 @@ from repro.errors import (
 from repro.types import Bit, Payload, ProcessId, Round
 
 __version__ = "1.0.0"
+
+
+def _lazy_exports(
+    package: str, exports: dict[str, tuple[str, ...]]
+) -> tuple[list[str], Callable[[str], Any], Callable[[], list[str]]]:
+    """``(__all__, __getattr__, __dir__)`` for lazy re-exports (PEP 562).
+
+    ``exports`` maps a submodule, relative to ``package`` (``".eig"``),
+    to the names the package re-exports from it.  A name's submodule is
+    imported on first access and the value cached in the package, so
+    importing a package loads none of its submodules.  A name equal to
+    a submodule's own name must be imported eagerly instead: importing
+    that submodule binds the module over the missing attribute.
+    """
+    where = {
+        name: module for module, names in exports.items() for name in names
+    }
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str) -> Any:
+        try:
+            module = where[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(where))
+
+    return sorted(where), __getattr__, __dir__
+
 
 __all__ = [
     "AdversaryError",

@@ -7,58 +7,25 @@
 * :mod:`repro.analysis.tables` — monospace table rendering.
 """
 
-from repro.analysis.complexity import (
-    SweepPoint,
-    default_scenarios,
-    exhaustive_isolation_scan,
-    measure_point,
-    mixed_workload,
-    quadratic_parameter_grid,
-    sweep,
-    uniform_workloads,
-)
-from repro.analysis.amortization import (
-    MultiShotReport,
-    run_multi_shot_broadcast,
-)
-from repro.analysis.latency import LatencyReport, dolev_strong_round_floor
-from repro.analysis.fitting import (
-    PowerLawFit,
-    fit_power_law,
-    fit_sweep,
-    is_subquadratic,
-    is_superquadratic,
-)
-from repro.analysis.spacetime import render_divergence, render_spacetime
-from repro.analysis.tables import (
-    render_execution,
-    render_kv,
-    render_sweep,
-    render_table,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "LatencyReport",
-    "MultiShotReport",
-    "PowerLawFit",
-    "run_multi_shot_broadcast",
-    "SweepPoint",
-    "dolev_strong_round_floor",
-    "default_scenarios",
-    "exhaustive_isolation_scan",
-    "fit_power_law",
-    "fit_sweep",
-    "is_subquadratic",
-    "is_superquadratic",
-    "measure_point",
-    "mixed_workload",
-    "quadratic_parameter_grid",
-    "render_divergence",
-    "render_execution",
-    "render_kv",
-    "render_spacetime",
-    "render_sweep",
-    "render_table",
-    "sweep",
-    "uniform_workloads",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".amortization": ("MultiShotReport", "run_multi_shot_broadcast"),
+        ".complexity": (
+            "SweepPoint", "default_scenarios", "exhaustive_isolation_scan",
+            "measure_point", "mixed_workload", "quadratic_parameter_grid",
+            "sweep", "uniform_workloads",
+        ),
+        ".fitting": (
+            "PowerLawFit", "fit_power_law", "fit_sweep", "is_subquadratic",
+            "is_superquadratic",
+        ),
+        ".latency": ("LatencyReport", "dolev_strong_round_floor"),
+        ".spacetime": ("render_divergence", "render_spacetime"),
+        ".tables": (
+            "render_execution", "render_kv", "render_sweep", "render_table",
+        ),
+    },
+)

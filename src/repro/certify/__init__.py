@@ -17,37 +17,19 @@ loads stdlib-only code.
 See ``docs/CERTIFICATES.md`` for the schema and the refutation workflow.
 """
 
-from typing import Any
+from repro import _lazy_exports
 
-_EXPORTS = {
-    "CERTIFICATE_FORMAT": "repro.certify.format",
-    "CERTIFICATE_SCHEMA": "repro.certify.format",
-    "VERDICT_BOUND": "repro.certify.format",
-    "VERDICT_VIOLATION": "repro.certify.format",
-    "Certificate": "repro.certify.format",
-    "build_certificate": "repro.certify.format",
-    "dump_certificate": "repro.certify.format",
-    "load_certificate": "repro.certify.format",
-    "VerificationFailure": "repro.certify.verifier",
-    "VerificationReport": "repro.certify.verifier",
-    "is_valid_certificate": "repro.certify.verifier",
-    "verify_certificate": "repro.certify.verifier",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list[str]:
-    return __all__
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".format": (
+            "CERTIFICATE_FORMAT", "CERTIFICATE_SCHEMA", "VERDICT_BOUND",
+            "VERDICT_VIOLATION", "Certificate", "build_certificate",
+            "dump_certificate", "load_certificate",
+        ),
+        ".verifier": (
+            "VerificationFailure", "VerificationReport",
+            "is_valid_certificate", "verify_certificate",
+        ),
+    },
+)

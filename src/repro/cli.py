@@ -1198,10 +1198,13 @@ def _dispatch_jobs(args: argparse.Namespace) -> int:
 
         manifest = ServiceClient(args.socket).jobs()
     else:
+        from repro.service.queue import recorded_jobs
         from repro.worldlog.store import read_worldlog
         from repro.worldlog.views import jobs_manifest
 
-        manifest = jobs_manifest(read_worldlog(args.log))
+        records = read_worldlog(args.log)
+        recorded_jobs(records, args.log)  # a spec that does not decode: exit 2
+        manifest = jobs_manifest(records)
     entries = manifest["jobs"]
     if not entries:
         print("no jobs recorded")

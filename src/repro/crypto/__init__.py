@@ -6,23 +6,15 @@ signatures, and Dolev–Strong signature chains.  The substitution rationale
 documented in DESIGN.md §1.
 """
 
-from repro.crypto.chains import SignedChain, start_chain, verify_chain
-from repro.crypto.keys import KeyRegistry, SecretKey
-from repro.crypto.signatures import (
-    Signature,
-    SignatureScheme,
-    Signer,
-    canonical_bytes,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "KeyRegistry",
-    "SecretKey",
-    "Signature",
-    "SignatureScheme",
-    "SignedChain",
-    "Signer",
-    "canonical_bytes",
-    "start_chain",
-    "verify_chain",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".chains": ("SignedChain", "start_chain", "verify_chain"),
+        ".keys": ("KeyRegistry", "SecretKey"),
+        ".signatures": (
+            "Signature", "SignatureScheme", "Signer", "canonical_bytes",
+        ),
+    },
+)

@@ -148,9 +148,11 @@ class SignatureScheme:
         Raises:
             SignatureError: if the content cannot be canonically encoded.
         """
-        tag = hmac.new(
-            key.material, canonical_bytes(content), hashlib.sha256
-        ).digest()
+        return self.sign_bytes(key, canonical_bytes(content))
+
+    def sign_bytes(self, key: SecretKey, encoded: bytes) -> Signature:
+        """Sign content given as its :func:`canonical_bytes` encoding."""
+        tag = hmac.new(key.material, encoded, hashlib.sha256).digest()
         return Signature(signer=key.owner, tag=tag)
 
     def verify(self, signature: Signature, content: Hashable) -> bool:
@@ -163,11 +165,22 @@ class SignatureScheme:
         """
         try:
             key = self._registry.secret_key(signature.signer)
-            expected = hmac.new(
-                key.material, canonical_bytes(content), hashlib.sha256
-            ).digest()
+            encoded = canonical_bytes(content)
         except SignatureError:
             return False
+        return self._matches(signature, key, encoded)
+
+    def verify_bytes(self, signature: Signature, encoded: bytes) -> bool:
+        """:meth:`verify` for content given as its canonical encoding."""
+        try:
+            key = self._registry.secret_key(signature.signer)
+        except SignatureError:
+            return False
+        return self._matches(signature, key, encoded)
+
+    @staticmethod
+    def _matches(signature: Signature, key: SecretKey, encoded: bytes) -> bool:
+        expected = hmac.new(key.material, encoded, hashlib.sha256).digest()
         return hmac.compare_digest(signature.tag, expected)
 
     def signer_for(self, pid: ProcessId) -> "Signer":
@@ -194,6 +207,10 @@ class Signer:
     def sign(self, content: Hashable) -> Signature:
         """Sign ``content`` as this process."""
         return self._scheme.sign(self._key, content)
+
+    def sign_bytes(self, encoded: bytes) -> Signature:
+        """Sign content given as its :func:`canonical_bytes` encoding."""
+        return self._scheme.sign_bytes(self._key, encoded)
 
     def verify(self, signature: Signature, content: Hashable) -> bool:
         """Verify an arbitrary signature (verification is public)."""

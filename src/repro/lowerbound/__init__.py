@@ -8,42 +8,23 @@
   sub-quadratic weak consensus candidate.
 """
 
-from repro.lowerbound.bound import (
-    BoundComparison,
-    dolev_reischuk_floor,
-    weak_consensus_floor,
-)
-from repro.lowerbound.driver import (
-    AttackOutcome,
-    LowerBoundDriver,
-    attack_weak_consensus,
-)
-from repro.lowerbound.partition import (
-    ABCPartition,
-    canonical_partition,
-    paper_partition,
-)
-from repro.lowerbound.witnesses import (
-    ViolationKind,
-    ViolationWitness,
-    is_valid_witness,
-    minimize_witness,
-    verify_witness,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ABCPartition",
-    "AttackOutcome",
-    "BoundComparison",
-    "LowerBoundDriver",
-    "ViolationKind",
-    "ViolationWitness",
-    "attack_weak_consensus",
-    "canonical_partition",
-    "dolev_reischuk_floor",
-    "is_valid_witness",
-    "minimize_witness",
-    "paper_partition",
-    "verify_witness",
-    "weak_consensus_floor",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".bound": (
+            "BoundComparison", "dolev_reischuk_floor", "weak_consensus_floor",
+        ),
+        ".driver": (
+            "AttackOutcome", "LowerBoundDriver", "attack_weak_consensus",
+        ),
+        ".partition": (
+            "ABCPartition", "canonical_partition", "paper_partition",
+        ),
+        ".witnesses": (
+            "ViolationKind", "ViolationWitness", "is_valid_witness",
+            "minimize_witness", "verify_witness",
+        ),
+    },
+)

@@ -19,50 +19,21 @@ the *event order* (``kind``/``name``/``cell_id`` sequence), never on
 timestamps or worker ids.
 """
 
-from __future__ import annotations
+from repro import _lazy_exports
 
-from repro.obs.export import (
-    chrome_trace,
-    registry_from_events,
-    render_prometheus,
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".export": (
+            "chrome_trace", "registry_from_events", "render_prometheus",
+        ),
+        ".ledger": (
+            "EVENT_KINDS", "LedgerEvent", "RunLedger", "cell_label",
+            "new_run_id", "order_signature",
+        ),
+        ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+        ".tracer": (
+            "LedgerTracer", "NULL_TRACER", "RoundTraceObserver", "Tracer",
+        ),
+    },
 )
-from repro.obs.ledger import (
-    EVENT_KINDS,
-    LedgerEvent,
-    RunLedger,
-    cell_label,
-    new_run_id,
-    order_signature,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.tracer import (
-    NULL_TRACER,
-    LedgerTracer,
-    RoundTraceObserver,
-    Tracer,
-)
-
-__all__ = [
-    "EVENT_KINDS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "LedgerEvent",
-    "LedgerTracer",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "RoundTraceObserver",
-    "RunLedger",
-    "Tracer",
-    "cell_label",
-    "chrome_trace",
-    "new_run_id",
-    "order_signature",
-    "registry_from_events",
-    "render_prometheus",
-]

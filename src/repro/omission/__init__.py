@@ -12,62 +12,33 @@
   adversaries above to the bitmask kernel's AND-mask form.
 """
 
-from repro.omission.indistinguishability import (
-    DivergenceProfile,
-    ExecutionDiff,
-    diff_executions,
-    divergence_profile,
-    first_distinguishing_round,
-    first_send_divergence,
-    indistinguishable_to,
-    indistinguishable_to_all,
-)
-from repro.omission.isolation import (
-    IsolationAdversary,
-    check_isolated,
-    is_isolated,
-    isolate_group,
-    quiescent_toward,
-)
-from repro.omission.masks import compile_omissions
-from repro.omission.merge import (
-    MergeSpec,
-    check_merge_inputs,
-    check_merge_result,
-    is_mergeable,
-    merge,
-    uniform_proposal,
-)
-from repro.omission.swap import (
-    SwapResult,
-    blamed_senders,
-    swap_omission,
-    swap_omission_checked,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "DivergenceProfile",
-    "ExecutionDiff",
-    "IsolationAdversary",
-    "diff_executions",
-    "MergeSpec",
-    "SwapResult",
-    "blamed_senders",
-    "check_isolated",
-    "check_merge_inputs",
-    "check_merge_result",
-    "compile_omissions",
-    "divergence_profile",
-    "first_distinguishing_round",
-    "first_send_divergence",
-    "indistinguishable_to",
-    "indistinguishable_to_all",
-    "is_isolated",
-    "is_mergeable",
-    "isolate_group",
-    "merge",
-    "quiescent_toward",
-    "swap_omission",
-    "swap_omission_checked",
-    "uniform_proposal",
-]
+# ``merge`` is also its submodule's name: importing ``repro.omission.merge``
+# would bind the module over a lazy ``merge``, so this one is eager.
+from repro.omission.merge import merge
+
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".indistinguishability": (
+            "DivergenceProfile", "ExecutionDiff", "diff_executions",
+            "divergence_profile", "first_distinguishing_round",
+            "first_send_divergence", "indistinguishable_to",
+            "indistinguishable_to_all",
+        ),
+        ".isolation": (
+            "IsolationAdversary", "check_isolated", "is_isolated",
+            "isolate_group", "quiescent_toward",
+        ),
+        ".masks": ("compile_omissions",),
+        ".merge": (
+            "MergeSpec", "check_merge_inputs", "check_merge_result",
+            "is_mergeable", "merge", "uniform_proposal",
+        ),
+        ".swap": (
+            "SwapResult", "blamed_senders", "swap_omission",
+            "swap_omission_checked",
+        ),
+    },
+)

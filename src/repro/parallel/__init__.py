@@ -16,43 +16,19 @@ scheduler and the lower-bound driver behind it.  Wall-clock timing of
 attacks lives in :mod:`repro.obs.tracer`.
 """
 
-from __future__ import annotations
+from repro import _lazy_exports
 
-_LAZY = {
-    "AttackJob": "repro.parallel.jobs",
-    "CacheStats": "repro.parallel.jobs",
-    "ClassifyJob": "repro.parallel.jobs",
-    "ClassifyVerdict": "repro.parallel.jobs",
-    "JobResult": "repro.parallel.jobs",
-    "MeasureJob": "repro.parallel.jobs",
-    "SweepJob": "repro.parallel.jobs",
-    "UnknownBuilderError": "repro.parallel.jobs",
-    "execute_job": "repro.parallel.jobs",
-    "registered_builders": "repro.parallel.jobs",
-    "registered_problems": "repro.parallel.jobs",
-    "resolve_builder": "repro.parallel.jobs",
-    "resolve_problem": "repro.parallel.jobs",
-    "CellError": "repro.parallel.scheduler",
-    "SweepCell": "repro.parallel.scheduler",
-    "SweepReport": "repro.parallel.scheduler",
-    "SweepScheduler": "repro.parallel.scheduler",
-}
-
-__all__ = sorted(_LAZY)
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        import importlib
-
-        module = importlib.import_module(_LAZY[name])
-        value = getattr(module, name)
-        globals()[name] = value  # cache for subsequent lookups
-        return value
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".jobs": (
+            "AttackJob", "CacheStats", "ClassifyJob", "ClassifyVerdict",
+            "JobResult", "MeasureJob", "SweepJob", "UnknownBuilderError",
+            "execute_job", "registered_builders", "registered_problems",
+            "resolve_builder", "resolve_problem",
+        ),
+        ".scheduler": (
+            "CellError", "SweepCell", "SweepReport", "SweepScheduler",
+        ),
+    },
+)

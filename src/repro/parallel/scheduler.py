@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -442,6 +440,10 @@ class SweepScheduler:
         keys: Sequence[str],
         recalled: dict[int, SweepCell | int],
     ) -> list[SweepCell]:
+        # Imported here so a serial sweep never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import TimeoutError as FutureTimeoutError
+
         cells: list[SweepCell] = []
         with ProcessPoolExecutor(max_workers=self.jobs) as pool:
             futures: dict[int, Any] = {}

@@ -26,144 +26,57 @@
   :mod:`repro.protocols.kset` — the §7 beyond-agreement relaxations.
 """
 
-from repro.protocols.approximate import (
-    ApproximateAgreementProcess,
-    approximate_agreement_spec,
-    rounds_for_precision,
-)
-from repro.protocols.base import DelegatingProcess, ProtocolSpec, SpecBuilder
-from repro.protocols.byzantine_strategies import (
-    Strategy,
-    crash_at,
-    equivocating_sender,
-    garbage,
-    mute,
-    two_faced,
-)
-from repro.protocols.dolev_strong import (
-    SENDER_FAULTY,
-    DolevStrongProcess,
-    dolev_strong_spec,
-    scheme_for_spec,
-)
-from repro.protocols.eig import (
-    EIGProcess,
-    eig_consensus_spec,
-    eig_vector_spec,
-)
-from repro.protocols.early_stopping import (
-    EarlyStoppingConsensus,
-    early_stopping_spec,
-)
-from repro.protocols.floodset import FloodSetProcess, floodset_spec
-from repro.protocols.gradecast import (
-    NO_VALUE,
-    GradecastProcess,
-    crusader_decision,
-    gradecast_spec,
-)
-from repro.protocols.external_validity import (
-    ClientPool,
-    ExternalValidityAgreement,
-    Transaction,
-    external_validity_spec,
-)
-from repro.protocols.kset import KSetProcess, kset_rounds, kset_spec
-from repro.protocols.interactive_consistency import (
-    ParallelBroadcastIC,
-    authenticated_ic_spec,
-    ic_spec,
-    unauthenticated_ic_spec,
-)
-from repro.protocols.phase_king import PhaseKingProcess, phase_king_spec
-from repro.protocols.strong_consensus import (
-    ICMajorityConsensus,
-    authenticated_strong_consensus_spec,
-    unauthenticated_strong_consensus_spec,
-)
-from repro.protocols.subquadratic import (
-    ALL_CHEATERS,
-    CommitteeCheater,
-    LeaderEchoCheater,
-    RingTokenCheater,
-    SampledCommitteeCheater,
-    SilentCheater,
-    committee_cheater_spec,
-    leader_echo_spec,
-    ring_token_spec,
-    seeded_committee_cheater_spec,
-    silent_cheater_spec,
-)
-from repro.protocols.vector_consensus import (
-    VectorConsensusProcess,
-    vector_consensus_spec,
-)
-from repro.protocols.weak_consensus import (
-    BroadcastWeakConsensus,
-    NaiveFloodingWeakConsensus,
-    broadcast_weak_consensus_spec,
-    naive_flooding_spec,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ALL_CHEATERS",
-    "ApproximateAgreementProcess",
-    "approximate_agreement_spec",
-    "rounds_for_precision",
-    "BroadcastWeakConsensus",
-    "ClientPool",
-    "CommitteeCheater",
-    "DelegatingProcess",
-    "DolevStrongProcess",
-    "EIGProcess",
-    "ExternalValidityAgreement",
-    "EarlyStoppingConsensus",
-    "FloodSetProcess",
-    "GradecastProcess",
-    "NO_VALUE",
-    "crusader_decision",
-    "early_stopping_spec",
-    "floodset_spec",
-    "gradecast_spec",
-    "VectorConsensusProcess",
-    "vector_consensus_spec",
-    "ICMajorityConsensus",
-    "KSetProcess",
-    "kset_rounds",
-    "kset_spec",
-    "LeaderEchoCheater",
-    "NaiveFloodingWeakConsensus",
-    "ParallelBroadcastIC",
-    "PhaseKingProcess",
-    "ProtocolSpec",
-    "RingTokenCheater",
-    "SampledCommitteeCheater",
-    "ring_token_spec",
-    "seeded_committee_cheater_spec",
-    "SENDER_FAULTY",
-    "SilentCheater",
-    "SpecBuilder",
-    "Strategy",
-    "Transaction",
-    "authenticated_ic_spec",
-    "authenticated_strong_consensus_spec",
-    "broadcast_weak_consensus_spec",
-    "committee_cheater_spec",
-    "crash_at",
-    "dolev_strong_spec",
-    "eig_consensus_spec",
-    "eig_vector_spec",
-    "equivocating_sender",
-    "external_validity_spec",
-    "garbage",
-    "ic_spec",
-    "leader_echo_spec",
-    "mute",
-    "naive_flooding_spec",
-    "phase_king_spec",
-    "scheme_for_spec",
-    "silent_cheater_spec",
-    "two_faced",
-    "unauthenticated_ic_spec",
-    "unauthenticated_strong_consensus_spec",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".approximate": (
+            "ApproximateAgreementProcess", "approximate_agreement_spec",
+            "rounds_for_precision",
+        ),
+        ".base": ("DelegatingProcess", "ProtocolSpec", "SpecBuilder"),
+        ".byzantine_strategies": (
+            "Strategy", "crash_at", "equivocating_sender", "garbage", "mute",
+            "two_faced",
+        ),
+        ".dolev_strong": (
+            "DolevStrongProcess", "SENDER_FAULTY", "dolev_strong_spec",
+            "scheme_for_spec",
+        ),
+        ".early_stopping": ("EarlyStoppingConsensus", "early_stopping_spec"),
+        ".eig": ("EIGProcess", "eig_consensus_spec", "eig_vector_spec"),
+        ".external_validity": (
+            "ClientPool", "ExternalValidityAgreement", "Transaction",
+            "external_validity_spec",
+        ),
+        ".floodset": ("FloodSetProcess", "floodset_spec"),
+        ".gradecast": (
+            "GradecastProcess", "NO_VALUE", "crusader_decision",
+            "gradecast_spec",
+        ),
+        ".interactive_consistency": (
+            "ParallelBroadcastIC", "authenticated_ic_spec", "ic_spec",
+            "unauthenticated_ic_spec",
+        ),
+        ".kset": ("KSetProcess", "kset_rounds", "kset_spec"),
+        ".phase_king": ("PhaseKingProcess", "phase_king_spec"),
+        ".strong_consensus": (
+            "ICMajorityConsensus", "authenticated_strong_consensus_spec",
+            "unauthenticated_strong_consensus_spec",
+        ),
+        ".subquadratic": (
+            "ALL_CHEATERS", "CommitteeCheater", "LeaderEchoCheater",
+            "RingTokenCheater", "SampledCommitteeCheater", "SilentCheater",
+            "committee_cheater_spec", "leader_echo_spec", "ring_token_spec",
+            "seeded_committee_cheater_spec", "silent_cheater_spec",
+        ),
+        ".vector_consensus": (
+            "VectorConsensusProcess", "vector_consensus_spec",
+        ),
+        ".weak_consensus": (
+            "BroadcastWeakConsensus", "NaiveFloodingWeakConsensus",
+            "broadcast_weak_consensus_spec", "naive_flooding_spec",
+        ),
+    },
+)

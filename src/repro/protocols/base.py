@@ -19,14 +19,14 @@ function ``ProtocolSpec -> ProtocolSpec``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 from repro.sim.adversary import Adversary
 from repro.sim.engine import RoundObserver
 from repro.sim.execution import Execution
 from repro.sim.process import Process, ProcessFactory
 from repro.sim.simulator import SimulationConfig, run_execution
-from repro.types import Payload, validate_system_size
+from repro.types import Payload, Round, validate_system_size
 
 
 @dataclass(frozen=True)
@@ -147,3 +147,51 @@ class DelegatingProcess(Process):
     def translate_decision(self, inner_decision: Payload) -> Payload:
         """Map the inner algorithm's decision to the outer problem's."""
         return inner_decision
+
+
+class RoundMemo:
+    """Results derived from relayed objects, for one round at a time.
+
+    Shared by the processes of one spec.  A correct sender hands the
+    *same* object to all ``n - 1`` receivers, so a result that depends
+    only on ``(object, tag, round)`` — the tag names whatever else it
+    depends on, e.g. the sender — is computed by the first receiver and
+    reused by the rest.  Entries are keyed by ``(id(object), tag)``, not
+    by equality (a Byzantine object equal to a correct one must be
+    judged on its own), and keep the object, so its id cannot be reused
+    while the entry lives.  The memo is cleared whenever the round
+    changes, and a deep copy of it is empty: copied machines recompute
+    rather than trust ids of objects they do not hold.
+    """
+
+    __slots__ = ("round", "entries")
+
+    def __init__(self) -> None:
+        self.round: Round = 0
+        self.entries: dict[
+            tuple[int, Hashable], tuple[Any, Hashable, Any]
+        ] = {}
+
+    def __deepcopy__(self, memo: dict) -> RoundMemo:
+        return RoundMemo()
+
+    def get(
+        self,
+        round_: Round,
+        obj: Any,
+        tag: Hashable,
+        compute: Callable[..., Any],
+        *args: Any,
+    ) -> Any:
+        """``compute(*args)``, computed once per ``(obj, tag)`` this round.
+
+        The result is shared with every other caller: read, never write.
+        """
+        if round_ != self.round:
+            self.entries.clear()
+            self.round = round_
+        key = (id(obj), tag)
+        entry = self.entries.get(key)
+        if entry is None:
+            entry = self.entries[key] = (obj, tag, compute(*args))
+        return entry[2]

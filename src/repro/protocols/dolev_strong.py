@@ -21,6 +21,15 @@ nobody can forge the sender's signature on a second value.
 Message complexity is Θ(n²) per accepted value for correct relays — the
 quadratic behaviour the Dolev–Reischuk bound says is unavoidable, measured
 empirically in experiment E7.
+
+A relayed chain is verified once per round, not once per receiver: the
+verdict of ``verify_chain(scheme, chain, sender, minimum_length=round)``
+depends on nothing a receiver owns, and a correct relay hands the *same*
+chain object to all ``n - 1`` receivers.  So the processes of a spec
+share a :class:`~repro.protocols.base.RoundMemo` keyed by ``(id(chain),
+sender)`` — by identity, so an equal chain from a Byzantine relay is
+verified on its own, and with the designated sender, so interactive
+consistency's ``n`` sub-broadcasts can share one memo.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from typing import Hashable, Mapping
 from repro.crypto.chains import SignedChain, start_chain, verify_chain
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SignatureScheme, Signer
-from repro.protocols.base import ProtocolSpec
+from repro.protocols.base import ProtocolSpec, RoundMemo
 from repro.sim.process import Process
 from repro.types import Payload, ProcessId, Round
 
@@ -52,6 +61,9 @@ class DolevStrongProcess(Process):
         scheme: the signature scheme (public verification).
         signer: this process's signing capability.
         instance: domain-separation tag for chains (parallel broadcasts).
+        memo: the :class:`~repro.protocols.base.RoundMemo` of chain
+            verdicts shared by the spec's processes (a private one when
+            omitted).
     """
 
     def __init__(
@@ -64,6 +76,7 @@ class DolevStrongProcess(Process):
         scheme: SignatureScheme,
         signer: Signer,
         instance: Hashable = "ds",
+        memo: RoundMemo | None = None,
     ) -> None:
         super().__init__(pid, n, t, proposal)
         if signer.pid != pid:
@@ -74,6 +87,7 @@ class DolevStrongProcess(Process):
         self.scheme = scheme
         self.signer = signer
         self.instance = instance
+        self._memo = RoundMemo() if memo is None else memo
         self.extracted: dict[Hashable, SignedChain] = {}
         self._pending_relay: list[SignedChain] = []
         if pid == sender:
@@ -132,8 +146,9 @@ class DolevStrongProcess(Process):
                 continue
             if len(self.extracted) >= _MAX_RELAYED_VALUES:
                 return  # two values already prove equivocation
-            if not verify_chain(
-                self.scheme, chain, self.sender, minimum_length=round_
+            if not self._memo.get(
+                round_, chain, self.sender,
+                verify_chain, self.scheme, chain, self.sender, round_,
             ):
                 continue
             self.extracted[chain.value] = chain
@@ -164,6 +179,7 @@ def dolev_strong_spec(
     :mod:`repro.protocols.byzantine_strategies`).
     """
     scheme = SignatureScheme(KeyRegistry(n, seed))
+    memo = RoundMemo()
 
     def factory(pid: ProcessId, proposal: Payload) -> DolevStrongProcess:
         return DolevStrongProcess(
@@ -175,6 +191,7 @@ def dolev_strong_spec(
             scheme=scheme,
             signer=scheme.signer_for(pid),
             instance=instance,
+            memo=memo,
         )
 
     return ProtocolSpec(

@@ -19,27 +19,31 @@ Two decision modes share the machinery:
 Message complexity is Θ(n^{t+1}) entries in the worst case — exponential
 information gathering earns its name; use small ``t``.
 
+The tree is resolved level by level, not by recursion: listing the
+labels of length ``d + 1`` in :func:`itertools.permutations` order puts
+the children of each length-``d`` label next to each other, ``n - d`` of
+them, in the order the labels of length ``d`` are listed.  So the leaf
+values fold into the level-1 vector one strict-majority pass per level.
+
 Relayed payloads are validated once, not once per receiver.  Whether an
 entry of a relayed payload is accepted depends only on ``(payload,
 round, sender, n)``, and a correct sender hands the *same* tuple to all
-``n - 1`` receivers; so the spec's processes share a :class:`PayloadMemo`
-that turns each payload into its accepted ``{label + (sender,): value}``
-dict once per round, and each receiver merges that dict first-wins.  The
-memo is keyed by payload *identity* and keeps the payload in the entry
-(so its id cannot be reused while the entry lives): keying by equality
-would be wrong, because ``(1.0, 2) == (1, 2)`` and ``True == 1`` while
-the label check rejects float labels — a Byzantine payload equal to a
-correct one must still be validated on its own.  The memo is cleared
-whenever the round changes, so it holds at most one round of payloads,
-and a deep copy of it is empty (copied machines revalidate, never
-trusting ids of objects they do not hold).
+``n - 1`` receivers; so the spec's processes share a
+:class:`~repro.protocols.base.RoundMemo` that turns each ``(payload,
+sender)`` into its accepted ``{label + (sender,): value}`` dict once per
+round, and each receiver merges that dict first-wins.  The memo keys by
+payload *identity*: keying by equality would be wrong, because ``(1.0,
+2) == (1, 2)`` and ``True == 1`` while the label check rejects float
+labels — a Byzantine payload equal to a correct one must still be
+validated on its own.
 """
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Literal, Mapping
 
-from repro.protocols.base import ProtocolSpec
+from repro.protocols.base import ProtocolSpec, RoundMemo
 from repro.sim.process import Process
 from repro.types import Payload, ProcessId, Round
 
@@ -55,8 +59,8 @@ class EIGProcess(Process):
         pid, n, t, proposal: as usual; requires ``n > 3t``.
         default: the fallback value used when majorities fail.
         mode: ``"consensus"`` or ``"vector"`` (see module docstring).
-        memo: the :class:`PayloadMemo` shared by the spec's processes
-            (a private one when omitted).
+        memo: the :class:`~repro.protocols.base.RoundMemo` shared by
+            the spec's processes (a private one when omitted).
     """
 
     def __init__(
@@ -67,7 +71,7 @@ class EIGProcess(Process):
         proposal: Payload,
         default: Payload = 0,
         mode: DecisionMode = "consensus",
-        memo: PayloadMemo | None = None,
+        memo: RoundMemo | None = None,
     ) -> None:
         if n <= 3 * t:
             raise ValueError(
@@ -78,7 +82,7 @@ class EIGProcess(Process):
         self.default = default
         self.mode = mode
         self._val: dict[Label, Payload] = {}
-        self._memo = PayloadMemo(n) if memo is None else memo
+        self._memo = RoundMemo() if memo is None else memo
 
     @property
     def last_round(self) -> Round:
@@ -128,9 +132,13 @@ class EIGProcess(Process):
         if round_ > self.last_round:
             return
         store = self._val.setdefault
-        accepted = self._memo.accepted
+        memo = self._memo.get
         for sender, payload in sorted(received.items()):
-            for label, value in accepted(round_, sender, payload).items():
+            accepted = memo(
+                round_, payload, sender,
+                _accepted_entries, payload, round_, sender, self.n,
+            )
+            for label, value in accepted.items():
                 store(label, value)
         if round_ == self.last_round:
             self._decide_now()
@@ -145,70 +153,40 @@ class EIGProcess(Process):
             )
 
     def resolved_vector(self) -> list[Payload]:
-        """The resolved level-1 vector ``W`` (common to correct processes)."""
-        return [self._newval((j,)) for j in range(self.n)]
+        """The resolved level-1 vector ``W`` (common to correct processes).
 
-    def _newval(self, label: Label) -> Payload:
-        if len(label) == self.t + 1:
-            return self._val.get(label, self.default)
-        children = [
-            self._newval(label + (j,))
-            for j in range(self.n)
-            if j not in label
+        Folds the leaves (labels of length ``t + 1``) bottom-up: the
+        children of a length-``d`` label are ``n - d`` consecutive
+        labels of length ``d + 1`` (see the module docstring).
+        """
+        default = self.default
+        get = self._val.get
+        values = [
+            get(label, default)
+            for label in permutations(range(self.n), self.t + 1)
         ]
-        return _strict_majority(children, default=self.default)
+        for size in range(self.n - self.t, self.n):
+            values = [
+                _strict_majority(values[start:start + size], default)
+                for start in range(0, len(values), size)
+            ]
+        return values
 
 
 def _strict_majority(
     values: list[Payload], default: Payload
 ) -> Payload:
-    """The value held by a strict majority of ``values``, else ``default``."""
-    counts: dict[Payload, int] = {}
-    for value in values:
-        counts[value] = counts.get(value, 0) + 1
-    # At most one value can hold a strict majority: no order to fix.
-    for value, count in counts.items():
-        if count * 2 > len(values):
+    """The value held by a strict majority of ``values``, else ``default``.
+
+    Returns that value's first occurrence.  A strict majority has one
+    among the first ``len(values) // 2 + 1`` entries, so only those are
+    candidates; at most one value holds it, so no order needs fixing.
+    """
+    half = len(values) // 2
+    for value in values[: half + 1]:
+        if values.count(value) > half:
             return value
     return default
-
-
-class PayloadMemo:
-    """Accepted entries per relayed payload, for one round at a time.
-
-    Shared by the processes of one spec (see the module docstring): a
-    payload is validated by :func:`_accepted_entries` the first time any
-    receiver sees it in a round, and later receivers get the same dict.
-    """
-
-    __slots__ = ("n", "round", "entries")
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.round: Round = 0
-        self.entries: dict[
-            int, tuple[Payload, ProcessId, dict[Label, Payload]]
-        ] = {}
-
-    def __deepcopy__(self, memo: dict) -> PayloadMemo:
-        return PayloadMemo(self.n)
-
-    def accepted(
-        self, round_: Round, sender: ProcessId, payload: Payload
-    ) -> dict[Label, Payload]:
-        """The accepted ``{label + (sender,): value}`` of ``payload``.
-
-        The dict is shared with every other receiver: read, never write.
-        """
-        if round_ != self.round:
-            self.entries.clear()
-            self.round = round_
-        hit = self.entries.get(id(payload))
-        if hit is not None and hit[0] is payload and hit[1] == sender:
-            return hit[2]
-        entries = _accepted_entries(payload, round_, sender, self.n)
-        self.entries[id(payload)] = (payload, sender, entries)
-        return entries
 
 
 def _accepted_entries(
@@ -250,7 +228,7 @@ def eig_consensus_spec(
 ) -> ProtocolSpec:
     """Unauthenticated strong consensus via EIG (``n > 3t``)."""
 
-    memo = PayloadMemo(n)
+    memo = RoundMemo()
 
     def factory(pid: ProcessId, proposal: Payload) -> EIGProcess:
         return EIGProcess(
@@ -273,7 +251,7 @@ def eig_vector_spec(
 ) -> ProtocolSpec:
     """Unauthenticated interactive consistency via EIG (``n > 3t``)."""
 
-    memo = PayloadMemo(n)
+    memo = RoundMemo()
 
     def factory(pid: ProcessId, proposal: Payload) -> EIGProcess:
         return EIGProcess(

@@ -23,7 +23,7 @@ from typing import Callable, Hashable
 
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import Signature, SignatureScheme
-from repro.protocols.base import ProtocolSpec
+from repro.protocols.base import ProtocolSpec, RoundMemo
 from repro.protocols.interactive_consistency import ParallelBroadcastIC
 from repro.types import Payload, ProcessId
 
@@ -111,6 +111,7 @@ class ExternalValidityAgreement(ParallelBroadcastIC):
         scheme: SignatureScheme,
         validator: Validator,
         fallback: Payload,
+        memo: RoundMemo | None = None,
     ) -> None:
         super().__init__(
             pid,
@@ -119,6 +120,7 @@ class ExternalValidityAgreement(ParallelBroadcastIC):
             proposal,
             scheme=scheme,
             senders=tuple(range(t + 1)),
+            memo=memo,
         )
         self.validator = validator
         self.fallback = fallback
@@ -151,6 +153,7 @@ def external_validity_spec(
             :meth:`ExternalValidityAgreement.combine`).
     """
     scheme = SignatureScheme(KeyRegistry(n, seed))
+    memo = RoundMemo()
 
     def factory(
         pid: ProcessId, proposal: Payload
@@ -163,6 +166,7 @@ def external_validity_spec(
             scheme=scheme,
             validator=validator,
             fallback=fallback,
+            memo=memo,
         )
 
     return ProtocolSpec(

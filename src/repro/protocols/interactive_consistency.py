@@ -22,7 +22,7 @@ from typing import Mapping
 
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SignatureScheme
-from repro.protocols.base import ProtocolSpec
+from repro.protocols.base import ProtocolSpec, RoundMemo
 from repro.protocols.dolev_strong import DolevStrongProcess
 from repro.protocols.eig import eig_vector_spec
 from repro.sim.process import Process
@@ -35,7 +35,9 @@ class ParallelBroadcastIC(Process):
     Each physical message carries a tuple of ``(instance_index, payload)``
     pairs, one per sub-broadcast with traffic this round, so the
     multiplexing adds no extra messages — only larger payloads (the
-    paper's metric is messages, §2).
+    paper's metric is messages, §2).  The sub-broadcasts share one
+    :class:`~repro.protocols.base.RoundMemo` of chain verdicts (``memo``,
+    private when omitted); its key holds each one's designated sender.
     """
 
     def __init__(
@@ -46,9 +48,11 @@ class ParallelBroadcastIC(Process):
         proposal: Payload,
         scheme: SignatureScheme,
         senders: tuple[ProcessId, ...] | None = None,
+        memo: RoundMemo | None = None,
     ) -> None:
         super().__init__(pid, n, t, proposal)
         signer = scheme.signer_for(pid)
+        memo = RoundMemo() if memo is None else memo
         self.senders: tuple[ProcessId, ...] = (
             tuple(range(n)) if senders is None else tuple(senders)
         )
@@ -62,6 +66,7 @@ class ParallelBroadcastIC(Process):
                 scheme=scheme,
                 signer=signer,
                 instance=("ic", sender),
+                memo=memo,
             )
             for sender in self.senders
         ]
@@ -123,9 +128,12 @@ def authenticated_ic_spec(
 ) -> ProtocolSpec:
     """Authenticated interactive consistency for any ``t < n`` ([52])."""
     scheme = SignatureScheme(KeyRegistry(n, seed))
+    memo = RoundMemo()
 
     def factory(pid: ProcessId, proposal: Payload) -> ParallelBroadcastIC:
-        return ParallelBroadcastIC(pid, n, t, proposal, scheme=scheme)
+        return ParallelBroadcastIC(
+            pid, n, t, proposal, scheme=scheme, memo=memo
+        )
 
     return ProtocolSpec(
         name="ic-parallel-dolev-strong",

@@ -10,41 +10,24 @@
   (classical, §6).
 """
 
-from repro.reductions.any_from_ic import GammaOverIC, solve_via_ic
-from repro.reductions.bb_from_consensus import (
-    NO_SENDER_VALUE,
-    BroadcastViaConsensus,
-    broadcast_from_consensus,
-)
-from repro.reductions.ic_from_bb import (
-    amortization_ratio,
-    ic_from_broadcasts,
-    single_broadcast_baseline,
-)
-from repro.reductions.weak_from_any import (
-    ReductionPlan,
-    WeakConsensusViaReduction,
-    derive_plan,
-    plan_from_executions,
-    reduce_weak_consensus,
-    reduce_weak_consensus_from_executions,
-    reduction_spec,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BroadcastViaConsensus",
-    "GammaOverIC",
-    "NO_SENDER_VALUE",
-    "ReductionPlan",
-    "broadcast_from_consensus",
-    "WeakConsensusViaReduction",
-    "amortization_ratio",
-    "derive_plan",
-    "ic_from_broadcasts",
-    "plan_from_executions",
-    "reduce_weak_consensus",
-    "reduce_weak_consensus_from_executions",
-    "reduction_spec",
-    "single_broadcast_baseline",
-    "solve_via_ic",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".any_from_ic": ("GammaOverIC", "solve_via_ic"),
+        ".bb_from_consensus": (
+            "BroadcastViaConsensus", "NO_SENDER_VALUE",
+            "broadcast_from_consensus",
+        ),
+        ".ic_from_bb": (
+            "amortization_ratio", "ic_from_broadcasts",
+            "single_broadcast_baseline",
+        ),
+        ".weak_from_any": (
+            "ReductionPlan", "WeakConsensusViaReduction", "derive_plan",
+            "plan_from_executions", "reduce_weak_consensus",
+            "reduce_weak_consensus_from_executions", "reduction_spec",
+        ),
+    },
+)

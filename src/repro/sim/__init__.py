@@ -24,151 +24,52 @@ Public surface:
   cross-checking it against the object engine.
 """
 
-from repro.sim.adversary import (
-    AdaptiveOmissionAdversary,
-    Adversary,
-    ByzantineAdversary,
-    ChattiestTargetAdversary,
-    CrashAdversary,
-    NoFaults,
-    OmissionSchedule,
-    ScheduledOmissionAdversary,
-    SilenceAdversary,
-    compose_omissions,
-)
-from repro.sim.engine import (
-    EarlyStopPolicy,
-    IncrementalChecker,
-    RoundEngine,
-    RoundEvent,
-    RoundObserver,
-    TraceRecorder,
-)
-from repro.sim.execution import (
-    Execution,
-    ExecutionSummary,
-    check_execution,
-    check_transitions,
-    group_decisions,
-    majority_decision,
-    unanimous_decision,
-)
-from repro.sim.kernel import (
-    CompiledOmissions,
-    KernelOracle,
-    KernelTrace,
-    PrefixForker,
-    fork_kernel,
-    no_faults_compiled,
-    run_kernel,
-)
-from repro.sim.message import Message, broadcast_payload
-from repro.sim.metrics import (
-    ComplexityReport,
-    StreamingComplexity,
-    count_signatures,
-    dolev_reischuk_floor,
-    dolev_reischuk_signature_floor,
-    meets_lower_bound,
-    quadratic_ratio,
-    signature_complexity,
-    weak_consensus_floor,
-)
-from repro.sim.process import (
-    Process,
-    ProcessFactory,
-    ReplayProcess,
-    drive_replay,
-)
-from repro.sim.serialization import (
-    dump_execution,
-    dump_witness,
-    execution_from_dict,
-    execution_to_dict,
-    load_execution,
-    load_witness,
-)
-from repro.sim.simulator import (
-    SimulationConfig,
-    all_correct_decided,
-    decisions_by_value,
-    run_execution,
-    run_with_uniform_proposal,
-)
-from repro.sim.state import (
-    Behavior,
-    Fragment,
-    StateSnapshot,
-    behavior_from_fragments,
-    behaviors_indistinguishable,
-    check_behavior,
-    check_fragment,
-    initial_state,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AdaptiveOmissionAdversary",
-    "Adversary",
-    "Behavior",
-    "ByzantineAdversary",
-    "ChattiestTargetAdversary",
-    "CompiledOmissions",
-    "ComplexityReport",
-    "CrashAdversary",
-    "EarlyStopPolicy",
-    "Execution",
-    "ExecutionSummary",
-    "Fragment",
-    "IncrementalChecker",
-    "KernelOracle",
-    "KernelTrace",
-    "Message",
-    "NoFaults",
-    "OmissionSchedule",
-    "PrefixForker",
-    "Process",
-    "ProcessFactory",
-    "ReplayProcess",
-    "RoundEngine",
-    "RoundEvent",
-    "RoundObserver",
-    "ScheduledOmissionAdversary",
-    "SilenceAdversary",
-    "SimulationConfig",
-    "StateSnapshot",
-    "StreamingComplexity",
-    "TraceRecorder",
-    "all_correct_decided",
-    "behavior_from_fragments",
-    "behaviors_indistinguishable",
-    "broadcast_payload",
-    "check_behavior",
-    "check_execution",
-    "check_fragment",
-    "check_transitions",
-    "compose_omissions",
-    "count_signatures",
-    "decisions_by_value",
-    "dolev_reischuk_floor",
-    "dolev_reischuk_signature_floor",
-    "dump_execution",
-    "dump_witness",
-    "execution_from_dict",
-    "execution_to_dict",
-    "load_execution",
-    "load_witness",
-    "signature_complexity",
-    "weak_consensus_floor",
-    "drive_replay",
-    "fork_kernel",
-    "group_decisions",
-    "initial_state",
-    "majority_decision",
-    "meets_lower_bound",
-    "no_faults_compiled",
-    "quadratic_ratio",
-    "run_execution",
-    "run_kernel",
-    "run_with_uniform_proposal",
-    "unanimous_decision",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".adversary": (
+            "AdaptiveOmissionAdversary", "Adversary", "ByzantineAdversary",
+            "ChattiestTargetAdversary", "CrashAdversary", "NoFaults",
+            "OmissionSchedule", "ScheduledOmissionAdversary",
+            "SilenceAdversary", "compose_omissions",
+        ),
+        ".engine": (
+            "EarlyStopPolicy", "IncrementalChecker", "RoundEngine",
+            "RoundEvent", "RoundObserver", "TraceRecorder",
+        ),
+        ".execution": (
+            "Execution", "ExecutionSummary", "check_execution",
+            "check_transitions", "group_decisions", "majority_decision",
+            "unanimous_decision",
+        ),
+        ".kernel": (
+            "CompiledOmissions", "KernelOracle", "KernelTrace", "PrefixForker",
+            "fork_kernel", "no_faults_compiled", "run_kernel",
+        ),
+        ".message": ("Message", "broadcast_payload"),
+        ".metrics": (
+            "ComplexityReport", "StreamingComplexity", "count_signatures",
+            "dolev_reischuk_floor", "dolev_reischuk_signature_floor",
+            "meets_lower_bound", "quadratic_ratio", "signature_complexity",
+            "weak_consensus_floor",
+        ),
+        ".process": (
+            "Process", "ProcessFactory", "ReplayProcess", "drive_replay",
+        ),
+        ".serialization": (
+            "dump_execution", "dump_witness", "execution_from_dict",
+            "execution_to_dict", "load_execution", "load_witness",
+        ),
+        ".simulator": (
+            "SimulationConfig", "all_correct_decided", "decisions_by_value",
+            "run_execution", "run_with_uniform_proposal",
+        ),
+        ".state": (
+            "Behavior", "Fragment", "StateSnapshot", "behavior_from_fragments",
+            "behaviors_indistinguishable", "check_behavior", "check_fragment",
+            "initial_state",
+        ),
+    },
+)

@@ -7,38 +7,19 @@
   needs ``n > 2t``) with the paper's explicit counterexample.
 """
 
-from repro.solvability.cc import (
-    CCReport,
-    GammaFunction,
-    containment_condition,
-    satisfies_cc,
-    verify_gamma,
-)
-from repro.solvability.strong_consensus import (
-    BoundaryPoint,
-    counterexample_certificate,
-    paper_counterexample,
-    strong_consensus_cc,
-    sweep_boundary,
-)
-from repro.solvability.theorem import (
-    SolvabilityReport,
-    classify,
-    classify_many,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BoundaryPoint",
-    "CCReport",
-    "GammaFunction",
-    "SolvabilityReport",
-    "classify",
-    "classify_many",
-    "containment_condition",
-    "counterexample_certificate",
-    "paper_counterexample",
-    "satisfies_cc",
-    "strong_consensus_cc",
-    "sweep_boundary",
-    "verify_gamma",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".cc": (
+            "CCReport", "GammaFunction", "containment_condition",
+            "satisfies_cc", "verify_gamma",
+        ),
+        ".strong_consensus": (
+            "BoundaryPoint", "counterexample_certificate",
+            "paper_counterexample", "strong_consensus_cc", "sweep_boundary",
+        ),
+        ".theorem": ("SolvabilityReport", "classify", "classify_many"),
+    },
+)

@@ -10,68 +10,30 @@
 * :mod:`repro.validity.triviality` — the trivial/non-trivial divide.
 """
 
-from repro.validity.containment import (
-    admissible_under_containment,
-    check_partial_order_axioms,
-    containment_set,
-    contains,
-)
-from repro.validity.input_config import (
-    InputConfig,
-    count_input_configs,
-    enumerate_full_configs,
-    enumerate_input_configs,
-)
-from repro.validity.property import (
-    AgreementProblem,
-    ValidityFn,
-    cached,
-    problem_from_table,
-    tabulate,
-)
-from repro.validity.standard import (
-    ABSENT,
-    STANDARD_PROBLEMS,
-    byzantine_broadcast_problem,
-    constant_problem,
-    correct_proposal_problem,
-    external_validity_problem,
-    interactive_consistency_problem,
-    strong_consensus_problem,
-    vector_consensus_problem,
-    weak_consensus_problem,
-)
-from repro.validity.triviality import (
-    TrivialityReport,
-    is_trivial,
-    triviality_report,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ABSENT",
-    "AgreementProblem",
-    "InputConfig",
-    "vector_consensus_problem",
-    "STANDARD_PROBLEMS",
-    "TrivialityReport",
-    "ValidityFn",
-    "admissible_under_containment",
-    "byzantine_broadcast_problem",
-    "cached",
-    "check_partial_order_axioms",
-    "constant_problem",
-    "containment_set",
-    "contains",
-    "correct_proposal_problem",
-    "count_input_configs",
-    "enumerate_full_configs",
-    "enumerate_input_configs",
-    "external_validity_problem",
-    "interactive_consistency_problem",
-    "is_trivial",
-    "problem_from_table",
-    "strong_consensus_problem",
-    "tabulate",
-    "triviality_report",
-    "weak_consensus_problem",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".containment": (
+            "admissible_under_containment", "check_partial_order_axioms",
+            "containment_set", "contains",
+        ),
+        ".input_config": (
+            "InputConfig", "count_input_configs", "enumerate_full_configs",
+            "enumerate_input_configs",
+        ),
+        ".property": (
+            "AgreementProblem", "ValidityFn", "cached", "problem_from_table",
+            "tabulate",
+        ),
+        ".standard": (
+            "ABSENT", "STANDARD_PROBLEMS", "byzantine_broadcast_problem",
+            "constant_problem", "correct_proposal_problem",
+            "external_validity_problem", "interactive_consistency_problem",
+            "strong_consensus_problem", "vector_consensus_problem",
+            "weak_consensus_problem",
+        ),
+        ".triviality": ("TrivialityReport", "is_trivial", "triviality_report"),
+    },
+)

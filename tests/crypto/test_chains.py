@@ -1,10 +1,19 @@
 """Tests for repro.crypto.chains (Dolev–Strong signature chains)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.crypto.chains import SignedChain, start_chain, verify_chain
+from repro.crypto.chains import (
+    _DOMAIN,
+    SignedChain,
+    _chain_head,
+    _signed_bytes,
+    start_chain,
+    verify_chain,
+)
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import Signature, SignatureScheme
+from repro.crypto.signatures import Signature, SignatureScheme, canonical_bytes
 
 
 @pytest.fixture
@@ -120,3 +129,137 @@ class TestVerification:
             signatures=chain.signatures[:2],
         )
         assert verify_chain(scheme, prefix, 0)
+
+
+def chain_content(instance, value, prefix):
+    """The content a chain signature covers, by definition."""
+    return (_DOMAIN, instance, value, prefix)
+
+
+def reference_verify(scheme, chain, designated_sender, minimum_length=1):
+    """``verify_chain`` as it was defined: every signature checked
+    against the whole re-encoded ``chain_content`` of its prefix."""
+    signatures = chain.signatures
+    if len(signatures) < max(1, minimum_length):
+        return False
+    if signatures[0].signer != designated_sender:
+        return False
+    signers = [signature.signer for signature in signatures]
+    if len(signers) != len(set(signers)):
+        return False
+    return all(
+        scheme.verify(
+            signature,
+            chain_content(chain.instance, chain.value, signatures[:index]),
+        )
+        for index, signature in enumerate(signatures)
+    )
+
+
+signable = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 3),
+        st.text(max_size=3),
+        st.binary(max_size=3),
+    ),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
+"""Values ``canonical_bytes`` encodes, nested tuples included."""
+
+chain_values = st.one_of(signable, st.floats(allow_nan=False))
+"""Also values no chain can be signed over (floats)."""
+
+
+@st.composite
+def chains(draw):
+    """A genuine chain, then maybe tampered, shuffled, duplicated,
+    truncated, padded with junk or spliced with another chain."""
+    registry_scheme = SignatureScheme(KeyRegistry(5, seed=b"chains"))
+    signers = draw(
+        st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True)
+    )
+    instance, value = draw(signable), draw(signable)
+    chain = build_chain(registry_scheme, signers, value, instance)
+    signatures = list(chain.signatures)
+    mutation = draw(
+        st.sampled_from(
+            ["none", "value", "instance", "shuffle", "duplicate",
+             "truncate", "junk", "splice"]
+        )
+    )
+    if mutation == "value":
+        value = draw(chain_values)
+    elif mutation == "instance":
+        instance = draw(chain_values)
+    elif mutation == "shuffle":
+        signatures = draw(st.permutations(signatures))
+    elif mutation == "duplicate":
+        signatures.insert(
+            draw(st.integers(0, len(signatures))),
+            draw(st.sampled_from(signatures)),
+        )
+    elif mutation == "truncate":
+        signatures = signatures[: draw(st.integers(0, len(signatures)))]
+    elif mutation == "junk":
+        signatures.append(
+            Signature(signer=draw(st.integers(0, 6)), tag=draw(st.binary()))
+        )
+    elif mutation == "splice":
+        other = build_chain(registry_scheme, signers, "other", instance)
+        index = draw(st.integers(0, len(signatures) - 1))
+        signatures[index] = other.signatures[index]
+    return registry_scheme, SignedChain(instance, value, tuple(signatures))
+
+
+class TestOneEncoder:
+    """Signing and verifying encode each part of a chain once, yet sign
+    exactly the bytes of the per-prefix definition."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        drawn=chains(), sender=st.integers(0, 4), minimum=st.integers(0, 6)
+    )
+    def test_verify_chain_matches_the_definition(
+        self, drawn, sender, minimum
+    ):
+        scheme, chain = drawn
+        senders = {sender}
+        if chain.signatures:
+            senders.add(chain.signatures[0].signer)
+        for designated in senders:
+            assert verify_chain(
+                scheme, chain, designated, minimum_length=minimum
+            ) == reference_verify(
+                scheme, chain, designated, minimum_length=minimum
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        signers=st.lists(
+            st.integers(0, 4), min_size=1, max_size=5, unique=True
+        ),
+        instance=signable,
+        value=signable,
+    )
+    def test_encoder_is_the_per_prefix_encoding(
+        self, signers, instance, value
+    ):
+        scheme = SignatureScheme(KeyRegistry(5, seed=b"chains"))
+        chain = build_chain(scheme, signers, value, instance)
+        head = _chain_head(instance, value)
+        encoded = [canonical_bytes(s) for s in chain.signatures]
+        for index, signature in enumerate(chain.signatures):
+            content = chain_content(
+                instance, value, chain.signatures[:index]
+            )
+            assert _signed_bytes(head, encoded[:index]) == canonical_bytes(
+                content
+            )
+            # Tags are the ones signing the definition would produce.
+            assert signature == scheme.signer_for(signature.signer).sign(
+                content
+            )
+        assert verify_chain(scheme, chain, signers[0])

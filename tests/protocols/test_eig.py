@@ -1,6 +1,7 @@
 """Tests for EIG agreement (n > 3t): Agreement + Strong Validity."""
 
 import copy
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 
 from repro.omission.isolation import isolate_group
 from repro.omission.masks import compile_omissions
+from repro.protocols.base import RoundMemo
 from repro.protocols.byzantine_strategies import garbage, mute, two_faced
 from repro.protocols.eig import (
     EIGProcess,
-    PayloadMemo,
     _strict_majority,
     eig_consensus_spec,
     eig_vector_spec,
@@ -231,7 +232,7 @@ class TestPayloadMemo:
     def test_garbage_builds_the_oracle_tree(self, round_, pool, picks):
         """Receivers 0..2 share one memo and the same payload objects
         (one object may come from several senders)."""
-        memo = PayloadMemo(N)
+        memo = RoundMemo()
         machines = [
             EIGProcess(pid, N, T, 0, memo=memo) for pid in range(3)
         ]
@@ -247,7 +248,7 @@ class TestPayloadMemo:
             same_tree(machine._val, expected)
 
     def test_one_payload_from_two_senders(self):
-        memo = PayloadMemo(N)
+        memo = RoundMemo()
         relay = (((1,), "a"), ((3,), "b"))
         machine = EIGProcess(0, N, T, 0, memo=memo)
         machine.deliver(2, {3: relay, 4: relay})
@@ -260,7 +261,7 @@ class TestPayloadMemo:
         floated = (((1.0,), "a"), ((2,), "b"))
         boolean = (((True,), "a"), ((2,), "b"))
         assert honest == floated == boolean
-        memo = PayloadMemo(N)
+        memo = RoundMemo()
         machines = [EIGProcess(pid, N, T, 0, memo=memo) for pid in range(3)]
         for machine, payload in zip(machines, (honest, floated, boolean)):
             machine.deliver(2, {4: payload})
@@ -357,3 +358,56 @@ def test_strict_majority_needs_no_order(values):
     assert got is expected or (
         type(got) is type(expected) and got == expected
     )
+
+
+def newval_reference(machine, label):
+    """The recursive resolution EIG used before the bottom-up fold."""
+    if len(label) == machine.t + 1:
+        return machine._val.get(label, machine.default)
+    children = [
+        newval_reference(machine, label + (j,))
+        for j in range(machine.n)
+        if j not in label
+    ]
+    return _strict_majority(children, default=machine.default)
+
+
+class TestBottomUpResolution:
+    """Folding the leaves level by level resolves the tree the recursion
+    resolved, whatever the tree holds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t=st.integers(1, 3),
+        extra=st.integers(0, 1),
+        default=st.sampled_from([0, 1, "default"]),
+        palette=st.lists(
+            st.sampled_from([0, 1, 2, "x", None, ("v", 1)]),
+            min_size=1,
+            max_size=3,
+        ),
+        fill=st.floats(0, 1),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_fold_equals_recursion(
+        self, t, extra, default, palette, fill, rng
+    ):
+        n = 3 * t + 1 + extra
+        machine = EIGProcess(0, n, t, 0, default=default)
+        # Every level is filled, as a run fills it; only leaves count.
+        for depth in range(1, t + 2):
+            for label in permutations(range(n), depth):
+                if rng.random() < fill:
+                    machine._val[label] = rng.choice(palette)
+        expected = [newval_reference(machine, (j,)) for j in range(n)]
+        assert machine.resolved_vector() == expected
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_full_tree_of_one_value(self, t):
+        n = 3 * t + 1
+        machine = EIGProcess(0, n, t, 0)
+        for label in permutations(range(n), t + 1):
+            machine._val[label] = label[0] % 2 or "even"
+        assert machine.resolved_vector() == [
+            newval_reference(machine, (j,)) for j in range(n)
+        ] == [j % 2 or "even" for j in range(n)]

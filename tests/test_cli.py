@@ -922,6 +922,34 @@ class TestLogReaderDiagnostics:
         assert f"{path}:2: not a {kind} record" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["kind", "builder", "n", "t"])
+    def test_recorded_spec_missing_a_field_is_exit_2(
+        self, tmp_path, capsys, field
+    ):
+        """``jobs --log`` lists each recorded spec's fields; a sweep log
+        whose first spec lost one exits 2 with ``path:line``."""
+        import json
+
+        path = str(tmp_path / "sweep.worldlog")
+        argv = ["sweep", "silent", "--max-t", "4", "--ledger", path]
+        assert main(argv) == 0
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        index = next(
+            index for index, line in enumerate(lines)
+            if json.loads(line)["kind"] == "job.submitted"
+        )
+        record = json.loads(lines[index])
+        del record["payload"]["job"][field]
+        lines[index] = json.dumps(record) + "\n"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+        capsys.readouterr()
+        assert main(["jobs", "--log", path]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:{index + 1}: not a job.submitted record" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("reader", sorted(READERS))
     def test_retired_snapshot_reads(self, tmp_path, capsys, reader):
         path = self._log_with(
