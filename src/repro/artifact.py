@@ -30,9 +30,10 @@ from repro.errors import ArtifactError, ReproError
 
 T = TypeVar("T")
 
-_PARSE_FAILURES = (ValueError, KeyError, TypeError, ReproError)
+_PARSE_FAILURES = (ValueError, KeyError, TypeError, RecursionError, ReproError)
 """What a parser may raise for malformed content (``json.JSONDecodeError``
-is a ``ValueError``).  Anything else is a bug and propagates."""
+is a ``ValueError``; JSON nested past the interpreter's recursion limit
+raises ``RecursionError``).  Anything else is a bug and propagates."""
 
 
 def artifact_error(

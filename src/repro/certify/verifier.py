@@ -1331,7 +1331,7 @@ def verify_certificate(
     elif isinstance(source, bytes):
         try:
             payload = json.loads(source.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
             return VerificationReport(
                 failures=(
                     VerificationFailure(
@@ -1344,7 +1344,7 @@ def verify_certificate(
     elif isinstance(source, str):
         try:
             payload = json.loads(source)
-        except json.JSONDecodeError as error:
+        except (json.JSONDecodeError, RecursionError) as error:
             return VerificationReport(
                 failures=(
                     VerificationFailure(

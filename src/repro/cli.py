@@ -1358,12 +1358,10 @@ def _dispatch_metrics(args: argparse.Namespace) -> int:
         raise AssertionError(
             f"unhandled metrics command {args.metrics_command!r}"
         )
-    from repro.obs.export import registry_from_events, render_prometheus
+    from repro.obs.export import metrics_snapshot, render_prometheus
 
     events = _read_recording_events(args.path)
-    document = render_prometheus(
-        registry_from_events(events).snapshot()
-    )
+    document = render_prometheus(metrics_snapshot(events))
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(document)

@@ -73,7 +73,6 @@ from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from repro.certify.format import Certificate
-    from repro.obs.metrics import MetricsRegistry
     from repro.worldlog.store import WorldLog
 
 from repro.errors import ModelViolation, ReproError
@@ -360,7 +359,6 @@ class LowerBoundDriver:
     tracer: Tracer = NULL_TRACER
     worldlog: "WorldLog | None" = None
     _counts_at_start: dict | None = field(default=None, repr=False)
-    _metrics: "MetricsRegistry | None" = field(default=None, repr=False)
     _trace_observers: tuple = field(default=(), repr=False)
     _log: list[str] = field(default_factory=list, repr=False)
     _max_messages: int = field(default=0, repr=False)
@@ -390,12 +388,8 @@ class LowerBoundDriver:
         if self.cache is None:
             self.cache = ExecutionCache()
         if self.tracer.enabled:
-            from repro.obs.metrics import MetricsRegistry
-
-            self._metrics = MetricsRegistry()
             self._trace_observers = self.tracer.round_observers(
-                floor=weak_consensus_floor(self.spec.t),
-                metrics=self._metrics,
+                floor=weak_consensus_floor(self.spec.t)
             )
             self._counts_at_start = object_counts()
         self._spec_key: _SpecKey = (
@@ -1084,42 +1078,35 @@ class LowerBoundDriver:
         )
 
     def _flush_metrics(self, witness: ViolationWitness | None) -> None:
-        """Fold the pipeline's final counters into the metrics/ledger."""
-        if self._metrics is None:
+        """Emit the pipeline's final totals as ledger events."""
+        if self._counts_at_start is None:  # untraced
             return
         assert self.cache is not None
-        registry = self._metrics
-        registry.absorb_cache(self.cache)
-        registry.counter("engine.rounds_simulated").add(
-            self._rounds_simulated
-        )
-        registry.counter("engine.rounds_baseline").add(
-            self._rounds_baseline
-        )
-        registry.counter("engine.prefix_rounds_skipped").add(
-            self._prefix_rounds_skipped
-        )
-        registry.counter("engine.early_stops").add(self._early_stops)
-        if self._counts_at_start is not None:
-            # Interpreter-wide materialization deltas over the attack:
-            # forker deep-copies plus the kernel's mask/popcount work.
-            delta = object_counts_delta(self._counts_at_start)
-            registry.counter("engine.machine_snapshots").add(
-                delta["machine_snapshots"]
-            )
-            registry.counter("engine.masks_built").add(
-                delta["masks_built"]
-            )
-            registry.counter("engine.popcounts").add(delta["popcounts"])
-        registry.counter("witness.found").add(1 if witness else 0)
+        # Interpreter-wide materialization deltas over the attack:
+        # forker deep-copies plus the kernel's mask/popcount work.
+        delta = object_counts_delta(self._counts_at_start)
+        counters = {
+            "cache.hits": self.cache.hits,
+            "cache.alias_hits": self.cache.alias_hits,
+            "cache.misses": self.cache.misses,
+            "engine.rounds_simulated": self._rounds_simulated,
+            "engine.rounds_baseline": self._rounds_baseline,
+            "engine.prefix_rounds_skipped": self._prefix_rounds_skipped,
+            "engine.early_stops": self._early_stops,
+            "engine.machine_snapshots": delta["machine_snapshots"],
+            "engine.masks_built": delta["masks_built"],
+            "engine.popcounts": delta["popcounts"],
+            "witness.found": 1 if witness else 0,
+        }
+        for name, value in counters.items():
+            self.tracer.counter(name, value=value)
         floor = weak_consensus_floor(self.spec.t)
-        registry.gauge("bound.observed").set(self._max_messages)
-        registry.gauge("bound.floor").set(floor)
         if floor:
-            registry.gauge("bound.vs_floor").set(
-                self._max_messages / floor
+            self.tracer.gauge(
+                "bound.vs_floor", value=self._max_messages / floor
             )
-        registry.emit(self.tracer)
+        self.tracer.gauge("bound.observed", value=self._max_messages)
+        self.tracer.gauge("bound.floor", value=floor)
 
     def _group(self, label: str) -> frozenset[ProcessId]:
         assert self.partition is not None

@@ -2,27 +2,24 @@
 
 Two one-way bridges out of the repository's own observability model:
 
-* **Prometheus text exposition** — a
-  :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` rendered as the
-  ``# HELP`` / ``# TYPE`` line format every Prometheus-compatible
-  scraper ingests (``repro metrics export --format prom``).  Counters
-  become ``<prefix>_<name>_total`` counters, gauges become gauges,
-  histograms become summaries (``_count`` / ``_sum``) with their
-  min/max as companion gauges.
+* **Prometheus text exposition** — a :func:`metrics_snapshot` of a
+  recorded event stream rendered as the ``# HELP`` / ``# TYPE`` line
+  format every Prometheus-compatible scraper ingests (``repro metrics
+  export --format prom``).  Counters become ``<prefix>_<name>_total``
+  counters, gauges become gauges, span durations become summaries
+  (``_count`` / ``_sum``) with their min/max as companion gauges.
 * **Chrome trace-event JSON** — a ledger's span tree as the
   ``traceEvents`` array Perfetto and ``chrome://tracing`` open
   (``repro trace --format chrome``): ``B``/``E`` duration events per
   span, ``C`` counter samples, and ``M`` metadata naming each
   ``(worker, cell)`` stream as a process/thread pair.
 
-Both adapters are pure functions of data the log already holds —
-:func:`registry_from_events` refolds a recorded event stream into a
-registry first, so a finished world log exports exactly what a live
-scrape would have shown.
+Both adapters are pure functions of data the log already holds, so a
+finished world log exports exactly what a live scrape would have shown.
 
->>> registry = MetricsRegistry()
->>> registry.counter("cache.hits").add(3)
->>> print(render_prometheus(registry.snapshot()).rstrip())
+>>> from repro.obs.ledger import LedgerEvent
+>>> hits = LedgerEvent("counter", "cache.hits", 0.0, 3)
+>>> print(render_prometheus(metrics_snapshot([hits])).rstrip())
 # HELP repro_cache_hits_total counter cache.hits
 # TYPE repro_cache_hits_total counter
 repro_cache_hits_total 3
@@ -30,50 +27,46 @@ repro_cache_hits_total 3
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.obs.ledger import LedgerEvent
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import closed_spans
 
 
-def registry_from_events(
-    events: Iterable[LedgerEvent],
-) -> MetricsRegistry:
-    """Refold a recorded event stream into a metrics registry.
+def metrics_snapshot(events: Sequence[LedgerEvent]) -> dict[str, Any]:
+    """Fold a recorded event stream into the dict :func:`prometheus_lines`
+    renders: ``{"counters", "gauges", "histograms"}``.
 
-    ``counter`` events sum into counters, ``gauge`` events set gauges
-    (last write wins, matching live semantics), and each completed
-    ``span-start``/``span-end`` pair records the span's duration into
-    a ``span.<name>_seconds`` histogram — per ``(worker, cell)``
-    stream, since timestamps only compare within one stream.
+    ``counter`` events sum (a valueless one counts 1), ``gauge`` events
+    keep their last value, and each closed span (paired by
+    :func:`~repro.obs.report.closed_spans`) adds its duration to a
+    ``span.<name>_seconds`` summary of ``count``, ``total``, ``min``
+    and ``max``.  Names keep the order of their first event (a span's
+    first close), so the exposition is deterministic.
     """
-    registry = MetricsRegistry()
-    open_spans: dict[tuple[int, str | None], list[LedgerEvent]] = {}
+    counters: dict[str, float] = {}
+    gauges: dict[str, float] = {}
     for event in events:
         if event.kind == "counter":
             value = event.value if event.value is not None else 1
-            registry.counter(event.name).add(value)
-        elif event.kind == "gauge":
-            if event.value is not None:
-                registry.gauge(event.name).set(event.value)
-        elif event.kind == "span-start":
-            stream = (event.worker_id, event.cell_id)
-            open_spans.setdefault(stream, []).append(event)
-        elif event.kind == "span-end":
-            stream = (event.worker_id, event.cell_id)
-            stack = open_spans.get(stream, [])
-            while stack:
-                start = stack.pop()
-                if start.name == event.name:
-                    registry.histogram(
-                        f"span.{event.name}_seconds"
-                    ).record(event.ts - start.ts)
-                    break
-    return registry
+            counters[event.name] = counters.get(event.name, 0) + value
+        elif event.kind == "gauge" and event.value is not None:
+            gauges[event.name] = event.value
+    histograms: dict[str, dict[str, float]] = {}
+    for name, seconds in closed_spans(events):
+        summary = histograms.setdefault(
+            f"span.{name}_seconds",
+            {"count": 0, "total": 0.0, "min": seconds, "max": seconds},
+        )
+        summary["count"] += 1
+        summary["total"] += seconds
+        summary["min"] = min(summary["min"], seconds)
+        summary["max"] = max(summary["max"], seconds)
+    return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
 
 def metric_name(name: str, prefix: str = "repro") -> str:
-    """A Prometheus-legal metric name for one registry instrument.
+    """A Prometheus-legal metric name for one recorded metric.
 
     >>> metric_name("engine.round_seconds")
     'repro_engine_round_seconds'
@@ -87,9 +80,7 @@ def metric_name(name: str, prefix: str = "repro") -> str:
     return f"{prefix}_{sanitized}" if prefix else sanitized
 
 
-def _format_value(value: Any) -> str:
-    if value is None:
-        return "NaN"
+def _format_value(value: float) -> str:
     number = float(value)
     if number == int(number) and abs(number) < 1e15:
         return str(int(number))
@@ -101,9 +92,7 @@ def prometheus_lines(
 ) -> list[str]:
     """One Prometheus exposition line list from a metrics snapshot.
 
-    ``snapshot`` is the JSON shape
-    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` produces, so
-    live registries and world logs export through the one renderer.
+    ``snapshot`` has the shape :func:`metrics_snapshot` returns.
     """
     lines: list[str] = []
     for name, total in snapshot.get("counters", {}).items():
@@ -120,20 +109,13 @@ def prometheus_lines(
         metric = metric_name(name, prefix)
         lines.append(f"# HELP {metric} summary {name}")
         lines.append(f"# TYPE {metric} summary")
-        lines.append(
-            f"{metric}_count {_format_value(summary.get('count'))}"
-        )
-        lines.append(
-            f"{metric}_sum {_format_value(summary.get('total'))}"
-        )
+        lines.append(f"{metric}_count {_format_value(summary['count'])}")
+        lines.append(f"{metric}_sum {_format_value(summary['total'])}")
         for stat in ("min", "max"):
-            if summary.get(stat) is not None:
-                stat_metric = f"{metric}_{stat}"
-                lines.append(f"# HELP {stat_metric} gauge {name} {stat}")
-                lines.append(f"# TYPE {stat_metric} gauge")
-                lines.append(
-                    f"{stat_metric} {_format_value(summary[stat])}"
-                )
+            stat_metric = f"{metric}_{stat}"
+            lines.append(f"# HELP {stat_metric} gauge {name} {stat}")
+            lines.append(f"# TYPE {stat_metric} gauge")
+            lines.append(f"{stat_metric} {_format_value(summary[stat])}")
     return lines
 
 
@@ -152,7 +134,7 @@ def chrome_trace(
     Spans become ``B``/``E`` duration events on one track per
     ``(worker, cell)`` stream — the worker is the *process*, the cell
     the *thread*, named via ``M`` metadata events so Perfetto labels
-    the tracks.  Counter events become ``C`` samples on the same
+    the tracks.  ``counter`` events become ``C`` samples on the same
     track.  Timestamps are the ledger's monotonic seconds scaled to
     the format's microseconds; they are meaningful per process, which
     is exactly the trace-event contract.

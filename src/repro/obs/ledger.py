@@ -2,9 +2,10 @@
 
 One pipeline run — an attack, a sweep, an experiment — produces one
 *ledger*: an ordered sequence of typed :class:`LedgerEvent` records that
-every telemetry producer (the span tracer, the metrics registry, the
-sweep scheduler) appends to.  The ledger is the single correlated event
-stream the repository's observability is built on.  The world log
+every telemetry producer (the span tracer, the round observer, the
+driver's end-of-pipeline totals, the sweep scheduler) appends to.  The
+ledger is the single correlated event stream the repository's
+observability is built on.  The world log
 persists it (one ``ledger.event`` record per event), ``repro trace``
 renders it and ``repro log stats`` folds it into per-run metrics.
 

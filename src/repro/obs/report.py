@@ -8,13 +8,15 @@ ratio (its minimum and maximum over the cells of a sweep), plus a
 per-cell table for sweep ledgers with each cell's messages, floor and
 ratio.  :func:`span_totals`, :func:`percentiles`,
 :func:`cache_hit_rate` and :func:`bound_gauges` are the folds ``repro
-log stats`` reuses.
+log stats`` reuses; :func:`closed_spans` is the one span-pairing rule
+the flat folds share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from math import ceil
+from typing import Iterable, Iterator, Sequence
 
 from repro.obs.ledger import LedgerEvent
 
@@ -97,34 +99,58 @@ def _last_gauge(
     return found
 
 
+def closed_spans(
+    events: Iterable[LedgerEvent],
+) -> Iterator[tuple[str, float]]:
+    """Every closed span as ``(name, seconds)``, in closing order.
+
+    Spans pair per ``(worker_id, cell_id)`` stream, since timestamps
+    only compare within one stream.  A ``span-end`` closes the nearest
+    open span of its name in its stream (dropping any unclosed spans
+    above it); one with no such start closes nothing.  The one pairing
+    rule behind :func:`span_totals` and
+    :func:`~repro.obs.export.metrics_snapshot`.
+
+    >>> from repro.obs.ledger import LedgerEvent
+    >>> def at(kind, name, ts, worker=1):
+    ...     return LedgerEvent(kind, name, ts, None, "r", None, worker)
+    >>> list(closed_spans([
+    ...     at("span-start", "attack", 1.0),
+    ...     at("span-start", "probe", 2.0),
+    ...     at("span-end", "probe", 5.0),
+    ...     at("span-end", "attack", 9.0, worker=2),
+    ... ]))
+    [('probe', 3.0)]
+    """
+    stacks: dict[tuple[int, str | None], list[LedgerEvent]] = {}
+    for event in events:
+        if event.kind == "span-start":
+            stream = (event.worker_id, event.cell_id)
+            stacks.setdefault(stream, []).append(event)
+        elif event.kind == "span-end":
+            stack = stacks.get((event.worker_id, event.cell_id), [])
+            while stack:
+                start = stack.pop()
+                if start.name == event.name:
+                    yield event.name, event.ts - start.ts
+                    break
+
+
 def span_totals(
     events: Sequence[LedgerEvent],
 ) -> dict[str, dict[str, float]]:
     """Flat accumulated span durations: name → ``{seconds, count}``.
 
-    The flat companion to :func:`build_span_tree` — same pairing rule
-    (per ``(worker_id, cell_id)`` stream), but same-named spans
+    The flat companion to :func:`build_span_tree`: same-named spans
     accumulate regardless of nesting depth.  Shared by the trace
     renderer's consumers and ``repro log stats`` (certificate verify
     time is the ``witness-verify`` + ``certify`` rows).
     """
     totals: dict[str, dict[str, float]] = {}
-    stacks: dict[tuple[int, str | None], list[tuple[str, float]]] = {}
-    for event in events:
-        stream = (event.worker_id, event.cell_id)
-        stack = stacks.setdefault(stream, [])
-        if event.kind == "span-start":
-            stack.append((event.name, event.ts))
-        elif event.kind == "span-end":
-            while stack:
-                name, started = stack.pop()
-                if name == event.name:
-                    entry = totals.setdefault(
-                        name, {"seconds": 0.0, "count": 0}
-                    )
-                    entry["seconds"] += event.ts - started
-                    entry["count"] += 1
-                    break
+    for name, seconds in closed_spans(events):
+        entry = totals.setdefault(name, {"seconds": 0.0, "count": 0})
+        entry["seconds"] += seconds
+        entry["count"] += 1
     return dict(sorted(totals.items()))
 
 
@@ -143,7 +169,7 @@ def percentiles(
     ordered = sorted(values)
     result: dict[str, float] = {}
     for mark in marks:
-        rank = max(0, min(len(ordered) - 1, round(mark * len(ordered)) - 1))
+        rank = max(0, min(len(ordered) - 1, ceil(mark * len(ordered)) - 1))
         label = f"p{mark * 100:g}"
         result[label] = ordered[rank]
     result["max"] = ordered[-1]

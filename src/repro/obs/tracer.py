@@ -29,13 +29,10 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager, nullcontext
-from typing import TYPE_CHECKING, Any, ContextManager, Iterator
+from typing import Any, ContextManager, Iterator
 
 from repro.obs.ledger import RunLedger
 from repro.sim.engine import RoundEvent, RoundObserver
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.obs.metrics import MetricsRegistry
 
 _NULL_CONTEXT: ContextManager[None] = nullcontext()
 
@@ -65,9 +62,7 @@ class Tracer:
         """Record a reference to a produced artifact (no-op here)."""
 
     def round_observers(
-        self,
-        floor: float | None = None,
-        metrics: "MetricsRegistry | None" = None,
+        self, floor: float | None = None
     ) -> tuple[RoundObserver, ...]:
         """Engine observers to attach to instrumented runs (none here)."""
         return ()
@@ -123,11 +118,9 @@ class LedgerTracer(Tracer):
         )
 
     def round_observers(
-        self,
-        floor: float | None = None,
-        metrics: "MetricsRegistry | None" = None,
+        self, floor: float | None = None
     ) -> tuple[RoundObserver, ...]:
-        return (RoundTraceObserver(self, floor=floor, metrics=metrics),)
+        return (RoundTraceObserver(self, floor=floor),)
 
 
 class RoundTraceObserver(RoundObserver):
@@ -140,23 +133,15 @@ class RoundTraceObserver(RoundObserver):
     message count (the §2 complexity contribution), the round's wall
     time (since the previous round or the run start), the cumulative
     in-run message count and — when the ``t²/32`` floor was supplied —
-    the running messages-vs-floor ratio.
-
-    When a :class:`~repro.obs.metrics.MetricsRegistry` is supplied the
-    observer also streams into it: the ``engine.round_messages``
-    counter, the ``engine.round_seconds`` histogram and the
-    ``bound.vs_floor`` gauge, updated every round.
+    the running messages-vs-floor ratio.  Every per-round aggregate
+    (message totals, mean round time) is a fold over these events.
     """
 
     def __init__(
-        self,
-        tracer: LedgerTracer,
-        floor: float | None = None,
-        metrics: "MetricsRegistry | None" = None,
+        self, tracer: LedgerTracer, floor: float | None = None
     ) -> None:
         self.tracer = tracer
         self.floor = floor
-        self.metrics = metrics
         self.rounds_seen = 0
         self._run = -1
         self._cum = 0
@@ -188,12 +173,3 @@ class RoundTraceObserver(RoundObserver):
         if self.floor:
             attrs["vs_floor"] = self._cum / self.floor
         self.tracer.counter("engine.round", value=messages, **attrs)
-        if self.metrics is not None:
-            self.metrics.counter("engine.round_messages").add(messages)
-            self.metrics.histogram("engine.round_seconds").record(
-                seconds
-            )
-            if self.floor:
-                self.metrics.gauge("bound.vs_floor").set(
-                    self._cum / self.floor
-                )

@@ -107,7 +107,7 @@ def decode_frame(line: bytes | str) -> dict[str, Any]:
     line = line.strip()
     try:
         payload = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"malformed frame: {line}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError(

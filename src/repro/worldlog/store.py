@@ -203,7 +203,7 @@ def _parse_line(path: str, raw: bytes, number: int) -> Record | None:
         if not line:
             return None
         record = Record.from_json(line)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise artifact_error(
             path, "world-log record", exc, line=number
         ) from exc

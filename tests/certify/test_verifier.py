@@ -11,6 +11,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import repro
 from repro.certify.verifier import (
     is_valid_certificate,
@@ -70,6 +72,16 @@ class TestSourceDispatch:
 
     def test_invalid_json_text(self):
         report = verify_certificate("{definitely not json")
+        assert not report.ok
+        assert report.first.condition == "schema.structure"
+
+    @pytest.mark.parametrize(
+        "source", ["[" * 3000, b"[" * 3000], ids=["text", "bytes"]
+    )
+    def test_deeply_nested_json(self, source):
+        # Nested past the recursion limit: a structure failure, not a
+        # RecursionError out of the verifier.
+        report = verify_certificate(source)
         assert not report.ok
         assert report.first.condition == "schema.structure"
 

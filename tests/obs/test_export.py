@@ -2,8 +2,8 @@
 
 Both adapters are pure functions of recorded data, so the committed
 golden world log (``tests/worldlog/golden/run.worldlog``) doubles as
-their round-trip fixture: refolding its ledger events must yield a
-registry whose exposition parses line-by-line as Prometheus text, and
+their round-trip fixture: folding its ledger events must yield a
+snapshot whose exposition parses line-by-line as Prometheus text, and
 a span tree whose Chrome trace balances every ``B`` with an ``E`` on
 the same track.
 """
@@ -15,12 +15,11 @@ import re
 from repro.obs.export import (
     chrome_trace,
     metric_name,
+    metrics_snapshot,
     prometheus_lines,
-    registry_from_events,
     render_prometheus,
 )
 from repro.obs.ledger import LedgerEvent
-from repro.obs.metrics import MetricsRegistry
 from repro.worldlog.store import read_worldlog
 from repro.worldlog.views import ledger_events
 
@@ -56,41 +55,53 @@ def _golden_events():
 
 
 class TestRegistryFromEvents:
+    """:func:`metrics_snapshot`, the fold ``metrics export`` renders."""
+
     def test_counters_sum_and_gauges_last_write(self):
-        registry = registry_from_events(
+        snapshot = metrics_snapshot(
             [
                 _event("counter", "engine.round", value=2),
                 _event("counter", "engine.round"),  # None => +1
                 _event("gauge", "bound.vs_floor", value=1.0),
                 _event("gauge", "bound.vs_floor", value=2.5),
+                _event("gauge", "bound.floor"),  # None => ignored
             ]
         )
-        assert registry.counter("engine.round").total == 3
-        assert registry.gauge("bound.vs_floor").value == 2.5
+        assert snapshot == {
+            "counters": {"engine.round": 3},
+            "gauges": {"bound.vs_floor": 2.5},
+            "histograms": {},
+        }
 
     def test_span_pairs_become_duration_histograms(self):
-        registry = registry_from_events(
+        snapshot = metrics_snapshot(
             [
                 _event("span-start", "attack", ts=1.0),
                 _event("span-start", "fault-free", ts=2.0),
                 _event("span-end", "fault-free", ts=5.0),
+                _event("span-start", "fault-free", ts=6.0),
+                _event("span-end", "fault-free", ts=7.0),
                 _event("span-end", "attack", ts=10.0),
             ]
         )
-        attack = registry.histogram("span.attack_seconds")
-        assert attack.count == 1 and attack.total == 9.0
-        inner = registry.histogram("span.fault-free_seconds")
-        assert inner.total == 3.0
+        assert snapshot["histograms"] == {
+            "span.fault-free_seconds": {
+                "count": 2, "total": 4.0, "min": 1.0, "max": 3.0,
+            },
+            "span.attack_seconds": {
+                "count": 1, "total": 9.0, "min": 9.0, "max": 9.0,
+            },
+        }
 
     def test_streams_do_not_cross_workers(self):
         # A span closed by a different worker pairs with nothing.
-        registry = registry_from_events(
+        snapshot = metrics_snapshot(
             [
                 _event("span-start", "attack", ts=0.0, worker=1),
                 _event("span-end", "attack", ts=9.0, worker=2),
             ]
         )
-        assert registry.histogram("span.attack_seconds").count == 0
+        assert snapshot["histograms"] == {}
 
 
 class TestPrometheus:
@@ -104,12 +115,17 @@ class TestPrometheus:
         assert metric_name("9lives", prefix="") == "_9lives"
 
     def test_counter_gauge_histogram_line_shapes(self):
-        registry = MetricsRegistry()
-        registry.counter("cache.hits").add(3)
-        registry.gauge("bound.vs_floor").set(1.5)
-        registry.histogram("round.seconds").record(0.25)
-        registry.histogram("round.seconds").record(0.75)
-        lines = prometheus_lines(registry.snapshot())
+        lines = prometheus_lines(
+            {
+                "counters": {"cache.hits": 3},
+                "gauges": {"bound.vs_floor": 1.5},
+                "histograms": {
+                    "round.seconds": {
+                        "count": 2, "total": 1.0, "min": 0.25, "max": 0.75,
+                    },
+                },
+            }
+        )
         assert "repro_cache_hits_total 3" in lines
         assert "# TYPE repro_cache_hits_total counter" in lines
         assert "repro_bound_vs_floor 1.5" in lines
@@ -119,22 +135,13 @@ class TestPrometheus:
         assert "repro_round_seconds_max 0.75" in lines
 
     def test_every_line_is_comment_or_valid_sample(self):
-        document = render_prometheus(
-            registry_from_events(_golden_events()).snapshot()
-        )
+        document = render_prometheus(metrics_snapshot(_golden_events()))
         assert document.endswith("\n")
         for line in document.rstrip("\n").split("\n"):
             assert line.startswith("#") or _SAMPLE.match(line), line
 
-    def test_unset_gauge_renders_nan(self):
-        registry = MetricsRegistry()
-        registry.gauge("g")  # registered, never set
-        assert "repro_g NaN" in prometheus_lines(registry.snapshot())
-
     def test_golden_exposition_carries_the_round_counter(self):
-        document = render_prometheus(
-            registry_from_events(_golden_events()).snapshot()
-        )
+        document = render_prometheus(metrics_snapshot(_golden_events()))
         assert "repro_engine_round_total" in document
         assert "repro_span_attack_seconds_count 1" in document
 
@@ -239,8 +246,9 @@ class TestRecordedRunShapes:
         return events
 
     def test_prometheus_exposition_of_a_recorded_run(self):
-        registry = registry_from_events(self._recorded_events())
-        document = render_prometheus(registry.snapshot())
+        document = render_prometheus(
+            metrics_snapshot(self._recorded_events())
+        )
         rounds = self.CELLS * self.ROUNDS_PER_CELL
         assert f"repro_engine_round_total {rounds}" in document
         assert (

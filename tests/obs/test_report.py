@@ -1,7 +1,15 @@
-"""Tests for trace rendering."""
+"""Tests for trace rendering and the span folds behind it."""
 
-from repro.obs.ledger import RunLedger
-from repro.obs.report import build_span_tree, render_trace
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.obs.ledger import LedgerEvent, RunLedger
+from repro.obs.report import (
+    build_span_tree,
+    closed_spans,
+    render_trace,
+    span_totals,
+)
 
 
 def _sample_ledger() -> RunLedger:
@@ -62,6 +70,97 @@ class TestSpanTree:
         tree = build_span_tree(ledger.events)
         assert tree.children["scan"].count == 2
         assert tree.children["scan"].seconds == 2.0
+
+
+def _span(kind, name, ts, worker=1, cell=None):
+    return LedgerEvent(kind, name, ts, None, "r", cell, worker)
+
+
+@st.composite
+def _nested_streams(draw):
+    """Interleaved, well-nested span streams with increasing ``ts``."""
+    streams = draw(
+        st.lists(
+            st.lists(st.sampled_from("abc"), max_size=6),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    pending = []
+    for index, names in enumerate(streams):
+        # Each stream opens its names in order and closes them LIFO.
+        ops = [("span-start", name) for name in names]
+        ops += [("span-end", name) for name in reversed(names)]
+        pending.append([(index, op) for op in ops])
+    events = []
+    clock = 0.0
+    while any(pending):
+        queue = draw(st.sampled_from([q for q in pending if q]))
+        index, (kind, name) = queue.pop(0)
+        clock += draw(st.integers(min_value=1, max_value=5))
+        events.append(_span(kind, name, clock, cell=f"cell/{index}"))
+    return events
+
+
+class TestClosedSpans:
+    def test_pairs_nearest_same_name_start(self):
+        spans = list(
+            closed_spans(
+                [
+                    _span("span-start", "attack", 0.0),
+                    _span("span-start", "scan", 1.0),
+                    _span("span-start", "scan", 2.0),
+                    _span("span-end", "scan", 4.0),
+                    _span("span-end", "scan", 7.0),
+                    _span("span-end", "attack", 9.0),
+                ]
+            )
+        )
+        assert spans == [("scan", 2.0), ("scan", 6.0), ("attack", 9.0)]
+
+    def test_end_drops_unclosed_spans_above_its_start(self):
+        spans = list(
+            closed_spans(
+                [
+                    _span("span-start", "attack", 0.0),
+                    _span("span-start", "lost", 1.0),
+                    _span("span-end", "attack", 5.0),
+                    _span("span-end", "lost", 6.0),
+                ]
+            )
+        )
+        assert spans == [("attack", 5.0)]
+
+    def test_streams_pair_apart(self):
+        spans = list(
+            closed_spans(
+                [
+                    _span("span-start", "attack", 0.0, cell="a"),
+                    _span("span-start", "attack", 3.0, cell="b"),
+                    _span("span-end", "attack", 4.0, cell="a"),
+                    _span("span-end", "attack", 5.0, worker=2, cell="b"),
+                ]
+            )
+        )
+        assert spans == [("attack", 4.0)]
+
+    @given(_nested_streams())
+    def test_flat_totals_fold_the_span_tree(self, events):
+        # build_span_tree keeps its own pairing loop; on well-nested
+        # streams both must account every span once.
+        by_name = {}
+
+        def walk(node):
+            for child in node.children.values():
+                entry = by_name.setdefault(
+                    child.name, {"seconds": 0.0, "count": 0}
+                )
+                entry["seconds"] += child.seconds
+                entry["count"] += child.count
+                walk(child)
+
+        walk(build_span_tree(events))
+        assert span_totals(events) == dict(sorted(by_name.items()))
 
 
 class TestRenderTrace:

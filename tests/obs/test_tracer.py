@@ -2,7 +2,6 @@
 
 from repro.lowerbound.driver import attack_weak_consensus
 from repro.obs.ledger import RunLedger
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, LedgerTracer, Tracer
 from repro.protocols.subquadratic import ring_token_spec
 
@@ -41,14 +40,12 @@ class TestNullTracer:
 
     def test_untraced_driver_builds_no_telemetry_machinery(self):
         # The ≤1% overhead guarantee is structural: a default-built
-        # driver holds no metrics registry and attaches zero trace
-        # observers to engine runs, so the per-round cost is exactly
-        # the pre-observability cost.
+        # driver attaches zero trace observers to engine runs, so the
+        # per-round cost is exactly the pre-observability cost.
         from repro.lowerbound.driver import LowerBoundDriver
 
         driver = LowerBoundDriver(spec=ring_token_spec(12, 8))
         assert driver.tracer is NULL_TRACER
-        assert driver._metrics is None
         assert driver._trace_observers == ()
 
 
@@ -119,17 +116,39 @@ class TestLedgerTracer:
             assert event.attr("run") is not None
             assert event.attr("cum_messages") is not None
 
-    def test_round_observer_streams_into_metrics(self):
+    def test_driver_totals_close_the_attack(self):
+        # The driver's end-of-pipeline totals are plain events in one
+        # fixed order; no per-round aggregate repeats the round events.
+        from repro.lowerbound.bound import weak_consensus_floor
+
         ledger = RunLedger(run_id="r")
-        tracer = LedgerTracer(ledger)
-        metrics = MetricsRegistry()
-        (observer,) = tracer.round_observers(floor=2.0, metrics=metrics)
-        from repro.protocols.weak_consensus import (
-            broadcast_weak_consensus_spec,
+        outcome = attack_weak_consensus(
+            ring_token_spec(12, 8), tracer=LedgerTracer(ledger)
         )
-        spec = broadcast_weak_consensus_spec(4, 1)
-        spec.run([0] * 4, observers=[observer])
-        assert observer.rounds_seen > 0
-        assert metrics.counter("engine.round_messages").total > 0
-        assert metrics.histogram("engine.round_seconds").count > 0
-        assert metrics.gauge("bound.vs_floor").value is not None
+        tail = [
+            (e.kind, e.name, e.value)
+            for e in ledger.events
+            if e.kind in ("counter", "gauge") and e.name != "engine.round"
+        ]
+        assert [(kind, name) for kind, name, _ in tail] == [
+            ("counter", "cache.hits"),
+            ("counter", "cache.alias_hits"),
+            ("counter", "cache.misses"),
+            ("counter", "engine.rounds_simulated"),
+            ("counter", "engine.rounds_baseline"),
+            ("counter", "engine.prefix_rounds_skipped"),
+            ("counter", "engine.early_stops"),
+            ("counter", "engine.machine_snapshots"),
+            ("counter", "engine.masks_built"),
+            ("counter", "engine.popcounts"),
+            ("counter", "witness.found"),
+            ("gauge", "bound.vs_floor"),
+            ("gauge", "bound.observed"),
+            ("gauge", "bound.floor"),
+        ]
+        values = {name: value for _, name, value in tail}
+        floor = weak_consensus_floor(8)
+        assert values["witness.found"] == 1
+        assert values["bound.observed"] == outcome.bound.observed
+        assert values["bound.floor"] == floor
+        assert values["bound.vs_floor"] == outcome.bound.observed / floor

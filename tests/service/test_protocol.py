@@ -58,6 +58,12 @@ class TestFrames:
         with pytest.raises(ProtocolError, match="malformed frame"):
             decode_frame(b"not json at all\n")
 
+    def test_deeply_nested_line_raises(self):
+        # The server answers a ProtocolError with an error frame; a
+        # RecursionError would escape that handler.
+        with pytest.raises(ProtocolError, match="malformed frame"):
+            decode_frame(b"[" * 3000 + b"\n")
+
     def test_non_object_raises(self):
         with pytest.raises(ProtocolError, match="not an object"):
             decode_frame(b"[1, 2, 3]\n")

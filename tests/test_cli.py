@@ -922,6 +922,21 @@ class TestLogReaderDiagnostics:
         assert f"{path}:2: not a {kind} record" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_deeply_nested_line_is_exit_2(self, tmp_path, capsys, reader):
+        """JSON nested past the recursion limit is a malformed record
+        with ``path:line``, not an escaped ``RecursionError``."""
+        path = str(tmp_path / "deep.worldlog")
+        from repro.worldlog import WorldLog
+
+        WorldLog.create(path, run_id="r").close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("[" * 3000 + "\n")
+        assert main(self._argv(reader, path, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:2: not a world-log record (RecursionError" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("field", ["kind", "builder", "n", "t"])
     def test_recorded_spec_missing_a_field_is_exit_2(
         self, tmp_path, capsys, field

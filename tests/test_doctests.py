@@ -18,7 +18,7 @@ import repro.certify.verifier
 import repro.lowerbound.bound
 import repro.obs.ledger
 import repro.obs.export
-import repro.obs.metrics
+import repro.obs.report
 import repro.service.protocol
 import repro.service.queue
 import repro.service.quota
@@ -33,7 +33,7 @@ DOCUMENTED_MODULES = [
     repro.lowerbound.bound,
     repro.obs.ledger,
     repro.obs.export,
-    repro.obs.metrics,
+    repro.obs.report,
     repro.service.protocol,
     repro.service.queue,
     repro.service.quota,

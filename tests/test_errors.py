@@ -97,7 +97,7 @@ class TestUniformArtifactDiagnostic:
 
     @pytest.mark.parametrize("case", [
         "truncated", "top-level-array", "execution-array",
-        "behaviors-string", "wrong-format",
+        "behaviors-string", "wrong-format", "deep-nesting",
     ])
     def test_malformed_witness_exits_2(
         self, tmp_path, capsys, witness_data, case
@@ -112,6 +112,8 @@ class TestUniformArtifactDiagnostic:
         data = json.loads(json.dumps(witness_data))
         if case == "truncated":
             text = json.dumps(data)[:40]
+        elif case == "deep-nesting":
+            text = "[" * 3000
         elif case == "top-level-array":
             text = json.dumps([data])
         else:

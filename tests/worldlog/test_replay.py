@@ -239,9 +239,11 @@ class TestLogStats:
         assert document["tenants"]["alice"]["pending"] == 1
         assert document["tenants"]["alice"]["rejected"] == {"quota": 1}
 
-    def test_per_cell_percentiles(self):
+    @staticmethod
+    def _cells_document(count):
+        """``log_stats`` over ``count`` cells; cell ``i`` sends ``i + 1``."""
         rows = [("log.open", {"schema": "repro.worldlog/v1"}, None)]
-        for index in range(4):
+        for index in range(count):
             cell = f"cell/{index}"
             rows.append(
                 ("ledger.event",
@@ -262,12 +264,19 @@ class TestLogStats:
                    cell_id=cell)
             for tick, (kind, payload, cell) in enumerate(rows)
         ]
-        document = log_stats(records)
+        return log_stats(records)
+
+    def test_per_cell_percentiles(self):
+        document = self._cells_document(4)
         assert set(document["cells"]) == {f"cell/{i}" for i in range(4)}
         assert document["cells"]["cell/3"]["messages"] == 4
         marks = document["percentiles"]["messages"]
         assert marks["max"] == 4
         assert marks["p50"] == 2
+        # Nearest rank is ceil(p * n): on five cells the median is the
+        # third, and p90 (rank 4.5) rounds up to the fifth.
+        marks = self._cells_document(5)["percentiles"]["messages"]
+        assert (marks["p50"], marks["p90"], marks["p99"]) == (3, 5, 5)
 
 
 class TestSelectRecordsStreaming:
