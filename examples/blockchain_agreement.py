@@ -14,14 +14,17 @@ scenario the paper's §4.3 motivates:
 Run with: ``python examples/blockchain_agreement.py``
 """
 
+import pathlib
+import sys
+
 from repro.lowerbound import weak_consensus_floor
 from repro.sim import ByzantineAdversary
-from repro.protocols import (
-    ClientPool,
-    external_validity_spec,
-    garbage,
-)
+from repro.protocols import ClientPool, external_validity_spec
 from repro.reductions import reduce_weak_consensus_from_executions
+
+# The Byzantine strategies are the test suite's adversary library.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from byzantine_strategies import garbage
 
 
 def main() -> None:

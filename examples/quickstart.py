@@ -13,15 +13,21 @@ Three things in two minutes:
 Run with: ``python examples/quickstart.py``
 """
 
+import pathlib
+import sys
+
 from repro.lowerbound import attack_weak_consensus, weak_consensus_floor
 from repro.sim import ByzantineAdversary
 from repro.protocols import (
     dolev_strong_spec,
-    equivocating_sender,
     leader_echo_spec,
     scheme_for_spec,
 )
 from repro.sim import ExecutionSummary
+
+# The Byzantine strategies are the test suite's adversary library.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from byzantine_strategies import equivocating_sender
 
 
 def broadcast_with_equivocation() -> None:

@@ -11,9 +11,11 @@
 Run with: ``python examples/solvability_explorer.py``
 """
 
+import pathlib
+import sys
+
 from repro.analysis import render_table
 from repro.sim import ByzantineAdversary
-from repro.protocols import two_faced
 from repro.reductions import solve_via_ic
 from repro.solvability import classify, strong_consensus_cc
 from repro.validity import (
@@ -25,6 +27,10 @@ from repro.validity import (
     strong_consensus_problem,
     weak_consensus_problem,
 )
+
+# The Byzantine strategies are the test suite's adversary library.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from byzantine_strategies import two_faced
 
 
 def classify_standard_problems() -> None:

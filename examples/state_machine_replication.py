@@ -13,12 +13,16 @@ against the per-slot floor.
 Run with: ``python examples/state_machine_replication.py``
 """
 
+import pathlib
+import sys
+
 from repro.lowerbound import weak_consensus_floor
-from repro.protocols import (
-    authenticated_strong_consensus_spec,
-    two_faced,
-)
+from repro.protocols import authenticated_strong_consensus_spec
 from repro.sim import ByzantineAdversary, CrashAdversary
+
+# The Byzantine strategies are the test suite's adversary library.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from byzantine_strategies import two_faced
 
 
 def replicate_log(n: int, t: int, commands_per_replica, adversaries):

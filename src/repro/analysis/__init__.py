@@ -12,7 +12,6 @@ from repro import _lazy_exports
 __all__, __getattr__, __dir__ = _lazy_exports(
     __name__,
     {
-        ".amortization": ("MultiShotReport", "run_multi_shot_broadcast"),
         ".complexity": (
             "SweepPoint", "default_scenarios", "exhaustive_isolation_scan",
             "measure_point", "mixed_workload", "quadratic_parameter_grid",
@@ -22,7 +21,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "PowerLawFit", "fit_power_law", "fit_sweep", "is_subquadratic",
             "is_superquadratic",
         ),
-        ".latency": ("LatencyReport", "dolev_strong_round_floor"),
         ".spacetime": ("render_divergence", "render_spacetime"),
         ".tables": (
             "render_execution", "render_kv", "render_sweep", "render_table",

@@ -1,11 +1,11 @@
 """One loader, one diagnostic: uniform artifact-file error handling.
 
 Every persisted artifact family the repository reads back — attack
-certificates, violation witnesses, world logs — used to hand-roll its
-own malformed-file handling, each with a slightly different message
-shape.  This module is the single chokepoint: a loader names the *kind*
-of artifact it expects and supplies a parser; any parse failure becomes
-one :class:`~repro.errors.ArtifactError` with the uniform one-liner
+certificates and world logs — used to hand-roll its own malformed-file
+handling, each with a slightly different message shape.  This module
+is the single chokepoint: a loader names the *kind* of artifact it
+expects and supplies a parser; any parse failure becomes one
+:class:`~repro.errors.ArtifactError` with the uniform one-liner
 
     ``<path>:<line>: not a <kind> (<ExcType>: <detail>)``
 

@@ -230,11 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--log", action="store_true", help="print the pipeline narrative"
     )
     attack.add_argument(
-        "--save",
-        metavar="PATH",
-        help="write the violation witness (if any) as a JSON evidence file",
-    )
-    attack.add_argument(
         "--no-check",
         action="store_true",
         help="skip the per-round model validity checker (faster)",
@@ -254,19 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _ledger_option(attack)
-
-    verify = subparsers.add_parser(
-        "verify-witness",
-        help="re-verify a saved witness against a protocol's code",
-    )
-    verify.add_argument("path", help="witness JSON file")
-    verify.add_argument(
-        "protocol",
-        choices=sorted(CHEATERS) + ["correct", "naive-flooding"],
-        help="the protocol the witness claims to break",
-    )
-    verify.add_argument("--n", type=int, default=16)
-    verify.add_argument("--t", type=int, default=8)
 
     certify_parser = subparsers.add_parser(
         "certify",
@@ -888,30 +870,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             _info(render_trace(ledger.events))
         if args.log:
             _info("\n".join(outcome.log))
-        if args.save and outcome.witness is not None:
-            from repro.sim.serialization import dump_witness
-
-            with open(args.save, "w") as handle:
-                handle.write(dump_witness(outcome.witness))
-            _info(f"witness written to {args.save}")
         _write_ledger(ledger, worldlog)
         expected_violation = args.protocol in CHEATERS
         return 0 if outcome.found_violation == expected_violation else 1
-    if args.command == "verify-witness":
-        from repro.artifact import load_artifact
-        from repro.errors import ModelViolation
-        from repro.lowerbound.witnesses import verify_witness
-        from repro.sim.serialization import load_witness
-
-        spec = _resolve_protocol(args.protocol, args.n, args.t)
-        witness = load_artifact(args.path, "violation witness", load_witness)
-        try:
-            verify_witness(witness, spec.factory)
-        except ModelViolation as error:
-            _info(f"REJECTED: {error}")
-            return 1
-        print(f"VERIFIED: {witness.summary()}")
-        return 0
     if args.command == "certify":
         from repro.certify.verifier import verify_certificate
 

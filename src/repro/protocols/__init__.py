@@ -15,15 +15,6 @@
   with External Validity (§4.3).
 * :mod:`repro.protocols.subquadratic` — sub-quadratic cheaters the lower
   bound breaks (experiment E3).
-* :mod:`repro.protocols.byzantine_strategies` — reusable attack machines.
-* :mod:`repro.protocols.vector_consensus` — vector consensus over IC
-  ([38] in §6).
-* :mod:`repro.protocols.gradecast` — graded/crusader broadcast ([13]).
-* :mod:`repro.protocols.floodset` /
-  :mod:`repro.protocols.early_stopping` — crash-model consensus
-  substrates (the "why omission is harder" foil; [50]).
-* :mod:`repro.protocols.approximate` /
-  :mod:`repro.protocols.kset` — the §7 beyond-agreement relaxations.
 """
 
 from repro import _lazy_exports
@@ -31,35 +22,20 @@ from repro import _lazy_exports
 __all__, __getattr__, __dir__ = _lazy_exports(
     __name__,
     {
-        ".approximate": (
-            "ApproximateAgreementProcess", "approximate_agreement_spec",
-            "rounds_for_precision",
-        ),
         ".base": ("DelegatingProcess", "ProtocolSpec", "SpecBuilder"),
-        ".byzantine_strategies": (
-            "Strategy", "crash_at", "equivocating_sender", "garbage", "mute",
-            "two_faced",
-        ),
         ".dolev_strong": (
             "DolevStrongProcess", "SENDER_FAULTY", "dolev_strong_spec",
             "scheme_for_spec",
         ),
-        ".early_stopping": ("EarlyStoppingConsensus", "early_stopping_spec"),
         ".eig": ("EIGProcess", "eig_consensus_spec", "eig_vector_spec"),
         ".external_validity": (
             "ClientPool", "ExternalValidityAgreement", "Transaction",
             "external_validity_spec",
         ),
-        ".floodset": ("FloodSetProcess", "floodset_spec"),
-        ".gradecast": (
-            "GradecastProcess", "NO_VALUE", "crusader_decision",
-            "gradecast_spec",
-        ),
         ".interactive_consistency": (
             "ParallelBroadcastIC", "authenticated_ic_spec", "ic_spec",
             "unauthenticated_ic_spec",
         ),
-        ".kset": ("KSetProcess", "kset_rounds", "kset_spec"),
         ".phase_king": ("PhaseKingProcess", "phase_king_spec"),
         ".strong_consensus": (
             "ICMajorityConsensus", "authenticated_strong_consensus_spec",
@@ -70,9 +46,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "RingTokenCheater", "SampledCommitteeCheater", "SilentCheater",
             "committee_cheater_spec", "leader_echo_spec", "ring_token_spec",
             "seeded_committee_cheater_spec", "silent_cheater_spec",
-        ),
-        ".vector_consensus": (
-            "VectorConsensusProcess", "vector_consensus_spec",
         ),
         ".weak_consensus": (
             "BroadcastWeakConsensus", "NaiveFloodingWeakConsensus",

@@ -72,7 +72,7 @@ class ProtocolSpec:
             rounds: horizon override (defaults to the spec's sound bound).
             check: run the model validity checker on the trace.
             observers: extra engine observers (e.g. a
-                :class:`~repro.sim.metrics.StreamingComplexity`).
+                :class:`~repro.obs.tracer.RoundTraceObserver`).
             early_stop: halt once all correct processes decided; the
                 truncated trace is a prefix of the full run with the same
                 decisions.

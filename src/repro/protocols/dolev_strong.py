@@ -175,8 +175,7 @@ def dolev_strong_spec(
     """A Dolev–Strong broadcast instance as a :class:`ProtocolSpec`.
 
     The key registry is derived from ``seed``; pass the same seed when an
-    adversary needs corrupted processes' signers (see
-    :mod:`repro.protocols.byzantine_strategies`).
+    adversary needs corrupted processes' signers.
     """
     scheme = SignatureScheme(KeyRegistry(n, seed))
     memo = RoundMemo()

@@ -6,8 +6,6 @@
 * :mod:`repro.reductions.any_from_ic` — Algorithm 2: any containment-
   condition problem from interactive consistency (sufficiency of CC,
   Lemma 9).
-* :mod:`repro.reductions.ic_from_bb` — IC from n parallel broadcasts
-  (classical, §6).
 """
 
 from repro import _lazy_exports
@@ -16,14 +14,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
     __name__,
     {
         ".any_from_ic": ("GammaOverIC", "solve_via_ic"),
-        ".bb_from_consensus": (
-            "BroadcastViaConsensus", "NO_SENDER_VALUE",
-            "broadcast_from_consensus",
-        ),
-        ".ic_from_bb": (
-            "amortization_ratio", "ic_from_broadcasts",
-            "single_broadcast_baseline",
-        ),
         ".weak_from_any": (
             "ReductionPlan", "WeakConsensusViaReduction", "derive_plan",
             "plan_from_executions", "reduce_weak_consensus",

@@ -420,11 +420,22 @@ class JobServer:
         self, frame: dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
         assert self._cond is not None
-        tenant = str(frame.get("tenant", "default"))
-        priority = int(frame.get("priority", 0))
-        wait = bool(frame.get("wait", False))
+        tenant = frame.get("tenant", "default")
+        priority = frame.get("priority", 0)
+        wait = frame.get("wait", False)
         spec = frame.get("job")
         try:
+            for name, value, expected, what in (
+                ("tenant", tenant, str, "a string"),
+                ("priority", priority, int, "an integer"),
+                ("wait", wait, bool, "a boolean"),
+            ):
+                # exact types: JSON's true is a bool, not a priority
+                if type(value) is not expected:
+                    raise ReproError(
+                        f"submit frame's {name} must be {what}, "
+                        f"got {value!r}"
+                    )
             if not isinstance(spec, dict):
                 raise ReproError("submit frame has no job object")
             job = decode_job(spec)

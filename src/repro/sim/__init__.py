@@ -15,9 +15,6 @@ Public surface:
   loop and its pluggable per-round consumers.
 * :func:`~repro.sim.simulator.run_execution` — the standard entry point
   (engine + trace recorder + incremental checker).
-* :class:`~repro.sim.metrics.ComplexityReport` /
-  :class:`~repro.sim.metrics.StreamingComplexity` — message accounting
-  (§2), post-hoc and streaming.
 * :mod:`repro.sim.kernel` — the bitmask round kernel: the same
   semantics over per-round integer bitmasks for compiled omission
   adversaries, with :class:`~repro.sim.kernel.KernelOracle`
@@ -49,18 +46,12 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "fork_kernel", "no_faults_compiled", "run_kernel",
         ),
         ".message": ("Message", "broadcast_payload"),
-        ".metrics": (
-            "ComplexityReport", "StreamingComplexity", "count_signatures",
-            "dolev_reischuk_floor", "dolev_reischuk_signature_floor",
-            "meets_lower_bound", "quadratic_ratio", "signature_complexity",
-            "weak_consensus_floor",
-        ),
         ".process": (
             "Process", "ProcessFactory", "ReplayProcess", "drive_replay",
         ),
         ".serialization": (
-            "dump_execution", "dump_witness", "execution_from_dict",
-            "execution_to_dict", "load_execution", "load_witness",
+            "dump_execution", "execution_from_dict", "execution_to_dict",
+            "load_execution",
         ),
         ".simulator": (
             "SimulationConfig", "all_correct_decided", "decisions_by_value",

@@ -19,8 +19,6 @@ independently:
   have all decided.  Sound because decisions are write-once (A.1.5
   condition 6) and every protocol declares a sound ``max_rounds(n, t)``:
   the truncated run is a prefix of the full run with the same decisions.
-* :class:`~repro.sim.metrics.StreamingComplexity` — the incremental
-  message-complexity accountant (lives with the other metrics).
 
 Observers must not mutate the event or the machines; the engine owns both.
 An observer may set its ``stop_requested`` attribute to ``True`` during
@@ -125,7 +123,8 @@ class RoundEvent:
         *current* corruption set — the quantity the tracing observer
         streams against the ``t²/32`` floor.  (An adaptive adversary may
         corrupt a sender later; final accounting always filters by the
-        run's final faulty set, as :class:`StreamingComplexity` does.)
+        run's final faulty set, as :meth:`Execution.message_complexity`
+        does.)
         """
         return sum(
             len(fragment.sent)

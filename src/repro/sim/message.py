@@ -232,9 +232,8 @@ def freeze(messages: set[Message] | frozenset[Message] | None) -> frozenset[Mess
 def payload_size(payload: Payload) -> int:
     """A crude, deterministic size estimate of a payload in abstract units.
 
-    Used only by the optional bit-complexity counters in
-    :mod:`repro.sim.metrics`; the paper's bound is on *messages*, which we
-    count exactly, while sizes are informational.
+    Informational only: the paper's bound is on *messages*, which are
+    counted exactly.
     """
     if payload is None:
         return 1

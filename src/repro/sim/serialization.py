@@ -1,9 +1,11 @@
-"""JSON serialization for executions and violation witnesses.
+"""JSON serialization for executions.
 
-A violation witness is only as useful as its portability: a third party
-should be able to load the counterexample and re-run the checks without
-re-running the attack.  This module round-trips the full Appendix-A
-record — executions, behaviors, fragments, messages — through plain JSON.
+A counterexample is only as useful as its portability: a third party
+should be able to load it and re-run the checks without re-running the
+attack.  This module round-trips the full Appendix-A record —
+executions, behaviors, fragments, messages — through plain JSON; an
+attack certificate (:mod:`repro.certify.format`) embeds its witness
+execution in this encoding.
 
 Payloads are arbitrary hashables in memory; the codec covers the closed
 set of types the library's protocols actually put on the wire:
@@ -542,40 +544,3 @@ def load_execution(text: str) -> Execution:
     """Deserialize an execution from :func:`dump_execution` output."""
     return execution_from_dict(json.loads(text))
 
-
-def dump_witness(witness) -> str:
-    """Serialize a violation witness to JSON."""
-    from repro.lowerbound.witnesses import ViolationWitness
-
-    assert isinstance(witness, ViolationWitness)
-    return json.dumps(
-        {
-            "format": FORMAT_VERSION,
-            "kind": witness.kind.value,
-            "culprit": witness.culprit,
-            "counterpart": witness.counterpart,
-            "note": witness.note,
-            "execution": execution_to_dict(witness.execution),
-        },
-        sort_keys=True,
-    )
-
-
-def load_witness(text: str):
-    """Deserialize a witness; re-verify with
-    :func:`repro.lowerbound.witnesses.verify_witness` before trusting it."""
-    from repro.lowerbound.witnesses import ViolationKind, ViolationWitness
-
-    data = json.loads(text)
-    _require_object(data, "witness")
-    if data.get("format") != FORMAT_VERSION:
-        raise ReproError(
-            f"unsupported witness format {data.get('format')!r}"
-        )
-    return ViolationWitness(
-        kind=ViolationKind(data["kind"]),
-        execution=execution_from_dict(data["execution"]),
-        culprit=data["culprit"],
-        counterpart=data["counterpart"],
-        note=data["note"],
-    )

@@ -118,7 +118,7 @@ def run_execution(
         adversary: the static adversary; ``None`` means no faults.
         observers: extra :class:`RoundObserver` instances attached to the
             engine (e.g. a
-            :class:`~repro.sim.metrics.StreamingComplexity` accountant).
+            :class:`~repro.obs.tracer.RoundTraceObserver`).
         early_stop: halt once every correct process has decided instead of
             running to the horizon.  The truncated execution is a prefix
             of the full run with identical decisions; message complexity

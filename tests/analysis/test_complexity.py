@@ -2,6 +2,7 @@
 
 import pytest
 
+from byzantine_strategies import mute
 from repro.analysis.complexity import (
     default_scenarios,
     exhaustive_isolation_scan,
@@ -15,7 +16,6 @@ from repro.analysis.complexity import (
 from repro.lowerbound.partition import canonical_partition
 from repro.omission.isolation import isolate_group
 from repro.parallel.jobs import resolve_builder
-from repro.protocols.byzantine_strategies import mute
 from repro.protocols.subquadratic import leader_echo_spec
 from repro.protocols.weak_consensus import broadcast_weak_consensus_spec
 from repro.sim.adversary import ByzantineAdversary

@@ -2,7 +2,9 @@
 
 Each strategy is a callable ``(pid, honest_factory, proposal) -> Process``
 suitable for :class:`repro.sim.adversary.ByzantineAdversary`.  They cover
-the classic attack shapes the protocol test-suites exercise:
+the classic attack shapes the protocol tests and the examples exercise
+(no experiment or CLI command runs a Byzantine machine, so the library
+lives with the tests):
 
 * :func:`mute` — send nothing, ever.
 * :func:`crash_at` — behave honestly, then stop mid-execution.

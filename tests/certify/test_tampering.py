@@ -223,6 +223,44 @@ def agreement_forged(payload):
     behavior["final_state"]["decision"] = other
 
 
+def termination_claimed_but_decided(payload):
+    witness = payload["witness"]
+    record = _witness_record(payload)
+    assert record["behaviors"][witness["culprit"]]["final_state"][
+        "decision"
+    ] is not None
+    witness["kind"] = "termination"
+
+
+def counterpart_missing(payload):
+    payload["witness"]["counterpart"] = None
+
+
+def counterpart_faulty(payload):
+    payload["witness"]["counterpart"] = _witness_record(payload)["faulty"][0]
+
+
+def agreeing_parties(payload):
+    # Two correct processes that decided alike, claimed to disagree.
+    witness = payload["witness"]
+    record = _witness_record(payload)
+    decided = record["behaviors"][witness["counterpart"]]["final_state"][
+        "decision"
+    ]
+    witness["culprit"] = next(
+        pid
+        for pid, behavior in enumerate(record["behaviors"])
+        if pid != witness["counterpart"]
+        and pid not in record["faulty"]
+        and behavior["final_state"]["decision"] == decided
+    )
+
+
+def weak_validity_with_faults(payload):
+    assert _witness_record(payload)["faulty"]
+    payload["witness"]["kind"] = "weak-validity"
+
+
 def count_inflated(payload):
     payload["accounting"]["per_execution"]["witness"] += 1
 
@@ -295,6 +333,11 @@ MUTATIONS = [
     (witness_kind, "witness.reference"),
     (culprit_faulty, "witness.culprit-correct"),
     (agreement_forged, "witness.agreement"),
+    (termination_claimed_but_decided, "witness.termination"),
+    (counterpart_missing, "witness.agreement"),
+    (counterpart_faulty, "witness.agreement"),
+    (agreeing_parties, "witness.agreement"),
+    (weak_validity_with_faults, "witness.weak-validity"),
     (count_inflated, "accounting.message-count"),
     (floor_lowered, "accounting.floor"),
     (verdict_flip, "accounting.verdict"),
@@ -347,6 +390,26 @@ class TestBoundCertificateTampering:
         report = verify_certificate(payload)
         assert not report.ok
         assert report.first.condition == "accounting.verdict"
+
+    def test_weak_validity_claim_on_the_unanimous_decision(
+        self, bound_v1_payload
+    ):
+        """A fault-free, unanimous run whose culprit decided the
+        proposal breaches nothing."""
+        payload = copy.deepcopy(bound_v1_payload)
+        (label,) = payload["executions"]
+        assert not payload["executions"][label]["faulty"]
+        payload["witness"] = {
+            "execution": label,
+            "kind": "weak-validity",
+            "culprit": 0,
+            "counterpart": None,
+            "note": "forged",
+        }
+        payload["claim"]["verdict"] = "violation"
+        report = verify_certificate(payload)
+        assert not report.ok
+        assert report.first.condition == "witness.weak-validity"
 
 
 class TestReplayTampering:

@@ -12,7 +12,10 @@
 
 import pytest
 
-from repro.analysis.latency import LatencyReport
+from signature_count import (
+    dolev_reischuk_signature_floor,
+    signature_complexity,
+)
 from repro.lowerbound.driver import attack_weak_consensus
 from repro.lowerbound.partition import ABCPartition, paper_partition
 from repro.protocols.dolev_strong import dolev_strong_spec
@@ -20,10 +23,6 @@ from repro.protocols.subquadratic import (
     committee_cheater_spec,
     leader_echo_spec,
     ring_token_spec,
-)
-from repro.sim.metrics import (
-    dolev_reischuk_signature_floor,
-    signature_complexity,
 )
 
 
@@ -78,5 +77,9 @@ class TestA4PaperRegime:
 class TestA5RoundComplexity:
     @pytest.mark.parametrize("t", [2, 4, 8])
     def test_dolev_strong_decides_in_t_plus_one_rounds(self, t):
-        report = LatencyReport.of(dolev_strong_spec(t + 4, t).run_uniform("v"))
-        assert report.latest == t + 1
+        execution = dolev_strong_spec(t + 4, t).run_uniform("v")
+        rounds = {
+            execution.behavior(pid).decision_round
+            for pid in execution.correct
+        }
+        assert max(rounds) == t + 1

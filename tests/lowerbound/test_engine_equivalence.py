@@ -22,7 +22,7 @@ from repro.lowerbound.driver import (
 from repro.obs.ledger import RunLedger
 from repro.obs.tracer import NULL_TRACER, LedgerTracer
 from repro.omission.isolation import isolate_group
-from repro.protocols.early_stopping import early_stopping_spec
+from repro.protocols.base import ProtocolSpec
 from repro.protocols.subquadratic import ring_token_spec
 from repro.protocols.weak_consensus import broadcast_weak_consensus_spec
 from repro.sim.engine import (
@@ -30,6 +30,54 @@ from repro.sim.engine import (
     object_counts,
     object_counts_delta,
 )
+from repro.sim.process import Process
+
+
+
+class EarlyDecidingFlood(Process):
+    """FloodSet with the "no new failure observed" early decision ([50]).
+
+    Decide the least value seen at the first round ``r >= 2`` whose set
+    of heard-from processes equals round ``r - 1``'s, and by round
+    ``t + 2`` regardless.  Runs that stabilize decide early, so the
+    driver's early-stopped cache entries are truncated: the hard case
+    for the reuse paths below.
+    """
+
+    def __init__(self, pid, n, t, proposal):
+        super().__init__(pid, n, t, proposal)
+        self.seen = {proposal}
+        self.heard_before = None
+
+    def outgoing(self, round_):
+        if round_ > self.t + 2:
+            return {}
+        payload = tuple(sorted(self.seen, key=repr))
+        return {other: payload for other in range(self.n) if other != self.pid}
+
+    def deliver(self, round_, received):
+        if round_ > self.t + 2:
+            return
+        for _, payload in sorted(received.items()):
+            if isinstance(payload, tuple):
+                self.seen.update(payload)
+        heard = frozenset(received) | {self.pid}
+        stable = heard == self.heard_before
+        self.heard_before = heard
+        if self.decision is None and (stable or round_ == self.t + 2):
+            self.decide(min(self.seen, key=repr))
+
+
+def early_deciding_spec(n, t):
+    return ProtocolSpec(
+        name="early-deciding-flood",
+        n=n,
+        t=t,
+        rounds=t + 2,
+        factory=lambda pid, bit: EarlyDecidingFlood(pid, n, t, bit),
+        authenticated=False,
+    )
+
 
 CASES = [
     *((name, builder, 12, 8) for name, builder in sorted(CHEATERS.items())),
@@ -76,7 +124,7 @@ def test_object_and_mask_engines_agree(name, builder, n, t, traced):
 
 @pytest.mark.parametrize(
     "builder, n, t, truncates",
-    [(ring_token_spec, 12, 8, False), (early_stopping_spec, 6, 4, True)],
+    [(ring_token_spec, 12, 8, False), (early_deciding_spec, 6, 4, True)],
     ids=["ring-token", "early-stopping"],
 )
 def test_every_reuse_path_equals_a_fresh_object_run(builder, n, t, truncates):

@@ -1,6 +1,6 @@
 """Tests for the reusable Byzantine strategies themselves."""
 
-from repro.protocols.byzantine_strategies import (
+from byzantine_strategies import (
     crash_at,
     garbage,
     mute,

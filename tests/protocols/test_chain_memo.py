@@ -12,13 +12,13 @@ import io
 
 import pytest
 
+from byzantine_strategies import equivocating_sender
 import repro.protocols.dolev_strong as dolev_strong_module
 
 from repro.crypto.chains import SignedChain, start_chain, verify_chain
 from repro.omission.isolation import isolate_group
 from repro.omission.masks import compile_omissions
 from repro.protocols.base import RoundMemo
-from repro.protocols.byzantine_strategies import equivocating_sender
 from repro.protocols.dolev_strong import (
     DolevStrongProcess,
     dolev_strong_spec,

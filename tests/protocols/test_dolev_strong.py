@@ -3,7 +3,7 @@ Termination for any t < n, under the classic Byzantine attacks."""
 
 import pytest
 
-from repro.protocols.byzantine_strategies import (
+from byzantine_strategies import (
     crash_at,
     equivocating_sender,
     garbage,

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from byzantine_strategies import garbage, mute, two_faced
 from repro.omission.isolation import isolate_group
 from repro.omission.masks import compile_omissions
 from repro.protocols.base import RoundMemo
-from repro.protocols.byzantine_strategies import garbage, mute, two_faced
 from repro.protocols.eig import (
     EIGProcess,
     _strict_majority,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocols.byzantine_strategies import garbage, mute, two_faced
+from byzantine_strategies import garbage, mute, two_faced
 from repro.protocols.eig import EIGProcess, eig_consensus_spec
 from repro.sim.adversary import ByzantineAdversary
 from repro.sim.engine import RoundEngine, TraceRecorder

@@ -1,6 +1,6 @@
 """Tests for external-validity agreement (§4.3, Corollary 1)."""
 
-from repro.protocols.byzantine_strategies import garbage, mute
+from byzantine_strategies import garbage, mute
 from repro.protocols.external_validity import (
     ClientPool,
     external_validity_spec,

@@ -1,6 +1,6 @@
 """Tests for interactive consistency (authenticated and unauthenticated)."""
 
-from repro.protocols.byzantine_strategies import garbage, mute, two_faced
+from byzantine_strategies import garbage, mute, two_faced
 from repro.protocols.dolev_strong import SENDER_FAULTY
 from repro.protocols.interactive_consistency import (
     authenticated_ic_spec,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocols.byzantine_strategies import garbage, mute, two_faced
+from byzantine_strategies import garbage, mute, two_faced
 from repro.protocols.phase_king import PhaseKingProcess, phase_king_spec
 from repro.sim.adversary import ByzantineAdversary, CrashAdversary
 

@@ -14,18 +14,13 @@ gets the whole battery by adding a single registry entry.
 
 import pytest
 
-from repro.protocols.approximate import approximate_agreement_spec
 from repro.protocols.dolev_strong import dolev_strong_spec
-from repro.protocols.early_stopping import early_stopping_spec
 from repro.protocols.eig import eig_consensus_spec, eig_vector_spec
 from repro.protocols.external_validity import (
     ClientPool,
     external_validity_spec,
 )
-from repro.protocols.floodset import floodset_spec
-from repro.protocols.gradecast import gradecast_spec
 from repro.protocols.interactive_consistency import authenticated_ic_spec
-from repro.protocols.kset import kset_spec
 from repro.protocols.phase_king import phase_king_spec
 from repro.protocols.strong_consensus import (
     authenticated_strong_consensus_spec,
@@ -37,7 +32,6 @@ from repro.protocols.subquadratic import (
     seeded_committee_cheater_spec,
     silent_cheater_spec,
 )
-from repro.protocols.vector_consensus import vector_consensus_spec
 from repro.protocols.weak_consensus import (
     broadcast_weak_consensus_spec,
     naive_flooding_spec,
@@ -69,21 +63,6 @@ CASES = {
         [0] * 5,
     ),
     "naive-flooding": lambda: (naive_flooding_spec(5, 2), [0] * 5),
-    "floodset": lambda: (floodset_spec(5, 2), [3, 1, 4, 1, 5]),
-    "early-stopping": lambda: (
-        early_stopping_spec(5, 2),
-        [3, 1, 4, 1, 5],
-    ),
-    "gradecast": lambda: (gradecast_spec(7, 2), ["g"] + [None] * 6),
-    "vector-consensus": lambda: (
-        vector_consensus_spec(4, 1),
-        [0, 1, 0, 1],
-    ),
-    "approximate": lambda: (
-        approximate_agreement_spec(4, 1, rounds=4),
-        [0.0, 1.0, 0.25, 0.75],
-    ),
-    "kset": lambda: (kset_spec(6, 3, k=2), [5, 2, 8, 1, 9, 4]),
     "external-validity": _external_validity_case,
     "silent-cheater": lambda: (silent_cheater_spec(8, 4), [0] * 8),
     "leader-echo": lambda: (leader_echo_spec(8, 4), [0] * 8),

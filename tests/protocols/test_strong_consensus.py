@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.protocols.byzantine_strategies import garbage, mute, two_faced
+from byzantine_strategies import garbage, mute, two_faced
 from repro.protocols.strong_consensus import (
     authenticated_strong_consensus_spec,
     unauthenticated_strong_consensus_spec,

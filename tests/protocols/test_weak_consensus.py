@@ -1,8 +1,9 @@
 """Tests for weak consensus — and the flooding counterexample that shows
 why the omission model makes it genuinely hard (§3's framing)."""
 
+from byzantine_strategies import mute, two_faced
+from repro.lowerbound.bound import weak_consensus_floor
 from repro.omission.isolation import isolate_group
-from repro.protocols.byzantine_strategies import mute, two_faced
 from repro.protocols.weak_consensus import (
     broadcast_weak_consensus_spec,
     naive_flooding_spec,
@@ -13,7 +14,6 @@ from repro.sim.adversary import (
     OmissionSchedule,
     ScheduledOmissionAdversary,
 )
-from repro.sim.metrics import dolev_reischuk_floor
 
 
 def decisions(execution):
@@ -60,7 +60,7 @@ class TestBroadcastWeakConsensus:
     def test_respects_lemma1_floor(self):
         spec = broadcast_weak_consensus_spec(12, 10)
         execution = spec.run_uniform(0)
-        assert execution.message_complexity() >= dolev_reischuk_floor(
+        assert execution.message_complexity() >= weak_consensus_floor(
             10
         )
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from byzantine_strategies import garbage, mute, two_faced
 from repro.errors import UnsolvableProblemError
-from repro.protocols.byzantine_strategies import garbage, mute, two_faced
 from repro.reductions.any_from_ic import solve_via_ic
 from repro.sim.adversary import ByzantineAdversary, CrashAdversary
 from repro.validity.input_config import InputConfig

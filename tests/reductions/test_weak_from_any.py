@@ -2,8 +2,8 @@
 
 import pytest
 
+from byzantine_strategies import mute
 from repro.errors import TrivialProblemError, UnsolvableProblemError
-from repro.protocols.byzantine_strategies import mute
 from repro.protocols.dolev_strong import dolev_strong_spec
 from repro.protocols.strong_consensus import (
     authenticated_strong_consensus_spec,

@@ -12,6 +12,7 @@ socket paths are capped around 100 bytes and pytest's tmp dirs blow
 through that.
 """
 
+import json
 import os
 import shutil
 import signal
@@ -206,6 +207,47 @@ class TestLifecycle:
             response = raw.makefile("rb").readline()
         _stop(server, thread)
         assert b'"kind": "protocol"' in response
+
+    @pytest.mark.parametrize(
+        "field, literal",
+        [
+            ("priority", '"x"'),
+            ("priority", "null"),
+            ("priority", "[1]"),
+            ("priority", "1e400"),
+            ("priority", "true"),
+            ("tenant", "5"),
+            ("tenant", "null"),
+            ("wait", '"yes"'),
+            ("wait", "1"),
+        ],
+    )
+    def test_mistyped_submit_field_gets_a_bad_job_error(
+        self, paths, field, literal
+    ):
+        """A mistyped ``tenant``/``priority``/``wait`` is answered with
+        one ``bad-job`` frame and queues nothing; the connection is
+        never dropped without a reply."""
+        sock, log = paths
+        server, thread = _start(log, sock)
+        job = json.dumps(encode_job(AttackJob("silent", 8, 4)))
+        frame = f'{{"op": "submit", "{field}": {literal}, "job": {job}}}\n'
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+            raw.settimeout(30)
+            raw.connect(sock)
+            raw.sendall(frame.encode("utf-8"))
+            response = raw.makefile("rb").readline()
+        alive = ServiceClient(sock, timeout=30).ping()
+        _stop(server, thread)
+        error = json.loads(response)["error"]
+        assert error["kind"] == "bad-job"
+        assert field in error["message"]
+        assert alive["ok"]
+        assert not [
+            record
+            for record in read_worldlog(log)
+            if record.kind == "job.submitted"
+        ]
 
 
 class TestIdempotency:

@@ -2,8 +2,8 @@
 
 import pytest
 
+from byzantine_strategies import mute
 from repro.errors import AdversaryError
-from repro.protocols.byzantine_strategies import mute
 from repro.protocols.weak_consensus import broadcast_weak_consensus_spec
 from repro.sim.adversary import (
     Adversary,

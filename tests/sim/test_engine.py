@@ -12,10 +12,10 @@ import pathlib
 
 import pytest
 
+from byzantine_strategies import crash_at, garbage, mute
 from repro.errors import ModelViolation
 from repro.omission.isolation import isolate_group
 from repro.omission.masks import compile_omissions
-from repro.protocols.byzantine_strategies import crash_at, garbage, mute
 from repro.protocols.phase_king import phase_king_spec
 from repro.protocols.weak_consensus import broadcast_weak_consensus_spec
 from repro.sim.adversary import (

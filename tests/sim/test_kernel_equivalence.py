@@ -55,7 +55,6 @@ from repro.sim.kernel import (
     no_faults_compiled,
     run_kernel,
 )
-from repro.sim.metrics import ComplexityReport
 from repro.sim.process import Process
 from repro.sim.serialization import load_execution
 from repro.sim.simulator import SimulationConfig, run_execution
@@ -191,8 +190,7 @@ class TestEngineEquivalence:
         assert execution == reference
         check_execution(execution)
         assert (
-            trace.message_complexity()
-            == ComplexityReport.of(reference).correct_messages
+            trace.message_complexity() == reference.message_complexity()
         )
 
     def test_early_stop_equivalence(self):
@@ -369,8 +367,7 @@ class TestSpeedupGateFlood:
         assert trace.decision(0) == 1
         assert trace.to_execution() == reference
         assert (
-            trace.message_complexity()
-            == ComplexityReport.of(reference).correct_messages
+            trace.message_complexity() == reference.message_complexity()
         )
 
 
@@ -495,8 +492,7 @@ def test_differential_thinned_protocols(case):
     trace = run_kernel(config, proposals, factory, compiled)
     assert trace.to_execution() == reference
     assert (
-        trace.message_complexity()
-        == ComplexityReport.of(reference).correct_messages
+        trace.message_complexity() == reference.message_complexity()
     )
     assert trace.decisions() == tuple(
         reference.decision(pid) for pid in range(n)

@@ -1,16 +1,13 @@
-"""Tests for execution/witness JSON serialization."""
+"""Tests for execution JSON serialization."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.lowerbound.driver import attack_weak_consensus
-from repro.lowerbound.witnesses import verify_witness
 from repro.protocols.dolev_strong import dolev_strong_spec
 from repro.protocols.external_validity import ClientPool
 from repro.protocols.phase_king import phase_king_spec
-from repro.protocols.subquadratic import leader_echo_spec
 from repro.sim.adversary import CrashAdversary
 from repro.sim.execution import Execution, check_execution, check_transitions
 from repro.sim.message import Message
@@ -18,13 +15,11 @@ from repro.sim.serialization import (
     canonical_json,
     decode_payload,
     dump_execution,
-    dump_witness,
     encode_payload,
     execution_from_tables,
     execution_to_dict,
     executions_to_tables,
     load_execution,
-    load_witness,
 )
 from repro.sim.state import Behavior, Fragment, StateSnapshot
 
@@ -315,34 +310,3 @@ class TestSharedMemoProperty:
         for table in ("messages", "fragments"):
             keys = [canonical_json(entry) for entry in tables[table]]
             assert len(keys) == len(set(keys))
-
-
-class TestWitnessRoundtrip:
-    def test_witness_survives_and_reverifies(self):
-        """The whole point: a shipped counterexample re-verifies on the
-        other side against the protocol's code."""
-        spec = leader_echo_spec(12, 8)
-        outcome = attack_weak_consensus(spec)
-        text = dump_witness(outcome.witness)
-        restored = load_witness(text)
-        assert restored.kind == outcome.witness.kind
-        assert restored.culprit == outcome.witness.culprit
-        verify_witness(restored, spec.factory)
-
-    def test_tampered_witness_rejected_by_verifier(self):
-        """Flipping the culprit's recorded decision in the artifact must
-        be caught — either by the model checker (the receipt no longer
-        matches a send) or by the replay checker."""
-        import json
-
-        from repro.errors import ModelViolation
-
-        spec = leader_echo_spec(12, 8)
-        outcome = attack_weak_consensus(spec)
-        data = json.loads(dump_witness(outcome.witness))
-        culprit = data["culprit"]
-        final = data["execution"]["behaviors"][culprit]["final_state"]
-        final["decision"] = {"k": "lit", "v": 0}  # forge agreement... 0==0
-        forged = load_witness(json.dumps(data))
-        with pytest.raises(ModelViolation):
-            verify_witness(forged, spec.factory)

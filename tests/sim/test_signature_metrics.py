@@ -1,15 +1,15 @@
 """Tests for the §6 signature-complexity metric (Ω(nt) signatures)."""
 
+from signature_count import (
+    count_signatures,
+    dolev_reischuk_signature_floor,
+    signature_complexity,
+)
 from repro.crypto.chains import start_chain
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SignatureScheme
 from repro.protocols.dolev_strong import dolev_strong_spec
 from repro.protocols.phase_king import phase_king_spec
-from repro.sim.metrics import (
-    count_signatures,
-    dolev_reischuk_signature_floor,
-    signature_complexity,
-)
 
 
 class TestCountSignatures:

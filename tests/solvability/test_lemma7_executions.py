@@ -10,7 +10,7 @@ of the necessity direction of Theorem 4.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocols.byzantine_strategies import garbage, mute, two_faced
+from byzantine_strategies import garbage, mute, two_faced
 from repro.protocols.dolev_strong import dolev_strong_spec
 from repro.protocols.strong_consensus import (
     authenticated_strong_consensus_spec,

@@ -161,68 +161,35 @@ class TestLedgerCommands:
 
 
 class TestWitnessFiles:
+    """A violation witness is saved as a certificate: ``certify`` writes
+    it and ``verify-cert --replay`` re-checks it against the code."""
+
     def test_save_and_verify_roundtrip(self, tmp_path, capsys):
-        path = str(tmp_path / "witness.json")
-        assert (
-            main(
-                [
-                    "attack",
-                    "leader-echo",
-                    "--n",
-                    "12",
-                    "--t",
-                    "8",
-                    "--save",
-                    path,
-                ]
-            )
-            == 0
-        )
-        assert (
-            main(
-                [
-                    "verify-witness",
-                    path,
-                    "leader-echo",
-                    "--n",
-                    "12",
-                    "--t",
-                    "8",
-                ]
-            )
-            == 0
-        )
-        assert "VERIFIED" in capsys.readouterr().out
+        path = str(tmp_path / "witness.cert.json")
+        argv = ["certify", "leader-echo", "--n", "12", "--t", "8"]
+        assert main(argv + ["--out", path]) == 0
+        capsys.readouterr()
+        assert main(["verify-cert", path, "--replay", "leader-echo"]) == 0
+        assert "VERIFIED (structural+replay" in capsys.readouterr().out
 
     def test_verify_against_wrong_protocol_rejected(
         self, tmp_path, capsys
     ):
-        path = str(tmp_path / "witness.json")
-        main(
-            [
-                "attack",
-                "leader-echo",
-                "--n",
-                "12",
-                "--t",
-                "8",
-                "--save",
-                path,
-            ]
-        )
-        assert (
-            main(
-                ["verify-witness", path, "silent", "--n", "12", "--t", "8"]
-            )
-            == 1
-        )
-        # Rejection details are diagnostics: stderr, not stdout.
-        assert "REJECTED" in capsys.readouterr().err
+        path = str(tmp_path / "witness.cert.json")
+        argv = ["certify", "leader-echo", "--n", "12", "--t", "8"]
+        assert main(argv + ["--out", path]) == 0
+        capsys.readouterr()
+        assert main(["verify-cert", path, "--replay", "silent"]) == 1
+        out = capsys.readouterr().out
+        assert "REJECTED" in out
+        assert "A.1.5.transition-replay" in out
 
 
 class TestRetiredCommands:
-    """The benchmark observatory, the trend canary and ``log import``
-    (world logs are the one recording format) are gone."""
+    """The benchmark observatory, the trend canary, ``log import``
+    (world logs are the one recording format) and the saved-witness
+    file format (certificates are the one violation artifact) are
+    gone."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -230,6 +197,7 @@ class TestRetiredCommands:
             ["bench", "list"],
             ["report", "--trend"],
             ["log", "import", "run.jsonl", "--out", "x.worldlog"],
+            ["verify-witness", "w.json", "silent"],
         ],
     )
     def test_parser_rejects_them(self, argv, capsys):
@@ -238,10 +206,17 @@ class TestRetiredCommands:
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_attack_save_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["attack", "silent", "--save", "w.json"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_help_does_not_list_them(self):
         help_text = build_parser().format_help()
         assert "bench" not in help_text
         assert "report" not in help_text
+        assert "verify-witness" not in help_text
 
 
 class TestSweepProgress:

@@ -84,53 +84,6 @@ class TestUniformArtifactDiagnostic:
             read_worldlog(path)
         assert f"{path}:2: not a world-log record" in str(excinfo.value)
 
-    @pytest.fixture(scope="class")
-    def witness_data(self):
-        import json
-
-        from repro.lowerbound.driver import attack_weak_consensus
-        from repro.protocols.subquadratic import silent_cheater_spec
-        from repro.sim.serialization import dump_witness
-
-        outcome = attack_weak_consensus(silent_cheater_spec(8, 4))
-        return json.loads(dump_witness(outcome.witness))
-
-    @pytest.mark.parametrize("case", [
-        "truncated", "top-level-array", "execution-array",
-        "behaviors-string", "wrong-format", "deep-nesting",
-    ])
-    def test_malformed_witness_exits_2(
-        self, tmp_path, capsys, witness_data, case
-    ):
-        """``verify-witness`` loads through the shared chokepoint: a
-        malformed file is exit 2 with the one-line diagnostic, never a
-        traceback or a domain verdict."""
-        import json
-
-        from repro.cli import main
-
-        data = json.loads(json.dumps(witness_data))
-        if case == "truncated":
-            text = json.dumps(data)[:40]
-        elif case == "deep-nesting":
-            text = "[" * 3000
-        elif case == "top-level-array":
-            text = json.dumps([data])
-        else:
-            if case == "execution-array":
-                data["execution"] = []
-            elif case == "behaviors-string":
-                data["execution"]["behaviors"] = "x"
-            else:
-                data["format"] = "no"
-            text = json.dumps(data)
-        path = self._write(tmp_path, "bad-witness.json", text)
-        argv = ["verify-witness", path, "silent", "--n", "8", "--t", "4"]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert f"{path}: not a violation witness" in err
-        assert "Traceback" not in err
-
     def test_exit_2_from_cli(self, tmp_path, capsys):
         """A malformed artifact is an environment failure: exit 2.
 

@@ -5,6 +5,7 @@ structurally when t grows into the paper's ``t >= 8, divisible by 8``
 regime with the full t/4 partition sizing.
 """
 
+from repro.lowerbound.bound import weak_consensus_floor
 from repro.lowerbound.driver import attack_weak_consensus
 from repro.lowerbound.partition import paper_partition
 from repro.protocols.dolev_strong import dolev_strong_spec
@@ -12,7 +13,6 @@ from repro.protocols.subquadratic import (
     leader_echo_spec,
     ring_token_spec,
 )
-from repro.sim.metrics import dolev_reischuk_floor
 
 
 class TestPaperRegimeScale:
@@ -33,18 +33,18 @@ class TestPaperRegimeScale:
         )
         assert outcome.found_violation
         # At this scale the cheater is genuinely below the floor.
-        assert outcome.bound.observed < dolev_reischuk_floor(t) * 32
+        assert outcome.bound.observed < weak_consensus_floor(t) * 32
 
     def test_cheater_below_floor_at_scale(self):
         t = 128
         spec = leader_echo_spec(t + 8, t)
         messages = spec.run_uniform(0).message_complexity()
-        assert messages < dolev_reischuk_floor(t)
+        assert messages < weak_consensus_floor(t)
 
     def test_dolev_strong_at_n_48(self):
         spec = dolev_strong_spec(48, 16)
         execution = spec.run_uniform("v")
         assert set(execution.correct_decisions().values()) == {"v"}
-        assert execution.message_complexity() >= dolev_reischuk_floor(
+        assert execution.message_complexity() >= weak_consensus_floor(
             16
         )
