@@ -18,8 +18,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "sweep", "uniform_workloads",
         ),
         ".fitting": (
-            "PowerLawFit", "fit_power_law", "fit_sweep", "is_subquadratic",
-            "is_superquadratic",
+            "PowerLawFit", "fit_power_law", "fit_sweep", "is_superquadratic",
         ),
         ".spacetime": ("render_divergence", "render_spacetime"),
         ".tables": (

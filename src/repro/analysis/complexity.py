@@ -16,7 +16,7 @@ correct senders' masks, without building messages or fragments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.lowerbound.bound import weak_consensus_floor
 from repro.lowerbound.partition import canonical_partition
@@ -212,9 +212,6 @@ def exhaustive_isolation_scan(
         worst_messages=worst,
         scenario=worst_scenario,
     )
-
-
-ParameterGrid = Callable[[], Iterable[tuple[int, int]]]
 
 
 def quadratic_parameter_grid(

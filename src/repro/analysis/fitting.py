@@ -33,10 +33,6 @@ class PowerLawFit:
     r_squared: float
     points: int
 
-    def predict(self, t: int) -> float:
-        """The fitted message count at ``t``."""
-        return self.coefficient * t**self.exponent
-
     def render(self) -> str:
         return (
             f"messages ≈ {self.coefficient:.3g} · t^{self.exponent:.2f} "
@@ -112,16 +108,3 @@ def is_superquadratic(
 ) -> bool:
     """Whether the fitted exponent is ≥ 2 (within tolerance)."""
     return fit.points > 0 and fit.exponent >= 2.0 - tolerance
-
-
-def is_subquadratic(
-    fit: PowerLawFit, *, tolerance: float = 0.25
-) -> bool:
-    """Whether the fitted exponent is < 2 (within tolerance).
-
-    The degenerate zero-message fit counts as sub-quadratic (it is the
-    strongest possible violation of the floor).
-    """
-    if fit.points == 0:
-        return True
-    return fit.exponent <= 2.0 - tolerance

@@ -25,11 +25,9 @@ __all__, __getattr__, __dir__ = _lazy_exports(
         ".format": (
             "CERTIFICATE_FORMAT", "CERTIFICATE_SCHEMA", "VERDICT_BOUND",
             "VERDICT_VIOLATION", "Certificate", "build_certificate",
-            "dump_certificate", "load_certificate",
         ),
         ".verifier": (
-            "VerificationFailure", "VerificationReport",
-            "is_valid_certificate", "verify_certificate",
+            "VerificationFailure", "VerificationReport", "verify_certificate",
         ),
     },
 )

@@ -184,11 +184,6 @@ class Certificate:
         return cls.from_dict(payload)
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "Certificate":
-        """Load a certificate from :meth:`to_bytes` output."""
-        return cls.loads(blob.decode("utf-8"))
-
-    @classmethod
     def from_dict(cls, payload: Any) -> "Certificate":
         """Wrap an already-parsed payload, checking format and version."""
         if (
@@ -339,37 +334,3 @@ def build_certificate(
         },
     }
     return Certificate(payload=payload)
-
-
-def read_certificate(path: str) -> Certificate:
-    """Load a certificate artifact *file*, with the uniform diagnostic.
-
-    The file-facing twin of :meth:`Certificate.loads`: a file that
-    exists but is not a v1 or v2 attack certificate raises the shared
-    :mod:`repro.artifact` one-liner (:class:`~repro.errors
-    .ArtifactError`, CLI exit 2) — a malformed artifact is an
-    environment failure, distinct from a well-formed certificate that
-    fails verification (a domain failure, exit 1).
-
-    Raises:
-        ArtifactError: when the document is not a v1 or v2
-            certificate.
-        OSError: when the file cannot be read.
-    """
-    from repro.artifact import load_artifact
-
-    return load_artifact(path, "attack certificate", Certificate.loads)
-
-
-def dump_certificate(certificate: Certificate) -> str:
-    """Serialize a certificate to its canonical JSON artifact string."""
-    return certificate.dumps()
-
-
-def load_certificate(text: str) -> Certificate:
-    """Load a certificate from :func:`dump_certificate` output.
-
-    Always run :func:`repro.certify.verifier.verify_certificate` before
-    trusting a loaded artifact.
-    """
-    return Certificate.loads(text)

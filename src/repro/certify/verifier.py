@@ -1376,11 +1376,3 @@ def verify_certificate(
         conditions_checked=verifier.checked,
         replayed=factory is not None,
     )
-
-
-def is_valid_certificate(
-    source: Any,
-    factory: Callable | None = None,
-) -> bool:
-    """Predicate form of :func:`verify_certificate`."""
-    return verify_certificate(source, factory).ok

@@ -171,6 +171,39 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _system_size_options(
+    subparser: argparse.ArgumentParser, n: int | None, t: int | None
+) -> None:
+    """``--n``/``--t`` (required when no default is given); :func:`main`
+    rejects a pair outside ``0 <= t < n`` with the subparser's usage
+    error (exit 2)."""
+    subparser.add_argument("--n", type=int, default=n, required=n is None)
+    subparser.add_argument("--t", type=int, default=t, required=t is None)
+    subparser.set_defaults(usage_error=subparser.error)
+
+
+def _sweep_grid(grid: str, max_t: int) -> list[tuple[int, int]]:
+    """The ``(n, t)`` cells of ``repro sweep --grid G --max-t T``."""
+    from repro.analysis.complexity import quadratic_parameter_grid
+
+    if grid == "proportional":
+        return [(2 * t, t) for t in range(2, max_t + 1, 2)]
+    return quadratic_parameter_grid(max_t)
+
+
+def _usage_problem(args: argparse.Namespace) -> str | None:
+    """What the parsed options get wrong together, or None."""
+    if args.command == "sweep":
+        if not _sweep_grid(args.grid, args.max_t):
+            return (
+                f"the {args.grid} grid has no cells with t <= "
+                f"{args.max_t}; raise --max-t"
+            )
+    elif not 0 <= args.t < args.n:
+        return f"need n >= 1 and 0 <= t < n, got --n {args.n} --t {args.t}"
+    return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -224,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
             "rightly finds no sub-quadratic violation)"
         ),
     )
-    attack.add_argument("--n", type=int, default=16)
-    attack.add_argument("--t", type=int, default=8)
+    _system_size_options(attack, n=16, t=8)
     attack.add_argument(
         "--log", action="store_true", help="print the pipeline narrative"
     )
@@ -266,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
             "per seed cheater-matrix cell"
         ),
     )
-    certify_parser.add_argument("--n", type=int, default=16)
-    certify_parser.add_argument("--t", type=int, default=8)
+    _system_size_options(certify_parser, n=16, t=8)
     certify_parser.add_argument(
         "--out",
         metavar="PATH",
@@ -309,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     classify_parser.add_argument(
         "problem", choices=sorted(_PROBLEMS), help="which problem"
     )
-    classify_parser.add_argument("--n", type=int, default=4)
-    classify_parser.add_argument("--t", type=int, default=1)
+    _system_size_options(classify_parser, n=4, t=1)
 
     sweep_parser = subparsers.add_parser(
         "sweep",
@@ -322,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which protocol to measure",
     )
     sweep_parser.add_argument("--max-t", type=int, default=8)
+    sweep_parser.set_defaults(usage_error=sweep_parser.error)
     sweep_parser.add_argument(
         "--grid",
         choices=["slack", "proportional"],
@@ -601,8 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
             "problem name (classify)"
         ),
     )
-    submit_parser.add_argument("--n", type=int, required=True)
-    submit_parser.add_argument("--t", type=int, required=True)
+    _system_size_options(submit_parser, n=None, t=None)
     submit_parser.add_argument(
         "--certify",
         action="store_true",
@@ -794,9 +824,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     Exit codes: ``0`` success, ``1`` domain failure (an unexpected
     verdict, a rejected artifact, failed sweep cells, a ``log diff``
     divergence), ``2`` environment failure (a file
-    that cannot be read or written).
+    that cannot be read or written) or a usage error (argparse's, and
+    options that cannot describe a run, such as ``--t`` >= ``--n``).
     """
     args = build_parser().parse_args(argv)
+    if hasattr(args, "usage_error"):
+        problem = _usage_problem(args)
+        if problem:
+            args.usage_error(problem)  # exits 2
     try:
         return _dispatch(args)
     except (OSError, ArtifactError) as error:
@@ -951,17 +986,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(classify(problem).render())
         return 0
     if args.command == "sweep":
-        from repro.analysis.complexity import quadratic_parameter_grid
         from repro.analysis.fitting import fit_sweep
         from repro.analysis.tables import render_sweep
         from repro.parallel import MeasureJob, SweepScheduler
 
-        if args.grid == "proportional":
-            grid = [
-                (2 * t, t) for t in range(2, args.max_t + 1, 2)
-            ]
-        else:
-            grid = quadratic_parameter_grid(args.max_t)
+        grid = _sweep_grid(args.grid, args.max_t)
         if args.resume:
             if args.ledger:
                 raise ReproError(

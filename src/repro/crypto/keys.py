@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.errors import SignatureError
 from repro.types import ProcessId
@@ -78,9 +77,3 @@ class KeyRegistry:
             b"key|" + self._seed + b"|" + str(pid).encode()
         ).digest()
         return SecretKey(owner=pid, material=material)
-
-    def corrupted_keys(
-        self, corrupted: Iterable[ProcessId]
-    ) -> dict[ProcessId, SecretKey]:
-        """The key material an adversary corrupting ``corrupted`` learns."""
-        return {pid: self.secret_key(pid) for pid in corrupted}

@@ -13,18 +13,13 @@ from repro import _lazy_exports
 __all__, __getattr__, __dir__ = _lazy_exports(
     __name__,
     {
-        ".bound": (
-            "BoundComparison", "dolev_reischuk_floor", "weak_consensus_floor",
-        ),
+        ".bound": ("BoundComparison", "weak_consensus_floor"),
         ".driver": (
             "AttackOutcome", "LowerBoundDriver", "attack_weak_consensus",
         ),
         ".partition": (
             "ABCPartition", "canonical_partition", "paper_partition",
         ),
-        ".witnesses": (
-            "ViolationKind", "ViolationWitness", "is_valid_witness",
-            "minimize_witness", "verify_witness",
-        ),
+        ".witnesses": ("ViolationKind", "ViolationWitness", "verify_witness"),
     },
 )

@@ -1,10 +1,8 @@
 """Quantitative forms of the bounds (§1, §3, §6).
 
-* Lemma 1 / Theorem 2: weak consensus (hence, by Theorem 3, every
-  non-trivial agreement problem) needs at least ``t²/32`` messages in the
-  worst case, already under omission failures.
-* Dolev–Reischuk [51]: Byzantine broadcast needs ``Ω(n + t²)`` messages in
-  the authenticated setting and ``Ω(nt)`` unauthenticated.
+Lemma 1 / Theorem 2: weak consensus (hence, by Theorem 3, every
+non-trivial agreement problem) needs at least ``t²/32`` messages in the
+worst case, already under omission failures.
 
 The helpers here are used by experiments to annotate measurements and by the
 driver to decide whether an algorithm's observed traffic even *could* be a
@@ -14,10 +12,6 @@ correct weak consensus.
 2.0
 >>> weak_consensus_floor(32)
 32.0
->>> dolev_reischuk_floor(10, 3, authenticated=True)
-19.0
->>> dolev_reischuk_floor(10, 3, authenticated=False)
-30.0
 >>> comparison = BoundComparison(t=16, observed=4)
 >>> comparison.floor
 8.0
@@ -35,13 +29,6 @@ from dataclasses import dataclass
 def weak_consensus_floor(t: int) -> float:
     """Lemma 1's explicit constant: ``t² / 32`` messages."""
     return t * t / 32
-
-
-def dolev_reischuk_floor(n: int, t: int, authenticated: bool) -> float:
-    """The [51] floor recalled in §6 (asymptotic; constant set to 1)."""
-    if authenticated:
-        return float(n + t * t)
-    return float(n * t)
 
 
 @dataclass(frozen=True)

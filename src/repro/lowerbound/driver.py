@@ -36,7 +36,7 @@ near-identical configurations: every ``E_b^{G(k)}`` shares its first
 ``k - 1`` rounds with the fault-free ``E_b``, and consecutive scan steps
 ``E_f^{B(k)}``, ``E_f^{B(k+1)}`` are *literally equal* whenever no
 outside message targets ``B`` in round ``k`` (see
-:func:`~repro.omission.isolation.quiescent_toward`).  The
+:meth:`~repro.sim.execution.Execution.quiescent_toward`).  The
 :class:`ExecutionCache` exploits both: isolation runs fork off the
 fault-free run at their isolation round, and quiescent scan spans
 collapse onto one simulation.  Both reuses produce bit-identical runs —
@@ -138,7 +138,8 @@ class ExecutionCache:
 
     * **quiescent aliasing** — ``E_b^{G(k)}`` equals a cached
       ``E_b^{G(k')}`` when no outside message targets ``G`` between the
-      two isolation rounds (:func:`~repro.omission.isolation.quiescent_toward`);
+      two isolation rounds
+      (:meth:`~repro.sim.execution.Execution.quiescent_toward`);
     * **beyond-horizon identity** — for ``k`` past the horizon the
       isolation never acts, so the fault-free run is reused with the
       faulty set rewritten to ``G`` (a trace sharing the base trace's
@@ -1280,7 +1281,6 @@ def attack_weak_consensus(
     partition: ABCPartition | None = None,
     *,
     verify: bool = True,
-    minimize: bool = False,
     check: bool = True,
     early_stop: bool = True,
     reuse: bool = True,
@@ -1294,10 +1294,6 @@ def attack_weak_consensus(
     Args:
         partition: the (A, B, C) split (default: canonical sizing).
         verify: re-verify any witness from scratch before returning.
-        minimize: additionally truncate the witness execution to its
-            shortest still-verifying prefix (agreement witnesses only).
-            The certificate (if requested) embeds the *unminimized*
-            witness execution — the artifact must stay self-consistent.
         check: validate simulated traces against the model conditions.
         early_stop: halt decision-only simulations at the decision round.
         reuse: enable prefix-fork and quiescent-alias execution
@@ -1330,14 +1326,4 @@ def attack_weak_consensus(
         tracer=tracer,
         worldlog=worldlog,
     )
-    outcome = driver.attack()
-    if minimize and outcome.witness is not None:
-        from dataclasses import replace
-
-        from repro.lowerbound.witnesses import minimize_witness
-
-        outcome = replace(
-            outcome,
-            witness=minimize_witness(outcome.witness, spec.factory),
-        )
-    return outcome
+    return driver.attack()

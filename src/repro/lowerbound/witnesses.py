@@ -135,56 +135,3 @@ def verify_witness(
             f"claimed weak-validity violation, but p{witness.culprit} "
             f"decided the unanimous proposal {unanimous!r}"
         )
-
-
-def is_valid_witness(
-    witness: ViolationWitness, factory: ProcessFactory
-) -> bool:
-    """Predicate form of :func:`verify_witness`."""
-    try:
-        verify_witness(witness, factory)
-    except ModelViolation:
-        return False
-    return True
-
-
-def minimize_witness(
-    witness: ViolationWitness, factory: ProcessFactory
-) -> ViolationWitness:
-    """Truncate an agreement/weak-validity witness to its shortest prefix.
-
-    The violation is visible as soon as the involved processes have
-    decided; later rounds only pad the counterexample.  Truncates the
-    execution to the smallest horizon at which the witness still
-    verifies, re-checking from scratch at that length.  Termination
-    witnesses are returned unchanged — their whole point is the full
-    horizon elapsing without a decision.
-
-    Returns:
-        An equivalent witness over a prefix execution (possibly the
-        original if no truncation is possible).
-    """
-    if witness.kind is ViolationKind.TERMINATION:
-        return witness
-    execution = witness.execution
-    involved = [witness.culprit]
-    if witness.counterpart is not None:
-        involved.append(witness.counterpart)
-    decision_rounds = [
-        execution.behavior(pid).decision_round for pid in involved
-    ]
-    if any(round_ is None for round_ in decision_rounds):
-        return witness  # defensive; verify_witness would reject anyway
-    needed = max(decision_rounds)
-    if needed >= execution.rounds:
-        return witness
-    shortened = ViolationWitness(
-        kind=witness.kind,
-        execution=execution.prefix(needed),
-        culprit=witness.culprit,
-        counterpart=witness.counterpart,
-        note=witness.note
-        + f" (minimized to {needed}/{execution.rounds} rounds)",
-    )
-    verify_witness(shortened, factory)
-    return shortened

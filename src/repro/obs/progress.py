@@ -128,14 +128,6 @@ class SweepProgress:
         """Whether the quiet period has elapsed with cells outstanding."""
         return self.stalled_for() > self.stall_after
 
-    def eta_seconds(self) -> float | None:
-        """Remaining-time estimate from completed-cell throughput."""
-        with self._lock:
-            if not self._done or self._done >= self.total:
-                return None
-            elapsed = self._clock() - self._begin
-            return elapsed / self._done * (self.total - self._done)
-
     def close(self) -> None:
         """Emit the final line and release the terminal."""
         with self._lock:

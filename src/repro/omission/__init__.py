@@ -22,23 +22,16 @@ __all__, __getattr__, __dir__ = _lazy_exports(
     __name__,
     {
         ".indistinguishability": (
-            "DivergenceProfile", "ExecutionDiff", "diff_executions",
-            "divergence_profile", "first_distinguishing_round",
-            "first_send_divergence", "indistinguishable_to",
-            "indistinguishable_to_all",
+            "DivergenceProfile", "divergence_profile",
+            "first_distinguishing_round", "first_send_divergence",
+            "indistinguishable_to", "indistinguishable_to_all",
         ),
-        ".isolation": (
-            "IsolationAdversary", "check_isolated", "is_isolated",
-            "isolate_group", "quiescent_toward",
-        ),
+        ".isolation": ("IsolationAdversary", "check_isolated", "isolate_group"),
         ".masks": ("compile_omissions",),
         ".merge": (
-            "MergeSpec", "check_merge_inputs", "check_merge_result",
-            "is_mergeable", "merge", "uniform_proposal",
+            "MergeSpec", "check_merge_inputs", "check_merge_result", "merge",
+            "uniform_proposal",
         ),
-        ".swap": (
-            "SwapResult", "blamed_senders", "swap_omission",
-            "swap_omission_checked",
-        ),
+        ".swap": ("SwapResult", "swap_omission", "swap_omission_checked"),
     },
 )

@@ -112,70 +112,6 @@ class DivergenceProfile:
         return min(rounds) if rounds else None
 
 
-@dataclass(frozen=True)
-class ExecutionDiff:
-    """One point of difference between two executions.
-
-    Attributes:
-        pid: the process whose records differ.
-        round: the 1-based round (0 = proposal, horizon+1 = final state).
-        field: which record differs (``proposal``, ``sent``,
-            ``send_omitted``, ``received``, ``receive_omitted``,
-            ``decision``).
-    """
-
-    pid: ProcessId
-    round: Round
-    field: str
-
-
-def diff_executions(
-    left: Execution, right: Execution, *, limit: int = 100
-) -> list[ExecutionDiff]:
-    """Enumerate where two same-shape executions differ (debug aid).
-
-    Complements the boolean indistinguishability predicates: when a swap
-    or merge result surprises you, the diff pinpoints the first records
-    that changed.  Comparison covers proposals, all four per-round
-    message sets, and final decisions; stops after ``limit`` entries.
-
-    Raises:
-        ValueError: if the executions have different (n, rounds) shapes.
-    """
-    if left.n != right.n or left.rounds != right.rounds:
-        raise ValueError(
-            "diff requires executions of identical shape "
-            f"(n: {left.n} vs {right.n}, rounds: {left.rounds} vs "
-            f"{right.rounds})"
-        )
-    diffs: list[ExecutionDiff] = []
-
-    def note(pid: ProcessId, round_: Round, field: str) -> bool:
-        diffs.append(ExecutionDiff(pid=pid, round=round_, field=field))
-        return len(diffs) >= limit
-
-    for pid in range(left.n):
-        a, b = left.behavior(pid), right.behavior(pid)
-        if a.proposal != b.proposal and note(pid, 0, "proposal"):
-            return diffs
-        for round_ in range(1, left.rounds + 1):
-            fa, fb = a.fragment(round_), b.fragment(round_)
-            for field in (
-                "sent",
-                "send_omitted",
-                "received",
-                "receive_omitted",
-            ):
-                if getattr(fa, field) != getattr(fb, field):
-                    if note(pid, round_, field):
-                        return diffs
-        if a.decision != b.decision and note(
-            pid, left.rounds + 1, "decision"
-        ):
-            return diffs
-    return diffs
-
-
 def divergence_profile(
     reference: Execution, variant: Execution
 ) -> DivergenceProfile:

@@ -138,44 +138,3 @@ def check_isolated(
                         f"p{pid} receive-omitted {message} before the "
                         f"isolation round {from_round}"
                     )
-
-
-def quiescent_toward(
-    execution: Execution,
-    group: Iterable[ProcessId],
-    lo: Round,
-    hi: Round,
-) -> bool:
-    """No message from outside ``group`` targets ``group`` in rounds [lo, hi).
-
-    This is the reuse condition behind the driver's execution cache: if
-    ``execution`` is ``E_b^{G(lo)}`` (the group isolated from round
-    ``lo``) and no outside message is addressed to the group in rounds
-    ``lo .. hi-1``, then ``E_b^{G(hi)}`` *is* the same execution.  The
-    inductive argument: both evolve identically before round ``lo``;
-    within ``[lo, hi)`` the isolation drops nothing (there is nothing to
-    drop), so every process's state matches the later-isolation run; and
-    from round ``hi`` on both drop exactly the outside→group messages.
-    Deterministic machines make the equality literal, fragment for
-    fragment, so one simulation can serve the whole quiescent span of a
-    critical-round scan (§3, Lemma 4).
-
-    The check itself is :meth:`Execution.quiescent_toward
-    <repro.sim.execution.Execution.quiescent_toward>`; a
-    :class:`~repro.sim.kernel.KernelTrace` answers the same question
-    from its masks.
-    """
-    return execution.quiescent_toward(group, lo, hi)
-
-
-def is_isolated(
-    execution: Execution,
-    group: Iterable[ProcessId],
-    from_round: Round,
-) -> bool:
-    """Predicate form of :func:`check_isolated`."""
-    try:
-        check_isolated(execution, group, from_round)
-    except ModelViolation:
-        return False
-    return True

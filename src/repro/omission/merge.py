@@ -82,24 +82,6 @@ def uniform_proposal(execution: Execution) -> Payload:
     return next(iter(proposals))
 
 
-def is_mergeable(
-    spec: MergeSpec, exec_b: Execution, exec_c: Execution
-) -> bool:
-    """Definition 2 on concrete executions.
-
-    Checks the round condition of Definition 2 together with the setting it
-    presumes: uniform proposals with the first execution proposing 0-like
-    values (we only require ``b = 0`` to mean "the two executions share the
-    same uniform proposal"), matching system sizes, and each group actually
-    isolated from its round in its execution.
-    """
-    try:
-        check_merge_inputs(spec, exec_b, exec_c)
-    except ModelViolation:
-        return False
-    return True
-
-
 def check_merge_inputs(
     spec: MergeSpec, exec_b: Execution, exec_c: Execution
 ) -> None:

@@ -147,17 +147,3 @@ def swap_omission_checked(
         now_correct=pid,
         newly_faulty=swapped.faulty - execution.faulty,
     )
-
-
-def blamed_senders(
-    execution: Execution, pid: ProcessId
-) -> frozenset[ProcessId]:
-    """The paper's set ``S``: senders of messages ``pid`` receive-omits.
-
-    These are the processes the swap will blame; Lemma 2 bounds
-    ``|S ∩ X| < t/2`` via the counting argument on ``M_{X→p}``.
-    """
-    return frozenset(
-        message.sender
-        for message in execution.behavior(pid).all_receive_omitted()
-    )

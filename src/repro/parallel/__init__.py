@@ -24,8 +24,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(
         ".jobs": (
             "AttackJob", "CacheStats", "ClassifyJob", "ClassifyVerdict",
             "JobResult", "MeasureJob", "SweepJob", "UnknownBuilderError",
-            "execute_job", "registered_builders", "registered_problems",
-            "resolve_builder", "resolve_problem",
+            "execute_job", "resolve_builder", "resolve_problem",
         ),
         ".scheduler": (
             "CellError", "SweepCell", "SweepReport", "SweepScheduler",

@@ -124,13 +124,6 @@ def resolve_builder(name: str) -> Callable[[int, int], Any]:
     )
 
 
-def registered_builders() -> list[str]:
-    """All resolvable builder names (cheaters plus correct protocols)."""
-    from repro.experiments import CHEATERS
-
-    return sorted(set(CHEATERS) | set(_correct_builders()))
-
-
 def _problem_builders() -> dict[str, Callable[[int, int], Any]]:
     """The standard agreement problems :class:`ClassifyJob` resolves."""
     from repro.validity.standard import (
@@ -164,11 +157,6 @@ def resolve_problem(name: str) -> Callable[[int, int], Any]:
         f"unknown standard problem {name!r}; registered: "
         f"{', '.join(sorted(problems))}"
     )
-
-
-def registered_problems() -> list[str]:
-    """All resolvable standard problem names."""
-    return sorted(_problem_builders())
 
 
 @dataclass(frozen=True)
@@ -389,8 +377,8 @@ class ClassifyVerdict:
 class ClassifyJob:
     """One Theorem-4 solvability classification cell.
 
-    ``builder`` names a standard problem from
-    :func:`registered_problems` — the registry role ``builder`` plays
+    ``builder`` names a standard problem :func:`resolve_problem`
+    knows — the registry role ``builder`` plays
     for the other job kinds, kept under the same field name so the
     ``(kind, builder, n, t)`` cell identity is uniform across kinds.
     """

@@ -17,7 +17,7 @@ equivalence tests).
 * **process** (``jobs>1``) — a
   :class:`concurrent.futures.ProcessPoolExecutor` fan-out.  Results are
   *gathered in deterministic cell order* regardless of completion order,
-  per-cell failures (worker exceptions, timeouts, even a broken pool)
+  per-cell failures (worker exceptions, even a broken pool)
   are captured as structured :class:`CellError` records without aborting
   the other cells, and per-worker cache counters are merged into one
   aggregate via ``ExecutionCache.merge_stats``.
@@ -61,14 +61,12 @@ class CellError:
     """A structured per-cell failure record.
 
     Attributes:
-        kind: ``"exception"`` (the job raised), ``"timeout"`` (the cell
-            exceeded the scheduler's per-cell budget),
-            ``"broken-pool"`` (the worker process died and the
-            in-process retry also failed) or ``"certificate"`` (the
-            cell's shipped attack certificate failed the gather step's
-            independent verification).
+        kind: ``"exception"`` (the job raised), ``"broken-pool"`` (the
+            worker process died and the in-process retry also failed)
+            or ``"certificate"`` (the cell's shipped attack certificate
+            failed the gather step's independent verification).
         message: the one-line failure description.
-        detail: the formatted traceback (empty for timeouts).
+        detail: the formatted traceback, when there is one.
     """
 
     kind: str
@@ -148,10 +146,6 @@ class SweepReport:
         """The errored cells, in cell order."""
         return [cell for cell in self.cells if not cell.ok]
 
-    def cell_seconds(self) -> dict[tuple[str, str, int, int], float]:
-        """Per-cell wall seconds keyed by cell identity."""
-        return {cell.key: cell.wall_seconds for cell in self.cells}
-
     def raise_errors(self) -> None:
         """Raise a summary :class:`RuntimeError` if any cell failed."""
         errored = self.errors()
@@ -216,41 +210,6 @@ class SweepReport:
             )
         return f"{table}\n{summary}"
 
-    def to_payload(self) -> dict[str, Any]:
-        """A JSON-serializable summary of the sweep."""
-        return {
-            "backend": self.backend,
-            "jobs": self.jobs,
-            "wall_seconds": self.wall_seconds,
-            "cache": {
-                "hits": self.cache.hits,
-                "alias_hits": self.cache.alias_hits,
-                "misses": self.cache.misses,
-            },
-            "rounds_simulated": self.rounds_simulated,
-            "rounds_baseline": self.rounds_baseline,
-            "certificates_verified": self.certificates_verified,
-            "cells": [
-                {
-                    "kind": cell.key[0],
-                    "builder": cell.key[1],
-                    "n": cell.key[2],
-                    "t": cell.key[3],
-                    "wall_seconds": cell.wall_seconds,
-                    "ok": cell.ok,
-                    "error": (
-                        None
-                        if cell.error is None
-                        else {
-                            "kind": cell.error.kind,
-                            "message": cell.error.message,
-                        }
-                    ),
-                }
-                for cell in self.cells
-            ],
-        }
-
 
 def _error_from(exc: BaseException, kind: str = "exception") -> CellError:
     return CellError(
@@ -282,9 +241,6 @@ class SweepScheduler:
         jobs: worker count; ``1`` selects the in-process serial backend
             (bit-identical to the historical sweep loop), ``> 1`` the
             process-pool backend.
-        timeout: optional per-cell wall-clock budget in seconds (process
-            backend only); an overrunning cell is recorded as a
-            ``"timeout"`` :class:`CellError` and the sweep moves on.
         ledger: optional sweep :class:`~repro.obs.ledger.RunLedger`.
             When set, every job is resubmitted with ``ledger=True`` so
             the workers trace themselves, and the gather step splices
@@ -331,7 +287,6 @@ class SweepScheduler:
     """
 
     jobs: int = 1
-    timeout: float | None = None
     ledger: "RunLedger | None" = None
     progress: bool = False
     heartbeat_interval: float = 1.0
@@ -442,7 +397,6 @@ class SweepScheduler:
     ) -> list[SweepCell]:
         # Imported here so a serial sweep never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures import TimeoutError as FutureTimeoutError
 
         cells: list[SweepCell] = []
         with ProcessPoolExecutor(max_workers=self.jobs) as pool:
@@ -468,26 +422,8 @@ class SweepScheduler:
                 if index in recalled:
                     cells.append(_reuse(index, recalled, cells))
                     continue
-                future = futures[index]
-                begin = time.perf_counter()
                 try:
-                    result = future.result(timeout=self.timeout)
-                except FutureTimeoutError:
-                    future.cancel()
-                    cells.append(
-                        SweepCell(
-                            index=index,
-                            key=job.key,
-                            error=CellError(
-                                kind="timeout",
-                                message=(
-                                    f"cell exceeded the {self.timeout}s "
-                                    "per-cell budget"
-                                ),
-                            ),
-                            wall_seconds=time.perf_counter() - begin,
-                        )
-                    )
+                    result = futures[index].result()
                 except Exception as exc:
                     cells.append(self._recover(index, job, exc))
                 else:

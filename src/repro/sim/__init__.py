@@ -38,29 +38,19 @@ __all__, __getattr__, __dir__ = _lazy_exports(
         ),
         ".execution": (
             "Execution", "ExecutionSummary", "check_execution",
-            "check_transitions", "group_decisions", "majority_decision",
-            "unanimous_decision",
+            "check_transitions", "majority_decision",
         ),
         ".kernel": (
             "CompiledOmissions", "KernelOracle", "KernelTrace", "PrefixForker",
             "fork_kernel", "no_faults_compiled", "run_kernel",
         ),
-        ".message": ("Message", "broadcast_payload"),
-        ".process": (
-            "Process", "ProcessFactory", "ReplayProcess", "drive_replay",
-        ),
-        ".serialization": (
-            "dump_execution", "execution_from_dict", "execution_to_dict",
-            "load_execution",
-        ),
-        ".simulator": (
-            "SimulationConfig", "all_correct_decided", "decisions_by_value",
-            "run_execution", "run_with_uniform_proposal",
-        ),
+        ".message": ("Message",),
+        ".process": ("Process", "ProcessFactory", "drive_replay"),
+        ".serialization": ("execution_from_dict", "execution_to_dict"),
+        ".simulator": ("SimulationConfig", "run_execution"),
         ".state": (
-            "Behavior", "Fragment", "StateSnapshot", "behavior_from_fragments",
+            "Behavior", "Fragment", "StateSnapshot",
             "behaviors_indistinguishable", "check_behavior", "check_fragment",
-            "initial_state",
         ),
     },
 )

@@ -95,12 +95,6 @@ class Execution:
             len(self.behaviors[pid].all_sent()) for pid in self.correct
         )
 
-    def total_messages_sent(self) -> int:
-        """Messages successfully sent by *all* processes (informational)."""
-        return sum(
-            len(behavior.all_sent()) for behavior in self.behaviors
-        )
-
     def messages_in_round(self, round_: Round) -> frozenset[Message]:
         """All messages successfully sent in ``round_``."""
         return frozenset().union(
@@ -112,9 +106,20 @@ class Execution:
     ) -> bool:
         """No message from outside ``group`` targets ``group`` in [lo, hi).
 
-        Received and receive-omitted messages both count.  The reuse
-        argument this predicate supports is spelled out at
-        :func:`repro.omission.isolation.quiescent_toward`.
+        Received and receive-omitted messages both count.  This is the
+        reuse condition behind the driver's execution cache: if this
+        execution is ``E_b^{G(lo)}`` (the group isolated from round
+        ``lo``) and no outside message is addressed to the group in
+        rounds ``lo .. hi-1``, then ``E_b^{G(hi)}`` *is* the same
+        execution.  Both evolve identically before round ``lo``; within
+        ``[lo, hi)`` the isolation drops nothing, so every process's
+        state matches the later-isolation run; and from round ``hi`` on
+        both drop exactly the outside→group messages.  Deterministic
+        machines make the equality literal, fragment for fragment, so
+        one simulation serves the whole quiescent span of a
+        critical-round scan (§3, Lemma 4).  A
+        :class:`~repro.sim.kernel.KernelTrace` answers the same question
+        from its masks.
         """
         members = frozenset(group)
         for pid in sorted(members):
@@ -259,37 +264,6 @@ def check_transitions(
         behavior = execution.behaviors[pid]
         machine = factory(pid, behavior.proposal)
         drive_replay(machine, behavior)
-
-
-def group_decisions(
-    execution: Execution, group: Iterable[ProcessId]
-) -> dict[ProcessId, Payload | None]:
-    """Decisions of the processes in ``group``."""
-    return {pid: execution.decision(pid) for pid in sorted(group)}
-
-
-def unanimous_decision(
-    execution: Execution, group: Iterable[ProcessId]
-) -> Payload:
-    """The unique decision of ``group``; raises if absent or split.
-
-    Used where the paper argues "all processes from group A decide b"
-    (Termination + Agreement give existence and uniqueness for correct
-    groups).
-
-    Raises:
-        ModelViolation: if some process in the group is undecided or the
-            group's decisions differ.
-    """
-    values: set[Payload] = set()
-    for pid in sorted(group):
-        decision = execution.decision(pid)
-        if decision is None:
-            raise ModelViolation(f"p{pid} is undecided")
-        values.add(decision)
-    if len(values) != 1:
-        raise ModelViolation(f"group decisions differ: {sorted(map(repr, values))}")
-    return next(iter(values))
 
 
 def majority_decision(

@@ -128,123 +128,3 @@ class Message:
     def pair(self) -> tuple[ProcessId, ProcessId]:
         """The interned ``(sender, receiver)`` channel tuple."""
         return intern_pair(self.sender, self.receiver)
-
-    def with_payload(self, payload: Payload) -> "Message":
-        """Return a copy of this message carrying ``payload`` instead."""
-        return Message(self.sender, self.receiver, self.round, payload)
-
-
-def check_one_per_receiver(messages: frozenset[Message] | set[Message]) -> None:
-    """Raise if two messages in ``messages`` target the same receiver.
-
-    Used by the fragment checker for the sent side (condition 9 of A.1.4).
-    """
-    seen: set[ProcessId] = set()
-    for message in messages:
-        if message.receiver in seen:
-            raise ValueError(
-                f"two messages to receiver {message.receiver} in one round"
-            )
-        seen.add(message.receiver)
-
-
-def check_one_per_sender(messages: frozenset[Message] | set[Message]) -> None:
-    """Raise if two messages in ``messages`` come from the same sender.
-
-    Used by the fragment checker for the received side (condition 10 of
-    A.1.4).
-    """
-    seen: set[ProcessId] = set()
-    for message in messages:
-        if message.sender in seen:
-            raise ValueError(
-                f"two messages from sender {message.sender} in one round"
-            )
-        seen.add(message.sender)
-
-
-@dataclass(frozen=True, slots=True)
-class Outbox:
-    """Convenience builder for a process's per-round outgoing messages.
-
-    Protocol implementations return a mapping ``receiver -> payload``; the
-    simulator converts it to :class:`Message` objects.  ``Outbox`` is a thin
-    named wrapper that validates the mapping eagerly so protocol bugs fail
-    close to their source.
-    """
-
-    sender: ProcessId
-    round: Round
-    by_receiver: tuple[tuple[ProcessId, Payload], ...] = field(default=())
-
-    @classmethod
-    def from_mapping(
-        cls,
-        sender: ProcessId,
-        round_: Round,
-        mapping: dict[ProcessId, Payload],
-    ) -> "Outbox":
-        """Build an outbox from a ``receiver -> payload`` mapping."""
-        items = tuple(sorted(mapping.items()))
-        for receiver, _ in items:
-            if receiver == sender:
-                raise ValueError("no process sends messages to itself (A.1)")
-        return cls(sender=sender, round=round_, by_receiver=items)
-
-    def to_messages(self) -> frozenset[Message]:
-        """Materialize the outbox as a set of :class:`Message` objects."""
-        return frozenset(
-            Message(self.sender, receiver, self.round, payload)
-            for receiver, payload in self.by_receiver
-        )
-
-
-def broadcast_payload(
-    sender: ProcessId, n: int, payload: Payload
-) -> dict[ProcessId, Payload]:
-    """Mapping sending ``payload`` to every process except ``sender``.
-
-    A helper for the common all-but-self broadcast pattern in protocols.
-    """
-    return {pid: payload for pid in range(n) if pid != sender}
-
-
-def messages_by_slot(
-    messages: frozenset[Message] | set[Message],
-) -> dict[tuple[ProcessId, ProcessId, Round], Message]:
-    """Index a message set by its ``(sender, receiver, round)`` slot."""
-    index: dict[tuple[ProcessId, ProcessId, Round], Message] = {}
-    for message in messages:
-        slot = message.slot
-        if slot in index:
-            raise ValueError(f"duplicate slot {slot}")
-        index[slot] = message
-    return index
-
-
-def freeze(messages: set[Message] | frozenset[Message] | None) -> frozenset[Message]:
-    """Return ``messages`` as a frozenset, treating ``None`` as empty."""
-    if messages is None:
-        return frozenset()
-    return frozenset(messages)
-
-
-def payload_size(payload: Payload) -> int:
-    """A crude, deterministic size estimate of a payload in abstract units.
-
-    Informational only: the paper's bound is on *messages*, which are
-    counted exactly.
-    """
-    if payload is None:
-        return 1
-    if isinstance(payload, (bool, int)):
-        return 1
-    if isinstance(payload, str):
-        return max(1, len(payload))
-    if isinstance(payload, (bytes, bytearray)):
-        return max(1, len(payload))
-    if isinstance(payload, tuple):
-        return 1 + sum(payload_size(element) for element in payload)
-    if isinstance(payload, frozenset):
-        return 1 + sum(payload_size(element) for element in payload)
-    return 1

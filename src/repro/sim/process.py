@@ -123,57 +123,6 @@ on factories so they can re-instantiate and replay processes at will.
 """
 
 
-class ReplayProcess(Process):
-    """A machine that replays the outgoing messages of a recorded behavior.
-
-    Ignores everything it receives and re-emits, round by round, exactly
-    the outgoing sets (``sent ∪ send_omitted``) recorded in ``behavior``.
-    Beyond the recorded horizon it sends nothing.
-
-    Used to embed a process's recorded behavior inside a differently-faulty
-    execution (the essence of the indistinguishability constructions), and
-    as a simple scripted Byzantine strategy.
-    """
-
-    def __init__(
-        self,
-        pid: ProcessId,
-        n: int,
-        t: int,
-        behavior: Behavior,
-    ) -> None:
-        if behavior.process != pid:
-            raise ValueError(
-                f"behavior of p{behavior.process} given to ReplayProcess "
-                f"for p{pid}"
-            )
-        super().__init__(pid, n, t, behavior.proposal)
-        self._behavior = behavior
-
-    def outgoing(self, round_: Round) -> dict[ProcessId, Payload]:
-        if round_ > self._behavior.rounds:
-            return {}
-        fragment = self._behavior.fragment(round_)
-        return {
-            message.receiver: message.payload
-            for message in sorted(
-                fragment.all_outgoing, key=lambda m: m.receiver
-            )
-        }
-
-    def deliver(
-        self, round_: Round, received: Mapping[ProcessId, Payload]
-    ) -> None:
-        if round_ <= self._behavior.rounds:
-            state_after = (
-                self._behavior.final_state
-                if round_ == self._behavior.rounds
-                else self._behavior.fragment(round_ + 1).state
-            )
-            if state_after.decision is not None:
-                self.decide(state_after.decision)
-
-
 def drive_replay(machine: Process, behavior: Behavior) -> None:
     """Re-run ``machine`` against ``behavior``'s received sets and compare.
 

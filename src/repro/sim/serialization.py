@@ -531,16 +531,3 @@ def execution_from_dict(data: dict) -> Execution:
             for behavior in data["behaviors"]
         ),
     )
-
-
-def dump_execution(execution: Execution) -> str:
-    """Serialize an execution to a JSON string (deterministic)."""
-    return json.dumps(
-        execution_to_dict(execution), sort_keys=True, indent=None
-    )
-
-
-def load_execution(text: str) -> Execution:
-    """Deserialize an execution from :func:`dump_execution` output."""
-    return execution_from_dict(json.loads(text))
-

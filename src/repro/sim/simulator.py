@@ -37,7 +37,7 @@ from repro.sim.engine import (
 )
 from repro.sim.execution import Execution
 from repro.sim.process import Process, ProcessFactory
-from repro.types import Payload, ProcessId, validate_system_size
+from repro.types import Payload, validate_system_size
 
 
 @dataclass(frozen=True)
@@ -140,44 +140,3 @@ def run_execution(
     engine = RoundEngine(config, machines, adversary, attached)
     engine.run()
     return recorder.execution()
-
-
-def all_correct_decided(execution: Execution) -> bool:
-    """Whether every correct process decided within the recorded horizon."""
-    return all(
-        execution.decision(pid) is not None for pid in execution.correct
-    )
-
-
-def run_with_uniform_proposal(
-    config: SimulationConfig,
-    proposal: Payload,
-    factory: ProcessFactory,
-    adversary: Adversary | None = None,
-    *,
-    observers: Sequence[RoundObserver] = (),
-    early_stop: bool = False,
-) -> Execution:
-    """Shorthand: all processes propose the same value.
-
-    The weak-consensus proofs revolve around the all-propose-0 and
-    all-propose-1 executions; this keeps call sites readable.
-    """
-    return run_execution(
-        config,
-        [proposal] * config.n,
-        factory,
-        adversary,
-        observers=observers,
-        early_stop=early_stop,
-    )
-
-
-def decisions_by_value(
-    execution: Execution,
-) -> dict[Payload | None, list[ProcessId]]:
-    """Group correct processes by their decision (``None`` = undecided)."""
-    groups: dict[Payload | None, list[ProcessId]] = {}
-    for pid in sorted(execution.correct):
-        groups.setdefault(execution.decision(pid), []).append(pid)
-    return groups

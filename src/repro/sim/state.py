@@ -25,7 +25,7 @@ structural condition from the paper is enforced mechanically, either eagerly
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 from repro.errors import ModelViolation
 from repro.sim.message import Message
@@ -104,15 +104,6 @@ class StateSnapshot:
             proposal=self.proposal,
             decision=decision,
         )
-
-
-def initial_state(process: ProcessId, proposal: Payload) -> StateSnapshot:
-    """The initial state of ``process`` with ``proposal`` (A.1.2).
-
-    The paper writes ``0_i`` / ``1_i`` for the two binary initial states;
-    this generalizes to arbitrary proposal domains.
-    """
-    return StateSnapshot(process=process, round=1, proposal=proposal)
 
 
 @dataclass(frozen=True, slots=True)
@@ -341,10 +332,6 @@ class Behavior:
         """``all_send_omitted(B)``: every send-omitted message."""
         return frozenset().union(*(f.send_omitted for f in self.fragments))
 
-    def all_received(self) -> frozenset[Message]:
-        """Every received message (not in the paper's table; convenient)."""
-        return frozenset().union(*(f.received for f in self.fragments))
-
     def all_receive_omitted(self) -> frozenset[Message]:
         """``all_receive_omitted(B)``: every receive-omitted message."""
         return frozenset().union(
@@ -451,17 +438,3 @@ def behaviors_indistinguishable(left: Behavior, right: Behavior) -> bool:
         left.received(j) == right.received(j)
         for j in range(1, left.rounds + 1)
     )
-
-
-def behavior_from_fragments(
-    fragments: Iterable[Fragment], final_state: StateSnapshot
-) -> Behavior:
-    """Build and structurally check a behavior from ``fragments``."""
-    behavior = Behavior(tuple(fragments), final_state=final_state)
-    check_behavior(behavior)
-    return behavior
-
-
-def decisions_of(behaviors: Sequence[Behavior]) -> dict[ProcessId, Payload | None]:
-    """Map each behavior's process to its (possibly absent) decision."""
-    return {behavior.process: behavior.decision for behavior in behaviors}

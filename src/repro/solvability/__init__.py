@@ -20,6 +20,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "BoundaryPoint", "counterexample_certificate",
             "paper_counterexample", "strong_consensus_cc", "sweep_boundary",
         ),
-        ".theorem": ("SolvabilityReport", "classify", "classify_many"),
+        ".theorem": ("SolvabilityReport", "classify"),
     },
 )

@@ -87,10 +87,3 @@ def classify(problem: AgreementProblem) -> SolvabilityReport:
         triviality=triviality_report(problem),
         cc=containment_condition(problem),
     )
-
-
-def classify_many(
-    problems: list[AgreementProblem],
-) -> list[SolvabilityReport]:
-    """Classify a batch (the E5 sweep)."""
-    return [classify(problem) for problem in problems]

@@ -23,10 +23,6 @@ Bit = int
 Payload = Hashable
 """Message payloads must be hashable so messages compare by value."""
 
-FIRST_ROUND: Round = 1
-"""Computation starts in round 1 (Appendix A.1)."""
-
-
 def validate_system_size(n: int, t: int) -> None:
     """Check the basic system constraints ``n >= 1`` and ``0 <= t < n``.
 
@@ -43,9 +39,3 @@ def validate_process_id(pid: ProcessId, n: int) -> None:
     """Check that ``pid`` identifies a process in a system of ``n`` processes."""
     if not 0 <= pid < n:
         raise ValueError(f"process id {pid} outside range(0, {n})")
-
-
-def validate_round(round_: Round) -> None:
-    """Check that ``round_`` is a legal (1-based) round number."""
-    if round_ < FIRST_ROUND:
-        raise ValueError(f"rounds start at {FIRST_ROUND}, got {round_}")

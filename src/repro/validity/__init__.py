@@ -20,8 +20,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "containment_set", "contains",
         ),
         ".input_config": (
-            "InputConfig", "count_input_configs", "enumerate_full_configs",
-            "enumerate_input_configs",
+            "InputConfig", "enumerate_full_configs", "enumerate_input_configs",
         ),
         ".property": (
             "AgreementProblem", "ValidityFn", "cached", "problem_from_table",
@@ -34,6 +33,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "strong_consensus_problem", "vector_consensus_problem",
             "weak_consensus_problem",
         ),
-        ".triviality": ("TrivialityReport", "is_trivial", "triviality_report"),
+        ".triviality": ("TrivialityReport", "triviality_report"),
     },
 )

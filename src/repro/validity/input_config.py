@@ -168,13 +168,3 @@ def enumerate_full_configs(
     """Enumerate ``I_n`` (all-correct configurations) for a finite domain."""
     for assignment in itertools.product(values, repeat=n):
         yield InputConfig.full(n, t, list(assignment))
-
-
-def count_input_configs(n: int, t: int, domain_size: int) -> int:
-    """``|I|`` for a domain of ``domain_size`` values (sanity/sizing)."""
-    import math
-
-    return sum(
-        math.comb(n, size) * domain_size**size
-        for size in range(n - t, n + 1)
-    )

@@ -45,8 +45,3 @@ def triviality_report(problem: AgreementProblem) -> TrivialityReport:
         always_admissible=always,
         witness=witness,
     )
-
-
-def is_trivial(problem: AgreementProblem) -> bool:
-    """Shorthand for ``triviality_report(problem).trivial``."""
-    return problem.is_trivial()

@@ -9,8 +9,6 @@ from repro.certify.format import (
     CERTIFICATE_SCHEMA,
     Certificate,
     build_certificate,
-    dump_certificate,
-    load_certificate,
 )
 from repro.errors import ReproError
 
@@ -61,13 +59,15 @@ class TestRoundtrip:
         assert json.loads(text) == violation_certificate.payload
 
     def test_text_roundtrip(self, violation_certificate):
-        text = dump_certificate(violation_certificate)
-        assert load_certificate(text) == violation_certificate
+        text = violation_certificate.dumps()
+        assert Certificate.loads(text) == violation_certificate
 
     def test_bytes_roundtrip(self, violation_certificate):
         blob = violation_certificate.to_bytes()
         assert isinstance(blob, bytes)
-        assert Certificate.from_bytes(blob) == violation_certificate
+        assert Certificate.loads(blob.decode("utf-8")) == (
+            violation_certificate
+        )
 
 
 class TestLoaderRejection:

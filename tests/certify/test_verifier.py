@@ -14,10 +14,7 @@ import sys
 import pytest
 
 import repro
-from repro.certify.verifier import (
-    is_valid_certificate,
-    verify_certificate,
-)
+from repro.certify.verifier import verify_certificate
 
 
 class TestAcceptance:
@@ -50,8 +47,8 @@ class TestAcceptance:
         assert outcome.certificate.verdict == "bound-respected"
 
     def test_predicate_form(self, violation_certificate):
-        assert is_valid_certificate(violation_certificate)
-        assert not is_valid_certificate({"format": "bogus"})
+        assert verify_certificate(violation_certificate).ok
+        assert not verify_certificate({"format": "bogus"}).ok
 
 
 class TestSourceDispatch:

@@ -35,12 +35,6 @@ class TestKeyRegistry:
         with pytest.raises(SignatureError, match="no key"):
             KeyRegistry(3).secret_key(3)
 
-    def test_corrupted_keys_subset(self):
-        registry = KeyRegistry(5)
-        keys = registry.corrupted_keys({1, 3})
-        assert set(keys) == {1, 3}
-        assert keys[1].owner == 1
-
     def test_repr_hides_material(self):
         key = KeyRegistry(2).secret_key(0)
         assert key.material.hex() not in repr(key)

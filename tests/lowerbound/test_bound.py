@@ -1,10 +1,6 @@
 """Tests for the quantitative bound helpers."""
 
-from repro.lowerbound.bound import (
-    BoundComparison,
-    dolev_reischuk_floor,
-    weak_consensus_floor,
-)
+from repro.lowerbound.bound import BoundComparison, weak_consensus_floor
 
 
 class TestFloors:
@@ -12,10 +8,6 @@ class TestFloors:
         assert weak_consensus_floor(8) == 2.0
         assert weak_consensus_floor(32) == 32.0
         assert weak_consensus_floor(0) == 0.0
-
-    def test_dolev_reischuk(self):
-        assert dolev_reischuk_floor(10, 4, authenticated=True) == 26.0
-        assert dolev_reischuk_floor(10, 4, authenticated=False) == 40.0
 
 
 class TestComparison:

@@ -1,63 +1,10 @@
-"""Tests for witness minimization."""
+"""Tests for the witness round table (``render_execution``), which
+examples/lower_bound_walkthrough.py prints."""
 
-from repro.lowerbound.driver import attack_weak_consensus
-from repro.lowerbound.witnesses import (
-    ViolationKind,
-    minimize_witness,
-    verify_witness,
-)
 from repro.protocols.subquadratic import (
     leader_echo_spec,
     ring_token_spec,
 )
-
-
-class TestMinimizeWitness:
-    def test_ring_token_witness_shrinks(self):
-        """The ring cheater's witness spans the full n-round horizon,
-        but both parties decide by round n; the minimized witness stops
-        right there."""
-        spec = ring_token_spec(16, 8)
-        outcome = attack_weak_consensus(spec)
-        witness = outcome.witness
-        minimized = minimize_witness(witness, spec.factory)
-        assert minimized.execution.rounds <= witness.execution.rounds
-        verify_witness(minimized, spec.factory)
-        assert "minimized" in minimized.note or (
-            minimized.execution.rounds == witness.execution.rounds
-        )
-
-    def test_minimized_witness_keeps_the_disagreement(self):
-        spec = leader_echo_spec(12, 8)
-        outcome = attack_weak_consensus(spec)
-        minimized = minimize_witness(outcome.witness, spec.factory)
-        execution = minimized.execution
-        assert execution.decision(
-            minimized.culprit
-        ) != execution.decision(minimized.counterpart)
-
-    def test_termination_witnesses_untouched(self):
-        from repro.protocols.base import ProtocolSpec
-        from repro.sim.process import Process
-
-        class Never(Process):
-            def outgoing(self, round_):
-                return {}
-
-            def deliver(self, round_, received):
-                return None
-
-        spec = ProtocolSpec(
-            name="never",
-            n=12,
-            t=8,
-            rounds=3,
-            factory=lambda pid, v: Never(pid, 12, 8, v),
-        )
-        outcome = attack_weak_consensus(spec)
-        assert outcome.witness.kind is ViolationKind.TERMINATION
-        minimized = minimize_witness(outcome.witness, spec.factory)
-        assert minimized is outcome.witness
 
 
 class TestRenderExecution:

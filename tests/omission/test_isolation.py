@@ -6,7 +6,6 @@ from repro.errors import AdversaryError, ModelViolation
 from repro.omission.isolation import (
     IsolationAdversary,
     check_isolated,
-    is_isolated,
     isolate_group,
 )
 from repro.protocols.phase_king import phase_king_spec
@@ -75,14 +74,16 @@ class TestRecordedExecutionChecks:
         # broadcast, which Definition 1 forbids.  (Crashing a process
         # with nothing to send *is* indistinguishable from isolating it.)
         execution = spec.run_uniform(0, CrashAdversary({0: 1}))
-        assert not is_isolated(execution, {0}, 1)
+        with pytest.raises(ModelViolation, match="send-omits"):
+            check_isolated(execution, {0}, 1)
 
     def test_wrong_round_rejected(self):
         spec = phase_king_spec(7, 2)
         execution = spec.run_uniform(0, isolate_group({5, 6}, 3))
         # Claiming isolation from round 1 fails: rounds 1-2 traffic was
         # received, which isolation-from-1 requires dropping.
-        assert not is_isolated(execution, {5, 6}, 1)
+        with pytest.raises(ModelViolation, match="requires dropping"):
+            check_isolated(execution, {5, 6}, 1)
 
     def test_group_must_be_faulty(self):
         spec = phase_king_spec(7, 2)

@@ -9,7 +9,6 @@ from repro.omission.isolation import check_isolated, isolate_group
 from repro.omission.merge import (
     MergeSpec,
     check_merge_inputs,
-    is_mergeable,
     merge,
     uniform_proposal,
 )
@@ -64,22 +63,24 @@ class TestMergeability:
     def test_round_one_pair_always_mergeable(self, spec):
         exec_b = isolated(spec, GROUP_B, 1, bit=0)
         exec_c = isolated(spec, GROUP_C, 1, bit=1)
-        assert is_mergeable(merge_spec(1, 1), exec_b, exec_c)
+        check_merge_inputs(merge_spec(1, 1), exec_b, exec_c)
 
     def test_adjacent_rounds_same_bit_mergeable(self, spec):
         exec_b = isolated(spec, GROUP_B, 3, bit=0)
         exec_c = isolated(spec, GROUP_C, 2, bit=0)
-        assert is_mergeable(merge_spec(3, 2), exec_b, exec_c)
+        check_merge_inputs(merge_spec(3, 2), exec_b, exec_c)
 
     def test_adjacent_rounds_different_bits_not_mergeable(self, spec):
         exec_b = isolated(spec, GROUP_B, 3, bit=0)
         exec_c = isolated(spec, GROUP_C, 2, bit=1)
-        assert not is_mergeable(merge_spec(3, 2), exec_b, exec_c)
+        with pytest.raises(ModelViolation):
+            check_merge_inputs(merge_spec(3, 2), exec_b, exec_c)
 
     def test_distant_rounds_not_mergeable(self, spec):
         exec_b = isolated(spec, GROUP_B, 4, bit=0)
         exec_c = isolated(spec, GROUP_C, 2, bit=0)
-        assert not is_mergeable(merge_spec(4, 2), exec_b, exec_c)
+        with pytest.raises(ModelViolation):
+            check_merge_inputs(merge_spec(4, 2), exec_b, exec_c)
 
     def test_isolation_round_must_match_claim(self, spec):
         exec_b = isolated(spec, GROUP_B, 2, bit=0)

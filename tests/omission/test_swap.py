@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import ModelViolation
 from repro.omission.indistinguishability import indistinguishable_to_all
 from repro.omission.isolation import isolate_group
-from repro.omission.swap import (
-    blamed_senders,
-    swap_omission,
-    swap_omission_checked,
-)
+from repro.omission.swap import swap_omission, swap_omission_checked
 from repro.protocols.subquadratic import (
     committee_cheater_spec,
     leader_echo_spec,
@@ -37,7 +33,11 @@ class TestSwapMechanics:
     def test_blame_moves_to_senders(self):
         _, group, execution = isolated_leader_echo()
         pid = next(iter(group))
-        senders = blamed_senders(execution, pid)
+        # the paper's set S: senders of the messages pid receive-omits
+        senders = {
+            message.sender
+            for message in execution.behavior(pid).all_receive_omitted()
+        }
         assert senders == {0}  # only the leader's verdict was dropped
         swapped = swap_omission(execution, pid)
         assert senders <= swapped.faulty

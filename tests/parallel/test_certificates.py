@@ -32,10 +32,6 @@ class TestCertifiedSweep:
             f"{len(CERTIFIED_MATRIX)} certificate(s) verified"
             in report.render()
         )
-        assert (
-            report.to_payload()["certificates_verified"]
-            == len(CERTIFIED_MATRIX)
-        )
         for cell in report.cells:
             # The artifact travels once, as bytes; the live object is
             # stripped so outcomes stay backend-equal and picklable.

@@ -97,6 +97,27 @@ def _terminals(log_path):
     return results, errors
 
 
+def _hold(monkeypatch, blocker):
+    """Keep ``blocker`` in the worker until the returned event is set.
+
+    Under ``jobs=1`` the server runs ``execute_job`` in-process, so the
+    job waits on the event instead of on how long it takes to run:
+    the jobs queued behind it stay queued however loaded the machine.
+    """
+    from repro.service import server as server_module
+
+    release = threading.Event()
+    execute = server_module.execute_job
+
+    def held(job):
+        if job == blocker:
+            assert release.wait(timeout=120), "blocker never released"
+        return execute(job)
+
+    monkeypatch.setattr(server_module, "execute_job", held)
+    return release
+
+
 def _submit_matrix(client, tenant="suite"):
     return [
         client.submit(encode_job(job), tenant=tenant)["key"]
@@ -149,20 +170,23 @@ class TestLifecycle:
         }
         assert cell_ids == {f"job/classify/weak/n5/t1#{key[:8]}"}
 
-    def test_priorities_order_the_queue(self, paths):
+    def test_priorities_order_the_queue(self, paths, monkeypatch):
         sock, log = paths
+        blocker_job = MeasureJob("weak-consensus", 8, 4)
+        release = _hold(monkeypatch, blocker_job)
         server, thread = _start(log, sock)
         client = ServiceClient(sock, timeout=120)
-        # Occupy the single worker, then queue low before high.
-        blocker = client.submit(
-            encode_job(MeasureJob("weak-consensus", 40, 36))
-        )["key"]
-        low = client.submit(
-            encode_job(ClassifyJob("weak", 5, 1)), priority=0
-        )["key"]
-        high = client.submit(
-            encode_job(ClassifyJob("strong", 5, 1)), priority=9
-        )["key"]
+        try:
+            # Occupy the single worker, then queue low before high.
+            blocker = client.submit(encode_job(blocker_job))["key"]
+            low = client.submit(
+                encode_job(ClassifyJob("weak", 5, 1)), priority=0
+            )["key"]
+            high = client.submit(
+                encode_job(ClassifyJob("strong", 5, 1)), priority=9
+            )["key"]
+        finally:
+            release.set()
         _drain(client, [blocker, low, high])
         _stop(server, thread)
         starts = [
@@ -527,49 +551,53 @@ class TestStatus:
             "queued": 0, "running": [], "completed": 0,
         }
 
-    def test_queue_tenants_and_running_jobs(self, paths):
+    def test_queue_tenants_and_running_jobs(self, paths, monkeypatch):
         sock, log = paths
+        blocker_job = MeasureJob("weak-consensus", 8, 4)
+        release = _hold(monkeypatch, blocker_job)
         server, thread = _start(
             log, sock, jobs=1,
             quota=QuotaPolicy(max_pending=4, rate=1000.0, burst=1000),
         )
         client = ServiceClient(sock, timeout=120)
-        # One slow blocker occupies the single worker; two classifies
-        # queue behind it at different priorities.
-        blocker = client.submit(
-            encode_job(MeasureJob("weak-consensus", 40, 36)),
-            tenant="alice",
-        )["key"]
-        client.submit(
-            encode_job(ClassifyJob("weak", 5, 1)),
-            tenant="bob", priority=0,
-        )
-        client.submit(
-            encode_job(ClassifyJob("weak", 6, 1)),
-            tenant="bob", priority=7,
-        )
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            frame = client.status()
-            if frame["workers"]["busy"] == 1:
-                break
-            time.sleep(0.02)
-        assert frame["workers"]["busy"] == 1
-        assert frame["workers"]["utilization"] == 1.0
-        assert frame["queue"]["depth"] == 2
-        # JSON stringifies int priority keys on the wire.
-        assert frame["queue"]["by_priority"] == {"7": 1, "0": 1}
-        alice = frame["tenants"]["alice"]
-        assert alice["pending"] == 1
-        assert alice["max_pending"] == 4
-        assert alice["quota_occupancy"] == 0.25
-        assert frame["tenants"]["bob"]["pending"] == 2
-        assert frame["tenants"]["bob"]["quota_occupancy"] == 0.5
-        (running,) = frame["jobs"]["running"]
-        assert running["key"] == blocker
-        assert running["tenant"] == "alice"
-        assert running["priority"] == 0
-        assert running["seconds"] >= 0
+        try:
+            # The held blocker occupies the single worker; two
+            # classifies queue behind it at different priorities.
+            blocker = client.submit(
+                encode_job(blocker_job), tenant="alice",
+            )["key"]
+            client.submit(
+                encode_job(ClassifyJob("weak", 5, 1)),
+                tenant="bob", priority=0,
+            )
+            client.submit(
+                encode_job(ClassifyJob("weak", 6, 1)),
+                tenant="bob", priority=7,
+            )
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                frame = client.status()
+                if frame["workers"]["busy"] == 1:
+                    break
+                time.sleep(0.02)
+            assert frame["workers"]["busy"] == 1
+            assert frame["workers"]["utilization"] == 1.0
+            assert frame["queue"]["depth"] == 2
+            # JSON stringifies int priority keys on the wire.
+            assert frame["queue"]["by_priority"] == {"7": 1, "0": 1}
+            alice = frame["tenants"]["alice"]
+            assert alice["pending"] == 1
+            assert alice["max_pending"] == 4
+            assert alice["quota_occupancy"] == 0.25
+            assert frame["tenants"]["bob"]["pending"] == 2
+            assert frame["tenants"]["bob"]["quota_occupancy"] == 0.5
+            (running,) = frame["jobs"]["running"]
+            assert running["key"] == blocker
+            assert running["tenant"] == "alice"
+            assert running["priority"] == 0
+            assert running["seconds"] >= 0
+        finally:
+            release.set()
         # Drain and confirm the fold settles.
         keys = [blocker] + [
             entry["key"]

@@ -41,7 +41,7 @@ from repro.sim.kernel import (
     run_kernel,
 )
 from repro.sim.process import Process
-from repro.sim.serialization import load_execution
+from repro.sim.serialization import execution_from_dict
 from repro.sim.simulator import (
     SimulationConfig,
     build_machines,
@@ -95,8 +95,8 @@ GOLDEN_SCENARIOS = {
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
     def test_trace_recorder_matches_pre_engine_trace(self, name):
-        golden = load_execution(
-            (GOLDEN_DIR / f"{name}.json").read_text()
+        golden = execution_from_dict(
+            json.loads((GOLDEN_DIR / f"{name}.json").read_text())
         )
         assert GOLDEN_SCENARIOS[name]() == golden
 

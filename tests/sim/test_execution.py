@@ -11,9 +11,7 @@ from repro.sim.execution import (
     ExecutionSummary,
     check_execution,
     check_transitions,
-    group_decisions,
     majority_decision,
-    unanimous_decision,
 )
 from repro.sim.state import Behavior
 
@@ -151,21 +149,6 @@ class TestTransitions:
 
 
 class TestGroupHelpers:
-    def test_group_decisions(self):
-        _, execution = run_small()
-        assert group_decisions(execution, [1, 3]) == {1: 0, 3: 0}
-
-    def test_unanimous_decision(self):
-        _, execution = run_small()
-        assert unanimous_decision(execution, [0, 1, 2, 3]) == 0
-
-    def test_unanimous_rejects_undecided(self):
-        spec = leader_echo_spec(4, 2)
-        # Horizon 1: nobody decided yet.
-        execution = spec.run_uniform(0, rounds=1)
-        with pytest.raises(ModelViolation, match="undecided"):
-            unanimous_decision(execution, [0])
-
     def test_majority_decision(self):
         _, execution = run_small()
         assert majority_decision(execution, [0, 1, 2]) == 0

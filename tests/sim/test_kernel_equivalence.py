@@ -16,6 +16,7 @@ complexity.  Three enforcement arms:
 """
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -25,11 +26,7 @@ from hypothesis import strategies as st
 from repro.errors import ModelViolation
 from repro.experiments import CHEATERS
 from repro.lowerbound.partition import canonical_partition
-from repro.omission.isolation import (
-    IsolationAdversary,
-    isolate_group,
-    quiescent_toward,
-)
+from repro.omission.isolation import IsolationAdversary, isolate_group
 from repro.omission.masks import compile_omissions
 from repro.protocols.phase_king import phase_king_spec
 from repro.protocols.subquadratic import ring_token_spec
@@ -56,7 +53,7 @@ from repro.sim.kernel import (
     run_kernel,
 )
 from repro.sim.process import Process
-from repro.sim.serialization import load_execution
+from repro.sim.serialization import execution_from_dict
 from repro.sim.simulator import SimulationConfig, run_execution
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -91,16 +88,16 @@ class TestGoldenBitIdentity:
         trace = run_kernel(
             config, [1, 0, 1, 1], spec.factory, no_faults_compiled(4)
         )
-        golden = load_execution(
-            (GOLDEN_DIR / "phase_king_no_fault.json").read_text()
+        golden = execution_from_dict(
+            json.loads((GOLDEN_DIR / "phase_king_no_fault.json").read_text())
         )
         assert trace.to_execution() == golden
 
     def test_weak_consensus_isolation(self):
         spec = broadcast_weak_consensus_spec(8, 4)
         trace = _kernel_uniform(spec, 1, isolate_group({1, 2}, 2))
-        golden = load_execution(
-            (GOLDEN_DIR / "weak_consensus_isolation.json").read_text()
+        golden = execution_from_dict(
+            json.loads((GOLDEN_DIR / "weak_consensus_isolation.json").read_text())
         )
         assert trace.to_execution() == golden
 
@@ -541,9 +538,9 @@ def _quiescence_case(draw):
 @settings(max_examples=80, deadline=None)
 def test_quiescence_mask_form_matches_execution_form(case):
     """The driver's quiescent aliasing asks the mask form; it must
-    answer as :func:`repro.omission.isolation.quiescent_toward` does on
-    the materialized trace — for any group, for ``lo``/``hi`` past the
-    last round, and for early-stopped traces."""
+    answer as :meth:`Execution.quiescent_toward` does on the
+    materialized trace — for any group, for ``lo``/``hi`` past the last
+    round, and for early-stopped traces."""
     spec, horizon, adversary, early_stop, group, lo, hi, bit = case
     config = SimulationConfig(n=spec.n, t=spec.t, rounds=horizon, check=True)
     trace = run_kernel(
@@ -553,6 +550,6 @@ def test_quiescence_mask_form_matches_execution_form(case):
         compile_omissions(adversary, spec.n),
         early_stop=early_stop,
     )
-    assert trace.quiescent_toward(group, lo, hi) == quiescent_toward(
-        trace.to_execution(), group, lo, hi
+    assert trace.quiescent_toward(group, lo, hi) == (
+        trace.to_execution().quiescent_toward(group, lo, hi)
     )

@@ -2,16 +2,7 @@
 
 import pytest
 
-from repro.sim.message import (
-    Message,
-    Outbox,
-    broadcast_payload,
-    check_one_per_receiver,
-    check_one_per_sender,
-    freeze,
-    messages_by_slot,
-    payload_size,
-)
+from repro.sim.message import Message
 
 
 class TestMessage:
@@ -34,77 +25,3 @@ class TestMessage:
     def test_hashable(self):
         assert len({Message(0, 1, 1), Message(0, 1, 1)}) == 1
 
-    def test_with_payload_preserves_slot(self):
-        message = Message(0, 1, 2, "a").with_payload("b")
-        assert message.slot == (0, 1, 2)
-        assert message.payload == "b"
-
-
-class TestUniquenessChecks:
-    def test_one_per_receiver_accepts_distinct(self):
-        check_one_per_receiver(
-            {Message(0, 1, 1), Message(0, 2, 1)}
-        )
-
-    def test_one_per_receiver_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="two messages to receiver"):
-            check_one_per_receiver(
-                {Message(0, 1, 1, "a"), Message(0, 1, 1, "b")}
-            )
-
-    def test_one_per_sender_accepts_distinct(self):
-        check_one_per_sender(
-            {Message(0, 2, 1), Message(1, 2, 1)}
-        )
-
-    def test_one_per_sender_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="two messages from sender"):
-            check_one_per_sender(
-                {Message(0, 2, 1, "a"), Message(0, 2, 1, "b")}
-            )
-
-
-class TestOutbox:
-    def test_from_mapping_sorts_and_materializes(self):
-        outbox = Outbox.from_mapping(1, 2, {3: "c", 0: "a"})
-        messages = outbox.to_messages()
-        assert messages == {
-            Message(1, 0, 2, "a"),
-            Message(1, 3, 2, "c"),
-        }
-
-    def test_rejects_self_target(self):
-        with pytest.raises(ValueError, match="no process sends"):
-            Outbox.from_mapping(1, 2, {1: "oops"})
-
-
-class TestHelpers:
-    def test_broadcast_payload_excludes_sender(self):
-        mapping = broadcast_payload(1, 4, "v")
-        assert mapping == {0: "v", 2: "v", 3: "v"}
-
-    def test_messages_by_slot_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="duplicate slot"):
-            messages_by_slot(
-                [Message(0, 1, 1, "a"), Message(0, 1, 1, "b")]
-            )
-
-    def test_freeze_none_is_empty(self):
-        assert freeze(None) == frozenset()
-
-    def test_freeze_set(self):
-        assert freeze({Message(0, 1, 1)}) == frozenset(
-            {Message(0, 1, 1)}
-        )
-
-    def test_payload_size_scalars(self):
-        assert payload_size(None) == 1
-        assert payload_size(7) == 1
-        assert payload_size(True) == 1
-
-    def test_payload_size_strings_scale(self):
-        assert payload_size("abcd") == 4
-        assert payload_size(b"abc") == 3
-
-    def test_payload_size_tuple_recurses(self):
-        assert payload_size(("ab", 1)) == 1 + 2 + 1

@@ -6,7 +6,7 @@ from repro.errors import ModelViolation, ProtocolViolation
 from repro.protocols.phase_king import phase_king_spec
 from repro.protocols.weak_consensus import broadcast_weak_consensus_spec
 from repro.sim.adversary import CrashAdversary
-from repro.sim.process import Process, ReplayProcess, drive_replay
+from repro.sim.process import Process, drive_replay
 
 
 class Echo(Process):
@@ -92,30 +92,3 @@ class TestDriveReplay:
         with pytest.raises(ModelViolation, match="machine p1"):
             drive_replay(machine, execution.behavior(0))
 
-
-class TestReplayProcess:
-    def test_reemits_recorded_sends(self):
-        spec = phase_king_spec(4, 1)
-        execution = spec.run([0, 1, 0, 1])
-        behavior = execution.behavior(2)
-        replay = ReplayProcess(2, 4, 1, behavior)
-        for round_ in range(1, behavior.rounds + 1):
-            expected = {
-                message.receiver: message.payload
-                for message in behavior.fragment(round_).all_outgoing
-            }
-            assert replay.outgoing(round_) == expected
-            replay.deliver(round_, {})
-        assert replay.decision == behavior.decision
-
-    def test_silent_beyond_horizon(self):
-        spec = phase_king_spec(4, 1)
-        execution = spec.run([0, 1, 0, 1])
-        replay = ReplayProcess(0, 4, 1, execution.behavior(0))
-        assert replay.outgoing(execution.rounds + 5) == {}
-
-    def test_rejects_foreign_behavior(self):
-        spec = phase_king_spec(4, 1)
-        execution = spec.run([0, 1, 0, 1])
-        with pytest.raises(ValueError, match="behavior of p0"):
-            ReplayProcess(1, 4, 1, execution.behavior(0))

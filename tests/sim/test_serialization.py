@@ -1,5 +1,7 @@
 """Tests for execution JSON serialization."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +16,11 @@ from repro.sim.message import Message
 from repro.sim.serialization import (
     canonical_json,
     decode_payload,
-    dump_execution,
     encode_payload,
+    execution_from_dict,
     execution_from_tables,
     execution_to_dict,
     executions_to_tables,
-    load_execution,
 )
 from repro.sim.state import Behavior, Fragment, StateSnapshot
 
@@ -157,11 +158,20 @@ class TestCanonicalEncoding:
         assert json_module.loads(rendering)  # stays valid JSON
 
 
+def canonical_text(execution):
+    return canonical_json(execution_to_dict(execution))
+
+
+def roundtrip(execution):
+    """An execution through its canonical JSON text and back."""
+    return execution_from_dict(json.loads(canonical_text(execution)))
+
+
 class TestExecutionRoundtrip:
     def test_phase_king_execution(self):
         spec = phase_king_spec(4, 1)
         original = spec.run([0, 1, 1, 0], CrashAdversary({2: 3}))
-        restored = load_execution(dump_execution(original))
+        restored = roundtrip(original)
         assert restored == original
         check_execution(restored)
         check_transitions(restored, spec.factory)
@@ -170,18 +180,18 @@ class TestExecutionRoundtrip:
         """Chains in payloads survive the trip and still verify."""
         spec = dolev_strong_spec(4, 1)
         original = spec.run(["v", 0, 0, 0])
-        restored = load_execution(dump_execution(original))
+        restored = roundtrip(original)
         assert restored == original
         check_transitions(restored, spec.factory)
 
     def test_deterministic_output(self):
         spec = phase_king_spec(4, 1)
         execution = spec.run([0, 1, 1, 0])
-        assert dump_execution(execution) == dump_execution(execution)
+        assert canonical_text(execution) == canonical_text(execution)
 
     def test_bad_format_rejected(self):
         with pytest.raises(ReproError, match="unsupported"):
-            load_execution('{"format": 99}')
+            execution_from_dict({"format": 99})
 
 
 class TestRoundtripProperty:
@@ -220,7 +230,7 @@ class TestRoundtripProperty:
             ),
         )
         original = spec.run_uniform(1, adversary)
-        restored = load_execution(dump_execution(original))
+        restored = roundtrip(original)
         assert restored == original
 
 

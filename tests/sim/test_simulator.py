@@ -12,11 +12,8 @@ from repro.sim.execution import check_execution, check_transitions
 from repro.sim.process import Process
 from repro.sim.simulator import (
     SimulationConfig,
-    all_correct_decided,
     build_machines,
-    decisions_by_value,
     run_execution,
-    run_with_uniform_proposal,
 )
 
 
@@ -56,7 +53,7 @@ class TestRoundLoop:
     def test_fault_free_run_decides(self):
         spec = phase_king_spec(4, 1)
         execution = spec.run([1, 0, 1, 1])
-        assert all_correct_decided(execution)
+        assert None not in execution.correct_decisions().values()
         assert set(execution.correct_decisions().values()) == {1}
 
     def test_traces_are_model_valid(self):
@@ -67,16 +64,8 @@ class TestRoundLoop:
 
     def test_uniform_helper(self):
         spec = phase_king_spec(4, 1)
-        config = SimulationConfig(n=4, t=1, rounds=spec.rounds)
-        execution = run_with_uniform_proposal(
-            config, 1, spec.factory
-        )
+        execution = spec.run_uniform(1)
         assert execution.proposals() == {pid: 1 for pid in range(4)}
-
-    def test_decisions_by_value(self):
-        spec = phase_king_spec(4, 1)
-        execution = spec.run_uniform(0)
-        assert decisions_by_value(execution) == {0: [0, 1, 2, 3]}
 
     def test_horizon_is_respected(self):
         spec = phase_king_spec(4, 1)

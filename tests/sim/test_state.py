@@ -8,11 +8,9 @@ from repro.sim.state import (
     Behavior,
     Fragment,
     StateSnapshot,
-    behavior_from_fragments,
     behaviors_indistinguishable,
     check_behavior,
     check_fragment,
-    initial_state,
 )
 
 
@@ -27,15 +25,6 @@ def fragment(pid=0, round_=1, **kwargs):
 
 
 class TestStateSnapshot:
-    def test_initial_state_has_round_one(self):
-        s = initial_state(3, "v")
-        assert (s.process, s.round, s.proposal, s.decision) == (
-            3,
-            1,
-            "v",
-            None,
-        )
-
     def test_advanced_increments_round(self):
         s = state().advanced(None)
         assert s.round == 2
@@ -216,12 +205,6 @@ class TestBehavior:
         )
         with pytest.raises(ModelViolation, match="final state"):
             check_behavior(bad)
-
-    def test_behavior_from_fragments_checks(self):
-        behavior = behavior_from_fragments(
-            [Fragment(state=state())], final_state=state(round_=2)
-        )
-        assert behavior.rounds == 1
 
 
 class TestIndistinguishability:

@@ -1,6 +1,6 @@
 """Tests for the general solvability theorem (Theorem 4)."""
 
-from repro.solvability.theorem import classify, classify_many
+from repro.solvability.theorem import classify
 from repro.validity.standard import (
     byzantine_broadcast_problem,
     constant_problem,
@@ -59,15 +59,3 @@ class TestClassification:
         text = classify(weak_consensus_problem(4, 1)).render()
         for token in ("trivial=", "CC=", "auth=", "unauth="):
             assert token in text
-
-    def test_classify_many(self):
-        reports = classify_many(
-            [
-                weak_consensus_problem(4, 1),
-                strong_consensus_problem(4, 1),
-            ]
-        )
-        assert [report.problem_name for report in reports] == [
-            "weak-consensus",
-            "strong-consensus",
-        ]

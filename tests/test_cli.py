@@ -185,6 +185,65 @@ class TestWitnessFiles:
         assert "A.1.5.transition-replay" in out
 
 
+BAD_SIZES = [("3", "5"), ("4", "4"), ("0", "0"), ("4", "-1")]
+
+
+class TestUsageErrors:
+    """Options that cannot describe a run fail at parse time: exit 2
+    with the subcommand's usage line, before anything runs."""
+
+    def _rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        return captured.err
+
+    @pytest.mark.parametrize("n, t", BAD_SIZES)
+    def test_attack_rejects_system_size(self, n, t, capsys):
+        err = self._rejected(["attack", "silent", "--n", n, "--t", t], capsys)
+        assert "repro attack: error: need n >= 1 and 0 <= t < n" in err
+
+    @pytest.mark.parametrize("n, t", BAD_SIZES)
+    def test_certify_rejects_system_size(self, n, t, capsys, tmp_path):
+        out = tmp_path / "c.json"
+        err = self._rejected(
+            ["certify", "silent", "--n", n, "--t", t, "--out", str(out)],
+            capsys,
+        )
+        assert "repro certify: error: need n >= 1 and 0 <= t < n" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, t", BAD_SIZES)
+    def test_classify_rejects_system_size(self, n, t, capsys):
+        err = self._rejected(["classify", "weak", "--n", n, "--t", t], capsys)
+        assert "repro classify: error: need n >= 1 and 0 <= t < n" in err
+
+    @pytest.mark.parametrize("n, t", BAD_SIZES)
+    def test_submit_rejects_system_size(self, n, t, capsys, tmp_path):
+        # The socket does not exist: the check runs before any connect.
+        err = self._rejected(
+            [
+                "submit", "--socket", str(tmp_path / "none.sock"),
+                "attack", "silent", "--n", n, "--t", t,
+            ],
+            capsys,
+        )
+        assert "repro submit: error: need n >= 1 and 0 <= t < n" in err
+
+    @pytest.mark.parametrize(
+        "grid, max_t", [("slack", "2"), ("slack", "0"), ("proportional", "1")]
+    )
+    def test_sweep_rejects_a_max_t_with_no_cells(self, grid, max_t, capsys):
+        err = self._rejected(
+            ["sweep", "weak-consensus", "--grid", grid, "--max-t", max_t],
+            capsys,
+        )
+        assert f"the {grid} grid has no cells with t <= {max_t}" in err
+
+
 class TestRetiredCommands:
     """The benchmark observatory, the trend canary, ``log import``
     (world logs are the one recording format) and the saved-witness

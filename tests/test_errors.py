@@ -60,12 +60,14 @@ class TestUniformArtifactDiagnostic:
         return str(path)
 
     def test_certificate(self, tmp_path):
+        from repro.artifact import load_artifact
+        from repro.certify.format import Certificate
         from repro.errors import ArtifactError
-        from repro.certify.format import read_certificate
 
         path = self._write(tmp_path, "bad.cert.json", '{"format": "no"}')
         with pytest.raises(ArtifactError) as excinfo:
-            read_certificate(path)
+            # as `verify-cert --replay` reads a certificate
+            load_artifact(path, "attack certificate", Certificate.loads)
         message = str(excinfo.value)
         assert f"{path}: not an attack certificate" in message
 

@@ -1,16 +1,20 @@
-"""Every module under ``src/repro`` serves something a reader can run.
+"""Every module and top-level name under ``src/repro`` serves something
+a reader can run.
 
-The rule: a module is reached from the command line (``repro.cli``,
-``repro.__main__``) — through an ``eN`` experiment, a CLI command, the
-service or the verifier.  Code only tests, docs or a lazy-export table
-reach is deleted, or moved under ``tests/`` when tests use it.
+The rule: a module, function or class is reached from the command line
+(``repro.cli``, ``repro.__main__``) — through an ``eN`` experiment, a
+CLI command, the service or the verifier.  Code only tests, docs or a
+lazy-export table reach is deleted, or moved under ``tests/`` when
+tests use it.
 
-The walk reads source, never imports it.  From the two roots it
-follows every ``import``/``from … import`` (function-level ones too,
-relative ones resolved), the packages each import passes through, the
-names a package re-exports through its ``_lazy_exports`` table (a
-table entry counts only when something imports that name) and string
-literals that spell a ``repro.…`` module.
+Both walks read source, never import it.  The module walk follows
+every ``import``/``from … import`` (function-level ones too, relative
+ones resolved), the packages each import passes through, the names a
+package re-exports through its ``_lazy_exports`` table (a table entry
+counts only when something imports that name) and string literals that
+spell a ``repro.…`` module.  The name walk starts from the module-level
+code of every reached module and follows what reached bodies name: see
+:func:`reached_names`.
 """
 
 import ast
@@ -159,3 +163,323 @@ def test_an_orphan_module_is_caught(tmp_path):
     modules["repro.protocols.orphan"] = orphan
     assert "repro.protocols.orphan" not in reached(modules)
     assert "repro.protocols.subquadratic" in reached(modules)
+
+
+# -- top-level names --------------------------------------------------------
+
+# A kept name no command reaches, with the user that keeps it.  What an
+# entry's body names is kept too (its private helpers need no entry).
+ALLOWED_NAMES = {
+    **{
+        ("repro.sim.adversary", name): (
+            "adversary fixture of the sim, protocol and reduction tests "
+            "(tests/sim/test_adversary.py and others)"
+        )
+        for name in (
+            "AdaptiveOmissionAdversary",
+            "ByzantineAdversary",
+            "ChattiestTargetAdversary",
+            "CrashAdversary",
+            "ScheduledOmissionAdversary",
+            "SilenceAdversary",
+        )
+    },
+    ("repro.sim.adversary", "compose_omissions"): (
+        "fixture of tests/sim/test_adversary.py"
+    ),
+    ("repro.sim.kernel", "KernelOracle"): (
+        "the object-engine reference tests/sim/test_kernel_equivalence.py "
+        "checks the mask kernel against"
+    ),
+    ("repro.validity.property", "problem_from_table"): (
+        "builds the hand-written problems of tests/validity, "
+        "tests/solvability/test_cc.py and tests/reductions"
+    ),
+    ("repro.validity.property", "tabulate"): (
+        "fixture of tests/validity/test_property.py and "
+        "tests/solvability/test_cc.py"
+    ),
+    ("repro.solvability.cc", "satisfies_cc"): (
+        "reference predicate of tests/solvability/test_cc.py and "
+        "tests/reductions/test_any_from_ic.py"
+    ),
+    ("repro.analysis.fitting", "is_superquadratic"): (
+        "the E-series growth check of tests/test_experiments.py"
+    ),
+    ("repro.lowerbound.partition", "paper_partition"): (
+        "the paper's (A, B, C) split, a reference of "
+        "tests/lowerbound/test_partition.py and tests/test_scale.py"
+    ),
+    ("repro.obs.ledger", "order_signature"): (
+        "the replay-order reference of tests/obs, tests/worldlog and "
+        "tests/service"
+    ),
+    ("repro.worldlog.record", "log_order_signature"): (
+        "the record-order reference of tests/worldlog/test_store.py"
+    ),
+    ("repro.validity.standard", "external_validity_problem"): (
+        "§4.3's external validity, a paper claim checked in "
+        "tests/validity/test_standard.py and test_triviality.py"
+    ),
+    ("repro.protocols.strong_consensus",
+     "unauthenticated_strong_consensus_spec"): (
+        "the unauthenticated side of Theorem 5, checked in "
+        "tests/protocols/test_strong_consensus.py"
+    ),
+    ("repro.analysis.complexity", "exhaustive_isolation_scan"): (
+        "the worst-case scan ROADMAP item 2's property A bounds "
+        "(tests/lowerbound/test_quadratic_incorrect.py)"
+    ),
+    ("repro.solvability.strong_consensus", "counterexample_certificate"): (
+        "§5.3's triple, the seed of ROADMAP item 8's CC certificate "
+        "(tests/solvability/test_strong_boundary.py)"
+    ),
+    ("repro.solvability.strong_consensus", "paper_counterexample"): (
+        "§5.3's configurations, ROADMAP item 8 "
+        "(tests/solvability/test_strong_boundary.py)"
+    ),
+    ("repro.solvability.cc", "verify_gamma"): (
+        "the Γ checker ROADMAP item 8 certifies with "
+        "(tests/solvability/test_cc.py)"
+    ),
+    ("repro.analysis.tables", "render_execution"): (
+        "prints the witness in examples/lower_bound_walkthrough.py"
+    ),
+    ("repro.analysis.spacetime", "render_spacetime"): (
+        "draws the merged execution in examples/lower_bound_walkthrough.py"
+    ),
+    ("repro.protocols.dolev_strong", "scheme_for_spec"): (
+        "signs the equivocating sender's chains in examples/quickstart.py"
+    ),
+    ("repro.sim.execution", "ExecutionSummary"): (
+        "summarizes runs in examples/quickstart.py and "
+        "examples/lower_bound_walkthrough.py"
+    ),
+}
+
+_DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _docstring(body):
+    """The docstring node heading ``body``, or None."""
+    if (
+        body
+        and isinstance(body[0], ast.Expr)
+        and isinstance(body[0].value, ast.Constant)
+        and isinstance(body[0].value.value, str)
+    ):
+        return body[0].value
+    return None
+
+
+class _Module:
+    """One parsed module: its top-level definitions and what its
+    imports bind (anywhere in it, function-level ones too)."""
+
+    def __init__(self, name, modules):
+        self.name = name
+        self.tree = ast.parse(modules[name].read_text(encoding="utf-8"))
+        self.definitions = {
+            node.name: node
+            for node in self.tree.body
+            if isinstance(node, _DEFINITION)
+        }
+        # local name -> a module's dotted name, or a (module, name) pair
+        self.bindings = {}
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.partition(".")[0]
+                    self.bindings[local] = (
+                        alias.name if alias.asname else local
+                    )
+            elif isinstance(node, ast.ImportFrom):
+                source = _resolve(node, name, modules)
+                for alias in node.names:
+                    submodule = f"{source}.{alias.name}"
+                    self.bindings[alias.asname or alias.name] = (
+                        submodule if submodule in modules
+                        else (source, alias.name)
+                    )
+
+    def module_code(self):
+        """The statements importing the module runs, minus its
+        docstring and export declarations: ``__all__`` and the
+        ``_lazy_exports`` table (only the call counts)."""
+        code = []
+        for node in self.tree.body:
+            if isinstance(node, _DEFINITION) or (
+                isinstance(node, ast.Expr)
+                and node.value is _docstring(self.tree.body)
+            ) or (
+                isinstance(node, ast.Assign)
+                and [getattr(target, "id", None) for target in node.targets]
+                == ["__all__"]
+            ):
+                continue
+            value = getattr(node, "value", None)
+            if (
+                isinstance(value, ast.Call)
+                and getattr(value.func, "id", None) == "_lazy_exports"
+            ):
+                code.append(value.func)
+            else:
+                code.append(node)
+        return code
+
+
+def definitions(modules):
+    """Every ``(module, name)`` top-level function and class."""
+    return {
+        (module, name)
+        for module in modules
+        for name in _Module(module, modules).definitions
+    }
+
+
+def reached_names(modules, roots=()):
+    """Every ``(module, name)`` definition the walk reaches.
+
+    Importing a module :func:`reached` returns runs its module-level
+    code, so that code is walked first, with the module-level dunders
+    (``__getattr__``) Python calls for it; ``roots`` adds definitions
+    to start from.  A reached definition's whole node is walked in
+    turn (decorators, bases, defaults, annotations, body).
+
+    A bare name resolves through the module's own definitions, its
+    imports and each package's ``_lazy_exports`` table; ``a.b`` resolves
+    when ``a`` names a module.  A string literal reaches the
+    definitions it spells, bare (``getattr`` dispatch) or as
+    ``repro.module:name``.  Docstrings are not code.
+    """
+    parsed = {name: _Module(name, modules) for name in modules}
+    tables = {
+        name: _lazy_table(parsed[name].tree, name)
+        for name in modules
+        if _is_package(name, modules)
+    }
+    spelled = {}
+    for module in parsed.values():
+        for name in module.definitions:
+            spelled.setdefault(name, set()).add((module.name, name))
+
+    def resolve(module, name, hops=0):
+        """The definition ``name`` denotes in ``module``, or None."""
+        scope = parsed.get(module)
+        if scope is None or hops > len(parsed):
+            return None
+        if name in scope.definitions:
+            return (module, name)
+        binding = scope.bindings.get(name)
+        if isinstance(binding, tuple):
+            return resolve(*binding, hops + 1)
+        if name in tables.get(module, {}):
+            return resolve(tables[module][name], name, hops + 1)
+        return None
+
+    def module_of(module, node):
+        """The module an expression denotes in ``module``, or None."""
+        if isinstance(node, ast.Name):
+            binding = parsed[module].bindings.get(node.id)
+            return binding if isinstance(binding, str) else None
+        if isinstance(node, ast.Attribute):
+            base = module_of(module, node.value)
+            if base and f"{base}.{node.attr}" in modules:
+                return f"{base}.{node.attr}"
+        return None
+
+    def named(module, nodes):
+        docstrings = {
+            id(_docstring(inner.body))
+            for node in nodes
+            for inner in ast.walk(node)
+            if isinstance(inner, _DEFINITION)
+        }
+        for node in nodes:
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Name):
+                    yield resolve(module, inner.id)
+                elif isinstance(inner, ast.Attribute):
+                    base = module_of(module, inner.value)
+                    if base:
+                        yield resolve(base, inner.attr)
+                elif (
+                    isinstance(inner, ast.Constant)
+                    and isinstance(inner.value, str)
+                    and id(inner) not in docstrings
+                ):
+                    source, _, name = inner.value.rpartition(":")
+                    if source in parsed:
+                        yield resolve(source, name)
+                    else:
+                        yield from spelled.get(inner.value, ())
+
+    seen = set()
+    pending = []
+
+    def reach(module, nodes):
+        for found in named(module, nodes):
+            if found and found not in seen:
+                seen.add(found)
+                pending.append(found)
+
+    for module in reached(modules):
+        reach(module, parsed[module].module_code())
+        seen.update(
+            (module, name)
+            for name in parsed[module].definitions
+            if name.startswith("__")
+        )
+    for root in roots:
+        seen.add(root)
+        pending.append(root)
+    while pending:
+        module, name = pending.pop()
+        reach(module, [parsed[module].definitions[name]])
+    return seen
+
+
+def test_every_name_is_reached_from_the_command_line():
+    modules = _modules()
+    unreached = sorted(
+        (module, name)
+        for module, name in definitions(modules)
+        - reached_names(modules, roots=ALLOWED_NAMES)
+        if module not in ALLOWED
+    )
+    assert not unreached, (
+        "functions and classes nothing runs from repro.cli/repro.__main__: "
+        + ", ".join(f"{module}:{name}" for module, name in unreached)
+    )
+
+
+def test_every_allowlisted_name_exists_and_is_unreached():
+    """An entry whose definition is gone, or that a command now
+    reaches, is stale."""
+    modules = _modules()
+    assert set(ALLOWED_NAMES) <= definitions(modules)
+    assert not set(ALLOWED_NAMES) & reached_names(modules)
+
+
+def test_an_orphan_function_is_caught(tmp_path):
+    """Only code reaches a name: a docstring mention and an ``__all__``
+    entry do not, a call or a ``getattr`` string does."""
+    modules = _modules()
+    source = modules["repro.types"].read_text(encoding="utf-8")
+    patched = tmp_path / "types.py"
+    patched.write_text(
+        source
+        + "\n\ndef orphan():\n    return 1\n"
+        + "\n\ndef spelled():\n    return 2\n"
+        + "\n\ndef called():\n    return 3\n"
+        + '\n\ndef caller():\n'
+        + '    """See :func:`orphan`."""\n'
+        + '    return called(), getattr(None, "spelled", None)\n'
+        + '\n\n__all__ = ["orphan"]\n',
+        encoding="utf-8",
+    )
+    modules["repro.types"] = patched
+    reached = reached_names(modules, roots={("repro.types", "caller")})
+    assert ("repro.types", "orphan") not in reached
+    assert ("repro.types", "called") in reached
+    assert ("repro.types", "spelled") in reached

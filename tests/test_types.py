@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.types import (
-    FIRST_ROUND,
-    validate_process_id,
-    validate_round,
-    validate_system_size,
-)
+from repro.types import validate_process_id, validate_system_size
 
 
 class TestValidateSystemSize:
@@ -46,17 +41,3 @@ class TestValidateProcessId:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             validate_process_id(4, 4)
-
-
-class TestValidateRound:
-    def test_first_round_is_one(self):
-        assert FIRST_ROUND == 1
-        validate_round(1)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            validate_round(0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            validate_round(-3)

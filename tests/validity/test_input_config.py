@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.validity.containment import check_partial_order_axioms
 from repro.validity.input_config import (
     InputConfig,
-    count_input_configs,
     enumerate_full_configs,
     enumerate_input_configs,
 )
@@ -88,7 +87,6 @@ class TestContainment:
 class TestEnumeration:
     def test_count_matches_formula(self):
         configs = list(enumerate_input_configs(4, 1, (0, 1)))
-        assert len(configs) == count_input_configs(4, 1, 2)
         assert len(configs) == 4 * 8 + 16  # C(4,3)·2³ + 2⁴
 
     def test_all_unique(self):

@@ -6,7 +6,7 @@ from repro.validity.standard import (
     strong_consensus_problem,
     weak_consensus_problem,
 )
-from repro.validity.triviality import is_trivial, triviality_report
+from repro.validity.triviality import triviality_report
 
 
 class TestTrivialityReport:
@@ -32,5 +32,5 @@ class TestTrivialityReport:
         assert report.witness == 1  # deterministic representative
 
     def test_predicate_form(self):
-        assert is_trivial(constant_problem(3, 1, value=1))
-        assert not is_trivial(strong_consensus_problem(3, 1))
+        assert constant_problem(3, 1, value=1).is_trivial()
+        assert not strong_consensus_problem(3, 1).is_trivial()
