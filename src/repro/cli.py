@@ -171,6 +171,18 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _count(text: str) -> int:
+    """The ``--tail``/``--slowest`` argument type: zero or more.
+
+    A negative count would slice from the wrong end of the list.
+    """
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return int(text)
+
+
 def _system_size_options(
     subparser: argparse.ArgumentParser, n: int | None, t: int | None
 ) -> None:
@@ -424,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     log_show.add_argument(
         "--tail",
-        type=int,
+        type=_count,
         default=None,
         metavar="N",
         help="after filtering, show only the last N records",
@@ -532,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument(
         "--slowest",
-        type=int,
+        type=_count,
         default=5,
         metavar="N",
         help="how many slowest rounds to list (default: 5)",
@@ -900,9 +912,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         print(outcome.render())
         if args.profile:
-            from repro.obs.report import render_trace
+            from repro.obs.report import LedgerFold, render_trace
 
-            _info(render_trace(ledger.events))
+            _info(render_trace(LedgerFold.of(ledger.events)))
         if args.log:
             _info("\n".join(outcome.log))
         _write_ledger(ledger, worldlog)
@@ -1028,17 +1040,19 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "log":
         return _dispatch_log(args)
     if args.command == "trace":
-        events = _read_recording_events(args.path)
         if args.format == "chrome":
             import json
 
             from repro.obs.export import chrome_trace
+            from repro.worldlog.store import read_worldlog
+            from repro.worldlog.views import ledger_events
 
-            print(json.dumps(chrome_trace(list(events))))
+            events = ledger_events(read_worldlog(args.path))
+            print(json.dumps(chrome_trace(events)))
             return 0
         from repro.obs.report import render_trace
 
-        print(render_trace(events, slowest=args.slowest))
+        print(render_trace(_recorded_fold(args.path), slowest=args.slowest))
         return 0
     if args.command == "serve":
         return _dispatch_serve(args)
@@ -1057,12 +1071,13 @@ def _dispatch(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
-def _read_recording_events(path: str):
-    """The ledger events a world log recorded (``trace``, ``metrics``)."""
+def _recorded_fold(path: str):
+    """The fold of the ledger events a world log recorded (``trace``,
+    ``metrics export``)."""
+    from repro.worldlog.replay import replay_state
     from repro.worldlog.store import read_worldlog
-    from repro.worldlog.views import ledger_events
 
-    return ledger_events(read_worldlog(path))
+    return replay_state(read_worldlog(path)).ledger
 
 
 def _dispatch_serve(args: argparse.Namespace) -> int:
@@ -1348,10 +1363,9 @@ def _dispatch_metrics(args: argparse.Namespace) -> int:
         raise AssertionError(
             f"unhandled metrics command {args.metrics_command!r}"
         )
-    from repro.obs.export import metrics_snapshot, render_prometheus
+    from repro.obs.export import render_prometheus
 
-    events = _read_recording_events(args.path)
-    document = render_prometheus(metrics_snapshot(events))
+    document = render_prometheus(_recorded_fold(args.path))
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(document)

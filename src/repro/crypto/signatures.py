@@ -137,11 +137,6 @@ class SignatureScheme:
     def __init__(self, registry: KeyRegistry) -> None:
         self._registry = registry
 
-    @property
-    def registry(self) -> KeyRegistry:
-        """The underlying key registry."""
-        return self._registry
-
     def sign(self, key: SecretKey, content: Hashable) -> Signature:
         """Sign ``content`` with ``key``.
 

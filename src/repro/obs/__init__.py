@@ -7,14 +7,14 @@ The layer every pipeline stage emits into and every report reads from:
   the cross-process splice protocol (persisted through the world log);
 * :mod:`repro.obs.tracer` — span tracing with a zero-overhead no-op
   default (:data:`NULL_TRACER`) and the per-round engine observer;
-* :mod:`repro.obs.report` — the ``repro trace`` timeline and the folds
-  ``repro log stats`` shares (span pairing, percentiles);
-* :mod:`repro.obs.export` — Prometheus text exposition (a fold of the
-  recorded counter, gauge and span events) and Chrome trace-event JSON
-  adapters.
+* :mod:`repro.obs.report` — the one fold of recorded events every log
+  reader renders (spans paired, counters summed, last gauges, rounds,
+  per-cell tallies) and the ``repro trace`` timeline;
+* :mod:`repro.obs.export` — Prometheus text exposition of that fold and
+  Chrome trace-event JSON adapters.
 
-There is no in-memory aggregate beside the log: every total is a fold
-over recorded events.
+There is no in-memory aggregate beside the log: every total is read off
+one fold of the recorded events.
 
 Telemetry is wall-clock data: it never participates in outcome
 equality, and the parallel sweep backends are required to agree only on
@@ -28,7 +28,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(
     __name__,
     {
         ".export": (
-            "chrome_trace", "metrics_snapshot", "render_prometheus",
+            "chrome_trace", "render_prometheus",
         ),
         ".ledger": (
             "EVENT_KINDS", "LedgerEvent", "RunLedger", "cell_label",

@@ -2,10 +2,10 @@
 
 Two one-way bridges out of the repository's own observability model:
 
-* **Prometheus text exposition** — a :func:`metrics_snapshot` of a
-  recorded event stream rendered as the ``# HELP`` / ``# TYPE`` line
-  format every Prometheus-compatible scraper ingests (``repro metrics
-  export --format prom``).  Counters become ``<prefix>_<name>_total``
+* **Prometheus text exposition** — a :class:`~repro.obs.report
+  .LedgerFold` rendered as the ``# HELP`` / ``# TYPE`` line format every
+  Prometheus-compatible scraper ingests (``repro metrics export
+  --format prom``).  Counters become ``<prefix>_<name>_total``
   counters, gauges become gauges, span durations become summaries
   (``_count`` / ``_sum``) with their min/max as companion gauges.
 * **Chrome trace-event JSON** — a ledger's span tree as the
@@ -18,8 +18,9 @@ Both adapters are pure functions of data the log already holds, so a
 finished world log exports exactly what a live scrape would have shown.
 
 >>> from repro.obs.ledger import LedgerEvent
+>>> from repro.obs.report import LedgerFold
 >>> hits = LedgerEvent("counter", "cache.hits", 0.0, 3)
->>> print(render_prometheus(metrics_snapshot([hits])).rstrip())
+>>> print(render_prometheus(LedgerFold.of([hits])).rstrip())
 # HELP repro_cache_hits_total counter cache.hits
 # TYPE repro_cache_hits_total counter
 repro_cache_hits_total 3
@@ -30,39 +31,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.obs.ledger import LedgerEvent
-from repro.obs.report import closed_spans
-
-
-def metrics_snapshot(events: Sequence[LedgerEvent]) -> dict[str, Any]:
-    """Fold a recorded event stream into the dict :func:`prometheus_lines`
-    renders: ``{"counters", "gauges", "histograms"}``.
-
-    ``counter`` events sum (a valueless one counts 1), ``gauge`` events
-    keep their last value, and each closed span (paired by
-    :func:`~repro.obs.report.closed_spans`) adds its duration to a
-    ``span.<name>_seconds`` summary of ``count``, ``total``, ``min``
-    and ``max``.  Names keep the order of their first event (a span's
-    first close), so the exposition is deterministic.
-    """
-    counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
-    for event in events:
-        if event.kind == "counter":
-            value = event.value if event.value is not None else 1
-            counters[event.name] = counters.get(event.name, 0) + value
-        elif event.kind == "gauge" and event.value is not None:
-            gauges[event.name] = event.value
-    histograms: dict[str, dict[str, float]] = {}
-    for name, seconds in closed_spans(events):
-        summary = histograms.setdefault(
-            f"span.{name}_seconds",
-            {"count": 0, "total": 0.0, "min": seconds, "max": seconds},
-        )
-        summary["count"] += 1
-        summary["total"] += seconds
-        summary["min"] = min(summary["min"], seconds)
-        summary["max"] = max(summary["max"], seconds)
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
+from repro.obs.report import LedgerFold
 
 
 def metric_name(name: str, prefix: str = "repro") -> str:
@@ -87,43 +56,37 @@ def _format_value(value: float) -> str:
     return repr(number)
 
 
-def prometheus_lines(
-    snapshot: dict[str, Any], prefix: str = "repro"
-) -> list[str]:
-    """One Prometheus exposition line list from a metrics snapshot.
+def render_prometheus(fold: LedgerFold, prefix: str = "repro") -> str:
+    """The full exposition document (trailing newline included).
 
-    ``snapshot`` has the shape :func:`metrics_snapshot` returns.
+    Names keep the fold's order: counters and gauges by first event,
+    each ``span.<name>_seconds`` summary by its span's first close, so
+    the exposition is deterministic.
     """
     lines: list[str] = []
-    for name, total in snapshot.get("counters", {}).items():
+    for name, total in fold.counters.items():
         metric = metric_name(name, prefix) + "_total"
         lines.append(f"# HELP {metric} counter {name}")
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {_format_value(total)}")
-    for name, value in snapshot.get("gauges", {}).items():
+    for name, value in fold.gauges.items():
         metric = metric_name(name, prefix)
         lines.append(f"# HELP {metric} gauge {name}")
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_format_value(value)}")
-    for name, summary in snapshot.get("histograms", {}).items():
+    for span, summary in fold.spans.items():
+        name = f"span.{span}_seconds"
         metric = metric_name(name, prefix)
         lines.append(f"# HELP {metric} summary {name}")
         lines.append(f"# TYPE {metric} summary")
-        lines.append(f"{metric}_count {_format_value(summary['count'])}")
-        lines.append(f"{metric}_sum {_format_value(summary['total'])}")
-        for stat in ("min", "max"):
+        lines.append(f"{metric}_count {_format_value(summary.count)}")
+        lines.append(f"{metric}_sum {_format_value(summary.seconds)}")
+        for stat, value in (("min", summary.low), ("max", summary.high)):
             stat_metric = f"{metric}_{stat}"
             lines.append(f"# HELP {stat_metric} gauge {name} {stat}")
             lines.append(f"# TYPE {stat_metric} gauge")
-            lines.append(f"{stat_metric} {_format_value(summary[stat])}")
-    return lines
-
-
-def render_prometheus(
-    snapshot: dict[str, Any], prefix: str = "repro"
-) -> str:
-    """The full exposition document (trailing newline included)."""
-    return "\n".join(prometheus_lines(snapshot, prefix)) + "\n"
+            lines.append(f"{stat_metric} {_format_value(value)}")
+    return "\n".join(lines) + "\n"
 
 
 def chrome_trace(

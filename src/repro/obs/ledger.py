@@ -162,7 +162,12 @@ class LedgerEvent:
     @classmethod
     def from_json(cls, line: str) -> "LedgerEvent":
         """Parse one JSON Lines record back into an event."""
-        raw = json.loads(line)
+        return cls.from_payload(json.loads(line))
+
+    @classmethod
+    def from_payload(cls, raw: dict[str, Any]) -> "LedgerEvent":
+        """The event a parsed :meth:`to_json` object (a world log's
+        ``ledger.event`` payload) describes."""
         return cls(
             kind=raw["kind"],
             name=raw["name"],

@@ -83,12 +83,6 @@ class SweepProgress:
         self._last_done_at = self._begin
         self._line_open = False
 
-    @property
-    def done(self) -> int:
-        """How many cells have completed (any status)."""
-        with self._lock:
-            return self._done
-
     def start(self, label: str) -> None:
         """Record that ``label``'s cell is now in flight."""
         with self._lock:
@@ -115,18 +109,6 @@ class SweepProgress:
                 self.heartbeats[label] = self.heartbeats.get(label, 0) + 1
             line = self._line()
         self._emit(line)
-
-    def stalled_for(self) -> float:
-        """Seconds since the last completion (0.0 once all cells done)."""
-        with self._lock:
-            if self._done >= self.total:
-                return 0.0
-            return self._clock() - self._last_done_at
-
-    @property
-    def stalled(self) -> bool:
-        """Whether the quiet period has elapsed with cells outstanding."""
-        return self.stalled_for() > self.stall_after
 
     def close(self) -> None:
         """Emit the final line and release the terminal."""

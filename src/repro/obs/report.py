@@ -1,157 +1,233 @@
-"""Human rendering of run ledgers.
+"""The one fold of ledger events, and its human rendering.
 
-:func:`render_trace` is the ``repro trace <ledger>`` timeline over the
-:mod:`repro.obs.ledger` event stream: the span tree with accumulated
-durations, the slowest simulated rounds, the per-round message-count
-series, the cache hit rate and the observed messages-vs-``t²/32``
-ratio (its minimum and maximum over the cells of a sweep), plus a
-per-cell table for sweep ledgers with each cell's messages, floor and
-ratio.  :func:`span_totals`, :func:`percentiles`,
-:func:`cache_hit_rate` and :func:`bound_gauges` are the folds ``repro
-log stats`` reuses; :func:`closed_spans` is the one span-pairing rule
-the flat folds share.
+:class:`LedgerFold` reads a recorded event stream one event at a time
+and keeps everything the log readers print: summed counters, last
+gauges, the ``engine.round`` rows, the same tallies per sweep cell, and
+the spans — paired once, by one stack per ``(worker_id, cell_id)``
+stream, into an aggregated phase tree and flat per-name totals.  ``repro
+trace`` (:func:`render_trace`), ``repro metrics export``
+(:func:`~repro.obs.export.render_prometheus`), ``repro log stats`` and
+the replay cursor (:mod:`repro.worldlog.replay`) all render one fold;
+none of them rescans the events.
+
+:func:`render_trace` is the ``repro trace`` timeline: the span tree with
+accumulated durations, the slowest simulated rounds, the per-round
+message-count series, the cache hit rate and the observed
+messages-vs-``t²/32`` ratio (its minimum and maximum over the cells of a
+sweep), plus a per-cell table for sweep ledgers with each cell's
+messages, floor and ratio.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import ceil
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.obs.ledger import LedgerEvent
 
+Bound = tuple[float, float | None, float | None]
+"""``(ratio, observed, floor)`` read off a scope's ``bound.*`` gauges."""
+
+
+def counted(event: LedgerEvent) -> float:
+    """What one ``counter`` event adds: its value, or 1 without one
+    (the default of :meth:`~repro.obs.tracer.Tracer.counter`)."""
+    return 1 if event.value is None else event.value
+
+
+class SpanTotal(NamedTuple):
+    """Every closed span of one name: how many, how long in all, and
+    the shortest and longest."""
+
+    count: int
+    seconds: float
+    low: float
+    high: float
+
+    def add(self, seconds: float) -> "SpanTotal":
+        return SpanTotal(
+            self.count + 1,
+            self.seconds + seconds,
+            min(self.low, seconds),
+            max(self.high, seconds),
+        )
+
 
 @dataclass
-class _SpanNode:
-    """One aggregated node of the span tree."""
+class Tally:
+    """Counters, gauges and rounds of one scope: a whole log or a cell.
 
-    name: str
-    seconds: float = 0.0
-    count: int = 0
-    children: dict[str, "_SpanNode"] = field(default_factory=dict)
-
-    def child(self, name: str) -> "_SpanNode":
-        if name not in self.children:
-            self.children[name] = _SpanNode(name)
-        return self.children[name]
-
-
-def build_span_tree(events: Sequence[LedgerEvent]) -> _SpanNode:
-    """Aggregate paired span events into one tree.
-
-    Spans are paired per ``(worker_id, cell_id)`` stream (timestamps are
-    only comparable within one stream); same-named spans at the same
-    nesting depth accumulate duration and count across streams.
+    A ``counter`` adds :func:`counted`, a ``gauge`` keeps its last value
+    (one without a value is skipped), and an ``engine.round`` counter is
+    also kept as a row.  ``vs_floor`` is the latest ratio to the
+    ``t²/32`` floor, from a round's attributes or a ``bound.vs_floor``
+    gauge, whichever came last.
     """
-    root = _SpanNode("")
-    stacks: dict[tuple[int, str | None], list[tuple[_SpanNode, float]]] = {}
-    for event in events:
-        stream = (event.worker_id, event.cell_id)
-        stack = stacks.setdefault(stream, [])
-        if event.kind == "span-start":
-            parent = stack[-1][0] if stack else root
-            stack.append((parent.child(event.name), event.ts))
-        elif event.kind == "span-end":
-            while stack:
-                node, started = stack.pop()
-                if node.name == event.name:
-                    node.seconds += event.ts - started
-                    node.count += 1
-                    break
-    return root
 
+    events: int = 0
+    artifacts: int = 0
+    counters: dict[str, float] = field(default_factory=dict)
+    gauges: dict[str, float] = field(default_factory=dict)
+    rounds: list[LedgerEvent] = field(default_factory=list)
+    vs_floor: float | None = None
 
-def _render_tree(node: _SpanNode, depth: int, lines: list[str]) -> None:
-    for child in node.children.values():
-        suffix = f" ×{child.count}" if child.count > 1 else ""
-        lines.append(
-            f"{'  ' * depth}{child.name:<18} "
-            f"{child.seconds * 1e3:9.2f} ms{suffix}"
+    def add(self, event: LedgerEvent) -> None:
+        self.events += 1
+        kind, name = event.kind, event.name
+        if kind == "counter":
+            self.counters[name] = self.counters.get(name, 0) + counted(event)
+            if name == "engine.round":
+                self.rounds.append(event)
+                self.vs_floor = event.attr("vs_floor", self.vs_floor)
+        elif kind == "gauge" and event.value is not None:
+            self.gauges[name] = event.value
+            if name == "bound.vs_floor":
+                self.vs_floor = event.value
+        elif kind == "artifact":
+            self.artifacts += 1
+
+    def clone(self) -> "Tally":
+        return replace(
+            self,
+            counters=dict(self.counters),
+            gauges=dict(self.gauges),
+            rounds=list(self.rounds),
         )
-        _render_tree(child, depth + 1, lines)
+
+    @property
+    def messages(self) -> float:
+        """Correct-sender messages over every traced round."""
+        return float(self.counters.get("engine.round", 0))
+
+    def hit_rate(self) -> float | None:
+        """``(hits + alias_hits) / lookups``, or ``None`` without lookups."""
+        hits = self.counters.get("cache.hits", 0)
+        alias = self.counters.get("cache.alias_hits", 0)
+        lookups = hits + alias + self.counters.get("cache.misses", 0)
+        return (hits + alias) / lookups if lookups else None
+
+    def bound(self) -> Bound | None:
+        """The last ``bound.*`` gauges, or ``None`` without a
+        ``bound.vs_floor`` gauge."""
+        if "bound.vs_floor" not in self.gauges:
+            return None
+        return (
+            self.gauges["bound.vs_floor"],
+            self.gauges.get("bound.observed"),
+            self.gauges.get("bound.floor"),
+        )
 
 
-def _round_events(
-    events: Sequence[LedgerEvent],
-) -> list[LedgerEvent]:
-    return [
-        event
-        for event in events
-        if event.kind == "counter" and event.name == "engine.round"
-    ]
+Stream = tuple[int, str | None]
+Path = tuple[str, ...]
 
 
-def _counter_total(events: Sequence[LedgerEvent], name: str) -> float:
-    return sum(
-        event.value or 0
-        for event in events
-        if event.kind == "counter" and event.name == name
-    )
+@dataclass
+class LedgerFold(Tally):
+    """Every reader's view of one event stream, built one event at a time.
 
+    On top of the whole-stream :class:`Tally` it keeps one tally per
+    cell, the run and worker ids seen, and the spans.  Spans pair per
+    ``(worker_id, cell_id)`` stream, since timestamps only compare
+    within one stream.  A ``span-start`` opens a node of ``tree`` under
+    the stream's innermost open span, so an unclosed span still shows;
+    a ``span-end`` closes the nearest open span of its name in its
+    stream, dropping any unclosed spans above it, and one with no such
+    start closes nothing.  A close adds its duration to its tree node
+    and to ``spans`` (flat per-name totals, in first-close order).
 
-def _last_gauge(
-    events: Sequence[LedgerEvent], name: str
-) -> LedgerEvent | None:
-    found = None
-    for event in events:
-        if event.kind == "gauge" and event.name == name:
-            found = event
-    return found
-
-
-def closed_spans(
-    events: Iterable[LedgerEvent],
-) -> Iterator[tuple[str, float]]:
-    """Every closed span as ``(name, seconds)``, in closing order.
-
-    Spans pair per ``(worker_id, cell_id)`` stream, since timestamps
-    only compare within one stream.  A ``span-end`` closes the nearest
-    open span of its name in its stream (dropping any unclosed spans
-    above it); one with no such start closes nothing.  The one pairing
-    rule behind :func:`span_totals` and
-    :func:`~repro.obs.export.metrics_snapshot`.
-
-    >>> from repro.obs.ledger import LedgerEvent
     >>> def at(kind, name, ts, worker=1):
     ...     return LedgerEvent(kind, name, ts, None, "r", None, worker)
-    >>> list(closed_spans([
+    >>> fold = LedgerFold.of([
     ...     at("span-start", "attack", 1.0),
     ...     at("span-start", "probe", 2.0),
     ...     at("span-end", "probe", 5.0),
     ...     at("span-end", "attack", 9.0, worker=2),
-    ... ]))
-    [('probe', 3.0)]
+    ... ])
+    >>> fold.tree
+    {('attack',): (0.0, 0), ('attack', 'probe'): (3.0, 1)}
+    >>> fold.open_spans
+    [(1, None, ['attack'])]
     """
-    stacks: dict[tuple[int, str | None], list[LedgerEvent]] = {}
-    for event in events:
+
+    run_ids: set[str] = field(default_factory=set)
+    workers: set[int] = field(default_factory=set)
+    cells: dict[str, Tally] = field(default_factory=dict)
+    tree: dict[Path, tuple[float, int]] = field(default_factory=dict)
+    spans: dict[str, SpanTotal] = field(default_factory=dict)
+    stacks: dict[Stream, list[tuple[Path, float]]] = field(
+        default_factory=dict
+    )
+
+    @classmethod
+    def of(cls, events: Iterable[LedgerEvent]) -> "LedgerFold":
+        fold = cls()
+        for event in events:
+            fold.add(event)
+        return fold
+
+    def add(self, event: LedgerEvent) -> None:
+        super().add(event)
+        self.run_ids.add(event.run_id)
+        self.workers.add(event.worker_id)
+        if event.cell_id is not None:
+            if event.cell_id not in self.cells:
+                self.cells[event.cell_id] = Tally()
+            self.cells[event.cell_id].add(event)
         if event.kind == "span-start":
-            stream = (event.worker_id, event.cell_id)
-            stacks.setdefault(stream, []).append(event)
+            stack = self.stacks.setdefault(
+                (event.worker_id, event.cell_id), []
+            )
+            path = (stack[-1][0] if stack else ()) + (event.name,)
+            self.tree.setdefault(path, (0.0, 0))
+            stack.append((path, event.ts))
         elif event.kind == "span-end":
-            stack = stacks.get((event.worker_id, event.cell_id), [])
+            stack = self.stacks.get((event.worker_id, event.cell_id), [])
             while stack:
-                start = stack.pop()
-                if start.name == event.name:
-                    yield event.name, event.ts - start.ts
+                path, started = stack.pop()
+                if path[-1] == event.name:
+                    self._close(path, event.ts - started)
                     break
 
+    def _close(self, path: Path, seconds: float) -> None:
+        total, count = self.tree[path]
+        self.tree[path] = (total + seconds, count + 1)
+        name = path[-1]
+        first = SpanTotal(0, 0.0, seconds, seconds)
+        self.spans[name] = self.spans.get(name, first).add(seconds)
 
-def span_totals(
-    events: Sequence[LedgerEvent],
-) -> dict[str, dict[str, float]]:
-    """Flat accumulated span durations: name → ``{seconds, count}``.
+    def clone(self) -> "LedgerFold":
+        copy = super().clone()
+        copy.run_ids = set(self.run_ids)
+        copy.workers = set(self.workers)
+        copy.cells = {cell: tally.clone() for cell, tally in self.cells.items()}
+        copy.tree = dict(self.tree)
+        copy.spans = dict(self.spans)
+        copy.stacks = {
+            stream: list(stack) for stream, stack in self.stacks.items()
+        }
+        return copy
 
-    The flat companion to :func:`build_span_tree`: same-named spans
-    accumulate regardless of nesting depth.  Shared by the trace
-    renderer's consumers and ``repro log stats`` (certificate verify
-    time is the ``witness-verify`` + ``certify`` rows).
-    """
-    totals: dict[str, dict[str, float]] = {}
-    for name, seconds in closed_spans(events):
-        entry = totals.setdefault(name, {"seconds": 0.0, "count": 0})
-        entry["seconds"] += seconds
-        entry["count"] += 1
-    return dict(sorted(totals.items()))
+    @property
+    def open_spans(self) -> list[tuple[int, str | None, list[str]]]:
+        """Per-stream open span names: ``(worker, cell, names)``."""
+        return [
+            (worker, cell, [path[-1] for path, _ in stack])
+            for (worker, cell), stack in sorted(
+                self.stacks.items(),
+                key=lambda item: (item[0][0], item[0][1] or ""),
+            )
+            if stack
+        ]
+
+    @property
+    def wall_seconds(self) -> float:
+        """The accumulated time of the outermost spans."""
+        return sum(
+            seconds for path, (seconds, _) in self.tree.items()
+            if len(path) == 1
+        )
 
 
 def percentiles(
@@ -176,53 +252,48 @@ def percentiles(
     return result
 
 
-def cache_hit_rate(events: Sequence[LedgerEvent]) -> float | None:
-    """``(hits + alias_hits) / lookups`` over the whole ledger."""
-    hits = _counter_total(events, "cache.hits")
-    alias = _counter_total(events, "cache.alias_hits")
-    misses = _counter_total(events, "cache.misses")
-    lookups = hits + alias + misses
-    if not lookups:
-        return None
-    return (hits + alias) / lookups
+def _render_tree(tree: dict[Path, tuple[float, int]], lines: list[str]) -> None:
+    children: dict[Path, list[Path]] = {}
+    for path in tree:
+        children.setdefault(path[:-1], []).append(path)
+
+    def walk(parent: Path) -> None:
+        for path in children.get(parent, ()):
+            seconds, count = tree[path]
+            suffix = f" ×{count}" if count > 1 else ""
+            lines.append(
+                f"{'  ' * len(path)}{path[-1]:<18} "
+                f"{seconds * 1e3:9.2f} ms{suffix}"
+            )
+            walk(path)
+
+    walk(())
 
 
-def render_trace(
-    events: Sequence[LedgerEvent], slowest: int = 5
-) -> str:
-    """The human timeline of one persisted run ledger."""
+def render_trace(fold: LedgerFold, slowest: int = 5) -> str:
+    """The human timeline of one recorded event stream."""
     from repro.analysis.tables import render_table
 
     lines: list[str] = []
-    run_ids = sorted({event.run_id for event in events})
-    workers = sorted({event.worker_id for event in events})
-    cells = sorted(
-        {
-            event.cell_id
-            for event in events
-            if event.cell_id is not None
-        }
-    )
+    cells = sorted(fold.cells)
     lines.append(
-        f"run {', '.join(run_ids) or '-'}: {len(events)} events, "
-        f"{len(workers)} worker(s), {len(cells)} cell(s)"
+        f"run {', '.join(sorted(fold.run_ids)) or '-'}: "
+        f"{fold.events} events, "
+        f"{len(fold.workers)} worker(s), {len(cells)} cell(s)"
     )
 
-    tree = build_span_tree(events)
-    if tree.children:
+    if fold.tree:
         lines.append("")
         lines.append("phase tree (accumulated wall time):")
-        _render_tree(tree, 1, lines)
+        _render_tree(fold.tree, lines)
 
-    rounds = _round_events(events)
+    rounds = fold.rounds
     if rounds:
         lines.append("")
         per_round: dict[int, int] = {}
         for event in rounds:
             index = int(event.attr("round", 0))
-            per_round[index] = per_round.get(index, 0) + int(
-                event.value or 0
-            )
+            per_round[index] = per_round.get(index, 0) + int(counted(event))
         lines.append(
             f"rounds simulated: {len(rounds)}; correct-sender "
             "messages per round index:"
@@ -255,20 +326,17 @@ def render_trace(
             )
         )
 
-    rate = cache_hit_rate(events)
+    rate = fold.hit_rate()
     if rate is not None:
+        counters = fold.counters
         lines.append(
             f"cache hit rate: {rate * 100:.1f}% "
-            f"({_counter_total(events, 'cache.hits'):.0f} hits, "
-            f"{_counter_total(events, 'cache.alias_hits'):.0f} alias, "
-            f"{_counter_total(events, 'cache.misses'):.0f} misses)"
+            f"({counters.get('cache.hits', 0):.0f} hits, "
+            f"{counters.get('cache.alias_hits', 0):.0f} alias, "
+            f"{counters.get('cache.misses', 0):.0f} misses)"
         )
 
-    by_cell: dict[str, list[LedgerEvent]] = {cell: [] for cell in cells}
-    for event in events:
-        if event.cell_id is not None:
-            by_cell[event.cell_id].append(event)
-    bounds = {cell: bound_gauges(by_cell[cell]) for cell in cells}
+    bounds = {cell: fold.cells[cell].bound() for cell in cells}
     measured = [(cell, bound) for cell, bound in bounds.items() if bound]
     if len(measured) > 1:
         # One ratio per cell: a sweep's cells differ in t, so no single
@@ -280,7 +348,7 @@ def render_trace(
             f"min {_render_bound(*low)}, max {_render_bound(*high)}"
         )
     else:
-        bound = bound_gauges(events)
+        bound = fold.bound()
         if bound is not None:
             lines.append(f"messages / (t²/32): {_render_bound(None, bound)}")
 
@@ -289,25 +357,19 @@ def render_trace(
         lines.append("per-cell summary:")
         rows = []
         for cell in cells:
-            cell_events = by_cell[cell]
-            wall = _last_gauge(cell_events, "cell.wall_seconds")
-            errors = _counter_total(cell_events, "cell.error")
-            artifacts = sum(
-                1
-                for event in cell_events
-                if event.kind == "artifact"
-            )
+            tally = fold.cells[cell]
+            wall = tally.gauges.get("cell.wall_seconds")
             ratio, observed, floor = bounds[cell] or (None, None, None)
             rows.append(
                 (
                     cell,
-                    f"{wall.value * 1e3:.1f}" if wall else "-",
-                    len(cell_events),
-                    artifacts,
+                    "-" if wall is None else f"{wall * 1e3:.1f}",
+                    tally.events,
+                    tally.artifacts,
                     "-" if observed is None else f"{observed:.0f}",
                     "-" if floor is None else f"{floor:.1f}",
                     "-" if ratio is None else f"{ratio:.3f}",
-                    "ERROR" if errors else "ok",
+                    "ERROR" if tally.counters.get("cell.error") else "ok",
                 )
             )
         lines.append(
@@ -328,27 +390,7 @@ def render_trace(
     return "\n".join(lines)
 
 
-def bound_gauges(
-    events: Sequence[LedgerEvent],
-) -> tuple[float, float | None, float | None] | None:
-    """``(ratio, observed, floor)`` from the last ``bound.*`` gauges, or
-    ``None`` without a ``bound.vs_floor`` gauge."""
-    ratio = _last_gauge(events, "bound.vs_floor")
-    if ratio is None:
-        return None
-    observed = _last_gauge(events, "bound.observed")
-    floor = _last_gauge(events, "bound.floor")
-    return (
-        ratio.value,
-        None if observed is None else observed.value,
-        None if floor is None else floor.value,
-    )
-
-
-def _render_bound(
-    cell: str | None,
-    bound: tuple[float, float | None, float | None],
-) -> str:
+def _render_bound(cell: str | None, bound: Bound) -> str:
     """``ratio (cell: observed messages vs t²/32 = floor)``."""
     ratio, observed, floor = bound
     detail = []

@@ -58,9 +58,6 @@ class Tracer:
     def gauge(self, name: str, value: float | int, **attrs: Any) -> None:
         """Record a sampled gauge value (no-op here)."""
 
-    def artifact(self, name: str, ref: str, **attrs: Any) -> None:
-        """Record a reference to a produced artifact (no-op here)."""
-
     def round_observers(
         self, floor: float | None = None
     ) -> tuple[RoundObserver, ...]:
@@ -110,11 +107,6 @@ class LedgerTracer(Tracer):
     def gauge(self, name: str, value: float | int, **attrs: Any) -> None:
         self.ledger.emit(
             "gauge", name, value=value, cell_id=self.cell_id, **attrs
-        )
-
-    def artifact(self, name: str, ref: str, **attrs: Any) -> None:
-        self.ledger.emit(
-            "artifact", name, value=ref, cell_id=self.cell_id, **attrs
         )
 
     def round_observers(

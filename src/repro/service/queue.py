@@ -6,11 +6,12 @@ the event-loop thread; tests drive it directly.  Ordering is a binary
 heap on ``(-priority, seq)``: higher ``priority`` first, and within one
 priority strictly first-come-first-served by acceptance sequence.
 
-:func:`recover_jobs` is the crash-resume half: it folds a resumed world
-log's ``job.*`` records back into queue entries and recorded results.
-The fold mirrors :func:`repro.worldlog.views.jobs_manifest` exactly —
-the manifest is the operator's *view* of the same transition function
-the server *executes*:
+:func:`recover_jobs` is the crash-resume half: it reads a resumed world
+log's jobs back into queue entries and recorded results, off the one
+replay fold (:class:`~repro.worldlog.replay.ReplayState`) whose job
+transitions also give the ``jobs.json`` manifest — the manifest is the
+operator's *view* of the same transition function the server
+*executes*:
 
 * ``job.submitted`` with no later record → the job is still queued;
 * ``job.start`` with no terminal record → the job died mid-run and is
@@ -45,9 +46,11 @@ from typing import Any, Callable, Iterable
 from repro.artifact import artifact_error
 from repro.errors import ReproError
 from repro.worldlog.record import Record, payload_problem
+from repro.worldlog.replay import ReplayState
 
-_FOLDED_KINDS = frozenset({"job.submitted", "job.result", "job.error"})
-"""The record kinds the recovery fold reads."""
+_CHECKED_KINDS = frozenset({"job.submitted", "job.result", "job.error"})
+"""The job kinds whose payload fields the fold reads: checked first, so
+a tampered log fails with ``path:line`` rather than a ``KeyError``."""
 
 _DECODE_FAILURES = (
     KeyError, TypeError, ValueError, AttributeError, ReproError,
@@ -148,27 +151,18 @@ def recover_jobs(
         ArtifactError: when a ``job.*`` payload lacks a field the fold
             reads (``path:line`` diagnostic, CLI exit 2).
     """
-    entries: dict[str, JobEntry] = {}
-    terminals: dict[str, Record] = {}
+    state = ReplayState()
     for record in records:
-        if record.kind not in _FOLDED_KINDS:
-            continue
-        problem = payload_problem(record.kind, record.payload)
-        if problem is not None:
-            raise _record_error(record, path, ValueError(problem))
-        payload = record.payload
-        key = payload["key"]
-        if record.kind == "job.submitted":
-            entries[key] = JobEntry(
-                key=key,
-                tenant=payload["tenant"],
-                priority=payload["priority"],
-                job=payload["job"],
-            )
-        else:
-            terminals[key] = record
-            entries.pop(key, None)
-    return list(entries.values()), terminals
+        if record.kind in _CHECKED_KINDS:
+            problem = payload_problem(record.kind, record.payload)
+            if problem is not None:
+                raise _record_error(record, path, ValueError(problem))
+        state.apply(record)
+    pending = [
+        JobEntry(entry["key"], entry["tenant"], entry["priority"], entry["job"])
+        for entry in map(state.jobs.get, state.pending_jobs)
+    ]
+    return pending, state.terminals
 
 
 def decode_recorded(

@@ -118,13 +118,3 @@ class Message:
         # in its cache).
         return (Message, (self.sender, self.receiver, self.round,
                           self.payload))
-
-    @property
-    def slot(self) -> tuple[ProcessId, ProcessId, Round]:
-        """The ``(sender, receiver, round)`` triple identifying the slot."""
-        return (self.sender, self.receiver, self.round)
-
-    @property
-    def pair(self) -> tuple[ProcessId, ProcessId]:
-        """The interned ``(sender, receiver)`` channel tuple."""
-        return intern_pair(self.sender, self.receiver)

@@ -7,13 +7,8 @@ ledger established, and a JSON-safe ``payload`` whose key order is
 preserved *verbatim* — derived views re-render payloads byte-for-byte,
 so the envelope must not re-sort what a writer serialized.
 
-Two renderings:
-
-* :meth:`Record.to_json` — the persisted JSONL line (fixed envelope key
-  order, payload verbatim);
-* :meth:`Record.canonical` — the :func:`~repro.sim.serialization
-  .canonical_json` form (sorted keys, tight separators) for digests and
-  cross-log comparison.
+:meth:`Record.to_json` renders the persisted JSONL line (fixed envelope
+key order, payload verbatim).
 
 :func:`log_order_signature` generalizes the run ledger's
 ``order_signature`` to whole logs: the backend- and wall-clock-
@@ -35,7 +30,6 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.sim.serialization import canonical_json
 
 WORLDLOG_SCHEMA = "repro.worldlog/v1"
 """The schema tag carried by every log's opening record."""
@@ -184,19 +178,6 @@ class Record:
     def to_json(self) -> str:
         """The persisted JSONL line (envelope keys fixed, payload verbatim)."""
         return json.dumps(
-            {
-                "tick": self.tick,
-                "kind": self.kind,
-                "run_id": self.run_id,
-                "cell_id": self.cell_id,
-                "worker_id": self.worker_id,
-                "payload": self.payload,
-            }
-        )
-
-    def canonical(self) -> str:
-        """The canonical-JSON rendering (for digests, never persisted)."""
-        return canonical_json(
             {
                 "tick": self.tick,
                 "kind": self.kind,

@@ -9,7 +9,11 @@ the fold explicit:
   :class:`ReplayState` out.  This is the *definition* of "the state at
   tick T"; every derived view of a prefix must agree with it
   (``tests/worldlog/test_replay.py`` pins that theorem against the
-  golden fixture).
+  golden fixture).  It is also the one fold every log reader renders:
+  ``log stats``, ``log replay``, ``top --log``, ``trace`` and ``metrics
+  export`` (through its :class:`~repro.obs.report.LedgerFold`), the
+  ``jobs.json`` manifest and crash-resume's
+  :func:`~repro.service.queue.recover_jobs` (through its jobs).
 * :class:`ReplayCursor` — the navigable form: ``next()`` / ``prev()`` /
   ``seek(tick)`` over one log, with periodic state snapshots so
   stepping backwards re-folds from the nearest snapshot instead of
@@ -20,24 +24,23 @@ the fold explicit:
   from old logs without any schema migration, emitted as one JSON
   document.
 
-The state mirrors the derived-view semantics exactly: event-derived
-fields (span stacks, counters, gauges, round accounting) reset at every
-``gather.start`` marker, because the ledger view reads events after the
-*last* marker — a cursor positioned mid-crash sees exactly what a
-derive at that prefix would have seen.
+The state mirrors the derived-view semantics exactly: the ledger view
+(the events and their fold: spans, counters, gauges, rounds) resets at
+every ``gather.start`` marker, because the derived ledger view reads
+events after the *last* marker — a cursor positioned mid-crash sees
+exactly what a derive at that prefix would have seen.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Iterable, Sequence
 
+from repro.obs.ledger import LedgerEvent
+from repro.obs.report import LedgerFold, Tally, percentiles
 from repro.worldlog.record import Record
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.obs.ledger import LedgerEvent
 
 STATS_SCHEMA = "repro.logstats/v1"
 """The schema tag of the ``repro log stats`` document."""
@@ -77,7 +80,7 @@ def select_records(
         and (cell_set is None or record.cell_id in cell_set)
         and (run_set is None or record.run_id in run_set)
     )
-    if tail is not None and tail >= 0:
+    if tail is not None:
         if tail == 0:
             return []
         return list(deque(selected, maxlen=tail))
@@ -88,11 +91,18 @@ def select_records(
 class ReplayState:
     """Everything the system knew after applying a record prefix.
 
-    Event-derived fields (``events`` through ``vs_floor``) mirror the
-    derived ledger view: they reset on every ``gather.start`` marker,
-    so they always describe events after the *last* marker seen.
-    Envelope-derived fields (cells, jobs, certificates) accumulate
-    over the whole prefix, exactly like their manifest views.
+    The one fold of a world log.  Envelope-derived fields (cells, jobs,
+    certificates) accumulate over the whole prefix.  The ledger view —
+    ``events``, the ``ledger.event`` payloads, and ``ledger``, their
+    :class:`~repro.obs.report.LedgerFold` — resets on every
+    ``gather.start`` marker, so it always describes the events after
+    the *last* marker seen, exactly like the derived ledger view.
+
+    ``jobs`` holds one ``jobs.json`` manifest entry per job key, moved
+    through ``queued`` → ``running`` → ``done`` / ``failed`` by the
+    key's ``job.submitted`` / ``job.start`` / ``job.result`` /
+    ``job.error`` records; ``terminals`` keeps each key's terminal
+    record, the recorded result crash-resume answers from.
     """
 
     tick: int = -1
@@ -104,24 +114,18 @@ class ReplayState:
     cells_seen: set[str] = field(default_factory=set)
     cells_terminal: set[str] = field(default_factory=set)
 
-    # service bookkeeping (whole prefix)
+    # job bookkeeping (whole prefix)
     jobs: dict[str, dict[str, Any]] = field(default_factory=dict)
+    terminals: dict[str, Record] = field(default_factory=dict)
     rejections: dict[str, dict[str, int]] = field(default_factory=dict)
 
     # artifact bookkeeping (whole prefix)
     certificates: list[str] = field(default_factory=list)
 
-    # event-derived state (after the last gather.start marker)
+    # the ledger view (after the last gather.start marker)
     gathers: int = 0
     events: list[dict[str, Any]] = field(default_factory=list)
-    span_stacks: dict[tuple[int, str | None], list[str]] = field(
-        default_factory=dict
-    )
-    counters: dict[str, float] = field(default_factory=dict)
-    gauges: dict[str, float] = field(default_factory=dict)
-    rounds_observed: int = 0
-    messages_observed: float = 0.0
-    vs_floor: float | None = None
+    ledger: LedgerFold = field(default_factory=LedgerFold)
 
     @property
     def live_cells(self) -> list[str]:
@@ -130,51 +134,29 @@ class ReplayState:
 
     @property
     def pending_jobs(self) -> list[str]:
-        """Service job keys accepted but not yet terminal, in order."""
+        """Job keys accepted but not yet terminal, in acceptance order."""
         return [
             key
             for key, entry in self.jobs.items()
             if entry["state"] in ("queued", "running")
         ]
 
-    @property
-    def open_spans(self) -> list[tuple[int, str | None, list[str]]]:
-        """Per-stream open span stacks: ``(worker, cell, names)``."""
-        return [
-            (worker, cell, list(stack))
-            for (worker, cell), stack in sorted(
-                self.span_stacks.items(),
-                key=lambda item: (item[0][0], item[0][1] or ""),
-            )
-            if stack
-        ]
-
     def clone(self) -> "ReplayState":
         """An independent copy (snapshot material for the cursor)."""
-        return ReplayState(
-            tick=self.tick,
-            position=self.position,
-            run_id=self.run_id,
+        return replace(
+            self,
             kind_counts=dict(self.kind_counts),
             cells_seen=set(self.cells_seen),
             cells_terminal=set(self.cells_terminal),
             jobs={key: dict(entry) for key, entry in self.jobs.items()},
+            terminals=dict(self.terminals),
             rejections={
                 tenant: dict(kinds)
                 for tenant, kinds in self.rejections.items()
             },
             certificates=list(self.certificates),
-            gathers=self.gathers,
             events=list(self.events),
-            span_stacks={
-                stream: list(stack)
-                for stream, stack in self.span_stacks.items()
-            },
-            counters=dict(self.counters),
-            gauges=dict(self.gauges),
-            rounds_observed=self.rounds_observed,
-            messages_observed=self.messages_observed,
-            vs_floor=self.vs_floor,
+            ledger=self.ledger.clone(),
         )
 
     def apply(self, record: Record) -> None:
@@ -196,14 +178,10 @@ class ReplayState:
             # everything event-derived starts over.
             self.gathers += 1
             self.events = []
-            self.span_stacks = {}
-            self.counters = {}
-            self.gauges = {}
-            self.rounds_observed = 0
-            self.messages_observed = 0.0
-            self.vs_floor = None
+            self.ledger = LedgerFold()
         elif kind == "ledger.event":
-            self._apply_event(payload)
+            self.events.append(payload)
+            self.ledger.add(LedgerEvent.from_payload(payload))
         elif kind == "cert.artifact":
             self.certificates.append(payload["label"])
         elif kind == "job.submitted":
@@ -211,22 +189,26 @@ class ReplayState:
                 "key": payload["key"],
                 "tenant": payload["tenant"],
                 "priority": payload["priority"],
+                "job": payload["job"],
                 "state": "queued",
+                "submitted_tick": record.tick,
+                "terminal_tick": None,
             }
         elif kind == "job.start":
-            entry = self.jobs.get(payload["key"])
+            entry = self.jobs.get(payload.get("key"))
             if entry is not None and entry["state"] == "queued":
                 entry["state"] = "running"
-        elif kind == "job.result":
+        elif kind in ("job.result", "job.error"):
+            self.terminals[payload["key"]] = record
             entry = self.jobs.get(payload["key"])
             if entry is not None:
-                entry["state"] = "done"
-            if record.cell_id is not None:
-                self.cells_terminal.add(record.cell_id)
-        elif kind == "job.error":
-            entry = self.jobs.get(payload["key"])
-            if entry is not None:
-                entry["state"] = "failed"
+                entry["terminal_tick"] = record.tick
+                if kind == "job.result":
+                    entry["state"] = "done"
+                else:
+                    entry["state"] = "failed"
+                    entry["error_kind"] = payload["error_kind"]
+                    entry["message"] = payload["message"]
             if record.cell_id is not None:
                 self.cells_terminal.add(record.cell_id)
         elif kind == "job.rejected":
@@ -237,36 +219,6 @@ class ReplayState:
             if record.cell_id is not None:
                 # A rejection opens no cell: it never goes terminal.
                 self.cells_terminal.add(record.cell_id)
-
-    def _apply_event(self, payload: dict[str, Any]) -> None:
-        self.events.append(payload)
-        kind = payload.get("kind")
-        name = payload.get("name")
-        if kind in ("span-start", "span-end"):
-            stream = (
-                payload.get("worker_id", 0),
-                payload.get("cell_id"),
-            )
-            stack = self.span_stacks.setdefault(stream, [])
-            if kind == "span-start":
-                stack.append(name)
-            else:
-                while stack:
-                    if stack.pop() == name:
-                        break
-        elif kind == "counter":
-            value = payload.get("value") or 0
-            self.counters[name] = self.counters.get(name, 0) + value
-            if name == "engine.round":
-                self.rounds_observed += 1
-                self.messages_observed += value
-                attrs = payload.get("attrs") or {}
-                if "vs_floor" in attrs:
-                    self.vs_floor = attrs["vs_floor"]
-        elif kind == "gauge":
-            self.gauges[name] = payload.get("value")
-            if name == "bound.vs_floor":
-                self.vs_floor = payload.get("value")
 
 
 def replay_state(records: Iterable[Record]) -> ReplayState:
@@ -302,13 +254,6 @@ class ReplayCursor:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    @property
-    def current(self) -> Record | None:
-        """The most recently applied record (``None`` at position 0)."""
-        if self.position == 0:
-            return None
-        return self.records[self.position - 1]
 
     def next(self) -> Record | None:
         """Apply the next record; ``None`` at the end of the log."""
@@ -390,7 +335,8 @@ def render_state(state: ReplayState, total: int | None = None) -> str:
             f"{kind}×{count}" for kind, count in sorted(by_kind.items())
         )
         lines.append(f"rejections: tenant {tenant}: {parts}")
-    spans = state.open_spans
+    ledger = state.ledger
+    spans = ledger.open_spans
     if spans:
         lines.append("open spans:")
         for worker, cell, names in spans:
@@ -398,22 +344,22 @@ def render_state(state: ReplayState, total: int | None = None) -> str:
                 f"  worker {worker} · {cell or '-'}: "
                 + " > ".join(names)
             )
-    if state.rounds_observed:
+    if ledger.rounds:
         floor = (
-            f", vs t²/32 floor {state.vs_floor:.3f}"
-            if state.vs_floor is not None
+            f", vs t²/32 floor {ledger.vs_floor:.3f}"
+            if ledger.vs_floor is not None
             else ""
         )
         lines.append(
-            f"rounds: {state.rounds_observed} traced, "
-            f"{state.messages_observed:.0f} messages{floor}"
+            f"rounds: {len(ledger.rounds)} traced, "
+            f"{ledger.messages:.0f} messages{floor}"
         )
-    if state.counters:
+    if ledger.counters:
         lines.append(
             "counters: "
             + "  ".join(
                 f"{name}={value:g}"
-                for name, value in sorted(state.counters.items())
+                for name, value in sorted(ledger.counters.items())
             )
         )
     if state.certificates:
@@ -426,27 +372,16 @@ def render_state(state: ReplayState, total: int | None = None) -> str:
 # ----------------------------------------------------------------------
 
 
-def _cell_metrics(events: Sequence[LedgerEvent]) -> dict[str, float]:
-    from repro.obs.report import bound_gauges
-
-    wall = None
-    rounds = 0
-    messages = 0.0
-    for event in events:
-        if event.kind == "gauge" and event.name == "cell.wall_seconds":
-            wall = event.value
-        elif event.kind == "counter" and event.name == "engine.round":
-            rounds += 1
-            messages += event.value or 0
-    metrics = {"rounds": rounds, "messages": messages}
-    if wall is not None:
-        metrics["wall_seconds"] = wall
-    bound = bound_gauges(events)
+def _cell_row(tally: Tally) -> dict[str, float]:
+    row = {"rounds": len(tally.rounds), "messages": tally.messages}
+    if "cell.wall_seconds" in tally.gauges:
+        row["wall_seconds"] = tally.gauges["cell.wall_seconds"]
+    bound = tally.bound()
     if bound is not None:
-        metrics["vs_floor"], _, floor = bound
+        row["vs_floor"], _, floor = bound
         if floor is not None:
-            metrics["floor"] = floor
-    return metrics
+            row["floor"] = floor
+    return row
 
 
 def log_stats(
@@ -454,6 +389,7 @@ def log_stats(
 ) -> dict[str, Any]:
     """Compute post-hoc metrics from an old log — no schema migration.
 
+    One :func:`replay_state` pass; everything below reads its fold.
     The top level summarizes the run (``label`` / ``wall_seconds`` /
     ``rounds_simulated`` / ``events`` / ``messages_observed`` /
     ``cache_hit_rate``).  Further sections carry the metrics the derived
@@ -465,35 +401,15 @@ def log_stats(
     rows), and per-tenant job accounting including quota/rate
     rejections (``job.rejected`` records).
     """
-    from repro.obs.report import (
-        build_span_tree,
-        cache_hit_rate,
-        percentiles,
-        span_totals,
-    )
-    from repro.worldlog.views import ledger_events
-
     state = replay_state(records)
-    events = ledger_events(records)
-    tree = build_span_tree(events)
-    spans = span_totals(events)
-    wall = sum(child.seconds for child in tree.children.values())
-
-    by_cell: dict[str, list[LedgerEvent]] = {}
-    for event in events:
-        if event.cell_id is not None:
-            by_cell.setdefault(event.cell_id, []).append(event)
-    per_cell = {
-        cell: _cell_metrics(cell_events)
-        for cell, cell_events in sorted(by_cell.items())
+    ledger = state.ledger
+    spans = {
+        name: {"seconds": total.seconds, "count": total.count}
+        for name, total in sorted(ledger.spans.items())
     }
-
-    rounds_simulated = state.counters.get("engine.rounds_simulated")
-    if rounds_simulated is None:
-        rounds_simulated = state.rounds_observed
-    messages = state.gauges.get("bound.observed")
-    if messages is None:
-        messages = state.messages_observed
+    per_cell = {
+        cell: _cell_row(tally) for cell, tally in sorted(ledger.cells.items())
+    }
 
     tenants: dict[str, dict[str, Any]] = {}
     for entry in state.jobs.values():
@@ -520,21 +436,25 @@ def log_stats(
         "schema": STATS_SCHEMA,
         "label": f"log/{state.run_id or 'unknown'}",
         "records": len(records),
-        "wall_seconds": wall,
-        "rounds_simulated": int(rounds_simulated),
-        "messages_observed": messages,
-        "events": len(state.events),
-        "cache_hit_rate": cache_hit_rate(events),
-        "counters": dict(sorted(state.counters.items())),
+        "wall_seconds": ledger.wall_seconds,
+        "rounds_simulated": int(
+            ledger.counters.get("engine.rounds_simulated", len(ledger.rounds))
+        ),
+        "messages_observed": ledger.gauges.get(
+            "bound.observed", ledger.messages
+        ),
+        "events": ledger.events,
+        "cache_hit_rate": ledger.hit_rate(),
+        "counters": dict(sorted(ledger.counters.items())),
         "spans": spans,
         "tenants": tenants,
         "cells": per_cell,
         "percentiles": {
             metric: percentiles(
                 [
-                    cell[metric]
-                    for cell in per_cell.values()
-                    if metric in cell
+                    row[metric]
+                    for row in per_cell.values()
+                    if metric in row
                 ]
             )
             for metric in ("wall_seconds", "rounds", "messages")

@@ -15,9 +15,10 @@ and pinned byte for byte by the golden fixtures under
   ``cert.artifact``'s canonical JSON text, exactly the bytes
   ``Certificate.to_bytes`` ships.
 * **jobs** — ``jobs.json``: the manifest of service and sweep jobs
-  (schema ``repro.jobs/v1``), folding each job's ``job.submitted`` /
-  ``job.start`` / ``job.result`` / ``job.error`` records into one entry
-  per idempotent job key.  ``repro jobs --log`` renders the same
+  (schema ``repro.jobs/v1``), one entry per idempotent job key, as the
+  replay fold (:class:`~repro.worldlog.replay.ReplayState`) moves it
+  through its ``job.submitted`` / ``job.start`` / ``job.result`` /
+  ``job.error`` records.  ``repro jobs --log`` renders the same
   manifest without materializing it.
 """
 
@@ -39,10 +40,9 @@ JOBS_SCHEMA = "repro.jobs/v1"
 def after_last_gather(records: Sequence[Record]) -> Sequence[Record]:
     """Records after the last ``gather.start`` marker (all, if none).
 
-    The crash-mid-gather rule every event consumer shares: the ledger
-    view, the replay cursor's event-derived state and the semantic
-    differ all read ledger events through this window, so a resumed
-    log's re-spliced events never double-count anywhere.
+    The crash-mid-gather rule of the ledger view (the replay fold
+    applies it by starting its ledger view over at every marker), so a
+    resumed log's re-spliced events never double-count.
     """
     last = None
     for index, record in enumerate(records):
@@ -61,11 +61,14 @@ def ledger_lines(records: Sequence[Record]) -> list[str]:
 
 
 def ledger_events(records: Sequence[Record]) -> "list[LedgerEvent]":
-    """The derived ledger view as live events (for ``repro trace``)."""
+    """The derived ledger view as live events (``trace --format
+    chrome``)."""
     from repro.obs.ledger import LedgerEvent
 
     return [
-        LedgerEvent.from_json(line) for line in ledger_lines(records)
+        LedgerEvent.from_payload(record.payload)
+        for record in after_last_gather(records)
+        if record.kind == "ledger.event"
     ]
 
 
@@ -81,44 +84,21 @@ def certificate_texts(records: Iterable[Record]) -> dict[str, str]:
 def jobs_manifest(records: Iterable[Record]) -> dict[str, Any]:
     """The derived service job manifest (one entry per job key).
 
-    Entries appear in submission order and fold the job's lifecycle
-    records into a single summary: the accepted spec and its tenant /
-    priority, the current state (``queued`` → ``running`` → ``done`` /
-    ``failed``), the ticks of the acceptance and terminal records, and
-    — for failed jobs — the structured error kind and message.  The
-    full terminal payloads stay in the log; the manifest is the
-    operator's index, not a second source of truth.
+    The ``jobs`` of :func:`~repro.worldlog.replay.replay_state`, in
+    submission order: the accepted spec and its tenant / priority, the
+    current state (``queued`` → ``running`` → ``done`` / ``failed``),
+    the ticks of the acceptance and terminal records, and — for failed
+    jobs — the structured error kind and message.  The full terminal
+    payloads stay in the log; the manifest is the operator's index, not
+    a second source of truth.
     """
-    jobs: dict[str, dict[str, Any]] = {}
-    for record in records:
-        payload = record.payload
-        if record.kind == "job.submitted":
-            jobs[payload["key"]] = {
-                "key": payload["key"],
-                "tenant": payload["tenant"],
-                "priority": payload["priority"],
-                "job": payload["job"],
-                "state": "queued",
-                "submitted_tick": record.tick,
-                "terminal_tick": None,
-            }
-        elif record.kind == "job.start":
-            entry = jobs.get(payload["key"])
-            if entry is not None and entry["state"] == "queued":
-                entry["state"] = "running"
-        elif record.kind == "job.result":
-            entry = jobs.get(payload["key"])
-            if entry is not None:
-                entry["state"] = "done"
-                entry["terminal_tick"] = record.tick
-        elif record.kind == "job.error":
-            entry = jobs.get(payload["key"])
-            if entry is not None:
-                entry["state"] = "failed"
-                entry["terminal_tick"] = record.tick
-                entry["error_kind"] = payload["error_kind"]
-                entry["message"] = payload["message"]
-    return {"schema": JOBS_SCHEMA, "jobs": list(jobs.values())}
+    from repro.worldlog.replay import replay_state
+
+    jobs = replay_state(records).jobs
+    return {
+        "schema": JOBS_SCHEMA,
+        "jobs": [dict(entry) for entry in jobs.values()],
+    }
 
 
 def derive_views(

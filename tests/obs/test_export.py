@@ -2,8 +2,8 @@
 
 Both adapters are pure functions of recorded data, so the committed
 golden world log (``tests/worldlog/golden/run.worldlog``) doubles as
-their round-trip fixture: folding its ledger events must yield a
-snapshot whose exposition parses line-by-line as Prometheus text, and
+their round-trip fixture: the fold of its ledger events must render an
+exposition that parses line-by-line as Prometheus text, and
 a span tree whose Chrome trace balances every ``B`` with an ``E`` on
 the same track.
 """
@@ -12,14 +12,9 @@ import json
 import os
 import re
 
-from repro.obs.export import (
-    chrome_trace,
-    metric_name,
-    metrics_snapshot,
-    prometheus_lines,
-    render_prometheus,
-)
+from repro.obs.export import chrome_trace, metric_name, render_prometheus
 from repro.obs.ledger import LedgerEvent
+from repro.obs.report import LedgerFold, SpanTotal
 from repro.worldlog.store import read_worldlog
 from repro.worldlog.views import ledger_events
 
@@ -55,10 +50,10 @@ def _golden_events():
 
 
 class TestRegistryFromEvents:
-    """:func:`metrics_snapshot`, the fold ``metrics export`` renders."""
+    """:class:`LedgerFold`, the fold ``metrics export`` renders."""
 
     def test_counters_sum_and_gauges_last_write(self):
-        snapshot = metrics_snapshot(
+        fold = LedgerFold.of(
             [
                 _event("counter", "engine.round", value=2),
                 _event("counter", "engine.round"),  # None => +1
@@ -67,14 +62,12 @@ class TestRegistryFromEvents:
                 _event("gauge", "bound.floor"),  # None => ignored
             ]
         )
-        assert snapshot == {
-            "counters": {"engine.round": 3},
-            "gauges": {"bound.vs_floor": 2.5},
-            "histograms": {},
-        }
+        assert fold.counters == {"engine.round": 3}
+        assert fold.gauges == {"bound.vs_floor": 2.5}
+        assert fold.spans == {}
 
     def test_span_pairs_become_duration_histograms(self):
-        snapshot = metrics_snapshot(
+        fold = LedgerFold.of(
             [
                 _event("span-start", "attack", ts=1.0),
                 _event("span-start", "fault-free", ts=2.0),
@@ -84,24 +77,21 @@ class TestRegistryFromEvents:
                 _event("span-end", "attack", ts=10.0),
             ]
         )
-        assert snapshot["histograms"] == {
-            "span.fault-free_seconds": {
-                "count": 2, "total": 4.0, "min": 1.0, "max": 3.0,
-            },
-            "span.attack_seconds": {
-                "count": 1, "total": 9.0, "min": 9.0, "max": 9.0,
-            },
-        }
+        # First-close order: the exposition lists fault-free first.
+        assert list(fold.spans.items()) == [
+            ("fault-free", SpanTotal(count=2, seconds=4.0, low=1.0, high=3.0)),
+            ("attack", SpanTotal(count=1, seconds=9.0, low=9.0, high=9.0)),
+        ]
 
     def test_streams_do_not_cross_workers(self):
         # A span closed by a different worker pairs with nothing.
-        snapshot = metrics_snapshot(
+        fold = LedgerFold.of(
             [
                 _event("span-start", "attack", ts=0.0, worker=1),
                 _event("span-end", "attack", ts=9.0, worker=2),
             ]
         )
-        assert snapshot["histograms"] == {}
+        assert fold.spans == {}
 
 
 class TestPrometheus:
@@ -115,33 +105,35 @@ class TestPrometheus:
         assert metric_name("9lives", prefix="") == "_9lives"
 
     def test_counter_gauge_histogram_line_shapes(self):
-        lines = prometheus_lines(
-            {
-                "counters": {"cache.hits": 3},
-                "gauges": {"bound.vs_floor": 1.5},
-                "histograms": {
-                    "round.seconds": {
-                        "count": 2, "total": 1.0, "min": 0.25, "max": 0.75,
-                    },
-                },
-            }
-        )
+        lines = render_prometheus(
+            LedgerFold.of(
+                [
+                    _event("counter", "cache.hits", value=3),
+                    _event("gauge", "bound.vs_floor", value=1.5),
+                    _event("span-start", "round", ts=0.0),
+                    _event("span-end", "round", ts=0.25),
+                    _event("span-start", "round", ts=1.0),
+                    _event("span-end", "round", ts=1.75),
+                ]
+            )
+        ).split("\n")
         assert "repro_cache_hits_total 3" in lines
         assert "# TYPE repro_cache_hits_total counter" in lines
         assert "repro_bound_vs_floor 1.5" in lines
-        assert "repro_round_seconds_count 2" in lines
-        assert "repro_round_seconds_sum 1" in lines
-        assert "repro_round_seconds_min 0.25" in lines
-        assert "repro_round_seconds_max 0.75" in lines
+        assert "# TYPE repro_span_round_seconds summary" in lines
+        assert "repro_span_round_seconds_count 2" in lines
+        assert "repro_span_round_seconds_sum 1" in lines
+        assert "repro_span_round_seconds_min 0.25" in lines
+        assert "repro_span_round_seconds_max 0.75" in lines
 
     def test_every_line_is_comment_or_valid_sample(self):
-        document = render_prometheus(metrics_snapshot(_golden_events()))
+        document = render_prometheus(LedgerFold.of(_golden_events()))
         assert document.endswith("\n")
         for line in document.rstrip("\n").split("\n"):
             assert line.startswith("#") or _SAMPLE.match(line), line
 
     def test_golden_exposition_carries_the_round_counter(self):
-        document = render_prometheus(metrics_snapshot(_golden_events()))
+        document = render_prometheus(LedgerFold.of(_golden_events()))
         assert "repro_engine_round_total" in document
         assert "repro_span_attack_seconds_count 1" in document
 
@@ -247,7 +239,7 @@ class TestRecordedRunShapes:
 
     def test_prometheus_exposition_of_a_recorded_run(self):
         document = render_prometheus(
-            metrics_snapshot(self._recorded_events())
+            LedgerFold.of(self._recorded_events())
         )
         rounds = self.CELLS * self.ROUNDS_PER_CELL
         assert f"repro_engine_round_total {rounds}" in document

@@ -56,14 +56,16 @@ class TestHeartbeats:
         assert progress.heartbeats == {"a": 0}
 
     def test_done_counter(self):
-        progress, _ = _tracker(2)
+        stream = io.StringIO()
+        progress, _ = _tracker(2, stream=stream)
         progress.start("a")
         progress.start("b")
-        assert progress.done == 0
+        progress.tick()
         progress.note_done("a")
-        assert progress.done == 1
         progress.note_done("b")
-        assert progress.done == 2
+        assert [line.split(",")[0] for line in stream.getvalue().split("\n")
+                if line] == ["sweep: 0/2 cells", "sweep: 1/2 cells",
+                             "sweep: 2/2 cells"]
 
 
 class TestStatusLine:
@@ -175,31 +177,36 @@ class TestStall:
         progress, clock = _tracker(2, stall_after=30.0, stream=stream)
         progress.start("slow")
         progress.start("slower")
-        assert not progress.stalled
-        clock.advance(31.0)
-        assert progress.stalled
         progress.tick()
-        line = stream.getvalue()
+        assert "STALLED" not in stream.getvalue()
+        clock.advance(31.0)
+        progress.tick()
+        line = stream.getvalue().splitlines()[-1]
         assert "STALLED 31s" in line
         # The longest-running in-flight cell is named.
         assert "longest in flight: slow" in line
 
     def test_completion_resets_the_quiet_period(self):
-        progress, clock = _tracker(3, stall_after=30.0)
+        stream = io.StringIO()
+        progress, clock = _tracker(3, stall_after=30.0, stream=stream)
         progress.start("a")
         clock.advance(29.0)
         progress.note_done("a")
         clock.advance(2.0)
-        assert progress.stalled_for() == 2.0
-        assert not progress.stalled
+        progress.tick()
+        assert "STALLED" not in stream.getvalue()
+        clock.advance(29.0)
+        progress.tick()
+        assert "STALLED 31s" in stream.getvalue().splitlines()[-1]
 
     def test_finished_sweep_never_stalled(self):
-        progress, clock = _tracker(1, stall_after=1.0)
+        stream = io.StringIO()
+        progress, clock = _tracker(1, stall_after=1.0, stream=stream)
         progress.start("a")
         progress.note_done("a")
         clock.advance(100.0)
-        assert progress.stalled_for() == 0.0
-        assert not progress.stalled
+        progress.tick()
+        assert "STALLED" not in stream.getvalue()
 
 
 class TestMonitor:

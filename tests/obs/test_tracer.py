@@ -19,7 +19,6 @@ class TestNullTracer:
     def test_hooks_are_no_ops(self):
         NULL_TRACER.counter("x", value=3)
         NULL_TRACER.gauge("y", value=1.0)
-        NULL_TRACER.artifact("z", ref="path")
 
     def test_no_round_observers(self):
         assert NULL_TRACER.round_observers(floor=2.0) == ()
@@ -80,7 +79,7 @@ class TestLedgerTracer:
         tracer = LedgerTracer(ledger, cell_id="attack/silent/n8/t4")
         with tracer.span("attack"):
             tracer.counter("x")
-            tracer.artifact("cert", ref="cert:1")
+            tracer.gauge("g", 1.0)
         assert all(
             e.cell_id == "attack/silent/n8/t4" for e in ledger.events
         )

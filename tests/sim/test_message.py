@@ -6,10 +6,6 @@ from repro.sim.message import Message
 
 
 class TestMessage:
-    def test_slot_identifies_message(self):
-        message = Message(0, 1, 3, "hello")
-        assert message.slot == (0, 1, 3)
-
     def test_rejects_self_message(self):
         with pytest.raises(ValueError, match="no process sends"):
             Message(2, 2, 1)

@@ -185,6 +185,12 @@ class TestWitnessFiles:
         assert "A.1.5.transition-replay" in out
 
 
+GOLDEN_LOG = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)),
+    "worldlog",
+    "golden",
+    "run.worldlog",
+)
 BAD_SIZES = [("3", "5"), ("4", "4"), ("0", "0"), ("4", "-1")]
 
 
@@ -242,6 +248,22 @@ class TestUsageErrors:
             capsys,
         )
         assert f"the {grid} grid has no cells with t <= {max_t}" in err
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            (["log", "show", GOLDEN_LOG, "--tail", "-2"], "repro log show"),
+            (["log", "show", GOLDEN_LOG, "--tail", "two"], "repro log show"),
+            (["trace", GOLDEN_LOG, "--slowest", "-1"], "repro trace"),
+        ],
+        ids=["tail-negative", "tail-word", "slowest-negative"],
+    )
+    def test_counts_reject_negatives(self, argv, usage, capsys):
+        # Python slices from the end on a negative count: `--tail -2`
+        # would print every record, `--slowest -1` all rounds but one.
+        err = self._rejected(argv, capsys)
+        assert f"{usage}: error: argument" in err
+        assert "expected a non-negative integer" in err
 
 
 class TestRetiredCommands:
@@ -777,12 +799,7 @@ class TestServiceCommands:
 class TestTimeTravelCommands:
     """``log show`` filters and the ``replay``/``diff``/``stats`` trio."""
 
-    GOLDEN = os.path.join(
-        os.path.dirname(os.path.abspath(__file__)),
-        "worldlog",
-        "golden",
-        "run.worldlog",
-    )
+    GOLDEN = GOLDEN_LOG
 
     def test_log_show_filters_and_tail(self, capsys):
         assert (
@@ -1011,12 +1028,7 @@ class TestLogReaderDiagnostics:
 class TestObservabilityCommands:
     """Interval validation, tail/top/status, exports."""
 
-    GOLDEN = os.path.join(
-        os.path.dirname(os.path.abspath(__file__)),
-        "worldlog",
-        "golden",
-        "run.worldlog",
-    )
+    GOLDEN = GOLDEN_LOG
 
     def _attack_into_worldlog(self, tmp_path, *extra):
         log_path = str(tmp_path / "run.worldlog")

@@ -13,8 +13,8 @@ ones resolved), the packages each import passes through, the names a
 package re-exports through its ``_lazy_exports`` table (a table entry
 counts only when something imports that name) and string literals that
 spell a ``repro.…`` module.  The name walk starts from the module-level
-code of every reached module and follows what reached bodies name: see
-:func:`reached_names`.
+code of every reached module and follows what reached bodies name, down
+to the methods of reached classes: see :func:`reached_names`.
 """
 
 import ast
@@ -255,9 +255,62 @@ ALLOWED_NAMES = {
         "summarizes runs in examples/quickstart.py and "
         "examples/lower_bound_walkthrough.py"
     ),
+    # methods
+    ("repro.protocols.external_validity", "ClientPool.forge"): (
+        "forges the Byzantine client's request in "
+        "examples/blockchain_agreement.py"
+    ),
+    ("repro.service.client", "ServiceClient.ping"): (
+        "the liveness probe of benchmarks/e2e/run.py's service workload "
+        "and tests/service"
+    ),
+    ("repro.service.server", "JobServer.request_shutdown"): (
+        "stops the in-process servers of tests/service and tests/test_cli.py"
+    ),
+    ("repro.validity.input_config", "InputConfig.from_mapping"): (
+        "builds input configurations in tests/validity and tests/solvability"
+    ),
+    ("repro.validity.input_config", "InputConfig.contains"): (
+        "Definition 3's containment, read by the repro.validity.containment "
+        "oracle (see ALLOWED)"
+    ),
+    ("repro.validity.property", "AgreementProblem.check_decision"): (
+        "the decision check of tests/validity/test_property.py"
+    ),
+    ("repro.validity.property", "AgreementProblem.is_trivial"): (
+        "the triviality claim checked in tests/validity/test_triviality.py "
+        "and test_standard.py"
+    ),
+    ("repro.sim.execution", "Execution.messages_in_round"): (
+        "per-round message reference of tests/sim/test_execution.py, "
+        "tests/protocols/test_chain_memo.py and test_eig.py"
+    ),
+    ("repro.sim.execution", "Execution.prefix"): (
+        "execution prefixes of tests/sim/test_execution.py"
+    ),
+    ("repro.sim.state", "Behavior.prefix"): (
+        "behavior prefixes of tests/sim/test_state.py"
+    ),
+    **{
+        ("repro.sim.state", f"StateSnapshot.{name}"): (
+            "the state-transition fixture of tests/sim/test_state.py"
+        )
+        for name in ("advanced", "decided")
+    },
+    ("repro.crypto.chains", "SignedChain.signers"): (
+        "chain-construction reference of tests/crypto/test_chains.py"
+    ),
+    ("repro.certify.format", "Certificate.verdict"): (
+        "the claim's verdict as tests/certify read it"
+    ),
+    ("repro.parallel.jobs", "CacheStats.merged"): (
+        "the reference sum of tests/parallel/test_scheduler.py"
+    ),
 }
 
-_DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DISPATCH = ("getattr", "hasattr")
+_DEFINITION = (*_FUNCTION, ast.ClassDef)
 
 
 def _docstring(body):
@@ -283,6 +336,15 @@ class _Module:
             node.name: node
             for node in self.tree.body
             if isinstance(node, _DEFINITION)
+        }
+        # "Class.method" -> the method, for every method a top-level
+        # class defines
+        self.methods = {
+            f"{cls.name}.{node.name}": node
+            for cls in self.definitions.values()
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, _FUNCTION)
         }
         # local name -> a module's dotted name, or a (module, name) pair
         self.bindings = {}
@@ -329,12 +391,32 @@ class _Module:
 
 
 def definitions(modules):
-    """Every ``(module, name)`` top-level function and class."""
-    return {
-        (module, name)
-        for module in modules
-        for name in _Module(module, modules).definitions
-    }
+    """Every ``(module, name)`` top-level function and class, and every
+    ``(module, "Class.method")`` method of a top-level class."""
+    found = set()
+    for module in modules:
+        parsed = _Module(module, modules)
+        found.update((module, name) for name in parsed.definitions)
+        found.update((module, name) for name in parsed.methods)
+    return found
+
+
+def _class_code(node):
+    """What defining a class runs: its bases, decorators and class-level
+    statements, and its methods' decorators and defaults — not their
+    bodies."""
+    code = [*node.bases, *node.keywords, *node.decorator_list]
+    docstring = _docstring(node.body)
+    for statement in node.body:
+        if isinstance(statement, _FUNCTION):
+            code += statement.decorator_list
+            code += statement.args.defaults
+            code += [d for d in statement.args.kw_defaults if d is not None]
+        elif not (
+            isinstance(statement, ast.Expr) and statement.value is docstring
+        ):
+            code.append(statement)
+    return code
 
 
 def reached_names(modules, roots=()):
@@ -343,14 +425,20 @@ def reached_names(modules, roots=()):
     Importing a module :func:`reached` returns runs its module-level
     code, so that code is walked first, with the module-level dunders
     (``__getattr__``) Python calls for it; ``roots`` adds definitions
-    to start from.  A reached definition's whole node is walked in
-    turn (decorators, bases, defaults, annotations, body).
+    to start from.  A reached function's whole node is walked in turn
+    (decorators, defaults, annotations, body); a reached class's
+    definition-time code (:func:`_class_code`) and its dunder methods,
+    which Python calls for it.
 
     A bare name resolves through the module's own definitions, its
     imports and each package's ``_lazy_exports`` table; ``a.b`` resolves
     when ``a`` names a module.  A string literal reaches the
     definitions it spells, bare (``getattr`` dispatch) or as
-    ``repro.module:name``.  Docstrings are not code.
+    ``repro.module:name``.  A method of a reached class is reached when
+    a reached body names it as an attribute (``x.method``, whatever
+    ``x`` is), or asks ``getattr``/``hasattr`` for it by a string or an
+    f-string behind a fixed prefix (``getattr(self, f"_op_{op}")``).
+    Docstrings are not code.
     """
     parsed = {name: _Module(name, modules) for name in modules}
     tables = {
@@ -362,6 +450,9 @@ def reached_names(modules, roots=()):
     for module in parsed.values():
         for name in module.definitions:
             spelled.setdefault(name, set()).add((module.name, name))
+    # what reached bodies name that a method could answer to
+    attributes = set()
+    prefixes = set()
 
     def resolve(module, name, hops=0):
         """The definition ``name`` denotes in ``module``, or None."""
@@ -400,6 +491,7 @@ def reached_names(modules, roots=()):
                 if isinstance(inner, ast.Name):
                     yield resolve(module, inner.id)
                 elif isinstance(inner, ast.Attribute):
+                    attributes.add(inner.attr)
                     base = module_of(module, inner.value)
                     if base:
                         yield resolve(base, inner.attr)
@@ -413,6 +505,18 @@ def reached_names(modules, roots=()):
                         yield resolve(source, name)
                     else:
                         yield from spelled.get(inner.value, ())
+                elif (
+                    isinstance(inner, ast.Call)
+                    and getattr(inner.func, "id", None) in _DISPATCH
+                    and len(inner.args) > 1
+                ):
+                    spelling = inner.args[1]
+                    if isinstance(spelling, ast.Constant):
+                        attributes.add(spelling.value)
+                    elif isinstance(spelling, ast.JoinedStr) and isinstance(
+                        spelling.values[0], ast.Constant
+                    ):
+                        prefixes.add(spelling.values[0].value)
 
     seen = set()
     pending = []
@@ -422,6 +526,28 @@ def reached_names(modules, roots=()):
             if found and found not in seen:
                 seen.add(found)
                 pending.append(found)
+
+    def walk(module, name):
+        scope = parsed[module]
+        if name in scope.methods:
+            reach(module, [scope.methods[name]])
+            return
+        node = scope.definitions[name]
+        if not isinstance(node, ast.ClassDef):
+            reach(module, [node])
+            return
+        reach(module, _class_code(node))
+        for method in scope.methods:
+            cls, _, attribute = method.partition(".")
+            if cls == name and attribute.startswith("__"):
+                seen.add((module, method))
+                pending.append((module, method))
+
+    def answers(method):
+        attribute = method.partition(".")[2]
+        return attribute in attributes or any(
+            attribute.startswith(prefix) for prefix in prefixes
+        )
 
     for module in reached(modules):
         reach(module, parsed[module].module_code())
@@ -434,8 +560,17 @@ def reached_names(modules, roots=()):
         seen.add(root)
         pending.append(root)
     while pending:
-        module, name = pending.pop()
-        reach(module, [parsed[module].definitions[name]])
+        while pending:
+            walk(*pending.pop())
+        for module, name in list(seen):
+            for method in parsed[module].methods:
+                if (
+                    method.partition(".")[0] == name
+                    and (module, method) not in seen
+                    and answers(method)
+                ):
+                    seen.add((module, method))
+                    pending.append((module, method))
     return seen
 
 
@@ -483,3 +618,54 @@ def test_an_orphan_function_is_caught(tmp_path):
     assert ("repro.types", "orphan") not in reached
     assert ("repro.types", "called") in reached
     assert ("repro.types", "spelled") in reached
+
+
+def test_an_orphan_method_is_caught(tmp_path):
+    """A method of a reached class is reached only through an attribute
+    or a ``getattr`` spelling; its class's dunders always are."""
+    modules = _modules()
+    source = modules["repro.types"].read_text(encoding="utf-8")
+    patched = tmp_path / "types.py"
+    patched.write_text(
+        source
+        + "\n\nclass Box:\n"
+        + "    def __init__(self):\n        self.unused_field = 1\n"
+        + "    def used(self):\n        return 1\n"
+        + "    def orphan(self):\n        return 2\n"
+        + "    def _op_ping(self):\n        return 3\n"
+        + "    def _op_stop(self):\n        return 4\n"
+        + "    def spelled(self):\n        return 5\n"
+        + '\n\ndef caller(op):\n'
+        + '    """Calls :meth:`Box.orphan`."""\n'
+        + '    box = Box()\n'
+        + '    return box.used(), getattr(box, f"_op_{op}")(), '
+        + 'hasattr(box, "spelled"), "orphan"\n',
+        encoding="utf-8",
+    )
+    modules["repro.types"] = patched
+    reached = reached_names(modules, roots={("repro.types", "caller")})
+    box = {name for module, name in reached if name.startswith("Box.")}
+    assert box == {
+        "Box.__init__", "Box.used", "Box._op_ping", "Box._op_stop",
+        "Box.spelled",
+    }
+
+
+def test_every_benchmark_layer_entry_is_defined():
+    """``benchmarks/e2e/layers.py`` wraps these by ``(module, qualname)``
+    and raises on a missing one, so a deletion here breaks every traced
+    benchmark run."""
+    layers = SRC.parent.parent / "benchmarks" / "e2e" / "layers.py"
+    tree = ast.parse(layers.read_text(encoding="utf-8"))
+    wrapped = set()
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign) and node.target.id in (
+            "STATIC_LAYERS", "COUNTERS",
+        ):
+            for key, value in zip(node.value.keys, node.value.values):
+                if isinstance(key, ast.Tuple):
+                    wrapped.add(ast.literal_eval(key))
+                else:
+                    wrapped.update(ast.literal_eval(value))
+    assert ("repro.worldlog.replay", "log_stats") in wrapped
+    assert wrapped <= definitions(_modules())

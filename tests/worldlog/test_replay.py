@@ -129,10 +129,10 @@ class TestReplayState:
         assert state.pending_jobs == ["k1"]
         assert state.jobs["k1"]["state"] == "running"
         assert state.rejections == {"alice": {"quota": 1}}
-        assert state.open_spans == [(3, "cell/a", ["attack"])]
-        assert state.rounds_observed == 1
-        assert state.messages_observed == 4
-        assert state.vs_floor == 0.5
+        assert state.ledger.open_spans == [(3, "cell/a", ["attack"])]
+        assert len(state.ledger.rounds) == 1
+        assert state.ledger.messages == 4
+        assert state.ledger.vs_floor == 0.5
 
     def test_gather_resets_event_derived_state_only(self):
         records = _sweep_like_records()
@@ -142,9 +142,9 @@ class TestReplayState:
         ]
         state = replay_state(gathered)
         assert state.events == []
-        assert state.counters == {}
-        assert state.open_spans == []
-        assert state.rounds_observed == 0
+        assert state.ledger.counters == {}
+        assert state.ledger.open_spans == []
+        assert state.ledger.rounds == []
         # Envelope-derived bookkeeping survives the reset.
         assert state.jobs["s0"]["state"] == "done"
         assert state.jobs["k1"]["state"] == "running"
@@ -178,14 +178,14 @@ class TestReplayCursor:
         assert cursor.position == 0
         assert start == replay_state([])
 
-    def test_current_is_the_last_applied_record(self):
+    def test_next_and_prev_return_the_record_they_cross(self):
         records = _golden()
         cursor = ReplayCursor(records)
-        assert cursor.current is None
-        cursor.next()
-        assert cursor.current == records[0]
+        assert cursor.prev() is None
+        assert cursor.next() == records[0]
         cursor.seek(records[-1].tick)
-        assert cursor.current == records[-1]
+        assert cursor.next() is None
+        assert cursor.prev() == records[-1]
 
 
 class TestSelectRecords:
@@ -422,7 +422,7 @@ class TestSweepShapedLog:
         assert len(state.events) == sum(
             1 for r in records if r.kind == "ledger.event"
         )
-        assert state.rounds_observed == CELLS * ROUNDS_PER_CELL
+        assert len(state.ledger.rounds) == CELLS * ROUNDS_PER_CELL
 
     def test_backward_seeks_across_the_whole_log(self):
         records = _synthetic_sweep_log("sweep-a", jitter=0.0)
