@@ -50,43 +50,12 @@ from typing import Sequence
 from repro.errors import ArtifactError, ReproError
 from repro.experiments import ALL_EXPERIMENTS, CHEATERS
 from repro.lowerbound.driver import attack_weak_consensus
-from repro.protocols.weak_consensus import broadcast_weak_consensus_spec
-from repro.solvability.theorem import classify
-from repro.validity.standard import (
-    byzantine_broadcast_problem,
-    correct_proposal_problem,
-    interactive_consistency_problem,
-    strong_consensus_problem,
-    weak_consensus_problem,
+from repro.parallel.jobs import (
+    problem_builders,
+    resolve_builder,
+    resolve_problem,
 )
-
-_PROBLEMS = {
-    "weak": weak_consensus_problem,
-    "strong": strong_consensus_problem,
-    "broadcast": byzantine_broadcast_problem,
-    "ic": interactive_consistency_problem,
-    "correct-proposal": correct_proposal_problem,
-}
-
-
-def _sweepable_builders():
-    from repro.protocols.dolev_strong import dolev_strong_spec
-    from repro.protocols.interactive_consistency import (
-        authenticated_ic_spec,
-    )
-
-    builders = {
-        "weak-consensus": lambda n, t: broadcast_weak_consensus_spec(
-            n, t
-        ),
-        "dolev-strong": lambda n, t: dolev_strong_spec(n, t),
-        "ic": lambda n, t: authenticated_ic_spec(n, t),
-    }
-    builders.update(CHEATERS)
-    return builders
-
-
-_SWEEPABLE = _sweepable_builders()
+from repro.solvability.theorem import classify
 
 
 def _info(message: str) -> None:
@@ -350,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         "classify", help="classify a standard agreement problem"
     )
     classify_parser.add_argument(
-        "problem", choices=sorted(_PROBLEMS), help="which problem"
+        "problem", choices=sorted(problem_builders()), help="which problem"
     )
     _system_size_options(classify_parser, n=4, t=1)
 
@@ -360,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "protocol",
-        choices=sorted(_SWEEPABLE),
+        choices=sorted([*CHEATERS, "dolev-strong", "ic", "weak-consensus"]),
         help="which protocol to measure",
     )
     sweep_parser.add_argument("--max-t", type=int, default=8)
@@ -789,17 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_protocol(name: str, n: int, t: int):
-    """Resolve an attack/verify protocol name to a spec."""
-    if name == "correct":
-        return broadcast_weak_consensus_spec(n, t)
-    if name == "naive-flooding":
-        from repro.protocols.weak_consensus import naive_flooding_spec
-
-        return naive_flooding_spec(n, t)
-    return CHEATERS[name](n, t)
-
-
 def _make_ledger(path: str | None):
     """The recording pair ``(ledger, worldlog)`` for ``--ledger PATH``.
 
@@ -902,7 +860,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         tracer = (
             LedgerTracer(ledger) if ledger is not None else NULL_TRACER
         )
-        spec = _resolve_protocol(args.protocol, args.n, args.t)
+        spec = resolve_builder(args.protocol)(args.n, args.t)
         outcome = attack_weak_consensus(
             spec,
             check=not args.no_check,
@@ -952,7 +910,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 f"{out_dir}/, each independently verified"
             )
             return 0
-        spec = _resolve_protocol(args.protocol, args.n, args.t)
+        spec = resolve_builder(args.protocol)(args.n, args.t)
         outcome = attack_weak_consensus(spec, certify=True)
         certificate = outcome.certificate
         assert certificate is not None
@@ -975,8 +933,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             # The replayed protocol runs at the artifact's claimed size:
             # a claim that cannot size it is not a certificate (exit 2).
             claim = Certificate.loads(text).payload["claim"]
-            return _resolve_protocol(
-                args.replay, claim["n"], claim["t"]
+            return resolve_builder(args.replay)(
+                claim["n"], claim["t"]
             ).factory
 
         failures = 0
@@ -994,7 +952,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 failures += 1
         return 1 if failures else 0
     if args.command == "classify":
-        problem = _PROBLEMS[args.problem](args.n, args.t)
+        problem = resolve_problem(args.problem)(args.n, args.t)
         print(classify(problem).render())
         return 0
     if args.command == "sweep":
@@ -1110,13 +1068,7 @@ def _service_job(args: argparse.Namespace):
     fast with the registry listed, instead of as a queued job's error
     record.
     """
-    from repro.parallel.jobs import (
-        AttackJob,
-        ClassifyJob,
-        MeasureJob,
-        resolve_builder,
-        resolve_problem,
-    )
+    from repro.parallel.jobs import AttackJob, ClassifyJob, MeasureJob
 
     if args.certify and args.kind != "attack":
         raise ReproError(

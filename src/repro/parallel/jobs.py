@@ -124,7 +124,7 @@ def resolve_builder(name: str) -> Callable[[int, int], Any]:
     )
 
 
-def _problem_builders() -> dict[str, Callable[[int, int], Any]]:
+def problem_builders() -> dict[str, Callable[[int, int], Any]]:
     """The standard agreement problems :class:`ClassifyJob` resolves."""
     from repro.validity.standard import (
         byzantine_broadcast_problem,
@@ -150,7 +150,7 @@ def resolve_problem(name: str) -> Callable[[int, int], Any]:
         UnknownBuilderError: for unregistered names, mirroring
             :func:`resolve_builder`.
     """
-    problems = _problem_builders()
+    problems = problem_builders()
     if name in problems:
         return problems[name]
     raise UnknownBuilderError(

@@ -35,7 +35,10 @@ Threading model: all queue, quota and log state lives on the event-loop
 thread.  Only :func:`~repro.parallel.jobs.execute_job` leaves it — to a
 ``ThreadPoolExecutor`` (``jobs=1``; in-process, no pickling) or a
 ``ProcessPoolExecutor`` (``jobs>1``; the scheduler's process backend),
-both driving the same job kernel.  :meth:`JobServer.request_shutdown`
+both driving the same job kernel.  A worker process that dies breaks
+its pool; the server replaces the pool and re-runs each job the break
+failed once, recording ``error_kind`` ``"broken-pool"`` only when the
+re-run fails too.  :meth:`JobServer.request_shutdown`
 and the ``ready`` event are the thread-safe control surface the CLI and
 tests use.
 """
@@ -45,7 +48,6 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import contextlib
-import json
 import os
 import signal
 import threading
@@ -120,6 +122,7 @@ class JobServer:
         self._pending: dict[str, int] = {}
         self._running: dict[str, dict[str, Any]] = {}
         self._watchers: dict[str, list[asyncio.Queue]] = {}
+        self._executor: concurrent.futures.Executor | None = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -174,14 +177,7 @@ class JobServer:
         for entry in pending:
             self._admit_entry(entry)
 
-        if self.jobs == 1:
-            executor: concurrent.futures.Executor = (
-                concurrent.futures.ThreadPoolExecutor(max_workers=1)
-            )
-        else:
-            executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.jobs
-            )
+        self._executor = self._new_executor()
 
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)
@@ -189,7 +185,7 @@ class JobServer:
             self._handle_connection, path=self.socket_path
         )
         workers = [
-            asyncio.ensure_future(self._worker(executor))
+            asyncio.ensure_future(self._worker())
             for _ in range(self.jobs)
         ]
         self.ready.set()
@@ -199,7 +195,7 @@ class JobServer:
             server.close()
             await server.wait_closed()
             await asyncio.gather(*workers, return_exceptions=True)
-            executor.shutdown(wait=True)
+            self._executor.shutdown(wait=True)
             self._log.close()
             with contextlib.suppress(OSError):
                 os.unlink(self.socket_path)
@@ -245,9 +241,32 @@ class JobServer:
     # workers
     # ------------------------------------------------------------------
 
-    async def _worker(
-        self, executor: concurrent.futures.Executor
-    ) -> None:
+    def _new_executor(self) -> concurrent.futures.Executor:
+        if self.jobs == 1:
+            return concurrent.futures.ThreadPoolExecutor(max_workers=1)
+        return concurrent.futures.ProcessPoolExecutor(max_workers=self.jobs)
+
+    async def _execute(self, job: Any) -> Any:
+        """Run ``job`` on the current pool.
+
+        A worker process that dies breaks its whole pool: every job
+        running or submitted there fails with ``BrokenProcessPool``.
+        The first job to see that replaces the pool (the others find it
+        replaced already), then the error propagates.
+        """
+        assert self._loop is not None and self._executor is not None
+        executor = self._executor
+        try:
+            return await self._loop.run_in_executor(
+                executor, execute_job, job
+            )
+        except concurrent.futures.BrokenExecutor:
+            if self._executor is executor:
+                executor.shutdown(wait=False)
+                self._executor = self._new_executor()
+            raise
+
+    async def _worker(self) -> None:
         assert self._cond is not None and self._stopping is not None
         while True:
             async with self._cond:
@@ -258,12 +277,9 @@ class JobServer:
                 entry = self._queue.pop()
             if entry is None:  # pragma: no cover - raced another worker
                 continue
-            await self._run_entry(executor, entry)
+            await self._run_entry(entry)
 
-    async def _run_entry(
-        self, executor: concurrent.futures.Executor, entry: JobEntry
-    ) -> None:
-        assert self._loop is not None
+    async def _run_entry(self, entry: JobEntry) -> None:
         cell_id = self._entry_cell_id(entry)
         self._append("job.start", {"key": entry.key}, cell_id)
         job = decode_job(entry.job)
@@ -273,16 +289,21 @@ class JobServer:
             "priority": entry.priority,
             "began": begin,
         }
+        error_kind = "exception"
         try:
-            result = await self._loop.run_in_executor(
-                executor, execute_job, job
-            )
+            try:
+                result = await self._execute(job)
+            except concurrent.futures.BrokenExecutor:
+                # A dead worker, not necessarily this job's: re-run it
+                # once on the fresh pool, as the sweep scheduler does.
+                error_kind = "broken-pool"
+                result = await self._execute(job)
         except BaseException as exc:
             record = self._append(
                 "job.error",
                 {
                     "key": entry.key,
-                    "error_kind": "exception",
+                    "error_kind": error_kind,
                     "message": f"{type(exc).__name__}: {exc}",
                     "detail": traceback.format_exc(),
                     "wall_seconds": time.perf_counter() - begin,
@@ -458,7 +479,7 @@ class JobServer:
             }
             if wait:
                 response["final"] = True
-                response["record"] = json.loads(record.to_json())
+                response["record"] = record.envelope()
             await self._send(writer, response)
             return
         if key in self._entries:
@@ -611,7 +632,7 @@ class JobServer:
             {
                 "ok": True,
                 "key": key,
-                "record": json.loads(record.to_json()),
+                "record": record.envelope(),
                 "final": final,
             },
         )

@@ -19,6 +19,13 @@ Public surface:
   semantics over per-round integer bitmasks for compiled omission
   adversaries, with :class:`~repro.sim.kernel.KernelOracle`
   cross-checking it against the object engine.
+* :mod:`repro.sim.serialization` — canonical JSON for payloads and
+  executions.  Executions have one writer,
+  :func:`~repro.sim.serialization.executions_to_tables`
+  (content-addressed message and fragment tables, the layout
+  certificates and uncertified ``job.result`` records share); the
+  older per-execution layout is only read.  Imported from its module,
+  not re-exported here.
 """
 
 from repro import _lazy_exports
@@ -46,7 +53,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
         ),
         ".message": ("Message",),
         ".process": ("Process", "ProcessFactory", "drive_replay"),
-        ".serialization": ("execution_from_dict", "execution_to_dict"),
         ".simulator": ("SimulationConfig", "run_execution"),
         ".state": (
             "Behavior", "Fragment", "StateSnapshot",

@@ -3,9 +3,16 @@
 A counterexample is only as useful as its portability: a third party
 should be able to load it and re-run the checks without re-running the
 attack.  This module round-trips the full Appendix-A record —
-executions, behaviors, fragments, messages — through plain JSON; an
-attack certificate (:mod:`repro.certify.format`) embeds its witness
-execution in this encoding.
+executions, behaviors, fragments, messages — through plain JSON.
+
+Executions have one writer, :func:`executions_to_tables`: each distinct
+message and fragment is stored once in content-addressed tables, which
+:func:`execution_from_tables` reads back.  An attack certificate
+(:mod:`repro.certify.format`) embeds its executions this way, and so
+does an uncertified ``job.result`` record (:mod:`repro.worldlog.codec`).
+:func:`execution_from_dict` reads the older per-execution layout
+(``"format": 1``) that published v1 certificates and ``job.result``
+records written before the tables still carry; nothing writes it.
 
 Payloads are arbitrary hashables in memory; the codec covers the closed
 set of types the library's protocols actually put on the wire:
@@ -192,37 +199,8 @@ Each entry holds its message, so no ``id`` is reused while the memo
 lives."""
 
 
-def _encode_messages(messages: frozenset[Message], memo: _Memo) -> list:
-    if not messages:  # most of a sparse protocol's message sets
-        return []
-    entries = []
-    for message in messages:
-        entry = memo.get(id(message))
-        if entry is None:
-            record = _encode_message(message)
-            entry = memo[id(message)] = (
-                message, canonical_json(record), record
-            )
-        entries.append(entry)
-    entries.sort(key=itemgetter(1))
-    return [entry[2] for entry in entries]
-
-
 def _decode_messages(data: list) -> frozenset[Message]:
     return frozenset(_decode_message(entry) for entry in data)
-
-
-def _encode_state(state: StateSnapshot) -> dict:
-    return {
-        "process": state.process,
-        "round": state.round,
-        "proposal": encode_payload(state.proposal),
-        "decision": (
-            None
-            if state.decision is None
-            else encode_payload(state.decision)
-        ),
-    }
 
 
 def _decode_state(data: dict) -> StateSnapshot:
@@ -238,16 +216,6 @@ def _decode_state(data: dict) -> StateSnapshot:
     )
 
 
-def _encode_fragment(fragment: Fragment, memo: _Memo) -> dict:
-    return {
-        "state": _encode_state(fragment.state),
-        "sent": _encode_messages(fragment.sent, memo),
-        "send_omitted": _encode_messages(fragment.send_omitted, memo),
-        "received": _encode_messages(fragment.received, memo),
-        "receive_omitted": _encode_messages(fragment.receive_omitted, memo),
-    }
-
-
 def _decode_fragment(data: dict) -> Fragment:
     return Fragment(
         state=_decode_state(data["state"]),
@@ -258,16 +226,6 @@ def _decode_fragment(data: dict) -> Fragment:
     )
 
 
-def _encode_behavior(behavior: Behavior, memo: _Memo) -> dict:
-    return {
-        "fragments": [
-            _encode_fragment(fragment, memo)
-            for fragment in behavior.fragments
-        ],
-        "final_state": _encode_state(behavior.final_state),
-    }
-
-
 def _decode_behavior(data: dict) -> Behavior:
     return Behavior(
         tuple(
@@ -276,29 +234,6 @@ def _decode_behavior(data: dict) -> Behavior:
         ),
         final_state=_decode_state(data["final_state"]),
     )
-
-
-def _encode_execution(execution: Execution, memo: _Memo) -> dict:
-    return {
-        "format": FORMAT_VERSION,
-        "n": execution.n,
-        "t": execution.t,
-        "faulty": sorted(execution.faulty),
-        "behaviors": [
-            _encode_behavior(behavior, memo)
-            for behavior in execution.behaviors
-        ],
-    }
-
-
-def execution_to_dict(execution: Execution) -> dict:
-    """Encode an execution as a JSON-safe dictionary.
-
-    A message object held by several fragments (a sender's ``sent`` and
-    its receiver's ``received``) is encoded once, and its record is
-    shared between them.
-    """
-    return _encode_execution(execution, {})
 
 
 class _Tables:
@@ -313,9 +248,9 @@ class _Tables:
     the encoder walks the executions in.
 
     Messages, states and state payloads are encoded once per object,
-    through identity memos like :func:`execution_to_dict`'s: fragments
-    built from one another share them.  Each memo entry holds its
-    object, so no ``id`` is reused while the tables live.
+    through identity memos: fragments built from one another share
+    them.  Each memo entry holds its object, so no ``id`` is reused
+    while the tables live.
     """
 
     def __init__(self) -> None:
@@ -439,8 +374,8 @@ def executions_to_tables(executions: Mapping[str, Execution]) -> dict:
 
     Returns ``{"messages", "fragments", "executions"}``: each distinct
     message record once, each distinct fragment once (its state plus
-    index lists into ``messages``, each list in the canonical message
-    order of :func:`execution_to_dict`), and per label the execution with
+    index lists into ``messages``, each list sorted by the canonical
+    JSON of the message records), and per label the execution with
     each behavior's fragments replaced by indices into ``fragments``.
     Executions are walked in sorted label order, then pid, then round,
     so the tables do not depend on the mapping's order or the hash seed.

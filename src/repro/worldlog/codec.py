@@ -8,6 +8,18 @@ worker shipped.  This module is that round trip, built on the shared
 :mod:`repro.sim.serialization` codec (executions, payloads) so there is
 exactly one encoding policy in the repository.
 
+An attack outcome's violation witness is recorded once:
+
+* a certified result (one that carries certificate bytes) already
+  holds the witness execution in its certificate, so its outcome entry
+  says ``"witness": "certificate"`` and decoding rebuilds the witness
+  with :meth:`~repro.certify.format.Certificate.witness`;
+* an uncertified result writes the witness execution in the
+  certificate's table layout (``messages``, ``fragments`` and the
+  ``execution`` that indexes them);
+* a record written before either rule carries a per-execution
+  ``"format": 1`` witness, which still decodes.
+
 Wall-clock fields (``wall_seconds``) round-trip verbatim: they are the
 *original* run's telemetry, excluded from outcome equality like every
 other timing.
@@ -28,8 +40,12 @@ from repro.sim.serialization import (
     decode_payload,
     encode_payload,
     execution_from_dict,
-    execution_to_dict,
+    execution_from_tables,
+    executions_to_tables,
 )
+
+IN_CERTIFICATE = "certificate"
+"""The witness entry of an outcome whose witness its certificate holds."""
 
 
 # ----------------------------------------------------------------------
@@ -77,8 +93,52 @@ def decode_job(data: dict[str, Any]) -> Any:
 # ----------------------------------------------------------------------
 
 
-def _encode_outcome(outcome: Any) -> dict[str, Any]:
-    record: dict[str, Any] = {
+def _encode_witness(witness: Any, certified: bool) -> Any:
+    if witness is None:
+        return None
+    if certified:
+        return IN_CERTIFICATE
+    tables = executions_to_tables({"witness": witness.execution})
+    return {
+        "kind": witness.kind.value,
+        "culprit": witness.culprit,
+        "counterpart": witness.counterpart,
+        "note": witness.note,
+        "messages": tables["messages"],
+        "fragments": tables["fragments"],
+        "execution": tables["executions"]["witness"],
+    }
+
+
+def _decode_witness(raw: Any, certificate: str | None) -> Any:
+    if raw is None:
+        return None
+    if raw == IN_CERTIFICATE:
+        from repro.certify.format import Certificate
+
+        return Certificate.loads(certificate).witness()
+    from repro.lowerbound.witnesses import (
+        ViolationKind,
+        ViolationWitness,
+    )
+
+    if "fragments" in raw:
+        execution = execution_from_tables(
+            raw["execution"], raw["fragments"], raw["messages"]
+        )
+    else:  # written before the table layout
+        execution = execution_from_dict(raw["execution"])
+    return ViolationWitness(
+        kind=ViolationKind(raw["kind"]),
+        execution=execution,
+        culprit=raw["culprit"],
+        counterpart=raw["counterpart"],
+        note=raw["note"],
+    )
+
+
+def _encode_outcome(outcome: Any, certified: bool) -> dict[str, Any]:
+    return {
         "kind": "attack-outcome",
         "protocol": outcome.protocol,
         "n": outcome.n,
@@ -89,7 +149,7 @@ def _encode_outcome(outcome: Any) -> dict[str, Any]:
             "b": sorted(outcome.partition.group_b),
             "c": sorted(outcome.partition.group_c),
         },
-        "witness": None,
+        "witness": _encode_witness(outcome.witness, certified),
         "bound": {
             "t": outcome.bound.t,
             "observed": outcome.bound.observed,
@@ -104,37 +164,13 @@ def _encode_outcome(outcome: Any) -> dict[str, Any]:
         "rounds_simulated": outcome.rounds_simulated,
         "rounds_baseline": outcome.rounds_baseline,
     }
-    if outcome.witness is not None:
-        witness = outcome.witness
-        record["witness"] = {
-            "kind": witness.kind.value,
-            "culprit": witness.culprit,
-            "counterpart": witness.counterpart,
-            "note": witness.note,
-            "execution": execution_to_dict(witness.execution),
-        }
-    return record
 
 
-def _decode_outcome(data: dict[str, Any]) -> Any:
+def _decode_outcome(data: dict[str, Any], certificate: str | None) -> Any:
     from repro.lowerbound.bound import BoundComparison
     from repro.lowerbound.driver import AttackOutcome
     from repro.lowerbound.partition import ABCPartition
-    from repro.lowerbound.witnesses import (
-        ViolationKind,
-        ViolationWitness,
-    )
 
-    witness = None
-    if data["witness"] is not None:
-        raw = data["witness"]
-        witness = ViolationWitness(
-            kind=ViolationKind(raw["kind"]),
-            execution=execution_from_dict(raw["execution"]),
-            culprit=raw["culprit"],
-            counterpart=raw["counterpart"],
-            note=raw["note"],
-        )
     return AttackOutcome(
         protocol=data["protocol"],
         n=data["n"],
@@ -145,7 +181,7 @@ def _decode_outcome(data: dict[str, Any]) -> Any:
             group_b=frozenset(data["partition"]["b"]),
             group_c=frozenset(data["partition"]["c"]),
         ),
-        witness=witness,
+        witness=_decode_witness(data["witness"], certificate),
         bound=BoundComparison(
             t=data["bound"]["t"], observed=data["bound"]["observed"]
         ),
@@ -211,14 +247,18 @@ def _decode_verdict(data: dict[str, Any]) -> Any:
     )
 
 
-def encode_value(value: Any) -> dict[str, Any]:
-    """Encode a job payload (outcome, sweep point or verdict)."""
+def _encode_value(value: Any, certified: bool) -> dict[str, Any]:
+    """Encode a job payload (outcome, sweep point or verdict).
+
+    ``certified`` says the payload travels with its certificate bytes,
+    which then hold an outcome's witness.
+    """
     from repro.analysis.complexity import SweepPoint
     from repro.lowerbound.driver import AttackOutcome
     from repro.parallel.jobs import ClassifyVerdict
 
     if isinstance(value, AttackOutcome):
-        return _encode_outcome(value)
+        return _encode_outcome(value, certified)
     if isinstance(value, SweepPoint):
         return _encode_point(value)
     if isinstance(value, ClassifyVerdict):
@@ -228,11 +268,12 @@ def encode_value(value: Any) -> dict[str, Any]:
     )
 
 
-def decode_value(data: dict[str, Any]) -> Any:
-    """Inverse of :func:`encode_value`."""
+def _decode_value(data: dict[str, Any], certificate: str | None) -> Any:
+    """Inverse of :func:`_encode_value`, given the text of the
+    certificate the payload travelled with."""
     kind = data.get("kind")
     if kind == "attack-outcome":
-        return _decode_outcome(data)
+        return _decode_outcome(data, certificate)
     if kind == "sweep-point":
         return _decode_point(data)
     if kind == "classify-verdict":
@@ -253,14 +294,16 @@ def encode_event(event: Any) -> dict[str, Any]:
 def decode_event(data: dict[str, Any]) -> Any:
     from repro.obs.ledger import LedgerEvent
 
-    return LedgerEvent.from_json(json.dumps(data))
+    return LedgerEvent.from_payload(data)
 
 
 def encode_job_result(result: Any) -> dict[str, Any]:
     """A shipped :class:`~repro.parallel.jobs.JobResult`, JSON-safe."""
     return {
         "key": list(result.key),
-        "value": encode_value(result.value),
+        "value": _encode_value(
+            result.value, certified=result.certificate is not None
+        ),
         "wall_seconds": result.wall_seconds,
         "cache": (
             None
@@ -290,9 +333,10 @@ def decode_job_result(data: dict[str, Any]) -> Any:
     """Inverse of :func:`encode_job_result`."""
     from repro.parallel.jobs import CacheStats, JobResult
 
+    certificate = data["certificate"]
     return JobResult(
         key=tuple(data["key"]),
-        value=decode_value(data["value"]),
+        value=_decode_value(data["value"], certificate),
         wall_seconds=data["wall_seconds"],
         cache=(
             None
@@ -306,9 +350,7 @@ def decode_job_result(data: dict[str, Any]) -> Any:
         rounds_simulated=data["rounds_simulated"],
         rounds_baseline=data["rounds_baseline"],
         certificate=(
-            None
-            if data["certificate"] is None
-            else data["certificate"].encode("utf-8")
+            None if certificate is None else certificate.encode("utf-8")
         ),
         events=(
             None

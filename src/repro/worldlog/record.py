@@ -8,7 +8,8 @@ preserved *verbatim* — derived views re-render payloads byte-for-byte,
 so the envelope must not re-sort what a writer serialized.
 
 :meth:`Record.to_json` renders the persisted JSONL line (fixed envelope
-key order, payload verbatim).
+key order, payload verbatim) from :meth:`Record.envelope`, the object
+the job server also streams in its frames.
 
 :func:`log_order_signature` generalizes the run ledger's
 ``order_signature`` to whole logs: the backend- and wall-clock-
@@ -175,18 +176,21 @@ class Record:
     cell_id: str | None = None
     worker_id: int = 0
 
+    def envelope(self) -> dict[str, Any]:
+        """The record as the object :meth:`to_json` renders: envelope
+        keys in their fixed order, the payload itself (not a copy)."""
+        return {
+            "tick": self.tick,
+            "kind": self.kind,
+            "run_id": self.run_id,
+            "cell_id": self.cell_id,
+            "worker_id": self.worker_id,
+            "payload": self.payload,
+        }
+
     def to_json(self) -> str:
         """The persisted JSONL line (envelope keys fixed, payload verbatim)."""
-        return json.dumps(
-            {
-                "tick": self.tick,
-                "kind": self.kind,
-                "run_id": self.run_id,
-                "cell_id": self.cell_id,
-                "worker_id": self.worker_id,
-                "payload": self.payload,
-            }
-        )
+        return json.dumps(self.envelope())
 
     @property
     def align_key(self) -> tuple[str, str | None, str | None]:

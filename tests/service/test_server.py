@@ -274,6 +274,102 @@ class TestLifecycle:
         ]
 
 
+class TestFrames:
+    def test_terminal_frames_keep_the_record_line_bytes(self, paths):
+        """A streamed terminal frame and the cached ``--wait`` reply carry
+        the record exactly as the log line renders it, byte for byte."""
+        from repro.service.protocol import encode_frame
+
+        sock, log = paths
+        server, thread = _start(log, sock)
+        job = json.dumps(
+            encode_job(AttackJob("silent", 8, 4, certify=True))
+        )
+        frame = f'{{"op": "submit", "wait": true, "job": {job}}}\n'
+        replies = []
+        for _ in range(2):  # run, then the cached resubmission
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+                raw.settimeout(120)
+                raw.connect(sock)
+                raw.sendall(frame.encode("utf-8"))
+                replies.append(raw.makefile("rb").readlines())
+        _stop(server, thread)
+        (terminal,) = [
+            record
+            for record in read_worldlog(log)
+            if record.kind == "job.result"
+        ]
+        key = terminal.payload["key"]
+        recorded = json.loads(terminal.to_json())
+        assert replies[0][-1] == encode_frame(
+            {"ok": True, "key": key, "record": recorded, "final": True}
+        )
+        assert replies[1] == [
+            encode_frame(
+                {
+                    "ok": True,
+                    "key": key,
+                    "state": "done",
+                    "cached": True,
+                    "final": True,
+                    "record": recorded,
+                }
+            )
+        ]
+
+
+class TestDeadWorker:
+    def test_a_dead_worker_costs_one_rerun_not_the_pool(
+        self, paths, monkeypatch, tmp_path
+    ):
+        """A worker process that exits mid-job breaks the process pool.
+        The server replaces the pool and re-runs the job once; only a
+        job whose re-run dies too records ``broken-pool``, and later
+        jobs run as usual."""
+        from repro.experiments import CHEATERS
+
+        died = tmp_path / "died"
+        silent = CHEATERS["silent"]
+
+        def dies_once(n, t):
+            if not died.exists():
+                died.touch()
+                os._exit(1)
+            return silent(n, t)
+
+        def always_dies(n, t):
+            os._exit(1)
+
+        # Forked workers inherit the patched registry.
+        monkeypatch.setitem(CHEATERS, "silent", dies_once)
+        monkeypatch.setitem(CHEATERS, "leader-echo", always_dies)
+        sock, log = paths
+        server, thread = _start(log, sock, jobs=2)
+        client = ServiceClient(sock, timeout=120)
+        keys = []
+        for job in (
+            AttackJob("leader-echo", 8, 4),
+            AttackJob("silent", 8, 4),
+            ClassifyJob("weak", 5, 1),
+        ):
+            keys.append(client.submit(encode_job(job))["key"])
+            _drain(client, keys[-1:])
+        _stop(server, thread)
+        dead, once, later = keys
+        results, errors = _terminals(log)
+        assert sorted(errors) == [dead]
+        assert errors[dead]["error_kind"] == "broken-pool"
+        assert "BrokenProcessPool" in errors[dead]["message"]
+        assert results[once].value.found_violation
+        assert results[later].value.problem == "weak"
+        starts = [
+            record.payload["key"]
+            for record in read_worldlog(log)
+            if record.kind == "job.start"
+        ]
+        assert starts == keys  # a re-run is not a second attempt record
+
+
 class TestIdempotency:
     def test_resubmitting_a_done_key_runs_nothing(self, paths):
         sock, log = paths

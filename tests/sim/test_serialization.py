@@ -19,7 +19,6 @@ from repro.sim.serialization import (
     encode_payload,
     execution_from_dict,
     execution_from_tables,
-    execution_to_dict,
     executions_to_tables,
 )
 from repro.sim.state import Behavior, Fragment, StateSnapshot
@@ -159,12 +158,16 @@ class TestCanonicalEncoding:
 
 
 def canonical_text(execution):
-    return canonical_json(execution_to_dict(execution))
+    """The canonical JSON of ``execution`` encoded alone into tables."""
+    return canonical_json(executions_to_tables({"e": execution}))
 
 
 def roundtrip(execution):
     """An execution through its canonical JSON text and back."""
-    return execution_from_dict(json.loads(canonical_text(execution)))
+    tables = json.loads(canonical_text(execution))
+    return execution_from_tables(
+        tables["executions"]["e"], tables["fragments"], tables["messages"]
+    )
 
 
 class TestExecutionRoundtrip:
@@ -192,6 +195,62 @@ class TestExecutionRoundtrip:
     def test_bad_format_rejected(self):
         with pytest.raises(ReproError, match="unsupported"):
             execution_from_dict({"format": 99})
+
+    # Message sets of nested-frozenset payloads, under two labels: every
+    # order the table encoder fixes (labels, message refs, set payloads)
+    # is one that hash randomization would otherwise scramble.
+    TABLES_SCRIPT = (
+        "from repro.sim.execution import Execution\n"
+        "from repro.sim.message import Message\n"
+        "from repro.sim.serialization import (\n"
+        "    canonical_json, executions_to_tables)\n"
+        "from repro.sim.state import Behavior, Fragment, StateSnapshot\n"
+        "payloads = [frozenset({('a', 1), ('b', 2), ('c', 3), (0, 9)}),\n"
+        "            frozenset({(2, frozenset({5, 6})), (1, frozenset({7}))}),\n"
+        "            'x', b'\\x00']\n"
+        "messages = [Message(s, r, 1, payloads[(s + r) % 4])\n"
+        "            for s in range(3) for r in range(3) if s != r]\n"
+        "behaviors = tuple(Behavior((Fragment(\n"
+        "    state=StateSnapshot(p, 1, frozenset({p, 'v'})),\n"
+        "    sent=frozenset(m for m in messages if m.sender == p),\n"
+        "    received=frozenset(m for m in messages if m.receiver == p),\n"
+        "),), final_state=StateSnapshot(p, 2, 0)) for p in range(3))\n"
+        "execution = Execution(n=3, t=1, faulty=frozenset(),\n"
+        "                      behaviors=behaviors)\n"
+        "rendering = canonical_json(\n"
+        "    executions_to_tables({'b': execution, 'a': execution}))\n"
+    )
+
+    @pytest.mark.parametrize("seed", ["0", "1", "2"])
+    def test_tables_byte_identical_across_hash_seeds(self, seed):
+        """An execution's tables render identically under every hash
+        seed."""
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-c", self.TABLES_SCRIPT + "print(rendering)"],
+            env={
+                "PYTHONPATH": src,
+                "PYTHONHASHSEED": seed,
+                "PATH": "/usr/bin:/bin",
+            },
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        scope: dict = {}
+        exec(self.TABLES_SCRIPT, scope)  # this interpreter's seed
+        assert completed.stdout.strip() == scope["rendering"]
+        tables = json.loads(scope["rendering"])
+        decoded = execution_from_tables(
+            tables["executions"]["a"], tables["fragments"], tables["messages"]
+        )
+        assert decoded == scope["execution"]
 
 
 class TestRoundtripProperty:
@@ -313,9 +372,7 @@ class TestSharedMemoProperty:
                 tables["fragments"],
                 tables["messages"],
             )
-            assert canonical_json(execution_to_dict(decoded)) == (
-                canonical_json(execution_to_dict(execution))
-            )
+            assert canonical_text(decoded) == canonical_text(execution)
         # Each record is stored once, so twins are two entries.
         for table in ("messages", "fragments"):
             keys = [canonical_json(entry) for entry in tables[table]]
