@@ -144,20 +144,23 @@ class LedgerEvent:
                 return value
         return default
 
+    def payload(self) -> dict[str, Any]:
+        """The event as a JSON object with a fixed, stable key order —
+        a world log's ``ledger.event`` payload."""
+        return {
+            "ts": self.ts,
+            "kind": self.kind,
+            "name": self.name,
+            "value": self.value,
+            "run_id": self.run_id,
+            "cell_id": self.cell_id,
+            "worker_id": self.worker_id,
+            "attrs": dict(self.attrs),
+        }
+
     def to_json(self) -> str:
-        """One JSON Lines record with a fixed, stable key order."""
-        return json.dumps(
-            {
-                "ts": self.ts,
-                "kind": self.kind,
-                "name": self.name,
-                "value": self.value,
-                "run_id": self.run_id,
-                "cell_id": self.cell_id,
-                "worker_id": self.worker_id,
-                "attrs": dict(self.attrs),
-            }
-        )
+        """One JSON Lines record: :meth:`payload`, dumped."""
+        return json.dumps(self.payload())
 
     @classmethod
     def from_json(cls, line: str) -> "LedgerEvent":
@@ -166,7 +169,7 @@ class LedgerEvent:
 
     @classmethod
     def from_payload(cls, raw: dict[str, Any]) -> "LedgerEvent":
-        """The event a parsed :meth:`to_json` object (a world log's
+        """The event a :meth:`payload` object (a world log's
         ``ledger.event`` payload) describes."""
         return cls(
             kind=raw["kind"],

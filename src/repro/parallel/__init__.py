@@ -3,12 +3,13 @@
 The subsystem has two modules:
 
 * :mod:`repro.parallel.jobs` — picklable job descriptions
-  (:class:`AttackJob`, :class:`MeasureJob`) that rebuild protocol specs
-  from registry names inside each worker;
-* :mod:`repro.parallel.scheduler` — :class:`SweepScheduler`, which
-  shards a job matrix over a process pool (or a bit-identical serial
-  fallback), gathers results in deterministic cell order and merges
-  per-worker cache accounting into a :class:`SweepReport`.
+  (:class:`AttackJob`, :class:`MeasureJob`, :class:`ClassifyJob`) that
+  rebuild protocol specs from registry names inside each worker, and
+  :func:`execute_job`, which runs, traces and times any of them;
+* :mod:`repro.parallel.scheduler` — :class:`SweepScheduler`, whose one
+  gather loop runs a job matrix inline or takes it from a process pool
+  that ran it ahead, gathers results in deterministic cell order and
+  merges per-worker cache accounting into a :class:`SweepReport`.
 
 The package's symbols are loaded lazily (PEP 562), so importing one
 submodule (a worker's :mod:`repro.parallel.jobs`) does not import the

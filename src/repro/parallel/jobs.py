@@ -28,13 +28,15 @@ Everything a job returns is wrapped in a :class:`JobResult` so the
 scheduler can account wall time, cache counters and engine round counts
 uniformly across job kinds.
 
-With ``ledger=True`` a job additionally traces itself into a private
-:class:`~repro.obs.ledger.RunLedger` and ships the resulting event
-segment home as picklable tuples (``JobResult.events``); the scheduler
-splices the segments into one ordered sweep ledger at gather.  Both
-backends run this exact code path, so the spliced event *order* — the
-``(kind, name, cell_id)`` sequence — is identical however many workers
-ran the sweep.
+:func:`execute_job` is the one way a job runs, inline or in a worker
+process: it gives the job's ``run`` a tracer, times it and attaches the
+cell's events.  A job with ``ledger=True`` is traced into a private
+:class:`~repro.obs.ledger.RunLedger` whose events carry the cell's
+label, and the segment travels home as picklable tuples
+(``JobResult.events``); the scheduler splices the segments into one
+ordered sweep ledger at gather.  Every worker count runs this code, so
+the spliced event *order* — the ``(kind, name, cell_id)`` sequence — is
+identical however many workers ran the sweep.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ReproError
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.obs.ledger import LedgerEvent
+    from repro.obs.tracer import Tracer
 
 
 class UnknownBuilderError(ReproError):
@@ -166,7 +169,8 @@ class JobResult:
     Attributes:
         key: the job's ``(kind, builder, n, t)`` identity.
         value: the job's payload — an ``AttackOutcome`` or ``SweepPoint``.
-        wall_seconds: the job's wall time inside the worker.
+        wall_seconds: the job's wall time inside the worker, set by
+            :func:`execute_job`.
         cache: the worker's execution-cache counters (attack jobs only).
         rounds_simulated: engine rounds actually simulated.
         rounds_baseline: rounds a reuse-free pipeline would have run.
@@ -174,8 +178,8 @@ class JobResult:
             canonical UTF-8 JSON bytes (certifying attack jobs only).  Shipped as bytes
             — not as the live :class:`~repro.certify.format.Certificate`
             — so the scheduler's gather step verifies *exactly* the
-            artifact that crossed the process boundary, and so both
-            backends return byte-identical evidence.
+            artifact that crossed the process boundary, and so every
+            worker count returns byte-identical evidence.
         events: the cell's run-ledger segment (``ledger=True`` jobs
             only) — a tuple of frozen
             :class:`~repro.obs.ledger.LedgerEvent` records the scheduler
@@ -184,30 +188,12 @@ class JobResult:
 
     key: tuple[str, str, int, int]
     value: Any
-    wall_seconds: float
+    wall_seconds: float = 0.0
     cache: CacheStats | None = None
     rounds_simulated: int = 0
     rounds_baseline: int = 0
     certificate: bytes | None = None
     events: "tuple[LedgerEvent, ...] | None" = None
-
-
-def _cell_tracer(enabled: bool, key: tuple[str, str, int, int]):
-    """A ``(tracer, ledger)`` pair for one job cell.
-
-    Disabled jobs get the shared no-op :data:`~repro.obs.tracer
-    .NULL_TRACER` and no ledger; enabled jobs get a private
-    :class:`~repro.obs.ledger.RunLedger` whose every event carries the
-    cell's canonical label.  The scratch run id is rewritten when the
-    scheduler splices the segment into the sweep ledger.
-    """
-    from repro.obs.ledger import RunLedger, cell_label
-    from repro.obs.tracer import NULL_TRACER, LedgerTracer
-
-    if not enabled:
-        return NULL_TRACER, None
-    ledger = RunLedger()
-    return LedgerTracer(ledger, cell_id=cell_label(key)), ledger
 
 
 @dataclass(frozen=True)
@@ -235,28 +221,21 @@ class AttackJob:
         """The cell identity ``("attack", builder, n, t)``."""
         return ("attack", self.builder, self.n, self.t)
 
-    def run(self) -> JobResult:
+    def run(self, tracer: "Tracer") -> JobResult:
         """Rebuild the spec and run the full attack pipeline.
 
         With ``certify`` the worker renders the attack certificate to
         canonical bytes and strips the live object off the outcome —
         the artifact travels once, as ``JobResult.certificate``, and the
         gather step re-verifies it before the sweep reports the cell.
-
-        With ``ledger`` the worker traces the pipeline into a private
-        :class:`~repro.obs.ledger.RunLedger` (every event stamped with
-        this cell's :func:`~repro.obs.ledger.cell_label`) and ships the
-        segment home as ``JobResult.events``.
         """
         from repro.lowerbound.driver import (
             ExecutionCache,
             attack_weak_consensus,
         )
 
-        tracer, cell_ledger = _cell_tracer(self.ledger, self.key)
         spec = resolve_builder(self.builder)(self.n, self.t)
         cache = ExecutionCache()
-        begin = time.perf_counter()
         outcome = attack_weak_consensus(
             spec,
             verify=self.verify,
@@ -267,7 +246,6 @@ class AttackJob:
             certify=self.certify,
             tracer=tracer,
         )
-        wall = time.perf_counter() - begin
         certificate_bytes: bytes | None = None
         if outcome.certificate is not None:
             certificate_bytes = outcome.certificate.to_bytes()
@@ -275,7 +253,6 @@ class AttackJob:
         return JobResult(
             key=self.key,
             value=outcome,
-            wall_seconds=wall,
             cache=CacheStats(
                 hits=cache.hits,
                 alias_hits=cache.alias_hits,
@@ -284,11 +261,6 @@ class AttackJob:
             rounds_simulated=outcome.rounds_simulated,
             rounds_baseline=outcome.rounds_baseline,
             certificate=certificate_bytes,
-            events=(
-                cell_ledger.segment()
-                if cell_ledger is not None
-                else None
-            ),
         )
 
 
@@ -307,12 +279,11 @@ class MeasureJob:
         """The cell identity ``("measure", builder, n, t)``."""
         return ("measure", self.builder, self.n, self.t)
 
-    def run(self) -> JobResult:
+    def run(self, tracer: "Tracer") -> JobResult:
         """Rebuild the spec and measure its worst message count.
 
-        With ``ledger`` the measurement is wrapped in a ``measure`` span
-        and its worst message count and floor ratio land in the cell's
-        event segment (``JobResult.events``).
+        The measurement is a ``measure`` span, followed by its worst
+        message count and floor ratio.
         """
         from repro.analysis.complexity import (
             measure_point,
@@ -320,29 +291,17 @@ class MeasureJob:
             uniform_workloads,
         )
 
-        tracer, cell_ledger = _cell_tracer(self.ledger, self.key)
         spec = resolve_builder(self.builder)(self.n, self.t)
         workloads = uniform_workloads(self.n)
         if self.include_mixed:
             workloads.append(mixed_workload(self.n))
-        begin = time.perf_counter()
         with tracer.span(
             "measure", builder=self.builder, n=self.n, t=self.t
         ):
             point = measure_point(spec, workloads)
-        wall = time.perf_counter() - begin
         tracer.counter("measure.worst_messages", value=point.worst_messages)
         tracer.gauge("measure.vs_floor", value=point.ratio_to_floor)
-        return JobResult(
-            key=self.key,
-            value=point,
-            wall_seconds=wall,
-            events=(
-                cell_ledger.segment()
-                if cell_ledger is not None
-                else None
-            ),
-        )
+        return JobResult(key=self.key, value=point)
 
 
 @dataclass(frozen=True)
@@ -393,22 +352,19 @@ class ClassifyJob:
         """The cell identity ``("classify", problem, n, t)``."""
         return ("classify", self.builder, self.n, self.t)
 
-    def run(self) -> JobResult:
+    def run(self, tracer: "Tracer") -> JobResult:
         """Rebuild the problem and classify it.
 
-        With ``ledger`` the classification is wrapped in a ``classify``
-        span and the decided bits land in the cell's event segment.
+        The classification is a ``classify`` span, followed by whether
+        the problem is solvable with signatures.
         """
         from repro.solvability.theorem import classify
 
-        tracer, cell_ledger = _cell_tracer(self.ledger, self.key)
         problem = resolve_problem(self.builder)(self.n, self.t)
-        begin = time.perf_counter()
         with tracer.span(
             "classify", problem=self.builder, n=self.n, t=self.t
         ):
             report = classify(problem)
-        wall = time.perf_counter() - begin
         verdict = ClassifyVerdict(
             problem=self.builder,
             n=self.n,
@@ -422,16 +378,7 @@ class ClassifyJob:
             "classify.solvable",
             value=int(verdict.authenticated_solvable),
         )
-        return JobResult(
-            key=self.key,
-            value=verdict,
-            wall_seconds=wall,
-            events=(
-                cell_ledger.segment()
-                if cell_ledger is not None
-                else None
-            ),
-        )
+        return JobResult(key=self.key, value=verdict)
 
 
 SweepJob = AttackJob | MeasureJob | ClassifyJob
@@ -439,10 +386,30 @@ SweepJob = AttackJob | MeasureJob | ClassifyJob
 
 
 def execute_job(job: SweepJob) -> JobResult:
-    """Worker entry point: run one job and return its result.
+    """Run one job, timed and (with ``job.ledger``) traced.
 
-    Module-level (hence picklable) so
-    :class:`concurrent.futures.ProcessPoolExecutor` can ship it; also the
-    serial backend's kernel, keeping both backends on one code path.
+    The tracer is the shared no-op
+    :data:`~repro.obs.tracer.NULL_TRACER`, or for a ``ledger=True``
+    job a private :class:`~repro.obs.ledger.RunLedger` whose every
+    event carries the cell's :func:`~repro.obs.ledger.cell_label`; its
+    scratch run id is rewritten when the scheduler splices the segment
+    into the sweep ledger.  Module-level (hence picklable) so
+    :class:`concurrent.futures.ProcessPoolExecutor` can ship it; the
+    scheduler's inline cells and the job server run it too.
     """
-    return job.run()
+    from repro.obs.ledger import RunLedger, cell_label
+    from repro.obs.tracer import NULL_TRACER, LedgerTracer
+
+    ledger = RunLedger() if job.ledger else None
+    tracer = (
+        NULL_TRACER
+        if ledger is None
+        else LedgerTracer(ledger, cell_id=cell_label(job.key))
+    )
+    begin = time.perf_counter()
+    result = job.run(tracer)
+    return replace(
+        result,
+        wall_seconds=time.perf_counter() - begin,
+        events=None if ledger is None else ledger.segment(),
+    )

@@ -10,17 +10,20 @@ depend on which process runs it or when, so the parallel sweep is
 bit-identical to the serial one (enforced by the cross-backend
 equivalence tests).
 
-:class:`SweepScheduler` owns the two backends:
-
-* **serial** (``jobs=1``, the default) — runs cells in submission order
-  in-process, exactly the historical sweep loop;
-* **process** (``jobs>1``) — a
-  :class:`concurrent.futures.ProcessPoolExecutor` fan-out.  Results are
-  *gathered in deterministic cell order* regardless of completion order,
-  per-cell failures (worker exceptions, even a broken pool)
-  are captured as structured :class:`CellError` records without aborting
-  the other cells, and per-worker cache counters are merged into one
-  aggregate via ``ExecutionCache.merge_stats``.
+:class:`SweepScheduler` has one gather loop for every worker count.
+With ``jobs>1`` a :class:`concurrent.futures.ProcessPoolExecutor`
+exists only to run the cells ahead of the loop: every cell is submitted
+up front, and the loop takes each cell's result from its future.  With
+``jobs=1`` (the default) there is no pool, and the loop runs each cell
+in-process with :func:`~repro.parallel.jobs.execute_job` (backend
+``"serial"``; ``"process"`` with a pool).  Either way results are
+*gathered in deterministic cell order* regardless of completion order,
+per-cell failures (job exceptions, even a broken pool) are captured as
+structured :class:`CellError` records without aborting the other
+cells, and per-worker cache counters are merged into one aggregate via
+``ExecutionCache.merge_stats``.  Leaving the loop by an exception (a
+world-log append that fails, an interrupt) cancels every cell the pool
+has not started.
 
 The gathered :class:`SweepReport` carries per-cell wall times, merged
 cache accounting (hits / alias hits / misses), aggregate engine round
@@ -31,7 +34,6 @@ counters and any per-cell errors — the sweep-level analogue of
 from __future__ import annotations
 
 import time
-import traceback
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -211,13 +213,19 @@ class SweepReport:
         return f"{table}\n{summary}"
 
 
-def _error_from(exc: BaseException, kind: str = "exception") -> CellError:
-    return CellError(
-        kind=kind,
-        message=f"{type(exc).__name__}: {exc}",
-        detail="".join(
-            traceback.format_exception(type(exc), exc, exc.__traceback__)
+def _error_cell(
+    index: int, key: tuple[str, str, int, int], payload: dict[str, Any]
+) -> SweepCell:
+    """The errored cell a ``job.error`` payload describes."""
+    return SweepCell(
+        index=index,
+        key=key,
+        error=CellError(
+            kind=payload["error_kind"],
+            message=payload["message"],
+            detail=payload.get("detail", ""),
         ),
+        wall_seconds=payload.get("wall_seconds", 0.0),
     )
 
 
@@ -238,18 +246,18 @@ class SweepScheduler:
     """Shards a job matrix across workers and gathers deterministically.
 
     Attributes:
-        jobs: worker count; ``1`` selects the in-process serial backend
-            (bit-identical to the historical sweep loop), ``> 1`` the
-            process-pool backend.
+        jobs: worker count; ``1`` runs every cell in-process, ``> 1``
+            runs them ahead of the gather loop in a process pool of
+            that many workers.
         ledger: optional sweep :class:`~repro.obs.ledger.RunLedger`.
             When set, every job is resubmitted with ``ledger=True`` so
             the workers trace themselves, and the gather step splices
             the shipped per-cell segments into this ledger *in cell
             submission order* — followed by per-cell wall/status events
             and certificate-verdict artifacts emitted by the gather
-            itself.  Both backends run the same job code path, so the
-            spliced event order (``kind``/``name``/``cell_id``) is
-            backend-independent.
+            itself.  Every worker count runs the same job code path, so
+            the spliced event order (``kind``/``name``/``cell_id``) is
+            the same however many workers ran the sweep.
         progress: when true, a heartbeat thread keeps a live status
             line (cells done/total, elapsed, ETA, stall flag) on the
             progress stream while the sweep runs.  The line goes to
@@ -282,8 +290,8 @@ class SweepScheduler:
     ``cell.heartbeat`` counter (value = ticks observed; wall-clock
     telemetry, like ``cell.wall_seconds``) and ``cell.done`` — emitted
     at gather time in submission order, so the spliced event *order*
-    stays backend-independent even though heartbeat counts differ run
-    to run.
+    is the same for every worker count even though heartbeat counts
+    differ run to run.
     """
 
     jobs: int = 1
@@ -327,14 +335,9 @@ class SweepScheduler:
         labels = [cell_label(job.key) for job in job_list]
         begin = time.perf_counter()
         with HeartbeatMonitor(tracker, interval=interval):
-            if self.backend == SERIAL:
-                cells = self._run_serial(
-                    job_list, tracker, labels, keys, recalled
-                )
-            else:
-                cells = self._run_process(
-                    job_list, tracker, labels, keys, recalled
-                )
+            cells = self._run_cells(
+                job_list, tracker, labels, keys, recalled
+            )
         if self.progress:
             tracker.close()
         wall = time.perf_counter() - begin
@@ -347,7 +350,7 @@ class SweepScheduler:
             else default_progress_stream()
         )
 
-    def _run_serial(
+    def _run_cells(
         self,
         job_list: Sequence[SweepJob],
         tracker: SweepProgress,
@@ -355,87 +358,63 @@ class SweepScheduler:
         keys: Sequence[str],
         recalled: dict[int, SweepCell | int],
     ) -> list[SweepCell]:
-        cells: list[SweepCell] = []
-        for index, job in enumerate(job_list):
-            tracker.start(labels[index])
-            if index in recalled:
-                cells.append(_reuse(index, recalled, cells))
-                tracker.note_done(labels[index])
-                continue
-            begin = time.perf_counter()
-            try:
-                result = execute_job(job)
-            except Exception as exc:  # structured, not sweep-fatal
-                cells.append(
-                    SweepCell(
-                        index=index,
-                        key=job.key,
-                        error=_error_from(exc),
-                        wall_seconds=time.perf_counter() - begin,
-                    )
-                )
-            else:
-                cells.append(
-                    SweepCell(
-                        index=index,
-                        key=job.key,
-                        result=result,
-                        wall_seconds=result.wall_seconds,
-                    )
-                )
-            self._record_cell(cells[-1], keys)
-            tracker.note_done(labels[index])
-        return cells
+        """The gather loop: every cell in submission order.
 
-    def _run_process(
-        self,
-        job_list: Sequence[SweepJob],
-        tracker: SweepProgress,
-        labels: Sequence[str],
-        keys: Sequence[str],
-        recalled: dict[int, SweepCell | int],
-    ) -> list[SweepCell]:
-        # Imported here so a serial sweep never loads multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
+        A recalled cell is reused; any other cell's result comes from
+        its future when there is a pool, or from running it inline.
+        Each cell's terminal job record is written as the loop reaches
+        it.
+        """
+        pool = None
+        futures: dict[int, Any] = {}
         cells: list[SweepCell] = []
-        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-            futures: dict[int, Any] = {}
-            for index, (label, job) in enumerate(
-                zip(labels, job_list)
-            ):
-                tracker.start(label)
-                if index in recalled:
-                    # The key is already answered (a terminal record on
-                    # disk, or an earlier cell with the same spec):
-                    # nothing to submit; the gather loop reuses it.
-                    tracker.note_done(label)
-                    continue
-                future = pool.submit(execute_job, job)
-                # Completion callbacks run on executor threads; the
-                # tracker is lock-protected for exactly this.
-                future.add_done_callback(
-                    lambda _f, label=label: tracker.note_done(label)
-                )
-                futures[index] = future
+        try:
+            if self.jobs > 1:
+                # Imported here so an in-process sweep never loads
+                # multiprocessing.
+                from concurrent.futures import ProcessPoolExecutor
+
+                pool = ProcessPoolExecutor(max_workers=self.jobs)
+                for index, job in enumerate(job_list):
+                    if index in recalled:
+                        continue
+                    label = labels[index]
+                    tracker.start(label)
+                    futures[index] = pool.submit(execute_job, job)
+                    # Completion callbacks run on executor threads; the
+                    # tracker is lock-protected for exactly this.
+                    futures[index].add_done_callback(
+                        lambda _f, label=label: tracker.note_done(label)
+                    )
             for index, job in enumerate(job_list):
+                label = labels[index]
+                future = futures.get(index)
+                if future is None:
+                    tracker.start(label)
                 if index in recalled:
+                    # The key is already answered: a terminal record on
+                    # disk, or an earlier cell with the same spec.
                     cells.append(_reuse(index, recalled, cells))
-                    continue
-                try:
-                    result = futures[index].result()
-                except Exception as exc:
-                    cells.append(self._recover(index, job, exc))
                 else:
-                    cells.append(
-                        SweepCell(
-                            index=index,
-                            key=job.key,
-                            result=result,
-                            wall_seconds=result.wall_seconds,
+                    begin = time.perf_counter()
+                    try:
+                        outcome = (
+                            execute_job(job)
+                            if future is None
+                            else future.result()
                         )
+                    except Exception as exc:  # structured, not fatal
+                        outcome = self._recover(
+                            job, exc, keys[index], begin
+                        )
+                    cells.append(
+                        self._record_cell(index, job, outcome, keys[index])
                     )
-                self._record_cell(cells[-1], keys)
+                if future is None:
+                    tracker.note_done(label)
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
         return cells
 
     def _plan_and_recall(
@@ -446,10 +425,11 @@ class SweepScheduler:
         Returns ``(keys, recalled)``: each cell's job key, and per
         cell whose key is answered either the cell rebuilt from its
         terminal record or the index of an earlier cell with the same
-        spec.  Without a world log nothing is keyed or recalled.
+        spec.  Without a world log nothing is recalled, and every key
+        is ``""``.
         """
         if self.worldlog is None:
-            return [], {}
+            return [""] * len(job_list), {}
         from repro.obs.ledger import cell_label
         from repro.service.protocol import job_key
         from repro.service.queue import decode_recorded, recover_jobs
@@ -493,80 +473,68 @@ class SweepScheduler:
                     wall_seconds=result.wall_seconds,
                 )
             else:
-                payload = record.payload
-                recalled[index] = SweepCell(
-                    index=index,
-                    key=job.key,
-                    error=CellError(
-                        kind=payload["error_kind"],
-                        message=payload["message"],
-                        detail=payload.get("detail", ""),
-                    ),
-                    wall_seconds=payload.get("wall_seconds", 0.0),
+                recalled[index] = _error_cell(
+                    index, job.key, record.payload
                 )
         return keys, recalled
 
-    def _record_cell(self, cell: SweepCell, keys: Sequence[str]) -> None:
-        """Append a cell's terminal job record, write-through."""
-        if self.worldlog is None:
-            return
-        from repro.obs.ledger import cell_label
-        from repro.worldlog.codec import encode_job_result
-
-        label = cell_label(cell.key)
-        key = keys[cell.index]
-        if cell.result is not None:
-            self.worldlog.append(
-                "job.result",
-                {"key": key, "result": encode_job_result(cell.result)},
-                cell_id=label,
+    def _record_cell(
+        self,
+        index: int,
+        job: SweepJob,
+        outcome: JobResult | dict[str, Any],
+        key: str,
+    ) -> SweepCell:
+        """The cell a job's result or ``job.error`` payload makes, with
+        its terminal job record appended write-through."""
+        if isinstance(outcome, JobResult):
+            cell = SweepCell(
+                index=index,
+                key=job.key,
+                result=outcome,
+                wall_seconds=outcome.wall_seconds,
             )
         else:
-            assert cell.error is not None
-            self.worldlog.append(
-                "job.error",
-                {
-                    "key": key,
-                    "error_kind": cell.error.kind,
-                    "message": cell.error.message,
-                    "detail": cell.error.detail,
-                    "wall_seconds": cell.wall_seconds,
-                },
-                cell_id=label,
-            )
+            cell = _error_cell(index, job.key, outcome)
+        if self.worldlog is not None:
+            from repro.obs.ledger import cell_label
+            from repro.worldlog.codec import encode_job_result
+
+            if cell.result is not None:
+                kind = "job.result"
+                payload = {"key": key, "result": encode_job_result(outcome)}
+            else:
+                kind, payload = "job.error", outcome
+            self.worldlog.append(kind, payload, cell_id=cell_label(job.key))
+        return cell
 
     def _recover(
-        self, index: int, job: SweepJob, exc: BaseException
-    ) -> SweepCell:
-        """Handle a failed future; retry in-process if the pool died.
+        self, job: SweepJob, exc: BaseException, key: str, begin: float
+    ) -> JobResult | dict[str, Any]:
+        """A failed cell's ``job.error`` payload, or its re-run result.
 
-        A worker that raised an ordinary exception is a per-cell failure.
-        A *dead worker process* (``BrokenProcessPool``) poisons every
-        pending future in the pool, so the affected cell is retried
-        in-process — the other cells must not pay for one crash.
+        A job that raised is a per-cell failure, timed from ``begin``
+        (when the loop reached the cell).  A *dead worker process*
+        (``BrokenProcessPool``) poisons every pending future in the
+        pool, so the affected cell is re-run inline — the other cells
+        must not pay for one crash — and is a ``"broken-pool"`` failure
+        only if the re-run fails too.
         """
-        from concurrent.futures.process import BrokenProcessPool
+        from concurrent.futures import BrokenExecutor
 
-        if not isinstance(exc, BrokenProcessPool):
-            return SweepCell(
-                index=index, key=job.key, error=_error_from(exc)
+        from repro.worldlog.codec import encode_job_error
+
+        if not isinstance(exc, BrokenExecutor):
+            return encode_job_error(
+                key, "exception", exc, time.perf_counter() - begin
             )
         begin = time.perf_counter()
         try:
-            result = execute_job(job)
+            return execute_job(job)
         except Exception as retry_exc:
-            return SweepCell(
-                index=index,
-                key=job.key,
-                error=_error_from(retry_exc, kind="broken-pool"),
-                wall_seconds=time.perf_counter() - begin,
+            return encode_job_error(
+                key, "broken-pool", retry_exc, time.perf_counter() - begin
             )
-        return SweepCell(
-            index=index,
-            key=job.key,
-            result=result,
-            wall_seconds=result.wall_seconds,
-        )
 
     def _gather(
         self,
@@ -638,10 +606,10 @@ class SweepScheduler:
         gauge, error counter or certificate-verdict artifact) closed by
         ``cell.done``.  Lifecycle events are serialized here rather
         than live from the monitor thread so the spliced event *order*
-        is identical across backends; only the heartbeat/wall *values*
-        are wall-clock telemetry.  Certificate verdicts are emitted
-        here, not in the worker, because acceptance is decided by the
-        gather step's independent verifier.
+        is identical for every worker count; only the heartbeat/wall
+        *values* are wall-clock telemetry.  Certificate verdicts are
+        emitted here, not in the worker, because acceptance is decided
+        by the gather step's independent verifier.
         """
         from repro.obs.ledger import cell_label
 

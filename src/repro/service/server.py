@@ -34,8 +34,10 @@ order signatures are bit-identical to an uninterrupted run's.
 Threading model: all queue, quota and log state lives on the event-loop
 thread.  Only :func:`~repro.parallel.jobs.execute_job` leaves it — to a
 ``ThreadPoolExecutor`` (``jobs=1``; in-process, no pickling) or a
-``ProcessPoolExecutor`` (``jobs>1``; the scheduler's process backend),
-both driving the same job kernel.  A worker process that dies breaks
+``ProcessPoolExecutor`` (``jobs>1``; the sweep scheduler's pool type),
+both driving the same job kernel.  The server keeps its own executor,
+not the scheduler's gather loop, because its event loop must never
+block on a job.  A worker process that dies breaks
 its pool; the server replaces the pool and re-runs each job the break
 failed once, recording ``error_kind`` ``"broken-pool"`` only when the
 re-run fails too.  :meth:`JobServer.request_shutdown`
@@ -52,7 +54,6 @@ import os
 import signal
 import threading
 import time
-import traceback
 from typing import Any
 
 from repro.errors import ArtifactError, ReproError
@@ -74,7 +75,12 @@ from repro.service.queue import (
     recover_jobs,
 )
 from repro.service.quota import QuotaPolicy
-from repro.worldlog.codec import decode_job, encode_job, encode_job_result
+from repro.worldlog.codec import (
+    decode_job,
+    encode_job,
+    encode_job_error,
+    encode_job_result,
+)
 from repro.worldlog.record import Record
 from repro.worldlog.store import WorldLog
 from repro.worldlog.views import jobs_manifest
@@ -301,13 +307,12 @@ class JobServer:
         except BaseException as exc:
             record = self._append(
                 "job.error",
-                {
-                    "key": entry.key,
-                    "error_kind": error_kind,
-                    "message": f"{type(exc).__name__}: {exc}",
-                    "detail": traceback.format_exc(),
-                    "wall_seconds": time.perf_counter() - begin,
-                },
+                encode_job_error(
+                    entry.key,
+                    error_kind,
+                    exc,
+                    time.perf_counter() - begin,
+                ),
                 cell_id,
             )
         else:

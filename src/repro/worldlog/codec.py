@@ -20,6 +20,10 @@ An attack outcome's violation witness is recorded once:
 * a record written before either rule carries a per-execution
   ``"format": 1`` witness, which still decodes.
 
+A failed job's ``job.error`` payload is built here too
+(:func:`encode_job_error`), for the sweep scheduler and the job server
+alike.
+
 Wall-clock fields (``wall_seconds``) round-trip verbatim: they are the
 *original* run's telemetry, excluded from outcome equality like every
 other timing.
@@ -31,7 +35,7 @@ exactly as they do across process boundaries.
 
 from __future__ import annotations
 
-import json
+import traceback
 from dataclasses import fields
 from typing import Any
 
@@ -282,19 +286,8 @@ def _decode_value(data: dict[str, Any], certificate: str | None) -> Any:
 
 
 # ----------------------------------------------------------------------
-# ledger events and job results
+# job results and errors
 # ----------------------------------------------------------------------
-
-
-def encode_event(event: Any) -> dict[str, Any]:
-    """One ledger event as its JSONL object (key order preserved)."""
-    return json.loads(event.to_json())
-
-
-def decode_event(data: dict[str, Any]) -> Any:
-    from repro.obs.ledger import LedgerEvent
-
-    return LedgerEvent.from_payload(data)
 
 
 def encode_job_result(result: Any) -> dict[str, Any]:
@@ -324,13 +317,14 @@ def encode_job_result(result: Any) -> dict[str, Any]:
         "events": (
             None
             if result.events is None
-            else [encode_event(event) for event in result.events]
+            else [event.payload() for event in result.events]
         ),
     }
 
 
 def decode_job_result(data: dict[str, Any]) -> Any:
     """Inverse of :func:`encode_job_result`."""
+    from repro.obs.ledger import LedgerEvent
     from repro.parallel.jobs import CacheStats, JobResult
 
     certificate = data["certificate"]
@@ -356,7 +350,28 @@ def decode_job_result(data: dict[str, Any]) -> Any:
             None
             if data["events"] is None
             else tuple(
-                decode_event(event) for event in data["events"]
+                LedgerEvent.from_payload(event)
+                for event in data["events"]
             )
         ),
     )
+
+
+def encode_job_error(
+    key: str, error_kind: str, exc: BaseException, wall_seconds: float
+) -> dict[str, Any]:
+    """A failed job's ``job.error`` payload.
+
+    ``message`` is ``"{Type}: {exc}"`` and ``detail`` the formatted
+    traceback; ``error_kind`` is ``"exception"``, or ``"broken-pool"``
+    when the job's worker died and its one re-run failed too.
+    """
+    return {
+        "key": key,
+        "error_kind": error_kind,
+        "message": f"{type(exc).__name__}: {exc}",
+        "detail": "".join(
+            traceback.format_exception(type(exc), exc, exc.__traceback__)
+        ),
+        "wall_seconds": wall_seconds,
+    }

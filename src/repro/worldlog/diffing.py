@@ -61,12 +61,15 @@ everything else must not.
 """
 
 WALL_CLOCK_METRICS = frozenset(
-    {"engine.round_seconds", "cell.wall_seconds"}
+    {"engine.round_seconds", "cell.wall_seconds", "cell.heartbeat"}
 )
 """Ledger metrics whose *values* are wall-clock readings.
 
 Their presence and order still compare (the run emitted them); their
 measured values and min/max/total attributes do not.
+``cell.heartbeat`` counts the progress ticks a sweep cell was in
+flight for, so two honest runs differ in it whenever a cell outlasts a
+heartbeat interval in one and not the other.
 """
 
 _TIMING_ATTRS = frozenset({"min", "max", "total", "mean"})

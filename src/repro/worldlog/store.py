@@ -20,7 +20,6 @@ Opening modes:
 
 from __future__ import annotations
 
-import json
 import os
 from typing import TYPE_CHECKING, Any, TextIO
 
@@ -139,7 +138,7 @@ class WorldLog:
         """
         return self.append(
             "ledger.event",
-            payload=json.loads(event.to_json()),
+            payload=event.payload(),
             cell_id=event.cell_id,
             worker_id=event.worker_id,
         )

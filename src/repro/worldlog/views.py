@@ -7,9 +7,10 @@ and pinned byte for byte by the golden fixtures under
 
 * **ledger** — ``ledger.jsonl``: every ``ledger.event`` payload as one
   JSONL line, exactly the live ledger's
-  :meth:`~repro.obs.ledger.LedgerEvent.to_json` lines.  For sweep logs
-  the view reads events after the *last* ``gather.start`` marker, so a
-  crash mid-gather (which would otherwise duplicate spliced events on
+  :meth:`~repro.obs.ledger.LedgerEvent.to_json` lines: the ``events``
+  of the replay fold (:class:`~repro.worldlog.replay.ReplayState`),
+  which starts over at every ``gather.start`` marker, so a crash
+  mid-gather (which would otherwise duplicate spliced events on
   resume) cannot corrupt the view.
 * **certificates** — ``certificates/<label>.cert.json``: each
   ``cert.artifact``'s canonical JSON text, exactly the bytes
@@ -37,38 +38,22 @@ JOBS_SCHEMA = "repro.jobs/v1"
 """The schema tag of the derived service job manifest."""
 
 
-def after_last_gather(records: Sequence[Record]) -> Sequence[Record]:
-    """Records after the last ``gather.start`` marker (all, if none).
-
-    The crash-mid-gather rule of the ledger view (the replay fold
-    applies it by starting its ledger view over at every marker), so a
-    resumed log's re-spliced events never double-count.
-    """
-    last = None
-    for index, record in enumerate(records):
-        if record.kind == "gather.start":
-            last = index
-    return records if last is None else records[last + 1 :]
-
-
-def ledger_lines(records: Sequence[Record]) -> list[str]:
+def ledger_lines(records: Iterable[Record]) -> list[str]:
     """The derived ledger view as JSONL lines (no trailing newlines)."""
-    return [
-        json.dumps(record.payload)
-        for record in after_last_gather(records)
-        if record.kind == "ledger.event"
-    ]
+    from repro.worldlog.replay import replay_state
+
+    return [json.dumps(payload) for payload in replay_state(records).events]
 
 
-def ledger_events(records: Sequence[Record]) -> "list[LedgerEvent]":
+def ledger_events(records: Iterable[Record]) -> "list[LedgerEvent]":
     """The derived ledger view as live events (``trace --format
     chrome``)."""
     from repro.obs.ledger import LedgerEvent
+    from repro.worldlog.replay import replay_state
 
     return [
-        LedgerEvent.from_payload(record.payload)
-        for record in after_last_gather(records)
-        if record.kind == "ledger.event"
+        LedgerEvent.from_payload(payload)
+        for payload in replay_state(records).events
     ]
 
 

@@ -65,9 +65,9 @@ class TestDecoding:
 
 _DIGESTS = """
 import hashlib
-from repro.parallel import AttackJob
+from repro.parallel import AttackJob, execute_job
 for builder in ("leader-echo", "committee", "ring-token"):
-    blob = AttackJob(builder, 12, 8, certify=True).run().certificate
+    blob = execute_job(AttackJob(builder, 12, 8, certify=True)).certificate
     print(builder, hashlib.sha256(blob).hexdigest())
 """
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.certify import verifier
 from repro.cli import main
-from repro.parallel import AttackJob
+from repro.parallel import AttackJob, execute_job
 
 CONDITIONS = {
     value
@@ -35,7 +35,9 @@ CONDITIONS = {
 
 @functools.cache
 def _genuine() -> bytes:
-    return AttackJob("leader-echo", 12, 8, certify=True).run().certificate
+    return execute_job(
+        AttackJob("leader-echo", 12, 8, certify=True)
+    ).certificate
 
 
 @st.composite

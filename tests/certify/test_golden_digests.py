@@ -27,7 +27,7 @@ import pathlib
 import pytest
 
 from repro.certify.verifier import verify_certificate
-from repro.parallel.jobs import AttackJob
+from repro.parallel.jobs import AttackJob, execute_job
 from test_tampering import MUTATIONS
 from v1_layout import expand_to_v1, v1_bytes
 
@@ -70,7 +70,7 @@ def _tampered(v1_payload, mutate):
 
 
 def _observe(builder, n, t, mutations):
-    blob = AttackJob(builder, n, t, certify=True).run().certificate
+    blob = execute_job(AttackJob(builder, n, t, certify=True)).certificate
     payload = json.loads(blob)
     observed = {
         "sha256": hashlib.sha256(v1_bytes(payload)).hexdigest(),

@@ -7,12 +7,15 @@ failing cell surfaces as a structured per-cell error without aborting
 its siblings.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.lowerbound.driver import ExecutionCache
 from repro.parallel import (
     AttackJob,
     CacheStats,
+    ClassifyJob,
     MeasureJob,
     SweepScheduler,
     UnknownBuilderError,
@@ -219,3 +222,57 @@ class TestProfiledJobs:
             [AttackJob(builder="silent", n=12, t=8)]
         )
         assert bare.values() == report.values()
+
+
+class TestExecuteJob:
+    @pytest.mark.parametrize("job", [
+        AttackJob(builder="silent", n=8, t=4, ledger=True),
+        MeasureJob(builder="dolev-strong", n=5, t=1, ledger=True),
+        ClassifyJob(builder="weak", n=4, t=1, ledger=True),
+    ], ids=lambda job: job.key[0])
+    def test_every_kind_is_traced_and_timed(self, job):
+        from repro.obs.ledger import cell_label
+
+        result = execute_job(job)
+        assert result.wall_seconds > 0
+        assert result.events
+        assert {e.cell_id for e in result.events} == {cell_label(job.key)}
+        untraced = execute_job(replace(job, ledger=False))
+        assert untraced.events is None
+        assert untraced.value == result.value
+
+
+class TestGatherFailure:
+    """An exception in the gather loop stops the sweep: the pool
+    cancels every cell it has not started."""
+
+    CELLS = 20
+
+    @pytest.mark.parametrize("jobs, most", [(1, 1), (2, 9)])
+    def test_failed_record_stops_the_sweep(
+        self, jobs, most, tmp_path, monkeypatch
+    ):
+        import time
+
+        from repro.parallel.jobs import JobResult
+
+        def marked_run(self, *tracer):
+            # Forked workers inherit this patch, so every cell that runs
+            # anywhere leaves a marker.
+            (tmp_path / f"cell-{self.n}").touch()
+            time.sleep(0.1)
+            return JobResult(key=self.key, value=None)
+
+        def failing_record(*args):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(MeasureJob, "run", marked_run)
+        monkeypatch.setattr(SweepScheduler, "_record_cell", failing_record)
+        matrix = [
+            MeasureJob(builder="silent", n=8 + index, t=4)
+            for index in range(self.CELLS)
+        ]
+        with pytest.raises(OSError, match="no space"):
+            SweepScheduler(jobs=jobs).run(matrix)
+        ran = len(list(tmp_path.glob("cell-*")))
+        assert 1 <= ran <= most, ran

@@ -61,6 +61,44 @@ class TestEmptyDiffs:
         report = diff_logs(a, b)
         assert report.ok, report.render()
 
+    def test_two_sweeps_with_different_heartbeat_counts(
+        self, tmp_path, monkeypatch
+    ):
+        """``cell.heartbeat`` values are wall-clock telemetry: a cell
+        that outlasted two heartbeats aligns with one that outlasted
+        none."""
+        from repro.obs.ledger import RunLedger
+        from repro.obs.progress import SweepProgress
+        from repro.parallel import MeasureJob, SweepScheduler
+
+        start = SweepProgress.start
+
+        def sweep_log(path, ticks):
+            def slow_start(self, label):
+                start(self, label)
+                for _ in range(ticks):
+                    self.tick()
+
+            monkeypatch.setattr(SweepProgress, "start", slow_start)
+            with WorldLog.create(str(path)) as worldlog:
+                SweepScheduler(
+                    ledger=RunLedger(sink=worldlog.record_event),
+                    worldlog=worldlog,
+                ).run([MeasureJob("silent", 8, 4), MeasureJob("ic", 5, 1)])
+            return read_worldlog(str(path))
+
+        a = sweep_log(tmp_path / "a.worldlog", ticks=2)
+        b = sweep_log(tmp_path / "b.worldlog", ticks=0)
+        heartbeats = [
+            [r.payload["value"] for r in log
+             if r.kind == "ledger.event"
+             and r.payload["name"] == "cell.heartbeat"]
+            for log in (a, b)
+        ]
+        assert heartbeats == [[2, 2], [0, 0]]
+        report = diff_logs(a, b)
+        assert report.ok, report.render()
+
     def test_uninterrupted_vs_resumed_twin(self):
         """A crash mid-gather leaves stale events + an extra marker.
 

@@ -180,6 +180,51 @@ class TestWorldLog:
         (event,) = ledger.events
         assert json.dumps(record.payload) == event.to_json()
 
+    @pytest.mark.parametrize("run", ["attack", "sweep"])
+    def test_event_payloads_match_the_file(self, tmp_path, run):
+        """A ledger event is recorded as :meth:`LedgerEvent.payload`,
+        not through a JSON round trip: the in-memory payloads equal
+        what a reader parses, and the file holds the bytes the round
+        trip would have written."""
+        from dataclasses import replace
+
+        from repro.obs.ledger import RunLedger
+        from repro.worldlog.store import read_records
+
+        path = str(tmp_path / f"{run}.worldlog")
+        with WorldLog.create(path) as log:
+            ledger = RunLedger(sink=log.record_event)
+            if run == "attack":
+                from repro.lowerbound.driver import attack_weak_consensus
+                from repro.obs.tracer import LedgerTracer
+                from repro.protocols.subquadratic import ring_token_spec
+
+                attack_weak_consensus(
+                    ring_token_spec(12, 8), tracer=LedgerTracer(ledger)
+                )
+            else:
+                from repro.parallel import (
+                    AttackJob,
+                    MeasureJob,
+                    SweepScheduler,
+                )
+
+                SweepScheduler(ledger=ledger, worldlog=log).run([
+                    AttackJob("silent", 8, 4, certify=True),
+                    MeasureJob("dolev-strong", 5, 1),
+                ])
+        events = [r for r in log.records if r.kind == "ledger.event"]
+        assert len(events) == len(ledger.events) > 20
+        assert [r.payload for r in log.records] == [
+            r.payload for r in read_records(path)
+        ]
+        round_tripped = [
+            replace(r, payload=json.loads(json.dumps(r.payload))).to_json()
+            for r in log.records
+        ]
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read().splitlines() == round_tripped
+
 
 class TestReadRecordsUnification:
     """Every reader shares one parsing path (``read_records``).
