@@ -436,8 +436,7 @@ class SweepScheduler:
         from repro.worldlog.codec import decode_job_result, encode_job
 
         log = self.worldlog
-        pending, terminals = recover_jobs(log.records, log.path)
-        queued = {entry.key for entry in pending}
+        recovered = recover_jobs(log.records, log.path)
         keys: list[str] = []
         first: dict[str, int] = {}
         recalled: dict[int, SweepCell | int] = {}
@@ -449,9 +448,9 @@ class SweepScheduler:
                 recalled[index] = first[key]
                 continue
             first[key] = index
-            record = terminals.get(key)
+            record = recovered.terminals.get(key)
             if record is None:
-                if key not in queued:
+                if key not in recovered.jobs:
                     log.append(
                         "job.submitted",
                         {

@@ -29,7 +29,7 @@ from repro.service.protocol import (
     ProtocolError,
     job_key,
 )
-from repro.service.queue import JobEntry, JobQueue, recover_jobs
+from repro.service.queue import JobQueue, recover_jobs
 from repro.service.quota import QuotaDecision, QuotaPolicy
 from repro.service.server import JobServer
 
@@ -37,7 +37,6 @@ __all__ = [
     "JOB_STATES",
     "OPS",
     "SERVICE_SCHEMA",
-    "JobEntry",
     "JobQueue",
     "JobServer",
     "ProtocolError",

@@ -4,18 +4,20 @@
 sockets, no log.  The server owns exactly one and touches it only from
 the event-loop thread; tests drive it directly.  Ordering is a binary
 heap on ``(-priority, seq)``: higher ``priority`` first, and within one
-priority strictly first-come-first-served by acceptance sequence.
+priority strictly first-come-first-served by acceptance sequence.  It
+holds job keys only: a job's spec, tenant and state live in the replay
+fold (:class:`~repro.worldlog.replay.ReplayState`).
 
-:func:`recover_jobs` is the crash-resume half: it reads a resumed world
-log's jobs back into queue entries and recorded results, off the one
-replay fold (:class:`~repro.worldlog.replay.ReplayState`) whose job
-transitions also give the ``jobs.json`` manifest — the manifest is the
-operator's *view* of the same transition function the server
-*executes*:
+:func:`recover_jobs` is the crash-resume half: it folds a resumed world
+log once, checking every ``job.*`` payload the fold reads, and returns
+that fold — the server keeps it as its live job state, and the sweep
+recalls recorded results from it.  Its job transitions are the ones
+the ``jobs.json`` manifest shows:
 
 * ``job.submitted`` with no later record → the job is still queued;
 * ``job.start`` with no terminal record → the job died mid-run and is
-  **re-queued** (its next attempt appends a fresh ``job.start``; the
+  **re-queued**: the recovered fold reads it ``queued`` again, until
+  its next attempt appends a fresh ``job.start`` (the
   one-terminal-record invariant is untouched because no terminal was
   ever written);
 * ``job.result`` / ``job.error`` → terminal; the payload becomes the
@@ -29,10 +31,9 @@ readers apply to every line) and recalled fields decoded by
 :func:`decode_recorded`.
 
 >>> queue = JobQueue()
->>> queue.push(JobEntry(key="aa", tenant="t", priority=0, job={}))
->>> queue.push(JobEntry(key="bb", tenant="t", priority=5, job={}))
->>> queue.push(JobEntry(key="cc", tenant="t", priority=0, job={}))
->>> [queue.pop().key for _ in range(3)]
+>>> for key, priority in (("aa", 0), ("bb", 5), ("cc", 0)):
+...     queue.push(key, priority)
+>>> [queue.pop() for _ in range(3)]
 ['bb', 'aa', 'cc']
 """
 
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.artifact import artifact_error
@@ -57,64 +57,35 @@ _DECODE_FAILURES = (
 )
 
 
-@dataclass
-class JobEntry:
-    """One accepted job: the queue's (and the log's) unit of work.
-
-    Attributes:
-        key: the idempotent job key (:func:`repro.service.protocol
-            .job_key` of the encoded spec).
-        tenant: who submitted it (quota accounting unit).
-        priority: bigger runs sooner; ties break by acceptance order.
-        job: the encoded job spec, exactly the ``job.submitted``
-            payload's ``job`` field.
-        state: one of :data:`repro.service.protocol.JOB_STATES`.
-        seq: acceptance sequence number (assigned by :meth:`JobQueue
-            .push`; survives recovery because record order is acceptance
-            order).
-    """
-
-    key: str
-    tenant: str
-    priority: int
-    job: dict[str, Any]
-    state: str = "queued"
-    seq: int = field(default=-1)
-
-
 class JobQueue:
-    """A priority queue of :class:`JobEntry` — highest priority first.
+    """A priority queue of job keys — highest priority first.
 
     >>> queue = JobQueue()
-    >>> queue.push(JobEntry(key="aa", tenant="t", priority=1, job={}))
+    >>> queue.push("aa", 1)
     >>> len(queue)
     1
-    >>> queue.pop().state
-    'running'
+    >>> queue.pop()
+    'aa'
     >>> queue.pop() is None
     True
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, JobEntry]] = []
+        self._heap: list[tuple[int, int, str]] = []
         self._seq = itertools.count()
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, entry: JobEntry) -> None:
-        """Accept one entry; stamps its ``seq`` and queues it."""
-        entry.seq = next(self._seq)
-        entry.state = "queued"
-        heapq.heappush(self._heap, (-entry.priority, entry.seq, entry))
+    def push(self, key: str, priority: int) -> None:
+        """Queue ``key`` behind every earlier key of its priority."""
+        heapq.heappush(self._heap, (-priority, next(self._seq), key))
 
-    def pop(self) -> JobEntry | None:
-        """The next entry to run (marked ``running``), or ``None``."""
+    def pop(self) -> str | None:
+        """The key of the next job to run, or ``None``."""
         if not self._heap:
             return None
-        _, _, entry = heapq.heappop(self._heap)
-        entry.state = "running"
-        return entry
+        return heapq.heappop(self._heap)[2]
 
     def depth_by_priority(self) -> dict[int, int]:
         """Queued-entry counts keyed by priority, highest first.
@@ -124,8 +95,7 @@ class JobQueue:
 
         >>> queue = JobQueue()
         >>> for priority in (0, 5, 0):
-        ...     queue.push(JobEntry(key=f"k{priority}", tenant="t",
-        ...                         priority=priority, job={}))
+        ...     queue.push(f"k{priority}", priority)
         >>> queue.depth_by_priority()
         {5: 1, 0: 2}
         """
@@ -139,13 +109,14 @@ class JobQueue:
 
 def recover_jobs(
     records: Iterable[Record], path: str = "world log"
-) -> tuple[list[JobEntry], dict[str, Record]]:
-    """Fold a resumed log's ``job.*`` records into queue state.
+) -> ReplayState:
+    """Fold a resumed log once, checking the ``job.*`` payloads it reads.
 
-    Returns ``(pending, terminals)``: the entries to re-queue in
-    acceptance order (both never-started and died-mid-run jobs), and
-    the terminal record per completed key — the recorded results that
-    make re-submission free and restarts idempotent.
+    Returns the fold with the recovery rule applied: every pending job
+    (:attr:`~repro.worldlog.replay.ReplayState.pending_jobs`, in
+    acceptance order) reads ``queued``, a died-mid-run one included,
+    since a restart re-queues it.  Its ``terminals`` are the recorded
+    results that make re-submission free and restarts idempotent.
 
     Raises:
         ArtifactError: when a ``job.*`` payload lacks a field the fold
@@ -158,11 +129,9 @@ def recover_jobs(
             if problem is not None:
                 raise _record_error(record, path, ValueError(problem))
         state.apply(record)
-    pending = [
-        JobEntry(entry["key"], entry["tenant"], entry["priority"], entry["job"])
-        for entry in map(state.jobs.get, state.pending_jobs)
-    ]
-    return pending, state.terminals
+    for key in state.pending_jobs:
+        state.jobs[key]["state"] = "queued"
+    return state
 
 
 def decode_recorded(

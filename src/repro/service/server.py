@@ -18,8 +18,8 @@ that matters in the world log:
 
 Crash-resume is the one job contract the sweep scheduler shares: the
 log is the queue.  ``JobServer`` on an existing log resumes it
-(:meth:`~repro.worldlog.store.WorldLog.resume`), refolds the ``job.*``
-records (:func:`~repro.service.queue.recover_jobs`) and continues —
+(:meth:`~repro.worldlog.store.WorldLog.resume`), folds its records
+once (:func:`~repro.service.queue.recover_jobs`) and continues —
 queued jobs still queued, died-mid-run jobs re-queued, finished jobs
 answerable, a sweep's recorded jobs included.  Nothing outside the
 log is consulted, so a SIGKILL at any record boundary loses at most
@@ -31,11 +31,18 @@ never as separate records — the terminal record is the atomic unit, so
 an interrupted-and-resumed run's per-key values, certificates and event
 order signatures are bit-identical to an uninterrupted run's.
 
-Threading model: all queue, quota and log state lives on the event-loop
-thread.  Only :func:`~repro.parallel.jobs.execute_job` leaves it — to a
-``ThreadPoolExecutor`` (``jobs=1``; in-process, no pickling) or a
-``ProcessPoolExecutor`` (``jobs>1``; the sweep scheduler's pool type),
-both driving the same job kernel.  The server keeps its own executor,
+Live state is the replay fold: the server keeps the
+:class:`~repro.worldlog.replay.ReplayState` recovery returned, applies
+every record it appends to it, and answers every request from it.
+Beside it sit only what the log does not hold: the run order
+(:class:`~repro.service.queue.JobQueue`), per-tenant quota counts and
+the running jobs' start clocks.
+
+Threading model: the fold, queue, quota and log all live on the
+event-loop thread.  Only :func:`~repro.parallel.jobs.execute_job`
+leaves it — to a ``ThreadPoolExecutor`` (``jobs=1``; in-process, no
+pickling) or a ``ProcessPoolExecutor`` (``jobs>1``; the sweep
+scheduler's pool type), both driving the same job kernel.  The server keeps its own executor,
 not the scheduler's gather loop, because its event loop must never
 block on a job.  A worker process that dies breaks
 its pool; the server replaces the pool and re-runs each job the break
@@ -68,12 +75,7 @@ from repro.service.protocol import (
     job_key,
     parse_request,
 )
-from repro.service.queue import (
-    JobEntry,
-    JobQueue,
-    recorded_jobs,
-    recover_jobs,
-)
+from repro.service.queue import JobQueue, recorded_jobs, recover_jobs
 from repro.service.quota import QuotaPolicy
 from repro.worldlog.codec import (
     decode_job,
@@ -82,8 +84,8 @@ from repro.worldlog.codec import (
     encode_job_result,
 )
 from repro.worldlog.record import Record
+from repro.worldlog.replay import ReplayState
 from repro.worldlog.store import WorldLog
-from repro.worldlog.views import jobs_manifest
 
 TERMINAL_KINDS = ("job.result", "job.error")
 """The record kinds that end a job's lifecycle."""
@@ -122,11 +124,10 @@ class JobServer:
         self._stopping: asyncio.Event | None = None
         self._cond: asyncio.Condition | None = None
         self._log: WorldLog | None = None
+        self._state = ReplayState()
         self._queue = JobQueue()
-        self._entries: dict[str, JobEntry] = {}
-        self._terminals: dict[str, Record] = {}
         self._pending: dict[str, int] = {}
-        self._running: dict[str, dict[str, Any]] = {}
+        self._running: dict[str, float] = {}  # key -> start clock
         self._watchers: dict[str, list[asyncio.Queue]] = {}
         self._executor: concurrent.futures.Executor | None = None
 
@@ -175,13 +176,13 @@ class JobServer:
             self._log = WorldLog.create(self.log_path, run_id=self._run_id)
         try:
             records = self._log.records
-            pending, self._terminals = recover_jobs(records, self.log_path)
+            self._state = recover_jobs(records, self.log_path)
             recorded_jobs(records, self.log_path)  # every spec decodes
         except ArtifactError:
             self._log.close()
             raise
-        for entry in pending:
-            self._admit_entry(entry)
+        for key in self._state.pending_jobs:
+            self._admit(key)
 
         self._executor = self._new_executor()
 
@@ -211,37 +212,32 @@ class JobServer:
     # queue state (event-loop thread only)
     # ------------------------------------------------------------------
 
-    def _admit_entry(self, entry: JobEntry) -> None:
-        self._queue.push(entry)
-        self._entries[entry.key] = entry
-        self._pending[entry.tenant] = (
-            self._pending.get(entry.tenant, 0) + 1
-        )
+    def _admit(self, key: str) -> None:
+        """Queue an accepted job and charge its tenant's quota."""
+        accepted = self._state.jobs[key]
+        self._queue.push(key, accepted["priority"])
+        tenant = accepted["tenant"]
+        self._pending[tenant] = self._pending.get(tenant, 0) + 1
 
-    def _finish_entry(self, entry: JobEntry, record: Record) -> None:
-        self._entries.pop(entry.key, None)
-        self._terminals[entry.key] = record
-        remaining = self._pending.get(entry.tenant, 1) - 1
+    def _release(self, key: str) -> None:
+        tenant = self._state.jobs[key]["tenant"]
+        remaining = self._pending.get(tenant, 1) - 1
         if remaining > 0:
-            self._pending[entry.tenant] = remaining
+            self._pending[tenant] = remaining
         else:
-            self._pending.pop(entry.tenant, None)
+            self._pending.pop(tenant, None)
 
     def _append(
         self, kind: str, payload: dict[str, Any], cell_id: str | None
-    ) -> Record:
+    ) -> None:
         assert self._log is not None
         record = self._log.append(kind, payload, cell_id=cell_id)
+        self._state.apply(record)
         self._publish(payload["key"], record)
-        return record
 
     def _publish(self, key: str, record: Record) -> None:
         for queue in self._watchers.get(key, ()):  # live watchers
             queue.put_nowait(record)
-
-    def _entry_cell_id(self, entry: JobEntry) -> str:
-        job = decode_job(entry.job)
-        return job_label(job.key, entry.key)
 
     # ------------------------------------------------------------------
     # workers
@@ -280,21 +276,16 @@ class JobServer:
                     await self._cond.wait()
                 if self._stopping.is_set():
                     return
-                entry = self._queue.pop()
-            if entry is None:  # pragma: no cover - raced another worker
+                key = self._queue.pop()
+            if key is None:  # pragma: no cover - raced another worker
                 continue
-            await self._run_entry(entry)
+            await self._run_job(key)
 
-    async def _run_entry(self, entry: JobEntry) -> None:
-        cell_id = self._entry_cell_id(entry)
-        self._append("job.start", {"key": entry.key}, cell_id)
-        job = decode_job(entry.job)
-        begin = time.perf_counter()
-        self._running[entry.key] = {
-            "tenant": entry.tenant,
-            "priority": entry.priority,
-            "began": begin,
-        }
+    async def _run_job(self, key: str) -> None:
+        job = decode_job(self._state.jobs[key]["job"])
+        cell_id = job_label(job.key, key)
+        self._append("job.start", {"key": key}, cell_id)
+        begin = self._running[key] = time.perf_counter()
         error_kind = "exception"
         try:
             try:
@@ -305,10 +296,10 @@ class JobServer:
                 error_kind = "broken-pool"
                 result = await self._execute(job)
         except BaseException as exc:
-            record = self._append(
+            self._append(
                 "job.error",
                 encode_job_error(
-                    entry.key,
+                    key,
                     error_kind,
                     exc,
                     time.perf_counter() - begin,
@@ -316,16 +307,13 @@ class JobServer:
                 cell_id,
             )
         else:
-            record = self._append(
+            self._append(
                 "job.result",
-                {
-                    "key": entry.key,
-                    "result": encode_job_result(result),
-                },
+                {"key": key, "result": encode_job_result(result)},
                 cell_id,
             )
-        self._running.pop(entry.key, None)
-        self._finish_entry(entry, record)
+        self._running.pop(key, None)
+        self._release(key)
 
     # ------------------------------------------------------------------
     # protocol handlers
@@ -376,8 +364,8 @@ class JobServer:
                 "jobs": self.jobs,
                 "backend": "thread" if self.jobs == 1 else "process",
                 "queued": len(self._queue),
-                "pending": len(self._entries),
-                "completed": len(self._terminals),
+                "pending": len(self._state.pending_jobs),
+                "completed": len(self._state.terminals),
             },
         )
 
@@ -404,11 +392,11 @@ class JobServer:
         running = [
             {
                 "key": key,
-                "tenant": info["tenant"],
-                "priority": info["priority"],
-                "seconds": now - info["began"],
+                "tenant": self._state.jobs[key]["tenant"],
+                "priority": self._state.jobs[key]["priority"],
+                "seconds": now - began,
             }
-            for key, info in sorted(self._running.items())
+            for key, began in sorted(self._running.items())
         ]
         return {
             "workers": {
@@ -424,7 +412,7 @@ class JobServer:
             "jobs": {
                 "queued": len(self._queue),
                 "running": running,
-                "completed": len(self._terminals),
+                "completed": len(self._state.terminals),
             },
         }
 
@@ -471,9 +459,9 @@ class JobServer:
             return
         key = job_key(spec)
 
-        if key in self._terminals:
+        record = self._state.terminals.get(key)
+        if record is not None:
             # Idempotent replay: no quota charge, no record, no work.
-            record = self._terminals[key]
             response = {
                 "ok": True,
                 "key": key,
@@ -487,15 +475,15 @@ class JobServer:
                 response["record"] = record.envelope()
             await self._send(writer, response)
             return
-        if key in self._entries:
+        accepted = self._state.jobs.get(key)
+        if accepted is not None:
             # Idempotent join: the job is already queued or running.
-            entry = self._entries[key]
             await self._send(
                 writer,
                 {
                     "ok": True,
                     "key": key,
-                    "state": entry.state,
+                    "state": accepted["state"],
                     "cached": True,
                 },
             )
@@ -526,9 +514,6 @@ class JobServer:
             )
             return
 
-        entry = JobEntry(
-            key=key, tenant=tenant, priority=priority, job=spec
-        )
         self._append(
             "job.submitted",
             {
@@ -539,7 +524,7 @@ class JobServer:
             },
             job_label(job.key, key),
         )
-        self._admit_entry(entry)
+        self._admit(key)
         async with self._cond:
             self._cond.notify()
         await self._send(
@@ -552,23 +537,14 @@ class JobServer:
     async def _op_jobs(
         self, frame: dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
-        assert self._log is not None
-        manifest = jobs_manifest(self._log.records)
-        for entry_view in manifest["jobs"]:
-            live = self._entries.get(entry_view["key"])
-            if live is not None:
-                # The log says "running" for a recovered-but-requeued
-                # job; the live queue is the truth for non-terminal
-                # states.
-                entry_view["state"] = live.state
-        await self._send(writer, {"ok": True, **manifest})
+        await self._send(writer, {"ok": True, **self._state.manifest()})
 
     async def _op_watch(
         self, frame: dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
         key = frame.get("key")
         if not isinstance(key, str) or not (
-            key in self._entries or key in self._terminals
+            key in self._state.jobs or key in self._state.terminals
         ):
             await self._send(
                 writer,
@@ -589,26 +565,22 @@ class JobServer:
     ) -> None:
         """Stream the job's records to ``writer`` until its terminal.
 
-        With ``replay`` the already-logged records come first, so a
-        watcher always sees the full lifecycle; the subscription is
-        registered *before* the replay snapshot is taken, so no record
-        can fall in the gap (duplicates are filtered by tick).
+        With ``replay`` the already-logged records (the fold's
+        ``job_records`` of the key) come first, so a watcher always sees
+        the full lifecycle; the subscription is registered *before* the
+        replay snapshot is taken, so no record can fall in the gap
+        (duplicates are filtered by tick).
         """
-        assert self._log is not None
         queue: asyncio.Queue = asyncio.Queue()
         self._watchers.setdefault(key, []).append(queue)
         try:
             seen_tick = -1
             if replay:
-                for record in list(self._log.records):
-                    if (
-                        record.kind.startswith("job.")
-                        and record.payload.get("key") == key
-                    ):
-                        seen_tick = record.tick
-                        if await self._emit_record(writer, key, record):
-                            return
-            terminal = self._terminals.get(key)
+                for record in list(self._state.job_records.get(key, ())):
+                    seen_tick = record.tick
+                    if await self._emit_record(writer, key, record):
+                        return
+            terminal = self._state.terminals.get(key)
             if terminal is not None:
                 # The job went terminal before we subscribed (or the
                 # caller skipped the replay): the recorded terminal is

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.worldlog.record import Record
+from repro.worldlog.replay import replay_state
 
 DROP_KEYS = frozenset(
     {
@@ -119,14 +120,12 @@ def comparable_records(records: Sequence[Record]) -> list[Record]:
 
     Applies the derived ledger view's crash-safety rule to the diff:
     only ``ledger.event`` records after the last ``gather.start``
-    marker count, and the markers themselves (one per gather *attempt*,
+    marker count — the marker the replay fold last reset its ledger
+    view at — and the markers themselves (one per gather *attempt*,
     so a resumed log has more) are dropped.  Observability-only
     records (:data:`OBSERVABILITY_KINDS`) are dropped with them.
     """
-    last_gather = -1
-    for index, record in enumerate(records):
-        if record.kind == "gather.start":
-            last_gather = index
+    last_gather = replay_state(records).last_gather
     return [
         record
         for index, record in enumerate(records)

@@ -12,8 +12,9 @@ the fold explicit:
   golden fixture).  It is also the one fold every log reader renders:
   ``log stats``, ``log replay``, ``top --log``, ``trace`` and ``metrics
   export`` (through its :class:`~repro.obs.report.LedgerFold`), the
-  ``jobs.json`` manifest and crash-resume's
-  :func:`~repro.service.queue.recover_jobs` (through its jobs).
+  differ's ``gather.start`` rule, the ``jobs.json`` manifest, and
+  crash-resume's :func:`~repro.service.queue.recover_jobs`, whose fold
+  ``repro serve`` keeps as its live job state.
 * :class:`ReplayCursor` — the navigable form: ``next()`` / ``prev()`` /
   ``seek(tick)`` over one log, with periodic state snapshots so
   stepping backwards re-folds from the nearest snapshot instead of
@@ -47,6 +48,9 @@ STATS_SCHEMA = "repro.logstats/v1"
 
 SNAPSHOT_EVERY = 256
 """Default record interval between cursor state snapshots."""
+
+JOBS_SCHEMA = "repro.jobs/v1"
+"""The schema tag of the job manifest (``jobs.json``, the ``jobs`` RPC)."""
 
 
 def select_records(
@@ -93,16 +97,20 @@ class ReplayState:
 
     The one fold of a world log.  Envelope-derived fields (cells, jobs,
     certificates) accumulate over the whole prefix.  The ledger view —
-    ``events``, the ``ledger.event`` payloads, and ``ledger``, their
-    :class:`~repro.obs.report.LedgerFold` — resets on every
-    ``gather.start`` marker, so it always describes the events after
-    the *last* marker seen, exactly like the derived ledger view.
+    ``events``, the ``ledger.event`` payloads, ``ledger_events``, the
+    :class:`~repro.obs.ledger.LedgerEvent` built from each, and
+    ``ledger``, their :class:`~repro.obs.report.LedgerFold` — resets on
+    every ``gather.start`` marker, so it always describes the events
+    after the *last* marker seen, exactly like the derived ledger view;
+    ``last_gather`` is that marker's index in the record sequence.
 
     ``jobs`` holds one ``jobs.json`` manifest entry per job key, moved
     through ``queued`` → ``running`` → ``done`` / ``failed`` by the
     key's ``job.submitted`` / ``job.start`` / ``job.result`` /
     ``job.error`` records; ``terminals`` keeps each key's terminal
-    record, the recorded result crash-resume answers from.
+    record, the recorded result crash-resume answers from, and
+    ``job_records`` every ``job.*`` record per key in log order, the
+    lifecycle a ``watch`` replays.
     """
 
     tick: int = -1
@@ -117,14 +125,16 @@ class ReplayState:
     # job bookkeeping (whole prefix)
     jobs: dict[str, dict[str, Any]] = field(default_factory=dict)
     terminals: dict[str, Record] = field(default_factory=dict)
+    job_records: dict[str, list[Record]] = field(default_factory=dict)
     rejections: dict[str, dict[str, int]] = field(default_factory=dict)
 
     # artifact bookkeeping (whole prefix)
     certificates: list[str] = field(default_factory=list)
 
     # the ledger view (after the last gather.start marker)
-    gathers: int = 0
+    last_gather: int = -1
     events: list[dict[str, Any]] = field(default_factory=list)
+    ledger_events: list[LedgerEvent] = field(default_factory=list)
     ledger: LedgerFold = field(default_factory=LedgerFold)
 
     @property
@@ -141,6 +151,14 @@ class ReplayState:
             if entry["state"] in ("queued", "running")
         ]
 
+    def manifest(self) -> dict[str, Any]:
+        """The job manifest (schema :data:`JOBS_SCHEMA`): a copy of each
+        ``jobs`` entry, in submission order."""
+        return {
+            "schema": JOBS_SCHEMA,
+            "jobs": [dict(entry) for entry in self.jobs.values()],
+        }
+
     def clone(self) -> "ReplayState":
         """An independent copy (snapshot material for the cursor)."""
         return replace(
@@ -150,12 +168,17 @@ class ReplayState:
             cells_terminal=set(self.cells_terminal),
             jobs={key: dict(entry) for key, entry in self.jobs.items()},
             terminals=dict(self.terminals),
+            job_records={
+                key: list(records)
+                for key, records in self.job_records.items()
+            },
             rejections={
                 tenant: dict(kinds)
                 for tenant, kinds in self.rejections.items()
             },
             certificates=list(self.certificates),
             events=list(self.events),
+            ledger_events=list(self.ledger_events),
             ledger=self.ledger.clone(),
         )
 
@@ -170,18 +193,25 @@ class ReplayState:
             self.cells_seen.add(record.cell_id)
         payload = record.payload
         kind = record.kind
+        if kind.startswith("job.") and isinstance(payload, dict):
+            key = payload.get("key")
+            if isinstance(key, str):
+                self.job_records.setdefault(key, []).append(record)
 
         if kind == "log.open":
             self.run_id = record.run_id
         elif kind == "gather.start":
             # The ledger view reads events after the *last* marker:
             # everything event-derived starts over.
-            self.gathers += 1
+            self.last_gather = self.position - 1
             self.events = []
+            self.ledger_events = []
             self.ledger = LedgerFold()
         elif kind == "ledger.event":
+            event = LedgerEvent.from_payload(payload)
             self.events.append(payload)
-            self.ledger.add(LedgerEvent.from_payload(payload))
+            self.ledger_events.append(event)
+            self.ledger.add(event)
         elif kind == "cert.artifact":
             self.certificates.append(payload["label"])
         elif kind == "job.submitted":

@@ -20,7 +20,11 @@ and pinned byte for byte by the golden fixtures under
   replay fold (:class:`~repro.worldlog.replay.ReplayState`) moves it
   through its ``job.submitted`` / ``job.start`` / ``job.result`` /
   ``job.error`` records.  ``repro jobs --log`` renders the same
-  manifest without materializing it.
+  manifest without materializing it, and the server's ``jobs`` RPC
+  renders it from the fold it keeps live.
+
+:func:`derive_views` folds its records once and renders both the ledger
+and the jobs view from that one fold.
 """
 
 from __future__ import annotations
@@ -30,31 +34,21 @@ import os
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.worldlog.record import Record
+from repro.worldlog.replay import ReplayState, replay_state
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.obs.ledger import LedgerEvent
 
-JOBS_SCHEMA = "repro.jobs/v1"
-"""The schema tag of the derived service job manifest."""
 
-
-def ledger_lines(records: Iterable[Record]) -> list[str]:
-    """The derived ledger view as JSONL lines (no trailing newlines)."""
-    from repro.worldlog.replay import replay_state
-
-    return [json.dumps(payload) for payload in replay_state(records).events]
+def ledger_lines(state: ReplayState) -> list[str]:
+    """The fold's ledger view as JSONL lines (no trailing newlines)."""
+    return [json.dumps(payload) for payload in state.events]
 
 
 def ledger_events(records: Iterable[Record]) -> "list[LedgerEvent]":
     """The derived ledger view as live events (``trace --format
-    chrome``)."""
-    from repro.obs.ledger import LedgerEvent
-    from repro.worldlog.replay import replay_state
-
-    return [
-        LedgerEvent.from_payload(payload)
-        for payload in replay_state(records).events
-    ]
+    chrome``): the events the fold built for its ledger tally."""
+    return replay_state(records).ledger_events
 
 
 def certificate_texts(records: Iterable[Record]) -> dict[str, str]:
@@ -69,21 +63,15 @@ def certificate_texts(records: Iterable[Record]) -> dict[str, str]:
 def jobs_manifest(records: Iterable[Record]) -> dict[str, Any]:
     """The derived service job manifest (one entry per job key).
 
-    The ``jobs`` of :func:`~repro.worldlog.replay.replay_state`, in
-    submission order: the accepted spec and its tenant / priority, the
-    current state (``queued`` → ``running`` → ``done`` / ``failed``),
-    the ticks of the acceptance and terminal records, and — for failed
-    jobs — the structured error kind and message.  The full terminal
-    payloads stay in the log; the manifest is the operator's index, not
-    a second source of truth.
+    :meth:`~repro.worldlog.replay.ReplayState.manifest`: the fold's
+    ``jobs`` in submission order — the accepted spec and its tenant /
+    priority, the current state (``queued`` → ``running`` → ``done`` /
+    ``failed``), the ticks of the acceptance and terminal records, and
+    — for failed jobs — the structured error kind and message.  The
+    full terminal payloads stay in the log; the manifest is the
+    operator's index, not a second source of truth.
     """
-    from repro.worldlog.replay import replay_state
-
-    jobs = replay_state(records).jobs
-    return {
-        "schema": JOBS_SCHEMA,
-        "jobs": [dict(entry) for entry in jobs.values()],
-    }
+    return replay_state(records).manifest()
 
 
 def derive_views(
@@ -98,8 +86,9 @@ def derive_views(
     """
     os.makedirs(out_dir, exist_ok=True)
     written: dict[str, list[str]] = {}
+    state = replay_state(records)
 
-    lines = ledger_lines(records)
+    lines = ledger_lines(state)
     if lines:
         path = os.path.join(out_dir, "ledger.jsonl")
         with open(path, "w", encoding="utf-8") as handle:
@@ -120,7 +109,7 @@ def derive_views(
             paths.append(path)
         written["certificates"] = paths
 
-    manifest = jobs_manifest(records)
+    manifest = state.manifest()
     if manifest["jobs"]:
         path = os.path.join(out_dir, "jobs.json")
         with open(path, "w", encoding="utf-8") as handle:

@@ -1,9 +1,11 @@
 """Byte-level fuzzing of the service frame path.
 
-Valid ``ping``, ``status``, ``submit`` and ``watch`` request lines are
-truncated, bit-flipped, duplicated (the whole line sent twice, or one
-JSON value copied over another) or reordered (two JSON values swapped),
-and each result is sent on its own connection to one live
+Valid ``ping``, ``status``, ``jobs``, ``submit`` (with and without
+``wait``) and ``watch`` (of an unknown key, and of the key the
+``submit`` frame queues) request lines are truncated, bit-flipped,
+duplicated (the whole line sent twice, or one JSON value copied over
+another) or reordered (two JSON values swapped), and each result is
+sent on its own connection to one live
 :class:`~repro.service.JobServer`.  Every connection must get exactly
 one well-formed response frame — ``"ok": true``, or ``"ok": false``
 with an ``error`` object carrying ``kind`` and ``message`` — and the
@@ -27,22 +29,37 @@ from hypothesis import strategies as st
 from test_server import _start, _stop
 
 from repro.parallel.jobs import AttackJob
-from repro.service.protocol import ProtocolError, decode_frame, encode_frame
+from repro.service.protocol import (
+    ProtocolError,
+    decode_frame,
+    encode_frame,
+    job_key,
+)
 from repro.worldlog.codec import encode_job
+
+_JOB = encode_job(AttackJob("silent", 8, 4))
+
+SUBMIT = encode_frame(
+    {"op": "submit", "tenant": "fuzz", "priority": 1, "wait": False,
+     "job": _JOB}
+)
 
 FRAMES = (
     encode_frame({"op": "ping"}),
     encode_frame({"op": "status"}),
+    SUBMIT,
+    encode_frame({"op": "watch", "key": "feedfacedeadbeef"}),
+    encode_frame({"op": "jobs"}),
+    encode_frame({"op": "watch", "key": job_key(_JOB)}),
     encode_frame(
         {
             "op": "submit",
             "tenant": "fuzz",
-            "priority": 1,
-            "wait": False,
-            "job": encode_job(AttackJob("silent", 8, 4)),
+            "priority": 0,
+            "wait": True,
+            "job": encode_job(AttackJob("silent", 8, 4, certify=True)),
         }
     ),
-    encode_frame({"op": "watch", "key": "feedfacedeadbeef"}),
 )
 
 _VALUE = re.compile(rb'(?<=": )("(?:[^"\\]|\\.)*"|-?\d+|true|false|null)')
@@ -108,6 +125,27 @@ def _well_formed(frame):
     )
 
 
+def _check_response(blob, lines):
+    """Every frame is well-formed; a stream ends with a final frame,
+    any other request is answered with exactly one."""
+    assert lines, "connection closed without a response"
+    frames = [json.loads(line) for line in lines]
+    assert all(_well_formed(frame) for frame in frames), frames
+    request = _request(blob)
+    streamed = (
+        request is not None
+        and frames[0]["ok"]
+        and (
+            request.get("op") == "watch"
+            or (request.get("op") == "submit" and request.get("wait"))
+        )
+    )
+    if streamed:
+        assert frames[-1].get("final") is True, frames
+    else:
+        assert len(frames) == 1, frames
+
+
 def _exchange(sock_path, blob):
     """Send ``blob``, half-close, and read every response line."""
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
@@ -151,14 +189,13 @@ def live_server():
 def test_valid_frames_get_one_response(live_server):
     sock, errors = live_server
     for line in FRAMES:
-        lines = _exchange(sock, line)
-        assert len(lines) == 1
-        assert _well_formed(json.loads(lines[0]))
+        _check_response(line, _exchange(sock, line))
     assert not errors.records
 
 
 def test_every_mutated_frame_gets_one_well_formed_response(live_server):
     sock, errors = live_server
+    _exchange(sock, SUBMIT)  # the watched key is live from the start
 
     @seed(20261019)
     @settings(max_examples=300, deadline=None, database=None)
@@ -169,21 +206,7 @@ def test_every_mutated_frame_gets_one_well_formed_response(live_server):
         assume(request is None or request.get("op") != "shutdown")
         errors.records.clear()
         lines = _exchange(sock, blob)
-        assert lines, "connection closed without a response"
         assert not errors.records, errors.records[0].getMessage()
-        frames = [json.loads(line) for line in lines]
-        assert all(_well_formed(frame) for frame in frames), frames
-        streamed = (
-            request is not None
-            and frames[0]["ok"]
-            and (
-                request.get("op") == "watch"
-                or (request.get("op") == "submit" and request.get("wait"))
-            )
-        )
-        if streamed:
-            assert frames[-1].get("final") is True, frames
-        else:
-            assert len(frames) == 1, frames
+        _check_response(blob, lines)
 
     check()

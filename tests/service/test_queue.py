@@ -4,17 +4,12 @@ import pytest
 
 from repro.errors import ArtifactError
 from repro.service.queue import (
-    JobEntry,
     JobQueue,
     decode_recorded,
     recorded_jobs,
     recover_jobs,
 )
 from repro.worldlog.record import Record
-
-
-def _entry(key, priority=0, tenant="t"):
-    return JobEntry(key=key, tenant=tenant, priority=priority, job={})
 
 
 def _record(tick, kind, payload):
@@ -34,33 +29,28 @@ def _submitted(tick, key, priority=0):
 class TestJobQueue:
     def test_higher_priority_pops_first(self):
         queue = JobQueue()
-        queue.push(_entry("low", priority=0))
-        queue.push(_entry("high", priority=9))
-        assert queue.pop().key == "high"
-        assert queue.pop().key == "low"
+        queue.push("low", priority=0)
+        queue.push("high", priority=9)
+        assert queue.pop() == "high"
+        assert queue.pop() == "low"
 
     def test_equal_priority_is_fifo(self):
         queue = JobQueue()
         for key in ("first", "second", "third"):
-            queue.push(_entry(key, priority=5))
-        assert [queue.pop().key for _ in range(3)] == [
+            queue.push(key, priority=5)
+        assert [queue.pop() for _ in range(3)] == [
             "first",
             "second",
             "third",
         ]
-
-    def test_pop_marks_running(self):
-        queue = JobQueue()
-        queue.push(_entry("job"))
-        assert queue.pop().state == "running"
 
     def test_pop_on_empty_returns_none(self):
         assert JobQueue().pop() is None
 
     def test_len_tracks_pushes_and_pops(self):
         queue = JobQueue()
-        queue.push(_entry("a"))
-        queue.push(_entry("b"))
+        queue.push("a", priority=0)
+        queue.push("b", priority=0)
         assert len(queue) == 2
         queue.pop()
         assert len(queue) == 1
@@ -68,33 +58,38 @@ class TestJobQueue:
 
 class TestRecoverJobs:
     def test_never_started_job_is_requeued(self):
-        pending, terminals = recover_jobs([_submitted(1, "aa")])
-        assert [entry.key for entry in pending] == ["aa"]
-        assert terminals == {}
+        state = recover_jobs([_submitted(1, "aa")])
+        assert state.pending_jobs == ["aa"]
+        assert state.jobs["aa"]["state"] == "queued"
+        assert state.terminals == {}
 
     def test_died_mid_run_job_is_requeued(self):
         # job.start with no terminal record: the signature of a worker
-        # killed mid-job.  The attempt is lost; the job is not.
-        pending, terminals = recover_jobs(
+        # killed mid-job.  The attempt is lost; the job is not, and it
+        # reads queued until its next job.start.
+        state = recover_jobs(
             [
                 _submitted(1, "aa"),
                 _record(2, "job.start", {"key": "aa"}),
             ]
         )
-        assert [entry.key for entry in pending] == ["aa"]
-        assert terminals == {}
+        assert state.pending_jobs == ["aa"]
+        assert state.jobs["aa"]["state"] == "queued"
+        assert state.terminals == {}
+        state.apply(_record(3, "job.start", {"key": "aa"}))
+        assert state.jobs["aa"]["state"] == "running"
 
     def test_terminal_jobs_are_not_requeued(self):
         result = _record(3, "job.result", {"key": "aa", "result": {}})
-        pending, terminals = recover_jobs(
+        state = recover_jobs(
             [
                 _submitted(1, "aa"),
                 _record(2, "job.start", {"key": "aa"}),
                 result,
             ]
         )
-        assert pending == []
-        assert terminals == {"aa": result}
+        assert state.pending_jobs == []
+        assert state.terminals == {"aa": result}
 
     def test_failed_jobs_count_as_terminal(self):
         error = _record(
@@ -102,12 +97,12 @@ class TestRecoverJobs:
             "job.error",
             {"key": "aa", "error_kind": "exception", "message": "boom"},
         )
-        pending, terminals = recover_jobs([_submitted(1, "aa"), error])
-        assert pending == []
-        assert terminals["aa"].kind == "job.error"
+        state = recover_jobs([_submitted(1, "aa"), error])
+        assert state.pending_jobs == []
+        assert state.terminals["aa"].kind == "job.error"
 
     def test_recovery_preserves_acceptance_order_and_metadata(self):
-        pending, _ = recover_jobs(
+        state = recover_jobs(
             [
                 _submitted(1, "aa", priority=1),
                 _record(2, "job.result", {"key": "aa", "result": {}}),
@@ -115,9 +110,9 @@ class TestRecoverJobs:
                 _submitted(4, "cc", priority=0),
             ]
         )
-        assert [entry.key for entry in pending] == ["bb", "cc"]
-        assert pending[0].priority == 7
-        assert pending[0].tenant == "t"
+        assert state.pending_jobs == ["bb", "cc"]
+        assert state.jobs["bb"]["priority"] == 7
+        assert state.jobs["bb"]["tenant"] == "t"
 
 
 class TestRecoverJobsDiagnostics:
@@ -167,7 +162,8 @@ class TestRecoverJobsDiagnostics:
             _record(2, "job.rejected", {}),
             _record(3, "telemetry.snapshot", None),
         ]
-        assert recover_jobs(records) == ([], {})
+        state = recover_jobs(records)
+        assert (state.jobs, state.terminals) == ({}, {})
 
     def test_recalled_spec_and_result_decode_with_the_diagnostic(self):
         from repro.parallel.jobs import AttackJob

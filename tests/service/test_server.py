@@ -628,6 +628,78 @@ class TestCrashResume:
         assert len(read_worldlog(log)) == ticks_before
 
 
+class TestJobsReply:
+    """The live ``jobs`` reply is the log's manifest, with one rule for
+    jobs a restart re-queues."""
+
+    def test_drained_reply_is_the_logs_manifest(self, paths):
+        from repro.worldlog.views import jobs_manifest
+
+        sock, log = paths
+        server, thread = _start(log, sock)
+        client = ServiceClient(sock, timeout=120)
+        keys = [
+            client.submit(encode_job(job))["key"]
+            for job in (ClassifyJob("weak", 5, 1), AttackJob("silent", 8, 4))
+        ]
+        keys.append(
+            client.submit(
+                encode_job(AttackJob("silent", 8, 4))
+                | {"builder": "no-such-builder"},
+                tenant="other",
+                priority=3,
+            )["key"]
+        )
+        _drain(client, keys)
+        reply = client.jobs()
+        _stop(server, thread)
+        manifest = jobs_manifest(read_worldlog(log))
+        assert [entry["state"] for entry in manifest["jobs"]] == [
+            "done", "done", "failed",
+        ]
+        assert reply["schema"] == manifest["schema"]
+        assert reply["jobs"] == manifest["jobs"]
+
+    def test_recovered_jobs_read_queued_until_they_restart(
+        self, paths, monkeypatch
+    ):
+        from repro.service.protocol import job_key
+        from repro.worldlog.store import WorldLog
+
+        sock, log = paths
+        held_job = MeasureJob("weak-consensus", 8, 4)
+        second_job = ClassifyJob("weak", 5, 1)
+        specs = [encode_job(held_job), encode_job(second_job)]
+        keys = [job_key(spec) for spec in specs]
+        # Both jobs were accepted and started, and the server died
+        # before either wrote a terminal record.
+        with WorldLog.create(log) as crashed:
+            for key, spec in zip(keys, specs):
+                crashed.append(
+                    "job.submitted",
+                    {"key": key, "tenant": "t", "priority": 0, "job": spec},
+                )
+            for key in keys:
+                crashed.append("job.start", {"key": key})
+        release = _hold(monkeypatch, held_job)
+        server, thread = _start(log, sock, jobs=1)
+        client = ServiceClient(sock, timeout=120)
+        try:
+            states = {
+                entry["key"]: entry["state"]
+                for entry in client.jobs()["jobs"]
+            }
+            joined = client.submit(specs[1], tenant="t")
+        finally:
+            release.set()
+        _drain(client, keys)
+        _stop(server, thread)
+        assert states[keys[1]] == "queued"
+        assert joined == {
+            "ok": True, "key": keys[1], "state": "queued", "cached": True,
+        }
+
+
 class TestStatus:
     """The ``status`` RPC: the live fold behind ``repro status``/``top``."""
 

@@ -142,6 +142,41 @@ class TestEmptyDiffs:
         assert report.skipped_b > report.skipped_a
 
 
+class TestGatherRule:
+    def test_differ_and_ledger_view_keep_the_same_events(self):
+        """With two ``gather.start`` markers, the differ and the
+        derived ledger view both keep only the events after the last."""
+        from repro.worldlog.replay import replay_state
+        from repro.worldlog.views import ledger_lines
+
+        def record(tick, kind, name=None):
+            payload = {} if name is None else {
+                "ts": float(tick), "kind": "counter", "name": name,
+                "value": 1, "run_id": "r", "cell_id": None,
+                "worker_id": 1, "attrs": {},
+            }
+            return Record(tick=tick, kind=kind, payload=payload, run_id="r")
+
+        records = [
+            record(0, "log.open"),
+            record(1, "gather.start"),
+            record(2, "ledger.event", "stale.first"),
+            record(3, "ledger.event", "stale.second"),
+            record(4, "gather.start"),
+            record(5, "ledger.event", "kept.first"),
+            record(6, "ledger.event", "kept.second"),
+        ]
+        kept = [
+            json.dumps(r.payload)
+            for r in comparable_records(records)
+            if r.kind == "ledger.event"
+        ]
+        assert kept == ledger_lines(replay_state(records))
+        assert [json.loads(line)["name"] for line in kept] == [
+            "kept.first", "kept.second",
+        ]
+
+
 class TestRealDivergence:
     def test_payload_divergence_reports_both_sides(self):
         records = read_worldlog(GOLDEN_LOG)
@@ -219,12 +254,16 @@ class TestScrub:
         def counter(value):
             return Record(
                 tick=3, kind="ledger.event",
-                payload={"kind": "counter", "name": name, "value": value,
-                         "attrs": {}},
+                payload={"ts": 0.0, "kind": "counter", "name": name,
+                         "value": value, "attrs": {}},
                 run_id="r",
             )
 
-        assert scrub_payload(counter(42).payload) == counter(42).payload
+        # The timestamp is wall clock and goes; the value stays.
+        payload = counter(42).payload
+        assert scrub_payload(payload) == {
+            key: value for key, value in payload.items() if key != "ts"
+        }
         assert diff_logs([counter(42)], [counter(42)]).ok
         report = diff_logs([counter(42)], [counter(43)])
         assert not report.ok

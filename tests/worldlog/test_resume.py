@@ -194,14 +194,14 @@ class TestCrashResume:
         keys = _ledger_keys(_matrix())
         finished = {record.payload["key"] for record in records
                     if record.kind in ("job.result", "job.error")}
-        pending, terminals = recover_jobs(records, killed_log)
-        assert set(terminals) == finished
-        assert [entry.key for entry in pending] == [
+        state = recover_jobs(records, killed_log)
+        assert set(state.terminals) == finished
+        assert state.pending_jobs == [
             key for key in keys if key not in finished
         ]
-        for entry in pending:
-            assert entry.tenant == "sweep"
-            assert entry.priority == 0
+        for key in state.pending_jobs:
+            assert state.jobs[key]["tenant"] == "sweep"
+            assert state.jobs[key]["priority"] == 0
         # The whole matrix was submitted before any job ran.
         submitted = [r for r in records if r.kind == "job.submitted"]
         assert [r.payload["key"] for r in submitted] == keys

@@ -12,7 +12,12 @@ from repro.lowerbound.driver import attack_weak_consensus
 from repro.obs.ledger import RunLedger
 from repro.obs.tracer import LedgerTracer
 from repro.protocols.subquadratic import silent_cheater_spec
-from repro.worldlog import WorldLog, derive_views, read_worldlog
+from repro.worldlog import (
+    WorldLog,
+    derive_views,
+    read_worldlog,
+    replay_state,
+)
 from repro.worldlog.views import certificate_texts, ledger_lines
 
 
@@ -62,7 +67,7 @@ class TestDerivedViews:
             ledger.emit("counter", "stale.splice", value=1)
             log.append("gather.start", {"cells": 1})
             ledger.emit("counter", "final.splice", value=1)
-        lines = ledger_lines(read_worldlog(log_path))
+        lines = ledger_lines(replay_state(read_worldlog(log_path)))
         names = [json.loads(line)["name"] for line in lines]
         assert names == ["final.splice"]
 
@@ -104,9 +109,9 @@ class TestDerivedViews:
         assert list(out_dir.iterdir()) == []
         # Neither the recovery fold nor the replay fold reads them.
         from repro.service.queue import recover_jobs
-        from repro.worldlog.replay import replay_state
 
-        assert recover_jobs(records) == ([], {})
+        recovered = recover_jobs(records)
+        assert (recovered.jobs, recovered.terminals) == ({}, {})
         state = replay_state(records)
         assert state.jobs == {}
         assert state.cells_terminal == set()
@@ -169,7 +174,8 @@ class TestJobsView:
         ]
 
     def test_manifest_folds_the_lifecycle(self):
-        from repro.worldlog.views import JOBS_SCHEMA, jobs_manifest
+        from repro.worldlog.replay import JOBS_SCHEMA
+        from repro.worldlog.views import jobs_manifest
 
         manifest = jobs_manifest(self._records())
         assert manifest["schema"] == JOBS_SCHEMA
