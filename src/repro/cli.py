@@ -75,7 +75,7 @@ def _progress_options(subparser: argparse.ArgumentParser) -> None:
     )
     subparser.add_argument(
         "--stall-after",
-        type=float,
+        type=_positive_float,
         default=30.0,
         metavar="SECONDS",
         help=(
@@ -132,12 +132,27 @@ def _ledger_option(subparser: argparse.ArgumentParser) -> None:
 
 
 def _positive_int(text: str) -> int:
-    """The ``--jobs`` argument type: a worker count of at least one."""
+    """The ``--jobs``/``--max-pending``/``--burst`` argument type: a
+    count of at least one."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {text!r}"
         )
     return int(text)
+
+
+def _positive_float(text: str) -> float:
+    """The ``--rate``/``--stall-after`` argument type: a positive,
+    finite number (``nan`` would switch the rate limit off)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0 < value < float("inf"):  # false for NaN too
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text!r}"
+        )
+    return value
 
 
 def _count(text: str) -> int:
@@ -567,13 +582,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--max-pending",
-        type=int,
+        type=_positive_int,
         default=16,
         help="per-tenant cap on queued-or-running jobs (default: 16)",
     )
     serve_parser.add_argument(
         "--rate",
-        type=float,
+        type=_positive_float,
         default=10.0,
         help=(
             "per-tenant sustained accepted submissions per second "
@@ -582,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--burst",
-        type=int,
+        type=_positive_int,
         default=20,
         help="per-tenant rate-limit burst capacity (default: 20)",
     )

@@ -6,8 +6,11 @@ per-receiver threshold round after which only an allowed-sender set gets
 through, and no send-omissions at all.  That is exactly the shape of the
 two adversaries the lower-bound driver uses — the no-fault adversary and
 Definition-1 group isolation — so those compile; anything richer (method
-overrides, scheduled omissions, Byzantine substitution) returns ``None``
-and the caller falls back to the object engine.
+overrides, scheduled omissions, Byzantine substitution) returns
+``None``.  No caller falls back to another engine: the driver asserts
+that its isolations compile, and
+:func:`~repro.analysis.complexity.run_scenario` and
+:class:`~repro.sim.kernel.KernelOracle` raise ``ValueError``.
 
 Compilation is deliberately *nominal*: only the exact classes
 :class:`~repro.sim.adversary.Adversary` (``NoFaults`` is an alias of it)

@@ -6,8 +6,8 @@
 
 * :mod:`repro.service.protocol` — the framed-JSON wire protocol and
   the idempotent :func:`job_key`;
-* :mod:`repro.service.queue` — the priority queue and the world-log
-  recovery fold (:func:`recover_jobs`);
+* :mod:`repro.service.queue` — the world-log recovery fold
+  (:func:`recover_jobs`), whose ``queued_jobs`` is the run order;
 * :mod:`repro.service.quota` — per-tenant admission control
   (:class:`QuotaPolicy`: pending caps plus a token-bucket rate limit);
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
@@ -29,7 +29,7 @@ from repro.service.protocol import (
     ProtocolError,
     job_key,
 )
-from repro.service.queue import JobQueue, recover_jobs
+from repro.service.queue import recover_jobs
 from repro.service.quota import QuotaDecision, QuotaPolicy
 from repro.service.server import JobServer
 
@@ -37,7 +37,6 @@ __all__ = [
     "JOB_STATES",
     "OPS",
     "SERVICE_SCHEMA",
-    "JobQueue",
     "JobServer",
     "ProtocolError",
     "QuotaDecision",

@@ -1,12 +1,12 @@
-"""The service's priority queue and its world-log recovery function.
+"""The service's world-log recovery function: the log is the queue.
 
-:class:`JobQueue` is a pure, synchronous data structure — no locks, no
-sockets, no log.  The server owns exactly one and touches it only from
-the event-loop thread; tests drive it directly.  Ordering is a binary
-heap on ``(-priority, seq)``: higher ``priority`` first, and within one
-priority strictly first-come-first-served by acceptance sequence.  It
-holds job keys only: a job's spec, tenant and state live in the replay
-fold (:class:`~repro.worldlog.replay.ReplayState`).
+There is no queue object.  The run order is a view of the replay fold
+(:class:`~repro.worldlog.replay.ReplayState`): its ``pending_jobs``
+index holds the keys with no terminal record in acceptance order, and
+:attr:`~repro.worldlog.replay.ReplayState.queued_jobs` orders the
+queued ones highest ``priority`` first, then first-come-first-served.
+A job's spec, tenant, priority and state live only in the fold's
+``jobs``.
 
 :func:`recover_jobs` is the crash-resume half: it folds a resumed world
 log once, checking every ``job.*`` payload the fold reads, and returns
@@ -30,17 +30,21 @@ payloads are shape-checked by
 readers apply to every line) and recalled fields decoded by
 :func:`decode_recorded`.
 
->>> queue = JobQueue()
->>> for key, priority in (("aa", 0), ("bb", 5), ("cc", 0)):
-...     queue.push(key, priority)
->>> [queue.pop() for _ in range(3)]
-['bb', 'aa', 'cc']
+>>> def submitted(tick, key, priority):
+...     return Record(tick, "job.submitted", {
+...         "key": key, "tenant": "t", "priority": priority, "job": {}})
+>>> state = recover_jobs([
+...     submitted(0, "aa", 0),
+...     Record(1, "job.start", {"key": "aa"}),  # died mid-run
+...     submitted(2, "bb", 0),
+...     submitted(3, "cc", 5),
+... ])
+>>> state.queued_jobs
+['cc', 'aa', 'bb']
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from typing import Any, Callable, Iterable
 
 from repro.artifact import artifact_error
@@ -55,56 +59,6 @@ a tampered log fails with ``path:line`` rather than a ``KeyError``."""
 _DECODE_FAILURES = (
     KeyError, TypeError, ValueError, AttributeError, ReproError,
 )
-
-
-class JobQueue:
-    """A priority queue of job keys — highest priority first.
-
-    >>> queue = JobQueue()
-    >>> queue.push("aa", 1)
-    >>> len(queue)
-    1
-    >>> queue.pop()
-    'aa'
-    >>> queue.pop() is None
-    True
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[int, int, str]] = []
-        self._seq = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, key: str, priority: int) -> None:
-        """Queue ``key`` behind every earlier key of its priority."""
-        heapq.heappush(self._heap, (-priority, next(self._seq), key))
-
-    def pop(self) -> str | None:
-        """The key of the next job to run, or ``None``."""
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[2]
-
-    def depth_by_priority(self) -> dict[int, int]:
-        """Queued-entry counts keyed by priority, highest first.
-
-        A read-only status fold over the live heap; the JSON encoder
-        stringifies the integer keys on the wire.
-
-        >>> queue = JobQueue()
-        >>> for priority in (0, 5, 0):
-        ...     queue.push(f"k{priority}", priority)
-        >>> queue.depth_by_priority()
-        {5: 1, 0: 2}
-        """
-        depths: dict[int, int] = {}
-        for negated, _, _ in self._heap:
-            depths[-negated] = depths.get(-negated, 0) + 1
-        return dict(
-            sorted(depths.items(), key=lambda item: -item[0])
-        )
 
 
 def recover_jobs(

@@ -33,12 +33,13 @@ order signatures are bit-identical to an uninterrupted run's.
 
 Live state is the replay fold: the server keeps the
 :class:`~repro.worldlog.replay.ReplayState` recovery returned, applies
-every record it appends to it, and answers every request from it.
-Beside it sit only what the log does not hold: the run order
-(:class:`~repro.service.queue.JobQueue`), per-tenant quota counts and
-the running jobs' start clocks.
+every record it appends to it, and answers every request from it; the
+run order (:attr:`~repro.worldlog.replay.ReplayState.queued_jobs`) and
+the per-tenant pending counts are views of it.  Beside it sit only what
+the log does not hold: the watchers, the executor, the running jobs'
+start clocks and the quota token buckets.
 
-Threading model: the fold, queue, quota and log all live on the
+Threading model: the fold, quota and log all live on the
 event-loop thread.  Only :func:`~repro.parallel.jobs.execute_job`
 leaves it — to a ``ThreadPoolExecutor`` (``jobs=1``; in-process, no
 pickling) or a ``ProcessPoolExecutor`` (``jobs>1``; the sweep
@@ -61,6 +62,7 @@ import os
 import signal
 import threading
 import time
+from collections import Counter
 from typing import Any
 
 from repro.errors import ArtifactError, ReproError
@@ -75,7 +77,7 @@ from repro.service.protocol import (
     job_key,
     parse_request,
 )
-from repro.service.queue import JobQueue, recorded_jobs, recover_jobs
+from repro.service.queue import recorded_jobs, recover_jobs
 from repro.service.quota import QuotaPolicy
 from repro.worldlog.codec import (
     decode_job,
@@ -125,8 +127,6 @@ class JobServer:
         self._cond: asyncio.Condition | None = None
         self._log: WorldLog | None = None
         self._state = ReplayState()
-        self._queue = JobQueue()
-        self._pending: dict[str, int] = {}
         self._running: dict[str, float] = {}  # key -> start clock
         self._watchers: dict[str, list[asyncio.Queue]] = {}
         self._executor: concurrent.futures.Executor | None = None
@@ -181,8 +181,6 @@ class JobServer:
         except ArtifactError:
             self._log.close()
             raise
-        for key in self._state.pending_jobs:
-            self._admit(key)
 
         self._executor = self._new_executor()
 
@@ -209,23 +207,15 @@ class JobServer:
             self.ready.clear()
 
     # ------------------------------------------------------------------
-    # queue state (event-loop thread only)
+    # the fold (event-loop thread only)
     # ------------------------------------------------------------------
 
-    def _admit(self, key: str) -> None:
-        """Queue an accepted job and charge its tenant's quota."""
-        accepted = self._state.jobs[key]
-        self._queue.push(key, accepted["priority"])
-        tenant = accepted["tenant"]
-        self._pending[tenant] = self._pending.get(tenant, 0) + 1
-
-    def _release(self, key: str) -> None:
-        tenant = self._state.jobs[key]["tenant"]
-        remaining = self._pending.get(tenant, 1) - 1
-        if remaining > 0:
-            self._pending[tenant] = remaining
-        else:
-            self._pending.pop(tenant, None)
+    def _pending_by_tenant(self) -> Counter[str]:
+        """Non-terminal jobs per tenant: the pending-quota input."""
+        jobs = self._state.jobs
+        return Counter(
+            jobs[key]["tenant"] for key in self._state.pending_jobs
+        )
 
     def _append(
         self, kind: str, payload: dict[str, Any], cell_id: str | None
@@ -272,20 +262,23 @@ class JobServer:
         assert self._cond is not None and self._stopping is not None
         while True:
             async with self._cond:
-                while not len(self._queue) and not self._stopping.is_set():
-                    await self._cond.wait()
+                await self._cond.wait_for(
+                    lambda: self._state.queued_jobs
+                    or self._stopping.is_set()
+                )
                 if self._stopping.is_set():
                     return
-                key = self._queue.pop()
-            if key is None:  # pragma: no cover - raced another worker
-                continue
-            await self._run_job(key)
+                # Pick and start with no await between: once its
+                # job.start is folded, no other worker can pick the key.
+                key = self._state.queued_jobs[0]
+                job = decode_job(self._state.jobs[key]["job"])
+                cell_id = job_label(job.key, key)
+                self._append("job.start", {"key": key}, cell_id)
+                self._running[key] = time.perf_counter()
+            await self._run_job(key, job, cell_id)
 
-    async def _run_job(self, key: str) -> None:
-        job = decode_job(self._state.jobs[key]["job"])
-        cell_id = job_label(job.key, key)
-        self._append("job.start", {"key": key}, cell_id)
-        begin = self._running[key] = time.perf_counter()
+    async def _run_job(self, key: str, job: Any, cell_id: str) -> None:
+        begin = self._running[key]
         error_kind = "exception"
         try:
             try:
@@ -313,7 +306,6 @@ class JobServer:
                 cell_id,
             )
         self._running.pop(key, None)
-        self._release(key)
 
     # ------------------------------------------------------------------
     # protocol handlers
@@ -363,7 +355,7 @@ class JobServer:
                 "run_id": self._log.run_id,
                 "jobs": self.jobs,
                 "backend": "thread" if self.jobs == 1 else "process",
-                "queued": len(self._queue),
+                "queued": len(self._state.queued_jobs),
                 "pending": len(self._state.pending_jobs),
                 "completed": len(self._state.terminals),
             },
@@ -372,15 +364,20 @@ class JobServer:
     def _status_body(self) -> dict[str, Any]:
         """The live-state fold the ``status`` RPC answers.
 
-        Event-loop thread only (it reads queue, quota and running-job
-        state).  Everything here is a *view* — nothing is charged or
-        mutated beyond the quota clock refill.
+        Event-loop thread only (it reads the fold, quota and
+        running-job state).  Everything here is a *view* — nothing is
+        charged or mutated beyond the quota clock refill.
         """
         now = time.perf_counter()
+        jobs = self._state.jobs
+        queued = self._state.queued_jobs
+        # in run order, so the highest priority comes first
+        by_priority = Counter(jobs[key]["priority"] for key in queued)
+        pending_by_tenant = self._pending_by_tenant()
         tenants: dict[str, Any] = {}
-        names = set(self._pending) | set(self.quota.known_tenants())
+        names = set(pending_by_tenant) | set(self.quota.known_tenants())
         for tenant in sorted(names):
-            pending = self._pending.get(tenant, 0)
+            pending = pending_by_tenant[tenant]
             bucket = self.quota.occupancy(tenant)
             tenants[tenant] = {
                 "pending": pending,
@@ -392,8 +389,8 @@ class JobServer:
         running = [
             {
                 "key": key,
-                "tenant": self._state.jobs[key]["tenant"],
-                "priority": self._state.jobs[key]["priority"],
+                "tenant": jobs[key]["tenant"],
+                "priority": jobs[key]["priority"],
                 "seconds": now - began,
             }
             for key, began in sorted(self._running.items())
@@ -405,12 +402,12 @@ class JobServer:
                 "utilization": len(self._running) / self.jobs,
             },
             "queue": {
-                "depth": len(self._queue),
-                "by_priority": self._queue.depth_by_priority(),
+                "depth": len(queued),
+                "by_priority": dict(by_priority),
             },
             "tenants": tenants,
             "jobs": {
-                "queued": len(self._queue),
+                "queued": len(queued),
                 "running": running,
                 "completed": len(self._state.terminals),
             },
@@ -492,7 +489,7 @@ class JobServer:
             return
 
         decision = self.quota.admit(
-            tenant, pending=self._pending.get(tenant, 0)
+            tenant, pending=self._pending_by_tenant()[tenant]
         )
         if not decision.allowed:
             # Observability only: the rejection enters no queue and
@@ -524,7 +521,6 @@ class JobServer:
             },
             job_label(job.key, key),
         )
-        self._admit(key)
         async with self._cond:
             self._cond.notify()
         await self._send(

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.worldlog.record import Record
-from repro.worldlog.replay import replay_state
+from repro.worldlog.replay import GATHER_MARKER
 
 DROP_KEYS = frozenset(
     {
@@ -120,16 +120,18 @@ def comparable_records(records: Sequence[Record]) -> list[Record]:
 
     Applies the derived ledger view's crash-safety rule to the diff:
     only ``ledger.event`` records after the last ``gather.start``
-    marker count — the marker the replay fold last reset its ledger
-    view at — and the markers themselves (one per gather *attempt*,
-    so a resumed log has more) are dropped.  Observability-only
-    records (:data:`OBSERVABILITY_KINDS`) are dropped with them.
+    marker count — the :data:`~repro.worldlog.replay.GATHER_MARKER`
+    the replay fold resets its ledger view at — and the markers
+    themselves (one per gather *attempt*, so a resumed log has more)
+    are dropped.  Observability-only records
+    (:data:`OBSERVABILITY_KINDS`) are dropped with them.
     """
-    last_gather = replay_state(records).last_gather
+    markers = [i for i, r in enumerate(records) if r.kind == GATHER_MARKER]
+    last_gather = markers[-1] if markers else -1
     return [
         record
         for index, record in enumerate(records)
-        if record.kind != "gather.start"
+        if record.kind != GATHER_MARKER
         and record.kind not in OBSERVABILITY_KINDS
         and not (record.kind == "ledger.event" and index < last_gather)
     ]

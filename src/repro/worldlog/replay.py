@@ -12,9 +12,10 @@ the fold explicit:
   golden fixture).  It is also the one fold every log reader renders:
   ``log stats``, ``log replay``, ``top --log``, ``trace`` and ``metrics
   export`` (through its :class:`~repro.obs.report.LedgerFold`), the
-  differ's ``gather.start`` rule, the ``jobs.json`` manifest, and
-  crash-resume's :func:`~repro.service.queue.recover_jobs`, whose fold
-  ``repro serve`` keeps as its live job state.
+  ``jobs.json`` manifest, and crash-resume's
+  :func:`~repro.service.queue.recover_jobs`, whose fold ``repro serve``
+  keeps as its live job state and reads its run order from.  The
+  differ applies the fold's :data:`GATHER_MARKER` rule with a scan.
 * :class:`ReplayCursor` — the navigable form: ``next()`` / ``prev()`` /
   ``seek(tick)`` over one log, with periodic state snapshots so
   stepping backwards re-folds from the nearest snapshot instead of
@@ -48,6 +49,11 @@ STATS_SCHEMA = "repro.logstats/v1"
 
 SNAPSHOT_EVERY = 256
 """Default record interval between cursor state snapshots."""
+
+GATHER_MARKER = "gather.start"
+"""The record kind at which the ledger view starts over: the fold resets
+its event-derived state there, and the differ drops the events before
+the last one."""
 
 JOBS_SCHEMA = "repro.jobs/v1"
 """The schema tag of the job manifest (``jobs.json``, the ``jobs`` RPC)."""
@@ -100,17 +106,19 @@ class ReplayState:
     ``events``, the ``ledger.event`` payloads, ``ledger_events``, the
     :class:`~repro.obs.ledger.LedgerEvent` built from each, and
     ``ledger``, their :class:`~repro.obs.report.LedgerFold` — resets on
-    every ``gather.start`` marker, so it always describes the events
-    after the *last* marker seen, exactly like the derived ledger view;
-    ``last_gather`` is that marker's index in the record sequence.
+    every :data:`GATHER_MARKER`, so it always describes the events
+    after the *last* marker seen, exactly like the derived ledger view
+    and the differ.
 
     ``jobs`` holds one ``jobs.json`` manifest entry per job key, moved
     through ``queued`` → ``running`` → ``done`` / ``failed`` by the
     key's ``job.submitted`` / ``job.start`` / ``job.result`` /
-    ``job.error`` records; ``terminals`` keeps each key's terminal
-    record, the recorded result crash-resume answers from, and
-    ``job_records`` every ``job.*`` record per key in log order, the
-    lifecycle a ``watch`` replays.
+    ``job.error`` records, the only place a job's tenant, priority and
+    state live; ``pending_jobs`` orders the keys with no terminal record
+    by acceptance (a dict as an ordered set); ``terminals`` keeps each
+    key's terminal record, the recorded result crash-resume answers
+    from, and ``job_records`` every ``job.*`` record per key in log
+    order, the lifecycle a ``watch`` replays.
     """
 
     tick: int = -1
@@ -124,6 +132,7 @@ class ReplayState:
 
     # job bookkeeping (whole prefix)
     jobs: dict[str, dict[str, Any]] = field(default_factory=dict)
+    pending_jobs: dict[str, None] = field(default_factory=dict)
     terminals: dict[str, Record] = field(default_factory=dict)
     job_records: dict[str, list[Record]] = field(default_factory=dict)
     rejections: dict[str, dict[str, int]] = field(default_factory=dict)
@@ -132,7 +141,6 @@ class ReplayState:
     certificates: list[str] = field(default_factory=list)
 
     # the ledger view (after the last gather.start marker)
-    last_gather: int = -1
     events: list[dict[str, Any]] = field(default_factory=list)
     ledger_events: list[LedgerEvent] = field(default_factory=list)
     ledger: LedgerFold = field(default_factory=LedgerFold)
@@ -143,13 +151,12 @@ class ReplayState:
         return sorted(self.cells_seen - self.cells_terminal)
 
     @property
-    def pending_jobs(self) -> list[str]:
-        """Job keys accepted but not yet terminal, in acceptance order."""
-        return [
-            key
-            for key, entry in self.jobs.items()
-            if entry["state"] in ("queued", "running")
-        ]
+    def queued_jobs(self) -> list[str]:
+        """Queued job keys in run order: highest priority first, then
+        acceptance order (``sorted`` is stable)."""
+        jobs = self.jobs
+        queued = [k for k in self.pending_jobs if jobs[k]["state"] == "queued"]
+        return sorted(queued, key=lambda key: -jobs[key]["priority"])
 
     def manifest(self) -> dict[str, Any]:
         """The job manifest (schema :data:`JOBS_SCHEMA`): a copy of each
@@ -167,6 +174,7 @@ class ReplayState:
             cells_seen=set(self.cells_seen),
             cells_terminal=set(self.cells_terminal),
             jobs={key: dict(entry) for key, entry in self.jobs.items()},
+            pending_jobs=dict(self.pending_jobs),
             terminals=dict(self.terminals),
             job_records={
                 key: list(records)
@@ -200,10 +208,9 @@ class ReplayState:
 
         if kind == "log.open":
             self.run_id = record.run_id
-        elif kind == "gather.start":
+        elif kind == GATHER_MARKER:
             # The ledger view reads events after the *last* marker:
             # everything event-derived starts over.
-            self.last_gather = self.position - 1
             self.events = []
             self.ledger_events = []
             self.ledger = LedgerFold()
@@ -224,12 +231,14 @@ class ReplayState:
                 "submitted_tick": record.tick,
                 "terminal_tick": None,
             }
+            self.pending_jobs[payload["key"]] = None
         elif kind == "job.start":
             entry = self.jobs.get(payload.get("key"))
             if entry is not None and entry["state"] == "queued":
                 entry["state"] = "running"
         elif kind in ("job.result", "job.error"):
             self.terminals[payload["key"]] = record
+            self.pending_jobs.pop(payload["key"], None)
             entry = self.jobs.get(payload["key"])
             if entry is not None:
                 entry["terminal_tick"] = record.tick

@@ -1,10 +1,9 @@
-"""Tests for the priority queue and the world-log recovery fold."""
+"""Tests for the fold's run order and the world-log recovery fold."""
 
 import pytest
 
 from repro.errors import ArtifactError
 from repro.service.queue import (
-    JobQueue,
     decode_recorded,
     recorded_jobs,
     recover_jobs,
@@ -27,39 +26,55 @@ def _submitted(tick, key, priority=0):
 
 
 class TestJobQueue:
+    """The run order is a view of the fold: ``queued_jobs`` orders the
+    queued keys highest priority first, then by acceptance."""
+
     def test_higher_priority_pops_first(self):
-        queue = JobQueue()
-        queue.push("low", priority=0)
-        queue.push("high", priority=9)
-        assert queue.pop() == "high"
-        assert queue.pop() == "low"
+        state = recover_jobs(
+            [_submitted(1, "low", priority=0), _submitted(2, "high", 9)]
+        )
+        assert state.queued_jobs == ["high", "low"]
 
     def test_equal_priority_is_fifo(self):
-        queue = JobQueue()
-        for key in ("first", "second", "third"):
-            queue.push(key, priority=5)
-        assert [queue.pop() for _ in range(3)] == [
-            "first",
-            "second",
-            "third",
-        ]
+        state = recover_jobs(
+            [
+                _submitted(tick, key, priority=5)
+                for tick, key in enumerate(("first", "second", "third"))
+            ]
+        )
+        assert state.queued_jobs == ["first", "second", "third"]
 
     def test_pop_on_empty_returns_none(self):
-        assert JobQueue().pop() is None
+        assert recover_jobs([]).queued_jobs == []
 
     def test_len_tracks_pushes_and_pops(self):
-        queue = JobQueue()
-        queue.push("a", priority=0)
-        queue.push("b", priority=0)
-        assert len(queue) == 2
-        queue.pop()
-        assert len(queue) == 1
+        state = recover_jobs([_submitted(1, "a"), _submitted(2, "b")])
+        assert len(state.queued_jobs) == 2
+        state.apply(_record(3, "job.start", {"key": "a"}))
+        assert state.queued_jobs == ["b"]
+        assert list(state.pending_jobs) == ["a", "b"]
+        state.apply(_record(4, "job.result", {"key": "a", "result": {}}))
+        assert list(state.pending_jobs) == ["b"]
+
+    def test_recovered_jobs_keep_acceptance_order_within_a_priority(self):
+        # A died-mid-run job re-queues at its acceptance position: ahead
+        # of a later still-queued job of its priority, behind a later
+        # job of higher priority.
+        state = recover_jobs(
+            [
+                _submitted(1, "died"),
+                _record(2, "job.start", {"key": "died"}),
+                _submitted(3, "queued"),
+                _submitted(4, "urgent", priority=3),
+            ]
+        )
+        assert state.queued_jobs == ["urgent", "died", "queued"]
 
 
 class TestRecoverJobs:
     def test_never_started_job_is_requeued(self):
         state = recover_jobs([_submitted(1, "aa")])
-        assert state.pending_jobs == ["aa"]
+        assert list(state.pending_jobs) == ["aa"]
         assert state.jobs["aa"]["state"] == "queued"
         assert state.terminals == {}
 
@@ -73,7 +88,7 @@ class TestRecoverJobs:
                 _record(2, "job.start", {"key": "aa"}),
             ]
         )
-        assert state.pending_jobs == ["aa"]
+        assert list(state.pending_jobs) == ["aa"]
         assert state.jobs["aa"]["state"] == "queued"
         assert state.terminals == {}
         state.apply(_record(3, "job.start", {"key": "aa"}))
@@ -88,7 +103,7 @@ class TestRecoverJobs:
                 result,
             ]
         )
-        assert state.pending_jobs == []
+        assert list(state.pending_jobs) == []
         assert state.terminals == {"aa": result}
 
     def test_failed_jobs_count_as_terminal(self):
@@ -98,7 +113,7 @@ class TestRecoverJobs:
             {"key": "aa", "error_kind": "exception", "message": "boom"},
         )
         state = recover_jobs([_submitted(1, "aa"), error])
-        assert state.pending_jobs == []
+        assert list(state.pending_jobs) == []
         assert state.terminals["aa"].kind == "job.error"
 
     def test_recovery_preserves_acceptance_order_and_metadata(self):
@@ -110,7 +125,7 @@ class TestRecoverJobs:
                 _submitted(4, "cc", priority=0),
             ]
         )
-        assert state.pending_jobs == ["bb", "cc"]
+        assert list(state.pending_jobs) == ["bb", "cc"]
         assert state.jobs["bb"]["priority"] == 7
         assert state.jobs["bb"]["tenant"] == "t"
 

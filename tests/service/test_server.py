@@ -390,13 +390,20 @@ class TestIdempotency:
         # Zero new records: no re-acceptance, no re-execution.
         assert len(read_worldlog(log)) == ticks_before
 
-    def test_resubmitting_an_in_flight_key_joins_it(self, paths):
+    def test_resubmitting_an_in_flight_key_joins_it(
+        self, paths, monkeypatch
+    ):
         sock, log = paths
+        held_job = MeasureJob("weak-consensus", 40, 36)
+        release = _hold(monkeypatch, held_job)
         server, thread = _start(log, sock)
         client = ServiceClient(sock, timeout=120)
-        spec = encode_job(MeasureJob("weak-consensus", 40, 36))
-        key = client.submit(spec)["key"]
-        joined = client.submit(spec)
+        spec = encode_job(held_job)
+        try:
+            key = client.submit(spec)["key"]
+            joined = client.submit(spec)
+        finally:
+            release.set()
         assert joined["key"] == key
         assert joined["cached"] is True
         assert joined["state"] in ("queued", "running")
@@ -424,22 +431,26 @@ class TestIdempotency:
 
 
 class TestQuotas:
-    def test_pending_quota_rejects_with_reason(self, paths):
+    def test_pending_quota_rejects_with_reason(self, paths, monkeypatch):
         sock, log = paths
+        held_job = MeasureJob("weak-consensus", 40, 36)
+        release = _hold(monkeypatch, held_job)
         server, thread = _start(
             log,
             sock,
             quota=QuotaPolicy(max_pending=1, rate=1000.0, burst=1000),
         )
         client = ServiceClient(sock, timeout=120)
-        first = client.submit(
-            encode_job(MeasureJob("weak-consensus", 40, 36)),
-            tenant="alice",
-        )["key"]
-        with pytest.raises(ServiceError) as excinfo:
-            client.submit(
-                encode_job(ClassifyJob("weak", 5, 1)), tenant="alice"
-            )
+        try:
+            first = client.submit(encode_job(held_job), tenant="alice")[
+                "key"
+            ]
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(
+                    encode_job(ClassifyJob("weak", 5, 1)), tenant="alice"
+                )
+        finally:
+            release.set()
         assert excinfo.value.kind == "quota"
         assert "tenant alice has 1 pending jobs (max 1)" in str(
             excinfo.value
@@ -626,6 +637,166 @@ class TestCrashResume:
         assert response["cached"] is True
         _stop(server, thread)
         assert len(read_worldlog(log)) == ticks_before
+
+
+class TestRestartOrder:
+    def test_restart_starts_jobs_in_the_order_of_a_fresh_queue(
+        self, paths, monkeypatch
+    ):
+        from repro.service.protocol import job_key
+        from repro.worldlog.store import WorldLog
+
+        sock, log = paths
+        died = encode_job(ClassifyJob("weak", 5, 1))
+        waiting = encode_job(ClassifyJob("strong", 5, 1))
+        held_job = MeasureJob("weak-consensus", 8, 4)
+        urgent = encode_job(held_job)
+        # The server died mid-run on the first job; a job of the same
+        # priority waited behind it, a more urgent one came in later.
+        with WorldLog.create(log) as crashed:
+            for spec, priority in ((died, 0), (waiting, 0), (urgent, 5)):
+                crashed.append(
+                    "job.submitted",
+                    {
+                        "key": job_key(spec),
+                        "tenant": "t",
+                        "priority": priority,
+                        "job": spec,
+                    },
+                )
+            crashed.append("job.start", {"key": job_key(died)})
+        recorded = len(read_worldlog(log))
+        release = _hold(monkeypatch, held_job)
+        server, thread = _start(log, sock, jobs=1)
+        client = ServiceClient(sock, timeout=120)
+        try:
+            # Submitted while the urgent job holds the only worker:
+            # new jobs queue behind every recovered one of their
+            # priority.
+            late_low = client.submit(
+                encode_job(ClassifyJob("weak", 6, 1)), priority=0
+            )["key"]
+            late_high = client.submit(
+                encode_job(ClassifyJob("strong", 6, 1)), priority=5
+            )["key"]
+        finally:
+            release.set()
+        keys = [job_key(spec) for spec in (died, waiting, urgent)]
+        _drain(client, keys + [late_low, late_high])
+        _stop(server, thread)
+        starts = [
+            record.payload["key"]
+            for record in read_worldlog(log)[recorded:]
+            if record.kind == "job.start"
+        ]
+        assert starts == [
+            job_key(urgent), late_high, job_key(died), job_key(waiting),
+            late_low,
+        ]
+
+
+class TestCountersMatchTheLog:
+    """``ping`` and ``status`` count what a fresh fold of the log says."""
+
+    @staticmethod
+    def _expected(log):
+        from repro.worldlog.replay import replay_state
+
+        fold = replay_state(read_worldlog(log))
+        entries = list(fold.jobs.values())
+        queued = [entry for entry in entries if entry["state"] == "queued"]
+        pending = [
+            entry
+            for entry in entries
+            if entry["state"] in ("queued", "running")
+        ]
+        by_priority = {}
+        for entry in sorted(queued, key=lambda e: -e["priority"]):
+            name = str(entry["priority"])
+            by_priority[name] = by_priority.get(name, 0) + 1
+        by_tenant = {}
+        for entry in pending:
+            by_tenant[entry["tenant"]] = by_tenant.get(entry["tenant"], 0) + 1
+        return {
+            "queued": len(queued),
+            "pending": len(pending),
+            "completed": len(fold.terminals),
+            "by_priority": by_priority,
+            "by_tenant": by_tenant,
+        }
+
+    @staticmethod
+    def _observed(client):
+        ping = client.ping()
+        status = client.status()
+        assert status["jobs"]["queued"] == status["queue"]["depth"]
+        return {
+            "queued": ping["queued"],
+            "pending": ping["pending"],
+            "completed": ping["completed"],
+            "by_priority": status["queue"]["by_priority"],
+            "by_tenant": {
+                tenant: row["pending"]
+                for tenant, row in status["tenants"].items()
+                if row["pending"]
+            },
+        }, status
+
+    def test_ping_and_status_equal_a_fresh_fold(self, paths, monkeypatch):
+        sock, log = paths
+        blocker_job = MeasureJob("weak-consensus", 8, 4)
+        release = _hold(monkeypatch, blocker_job)
+        server, thread = _start(
+            log, sock, jobs=1,
+            quota=QuotaPolicy(max_pending=2, rate=1000.0, burst=1000),
+        )
+        client = ServiceClient(sock, timeout=120)
+        try:
+            done_spec = encode_job(ClassifyJob("weak", 5, 1))
+            done = client.submit(done_spec, tenant="bob")["key"]
+            failed = client.submit(
+                encode_job(AttackJob("silent", 8, 4))
+                | {"builder": "no-such-builder"},
+                tenant="bob",
+            )["key"]
+            _drain(client, [done, failed])
+            assert client.submit(done_spec, tenant="bob")["cached"]
+            blocker = client.submit(
+                encode_job(blocker_job), tenant="alice"
+            )["key"]
+            queued = [
+                client.submit(
+                    encode_job(ClassifyJob("weak", 6, 1)), tenant="alice"
+                )["key"],
+                client.submit(
+                    encode_job(ClassifyJob("strong", 6, 1)),
+                    tenant="bob", priority=4,
+                )["key"],
+            ]
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(
+                    encode_job(ClassifyJob("strong", 5, 1)), tenant="alice"
+                )
+            assert excinfo.value.kind == "quota"
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                if client.status()["workers"]["busy"] == 1:
+                    break
+                time.sleep(0.02)
+            held, status = self._observed(client)
+            assert held == self._expected(log)
+            assert held["queued"] == 2 and held["pending"] == 3
+            assert held["by_tenant"] == {"alice": 2, "bob": 1}
+            assert status["tenants"]["alice"]["quota_occupancy"] == 1.0
+        finally:
+            release.set()
+        _drain(client, [blocker] + queued)
+        drained, status = self._observed(client)
+        _stop(server, thread)
+        assert drained == self._expected(log)
+        assert drained["completed"] == 5
+        assert status["queue"] == {"depth": 0, "by_priority": {}}
+        assert all(row["pending"] == 0 for row in status["tenants"].values())
 
 
 class TestJobsReply:

@@ -266,6 +266,59 @@ class TestUsageErrors:
         assert "expected a non-negative integer" in err
 
 
+    @pytest.mark.parametrize(
+        "option, value, expected",
+        [
+            ("--max-pending", "-3", "a positive integer"),
+            ("--max-pending", "0", "a positive integer"),
+            ("--burst", "0", "a positive integer"),
+            ("--burst", "2.5", "a positive integer"),
+            ("--rate", "nan", "a positive finite number"),
+            ("--rate", "inf", "a positive finite number"),
+            ("--rate", "0", "a positive finite number"),
+            ("--rate", "-1", "a positive finite number"),
+            ("--rate", "fast", "a positive finite number"),
+        ],
+    )
+    def test_serve_quota_options_reject_unusable_values(
+        self, option, value, expected, capsys
+    ):
+        # Unusable paths: a parser that let the value through fails on
+        # them instead of serving.
+        err = self._rejected(
+            [
+                "serve", "--socket", "/dev/null/s.sock",
+                "--log", "/dev/null/missing.worldlog", option, value,
+            ],
+            capsys,
+        )
+        assert f"repro serve: error: argument {option}" in err
+        assert f"expected {expected}, got {value!r}" in err
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-5", "inf"])
+    def test_stall_after_rejects_unusable_values(self, value, capsys):
+        # The slack grid has no cells with t <= 2: a parser that let
+        # the value through fails on that instead of sweeping.
+        err = self._rejected(
+            [
+                "sweep", "silent", "--grid", "slack", "--max-t", "2",
+                "--stall-after", value,
+            ],
+            capsys,
+        )
+        assert "repro sweep: error: argument --stall-after" in err
+        assert f"expected a positive finite number, got {value!r}" in err
+
+    def test_quota_options_accept_usable_values(self):
+        args = build_parser().parse_args(
+            [
+                "serve", "--socket", "s.sock", "--log", "l.worldlog",
+                "--max-pending", "1", "--burst", "1", "--rate", "0.5",
+            ]
+        )
+        assert (args.max_pending, args.burst, args.rate) == (1, 1, 0.5)
+
+
 class TestRetiredCommands:
     """The benchmark observatory, the trend canary, ``log import``
     (world logs are the one recording format) and the saved-witness
@@ -661,9 +714,32 @@ class TestServiceCommands:
         assert main(spec[:-1]) == 0  # same spec, no --wait
         assert "(cached)" in capsys.readouterr().out
 
-    def test_quota_rejection_is_a_domain_failure(self, service, capsys):
+    def test_quota_rejection_is_a_domain_failure(
+        self, service, capsys, monkeypatch
+    ):
+        import threading
+
+        from repro.parallel.jobs import MeasureJob
+        from repro.service import server as server_module
+
         sock, _ = service
-        # max_pending=1: a slow measure occupies the tenant's only slot.
+        # max_pending=1: a held measure occupies the tenant's only slot
+        # however fast the machine runs it.
+        release = threading.Event()
+        execute = server_module.execute_job
+
+        def held(job):
+            if isinstance(job, MeasureJob):
+                assert release.wait(timeout=120), "measure never released"
+            return execute(job)
+
+        monkeypatch.setattr(server_module, "execute_job", held)
+        try:
+            self._quota_rejection(sock, capsys)
+        finally:
+            release.set()
+
+    def _quota_rejection(self, sock, capsys):
         assert (
             main(
                 [

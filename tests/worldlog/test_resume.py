@@ -196,7 +196,7 @@ class TestCrashResume:
                     if record.kind in ("job.result", "job.error")}
         state = recover_jobs(records, killed_log)
         assert set(state.terminals) == finished
-        assert state.pending_jobs == [
+        assert list(state.pending_jobs) == [
             key for key in keys if key not in finished
         ]
         for key in state.pending_jobs:
