@@ -93,32 +93,6 @@ def _resolve_progress(args: argparse.Namespace) -> bool:
     return flag
 
 
-def parse_interval(value: str | float | int) -> float:
-    """A positive seconds value for ``--interval``, or a clean error.
-
-    Anything unparsable or non-positive raises :class:`ReproError`,
-    which :func:`main` renders as the one-line ``error: ...`` stderr
-    diagnostic with exit code 1.
-
-    >>> parse_interval("2.5")
-    2.5
-    >>> parse_interval("0")
-    Traceback (most recent call last):
-        ...
-    repro.errors.ReproError: --interval expects a positive number of seconds, got '0'
-    """
-    try:
-        seconds = float(value)
-    except (TypeError, ValueError):
-        seconds = float("nan")
-    if not seconds > 0:  # rejects NaN, zero and negatives in one test
-        raise ReproError(
-            f"--interval expects a positive number of seconds, "
-            f"got {value!r}"
-        )
-    return seconds
-
-
 def _ledger_option(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--ledger",
@@ -151,6 +125,29 @@ def _positive_float(text: str) -> float:
     if not 0 < value < float("inf"):  # false for NaN too
         raise argparse.ArgumentTypeError(
             f"expected a positive finite number, got {text!r}"
+        )
+    return value
+
+
+def _interval(text: str) -> float:
+    """The ``--interval`` argument type: seconds between polls, positive,
+    finite and no longer than ``time.sleep`` accepts
+    (``threading.TIMEOUT_MAX``).
+
+    >>> _interval("2.5")
+    2.5
+    >>> _interval("1e10")  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+        ...
+    argparse.ArgumentTypeError: expected at most ... seconds, got '1e10'
+    """
+    import threading
+
+    value = _positive_float(text)
+    if value > threading.TIMEOUT_MAX:
+        raise argparse.ArgumentTypeError(
+            f"expected at most {threading.TIMEOUT_MAX:g} seconds, "
+            f"got {text!r}"
         )
     return value
 
@@ -443,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     log_tail.add_argument(
         "--interval",
+        type=_interval,
         default="0.5",
         metavar="SECONDS",
         help="seconds between polls with --follow (default: 0.5)",
@@ -731,6 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top_parser.add_argument(
         "--interval",
+        type=_interval,
         default="1",
         metavar="SECONDS",
         help="seconds between redraws (default: 1)",
@@ -1283,7 +1282,6 @@ def _dispatch_status(args: argparse.Namespace) -> int:
 def _dispatch_top(args: argparse.Namespace) -> int:
     import time
 
-    interval = parse_interval(args.interval)
     if args.socket:
         from repro.service.client import ServiceClient
 
@@ -1320,7 +1318,7 @@ def _dispatch_top(args: argparse.Namespace) -> int:
             stream.flush()
             if args.once:
                 return 0
-            time.sleep(interval)
+            time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
 
@@ -1413,7 +1411,6 @@ def _dispatch_log_tail(args: argparse.Namespace) -> int:
 
     from repro.worldlog.store import LogTailer
 
-    interval = parse_interval(args.interval)
     if not args.follow:
         _require_file(args.path)
     tailer = LogTailer(args.path)
@@ -1427,7 +1424,7 @@ def _dispatch_log_tail(args: argparse.Namespace) -> int:
                 return 0
             if args.max_polls is not None and polls >= args.max_polls:
                 return 0
-            time.sleep(interval)
+            time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
 

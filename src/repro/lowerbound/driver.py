@@ -89,7 +89,6 @@ from repro.omission.masks import compile_omissions
 from repro.omission.merge import MergeSpec, merge
 from repro.omission.swap import swap_omission_checked
 from repro.protocols.base import ProtocolSpec
-from repro.sim.engine import object_counts, object_counts_delta
 from repro.sim.execution import Execution, majority_decision
 from repro.sim.kernel import (
     KernelTrace,
@@ -153,8 +152,8 @@ class ExecutionCache:
     (machine deep-copies) — neither is ever shipped across process
     boundaries.  A parallel sweep gives every worker its own cache and
     sends back *counters only* (see
-    :class:`repro.parallel.jobs.CacheStats`), which the scheduler folds
-    into one aggregate via :meth:`merge_stats`.
+    :class:`repro.parallel.jobs.CacheStats`), which the scheduler sums
+    into one aggregate.
     """
 
     hits: int = 0
@@ -162,20 +161,6 @@ class ExecutionCache:
     misses: int = 0
     _entries: dict = field(default_factory=dict, repr=False)
     _kernel_states: dict = field(default_factory=dict, repr=False)
-
-    def merge_stats(self, other) -> None:
-        """Fold another cache's *counters* into this one (counters only).
-
-        ``other`` is anything exposing ``hits`` / ``alias_hits`` /
-        ``misses`` integer attributes — a sibling :class:`ExecutionCache`
-        or the picklable :class:`repro.parallel.jobs.CacheStats` a worker
-        ships home.  Entries and fork states are deliberately *not*
-        merged: traces and machine snapshots stay within the process that
-        produced them.
-        """
-        self.hits += other.hits
-        self.alias_hits += other.alias_hits
-        self.misses += other.misses
 
     def lookup(self, key: tuple) -> _CacheEntry | None:
         """The entry stored under the exact ``key``, if any."""
@@ -359,7 +344,6 @@ class LowerBoundDriver:
     certify: bool = False
     tracer: Tracer = NULL_TRACER
     worldlog: "WorldLog | None" = None
-    _counts_at_start: dict | None = field(default=None, repr=False)
     _trace_observers: tuple = field(default=(), repr=False)
     _log: list[str] = field(default_factory=list, repr=False)
     _max_messages: int = field(default=0, repr=False)
@@ -368,6 +352,8 @@ class LowerBoundDriver:
     _rounds_baseline: int = field(default=0, repr=False)
     _prefix_rounds_skipped: int = field(default=0, repr=False)
     _early_stops: int = field(default=0, repr=False)
+    _popcounts: int = field(default=0, repr=False)
+    _machine_snapshots: int = field(default=0, repr=False)
     # certification trail: which (bit, group, from_round) produced each
     # run, plus the merge/swap contexts the witness (if any) fell out
     # of.  Keyed by the identity of the run the cache returned — never
@@ -392,7 +378,6 @@ class LowerBoundDriver:
             self._trace_observers = self.tracer.round_observers(
                 floor=weak_consensus_floor(self.spec.t)
             )
-            self._counts_at_start = object_counts()
         self._spec_key: _SpecKey = (
             self.spec.name,
             self.spec.n,
@@ -942,7 +927,7 @@ class LowerBoundDriver:
         if self.check:
             check_trace(trace)
         self._rounds_simulated += trace.rounds
-        messages = trace.message_complexity()
+        messages = self._message_complexity(trace)
         self._observe_messages(messages, trace)
         self.cache.store(key, _CacheEntry(trace, messages, True))
         self.cache.misses += 1
@@ -977,7 +962,7 @@ class LowerBoundDriver:
                 corrupted=members,
                 rows=base.rows,
             )
-            entry = _CacheEntry(run, run.message_complexity(), True)
+            entry = _CacheEntry(run, self._message_complexity(run), True)
             self.cache.store(key, entry)
             self.cache.alias_hits += 1
             self._observe_messages(entry.messages, run)
@@ -1027,7 +1012,9 @@ class LowerBoundDriver:
         )
         if state is not None and 2 <= from_round <= horizon:
             base_trace, forker = state
+            copied = forker.machines_copied
             machines, _advanced = forker.machines_at(from_round)
+            self._machine_snapshots += forker.machines_copied - copied
             if machines is not None:
                 # Touch the fault-free base through the cache: the hit
                 # it counts is part of the reuse counters that
@@ -1044,7 +1031,7 @@ class LowerBoundDriver:
                 )
                 self._rounds_simulated += horizon - from_round + 1
                 self._prefix_rounds_skipped += from_round - 1
-                messages = trace.message_complexity()
+                messages = self._message_complexity(trace)
                 self._observe_messages(messages, trace)
                 self.cache.store(key, _CacheEntry(trace, messages, True))
                 self.cache.misses += 1
@@ -1062,7 +1049,7 @@ class LowerBoundDriver:
         complete = trace.rounds == horizon
         if not complete:
             self._early_stops += 1
-        messages = trace.message_complexity()
+        messages = self._message_complexity(trace)
         if complete:
             self._observe_messages(messages, trace)
         self.cache.store(key, _CacheEntry(trace, messages, complete))
@@ -1080,12 +1067,9 @@ class LowerBoundDriver:
 
     def _flush_metrics(self, witness: ViolationWitness | None) -> None:
         """Emit the pipeline's final totals as ledger events."""
-        if self._counts_at_start is None:  # untraced
+        if not self.tracer.enabled:
             return
         assert self.cache is not None
-        # Interpreter-wide materialization deltas over the attack:
-        # forker deep-copies plus the kernel's mask/popcount work.
-        delta = object_counts_delta(self._counts_at_start)
         counters = {
             "cache.hits": self.cache.hits,
             "cache.alias_hits": self.cache.alias_hits,
@@ -1094,9 +1078,10 @@ class LowerBoundDriver:
             "engine.rounds_baseline": self._rounds_baseline,
             "engine.prefix_rounds_skipped": self._prefix_rounds_skipped,
             "engine.early_stops": self._early_stops,
-            "engine.machine_snapshots": delta["machine_snapshots"],
-            "engine.masks_built": delta["masks_built"],
-            "engine.popcounts": delta["popcounts"],
+            "engine.machine_snapshots": self._machine_snapshots,
+            # The kernel builds four masks per process per round.
+            "engine.masks_built": 4 * self.spec.n * self._rounds_simulated,
+            "engine.popcounts": self._popcounts,
             "witness.found": 1 if witness else 0,
         }
         for name, value in counters.items():
@@ -1116,6 +1101,12 @@ class LowerBoundDriver:
         if label == "C":
             return self.partition.group_c
         raise ReproError(f"unknown group label {label!r}")
+
+    def _message_complexity(self, trace: KernelTrace) -> int:
+        """``trace``'s §2 message count, tallying its popcounts (one
+        per correct sender per round) for ``engine.popcounts``."""
+        self._popcounts += len(trace.correct) * trace.rounds
+        return trace.message_complexity()
 
     def _observe(self, execution: Execution) -> None:
         self._observe_messages(execution.message_complexity(), execution)

@@ -134,7 +134,6 @@ class RoundTraceObserver(RoundObserver):
     ) -> None:
         self.tracer = tracer
         self.floor = floor
-        self.rounds_seen = 0
         self._run = -1
         self._cum = 0
         self._mark: float | None = None
@@ -155,7 +154,6 @@ class RoundTraceObserver(RoundObserver):
         seconds = 0.0 if self._mark is None else now - self._mark
         self._mark = now
         self._cum += messages
-        self.rounds_seen += 1
         attrs: dict[str, Any] = {
             "round": round_,
             "run": self._run,

@@ -62,7 +62,7 @@ class CacheStats:
 
     The cache's entries and fork states hold live machine snapshots and
     full execution traces; only these counters are shipped back from
-    workers (see ``ExecutionCache.merge_stats``).
+    workers, and the scheduler sums them with :meth:`merged`.
     """
 
     hits: int = 0

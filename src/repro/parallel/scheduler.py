@@ -20,8 +20,8 @@ in-process with :func:`~repro.parallel.jobs.execute_job` (backend
 *gathered in deterministic cell order* regardless of completion order,
 per-cell failures (job exceptions, even a broken pool) are captured as
 structured :class:`CellError` records without aborting the other
-cells, and per-worker cache counters are merged into one aggregate via
-``ExecutionCache.merge_stats``.  Leaving the loop by an exception (a
+cells, and per-worker cache counters are summed into one aggregate with
+``CacheStats.merged``.  Leaving the loop by an exception (a
 world-log append that fails, an interrupt) cancels every cell the pool
 has not started.
 
@@ -37,7 +37,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.lowerbound.driver import ExecutionCache
 from repro.obs.progress import (
     HeartbeatMonitor,
     SweepProgress,
@@ -543,11 +542,10 @@ class SweepScheduler:
     ) -> SweepReport:
         """Merge per-worker counters into the aggregate report.
 
-        Uses ``ExecutionCache.merge_stats`` so the sweep-level cache
-        accounting goes through the same counters-only contract the
-        per-driver caches use (entries and fork states never cross
-        process boundaries).  Cells that shipped an attack certificate
-        are re-verified here — by the standalone
+        The sweep-level cache accounting is the ``CacheStats.merged``
+        sum of the counters each cell shipped (entries and fork states
+        never cross process boundaries).  Cells that shipped an attack
+        certificate are re-verified here — by the standalone
         :func:`repro.certify.verifier.verify_certificate`, against the
         exact bytes that crossed the process boundary — and a rejected
         certificate turns its cell into a ``"certificate"`` error: the
@@ -565,7 +563,7 @@ class SweepScheduler:
             # spliced events.
             self.worldlog.append("gather.start", {"cells": len(cells)})
         self._splice_ledger(cells, tracker)
-        merged = ExecutionCache()
+        cache = CacheStats()
         rounds_simulated = 0
         rounds_baseline = 0
         certificates_verified = 0
@@ -573,7 +571,7 @@ class SweepScheduler:
             if cell.result is None:
                 continue
             if cell.result.cache is not None:
-                merged.merge_stats(cell.result.cache)
+                cache = cache.merged(cell.result.cache)
             rounds_simulated += cell.result.rounds_simulated
             rounds_baseline += cell.result.rounds_baseline
             if cell.result.certificate is not None:
@@ -583,11 +581,7 @@ class SweepScheduler:
             jobs=self.jobs,
             cells=tuple(cells),
             wall_seconds=wall,
-            cache=CacheStats(
-                hits=merged.hits,
-                alias_hits=merged.alias_hits,
-                misses=merged.misses,
-            ),
+            cache=cache,
             rounds_simulated=rounds_simulated,
             rounds_baseline=rounds_baseline,
             certificates_verified=certificates_verified,

@@ -24,6 +24,11 @@ Observers must not mutate the event or the machines; the engine owns both.
 An observer may set its ``stop_requested`` attribute to ``True`` during
 :meth:`RoundObserver.on_round`; the engine finishes dispatching the
 current round to every observer, then halts.
+
+Counting is an observer's job too: the module keeps no interpreter-wide
+tallies, so a count of engine work lives with whoever ran the rounds
+(the driver's ``engine.*`` counters, a tracer's ``engine.round``
+events).
 """
 
 from __future__ import annotations
@@ -41,56 +46,6 @@ from repro.types import Payload, ProcessId, Round
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.simulator import SimulationConfig
-
-
-def object_counts() -> dict[str, int]:
-    """A snapshot of the engine's object-materialization counters.
-
-    Monotone, interpreter-wide tallies of the objects the round loop
-    churns through: ``messages_materialized`` (every
-    :class:`~repro.sim.message.Message` built), ``behaviors_built``
-    (every :class:`~repro.sim.state.Behavior` record),
-    ``channels_interned`` (distinct ``(sender, receiver)`` pairs the
-    channel cache has interned), ``machine_snapshots`` (machines
-    deep-copied by :class:`~repro.sim.kernel.PrefixForker`), plus the
-    bitmask kernel's representation counters ``masks_built`` and
-    ``popcounts`` (see :mod:`repro.sim.kernel`).  Consumers — the driver's
-    ``engine.*`` trace counters foremost — snapshot before and after a
-    measured region and report the delta (:func:`object_counts_delta`):
-    an allocation-shaped view of simulator cost that wall-clock timing
-    cannot separate from noise.
-    """
-    from repro.sim.message import MATERIALIZED
-    from repro.sim.state import BUILT
-
-    return {
-        "messages_materialized": MATERIALIZED.messages,
-        "behaviors_built": BUILT.behaviors,
-        "channels_interned": MATERIALIZED.channels,
-        "machine_snapshots": SNAPSHOTS.machines,
-        "masks_built": MATERIALIZED.masks,
-        "popcounts": MATERIALIZED.popcounts,
-    }
-
-
-def object_counts_delta(before: dict[str, int]) -> dict[str, int]:
-    """The per-key growth of :func:`object_counts` since ``before``."""
-    after = object_counts()
-    return {key: after[key] - before.get(key, 0) for key in after}
-
-
-class _SnapshotCounts:
-    """Machines deep-copied by :class:`~repro.sim.kernel.PrefixForker`
-    (monotone)."""
-
-    __slots__ = ("machines",)
-
-    def __init__(self) -> None:
-        self.machines = 0
-
-
-SNAPSHOTS = _SnapshotCounts()
-"""The interpreter-wide machine-snapshot tally."""
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,12 @@ machine array is advanced through the recorded fault-free schedule and
 deep-copied once per *fork round* (memoized), so candidates sharing a
 fault-free prefix pay one copy at their divergence round, not one at
 every round boundary.
+
+The kernel keeps no tallies of its own work.  A traced attack's
+``engine.*`` counters are counted by the driver from the runs it
+launches: four masks per process per simulated round, one popcount per
+correct sender per round of each message count it takes, and each
+forker's ``machines_copied``.
 """
 
 from __future__ import annotations
@@ -58,9 +64,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import AdversaryError, ModelViolation, ProtocolViolation
-from repro.sim.engine import SNAPSHOTS, RoundObserver
+from repro.sim.engine import RoundObserver
 from repro.sim.execution import Execution
-from repro.sim.message import MATERIALIZED, Message
+from repro.sim.message import Message
 from repro.sim.process import Process, ProcessFactory
 from repro.sim.state import Behavior, Fragment, StateSnapshot
 from repro.types import Payload, ProcessId, Round, validate_process_id
@@ -214,13 +220,10 @@ class KernelTrace:
         corrupted = self.corrupted
         senders = [pid for pid in range(self.n) if pid not in corrupted]
         total = 0
-        popcounts = 0
         for row in self.rows:
             masks = row.send_masks
             for pid in senders:
                 total += masks[pid].bit_count()
-            popcounts += len(senders)
-        MATERIALIZED.popcounts += popcounts
         return total
 
     def quiescent_toward(self, members, lo: Round, hi: Round) -> bool:
@@ -485,7 +488,6 @@ def _step_round(
                 for sender in senders_of[pid]
             }
         machine.deliver(round_, delivered)
-    MATERIALIZED.masks += 4 * n
     # Read the decision slot directly: the property indirection costs a
     # descriptor call per process per round on the hottest path.
     return KernelRound(
@@ -698,7 +700,9 @@ class PrefixForker:
     array is deep-copied once and memoized, so revisits (the final
     merge re-runs B(R), B(R+1), C(R)) cost one copy, not a replay.
     Its replays are checkpoint provisioning, not simulation, so they
-    report nothing to round observers.
+    report nothing to round observers.  ``machines_copied`` counts the
+    machines this forker has deep-copied (the driver's
+    ``engine.machine_snapshots``).
 
     ``enabled`` degrades to ``False`` on deepcopy-hostile machines;
     callers then fall back to fresh runs.
@@ -719,7 +723,7 @@ class PrefixForker:
         self._next_round: Round = 1
         self._forks: dict[Round, list[Process]] = {}
         self.enabled = True
-        self.rounds_replayed = 0
+        self.machines_copied = 0
 
     def machines_at(
         self, round_: Round
@@ -746,7 +750,6 @@ class PrefixForker:
                 advanced += 1
             snapshot = self._copy(self._machines)
             self._forks[round_] = snapshot
-            self.rounds_replayed += advanced
             return self._copy(snapshot), advanced
         except Exception:  # deepcopy-hostile machines: degrade
             self.enabled = False
@@ -755,7 +758,7 @@ class PrefixForker:
 
     def _copy(self, machines: list[Process]) -> list[Process]:
         copied = copy.deepcopy(machines)
-        SNAPSHOTS.machines += len(copied)
+        self.machines_copied += len(copied)
         return copied
 
     def _replay_round(self, round_: Round) -> None:

@@ -9,6 +9,9 @@ protocol-level content.
 Messages are immutable and compare by value, which is what the paper's
 indistinguishability arguments need: "the same message" in two executions
 means equal sender, receiver, round and payload.
+
+Building a message counts nothing: the §2 cost of an execution is its
+:meth:`~repro.sim.execution.Execution.message_complexity`.
 """
 
 from __future__ import annotations
@@ -19,35 +22,6 @@ from repro.types import Payload, ProcessId, Round
 _PAIR_CACHE: dict[
     tuple[ProcessId, ProcessId], tuple[ProcessId, ProcessId]
 ] = {}
-
-
-class _MaterializationCounts:
-    """Process-wide tallies of sim objects built since interpreter start.
-
-    Monotone, cheap (one integer increment at each construction site) and
-    never reset: consumers such as the driver's trace counters take
-    *deltas* around a measured region (see
-    :func:`repro.sim.engine.object_counts`).  The counts are a memory
-    proxy the wall clock cannot see — a kernel that got faster by
-    materializing twice as many messages shows up here.
-
-    ``masks`` and ``popcounts`` belong to the bitmask round kernel
-    (:mod:`repro.sim.kernel`): per-round send/receive bitmasks built and
-    popcount accumulations performed, the kernel-representation analogue
-    of ``messages``.
-    """
-
-    __slots__ = ("messages", "channels", "masks", "popcounts")
-
-    def __init__(self) -> None:
-        self.messages = 0
-        self.channels = 0
-        self.masks = 0
-        self.popcounts = 0
-
-
-MATERIALIZED = _MaterializationCounts()
-"""The interpreter-wide message/channel construction tallies."""
 
 
 def intern_pair(
@@ -72,7 +46,6 @@ def intern_pair(
     if sender == receiver:
         raise ValueError("no process sends messages to itself (A.1)")
     _PAIR_CACHE[pair] = pair
-    MATERIALIZED.channels += 1
     return pair
 
 
@@ -107,7 +80,6 @@ class Message:
         object.__setattr__(
             self, "_hash", hash((pair, self.round, self.payload))
         )
-        MATERIALIZED.messages += 1
 
     def __hash__(self) -> int:
         return self._hash

@@ -19,7 +19,7 @@ These classes are *records*, not live state machines: the simulator in
 :mod:`repro.omission` (``swap_omission``, ``merge``) rewrite them.  Every
 structural condition from the paper is enforced mechanically, either eagerly
 (cheap local conditions) or via :func:`check_fragment` /
-:func:`check_behavior`.
+:func:`check_behavior`.  Building a record counts nothing.
 """
 
 from __future__ import annotations
@@ -30,24 +30,6 @@ from typing import Iterator
 from repro.errors import ModelViolation
 from repro.sim.message import Message
 from repro.types import Payload, ProcessId, Round
-
-
-class _BehaviorCounts:
-    """Process-wide tally of :class:`Behavior` records built.
-
-    The behavior-side companion of
-    :data:`repro.sim.message.MATERIALIZED`: consumers read deltas via
-    :func:`repro.sim.engine.object_counts`, never reset it.
-    """
-
-    __slots__ = ("behaviors",)
-
-    def __init__(self) -> None:
-        self.behaviors = 0
-
-
-BUILT = _BehaviorCounts()
-"""The interpreter-wide behavior construction tally."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,7 +237,6 @@ class Behavior:
     def __post_init__(self) -> None:
         if not self.fragments:
             raise ValueError("a behavior has at least one fragment")
-        BUILT.behaviors += 1
 
     @property
     def process(self) -> ProcessId:

@@ -7,6 +7,7 @@ loading any producer-side code.
 """
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -15,6 +16,14 @@ import pytest
 
 import repro
 from repro.certify.verifier import verify_certificate
+
+# Children keep the caller's bytecode setting, so a run with
+# PYTHONDONTWRITEBYTECODE writes no __pycache__ into src/.
+BYTECODE_ENV = {
+    key: value
+    for key, value in os.environ.items()
+    if key == "PYTHONDONTWRITEBYTECODE"
+}
 
 
 class TestAcceptance:
@@ -119,7 +128,7 @@ class TestVerifierIndependence:
         )
         completed = subprocess.run(
             [sys.executable, "-c", script],
-            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin", **BYTECODE_ENV},
             capture_output=True,
             text=True,
             check=True,

@@ -25,11 +25,7 @@ from repro.omission.isolation import isolate_group
 from repro.protocols.base import ProtocolSpec
 from repro.protocols.subquadratic import ring_token_spec
 from repro.protocols.weak_consensus import broadcast_weak_consensus_spec
-from repro.sim.engine import (
-    EarlyStopPolicy,
-    object_counts,
-    object_counts_delta,
-)
+from repro.sim.engine import EarlyStopPolicy
 from repro.sim.process import Process
 
 
@@ -107,18 +103,18 @@ def test_object_and_mask_engines_agree(name, builder, n, t, traced):
         cache = ExecutionCache()
         ledger = RunLedger() if traced else None
         tracer = LedgerTracer(ledger) if traced else NULL_TRACER
-        before = object_counts()
         outcome = attack_weak_consensus(
             spec, certify=True, reuse=reuse, cache=cache, tracer=tracer
         )
-        assert object_counts_delta(before)["masks_built"] > 0
+        assert outcome.rounds_simulated > 0
         if traced:
-            rounds = [
-                event
-                for event in ledger.events
-                if event.kind == "counter" and event.name == "engine.round"
+            counters = [
+                event for event in ledger.events if event.kind == "counter"
             ]
+            rounds = [e for e in counters if e.name == "engine.round"]
             assert len(rounds) == outcome.rounds_simulated
+            (masks,) = [e for e in counters if e.name == "engine.masks_built"]
+            assert masks.value == 4 * n * outcome.rounds_simulated
         _assert_cache_matches_object_engine(spec, cache)
 
 

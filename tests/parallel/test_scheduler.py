@@ -11,7 +11,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.lowerbound.driver import ExecutionCache
 from repro.parallel import (
     AttackJob,
     CacheStats,
@@ -127,24 +126,17 @@ class TestPerCellErrors:
 
 
 class TestCacheStatsMerge:
-    def test_merge_stats_folds_counters_only(self):
-        target = ExecutionCache()
-        target.hits, target.alias_hits, target.misses = 1, 2, 3
-        target.merge_stats(CacheStats(hits=10, alias_hits=20, misses=30))
-        assert (target.hits, target.alias_hits, target.misses) == (
-            11,
-            22,
-            33,
-        )
-        # Entries and fork states are untouched: counters only.
-        assert target._entries == {}
-        assert target._kernel_states == {}
+    def test_merged_leaves_its_operands_alone(self):
+        left, right = CacheStats(1, 2, 3), CacheStats(10, 20, 30)
+        assert left.merged(right) == CacheStats(11, 22, 33)
+        # A new counter set: both operands keep their counts.
+        assert (left, right) == (CacheStats(1, 2, 3), CacheStats(10, 20, 30))
 
-    def test_merge_stats_accepts_other_caches(self):
-        left, right = ExecutionCache(), ExecutionCache()
-        left.hits, right.hits = 5, 7
-        left.merge_stats(right)
-        assert left.hits == 12
+    def test_merged_folds_from_the_empty_stats(self):
+        total = CacheStats()
+        for hits in (5, 7):
+            total = total.merged(CacheStats(hits=hits))
+        assert total == CacheStats(hits=12)
 
     def test_cachestats_merged_is_elementwise(self):
         merged = CacheStats(1, 2, 3).merged(CacheStats(4, 5, 6))

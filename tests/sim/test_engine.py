@@ -31,8 +31,6 @@ from repro.sim.engine import (
     RoundEngine,
     RoundObserver,
     TraceRecorder,
-    object_counts,
-    object_counts_delta,
 )
 from repro.sim.kernel import (
     PrefixForker,
@@ -361,20 +359,18 @@ class TestCheckpointResume:
     def test_unregistered_checkpointer_copies_nothing(self):
         """Lazy checkpointing: no requested fork, no deep-copies."""
         spec = phase_king_spec(6, 1)
-        before = object_counts()
-        self._forker(spec, 1)
-        assert object_counts_delta(before)["machine_snapshots"] == 0
+        _config, _base, forker = self._forker(spec, 1)
+        assert forker.machines_copied == 0
 
     def test_only_registered_rounds_are_snapshotted(self):
         spec = phase_king_spec(6, 1)
         _config, _base, forker = self._forker(spec, 1)
-        before = object_counts()
-        forker.machines_at(2)
-        forker.machines_at(4)
+        _machines, first = forker.machines_at(2)
+        _machines, second = forker.machines_at(4)
         # Per requested round, one memoized snapshot and one handed-out
         # copy of six machines; rounds 1 and 3 are replayed, not copied.
-        assert object_counts_delta(before)["machine_snapshots"] == 24
-        assert forker.rounds_replayed == 3
+        assert forker.machines_copied == 24
+        assert first + second == 3
 
 
 class TestSimulatorEntryPoints:

@@ -25,7 +25,10 @@ from hypothesis import strategies as st
 
 from repro.errors import ModelViolation
 from repro.experiments import CHEATERS
+from repro.lowerbound.driver import ExecutionCache, attack_weak_consensus
 from repro.lowerbound.partition import canonical_partition
+from repro.obs.ledger import RunLedger
+from repro.obs.tracer import LedgerTracer
 from repro.omission.isolation import IsolationAdversary, isolate_group
 from repro.omission.masks import compile_omissions
 from repro.protocols.phase_king import phase_king_spec
@@ -38,12 +41,7 @@ from repro.sim.adversary import (
     OmissionSchedule,
     ScheduledOmissionAdversary,
 )
-from repro.sim.engine import (
-    EarlyStopPolicy,
-    RoundObserver,
-    object_counts,
-    object_counts_delta,
-)
+from repro.sim.engine import EarlyStopPolicy, RoundObserver
 from repro.sim.execution import check_execution
 from repro.sim.kernel import (
     KernelOracle,
@@ -232,15 +230,25 @@ class TestEngineEquivalence:
             assert forked.to_execution() == spec.run_uniform(0, adversary)
 
     def test_kernel_counters_accumulate(self):
+        """A traced attack counts its kernel work: 4 masks per process
+        per simulated round, and one popcount per correct sender per
+        round of each distinct run it took the message count of."""
         spec = phase_king_spec(7, 2)
-        before = object_counts()
-        trace = _kernel_uniform(spec, 1, None)
-        trace.message_complexity()
-        delta = object_counts_delta(before)
-        # 4 masks per process per round, one popcount per correct
-        # sender per round.
-        assert delta["masks_built"] == 4 * 7 * trace.rounds
-        assert delta["popcounts"] == 7 * trace.rounds
+        cache = ExecutionCache()
+        ledger = RunLedger()
+        attack_weak_consensus(spec, cache=cache, tracer=LedgerTracer(ledger))
+        counters = {
+            event.name: event.value
+            for event in ledger.events
+            if event.kind == "counter"
+        }
+        assert counters["engine.masks_built"] == (
+            4 * 7 * counters["engine.rounds_simulated"]
+        )
+        runs = {id(entry.run): entry.run for entry in cache._entries.values()}
+        assert counters["engine.popcounts"] == sum(
+            len(run.correct) * run.rounds for run in runs.values()
+        )
 
 
 class _RoundStream(RoundObserver):

@@ -1,6 +1,7 @@
 """Tests for execution JSON serialization."""
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,14 @@ from repro.sim.serialization import (
     executions_to_tables,
 )
 from repro.sim.state import Behavior, Fragment, StateSnapshot
+
+# Children keep the caller's bytecode setting, so a run with
+# PYTHONDONTWRITEBYTECODE writes no __pycache__ into src/.
+BYTECODE_ENV = {
+    key: value
+    for key, value in os.environ.items()
+    if key == "PYTHONDONTWRITEBYTECODE"
+}
 
 
 class TestPayloadCodec:
@@ -143,6 +152,7 @@ class TestCanonicalEncoding:
                 "PYTHONPATH": src,
                 "PYTHONHASHSEED": seed,
                 "PATH": "/usr/bin:/bin",
+                **BYTECODE_ENV,
             },
             capture_output=True,
             text=True,
@@ -238,6 +248,7 @@ class TestExecutionRoundtrip:
                 "PYTHONPATH": src,
                 "PYTHONHASHSEED": seed,
                 "PATH": "/usr/bin:/bin",
+                **BYTECODE_ENV,
             },
             capture_output=True,
             text=True,

@@ -965,34 +965,44 @@ class TestTimeTravelCommands:
 
 
 class TestParseInterval:
-    """The one ``--interval`` validator (``top`` and ``log tail``)."""
+    """The one ``--interval`` validator: the argument type of ``top`` and
+    ``log tail``."""
 
     def test_accepts_positive_numbers(self):
-        from repro.cli import parse_interval
+        from repro.cli import _interval
 
-        assert parse_interval("2.5") == 2.5
-        assert parse_interval(3) == 3.0
-        assert parse_interval("0.001") == 0.001
+        assert _interval("2.5") == 2.5
+        assert _interval("3") == 3.0
+        assert _interval("0.001") == 0.001
 
     @pytest.mark.parametrize(
         "bad", ["0", "-1", "abc", "nan", "", None, float("nan")]
     )
     def test_rejects_nonpositive_and_unparsable(self, bad):
-        from repro.cli import parse_interval
-        from repro.errors import ReproError
+        import argparse
 
-        with pytest.raises(ReproError) as excinfo:
-            parse_interval(bad)
-        assert "--interval expects a positive number" in str(
-            excinfo.value
-        )
+        from repro.cli import _interval
+
+        # The value as typed on a command line.
+        with pytest.raises(argparse.ArgumentTypeError) as excinfo:
+            _interval(str(bad))
+        assert "expected a positive finite number" in str(excinfo.value)
+
+    @pytest.mark.parametrize("huge", ["inf", "1e10", "9223372037"])
+    def test_rejects_what_sleep_cannot_wait(self, huge):
+        import argparse
+        import threading
+
+        from repro.cli import _interval
+
+        with pytest.raises(argparse.ArgumentTypeError):
+            _interval(huge)
+        assert _interval(str(threading.TIMEOUT_MAX)) == threading.TIMEOUT_MAX
 
     def test_default_interval_is_valid(self):
-        from repro.cli import parse_interval
-
         parser = build_parser()
         for argv in (["top", "--log", "x"], ["log", "tail", "x"]):
-            assert parse_interval(parser.parse_args(argv).interval) > 0
+            assert parser.parse_args(argv).interval > 0
 
 
 class TestLogReaderDiagnostics:
@@ -1118,7 +1128,7 @@ class TestObservabilityCommands:
         return log_path
 
     # ------------------------------------------------------------------
-    # uniform interval validation (exit 1, one-line diagnostic)
+    # uniform interval validation (usage error: exit 2, one diagnostic)
     # ------------------------------------------------------------------
 
     @pytest.mark.parametrize(
@@ -1127,15 +1137,20 @@ class TestObservabilityCommands:
             ["log", "tail", "x.worldlog", "--interval", "0"],
             ["top", "--log", "x.worldlog", "--interval", "-1"],
             ["top", "--log", "x.worldlog", "--interval", "abc"],
+            ["log", "tail", "x.worldlog", "--follow", "--interval", "inf"],
+            ["top", "--log", "x.worldlog", "--interval", "1e10"],
         ],
     )
     def test_nonpositive_intervals_are_domain_errors(
         self, argv, capsys
     ):
-        assert main(argv) == 1
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "error: --interval expects a positive number" in err
+        assert "Traceback" not in err
+        (diagnostic,) = [line for line in err.splitlines() if "error:" in line]
+        assert "error: argument --interval: expected" in diagnostic
 
     # ------------------------------------------------------------------
     # log tail

@@ -7,6 +7,7 @@ exports before users do.
 
 import importlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -36,12 +37,20 @@ LAZY_PACKAGES = PACKAGES[1:]
 
 SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
+# Children keep the caller's bytecode setting, so a run with
+# PYTHONDONTWRITEBYTECODE writes no __pycache__ into src/.
+BYTECODE_ENV = {
+    key: value
+    for key, value in os.environ.items()
+    if key == "PYTHONDONTWRITEBYTECODE"
+}
+
 
 def fresh_python(script):
     """Run ``script`` in a new interpreter; its last stdout line as JSON."""
     completed = subprocess.run(
         [sys.executable, "-c", script],
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", **BYTECODE_ENV},
         capture_output=True,
         text=True,
         check=True,

@@ -303,9 +303,6 @@ ALLOWED_NAMES = {
     ("repro.certify.format", "Certificate.verdict"): (
         "the claim's verdict as tests/certify read it"
     ),
-    ("repro.parallel.jobs", "CacheStats.merged"): (
-        "the reference sum of tests/parallel/test_scheduler.py"
-    ),
 }
 
 _FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
