@@ -898,17 +898,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.protocol == "matrix":
             import os
 
-            from repro.parallel import AttackJob, SweepScheduler
+            from repro.experiments import run_e3
 
             out_dir = args.out or "certificates"
             os.makedirs(out_dir, exist_ok=True)
-            matrix = [
-                AttackJob(builder=name, n=t + 4, t=t, certify=True)
-                for name in sorted(CHEATERS)
-                for t in (8, 16, 24)
-            ]
-            report = SweepScheduler(jobs=args.jobs).run(matrix)
-            report.raise_errors()
+            report = run_e3(jobs=args.jobs).data["sweep"]
             for cell in report.cells:
                 assert cell.result is not None
                 assert cell.result.certificate is not None

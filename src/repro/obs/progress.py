@@ -1,4 +1,4 @@
-"""Live sweep progress: heartbeat accounting and the stderr status line.
+"""Live sweep progress: the stderr status line and its heartbeat thread.
 
 A multi-minute sweep (the E3 cheater matrix, a ``--jobs N`` fan-out) was
 previously silent until the gather step returned; this module closes the
@@ -9,18 +9,16 @@ liveness gap.  :class:`SweepProgress` is the shared tracker the
   a cell is launched (serial) or submitted (process pool) and
   :meth:`SweepProgress.note_done` when it completes;
 * a monitor thread (:class:`HeartbeatMonitor`) calls
-  :meth:`SweepProgress.tick` on a fixed interval, crediting one
-  *heartbeat* to every in-flight cell and refreshing the status line;
+  :meth:`SweepProgress.tick` on a fixed interval, refreshing the status
+  line between completions;
 * the status line — **stderr only**, stdout stays machine-readable —
   shows ``done/total`` cells, elapsed, an ETA extrapolated from the
   completed cells, and a ``STALLED`` flag once no cell has completed
   within the configured quiet period.
 
-Heartbeat *counts* are wall-clock telemetry (they differ run to run and
-backend to backend); the scheduler serializes them into the run ledger
-at gather time, one deterministic ``cell.start`` / ``cell.heartbeat`` /
-``cell.done`` triple per cell in submission order, so the spliced event
-*order* stays backend-independent (the PR-4 splice contract).
+Nothing here reaches the run ledger: the scheduler writes each cell's
+deterministic ``cell.start`` / ``cell.done`` pair at gather time, in
+submission order, and the cell's time is its ``cell.wall_seconds``.
 
 Everything here is stdlib-only and injectable: the tests drive a fake
 clock and a string stream, never a real timer thread.
@@ -50,10 +48,9 @@ class SweepProgress:
 
     Args:
         total: how many cells the sweep will run.
-        stream: where status lines go (``None`` disables output — the
-            tracker still accounts heartbeats for the ledger).  Status
-            output belongs on **stderr**; passing stdout would break the
-            CLI's stream-hygiene contract.
+        stream: where status lines go (``None`` disables output).
+            Status output belongs on **stderr**; passing stdout would
+            break the CLI's stream-hygiene contract.
         stall_after: the quiet period (seconds): once no cell has
             completed for this long while cells remain, the line grows a
             ``STALLED`` flag naming the longest-running cell.
@@ -73,7 +70,6 @@ class SweepProgress:
         self.total = total
         self.stall_after = stall_after
         self.label = label
-        self.heartbeats: dict[str, int] = {}
         self._stream = stream
         self._clock = clock
         self._lock = threading.Lock()
@@ -87,7 +83,6 @@ class SweepProgress:
         """Record that ``label``'s cell is now in flight."""
         with self._lock:
             self._started[label] = self._clock()
-            self.heartbeats.setdefault(label, 0)
 
     def note_done(self, label: str) -> None:
         """Record that ``label``'s cell completed.
@@ -103,10 +98,8 @@ class SweepProgress:
         self._emit(line)
 
     def tick(self) -> None:
-        """One heartbeat: credit in-flight cells, refresh the line."""
+        """One heartbeat: refresh the line."""
         with self._lock:
-            for label in self._started:
-                self.heartbeats[label] = self.heartbeats.get(label, 0) + 1
             line = self._line()
         self._emit(line)
 
@@ -167,8 +160,8 @@ class HeartbeatMonitor:
             ...  # run cells
 
     The thread stops (and joins) on exit; a zero or negative interval
-    disables the thread entirely, leaving heartbeat counts at zero —
-    the deterministic ledger events are emitted either way.
+    disables the thread entirely, so the line is repainted only as
+    cells complete.
     """
 
     def __init__(

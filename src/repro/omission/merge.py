@@ -20,7 +20,8 @@ Implementation note: Algorithm 5 recomputes every process through the
 transition function (its line 18 applies 𝒜 to *all* processes), feeding
 group A the full ``to_i`` and groups B/C their *recorded* received sets.
 Determinism makes the recomputed B/C behaviour coincide with the records;
-we assert that coincidence (``strict_replay``) instead of trusting it.
+we assert that coincidence (the replay cross-check) instead of trusting
+it, and machine-check Lemma 16's conclusions on every merge.
 """
 
 from __future__ import annotations
@@ -126,9 +127,6 @@ def merge(
     exec_b: Execution,
     exec_c: Execution,
     factory: ProcessFactory,
-    *,
-    check: bool = True,
-    strict_replay: bool = True,
 ) -> Execution:
     """Algorithm 5: splice two mergeable executions into one.
 
@@ -138,17 +136,17 @@ def merge(
         exec_c: the recorded ``E_b^{C(k_C)}``.
         factory: the algorithm under test (builds honest machines); must be
             the same algorithm that produced both recorded executions.
-        check: validate the result (execution conditions, both isolations,
-            indistinguishability to B and C — i.e. Lemma 16's conclusions).
-        strict_replay: assert that re-running B/C machines on their
-            recorded received sets reproduces their recorded sends
-            (determinism cross-check).
+
+    The inputs must be mergeable (:func:`check_merge_inputs`); re-running
+    the B/C machines on their recorded received sets must reproduce
+    their recorded sends (the determinism cross-check); and the result
+    is validated against Lemma 16's conclusions
+    (:func:`check_merge_result`).
 
     Returns:
         The merged execution with ``faulty = B ∪ C``.
     """
-    if check:
-        check_merge_inputs(spec, exec_b, exec_c)
+    check_merge_inputs(spec, exec_b, exec_c)
     n = exec_b.n
     horizon = exec_b.rounds
     group_b, group_c = spec.group_b, spec.group_c
@@ -173,7 +171,7 @@ def merge(
                 Message(pid, receiver, round_, payload)
                 for receiver, payload in mapping.items()
             )
-            if strict_replay and (pid in group_b or pid in group_c):
+            if pid in group_b or pid in group_c:
                 recorded = record_for(pid).behavior(pid).fragment(
                     round_
                 ).all_outgoing
@@ -229,8 +227,7 @@ def merge(
             for pid in range(n)
         ),
     )
-    if check:
-        check_merge_result(spec, exec_b, exec_c, merged)
+    check_merge_result(spec, exec_b, exec_c, merged)
     return merged
 
 

@@ -29,9 +29,10 @@ scheduler can account wall time, cache counters and engine round counts
 uniformly across job kinds.
 
 :func:`execute_job` is the one way a job runs, inline or in a worker
-process: it gives the job's ``run`` a tracer, times it and attaches the
-cell's events.  A job with ``ledger=True`` is traced into a private
-:class:`~repro.obs.ledger.RunLedger` whose events carry the cell's
+process: it gives the job's ``run`` a tracer, times it, attaches the
+cell's events, and turns a job's exception into the job's ``job.error``
+body where the job ran.  A job with ``ledger=True`` is traced into a
+private :class:`~repro.obs.ledger.RunLedger` whose events carry the cell's
 label, and the segment travels home as picklable tuples
 (``JobResult.events``); the scheduler splices the segments into one
 ordered sweep ledger at gather.  Every worker count runs this code, so
@@ -385,7 +386,7 @@ SweepJob = AttackJob | MeasureJob | ClassifyJob
 """The union of job kinds a scheduler (and the job service) accepts."""
 
 
-def execute_job(job: SweepJob) -> JobResult:
+def execute_job(job: SweepJob) -> JobResult | dict[str, Any]:
     """Run one job, timed and (with ``job.ledger``) traced.
 
     The tracer is the shared no-op
@@ -396,6 +397,14 @@ def execute_job(job: SweepJob) -> JobResult:
     into the sweep ledger.  Module-level (hence picklable) so
     :class:`concurrent.futures.ProcessPoolExecutor` can ship it; the
     scheduler's inline cells and the job server run it too.
+
+    This is the one place a job's exception is caught.  A job that
+    raises returns its ``job.error`` body
+    (:func:`~repro.worldlog.codec.encode_job_error`, ``error_kind``
+    ``"exception"``) instead: its traceback is formatted here, where
+    the job ran, so a failure records the same ``message`` and
+    ``detail`` inline, in a pool worker or in the server, and no
+    exception the parent could not unpickle ever crosses a pool.
     """
     from repro.obs.ledger import RunLedger, cell_label
     from repro.obs.tracer import NULL_TRACER, LedgerTracer
@@ -407,7 +416,14 @@ def execute_job(job: SweepJob) -> JobResult:
         else LedgerTracer(ledger, cell_id=cell_label(job.key))
     )
     begin = time.perf_counter()
-    result = job.run(tracer)
+    try:
+        result = job.run(tracer)
+    except Exception as exc:
+        from repro.worldlog.codec import encode_job_error
+
+        return encode_job_error(
+            "exception", exc, time.perf_counter() - begin
+        )
     return replace(
         result,
         wall_seconds=time.perf_counter() - begin,

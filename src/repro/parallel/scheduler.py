@@ -18,12 +18,14 @@ up front, and the loop takes each cell's result from its future.  With
 in-process with :func:`~repro.parallel.jobs.execute_job` (backend
 ``"serial"``; ``"process"`` with a pool).  Either way results are
 *gathered in deterministic cell order* regardless of completion order,
-per-cell failures (job exceptions, even a broken pool) are captured as
-structured :class:`CellError` records without aborting the other
-cells, and per-worker cache counters are summed into one aggregate with
-``CacheStats.merged``.  Leaving the loop by an exception (a
-world-log append that fails, an interrupt) cancels every cell the pool
-has not started.
+a job that raises is a structured per-cell :class:`CellError` without
+aborting the other cells (``execute_job`` turns the exception into the
+cell's ``job.error`` body where the job ran, so a failure records the
+same payload for every worker count), and per-worker cache counters are
+summed into one aggregate with ``CacheStats.merged``.  A worker process
+that dies breaks the pool: each cell it poisons is re-run inline.
+Leaving the loop by an exception (a world-log append that fails, an
+interrupt) cancels every cell the pool has not started.
 
 The gathered :class:`SweepReport` carries per-cell wall times, merged
 cache accounting (hits / alias hits / misses), aggregate engine round
@@ -62,10 +64,12 @@ class CellError:
     """A structured per-cell failure record.
 
     Attributes:
-        kind: ``"exception"`` (the job raised), ``"broken-pool"`` (the
-            worker process died and the in-process retry also failed)
-            or ``"certificate"`` (the cell's shipped attack certificate
-            failed the gather step's independent verification).
+        kind: ``"exception"`` (the job raised, inline, in a worker or
+            in the inline re-run of a cell whose worker died) or
+            ``"certificate"`` (the cell's shipped attack certificate
+            failed the gather step's independent verification).  A
+            recalled ``job.error`` a job server wrote may also carry
+            ``"broken-pool"``.
         message: the one-line failure description.
         detail: the formatted traceback, when there is one.
     """
@@ -228,6 +232,23 @@ def _error_cell(
     )
 
 
+def _pooled_outcome(
+    future: Any, job: SweepJob
+) -> JobResult | dict[str, Any]:
+    """A pooled cell's outcome.
+
+    A dead worker process (``BrokenProcessPool``) poisons every pending
+    future in the pool, so the cell is re-run inline: the other cells
+    must not pay for one crash.
+    """
+    from concurrent.futures import BrokenExecutor
+
+    try:
+        return future.result()
+    except BrokenExecutor:
+        return execute_job(job)
+
+
 def _reuse(
     index: int,
     recalled: dict[int, SweepCell | int],
@@ -262,9 +283,9 @@ class SweepScheduler:
             progress stream while the sweep runs.  The line goes to
             **stderr** (or the injected stream) only — stdout stays
             machine-readable under ``--jobs N``.
-        heartbeat_interval: seconds between heartbeat ticks when
-            ``progress`` is enabled; nonpositive disables the thread
-            (cell lifecycle events still reach the ledger).
+        heartbeat_interval: seconds between status-line repaints
+            when ``progress`` is enabled; nonpositive disables the
+            thread (cell lifecycle events still reach the ledger).
         stall_after: quiet period (seconds without a completion) after
             which the status line flags the sweep as stalled.
         progress_stream: status-line destination; defaults to stderr.
@@ -284,13 +305,10 @@ class SweepScheduler:
             specs, not positions: a different matrix recalls the keys
             it shares, and a repeated spec runs once.
 
-    Whether or not ``progress`` is on, a carried ledger receives three
-    deterministic lifecycle events per cell — ``cell.start``, a
-    ``cell.heartbeat`` counter (value = ticks observed; wall-clock
-    telemetry, like ``cell.wall_seconds``) and ``cell.done`` — emitted
-    at gather time in submission order, so the spliced event *order*
-    is the same for every worker count even though heartbeat counts
-    differ run to run.
+    Whether or not ``progress`` is on, a carried ledger receives the
+    deterministic lifecycle events ``cell.start`` and ``cell.done`` for
+    every cell, emitted at gather time in submission order, so the
+    spliced event *order* is the same for every worker count.
     """
 
     jobs: int = 1
@@ -340,7 +358,7 @@ class SweepScheduler:
         if self.progress:
             tracker.close()
         wall = time.perf_counter() - begin
-        return self._gather(cells, wall, tracker)
+        return self._gather(cells, wall)
 
     def _stream(self) -> Any:
         return (
@@ -395,17 +413,11 @@ class SweepScheduler:
                     # disk, or an earlier cell with the same spec.
                     cells.append(_reuse(index, recalled, cells))
                 else:
-                    begin = time.perf_counter()
-                    try:
-                        outcome = (
-                            execute_job(job)
-                            if future is None
-                            else future.result()
-                        )
-                    except Exception as exc:  # structured, not fatal
-                        outcome = self._recover(
-                            job, exc, keys[index], begin
-                        )
+                    outcome = (
+                        execute_job(job)
+                        if future is None
+                        else _pooled_outcome(future, job)
+                    )
                     cells.append(
                         self._record_cell(index, job, outcome, keys[index])
                     )
@@ -496,49 +508,14 @@ class SweepScheduler:
             cell = _error_cell(index, job.key, outcome)
         if self.worldlog is not None:
             from repro.obs.ledger import cell_label
-            from repro.worldlog.codec import encode_job_result
+            from repro.worldlog.codec import terminal_record
 
-            if cell.result is not None:
-                kind = "job.result"
-                payload = {"key": key, "result": encode_job_result(outcome)}
-            else:
-                kind, payload = "job.error", outcome
+            kind, payload = terminal_record(key, outcome)
             self.worldlog.append(kind, payload, cell_id=cell_label(job.key))
         return cell
 
-    def _recover(
-        self, job: SweepJob, exc: BaseException, key: str, begin: float
-    ) -> JobResult | dict[str, Any]:
-        """A failed cell's ``job.error`` payload, or its re-run result.
-
-        A job that raised is a per-cell failure, timed from ``begin``
-        (when the loop reached the cell).  A *dead worker process*
-        (``BrokenProcessPool``) poisons every pending future in the
-        pool, so the affected cell is re-run inline — the other cells
-        must not pay for one crash — and is a ``"broken-pool"`` failure
-        only if the re-run fails too.
-        """
-        from concurrent.futures import BrokenExecutor
-
-        from repro.worldlog.codec import encode_job_error
-
-        if not isinstance(exc, BrokenExecutor):
-            return encode_job_error(
-                key, "exception", exc, time.perf_counter() - begin
-            )
-        begin = time.perf_counter()
-        try:
-            return execute_job(job)
-        except Exception as retry_exc:
-            return encode_job_error(
-                key, "broken-pool", retry_exc, time.perf_counter() - begin
-            )
-
     def _gather(
-        self,
-        cells: Sequence[SweepCell],
-        wall: float,
-        tracker: SweepProgress,
+        self, cells: Sequence[SweepCell], wall: float
     ) -> SweepReport:
         """Merge per-worker counters into the aggregate report.
 
@@ -562,7 +539,7 @@ class SweepScheduler:
             # crash mid-gather followed by a resume cannot duplicate
             # spliced events.
             self.worldlog.append("gather.start", {"cells": len(cells)})
-        self._splice_ledger(cells, tracker)
+        self._splice_ledger(cells)
         cache = CacheStats()
         rounds_simulated = 0
         rounds_baseline = 0
@@ -587,22 +564,20 @@ class SweepScheduler:
             certificates_verified=certificates_verified,
         )
 
-    def _splice_ledger(
-        self, cells: Sequence[SweepCell], tracker: SweepProgress
-    ) -> None:
+    def _splice_ledger(self, cells: Sequence[SweepCell]) -> None:
         """Fold every cell's telemetry into the sweep ledger, in order.
 
         For each cell (submission order): a ``cell.start`` marker, then
         the worker's shipped event segment — run ids rewritten to the
         sweep's, worker ids and timestamps preserved — then the
-        gather's own view of the cell (heartbeat count, wall-clock
-        gauge, error counter or certificate-verdict artifact) closed by
-        ``cell.done``.  Lifecycle events are serialized here rather
-        than live from the monitor thread so the spliced event *order*
-        is identical for every worker count; only the heartbeat/wall
-        *values* are wall-clock telemetry.  Certificate verdicts are
-        emitted here, not in the worker, because acceptance is decided
-        by the gather step's independent verifier.
+        gather's own view of the cell (wall-clock gauge, error counter
+        or certificate-verdict artifact) closed by ``cell.done``.
+        Lifecycle events are serialized here rather than live as cells
+        finish, so the spliced event *order* is identical for every
+        worker count; only the wall *value* is wall-clock telemetry.
+        Certificate verdicts are emitted here, not in the worker,
+        because acceptance is decided by the gather step's independent
+        verifier.
         """
         from repro.obs.ledger import cell_label
 
@@ -615,12 +590,6 @@ class SweepScheduler:
             )
             if cell.result is not None and cell.result.events:
                 self.ledger.splice(cell.result.events)
-            self.ledger.emit(
-                "counter",
-                "cell.heartbeat",
-                value=tracker.heartbeats.get(label, 0),
-                cell_id=label,
-            )
             self.ledger.emit(
                 "gauge",
                 "cell.wall_seconds",

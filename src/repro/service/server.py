@@ -29,7 +29,10 @@ Determinism: a job's ledger events ship *inside* its ``job.result``
 payload (the :func:`~repro.worldlog.codec.encode_job_result` envelope),
 never as separate records — the terminal record is the atomic unit, so
 an interrupted-and-resumed run's per-key values, certificates and event
-order signatures are bit-identical to an uninterrupted run's.
+order signatures are bit-identical to an uninterrupted run's.  Both
+terminal records are built by
+:func:`~repro.worldlog.codec.terminal_record`, as the sweep
+scheduler's are.
 
 Live state is the replay fold: the server keeps the
 :class:`~repro.worldlog.replay.ReplayState` recovery returned, applies
@@ -43,14 +46,16 @@ Threading model: the fold, quota and log all live on the
 event-loop thread.  Only :func:`~repro.parallel.jobs.execute_job`
 leaves it — to a ``ThreadPoolExecutor`` (``jobs=1``; in-process, no
 pickling) or a ``ProcessPoolExecutor`` (``jobs>1``; the sweep
-scheduler's pool type), both driving the same job kernel.  The server keeps its own executor,
-not the scheduler's gather loop, because its event loop must never
-block on a job.  A worker process that dies breaks
-its pool; the server replaces the pool and re-runs each job the break
-failed once, recording ``error_kind`` ``"broken-pool"`` only when the
-re-run fails too.  :meth:`JobServer.request_shutdown`
-and the ``ready`` event are the thread-safe control surface the CLI and
-tests use.
+scheduler's pool type), both driving the same job kernel.  A job that
+raises comes back as its ``job.error`` body, built where the job ran,
+so ``jobs=1`` and ``jobs>1`` record the same ``message`` and
+``detail``.  The server keeps its own executor, not the scheduler's
+gather loop, because its event loop must never block on a job.  A
+worker process that dies breaks its pool; the server replaces the pool
+and re-runs each job the break failed once, recording ``error_kind``
+``"broken-pool"`` only when the re-run dies too.
+:meth:`JobServer.request_shutdown` and the ``ready`` event are the
+thread-safe control surface the CLI and tests use.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ from repro.worldlog.codec import (
     decode_job,
     encode_job,
     encode_job_error,
-    encode_job_result,
+    terminal_record,
 )
 from repro.worldlog.record import Record
 from repro.worldlog.replay import ReplayState
@@ -278,33 +283,26 @@ class JobServer:
             await self._run_job(key, job, cell_id)
 
     async def _run_job(self, key: str, job: Any, cell_id: str) -> None:
+        """Run ``job`` and append its terminal record.
+
+        A job that raises comes back from ``execute_job`` as its
+        ``job.error`` body, so the one failure caught here is a dead
+        worker's.
+        """
         begin = self._running[key]
-        error_kind = "exception"
         try:
             try:
-                result = await self._execute(job)
+                outcome = await self._execute(job)
             except concurrent.futures.BrokenExecutor:
                 # A dead worker, not necessarily this job's: re-run it
-                # once on the fresh pool, as the sweep scheduler does.
-                error_kind = "broken-pool"
-                result = await self._execute(job)
-        except BaseException as exc:
-            self._append(
-                "job.error",
-                encode_job_error(
-                    key,
-                    error_kind,
-                    exc,
-                    time.perf_counter() - begin,
-                ),
-                cell_id,
+                # once on the fresh pool.
+                outcome = await self._execute(job)
+        except concurrent.futures.BrokenExecutor as exc:
+            outcome = encode_job_error(
+                "broken-pool", exc, time.perf_counter() - begin
             )
-        else:
-            self._append(
-                "job.result",
-                {"key": key, "result": encode_job_result(result)},
-                cell_id,
-            )
+        kind, payload = terminal_record(key, outcome)
+        self._append(kind, payload, cell_id)
         self._running.pop(key, None)
 
     # ------------------------------------------------------------------

@@ -643,7 +643,6 @@ def fork_kernel(
     base: KernelTrace,
     from_round: Round,
     *,
-    early_stop: str | None = None,
     observers: Sequence[RoundObserver] = (),
 ) -> KernelTrace:
     """Fan a candidate out of a shared fault-free prefix as a mask delta.
@@ -682,7 +681,7 @@ def fork_kernel(
         config.rounds,
         rows,
         base.proposals,
-        early_stop,
+        None,  # a fork always runs to the horizon
         config.check,
         observers,
     )

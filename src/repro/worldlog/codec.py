@@ -20,9 +20,11 @@ An attack outcome's violation witness is recorded once:
 * a record written before either rule carries a per-execution
   ``"format": 1`` witness, which still decodes.
 
-A failed job's ``job.error`` payload is built here too
-(:func:`encode_job_error`), for the sweep scheduler and the job server
-alike.
+Both terminal records are built here, by :func:`terminal_record`, for
+the sweep scheduler and the job server alike: a shipped ``JobResult``
+makes a ``job.result``, and a ``job.error`` body
+(:func:`encode_job_error`, built where the job ran by
+:func:`~repro.parallel.jobs.execute_job`) makes a ``job.error``.
 
 Wall-clock fields (``wall_seconds``) round-trip verbatim: they are the
 *original* run's telemetry, excluded from outcome equality like every
@@ -358,16 +360,17 @@ def decode_job_result(data: dict[str, Any]) -> Any:
 
 
 def encode_job_error(
-    key: str, error_kind: str, exc: BaseException, wall_seconds: float
+    error_kind: str, exc: BaseException, wall_seconds: float
 ) -> dict[str, Any]:
-    """A failed job's ``job.error`` payload.
+    """A failed job's ``job.error`` body: the payload without its key.
 
     ``message`` is ``"{Type}: {exc}"`` and ``detail`` the formatted
-    traceback; ``error_kind`` is ``"exception"``, or ``"broken-pool"``
-    when the job's worker died and its one re-run failed too.
+    traceback; ``error_kind`` is ``"exception"`` (the job raised, see
+    :func:`~repro.parallel.jobs.execute_job`), or ``"broken-pool"``
+    when a server's worker died under the job and its one re-run died
+    too.
     """
     return {
-        "key": key,
         "error_kind": error_kind,
         "message": f"{type(exc).__name__}: {exc}",
         "detail": "".join(
@@ -375,3 +378,16 @@ def encode_job_error(
         ),
         "wall_seconds": wall_seconds,
     }
+
+
+def terminal_record(key: str, outcome: Any) -> tuple[str, dict[str, Any]]:
+    """The ``(kind, payload)`` of the record that ends job ``key``.
+
+    ``outcome`` is what :func:`~repro.parallel.jobs.execute_job`
+    returned: a ``JobResult`` makes a ``job.result``, and a
+    ``job.error`` body (:func:`encode_job_error`) a ``job.error``.
+    Either payload names its key first.
+    """
+    if isinstance(outcome, dict):
+        return "job.error", {"key": key, **outcome}
+    return "job.result", {"key": key, "result": encode_job_result(outcome)}

@@ -68,9 +68,12 @@ WALL_CLOCK_METRICS = frozenset(
 
 Their presence and order still compare (the run emitted them); their
 measured values and min/max/total attributes do not.
-``cell.heartbeat`` counts the progress ticks a sweep cell was in
-flight for, so two honest runs differ in it whenever a cell outlasts a
-heartbeat interval in one and not the other.
+``cell.heartbeat`` counted the progress ticks a sweep cell was in
+flight for, so two honest runs differed in it whenever a cell outlasted
+a heartbeat interval in one and not the other.  Nothing writes it any
+more (a cell's time is its ``cell.wall_seconds``); it stays here so
+logs written before its retirement still diff empty against their
+twins.
 """
 
 _TIMING_ATTRS = frozenset({"min", "max", "total", "mean"})

@@ -1,8 +1,8 @@
 """Tests for the sweep progress tracker (fake clock, string stream).
 
-No real threads or timers: the tests drive :meth:`SweepProgress.tick`
-and the clock by hand, so heartbeat counts, ETA arithmetic and the
-stall flag are all deterministic.
+No real threads or timers (but one): the tests drive
+:meth:`SweepProgress.tick` and the clock by hand, so the status line,
+ETA arithmetic and the stall flag are all deterministic.
 """
 
 import io
@@ -39,21 +39,31 @@ def _tracker(total, stall_after=30.0, stream=None):
 
 class TestHeartbeats:
     def test_only_in_flight_cells_credited(self):
-        progress, _ = _tracker(3)
+        # A tick repaints the line; the stall flag names only a cell
+        # still in flight, never one that finished earlier.
+        stream = io.StringIO()
+        progress, clock = _tracker(3, stall_after=30.0, stream=stream)
         progress.start("a")
         progress.tick()
-        progress.tick()
+        clock.advance(1.0)
         progress.start("b")
         progress.tick()
         progress.note_done("a")
+        clock.advance(31.0)
         progress.tick()
-        assert progress.heartbeats == {"a": 3, "b": 2}
+        lines = stream.getvalue().splitlines()
+        assert len(lines) == 4
+        assert lines[-1].startswith("sweep: 1/3 cells")
+        assert "longest in flight: b" in lines[-1]
 
     def test_started_cell_without_ticks_records_zero(self):
-        progress, _ = _tracker(1)
+        # Starting a cell paints nothing; only ticks and completions do.
+        stream = io.StringIO()
+        progress, _ = _tracker(1, stream=stream)
         progress.start("a")
+        assert stream.getvalue() == ""
         progress.note_done("a")
-        assert progress.heartbeats == {"a": 0}
+        assert stream.getvalue() == "sweep: 1/1 cells, elapsed 0s\n"
 
     def test_done_counter(self):
         stream = io.StringIO()
@@ -104,7 +114,7 @@ class TestStatusLine:
         progress.start("a")
         progress.tick()
         progress.note_done("a")  # must not raise
-        assert progress.heartbeats["a"] == 1
+        assert progress._line().startswith("sweep: 1/2 cells")
 
     def test_non_tty_stream_gets_full_lines(self):
         stream = io.StringIO()  # isatty() is False
@@ -217,17 +227,19 @@ class TestMonitor:
 
     def test_real_thread_ticks_and_joins(self):
         # The one test with a real (tiny-interval) thread: liveness
-        # only — heartbeat counts are not asserted.
-        progress = SweepProgress(1, stall_after=60.0)
+        # only — how many lines it paints is not asserted.
+        stream = io.StringIO()
+        progress = SweepProgress(1, stream=stream, stall_after=60.0)
         progress.start("a")
-        with HeartbeatMonitor(progress, interval=0.001):
+        with HeartbeatMonitor(progress, interval=0.001) as monitor:
             deadline = 200
-            while not progress.heartbeats.get("a") and deadline:
+            while not stream.getvalue() and deadline:
                 import time
 
                 time.sleep(0.001)
                 deadline -= 1
-        assert progress.heartbeats["a"] >= 1
+        assert monitor._thread is None
+        assert stream.getvalue().startswith("sweep: 0/1 cells")
 
 
 class TestFormatSeconds:

@@ -268,3 +268,102 @@ class TestGatherFailure:
             SweepScheduler(jobs=jobs).run(matrix)
         ran = len(list(tmp_path.glob("cell-*")))
         assert 1 <= ran <= most, ran
+
+
+class _TwoArgError(Exception):
+    """An exception its pickled form cannot rebuild: ``args`` holds one
+    string, but ``__init__`` needs two."""
+
+    def __init__(self, where, why):
+        super().__init__(f"{where}: {why}")
+
+
+class TestOneFailurePath:
+    """A job's exception becomes its ``job.error`` where the job ran,
+    so a failing cell records the same payload for every worker
+    count."""
+
+    CELLS = 6
+    FAILING_N = 10
+
+    def _patch(self, monkeypatch, tmp_path, make_error):
+        import os
+        import tempfile
+
+        from repro.analysis.complexity import SweepPoint
+        from repro.parallel.jobs import JobResult
+
+        def marked_run(self, *tracer):
+            # Forked workers inherit this patch; every run of a cell,
+            # in any process, leaves its own marker.
+            marker, _ = tempfile.mkstemp(
+                prefix=f"cell-{self.n}-", dir=tmp_path
+            )
+            os.close(marker)
+            if self.n == TestOneFailurePath.FAILING_N:
+                raise make_error()
+            point = SweepPoint(self.builder, self.n, self.t, 0, "none")
+            return JobResult(key=self.key, value=point)
+
+        monkeypatch.setattr(MeasureJob, "run", marked_run)
+
+    def _sweep(self, jobs, path):
+        from repro.worldlog import WorldLog, read_worldlog
+
+        matrix = [
+            MeasureJob(builder="silent", n=8 + index, t=4)
+            for index in range(self.CELLS)
+        ]
+        with WorldLog.create(str(path)) as worldlog:
+            report = SweepScheduler(jobs=jobs, worldlog=worldlog).run(
+                matrix
+            )
+        return report, read_worldlog(str(path))
+
+    def test_serial_and_pooled_failures_diff_empty(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.worldlog import diff_logs
+
+        self._patch(
+            monkeypatch, tmp_path, lambda: ValueError("cell refuses")
+        )
+        serial, serial_log = self._sweep(1, tmp_path / "serial.worldlog")
+        pooled, pooled_log = self._sweep(2, tmp_path / "jobs2.worldlog")
+        for report in (serial, pooled):
+            failed = report.errors()
+            assert [cell.key[2] for cell in failed] == [self.FAILING_N]
+            assert failed[0].error.kind == "exception"
+            assert failed[0].error.message == "ValueError: cell refuses"
+        report = diff_logs(serial_log, pooled_log)
+        assert report.ok, report.render()
+
+        def error_payload(records):
+            (payload,) = [
+                {k: v for k, v in r.payload.items() if k != "wall_seconds"}
+                for r in records
+                if r.kind == "job.error"
+            ]
+            return payload
+
+        assert error_payload(serial_log) == error_payload(pooled_log)
+
+    def test_an_unpicklable_exception_breaks_no_pool(
+        self, tmp_path, monkeypatch
+    ):
+        for jobs in (1, 2):
+            marks = tmp_path / f"jobs{jobs}"
+            marks.mkdir()
+            self._patch(
+                monkeypatch, marks, lambda: _TwoArgError("cell", "refuses")
+            )
+            report, _ = self._sweep(jobs, tmp_path / f"{jobs}.worldlog")
+            (failed,) = report.errors()
+            assert failed.key[2] == self.FAILING_N
+            assert failed.error.kind == "exception"
+            assert failed.error.message == "_TwoArgError: cell: refuses"
+            # No dead pool, so no cell ran twice.
+            runs = sorted(
+                int(mark.name.split("-")[1]) for mark in marks.iterdir()
+            )
+            assert runs == [8 + index for index in range(self.CELLS)]

@@ -370,6 +370,31 @@ class TestDeadWorker:
         assert starts == keys  # a re-run is not a second attempt record
 
 
+class TestOneFailurePath:
+    def test_a_failing_job_records_one_error_for_any_pool(self, paths):
+        """A job's exception becomes its ``job.error`` where it ran:
+        the in-process (``jobs=1``) and process-pool (``jobs=2``)
+        servers record the same failure."""
+        sock, log = paths
+        # Admission decodes the job; its builder rejects t >= n.
+        spec = encode_job(MeasureJob("dolev-strong", 2, 2))
+        recorded = []
+        for jobs in (1, 2):
+            sock_path, log_path = f"{sock}{jobs}", f"{log}{jobs}"
+            server, thread = _start(log_path, sock_path, jobs=jobs)
+            client = ServiceClient(sock_path, timeout=120)
+            key = client.submit(spec)["key"]
+            _drain(client, [key])
+            _stop(server, thread)
+            _, errors = _terminals(log_path)
+            recorded.append(errors[key])
+        inline, pooled = recorded
+        assert inline["error_kind"] == "exception"
+        assert inline["message"].startswith("ValueError: need 0 <= t < n")
+        for field in ("error_kind", "message", "detail"):
+            assert inline[field] == pooled[field], field
+
+
 class TestIdempotency:
     def test_resubmitting_a_done_key_runs_nothing(self, paths):
         sock, log = paths

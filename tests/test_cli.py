@@ -184,6 +184,24 @@ class TestWitnessFiles:
         assert "REJECTED" in out
         assert "A.1.5.transition-replay" in out
 
+    def test_certify_matrix_writes_every_e3_certificate(
+        self, tmp_path, capsys
+    ):
+        """``certify matrix`` writes E3's certified cells, one file
+        per cell, and every file passes the standalone verifier."""
+        from repro.certify.verifier import verify_certificate
+
+        out = tmp_path / "certs"
+        assert main(["certify", "matrix", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"15 certificate(s) in {out}/, each independently verified\n"
+        )
+        written = sorted(out.iterdir())
+        assert len(written) == 15
+        for path in written:
+            assert path.name.endswith(".cert.json")
+            assert verify_certificate(path.read_bytes()).ok, path.name
+
 
 GOLDEN_LOG = os.path.join(
     os.path.dirname(os.path.abspath(__file__)),

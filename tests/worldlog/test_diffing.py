@@ -61,43 +61,49 @@ class TestEmptyDiffs:
         report = diff_logs(a, b)
         assert report.ok, report.render()
 
-    def test_two_sweeps_with_different_heartbeat_counts(
-        self, tmp_path, monkeypatch
-    ):
-        """``cell.heartbeat`` values are wall-clock telemetry: a cell
-        that outlasted two heartbeats aligns with one that outlasted
-        none."""
-        from repro.obs.ledger import RunLedger
-        from repro.obs.progress import SweepProgress
-        from repro.parallel import MeasureJob, SweepScheduler
+    def test_two_sweeps_with_different_heartbeat_counts(self):
+        """``cell.heartbeat`` values were wall-clock telemetry: in logs
+        written before the counter was retired, a cell that outlasted
+        two heartbeats aligns with one that outlasted none."""
+        cells = ("measure/silent/n8/t4", "measure/ic/n5/t1")
 
-        start = SweepProgress.start
+        def sweep_log(beats, wall, done=1):
+            def event(tick, kind, name, value, cell):
+                return Record(
+                    tick=tick,
+                    kind="ledger.event",
+                    payload={"ts": float(tick), "kind": kind,
+                             "name": name, "value": value,
+                             "run_id": "r", "cell_id": cell,
+                             "worker_id": 1, "attrs": {}},
+                    run_id="r",
+                )
 
-        def sweep_log(path, ticks):
-            def slow_start(self, label):
-                start(self, label)
-                for _ in range(ticks):
-                    self.tick()
+            records = [Record(tick=0, kind="gather.start",
+                              payload={"cells": len(cells)}, run_id="r")]
+            for index, cell in enumerate(cells):
+                tick = 1 + 4 * index
+                records += [
+                    event(tick, "counter", "cell.start", 1, cell),
+                    event(tick + 1, "counter", "cell.heartbeat", beats,
+                          cell),
+                    event(tick + 2, "gauge", "cell.wall_seconds", wall,
+                          cell),
+                    event(tick + 3, "counter", "cell.done", done, cell),
+                ]
+            return records
 
-            monkeypatch.setattr(SweepProgress, "start", slow_start)
-            with WorldLog.create(str(path)) as worldlog:
-                SweepScheduler(
-                    ledger=RunLedger(sink=worldlog.record_event),
-                    worldlog=worldlog,
-                ).run([MeasureJob("silent", 8, 4), MeasureJob("ic", 5, 1)])
-            return read_worldlog(str(path))
-
-        a = sweep_log(tmp_path / "a.worldlog", ticks=2)
-        b = sweep_log(tmp_path / "b.worldlog", ticks=0)
-        heartbeats = [
-            [r.payload["value"] for r in log
-             if r.kind == "ledger.event"
-             and r.payload["name"] == "cell.heartbeat"]
-            for log in (a, b)
-        ]
-        assert heartbeats == [[2, 2], [0, 0]]
-        report = diff_logs(a, b)
+        report = diff_logs(
+            sweep_log(beats=2, wall=2.5), sweep_log(beats=0, wall=0.01)
+        )
         assert report.ok, report.render()
+        # A counter that is not wall clock still compares by value.
+        report = diff_logs(
+            sweep_log(beats=2, wall=2.5),
+            sweep_log(beats=2, wall=2.5, done=2),
+        )
+        assert not report.ok
+        assert "payloads diverged" in report.divergence.reason
 
     def test_uninterrupted_vs_resumed_twin(self):
         """A crash mid-gather leaves stale events + an extra marker.
