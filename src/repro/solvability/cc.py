@@ -21,12 +21,23 @@ CC holds, a concrete Γ (as a dictionary) that the Algorithm-2 reduction
 then *executes* on top of interactive consistency.
 :func:`~repro.validity.containment.admissible_under_containment` remains
 the literal per-configuration definition.
+
+For an *anonymous* problem (``val`` reads only the proposal multiset,
+see :mod:`repro.validity.property`) the intersection at ``c`` depends
+only on ``c``'s multiset.  That follows by induction on the recurrence:
+every child ``c - p`` carries ``c``'s multiset minus one element.  The
+same fold then visits one representative per multiset of size
+``n - t .. n`` and looks each child up under its own representative, so
+binary strong consensus costs O(n·t) configurations instead of all of
+``I``.  The report's tables are keyed by the representatives, and Γ maps
+any configuration through its representative, so it stays total on ``I``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from operator import attrgetter
+from typing import Callable, Iterator, Mapping
 
 from repro.errors import UnsolvableProblemError
 from repro.validity.input_config import InputConfig
@@ -38,18 +49,28 @@ from repro.types import Payload
 class CCReport:
     """Full containment-condition analysis of one problem.
 
+    The tables hold one entry per configuration the fold visited: all of
+    ``I``, or for an anonymous problem one representative per multiset
+    (:meth:`~repro.validity.property.AgreementProblem.representatives`).
+
     Attributes:
         problem_name: the analysed problem.
         holds: whether CC is satisfied.
-        gamma: when CC holds, a concrete Γ over the enumerated ``I``
-            (deterministic representative of each intersection).
-        admissible_sets: the Lemma-7 intersection at every configuration.
-        failures: configurations whose intersection is empty (non-empty
-            exactly when CC fails).
+        representative: maps any configuration to its table key.
+        gamma: when CC holds, a concrete Γ over the visited
+            configurations (a deterministic pick from each
+            intersection).
+        admissible_sets: the Lemma-7 intersection at every visited
+            configuration.
+        failures: visited configurations whose intersection is empty
+            (non-empty exactly when CC fails).
     """
 
     problem_name: str
     holds: bool
+    representative: Callable[[InputConfig], InputConfig] = field(
+        repr=False, compare=False
+    )
     gamma: Mapping[InputConfig, Payload] = field(default_factory=dict)
     admissible_sets: Mapping[InputConfig, frozenset[Payload]] = field(
         default_factory=dict, repr=False
@@ -67,18 +88,25 @@ class CCReport:
                 f"{self.problem_name} fails the containment condition; "
                 f"first failing configuration: {self.failures[0]!r}"
             )
-        return GammaFunction(dict(self.gamma))
+        return GammaFunction(dict(self.gamma), self.representative)
 
 
 @dataclass(frozen=True)
 class GammaFunction:
-    """A concrete Γ: table-backed, total on the enumerated ``I``."""
+    """A concrete Γ: table-backed, total on the enumerated ``I``.
+
+    A configuration is looked up under its ``representative`` — itself,
+    or for an anonymous problem its multiset's representative.
+    """
 
     table: Mapping[InputConfig, Payload]
+    representative: Callable[[InputConfig], InputConfig] = field(
+        repr=False, compare=False
+    )
 
     def __call__(self, config: InputConfig) -> Payload:
         try:
-            return self.table[config]
+            return self.table[self.representative(config)]
         except KeyError as error:
             raise KeyError(
                 f"Γ is not defined for {config!r} (outside the enumerated "
@@ -86,32 +114,53 @@ class GammaFunction:
             ) from error
 
 
+def _children(key: tuple) -> Iterator[tuple]:
+    """The keys of ``c - p`` for every ``p ∈ π(c)``, given ``c``'s key.
+
+    A configuration's key is its pairs, or for an anonymous problem its
+    proposals in ``V_I`` order; dropping one element of either gives the
+    child's key.  Equal proposals sit side by side and dropping either
+    leaves the same multiset, so each child is yielded once.
+    """
+    for index in range(len(key)):
+        if index == 0 or key[index] != key[index - 1]:
+            yield key[:index] + key[index + 1:]
+
+
+def _proposals(config: InputConfig) -> tuple:
+    """The key of a representative: its proposals, in pid order."""
+    return tuple(config.proposals_multiset())
+
+
 def containment_condition(problem: AgreementProblem) -> CCReport:
     """Decide CC for ``problem`` and construct Γ when it holds.
 
-    The deterministic representative picked for each configuration is the
+    The deterministic pick for each configuration is the
     ``repr``-least admissible value; any choice function works (Definition
     3 only asks for existence), but determinism keeps executions
     reproducible.
 
-    ``problem.input_configs()`` lists ``I`` by ascending size, so each
-    configuration's children are decided before it.  ``val(c)`` is
-    evaluated exactly when the children's intersection is non-empty (or
-    ``|c| = n - t``), which is when the per-configuration definition
-    reaches ``c`` too: an ill-formed ``val`` raises the same
-    ``ValueError`` at the same configuration.
+    ``problem.representatives()`` lists the visited configurations by
+    ascending size, so each configuration's children are decided before
+    it.  ``val(c)`` is evaluated exactly when the children's intersection
+    is non-empty (or ``|c| = n - t``), which is when the
+    per-configuration definition reaches ``c`` too: an ill-formed ``val``
+    raises the same ``ValueError`` at the same configuration.  For an
+    anonymous problem a configuration is stored under its proposals,
+    so each child is found under its own representative's key.
     """
     gamma: dict[InputConfig, Payload] = {}
     sets: dict[InputConfig, frozenset[Payload]] = {}
-    by_pairs: dict[tuple, frozenset[Payload]] = {}
+    by_key: dict[tuple, frozenset[Payload]] = {}
     failures: list[InputConfig] = []
     floor = problem.n - problem.t
-    for config in problem.input_configs():
-        pairs = config.pairs
+    key_of = _proposals if problem.anonymous else attrgetter("pairs")
+    for config in problem.representatives():
+        key = key_of(config)
         admissible: frozenset[Payload] | None = None
-        if len(pairs) > floor:
-            for index in range(len(pairs)):
-                child = by_pairs[pairs[:index] + pairs[index + 1:]]
+        if len(key) > floor:
+            for child_key in _children(key):
+                child = by_key[child_key]
                 admissible = (
                     child if admissible is None else admissible & child
                 )
@@ -121,7 +170,7 @@ def containment_condition(problem: AgreementProblem) -> CCReport:
             admissible = problem.admissible(config)
         elif admissible:
             admissible = admissible & problem.admissible(config)
-        by_pairs[pairs] = sets[config] = admissible
+        by_key[key] = sets[config] = admissible
         if admissible:
             gamma[config] = min(admissible, key=repr)
         else:
@@ -130,6 +179,7 @@ def containment_condition(problem: AgreementProblem) -> CCReport:
     return CCReport(
         problem_name=problem.name,
         holds=holds,
+        representative=problem.representative,
         gamma=gamma if holds else {},
         admissible_sets=sets,
         failures=tuple(failures),
@@ -149,17 +199,18 @@ def verify_gamma(
 
     Used by property-based tests: a Γ is valid iff for every enumerated
     ``c``, ``Γ(c)`` is admissible under every configuration ``c``
-    contains.
+    contains.  A mapping is read as a :class:`GammaFunction` would read
+    it, through ``problem.representative``.
     """
-    lookup = (
-        gamma.table if isinstance(gamma, GammaFunction) else gamma
-    )
+    if not isinstance(gamma, GammaFunction):
+        gamma = GammaFunction(gamma, problem.representative)
     violations: list[str] = []
     for config in problem.input_configs():
-        if config not in lookup:
+        try:
+            value = gamma(config)
+        except KeyError:
             violations.append(f"Γ undefined at {config!r}")
             continue
-        value = lookup[config]
         for contained in config.containment_set():
             if value not in problem.admissible(contained):
                 violations.append(

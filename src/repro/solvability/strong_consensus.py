@@ -8,7 +8,11 @@ and an all-one sub-configuration, whose strong-validity admissible sets
 
 This module reproduces the argument computationally: it sweeps an
 ``(n, t)`` grid, decides CC for strong consensus at each point, and
-exposes the paper's explicit failing configuration.
+exposes the paper's explicit failing configuration.  Strong validity reads
+only the proposal multiset, so each decision runs over one representative
+configuration per multiset (O(n·t) of them for binary values), not over
+all of ``I``; the §5.3 configuration is itself the representative of its
+multiset, and so is named among the failures at every ``n <= 2t``.
 """
 
 from __future__ import annotations

@@ -162,6 +162,25 @@ def enumerate_input_configs(
                 )
 
 
+def enumerate_multiset_configs(
+    n: int, t: int, values: Sequence[Payload]
+) -> Iterator[InputConfig]:
+    """One configuration of ``I`` per proposal multiset, by ascending size.
+
+    Each is the multiset's proposals in ``values`` order on pids
+    ``0..s-1``.  The count is ``Σ_{s=n-t}^{n} C(s+|V|-1, s)`` — for binary
+    values ``Σ (s+1)``, O(n·t).
+    """
+    validate_system_size(n, t)
+    if not values:
+        raise ValueError("the proposal domain must be non-empty")
+    for size in range(n - t, n + 1):
+        for multiset in itertools.combinations_with_replacement(
+            values, size
+        ):
+            yield InputConfig(n=n, t=t, pairs=tuple(enumerate(multiset)))
+
+
 def enumerate_full_configs(
     n: int, t: int, values: Sequence[Payload]
 ) -> Iterator[InputConfig]:

@@ -8,17 +8,27 @@ validity property, which also encodes ``n``, ``t``, ``V_I`` and ``V_O``.
 :class:`AgreementProblem` bundles a validity property with finite,
 enumerable value domains, which is what the solvability decision procedure
 (Theorem 4) operates on.
+
+A problem is *anonymous* when its ``val`` reads only the proposal
+multiset, as weak, strong and correct-proposal validity do.  ``val``
+cannot tell apart two configurations with the same multiset, so the
+analyses (triviality and the containment condition) visit one
+:meth:`~AgreementProblem.representative` per multiset — pids ``0..s-1``
+with the proposals in ``V_I`` order — instead of all of ``I``: for
+binary values O(n·t) configurations instead of ``Σ C(n,s)·2^s``.  Only
+the standard builders whose ``val`` is anonymous set the marker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from repro.validity.input_config import (
     InputConfig,
     enumerate_input_configs,
+    enumerate_multiset_configs,
 )
 from repro.types import Payload, validate_system_size
 
@@ -37,6 +47,9 @@ class AgreementProblem:
         input_values: the finite proposal domain ``V_I``.
         output_values: the finite decision domain ``V_O``.
         validity: the ``val`` function.
+        anonymous: whether ``val`` reads only the proposal multiset,
+            so configurations with equal multisets have equal ``val``.
+            The analyses then visit one representative per multiset.
     """
 
     name: str
@@ -45,6 +58,7 @@ class AgreementProblem:
     input_values: tuple[Payload, ...]
     output_values: tuple[Payload, ...]
     validity: ValidityFn = field(repr=False)
+    anonymous: bool = False
 
     def __post_init__(self) -> None:
         validate_system_size(self.n, self.t)
@@ -81,14 +95,47 @@ class AgreementProblem:
         """Enumerate ``I`` for this problem's domains."""
         return enumerate_input_configs(self.n, self.t, self.input_values)
 
+    def representatives(self) -> Iterable[InputConfig]:
+        """One configuration per class of ``I`` that ``val`` cannot split.
+
+        For an anonymous problem, each proposal multiset's
+        :meth:`representative`; otherwise all of ``I``.  Either way the
+        order is by ascending size, as :meth:`input_configs` lists it.
+        """
+        if self.anonymous:
+            return enumerate_multiset_configs(
+                self.n, self.t, self.input_values
+            )
+        return self.input_configs()
+
+    def representative(self, config: InputConfig) -> InputConfig:
+        """The configuration of :meth:`representatives` standing for ``config``.
+
+        For an anonymous problem, ``config``'s proposals in ``V_I`` order
+        on pids ``0..s-1``; otherwise ``config`` itself.
+
+        Raises:
+            KeyError: for an anonymous problem, if ``config`` holds a
+                proposal outside ``V_I``.
+        """
+        if not self.anonymous:
+            return config
+        rank = {value: index for index, value in enumerate(self.input_values)}
+        ordered = sorted(config.proposals_multiset(), key=rank.__getitem__)
+        return InputConfig(
+            n=config.n, t=config.t, pairs=tuple(enumerate(ordered))
+        )
+
     def always_admissible(self) -> frozenset[Payload]:
         """``∩_{c ∈ I} val(c)`` — the set of always-admissible decisions.
 
         Non-empty exactly when the problem is *trivial* (§4.1): a value in
-        this set can be decided with zero communication.
+        this set can be decided with zero communication.  The walk visits
+        :meth:`representatives`, which for an anonymous problem meets
+        every ``val`` value of ``I`` without enumerating it.
         """
         common: frozenset[Payload] | None = None
-        for config in self.input_configs():
+        for config in self.representatives():
             admissible = self.admissible(config)
             common = (
                 admissible if common is None else common & admissible
@@ -159,17 +206,12 @@ def cached(problem: AgreementProblem) -> AgreementProblem:
     configuration, but other callers re-evaluate it:
     :func:`~repro.solvability.cc.verify_gamma` once per containing
     configuration, :meth:`AgreementProblem.always_admissible` (and so
-    ``triviality_report``) in a second walk over ``I`` next to the CC
-    pass in ``classify``, and :meth:`AgreementProblem.check_decision`
-    once per correct process in execution tests.  The memo makes each
-    repeat a dictionary lookup.
+    ``triviality_report``) in a second walk over the representatives
+    next to the CC pass in ``classify``, and
+    :meth:`AgreementProblem.check_decision` once per correct process in
+    execution tests.  The memo makes each repeat a dictionary lookup.
+    The copy keeps every other field, the ``anonymous`` marker included.
     """
-    memo = lru_cache(maxsize=None)(problem.validity)
-    return AgreementProblem(
-        name=problem.name,
-        n=problem.n,
-        t=problem.t,
-        input_values=problem.input_values,
-        output_values=problem.output_values,
-        validity=memo,
+    return replace(
+        problem, validity=lru_cache(maxsize=None)(problem.validity)
     )

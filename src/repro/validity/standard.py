@@ -20,6 +20,11 @@ Covers every flavour the paper names (§1, §4, §5):
   demonstrate exactly that — see experiment E8 for how Corollary 1 still
   applies to concrete algorithms.
 * **Trivial / Constant** — baseline trivial problems for the classifier.
+
+Weak, strong, correct-proposal, external and constant validity read only
+the proposal multiset, so their builders mark the problem ``anonymous``
+(see :mod:`repro.validity.property`); sender validity, IC-Validity and
+vector consensus read process ids and do not.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ def weak_consensus_problem(
             input_values=domain,
             output_values=domain,
             validity=validity,
+            anonymous=True,
         )
     )
 
@@ -87,6 +93,7 @@ def strong_consensus_problem(
             input_values=domain,
             output_values=domain,
             validity=validity,
+            anonymous=True,
         )
     )
 
@@ -182,6 +189,7 @@ def correct_proposal_problem(
             input_values=domain,
             output_values=domain,
             validity=validity,
+            anonymous=True,
         )
     )
 
@@ -267,6 +275,7 @@ def external_validity_problem(
         input_values=domain,
         output_values=domain,
         validity=validity,
+        anonymous=True,
     )
 
 
@@ -288,6 +297,7 @@ def constant_problem(
         input_values=domain,
         output_values=domain,
         validity=validity,
+        anonymous=True,
     )
 
 

@@ -17,9 +17,13 @@ from repro.validity.containment import admissible_under_containment
 from repro.validity.input_config import InputConfig, enumerate_input_configs
 from repro.validity.property import problem_from_table, tabulate
 from repro.validity.standard import (
+    STANDARD_PROBLEMS,
     byzantine_broadcast_problem,
     constant_problem,
+    correct_proposal_problem,
+    external_validity_problem,
     strong_consensus_problem,
+    vector_consensus_problem,
     weak_consensus_problem,
 )
 
@@ -220,3 +224,162 @@ class TestFoldMatchesDefinition:
         assert mixed in report.failures
         assert report.admissible_sets[mixed] == frozenset()
         assert admissible_under_containment(problem, mixed) == frozenset()
+
+
+ANONYMOUS_BUILDERS = {
+    "weak-consensus": weak_consensus_problem,
+    "strong-consensus": strong_consensus_problem,
+    "correct-proposal": correct_proposal_problem,
+    "constant": lambda n, t, domain: constant_problem(
+        n, t, value=domain[-1], values=domain
+    ),
+    "external-validity": lambda n, t, domain: external_validity_problem(
+        n, t, domain, lambda value: value != domain[0]
+    ),
+}
+MULTISET_SIZES = ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2))
+
+
+def path_disagreements(problem):
+    """Where the multiset path and the configuration path differ.
+
+    The oracle is ``problem`` without the marker, which walks all of
+    ``I``; the multiset path must agree with it on the verdict, the
+    failing multisets, the intersection at every configuration, Γ at
+    every configuration and the always-admissible set.
+    """
+    oracle_problem = dataclasses.replace(problem, anonymous=False)
+    fast = containment_condition(problem)
+    oracle = containment_condition(oracle_problem)
+    found = []
+    if fast.holds != oracle.holds:
+        found.append(f"holds {fast.holds} != {oracle.holds}")
+    failing = {problem.representative(config) for config in oracle.failures}
+    if len(set(fast.failures)) != len(fast.failures):
+        found.append("a failing multiset is named twice")
+    if set(fast.failures) != failing:
+        found.append(f"failures {fast.failures} != {sorted(failing, key=repr)}")
+    for config in problem.input_configs():
+        common = fast.admissible_sets[problem.representative(config)]
+        if common != oracle.admissible_sets[config]:
+            found.append(f"intersection at {config!r}")
+    if fast.holds and oracle.holds:
+        gamma, oracle_gamma = fast.gamma_fn(), oracle.gamma_fn()
+        for config in problem.input_configs():
+            if gamma(config) != oracle_gamma(config):
+                found.append(f"Γ at {config!r}")
+        if verify_gamma(problem, gamma):
+            found.append("Γ fails Definition 3")
+    if problem.always_admissible() != oracle_problem.always_admissible():
+        found.append("always-admissible sets differ")
+    return found
+
+
+@st.composite
+def multiset_tables(draw, sizes=MULTISET_SIZES, domains=FOLD_DOMAINS):
+    """Arbitrary anonymous table-backed problems: one entry per multiset."""
+    n, t = draw(st.sampled_from(sizes))
+    domain = draw(st.sampled_from(domains))
+    subsets = [
+        frozenset(subset)
+        for size in range(1, len(domain) + 1)
+        for subset in itertools.combinations(domain, size)
+    ]
+    by_multiset = {}
+    table = {}
+    for config in enumerate_input_configs(n, t, domain):
+        multiset = tuple(sorted(config.proposals_multiset()))
+        if multiset not in by_multiset:
+            by_multiset[multiset] = draw(
+                st.one_of(
+                    st.just(frozenset(domain)), st.sampled_from(subsets)
+                )
+            )
+        table[config] = by_multiset[multiset]
+    problem = problem_from_table("multiset-table", n, t, domain, domain, table)
+    return dataclasses.replace(problem, anonymous=True)
+
+
+class TestMultisetPathMatchesConfigurations:
+    """For an anonymous ``val`` the fold over one representative per
+    multiset decides exactly what the fold over all of ``I`` decides."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(ANONYMOUS_BUILDERS)),
+        st.sampled_from(MULTISET_SIZES),
+        st.sampled_from(FOLD_DOMAINS),
+    )
+    def test_standard_builders_agree(self, name, size, domain):
+        problem = ANONYMOUS_BUILDERS[name](*size, domain)
+        assert problem.anonymous
+        assert path_disagreements(problem) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(multiset_tables())
+    def test_arbitrary_anonymous_tables_agree(self, problem):
+        assert path_disagreements(problem) == []
+
+    def test_only_multiset_builders_are_marked(self):
+        builders = (*STANDARD_PROBLEMS, vector_consensus_problem)
+        marked = {
+            builder.__name__ for builder in builders
+            if builder(3, 1).anonymous
+        }
+        assert marked == {
+            "weak_consensus_problem", "strong_consensus_problem",
+            "correct_proposal_problem",
+        }
+
+    def test_classify_never_enumerates_all_configurations(self, monkeypatch):
+        """Triviality and CC of an anonymous problem visit only the
+        representatives, so ``classify`` never lists ``I``."""
+        from repro.solvability.theorem import classify
+        from repro.validity import property as property_module
+
+        def refuse(*args):
+            raise AssertionError("enumerated I")
+
+        monkeypatch.setattr(property_module, "enumerate_input_configs", refuse)
+        for name in sorted(ANONYMOUS_BUILDERS):
+            classify(ANONYMOUS_BUILDERS[name](6, 2, (0, 1)))
+        with pytest.raises(AssertionError, match="enumerated I"):
+            classify(byzantine_broadcast_problem(6, 2))
+
+    def test_broadcast_forced_anonymous_disagrees(self):
+        """Mutation: sender validity reads a pid, so the multiset path
+        must not be taken for it — forcing it is caught."""
+        problem = dataclasses.replace(
+            byzantine_broadcast_problem(3, 1), anonymous=True
+        )
+        assert path_disagreements(problem) != []
+
+    def test_non_anonymous_problems_keep_the_configuration_path(self):
+        problem = byzantine_broadcast_problem(3, 1)
+        assert not problem.anonymous
+        report = containment_condition(problem)
+        assert list(report.admissible_sets) == list(problem.input_configs())
+
+    def test_representatives_are_one_per_multiset(self):
+        problem = strong_consensus_problem(3, 1)  # cached() keeps the marker
+        assert problem.anonymous
+        assert [config.pairs for config in problem.representatives()] == [
+            tuple(enumerate(values))
+            for values in ((0, 0), (0, 1), (1, 1),
+                           (0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))
+        ]
+
+    def test_gamma_maps_through_the_representative(self):
+        problem = strong_consensus_problem(5, 2)
+        gamma = containment_condition(problem).gamma_fn()
+        scattered = InputConfig.from_mapping(5, 2, {1: 1, 3: 0, 4: 1})
+        assert scattered not in gamma.table
+        assert gamma(scattered) == gamma(
+            InputConfig.from_mapping(5, 2, {0: 0, 1: 1, 2: 1})
+        )
+        for foreign in (
+            InputConfig.from_mapping(5, 1, {0: 0, 1: 1, 2: 1, 3: 1}),
+            InputConfig.from_mapping(5, 2, {0: 0, 1: 2, 2: 1}),
+        ):
+            with pytest.raises(KeyError, match="not defined"):
+                gamma(foreign)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.solvability.cc import containment_condition
 from repro.solvability.strong_consensus import (
     counterexample_certificate,
     paper_counterexample,
@@ -36,6 +37,16 @@ class TestBoundary:
     def test_sweep_skips_illegal_pairs(self):
         points = sweep_boundary([3], [3, 4])
         assert points == []
+
+    def test_theorem_5_on_every_point_up_to_40(self):
+        """CC ⇔ n > 2t on every 1 ≤ t < n ≤ 40; below the bound the §5.3
+        configuration is the representative of a failing multiset."""
+        for n in range(2, 41):
+            for t in range(1, n):
+                report = containment_condition(strong_consensus_problem(n, t))
+                assert report.holds == (n > 2 * t), (n, t)
+                if n <= 2 * t:
+                    assert paper_counterexample(n, t) in report.failures, (n, t)
 
 
 class TestCounterexample:
