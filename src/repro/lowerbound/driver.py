@@ -57,13 +57,14 @@ configuration.
 **Runs, not executions.**  The cache holds each configuration's
 :class:`~repro.sim.kernel.KernelTrace`, which answers the driver's
 questions — ``decision``, ``rounds``, ``correct``,
-``message_complexity()`` and ``quiescent_toward`` — so most of the proof
-only reads decisions and never builds fragments.  ``to_execution()``
-is called at four boundaries only: the merge inputs, the Lemma-2 swap
-source, a :class:`~repro.lowerbound.witnesses.ViolationWitness` and
-certificate embedding.  Merge and swap results are
-:class:`~repro.sim.execution.Execution` objects, on which
-``to_execution()`` is the identity; :data:`Run` names either kind.
+``message_complexity()`` and ``quiescent_toward`` — so the proof never
+builds fragments.  The constructions run on masks too: Lemma 2's swap
+is :func:`~repro.omission.swap.swap_trace_checked`, the Lemma-3/5 merge
+is :func:`~repro.omission.merge.merge_traces` (one two-group kernel
+run).  ``to_execution()`` is called at two boundaries only: a
+:class:`~repro.lowerbound.witnesses.ViolationWitness` (so an uncertified
+attack materializes exactly its witness, which the ``verify`` step
+checks with the object checkers) and certificate embedding.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ from repro.lowerbound.witnesses import (
 )
 from repro.omission.isolation import isolate_group
 from repro.omission.masks import compile_omissions
-from repro.omission.merge import MergeSpec, merge
-from repro.omission.swap import swap_omission_checked
+from repro.omission.merge import MergeSpec, merge_traces
+from repro.omission.swap import swap_trace_checked
 from repro.protocols.base import ProtocolSpec
 from repro.sim.execution import Execution, majority_decision
 from repro.sim.kernel import (
@@ -95,6 +96,7 @@ from repro.sim.kernel import (
     PrefixForker,
     check_trace,
     fork_kernel,
+    group_mask,
     no_faults_compiled,
     run_kernel,
 )
@@ -102,10 +104,6 @@ from repro.sim.simulator import SimulationConfig
 from repro.types import Bit, Payload, ProcessId, Round
 
 _SpecKey = tuple[str, int, int, int]
-
-Run = Execution | KernelTrace
-"""A run the pipeline handles: a cached mask trace, or the execution a
-merge or swap derived."""
 
 
 @dataclass
@@ -279,9 +277,9 @@ class AttackOutcome:
 
 class _Found(Exception):
     """Internal: unwinds the pipeline when a witness is in hand, with
-    the run its execution was materialized from (for certification)."""
+    the trace its execution was materialized from (for certification)."""
 
-    def __init__(self, witness: ViolationWitness, run: Run) -> None:
+    def __init__(self, witness: ViolationWitness, run: KernelTrace) -> None:
         super().__init__(witness.summary())
         self.witness = witness
         self.run = run
@@ -362,7 +360,7 @@ class LowerBoundDriver:
     _cert_origin: dict = field(default_factory=dict, repr=False)
     _cert_merge_ctx: dict | None = field(default=None, repr=False)
     _cert_swap_ctx: dict | None = field(default=None, repr=False)
-    _cert_max_run: Run | None = field(default=None, repr=False)
+    _cert_max_run: KernelTrace | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.partition is None:
@@ -397,7 +395,7 @@ class LowerBoundDriver:
 
     def _attack(self) -> AttackOutcome:
         witness: ViolationWitness | None = None
-        witness_run: Run | None = None
+        witness_run: KernelTrace | None = None
         default_bit: Payload | None = None
         critical_round: Round | None = None
         try:
@@ -612,8 +610,8 @@ class LowerBoundDriver:
 
     def _merge_and_extract(
         self,
-        run_b: Run,
-        run_c: Run,
+        run_b: KernelTrace,
+        run_c: KernelTrace,
         round_b: Round,
         round_c: Round,
         expect_b: Payload,
@@ -623,8 +621,9 @@ class LowerBoundDriver:
 
         ``expect_b``/``expect_c`` are the decisions the replayed groups
         carry over by indistinguishability; group A must disagree with at
-        least one of them when the expectations differ.  The merge needs
-        fragments, so both inputs are materialized here.
+        least one of them when the expectations differ.  The merge is one
+        two-group kernel run; it is not simulation of a configuration, so
+        it adds to no engine counter and reaches no round observer.
         """
         assert self.partition is not None
         spec = MergeSpec(
@@ -634,12 +633,7 @@ class LowerBoundDriver:
             round_c=round_c,
         )
         with self.tracer.span("merge"):
-            merged = merge(
-                spec,
-                run_b.to_execution(),
-                run_c.to_execution(),
-                self.spec.factory,
-            )
+            merged = merge_traces(spec, run_b, run_c, self.spec.factory)
         if self.certify:
             self._cert_merge_ctx = {
                 "run_b": run_b,
@@ -648,7 +642,7 @@ class LowerBoundDriver:
                 "round_c": round_c,
                 "merged": merged,
             }
-        self._observe(merged)
+        self._observe_messages(merged.message_complexity(), merged)
         self._note(
             f"merged B({round_b}) with C({round_c}); expecting B->"
             f"{expect_b!r}, C->{expect_c!r}"
@@ -663,11 +657,11 @@ class LowerBoundDriver:
 
     def _lemma2_check(
         self,
-        run: Run,
+        run: KernelTrace,
         group_label: str,
         from_round: Round,
         correct_decision: Payload,
-        refetch: "Callable[[], Run] | None" = None,
+        refetch: "Callable[[], KernelTrace] | None" = None,
     ) -> None:
         """If the isolated group's majority strays, try the extraction."""
         group = self._group(group_label)
@@ -685,7 +679,7 @@ class LowerBoundDriver:
 
     def _lemma2_extract(
         self,
-        run: Run,
+        run: KernelTrace,
         group_label: str,
         from_round: Round,
         correct_decision: Payload,
@@ -694,33 +688,31 @@ class LowerBoundDriver:
 
         Scans the isolated group's members in order of how few messages
         from correct processes they receive-omitted (the paper's
-        ``|M_{X→p}| < t/2`` counting argument picks exactly these), and
-        for each deviant attempts ``swap_omission``; a successful swap
-        yields a valid execution in which the deviant is *correct* yet
-        disagrees with (or never decides unlike) a correct witness.  The
-        swap rewrites fragments, so its source is materialized here.
+        ``|M_{X→p}| < t/2`` counting argument picks exactly these: a
+        popcount of each round's receive-omit mask against the correct
+        set), and for each deviant attempts the swap on masks; a
+        successful swap yields a valid trace in which the deviant is
+        *correct* yet disagrees with (or never decides unlike) a correct
+        witness.
         """
         group = self._group(group_label)
-        execution = run.to_execution()
-        correct = execution.correct
+        correct = run.correct
+        correct_mask = group_mask(correct)
 
         def omitted_from_correct(pid: ProcessId) -> int:
-            behavior = execution.behavior(pid)
             return sum(
-                1
-                for message in behavior.all_receive_omitted()
-                if message.sender in correct
+                (row.omit_masks[pid] & correct_mask).bit_count()
+                for row in run.rows
             )
 
         candidates = sorted(
-            (pid for pid in group
-             if execution.decision(pid) != correct_decision),
+            (pid for pid in group if run.decision(pid) != correct_decision),
             key=lambda pid: (omitted_from_correct(pid), pid),
         )
         for pid in candidates:
             try:
                 with self.tracer.span("swap"):
-                    swapped = swap_omission_checked(execution, pid)
+                    swapped = swap_trace_checked(run, pid)
             except ModelViolation as error:
                 self._note(
                     f"extraction via p{pid} failed: {error} "
@@ -728,13 +720,11 @@ class LowerBoundDriver:
                     "here)"
                 )
                 continue
-            remaining_correct = sorted(
-                correct - swapped.execution.faulty
-            )
+            remaining_correct = sorted(correct - swapped.corrupted)
             witnesses = [
                 q
                 for q in remaining_correct
-                if swapped.execution.decision(q) == correct_decision
+                if swapped.decision(q) == correct_decision
             ]
             if not witnesses:
                 self._note(
@@ -746,43 +736,43 @@ class LowerBoundDriver:
             if self.certify:
                 self._cert_swap_ctx = {
                     "source": run,
-                    "result": swapped.execution,
+                    "result": swapped,
                     "process": pid,
                 }
-            if swapped.execution.decision(pid) is None:
+            if swapped.decision(pid) is None:
                 self._found(
                     ViolationWitness(
                         kind=ViolationKind.TERMINATION,
-                        execution=swapped.execution,
+                        execution=swapped.to_execution(),
                         culprit=pid,
                         note=(
                             f"swap freed p{pid} (isolated in {group_label} "
                             f"from round {from_round}) which never decides"
                         ),
                     ),
-                    swapped.execution,
+                    swapped,
                 )
             self._found(
                 ViolationWitness(
                     kind=ViolationKind.AGREEMENT,
-                    execution=swapped.execution,
+                    execution=swapped.to_execution(),
                     culprit=pid,
                     counterpart=counterpart,
                     note=(
                         f"swap freed p{pid} (isolated in {group_label} "
                         f"from round {from_round}); decides "
-                        f"{swapped.execution.decision(pid)!r} vs "
+                        f"{swapped.decision(pid)!r} vs "
                         f"p{counterpart}'s {correct_decision!r}"
                     ),
                 ),
-                swapped.execution,
+                swapped,
             )
 
     def _require_unanimous(
         self,
-        run: Run,
+        run: KernelTrace,
         context: str,
-        refetch: "Callable[[], Run] | None" = None,
+        refetch: "Callable[[], KernelTrace] | None" = None,
     ) -> Payload:
         """All correct processes decided one value — or a direct witness.
 
@@ -823,12 +813,12 @@ class LowerBoundDriver:
             )
         return next(iter(by_value))
 
-    def _truncated(self, run: Run) -> bool:
+    def _truncated(self, run: KernelTrace) -> bool:
         return run.rounds < self.spec.rounds
 
     def _refetcher(
         self, bit: Bit, group: str, from_round: Round
-    ) -> "Callable[[], Run]":
+    ) -> "Callable[[], KernelTrace]":
         """A thunk re-running the configuration at full horizon."""
         return lambda: self._run(bit, group, from_round, full=True)
 
@@ -839,7 +829,7 @@ class LowerBoundDriver:
         from_round: Round | None,
         *,
         full: bool = False,
-    ) -> Run:
+    ) -> KernelTrace:
         """Run (and cache) ``E_bit`` or ``E_bit^{G(k)}``.
 
         ``full`` demands a full-horizon run (witness embedding, merge
@@ -866,7 +856,7 @@ class LowerBoundDriver:
         from_round: Round | None,
         *,
         full: bool = False,
-    ) -> Run:
+    ) -> KernelTrace:
         assert self.cache is not None
         horizon = self.spec.rounds
         sig = (
@@ -1108,10 +1098,7 @@ class LowerBoundDriver:
         self._popcounts += len(trace.correct) * trace.rounds
         return trace.message_complexity()
 
-    def _observe(self, execution: Execution) -> None:
-        self._observe_messages(execution.message_complexity(), execution)
-
-    def _observe_messages(self, messages: int, run: Run) -> None:
+    def _observe_messages(self, messages: int, run: KernelTrace) -> None:
         if self.certify and (
             messages > self._max_messages or self._cert_max_run is None
         ):
@@ -1121,7 +1108,7 @@ class LowerBoundDriver:
     def _note(self, message: str) -> None:
         self._log.append(message)
 
-    def _found(self, witness: ViolationWitness, run: Run) -> None:
+    def _found(self, witness: ViolationWitness, run: KernelTrace) -> None:
         """Unwind with ``witness``, whose execution ``run`` materialized."""
         self._note(f"violation: {witness.summary()}")
         raise _Found(witness, run)
@@ -1133,7 +1120,7 @@ class LowerBoundDriver:
     def _build_certificate(
         self,
         witness: ViolationWitness | None,
-        witness_run: Run | None,
+        witness_run: KernelTrace | None,
         default_bit: Payload | None,
         critical_round: Round | None,
     ) -> "Certificate":
@@ -1156,7 +1143,7 @@ class LowerBoundDriver:
         indistinguishability: list[dict] = []
         isolations: list[dict] = []
 
-        def embed(run: Run, label: str) -> str:
+        def embed(run: KernelTrace, label: str) -> str:
             executions[label] = run.to_execution()
             pinned = self._cert_origin.get(id(run))
             if pinned is not None:
@@ -1177,12 +1164,12 @@ class LowerBoundDriver:
                 provenance.append(step)
             return label
 
-        def embed_with_history(run: Run, label: str) -> str:
+        def embed_with_history(run: KernelTrace, label: str) -> str:
             ctx = self._cert_merge_ctx
             if ctx is not None and ctx["merged"] is run:
                 embed(ctx["run_b"], "merge-input-b")
                 embed(ctx["run_c"], "merge-input-c")
-                executions[label] = ctx["merged"]
+                executions[label] = run.to_execution()
                 provenance.append(
                     {
                         "op": "merge",
@@ -1221,7 +1208,7 @@ class LowerBoundDriver:
             swap_ctx = self._cert_swap_ctx
             if (
                 swap_ctx is not None
-                and swap_ctx["result"] is witness.execution
+                and swap_ctx["result"] is witness_run
             ):
                 embed_with_history(swap_ctx["source"], "pre-swap")
                 executions[witness_label] = witness.execution

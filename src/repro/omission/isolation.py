@@ -11,7 +11,7 @@ an execution iff every ``p ∈ G``:
 :class:`IsolationAdversary` realizes the strategy (possibly for several
 disjoint groups at once, as the merged executions of §3 require), and
 :func:`check_isolated` verifies the *iff* of Definition 1 on a recorded
-execution.
+execution, :func:`check_isolated_trace` on a kernel trace's mask rows.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 from repro.errors import AdversaryError, ModelViolation
 from repro.sim.adversary import Adversary
 from repro.sim.execution import Execution
+from repro.sim.kernel import KernelTrace, group_mask, mask_members
 from repro.sim.message import Message
 from repro.types import ProcessId, Round
 
@@ -84,6 +85,26 @@ def isolate_group(
     return IsolationAdversary({frozenset(group): from_round})
 
 
+def _isolable(
+    group: Iterable[ProcessId], n: int, t: int, faulty: frozenset[ProcessId]
+) -> frozenset[ProcessId]:
+    """``group`` as a set, if it may be isolated: non-empty, proper, of
+    at most ``t`` members, all of them faulty."""
+    members = frozenset(group)
+    if not members:
+        raise ModelViolation("empty group cannot be isolated")
+    if len(members) > t:
+        raise ModelViolation(f"group of {len(members)} exceeds t={t}")
+    if members == frozenset(range(n)):
+        raise ModelViolation("an isolated group must be a proper subset")
+    if not members <= faulty:
+        raise ModelViolation(
+            f"isolated group {sorted(members)} not within faulty set "
+            f"{sorted(faulty)}"
+        )
+    return members
+
+
 def check_isolated(
     execution: Execution,
     group: Iterable[ProcessId],
@@ -97,20 +118,7 @@ def check_isolated(
             receive-omits a message it should receive, or fails to
             receive-omit a message it should drop.
     """
-    members = frozenset(group)
-    if not members:
-        raise ModelViolation("empty group cannot be isolated")
-    if len(members) > execution.t:
-        raise ModelViolation(
-            f"group of {len(members)} exceeds t={execution.t}"
-        )
-    if members == frozenset(range(execution.n)):
-        raise ModelViolation("an isolated group must be a proper subset")
-    if not members <= execution.faulty:
-        raise ModelViolation(
-            f"isolated group {sorted(members)} not within faulty set "
-            f"{sorted(execution.faulty)}"
-        )
+    members = _isolable(group, execution.n, execution.t, execution.faulty)
     for pid in sorted(members):
         behavior = execution.behavior(pid)
         if behavior.all_send_omitted():
@@ -138,3 +146,42 @@ def check_isolated(
                         f"p{pid} receive-omitted {message} before the "
                         f"isolation round {from_round}"
                     )
+
+
+def check_isolated_trace(
+    trace: KernelTrace,
+    group: Iterable[ProcessId],
+    from_round: Round,
+) -> None:
+    """:func:`check_isolated` on a kernel trace, read off its mask rows.
+
+    Raises:
+        ModelViolation: on the first failing clause of Definition 1.
+    """
+    members = _isolable(group, trace.n, trace.t, trace.corrupted)
+    inside = group_mask(members)
+    for pid in sorted(members):
+        if any(row.send_omit_masks[pid] for row in trace.rows):
+            raise ModelViolation(
+                f"p{pid} send-omits despite isolation (Definition 1)"
+            )
+        for round_, row in enumerate(trace.rows, start=1):
+            outside = row.recv_masks[pid] & ~inside
+            if outside and round_ >= from_round:
+                raise ModelViolation(
+                    f"p{pid} received r{round_} messages from "
+                    f"{mask_members(outside)} which isolation from round "
+                    f"{from_round} requires dropping"
+                )
+            omitted = row.omit_masks[pid]
+            if omitted & inside:
+                raise ModelViolation(
+                    f"p{pid} receive-omitted r{round_} in-group messages "
+                    f"from {mask_members(omitted & inside)}"
+                )
+            if omitted and round_ < from_round:
+                raise ModelViolation(
+                    f"p{pid} receive-omitted r{round_} messages from "
+                    f"{mask_members(omitted)} before the isolation round "
+                    f"{from_round}"
+                )

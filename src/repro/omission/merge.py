@@ -22,17 +22,33 @@ group A the full ``to_i`` and groups B/C their *recorded* received sets.
 Determinism makes the recomputed B/C behaviour coincide with the records;
 we assert that coincidence (the replay cross-check) instead of trusting
 it, and machine-check Lemma 16's conclusions on every merge.
+
+The merge exists twice.  :func:`merge` is the fragment-level splice on
+:class:`~repro.sim.execution.Execution` objects, as the paper writes
+it; E9 runs it and the tests hold the mask form to it.
+:func:`merge_traces`, which the lower-bound driver runs, uses that a
+deterministic protocol has exactly one execution in which ``B`` is
+isolated from ``k_B`` and ``C`` from ``k_C``: it is one kernel run
+under the two-group :class:`~repro.omission.isolation.IsolationAdversary`,
+and Lemma 16 is checked on its mask rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from repro.errors import ModelViolation
-from repro.omission.isolation import check_isolated
+from repro.omission.isolation import (
+    IsolationAdversary,
+    check_isolated,
+    check_isolated_trace,
+)
 from repro.sim.execution import Execution, check_execution
+from repro.sim.kernel import KernelTrace, check_trace, mask_members, run_kernel
 from repro.sim.message import Message
 from repro.sim.process import Process, ProcessFactory
+from repro.sim.simulator import SimulationConfig
 from repro.sim.state import Behavior, Fragment, behaviors_indistinguishable
 from repro.types import Payload, ProcessId, Round
 
@@ -75,7 +91,12 @@ def uniform_proposal(execution: Execution) -> Payload:
     Raises:
         ModelViolation: if proposals are not uniform.
     """
-    proposals = set(execution.proposals().values())
+    return _single(execution.proposals().values())
+
+
+def _single(values: Iterable[Payload]) -> Payload:
+    """The one value of ``values``; raise unless there is exactly one."""
+    proposals = set(values)
     if len(proposals) != 1:
         raise ModelViolation(
             f"expected a uniform proposal, got {sorted(map(repr, proposals))}"
@@ -87,6 +108,21 @@ def check_merge_inputs(
     spec: MergeSpec, exec_b: Execution, exec_c: Execution
 ) -> None:
     """Validate everything :func:`merge` assumes; raise with specifics."""
+    _check_mergeable(spec, exec_b, exec_c, uniform_proposal)
+    check_isolated(exec_b, spec.group_b, spec.round_b)
+    check_isolated(exec_c, spec.group_c, spec.round_c)
+    _check_faulty_sets(spec, exec_b.faulty, exec_c.faulty)
+
+
+def _check_mergeable(
+    spec: MergeSpec,
+    exec_b: Execution | KernelTrace,
+    exec_c: Execution | KernelTrace,
+    proposal: Callable[[Execution | KernelTrace], Payload],
+) -> None:
+    """Definition 2 for two runs of either form: one system, one horizon,
+    ``|B| + |C| <= t``, uniform proposals (read by ``proposal``) and
+    close isolation rounds."""
     if exec_b.n != exec_c.n or exec_b.t != exec_c.t:
         raise ModelViolation("executions disagree on (n, t)")
     if exec_b.rounds != exec_c.rounds:
@@ -99,8 +135,8 @@ def check_merge_inputs(
             f"|B| + |C| = {len(spec.group_b) + len(spec.group_c)} "
             f"exceeds t = {exec_b.t}"
         )
-    proposal_b = uniform_proposal(exec_b)
-    proposal_c = uniform_proposal(exec_c)
+    proposal_b = proposal(exec_b)
+    proposal_c = proposal(exec_c)
     same_round_one = spec.round_b == 1 and spec.round_c == 1
     close_and_same_bit = (
         abs(spec.round_b - spec.round_c) <= 1 and proposal_b == proposal_c
@@ -110,13 +146,18 @@ def check_merge_inputs(
             f"not mergeable (Definition 2): k_B={spec.round_b}, "
             f"k_C={spec.round_c}, proposals {proposal_b!r}/{proposal_c!r}"
         )
-    check_isolated(exec_b, spec.group_b, spec.round_b)
-    check_isolated(exec_c, spec.group_c, spec.round_c)
-    if exec_b.faulty != spec.group_b:
+
+
+def _check_faulty_sets(
+    spec: MergeSpec,
+    faulty_b: frozenset[ProcessId],
+    faulty_c: frozenset[ProcessId],
+) -> None:
+    if faulty_b != spec.group_b:
         raise ModelViolation(
             "first execution must have exactly group B faulty"
         )
-    if exec_c.faulty != spec.group_c:
+    if faulty_c != spec.group_c:
         raise ModelViolation(
             "second execution must have exactly group C faulty"
         )
@@ -231,6 +272,62 @@ def merge(
     return merged
 
 
+def merge_traces(
+    spec: MergeSpec,
+    trace_b: KernelTrace,
+    trace_c: KernelTrace,
+    factory: ProcessFactory,
+) -> KernelTrace:
+    """Algorithm 5 on masks: the merge as one two-group kernel run.
+
+    Args:
+        spec: groups and isolation rounds.
+        trace_b: the recorded ``E_0^{B(k_B)}``.
+        trace_c: the recorded ``E_b^{C(k_C)}``.
+        factory: the algorithm that produced both traces.
+
+    ``A`` and ``B`` propose as in ``trace_b``, ``C`` as in ``trace_c``;
+    the kernel isolates ``B`` from ``k_B`` and ``C`` from ``k_C``.  The
+    inputs must be mergeable (the checks of :func:`check_merge_inputs`
+    on masks), and the run must meet Lemma 16's conclusions
+    (:func:`_check_merged_trace`).  Materialized, the result equals
+    :func:`merge` of the materialized inputs.
+
+    Returns:
+        The merged trace with ``faulty = B ∪ C``.
+    """
+    # Imported here: ``repro.omission`` imports this module eagerly and
+    # must load no other submodule.
+    from repro.omission.masks import compile_omissions
+
+    _check_mergeable(
+        spec, trace_b, trace_c, lambda trace: _single(trace.proposals)
+    )
+    check_isolated_trace(trace_b, spec.group_b, spec.round_b)
+    check_isolated_trace(trace_c, spec.group_c, spec.round_c)
+    _check_faulty_sets(spec, trace_b.corrupted, trace_c.corrupted)
+    n = trace_b.n
+    proposals = [
+        (trace_c if pid in spec.group_c else trace_b).proposals[pid]
+        for pid in range(n)
+    ]
+    compiled = compile_omissions(
+        IsolationAdversary(
+            {spec.group_b: spec.round_b, spec.group_c: spec.round_c}
+        ),
+        n,
+    )
+    assert compiled is not None  # isolations always compile
+    merged = run_kernel(
+        SimulationConfig(n=n, t=trace_b.t, rounds=trace_b.rounds, check=True),
+        proposals,
+        factory,
+        compiled,
+    )
+    _check_merged_trace(spec, trace_b, trace_c, merged)
+    return merged
+
+
 def check_merge_result(
     spec: MergeSpec,
     exec_b: Execution,
@@ -264,3 +361,62 @@ def check_merge_result(
             )
     check_isolated(merged, spec.group_b, spec.round_b)  # conclusion 3
     check_isolated(merged, spec.group_c, spec.round_c)
+
+
+def _check_merged_trace(
+    spec: MergeSpec,
+    trace_b: KernelTrace,
+    trace_c: KernelTrace,
+    merged: KernelTrace,
+) -> None:
+    """:func:`check_merge_result` on kernel traces.
+
+    Conclusion 2 compares rows: each member's send mask, payload map,
+    received mask and the payloads it received, round by round, with
+    its input trace's.
+    """
+    check_trace(merged)  # conclusion 1
+    _require_replayed(merged, trace_b, spec.group_b, "B", "E_0^B")
+    _require_replayed(merged, trace_c, spec.group_c, "C", "E_b^C")
+    check_isolated_trace(merged, spec.group_b, spec.round_b)  # concl. 3
+    check_isolated_trace(merged, spec.group_c, spec.round_c)
+
+
+def _require_replayed(
+    merged: KernelTrace,
+    source: KernelTrace,
+    group: frozenset[ProcessId],
+    label: str,
+    name: str,
+) -> None:
+    """Conclusion 2 of Lemma 16 on rows, for one group."""
+    if merged.rounds != source.rounds:
+        raise ModelViolation(
+            f"merge spans {merged.rounds} rounds, E_{label} "
+            f"{source.rounds}"
+        )
+    for pid in sorted(group):
+        if merged.proposals[pid] != source.proposals[pid]:
+            raise ModelViolation(
+                f"p{pid} ∈ {label} distinguishes the merge from {name}"
+            )
+        for round_, (row, recorded) in enumerate(
+            zip(merged.rows, source.rows), start=1
+        ):
+            if (
+                row.send_masks[pid] != recorded.send_masks[pid]
+                or row.payloads[pid] != recorded.payloads[pid]
+            ):
+                raise ModelViolation(
+                    f"replay divergence: p{pid} r{round_} sends "
+                    "differ from its recorded behaviour"
+                )
+            received = row.recv_masks[pid]
+            if received != recorded.recv_masks[pid] or any(
+                row.payloads[sender][pid]
+                != recorded.payloads[sender][pid]
+                for sender in mask_members(received)
+            ):
+                raise ModelViolation(
+                    f"p{pid} ∈ {label} distinguishes the merge from {name}"
+                )

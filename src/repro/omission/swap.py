@@ -8,9 +8,19 @@ indistinguishable from ``E`` to every process — but the blame moves:
 become faulty.  This is the step that turns "a faulty process disagreed"
 into "a *correct* process disagreed", completing the Lemma-2 contradiction.
 
-The module provides the raw transformation (:func:`swap_omission`) and a
-checked wrapper (:func:`swap_omission_checked`) asserting every conclusion
-of Lemma 15 on the concrete instance.
+The module provides Algorithm 4 twice, each with a wrapper asserting
+every conclusion of Lemma 15 on the concrete instance:
+
+* on masks — :func:`swap_trace` and :func:`swap_trace_checked`, which
+  the lower-bound driver runs: ``p_i``'s receive-omit bits move onto
+  the senders' send-omit masks, every unchanged
+  :class:`~repro.sim.kernel.KernelRound` and every payload map is
+  shared, and the lemma is checked with
+  :func:`~repro.sim.kernel.check_trace` and a row comparison;
+* on :class:`~repro.sim.execution.Execution` objects —
+  :func:`swap_omission` and :func:`swap_omission_checked`, the
+  fragment surgery as the paper writes it, which E9 runs and the tests
+  hold the mask form to.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from dataclasses import dataclass
 from repro.errors import ModelViolation
 from repro.omission.indistinguishability import indistinguishable_to_all
 from repro.sim.execution import Execution, check_execution
+from repro.sim.kernel import KernelTrace, check_trace, mask_members
 from repro.sim.message import Message
 from repro.sim.state import Behavior, Fragment
 from repro.types import ProcessId
@@ -147,3 +158,85 @@ def swap_omission_checked(
         now_correct=pid,
         newly_faulty=swapped.faulty - execution.faulty,
     )
+
+
+def swap_trace(trace: KernelTrace, pid: ProcessId) -> KernelTrace:
+    """Algorithm 4 on masks: ``swap_omission`` of a kernel trace.
+
+    In every round where ``pid`` receive-omitted, the omitted senders'
+    bits leave ``pid``'s receive-omit mask and ``pid``'s bit joins each
+    sender's send-omit mask; received masks, payload maps and decisions
+    are untouched.  The other rows are shared as they are.  Every row
+    of ``trace`` keeps a materialization memo from here on
+    (:meth:`~repro.sim.kernel.KernelRound.share_materialization`), so
+    the two traces materialize the same messages and share every
+    fragment the swap did not change.  The new faulty set holds
+    exactly the processes that still omit something (lines 10-11).
+    Like :func:`swap_omission` it checks nothing; see
+    :func:`swap_trace_checked`.
+    """
+    n = trace.n
+    bit = 1 << pid
+    rows = []
+    for row in trace.rows:
+        dropped = row.omit_masks[pid]
+        if not dropped:
+            row.share_materialization()
+            rows.append(row)
+            continue
+        omit_masks = list(row.omit_masks)
+        omit_masks[pid] = 0
+        send_omit_masks = list(row.send_omit_masks)
+        for sender in mask_members(dropped):
+            send_omit_masks[sender] |= bit
+        rows.append(row.with_omissions(send_omit_masks, omit_masks))
+    omitting = 0
+    for row in rows:
+        for process in range(n):
+            if row.omit_masks[process] or row.send_omit_masks[process]:
+                omitting |= 1 << process
+    return KernelTrace(
+        n=n,
+        t=trace.t,
+        proposals=trace.proposals,
+        corrupted=frozenset(mask_members(omitting)),
+        rows=rows,
+    )
+
+
+def swap_trace_checked(trace: KernelTrace, pid: ProcessId) -> KernelTrace:
+    """Run :func:`swap_trace` and check every clause of Lemma 15 on masks.
+
+    The checks, their order and their messages are those of
+    :func:`swap_omission_checked` (the lower-bound driver writes the
+    message of a failed extraction into its log): ``pid`` does not
+    send-omit; the swapped faulty set fits ``t``; the result passes
+    :func:`~repro.sim.kernel.check_trace`; every process's received
+    rows and the payloads behind them are unchanged (indistinguishable
+    to all); ``pid`` is correct.
+
+    Raises:
+        ModelViolation: if any hypothesis or conclusion fails.
+    """
+    if any(row.send_omit_masks[pid] for row in trace.rows):
+        raise ModelViolation(
+            f"Lemma 15 precondition: p{pid} must not send-omit"
+        )
+    swapped = swap_trace(trace, pid)
+    if len(swapped.corrupted) > trace.t:
+        raise ModelViolation(
+            f"Lemma 15 precondition: swapped faulty set "
+            f"{sorted(swapped.corrupted)} exceeds t={trace.t}"
+        )
+    check_trace(swapped)  # conclusion 1
+    if swapped.proposals != trace.proposals or any(  # conclusion 2
+        after.recv_masks != before.recv_masks
+        or after.payloads != before.payloads
+        for before, after in zip(trace.rows, swapped.rows)
+    ):
+        raise ModelViolation(
+            "swap_omission changed some process's observations"
+        )
+    if pid in swapped.corrupted:  # conclusion 3
+        raise ModelViolation(f"p{pid} still faulty after swap")
+    return swapped

@@ -39,7 +39,16 @@ Bit-identity mechanics worth knowing:
   (``validate_process_id`` / the self-message ``ProtocolViolation``) the
   object engine raises, at the same round;
 * compiled adversaries never send-omit (Definition 1 isolations do
-  not), so ``send_omitted`` is structurally empty.
+  not), so a simulated row's send-omit masks are all zero; a
+  send-omission enters a trace only through Lemma 15's swap
+  (:func:`repro.omission.swap.swap_trace`), which moves receive-omit
+  bits onto the senders' send-omit masks;
+* a row that the swap shares or derives keeps a materialization memo,
+  so the materializations of the swap's source and result share their
+  :class:`~repro.sim.message.Message` objects and every
+  :class:`~repro.sim.state.Fragment` the swap did not change, as the
+  fragment surgery of the object construction does; other rows build
+  their fragments afresh on every materialization and keep nothing.
 
 :func:`check_trace` is the kernel's Appendix-A checker: it reads the
 masks directly, so a checked trace need not be materialized at all.
@@ -143,23 +152,91 @@ def no_faults_compiled(n: int) -> CompiledOmissions:
 class KernelRound:
     """One simulated round in mask representation.
 
-    ``send_masks[s]`` has bit ``r`` set iff ``s`` sent to ``r``;
+    ``send_masks[s]`` has bit ``r`` set iff ``s`` attempted a message to
+    ``r`` (the machine's outgoing set, ``sent ∪ send_omitted``);
+    ``send_omit_masks[s]`` marks the ones ``s`` send-omitted;
     ``payloads[s]`` is the sender's ``receiver -> payload`` mapping;
-    ``recv_masks[r]`` / ``omit_masks[r]`` split the incoming senders of
-    ``r`` into delivered and receive-omitted; ``decisions`` are the
-    machine decisions *after* this round's delivery.
+    ``recv_masks[r]`` / ``omit_masks[r]`` split the senders whose
+    messages reached ``r`` into delivered and receive-omitted;
+    ``decisions`` are the machine decisions *after* this round's
+    delivery.
+
+    ``_memo`` is ``None`` until :meth:`share_materialization` is called;
+    it is then shared with the rows :meth:`with_omissions` derives.
     """
 
-    __slots__ = ("send_masks", "payloads", "recv_masks", "omit_masks",
-                 "decisions")
+    __slots__ = ("send_masks", "send_omit_masks", "payloads",
+                 "recv_masks", "omit_masks", "decisions", "_memo")
 
-    def __init__(self, send_masks, payloads, recv_masks, omit_masks,
-                 decisions) -> None:
+    def __init__(self, send_masks, send_omit_masks, payloads, recv_masks,
+                 omit_masks, decisions) -> None:
         self.send_masks = send_masks
+        self.send_omit_masks = send_omit_masks
         self.payloads = payloads
         self.recv_masks = recv_masks
         self.omit_masks = omit_masks
         self.decisions = decisions
+        self._memo: _RoundMemo | None = None
+
+    def share_materialization(self) -> "_RoundMemo":
+        """This round's materialization memo, created on first call: the
+        traces that share or derive the row then materialize the same
+        :class:`Message` objects, and the same :class:`Fragment` for
+        every process whose omissions agree."""
+        if self._memo is None:
+            self._memo = _RoundMemo()
+        return self._memo
+
+    def with_omissions(self, send_omit_masks, omit_masks) -> "KernelRound":
+        """This round with other omission masks: the same attempted
+        sends, payloads, deliveries and decisions, and the same
+        materialization memo."""
+        row = KernelRound(
+            self.send_masks,
+            send_omit_masks,
+            self.payloads,
+            self.recv_masks,
+            omit_masks,
+            self.decisions,
+        )
+        row._memo = self.share_materialization()
+        return row
+
+    def messages(self, round_: Round) -> list[list[Message]]:
+        """Every attempted message of this round (round ``round_``),
+        per sender in ascending receiver order; built once if the row
+        keeps a memo, else on every call."""
+        memo = self._memo
+        if memo is not None and memo.messages is not None:
+            return memo.messages
+        built = [
+            [
+                Message(sender, receiver, round_, payloads[receiver])
+                for receiver in mask_members(self.send_masks[sender])
+            ]
+            for sender, payloads in enumerate(self.payloads)
+        ]
+        if memo is not None:
+            memo.messages = built
+        return built
+
+
+class _RoundMemo:
+    """What the materializations of rows sharing a memo have in common.
+
+    The rows agree on everything but their omission masks, so a
+    process's fragment depends only on which of its messages it
+    send-omitted, which messages to it were send-omitted, and its state
+    at the start of the round: ``fragments`` is keyed by ``(pid,
+    send-omit mask, mask of the senders that send-omitted to pid,
+    proposal, decision)``.
+    """
+
+    __slots__ = ("messages", "fragments")
+
+    def __init__(self) -> None:
+        self.messages: list[list[Message]] | None = None
+        self.fragments: dict[tuple, Fragment] = {}
 
 
 class KernelTrace:
@@ -171,9 +248,8 @@ class KernelTrace:
     :meth:`quiescent_toward` — straight from the masks, so the driver
     can keep traces as its currency.  :meth:`to_execution` builds the
     bit-identical Appendix-A :class:`Execution` once, lazily, for the
-    consumers that need fragments (merges, swaps, witnesses and
-    certificates); :func:`check_trace` checks the Appendix-A guarantees
-    without it.
+    consumers that need fragments (witnesses and certificates);
+    :func:`check_trace` checks the Appendix-A guarantees without it.
 
     A trace produced by :func:`fork_kernel` *shares* its prefix rounds'
     :class:`KernelRound` rows with the fault-free base trace (structural
@@ -290,9 +366,13 @@ def check_trace(trace: KernelTrace) -> None:
     * the faulty budget ``|F| <= t``, with every faulty id in range;
     * no self-sends;
     * each sender's payload keys are exactly its send-mask bits;
+    * each send-omit bit lies inside its sender's send mask, and only
+      corrupted senders send-omit (omission-validity);
+    * no receiver receives or receive-omits a send-omitted message;
     * no receiver both receives and receive-omits one sender;
     * ``recv | omit`` of each receiver is the transpose of the send
-      masks — send-validity and receive-validity at once;
+      masks less the send-omit masks — send-validity and
+      receive-validity at once;
     * only corrupted receivers receive-omit (omission-validity);
     * decisions are write-once.
 
@@ -315,8 +395,10 @@ def check_trace(trace: KernelTrace) -> None:
     previous: Sequence[Payload | None] = (None,) * n
     for round_, row in enumerate(trace.rows, start=1):
         incoming = [0] * n
+        dropped_to = [0] * n
         for sender in range(n):
             mask = row.send_masks[sender]
+            dropped = row.send_omit_masks[sender]
             sender_bit = 1 << sender
             if mask & sender_bit:
                 raise ModelViolation(f"p{sender} r{round_}: self-message")
@@ -328,12 +410,26 @@ def check_trace(trace: KernelTrace) -> None:
                         f"process {receiver}"
                     )
                 keys |= 1 << receiver
-                incoming[receiver] |= sender_bit
+                if dropped >> receiver & 1:
+                    dropped_to[receiver] |= sender_bit
+                else:
+                    incoming[receiver] |= sender_bit
             if keys != mask:
                 raise ModelViolation(
                     f"p{sender} r{round_}: payload receivers "
                     f"{mask_members(keys)} differ from send mask "
                     f"{mask_members(mask)}"
+                )
+            if dropped & ~mask:
+                raise ModelViolation(
+                    f"p{sender} r{round_}: send-omits to "
+                    f"{mask_members(dropped & ~mask)} outside its send "
+                    "mask"
+                )
+            if dropped and not corrupted >> sender & 1:
+                raise ModelViolation(
+                    f"omission-validity: p{sender} commits omission "
+                    "faults but is not in the faulty set"
                 )
         for receiver in range(n):
             received = row.recv_masks[receiver]
@@ -344,6 +440,13 @@ def check_trace(trace: KernelTrace) -> None:
                     "receive-omitted overlap"
                 )
             arrived = received | omitted
+            if arrived & dropped_to[receiver]:
+                raise ModelViolation(
+                    f"p{receiver} r{round_}: received or receive-omitted "
+                    "messages that "
+                    f"{mask_members(arrived & dropped_to[receiver])} "
+                    "send-omitted"
+                )
             if incoming[receiver] & ~arrived:
                 raise ModelViolation(
                     f"send-validity: r{round_} messages from "
@@ -384,47 +487,68 @@ def _round_fragments(
 
     ``previous_decisions`` are the machine decisions after the previous
     round (a state carries the decision *at the start* of its round);
-    ``None`` means round 1, where nobody has decided yet.
+    ``None`` means round 1, where nobody has decided yet.  A
+    send-omitted message goes to its sender's ``send_omitted`` and
+    reaches nobody; the others go to ``sent`` and to the receiver's
+    ``received`` or ``receive_omitted``.  A row with a memo reuses the
+    fragments it holds.
     """
     sent: list[list[Message]] = [[] for _ in range(n)]
+    send_omitted: list[list[Message]] = [[] for _ in range(n)]
     received: list[list[Message]] = [[] for _ in range(n)]
     omitted: list[list[Message]] = [[] for _ in range(n)]
-    for sender in range(n):
-        mask = row.send_masks[sender]
-        payloads = row.payloads[sender]
+    dropped_to = [0] * n
+    recv_masks = row.recv_masks
+    for sender, outgoing in enumerate(row.messages(round_)):
+        dropped = row.send_omit_masks[sender]
         sender_bit = 1 << sender
-        while mask:
-            low = mask & -mask
-            receiver = low.bit_length() - 1
-            message = Message(
-                sender, receiver, round_, payloads[receiver]
-            )
+        for message in outgoing:
+            receiver = message.receiver
+            if dropped >> receiver & 1:
+                send_omitted[sender].append(message)
+                dropped_to[receiver] |= sender_bit
+                continue
             sent[sender].append(message)
-            if row.recv_masks[receiver] & sender_bit:
+            if recv_masks[receiver] & sender_bit:
                 received[receiver].append(message)
             else:
                 omitted[receiver].append(message)
-            mask ^= low
+    memo = row._memo
     empty: frozenset[Message] = frozenset()
-    return [
-        Fragment(
-            state=StateSnapshot(
-                process=pid,
-                round=round_,
-                proposal=proposals[pid],
-                decision=(
-                    previous_decisions[pid]
-                    if previous_decisions is not None
-                    else None
-                ),
-            ),
-            sent=frozenset(sent[pid]),
-            send_omitted=empty,
-            received=frozenset(received[pid]),
-            receive_omitted=frozenset(omitted[pid]),
+    fragments = []
+    for pid in range(n):
+        decision = (
+            previous_decisions[pid] if previous_decisions is not None
+            else None
         )
-        for pid in range(n)
-    ]
+        fragment = None
+        if memo is not None:
+            key = (
+                pid, row.send_omit_masks[pid], dropped_to[pid],
+                proposals[pid], decision,
+            )
+            fragment = memo.fragments.get(key)
+        if fragment is None:
+            fragment = Fragment(
+                state=StateSnapshot(
+                    process=pid,
+                    round=round_,
+                    proposal=proposals[pid],
+                    decision=decision,
+                ),
+                sent=frozenset(sent[pid]),
+                send_omitted=(
+                    frozenset(send_omitted[pid])
+                    if send_omitted[pid]
+                    else empty
+                ),
+                received=frozenset(received[pid]),
+                receive_omitted=frozenset(omitted[pid]),
+            )
+            if memo is not None:
+                memo.fragments[key] = fragment
+        fragments.append(fragment)
+    return fragments
 
 
 def _step_round(
@@ -432,8 +556,13 @@ def _step_round(
     n: int,
     round_: Round,
     compiled: CompiledOmissions,
+    no_send_omits: tuple[int, ...],
 ) -> KernelRound:
     """Simulate one round over masks: collect, AND, deliver.
+
+    ``no_send_omits`` is the all-zero send-omit row (``(0,) * n``),
+    shared by every row of a run: compiled adversaries never
+    send-omit.
 
     The send phase accumulates three views in one pass over the
     outgoing mappings — per-sender send masks, per-receiver incoming
@@ -492,6 +621,7 @@ def _step_round(
     # descriptor call per process per round on the hottest path.
     return KernelRound(
         send_masks,
+        no_send_omits,
         payload_rows,
         recv_masks,
         omit_masks,
@@ -563,8 +693,9 @@ def _simulate(
     previous: Sequence[Payload | None] = (
         rows[-1].decisions if rows else (None,) * n
     )
+    no_send_omits = (0,) * n
     for round_ in range(first_round, horizon + 1):
-        row = _step_round(machines, n, round_, compiled)
+        row = _step_round(machines, n, round_, compiled, no_send_omits)
         if check:
             _check_round(
                 n, round_, proposals, previous, machines, row.decisions
@@ -814,7 +945,8 @@ class KernelOracle(RoundObserver):
     def on_round(self, event) -> None:
         assert self._compiled is not None
         row = _step_round(
-            self._machines, self._n, event.round, self._compiled
+            self._machines, self._n, event.round, self._compiled,
+            (0,) * self._n,
         )
         fragments = tuple(
             _round_fragments(

@@ -36,7 +36,7 @@ any configuration through its representative, so it stays total on ``I``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Mapping
 
 from repro.errors import UnsolvableProblemError
@@ -115,21 +115,33 @@ class GammaFunction:
 
 
 def _children(key: tuple) -> Iterator[tuple]:
-    """The keys of ``c - p`` for every ``p ∈ π(c)``, given ``c``'s key.
-
-    A configuration's key is its pairs, or for an anonymous problem its
-    proposals in ``V_I`` order; dropping one element of either gives the
-    child's key.  Equal proposals sit side by side and dropping either
-    leaves the same multiset, so each child is yielded once.
-    """
+    """The keys of ``c - p`` for every ``p ∈ π(c)``, given ``c``'s pairs."""
     for index in range(len(key)):
-        if index == 0 or key[index] != key[index - 1]:
-            yield key[:index] + key[index + 1:]
+        yield key[:index] + key[index + 1:]
 
 
-def _proposals(config: InputConfig) -> tuple:
-    """The key of a representative: its proposals, in pid order."""
-    return tuple(config.proposals_multiset())
+def _count_children(key: tuple) -> Iterator[tuple]:
+    """The keys of ``c - p`` for every ``p ∈ π(c)``, given ``c``'s
+    multiset as counts in ``V_I`` order.
+
+    Dropping any of a value's copies leaves the same multiset, so each
+    child is yielded once, in the order the value first occurs in the
+    representative.
+    """
+    for index, count in enumerate(key):
+        if count:
+            yield key[:index] + (count - 1,) + key[index + 1:]
+
+
+def _counts(values: tuple) -> Callable[[InputConfig], tuple]:
+    """The key of a representative: how often it proposes each of
+    ``values``."""
+
+    def key_of(config: InputConfig) -> tuple:
+        proposals = tuple(map(itemgetter(1), config.pairs))
+        return tuple(map(proposals.count, values))
+
+    return key_of
 
 
 def containment_condition(problem: AgreementProblem) -> CCReport:
@@ -146,20 +158,26 @@ def containment_condition(problem: AgreementProblem) -> CCReport:
     is non-empty (or ``|c| = n - t``), which is when the
     per-configuration definition reaches ``c`` too: an ill-formed ``val``
     raises the same ``ValueError`` at the same configuration.  For an
-    anonymous problem a configuration is stored under its proposals,
-    so each child is found under its own representative's key.
+    anonymous problem a configuration is stored under its multiset (how
+    often it proposes each value of ``V_I``), so each child is found
+    under its own representative's key.
     """
     gamma: dict[InputConfig, Payload] = {}
     sets: dict[InputConfig, frozenset[Payload]] = {}
     by_key: dict[tuple, frozenset[Payload]] = {}
     failures: list[InputConfig] = []
     floor = problem.n - problem.t
-    key_of = _proposals if problem.anonymous else attrgetter("pairs")
+    if problem.anonymous:
+        key_of = _counts(problem.input_values)
+        children = _count_children
+    else:
+        key_of = attrgetter("pairs")
+        children = _children
     for config in problem.representatives():
         key = key_of(config)
         admissible: frozenset[Payload] | None = None
-        if len(key) > floor:
-            for child_key in _children(key):
+        if len(config.pairs) > floor:
+            for child_key in children(key):
                 child = by_key[child_key]
                 admissible = (
                     child if admissible is None else admissible & child

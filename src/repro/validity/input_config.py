@@ -8,13 +8,17 @@ correct processes.  ``I`` denotes the set of all input configurations and
 
 :class:`InputConfig` is immutable and hashable so configurations can be
 used as dictionary keys (the Γ function of the containment condition is a
-mapping ``I → V_O``).
+mapping ``I → V_O``).  Its hash is computed on first use and kept, since
+the solvability folds look each configuration up several times; it is
+not pickled, so a configuration shipped to another interpreter rehashes
+under that interpreter's hash seed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.types import Payload, ProcessId, validate_system_size
@@ -37,18 +41,35 @@ class InputConfig:
 
     def __post_init__(self) -> None:
         validate_system_size(self.n, self.t)
-        pids = [pid for pid, _ in self.pairs]
-        if pids != sorted(set(pids)):
-            raise ValueError(
-                "pairs must be sorted by process id without duplicates"
-            )
-        if pids and not 0 <= pids[0] <= pids[-1] < self.n:
+        pairs = self.pairs
+        previous = float("-inf")
+        for pid, _ in pairs:  # one pass: strictly ascending pids
+            if pid <= previous:
+                raise ValueError(
+                    "pairs must be sorted by process id without duplicates"
+                )
+            previous = pid
+        if pairs and not 0 <= pairs[0][0] <= previous < self.n:
             raise ValueError(f"process ids outside range({self.n})")
-        if not self.n - self.t <= len(self.pairs) <= self.n:
+        if not self.n - self.t <= len(pairs) <= self.n:
             raise ValueError(
                 f"a configuration names between n-t={self.n - self.t} "
-                f"and n={self.n} processes, got {len(self.pairs)}"
+                f"and n={self.n} processes, got {len(pairs)}"
             )
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.n, self.t, self.pairs))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        # The cached hash belongs to this interpreter's hash seed.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     @classmethod
     def from_mapping(
@@ -94,7 +115,7 @@ class InputConfig:
 
     def proposals_multiset(self) -> list[Payload]:
         """The proposals, with multiplicity (for counting arguments)."""
-        return [value for _, value in self.pairs]
+        return list(map(itemgetter(1), self.pairs))
 
     def contains(self, other: "InputConfig") -> bool:
         """The containment relation ``self ⊇ other`` (§4.2).
@@ -174,11 +195,20 @@ def enumerate_multiset_configs(
     validate_system_size(n, t)
     if not values:
         raise ValueError("the proposal domain must be non-empty")
+    # A configuration's pairs are slices of one (pid, value) row per
+    # value, so no pair is built twice.
+    rows = [tuple((pid, value) for pid in range(n)) for value in values]
+    indices = range(len(values))
     for size in range(n - t, n + 1):
         for multiset in itertools.combinations_with_replacement(
-            values, size
+            indices, size
         ):
-            yield InputConfig(n=n, t=t, pairs=tuple(enumerate(multiset)))
+            pairs: tuple[tuple[ProcessId, Payload], ...] = ()
+            for index in indices:
+                count = multiset.count(index)
+                if count:
+                    pairs += rows[index][len(pairs):len(pairs) + count]
+            yield InputConfig(n=n, t=t, pairs=pairs)
 
 
 def enumerate_full_configs(

@@ -7,14 +7,17 @@ it must reject every mutation the execution checker rejects
 here they are applied to :class:`~repro.sim.kernel.KernelRound` rows),
 and accept what the execution checker accepts.
 
-Materialization reads only the send masks, the receive bits of sent
-messages and their payloads — an unreceived message becomes a
-receive-omission — so three mask mutations never reach an
+Materialization reads only the send masks, the send-omit bits of sent
+messages, the receive bits of the others and their payloads — an
+unreceived message becomes a receive-omission, a send-omitted one
+reaches nobody — so five mask mutations never reach an
 :class:`~repro.sim.execution.Execution`: a ghost receipt, a send mask
-that disagrees with the payload keys, and a sender both received and
-receive-omitted.  The mask checker must reject those on its own.  For
-the same reason a receipt is erased only at a correct receiver, where
-the execution shows it as an omission by a correct process.
+that disagrees with the payload keys, a sender both received and
+receive-omitted, a send-omit bit outside the send mask, and a
+send-omitted message its receiver still records.  The mask checker must
+reject those on its own.  For the same reason a receipt is erased only
+at a correct receiver, where the execution shows it as an omission by a
+correct process.
 """
 
 import pytest
@@ -32,6 +35,7 @@ from repro.sim.kernel import (
     KernelRound,
     KernelTrace,
     check_trace,
+    mask_members,
     no_faults_compiled,
     run_kernel,
 )
@@ -65,7 +69,11 @@ def with_row(trace, index, corrupted=None, **fields):
     """
     rows = list(trace.rows)
     row = rows[index]
-    values = {name: getattr(row, name) for name in KernelRound.__slots__}
+    values = {
+        name: getattr(row, name)
+        for name in KernelRound.__slots__
+        if not name.startswith("_")  # the message memo is no field
+    }
     values.update(fields)
     rows[index] = KernelRound(**values)
     return KernelTrace(
@@ -281,16 +289,136 @@ def unknown_faulty(trace, data):
     return with_corrupted(trace, frozenset([outsider]))
 
 
+def sent_messages(trace, senders):
+    """Every attempted ``(row index, sender, receiver)`` from ``senders``."""
+    return [
+        (index, sender, receiver)
+        for index, row in enumerate(trace.rows)
+        for sender in sorted(senders)
+        for receiver in mask_members(row.send_masks[sender])
+    ]
+
+
+def send_omit(trace, target, corrupted=None):
+    """Send-omit the message ``target`` names: set the sender's bit and
+    take the message off its receiver's masks."""
+    index, sender, receiver = target
+    row = trace.rows[index]
+    bit = 1 << sender
+    return with_row(
+        trace, index, corrupted=corrupted,
+        send_omit_masks=replaced(
+            row.send_omit_masks, sender,
+            row.send_omit_masks[sender] | 1 << receiver,
+        ),
+        recv_masks=replaced(
+            row.recv_masks, receiver, row.recv_masks[receiver] & ~bit
+        ),
+        omit_masks=replaced(
+            row.omit_masks, receiver, row.omit_masks[receiver] & ~bit
+        ),
+    )
+
+
+def correct_send_omission(trace, data):
+    """A send-omission by a correct sender."""
+    targets = sent_messages(trace, trace.correct)
+    if not targets:
+        return trace
+    return send_omit(trace, data.draw(st.sampled_from(targets)))
+
+
+def faulty_sender(trace, data, targets_of):
+    """A ``targets_of(senders)`` target whose sender the budget lets the
+    mutation corrupt, with the faulty set it then needs."""
+    budget_left = len(trace.corrupted) < trace.t
+    targets = targets_of(range(trace.n) if budget_left else trace.corrupted)
+    if not targets:
+        return None, None
+    target = data.draw(st.sampled_from(targets))
+    return target, trace.corrupted | {target[1]}
+
+
+def faulty_send_omission(trace, data):
+    """A send-omission by a process moved into the faulty set: valid."""
+    target, corrupted = faulty_sender(
+        trace, data, lambda senders: sent_messages(trace, senders)
+    )
+    if target is None:
+        return trace
+    return send_omit(trace, target, corrupted)
+
+
+def send_omit_outside_mask(trace, data):
+    """A faulty sender's send-omit bit toward a process it sent nothing."""
+
+    def unsent(senders):
+        return [
+            (index, sender, receiver)
+            for index, row in enumerate(trace.rows)
+            for sender in sorted(senders)
+            for receiver in range(trace.n)
+            if receiver != sender
+            and not row.send_masks[sender] >> receiver & 1
+        ]
+
+    target, corrupted = faulty_sender(trace, data, unsent)
+    if target is None:
+        return trace
+    index, sender, receiver = target
+    row = trace.rows[index]
+    return with_row(
+        trace, index, corrupted=corrupted,
+        send_omit_masks=replaced(
+            row.send_omit_masks, sender,
+            row.send_omit_masks[sender] | 1 << receiver,
+        ),
+    )
+
+
+def send_omitted_but_received(trace, data):
+    """A faulty sender send-omits a message its receiver still records
+    as received."""
+
+    def delivered(senders):
+        return [
+            (index, sender, receiver)
+            for index, sender, receiver in sent_messages(trace, senders)
+            if trace.rows[index].recv_masks[receiver] >> sender & 1
+        ]
+
+    target, corrupted = faulty_sender(trace, data, delivered)
+    if target is None:
+        return trace
+    index, sender, receiver = target
+    row = trace.rows[index]
+    return with_row(
+        trace, index, corrupted=corrupted,
+        send_omit_masks=replaced(
+            row.send_omit_masks, sender,
+            row.send_omit_masks[sender] | 1 << receiver,
+        ),
+    )
+
+
 EXECUTION_VISIBLE = (
     erase_receipt,
     correct_omission,
     faulty_omission,
+    correct_send_omission,
+    faulty_send_omission,
     rewrite_decision,
     self_send,
     over_budget,
     unknown_faulty,
 )
-MASK_ONLY = (ghost_message, payload_mismatch, receipt_overlap)
+MASK_ONLY = (
+    ghost_message,
+    payload_mismatch,
+    receipt_overlap,
+    send_omit_outside_mask,
+    send_omitted_but_received,
+)
 
 
 def trace_rejects(trace):
@@ -323,6 +451,9 @@ class TestMaskMutationRejection:
             self_send,
             over_budget,
             unknown_faulty,
+            correct_send_omission,
+            send_omit_outside_mask,
+            send_omitted_but_received,
         ],
         ids=lambda mutation: mutation.__name__,
     )
@@ -336,6 +467,13 @@ class TestMaskMutationRejection:
     @given(data=st.data())
     def test_omission_by_a_faulty_process_passes(self, data):
         check_trace(faulty_omission(base_trace(), data))
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_send_omission_by_a_faulty_process_passes(self, data):
+        mutated = faulty_send_omission(base_trace(), data)
+        check_trace(mutated)
+        check_execution(mutated.to_execution())
 
     def test_unmutated_trace_passes(self):
         check_trace(base_trace())
@@ -401,3 +539,4 @@ def test_mask_checker_agrees_with_execution_checker(trace, mutation, data):
         assert trace_rejects(mutated)
     else:
         assert trace_rejects(mutated) == execution_rejects(mutated)
+
