@@ -32,6 +32,9 @@ follows the tables:
   A.1.4 conditions run once, at its first use;
 * the check that an entry's ``state.process``/``state.round`` match the
   position where it is used (A.1.4 conditions 1-2) runs at every use;
+* a used entry without messages has nothing to index, to walk for
+  send- and receive-validity, or to count as a fault, so it is placed
+  in none of them;
 * A.1.5, A.1.6, Definition 1, §3 and the accounting run per execution
   over integer indices.  Duplicate table entries are rejected, so two
   indices are equal exactly when their records are, and comparing index
@@ -735,6 +738,8 @@ class _Verifier:
                 self.checked += 1
                 if (ref, pid, round_) not in self.local_checked:
                     self._verify_fragment(where, pid, round_, ref)
+                if not (entry.outgoing or entry.incoming):
+                    continue  # nothing to index, no fault to note
                 slot = min(round_, rounds)
                 sent_index[pid][slot].update(entry.sent)
                 incoming_index[pid][slot].update(entry.incoming)

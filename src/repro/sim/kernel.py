@@ -212,9 +212,11 @@ class KernelRound:
         built = [
             [
                 Message(sender, receiver, round_, payloads[receiver])
-                for receiver in mask_members(self.send_masks[sender])
-            ]
-            for sender, payloads in enumerate(self.payloads)
+                for receiver in mask_members(mask)
+            ] if mask else []
+            for sender, (mask, payloads) in enumerate(
+                zip(self.send_masks, self.payloads)
+            )
         ]
         if memo is not None:
             memo.messages = built
@@ -380,6 +382,12 @@ def check_trace(trace: KernelTrace) -> None:
     also walks (one message per ordered pair, stable proposals, rounds
     in sequence) hold by the representation.
 
+    An idle cell costs O(1): a sender with no send bit, no send-omit
+    bit and no payload key passes every sender check, a receiver with
+    no received, receive-omitted, incoming or send-omitted bit passes
+    every receiver check, and a round whose decisions equal the
+    previous round's changes none.
+
     Raises:
         ModelViolation: naming the first violated guarantee.
     """
@@ -399,6 +407,8 @@ def check_trace(trace: KernelTrace) -> None:
         for sender in range(n):
             mask = row.send_masks[sender]
             dropped = row.send_omit_masks[sender]
+            if not (mask or dropped or row.payloads[sender]):
+                continue  # an idle sender passes every sender check
             sender_bit = 1 << sender
             if mask & sender_bit:
                 raise ModelViolation(f"p{sender} r{round_}: self-message")
@@ -434,6 +444,11 @@ def check_trace(trace: KernelTrace) -> None:
         for receiver in range(n):
             received = row.recv_masks[receiver]
             omitted = row.omit_masks[receiver]
+            if not (
+                received or omitted or incoming[receiver]
+                or dropped_to[receiver]
+            ):
+                continue  # nothing arrives: every receiver check holds
             if received & omitted:
                 raise ModelViolation(
                     f"p{receiver} r{round_}: received and "
@@ -466,13 +481,14 @@ def check_trace(trace: KernelTrace) -> None:
                     "faults but is not in the faulty set"
                 )
         decisions = row.decisions
-        for pid in range(n):
-            before = previous[pid]
-            if before is not None and decisions[pid] != before:
-                raise ModelViolation(
-                    f"p{pid}: decision changed {before!r} -> "
-                    f"{decisions[pid]!r} at round {round_ + 1}"
-                )
+        if decisions != previous:  # equal rows change no decision
+            for pid in range(n):
+                before = previous[pid]
+                if before is not None and decisions[pid] != before:
+                    raise ModelViolation(
+                        f"p{pid}: decision changed {before!r} -> "
+                        f"{decisions[pid]!r} at round {round_ + 1}"
+                    )
         previous = decisions
 
 
@@ -492,29 +508,47 @@ def _round_fragments(
     reaches nobody; the others go to ``sent`` and to the receiver's
     ``received`` or ``receive_omitted``.  A row with a memo reuses the
     fragments it holds.
+
+    Message sets are collected only where messages are: a receiver's
+    lists are made at its first message, and every empty set is the one
+    shared empty frozenset, so an idle process costs its state and its
+    fragment and nothing else.
     """
-    sent: list[list[Message]] = [[] for _ in range(n)]
-    send_omitted: list[list[Message]] = [[] for _ in range(n)]
-    received: list[list[Message]] = [[] for _ in range(n)]
-    omitted: list[list[Message]] = [[] for _ in range(n)]
+    empty: frozenset[Message] = frozenset()
+    sent = [empty] * n
+    send_omitted = [empty] * n
+    received: list[list[Message] | None] = [None] * n
+    omitted: list[list[Message] | None] = [None] * n
     dropped_to = [0] * n
     recv_masks = row.recv_masks
     for sender, outgoing in enumerate(row.messages(round_)):
+        if not outgoing:
+            continue
         dropped = row.send_omit_masks[sender]
         sender_bit = 1 << sender
+        if dropped:
+            kept = []
+            lost = []
+            for message in outgoing:
+                if dropped >> message.receiver & 1:
+                    lost.append(message)
+                    dropped_to[message.receiver] |= sender_bit
+                else:
+                    kept.append(message)
+            send_omitted[sender] = frozenset(lost)
+            if not kept:
+                continue
+            outgoing = kept
+        sent[sender] = frozenset(outgoing)
         for message in outgoing:
             receiver = message.receiver
-            if dropped >> receiver & 1:
-                send_omitted[sender].append(message)
-                dropped_to[receiver] |= sender_bit
-                continue
-            sent[sender].append(message)
-            if recv_masks[receiver] & sender_bit:
-                received[receiver].append(message)
+            inbox = received if recv_masks[receiver] & sender_bit else omitted
+            box = inbox[receiver]
+            if box is None:
+                inbox[receiver] = [message]
             else:
-                omitted[receiver].append(message)
+                box.append(message)
     memo = row._memo
-    empty: frozenset[Message] = frozenset()
     fragments = []
     for pid in range(n):
         decision = (
@@ -529,6 +563,8 @@ def _round_fragments(
             )
             fragment = memo.fragments.get(key)
         if fragment is None:
+            got = received[pid]
+            missed = omitted[pid]
             fragment = Fragment(
                 state=StateSnapshot(
                     process=pid,
@@ -536,14 +572,12 @@ def _round_fragments(
                     proposal=proposals[pid],
                     decision=decision,
                 ),
-                sent=frozenset(sent[pid]),
-                send_omitted=(
-                    frozenset(send_omitted[pid])
-                    if send_omitted[pid]
-                    else empty
+                sent=sent[pid],
+                send_omitted=send_omitted[pid],
+                received=empty if got is None else frozenset(got),
+                receive_omitted=(
+                    empty if missed is None else frozenset(missed)
                 ),
-                received=frozenset(received[pid]),
-                receive_omitted=frozenset(omitted[pid]),
             )
             if memo is not None:
                 memo.fragments[key] = fragment
@@ -568,24 +602,39 @@ def _step_round(
     outgoing mappings — per-sender send masks, per-receiver incoming
     masks, and per-receiver ascending sender lists (ascending because
     the outer loop is) — so the delivery phase never iterates bits:
-    unrestricted receivers get one dict comprehension, restricted ones
-    one AND plus a filtered comprehension.
+    an unrestricted receiver's delivered mapping is built by one dict
+    comprehension over its sender list, a restricted one's by one AND
+    plus a filtered comprehension.
+
+    An idle cell costs O(1): a sender whose mapping is empty gets a
+    zero send mask and a fresh empty payload row (never the machine's
+    own mapping, which it may fill later), and a receiver with nothing
+    arriving is handed a fresh empty dict.  ``deliver`` still runs on
+    every machine every round — a protocol may act on a round in which
+    nothing arrives.
     """
     thresholds = compiled.thresholds
     restricted = compiled.restricted
     send_masks = [0] * n
     incoming = [0] * n
-    senders_of: list[list[ProcessId]] = [[] for _ in range(n)]
+    senders_of: list[list[ProcessId] | None] = [None] * n
     payload_rows: list[dict[ProcessId, Payload]] = []
     for pid, machine in enumerate(machines):
         mapping = machine.outgoing(round_)
+        if not mapping:
+            payload_rows.append({})
+            continue
         mask = 0
         sender_bit = 1 << pid
         for receiver in mapping:
             if 0 <= receiver < n and receiver != pid:
                 mask |= 1 << receiver
                 incoming[receiver] |= sender_bit
-                senders_of[receiver].append(pid)
+                senders = senders_of[receiver]
+                if senders is None:
+                    senders_of[receiver] = [pid]
+                else:
+                    senders.append(pid)
             else:
                 # Reproduce the object engine's validation errors
                 # (validate_outgoing) exactly, including their order.
@@ -599,6 +648,9 @@ def _step_round(
     omit_masks = [0] * n
     for pid, machine in enumerate(machines):
         arrived = incoming[pid]
+        if not arrived:
+            machine.deliver(round_, {})
+            continue
         threshold = thresholds[pid]
         if threshold is not None and round_ >= threshold:
             allow = restricted[pid]
@@ -625,7 +677,7 @@ def _step_round(
         payload_rows,
         recv_masks,
         omit_masks,
-        tuple(machine._decision for machine in machines),
+        tuple([machine._decision for machine in machines]),
     )
 
 

@@ -137,6 +137,11 @@ def drive_replay(machine: Process, behavior: Behavior) -> None:
     Finally compares the machine's decision after the last round with the
     recorded ``final_state``.
 
+    ``outgoing`` and ``deliver`` run every round.  A round in which the
+    machine sends nothing and nothing was recorded as sent needs no
+    validation and no comparison, and one with nothing received
+    delivers a fresh empty dict, so an idle round costs O(1).
+
     Raises:
         ModelViolation: on the first mismatch, meaning either the record
             was not produced by this algorithm, or the algorithm violates
@@ -159,23 +164,24 @@ def drive_replay(machine: Process, behavior: Behavior) -> None:
                 f"{machine.decision!r} vs recorded "
                 f"{fragment.state.decision!r}"
             )
-        produced = machine.validate_outgoing(
-            round_, machine.outgoing(round_)
+        mapping = machine.outgoing(round_)
+        if mapping or fragment.sent or fragment.send_omitted:
+            produced = machine.validate_outgoing(round_, mapping)
+            recorded = {
+                message.receiver: message.payload
+                for message in fragment.all_outgoing
+            }
+            if produced != recorded:
+                raise ModelViolation(
+                    f"p{machine.pid} r{round_}: outgoing mismatch; "
+                    f"machine {produced!r} vs recorded {recorded!r}"
+                )
+        received = fragment.received
+        machine.deliver(
+            round_,
+            {message.sender: message.payload for message in received}
+            if received else {},
         )
-        recorded = {
-            message.receiver: message.payload
-            for message in fragment.all_outgoing
-        }
-        if produced != recorded:
-            raise ModelViolation(
-                f"p{machine.pid} r{round_}: outgoing mismatch; "
-                f"machine {produced!r} vs recorded {recorded!r}"
-            )
-        received = {
-            message.sender: message.payload
-            for message in fragment.received
-        }
-        machine.deliver(round_, received)
     if machine.decision != behavior.final_state.decision:
         raise ModelViolation(
             f"p{machine.pid}: final decision {machine.decision!r} vs "

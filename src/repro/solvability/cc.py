@@ -185,9 +185,9 @@ def containment_condition(problem: AgreementProblem) -> CCReport:
                 if not admissible:
                     break
         if admissible is None:
-            admissible = problem.admissible(config)
+            admissible = problem.admissible_once(config)
         elif admissible:
-            admissible = admissible & problem.admissible(config)
+            admissible = admissible & problem.admissible_once(config)
         by_key[key] = sets[config] = admissible
         if admissible:
             gamma[config] = min(admissible, key=repr)

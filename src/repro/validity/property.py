@@ -79,7 +79,21 @@ class AgreementProblem:
                 values outside ``V_O`` — both make ``val`` ill-formed
                 (§4.1 requires ``val(c) ≠ ∅``).
         """
-        admissible = self.validity(config)
+        return self._well_formed(config, self.validity(config))
+
+    def admissible_once(self, config: InputConfig) -> frozenset[Payload]:
+        """:meth:`admissible` for a walk that asks about ``config`` once.
+
+        It calls ``val`` past the memo :func:`cached` puts on it (the
+        memo's ``__wrapped__``), so it pays neither the memo's hash of
+        ``config`` nor its entry; the checks are the same.
+        """
+        validity = getattr(self.validity, "__wrapped__", self.validity)
+        return self._well_formed(config, validity(config))
+
+    def _well_formed(
+        self, config: InputConfig, admissible: frozenset[Payload]
+    ) -> frozenset[Payload]:
         if not admissible:
             raise ValueError(
                 f"{self.name}: val(c) is empty for {config!r}"
@@ -203,7 +217,9 @@ def cached(problem: AgreementProblem) -> AgreementProblem:
     """A copy of ``problem`` whose ``val`` is memoized.
 
     The containment-condition decision evaluates ``val`` at most once per
-    configuration, but other callers re-evaluate it:
+    configuration, so it calls ``val`` past the memo
+    (:meth:`AgreementProblem.admissible_once`).  Other callers
+    re-evaluate it:
     :func:`~repro.solvability.cc.verify_gamma` once per containing
     configuration, :meth:`AgreementProblem.always_admissible` (and so
     ``triviality_report``) in a second walk over the representatives

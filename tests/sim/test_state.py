@@ -62,6 +62,19 @@ class TestFragmentConditions:
         with pytest.raises(ModelViolation, match="round"):
             check_fragment(bad)
 
+    def test_condition3_receive_omitted_only(self):
+        bad = fragment(receive_omitted=frozenset({Message(1, 0, 2)}))
+        with pytest.raises(ModelViolation, match="round"):
+            check_fragment(bad)
+
+    def test_condition3_send_omitted_only(self):
+        bad = fragment(send_omitted=frozenset({Message(0, 1, 2)}))
+        with pytest.raises(ModelViolation, match="round"):
+            check_fragment(bad)
+
+    def test_fragment_without_messages_passes(self):
+        check_fragment(fragment(pid=3, round_=7))
+
     def test_condition4_sent_and_send_omitted_overlap(self):
         message = Message(0, 1, 1)
         bad = fragment(

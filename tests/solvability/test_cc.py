@@ -225,6 +225,15 @@ class TestFoldMatchesDefinition:
         assert report.admissible_sets[mixed] == frozenset()
         assert admissible_under_containment(problem, mixed) == frozenset()
 
+    def test_fold_calls_val_past_the_memo(self):
+        """The fold visits each configuration once, so it leaves a
+        cached ``val``'s memo empty; the triviality walk fills it."""
+        problem = strong_consensus_problem(6, 2)
+        containment_condition(problem)
+        assert problem.validity.cache_info().currsize == 0
+        problem.always_admissible()
+        assert problem.validity.cache_info().currsize > 0
+
 
 ANONYMOUS_BUILDERS = {
     "weak-consensus": weak_consensus_problem,
